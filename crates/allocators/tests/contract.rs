@@ -548,8 +548,7 @@ fn pool_ledger_with_maintenance(seed: u64, ops: &[MaintOp]) -> OutcomeLedger {
                     _ => {}
                 }
             }
-            for l in 0..n {
-                let p = ptrs[l];
+            for (l, &p) in ptrs.iter().enumerate().take(n) {
                 if !p.is_null() && pool.memory().read_stamp(p) != stamp_of(l) {
                     overlaps.fetch_add(1, Ordering::Relaxed);
                 }

@@ -134,6 +134,7 @@ fn fairness_tenants() -> Vec<TenantSpec> {
 }
 
 /// Base config for one sweep cell.
+#[allow(clippy::too_many_arguments)]
 fn cell_config(
     shape: ArrivalShape,
     rate: u64,

@@ -101,7 +101,7 @@ fn skew_run(devices: u32, skew: u64, seed: u64) -> TopoStats {
         assert!(out.iter().all(|p| !p.is_null()), "every home device has headroom");
         *slots[warp.warp_id as usize].lock().unwrap() = out;
     });
-    assert_eq!(pool.total_cross_spills(), 0, "affine placement never crosses at headroom");
+    assert_eq!(pool.total_spills(), 0, "affine placement never crosses at headroom");
     let rotated = AtomicU64::new(0);
     launch_warps(DeviceConfig::with_sms(num_sms).seeded(seed ^ 0x5eed), SKEW_WARPS * 32, |warp| {
         let victim = if (warp.warp_id / 2) % 16 < skew {

@@ -326,7 +326,7 @@ pub fn run_batch(
     mallocs: &[u64],
     frees: &[DevicePtr],
 ) -> BatchResult {
-    let w = WARP_SIZE as usize;
+    let w = WARP_SIZE;
     let m_warps = mallocs.len().div_ceil(w);
     let f_warps = frees.len().div_ceil(w);
     if m_warps + f_warps == 0 {

@@ -32,7 +32,7 @@ fn bench_json_writer_creates_missing_nested_directories_and_round_trips() {
         median_ms: 1.5,
         counts: vec![("events".to_string(), 7)],
     };
-    let path = write_bench_json(dir.to_str().unwrap(), "unit", &[rec.clone()])
+    let path = write_bench_json(dir.to_str().unwrap(), "unit", std::slice::from_ref(&rec))
         .expect("writer must create the whole directory chain");
     assert!(path.ends_with("BENCH_unit.json"));
     let back = read_bench_json(&path).expect("written JSON must parse back");

@@ -25,7 +25,7 @@ use bench::workload::run_script;
 use gallatin::{Gallatin, GallatinConfig};
 use gpu_sim::replay::{ReplayOp, ReplayScript, WarpScript};
 use gpu_sim::trace::TraceSink;
-use gpu_sim::{DeviceConfig, WARP_SIZE};
+use gpu_sim::DeviceConfig;
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -50,12 +50,10 @@ fn build_script(per_warp: &[Vec<Step>]) -> ReplayScript {
         .map(|steps| {
             let mut ops = Vec::new();
             let mut live: Vec<u32> = Vec::new();
-            let mut next_slot = 0u32;
-            for &(class, do_free, pick) in steps {
+            for (next_slot, &(class, do_free, pick)) in (0u32..).zip(steps) {
                 let size = CLASSES[class as usize % CLASSES.len()];
                 ops.push(ReplayOp::Malloc { lane: 0, slot: next_slot, size });
                 live.push(next_slot);
-                next_slot += 1;
                 if do_free && !live.is_empty() {
                     let slot = live.swap_remove(pick as usize % live.len());
                     ops.push(ReplayOp::Free { lane: 0, slot });

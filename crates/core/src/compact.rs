@@ -24,8 +24,8 @@
 //! reclaim here, the existing two-phase protocol does the work.
 
 use crate::gallatin::Gallatin;
-use crate::pool::GallatinPool;
-use gpu_sim::{trace, DevicePtr};
+use crate::pools::GallatinPool;
+use gpu_sim::DevicePtr;
 use std::collections::{HashMap, HashSet};
 
 /// One migrated allocation: the caller must replace `old` with `new` in
@@ -126,15 +126,13 @@ impl GallatinPool {
     /// segments to move.
     pub fn compact(&self, live: &[(DevicePtr, u64)], max_occupancy: f64) -> Vec<Relocation> {
         let mut out = Vec::new();
-        for i in 0..self.num_instances() {
+        for i in 0..self.num_children() {
             let mine: Vec<(DevicePtr, u64)> =
                 live.iter().copied().filter(|&(p, _)| self.owner_of(p) == i).collect();
             if mine.is_empty() {
                 continue;
             }
-            out.extend(trace::with_instance(i as u32, || {
-                self.instance(i).compact(&mine, max_occupancy)
-            }));
+            out.extend(Self::enter(i, || self.instance(i).compact(&mine, max_occupancy)));
         }
         out
     }

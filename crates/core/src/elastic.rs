@@ -1,64 +1,67 @@
 //! Elastic pool operations: segment donation, shrink, and grow.
 //!
-//! A [`crate::pool::GallatinPool`] starts with fixed disjoint shards,
-//! but memory pressure is rarely uniform — a hot instance exhausts its
-//! shard while a cold sibling sits on free segments. The paper's
-//! two-phase segment reclamation (§4.4) already defines the state this
-//! module needs: a segment the reclaim protocol published back to a
-//! segment tree is *quiescent free* — no live slices, no wholesale
-//! blocks, every block home in the ring and published, no straggler
-//! mid-push ([`crate::table::SegmentMeta::is_quiescent_free`]). Such a
-//! segment can be re-homed without copying a byte, because the pool's
-//! instances share one arena and one memory table; ownership is only
-//! tree membership plus a row in the pool's routing table.
+//! A [`crate::Router`] starts with fixed disjoint shards, but memory
+//! pressure is rarely uniform — a hot child exhausts its shard while a
+//! cold sibling sits on free segments. The paper's two-phase segment
+//! reclamation (§4.4) already defines the state this module needs: a
+//! segment the reclaim protocol published back to a segment tree is
+//! *quiescent free* — no live slices, no wholesale blocks, every block
+//! home in the ring and published, no straggler mid-push
+//! ([`crate::table::SegmentMeta::is_quiescent_free`]). Such a segment can
+//! be re-homed without copying a byte, because every leaf shares one
+//! arena and one memory table; ownership is only tree membership plus a
+//! row in each level's routing table. (On real hardware a segment donated
+//! across devices stays resident on the donor GPU and the recipient
+//! serves it as mapped peer memory — the tariff's peer counter shows it.)
 //!
-//! **Donation** (`donate`) moves quiescent free segments from a cold
-//! instance straight to a hot one, in three steps per segment:
+//! **Donation** ([`Router::donate`]: instance-to-instance on a
+//! `GallatinPool`, device-to-device on a `DevicePool`) moves quiescent
+//! free segments from a cold child straight to a hot one, in three steps
+//! per segment, written once in terms of [`Level`]:
 //!
-//! 1. *claim-unreachable* — withdraw the segment's bit from the donor's
-//!    segment tree, so no donor-side malloc can claim it;
+//! 1. *claim-unreachable* ([`Level::withdraw`]) — take the segment out
+//!    of the donor (a leaf's tree bit; a router's parked list first, then
+//!    its children), so no donor-side malloc can claim it;
 //! 2. *quiesce-check* — verify the shared metadata still shows the
-//!    reclaimed state (the same predicate phase 2 of `try_reclaim`
-//!    publishes). A failure bounces the segment back to the donor and
-//!    aborts the donation — never corrupts;
-//! 3. *re-home* — update `seg_owner` (so frees route to the new owner
-//!    *before* it can hand out pointers), emit a `SegmentDonate` trace
-//!    event, then insert the bit into the recipient's tree.
+//!    reclaimed state (the predicate phase 2 of `try_reclaim` publishes).
+//!    A failure puts the segment back exactly where it came from
+//!    ([`Level::restore`]) and aborts the donation — never corrupts;
+//! 3. *re-home* — the donor stops answering ([`Level::release`]), this
+//!    level's `seg_owner` switches (so frees route to the new owner
+//!    *before* it can hand out pointers), a `SegmentDonate` event is
+//!    traced under the recipient's stamp, then the recipient routes and
+//!    publishes the segment ([`Level::accept`]).
 //!
 //! Only free segments move, so no live allocation ever changes owner
-//! mid-lifecycle: the trace ledger's `(instance, ptr)` pairing survives
-//! any interleaving of donations with traffic.
+//! mid-lifecycle: the trace ledger's `(device, instance, ptr)` pairing
+//! survives any interleaving of donations with traffic.
 //!
 //! **Shrink** (`shrink_instance` / `shrink_to`) runs the same
-//! withdraw-and-quiesce steps but parks the segment on the pool-level
-//! free list (`seg_owner` = unowned) — memory returned to the pool,
-//! reported as headroom and re-claimable by **grow** (or by the malloc
-//! path's adopt-before-spill, which prefers adopting returned headroom
-//! over spilling to a sibling).
+//! withdraw-and-quiesce steps but parks the segment on the level's free
+//! list (`seg_owner` = unowned) — memory returned to the pool, reported
+//! as headroom and re-claimable by **grow** (or by the spill walk's
+//! adopt-before-spill, which prefers adopting returned headroom over
+//! spilling to a sibling).
 
-use crate::config::GallatinConfig;
 use crate::gallatin::Gallatin;
-use crate::pool::{GallatinPool, UNOWNED};
-use crate::table::MemoryTable;
+use crate::router::{Arena, Level, Router, UNOWNED};
 use crate::tiers::{BlockTier, SegmentTier, SliceTier};
-use gpu_sim::{trace, DeviceMemory, Metrics};
+use gpu_sim::{trace, Metrics};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-impl Gallatin {
-    /// Build an instance over a shared arena view and a shared memory
-    /// table, owning only segments `[first_seg, first_seg+num_segs)` of
-    /// the table's universe. Pointers are *global* offsets into the
-    /// arena — [`crate::pool::GallatinPool`] routes them by segment
-    /// ownership, and a donated segment's metadata needs no translation
-    /// because every instance reads the same table.
-    pub(crate) fn with_shared_table(
-        cfg: GallatinConfig,
-        mem: DeviceMemory,
-        table: Arc<MemoryTable>,
-        first_seg: u64,
-        num_segs: u64,
-    ) -> Self {
+/// The leaf of every routing hierarchy: an instance owns a span of the
+/// shared table's universe, and a segment is handed to or taken from it
+/// through its segment tree alone.
+impl Level for Gallatin {
+    const DEPTH: usize = 0;
+
+    /// Pointers are *global* offsets into the arena — the routers above
+    /// route them by segment ownership, and a donated segment's metadata
+    /// needs no translation because every instance reads the same table.
+    fn build(shape: &[usize], arena: &Arena, first_seg: u64, num_segs: u64) -> Self {
+        assert!(shape.is_empty(), "a Gallatin instance is a leaf: no fan-out below it");
+        let (cfg, mem) = (arena.full, arena.mem.clone_view());
         let geo = cfg.geometry();
         assert!(
             mem.len() as u64 >= geo.heap_bytes,
@@ -67,11 +70,6 @@ impl Gallatin {
             geo.heap_bytes
         );
         assert!(first_seg + num_segs <= geo.num_segments, "owned span exceeds the universe");
-        assert_eq!(
-            table.geometry().num_segments,
-            geo.num_segments,
-            "shared table laid out for a different universe"
-        );
         let segments =
             SegmentTier::with_span(cfg.index_kind(), geo.num_segments, first_seg, num_segs);
         let blocks = BlockTier::new(&cfg, geo.num_segments, geo.num_classes);
@@ -81,7 +79,7 @@ impl Gallatin {
             segments,
             blocks,
             slices: SliceTier,
-            table,
+            table: Arc::clone(&arena.table),
             metrics: Metrics::new(),
             randomize_probes: cfg.randomize_probe_starts,
             reserved: AtomicU64::new(0),
@@ -89,11 +87,9 @@ impl Gallatin {
         }
     }
 
-    /// The instance-local share of a reset: drain the buffer wavefront,
-    /// restore the segment tree to the instance's *initial* span, clear
-    /// the block trees and counters. Does NOT touch the memory table —
-    /// it is shared in pool mode, so the pool resets it exactly once.
-    pub(crate) fn reset_local(&self) {
+    /// Drain the buffer wavefront, restore the segment tree to the
+    /// instance's *initial* span, clear the block trees and counters.
+    fn reset_local(&self) {
         for b in &self.blocks.buffers {
             b.drain();
         }
@@ -106,116 +102,138 @@ impl Gallatin {
         self.reserved.store(0, Ordering::Relaxed);
     }
 
-    /// Withdraw one free segment from this instance's segment tree (the
-    /// claim-unreachable step of donation/shrink): once the bit is
-    /// claimed, no malloc on this instance can reach the segment.
-    pub(crate) fn withdraw_free_segment(&self) -> Option<u64> {
+    fn local_errors(&self, routed_here: &dyn Fn(u64) -> bool) -> Vec<String> {
+        self.structural_errors_where(routed_here)
+    }
+
+    /// A lone Gallatin serves any size up to its heap: it has no notion
+    /// of an oversize request, so the router above keeps the count.
+    fn note_oversize(&self, _sm_id: u32, _lanes: u64) -> bool {
+        false
+    }
+
+    /// Once the bit is claimed, no malloc on this instance can reach the
+    /// segment.
+    fn withdraw(&self) -> Option<u64> {
         self.segments.tree.claim_first_ge(0)
     }
 
-    /// Hand a (quiescent free) segment to this instance: inserting the
-    /// bit is the publish — the very next malloc may claim and format
-    /// it. The caller must already have routed the segment here.
-    pub(crate) fn adopt_segment(&self, seg: u64) {
+    fn restore(&self, seg: u64) {
+        self.segments.tree.insert(seg);
+    }
+
+    /// Inserting the bit is the publish — the very next malloc may claim
+    /// and format the segment. The caller must already have routed it
+    /// here.
+    fn accept(&self, seg: u64, _nth: u64) {
         self.segments.tree.insert(seg);
     }
 }
 
-impl GallatinPool {
-    /// Re-home up to `max` quiescent free segments from instance `from`
-    /// to instance `to`. Returns the number donated (possibly 0 when
-    /// the donor has nothing free). A segment that fails the quiesce
-    /// check is bounced back to the donor and the donation aborts with
-    /// an error — partial progress is reported in the error string and
-    /// already counted.
+impl<C: Level> Router<C> {
+    /// The donor side of the protocol in the module docs. `Ok(None)`
+    /// when child `from` has nothing free; `Err(seg)` when `seg` failed
+    /// the quiesce check and was bounced back — membership in a donor
+    /// tree should already imply quiescence, but the check is the
+    /// protocol, not an optimization: a torn segment never changes hands.
+    fn take_quiescent(&self, from: usize) -> Result<Option<u64>, u64> {
+        let donor = &self.children[from];
+        let Some(seg) = donor.withdraw() else { return Ok(None) };
+        if !self.table.seg(seg).is_quiescent_free() {
+            donor.restore(seg);
+            return Err(seg);
+        }
+        donor.release(seg);
+        Ok(Some(seg))
+    }
+
+    /// Re-home up to `max` quiescent free segments from child `from` to
+    /// child `to` (round-robin over the recipient's own children, if it
+    /// has any). Returns the number donated, possibly 0. A failed quiesce
+    /// check aborts the donation with an error naming the partial
+    /// progress, which is already counted.
     ///
     /// Host-side operation, but safe to run concurrently with device
     /// traffic: every step is an atomic handoff (tree claim → routing
     /// store → tree insert) and only free segments move.
     pub fn donate(&self, from: usize, to: usize, max: u64) -> Result<u64, String> {
+        let child = Self::CHILD;
         if from == to {
-            return Err("donation requires two distinct instances".to_string());
+            return Err(format!("donation requires two distinct {child}s"));
         }
-        let n = self.num_instances();
+        let n = self.children.len();
         if from >= n || to >= n {
-            return Err(format!("donation between out-of-range instances {from} -> {to}"));
+            return Err(format!("donation between out-of-range {child}s {from} -> {to}"));
         }
         let mut moved = 0u64;
+        let mut outcome = Ok(());
         while moved < max {
-            // Claim-unreachable: withdraw the bit so no donor-side malloc
-            // can find the segment any more.
-            let Some(seg) = self.instance(from).withdraw_free_segment() else { break };
-            // Quiesce-check on the shared metadata. Membership in the
-            // donor's tree should already imply this, but the check is
-            // the protocol, not an optimization: a segment that fails it
-            // bounces back — never crosses instances in a torn state.
-            if !self.table.seg(seg).is_quiescent_free() {
-                self.instance(from).adopt_segment(seg);
-                self.donations.fetch_add(moved, Ordering::Relaxed);
-                return Err(format!(
-                    "segment {seg} failed the quiesce check mid-donation \
-                     ({moved} segment(s) already moved)"
-                ));
+            match self.take_quiescent(from) {
+                Ok(Some(seg)) => {
+                    // Route first, then publish: a free targeting this
+                    // segment must reach the recipient from the instant
+                    // the recipient can hand out pointers from it.
+                    self.seg_owner[seg as usize].store(to as u32, Ordering::Release);
+                    Self::enter(to, || {
+                        trace::emit(|| trace::TraceEvent::SegmentDonate {
+                            from: from as u32,
+                            to: to as u32,
+                            seg,
+                        })
+                    });
+                    self.children[to].accept(seg, moved);
+                    moved += 1;
+                }
+                Ok(None) => break,
+                Err(seg) => {
+                    outcome = Err(format!(
+                        "segment {seg} failed the quiesce check mid-donation \
+                         ({moved} segment(s) already moved between {child}s)"
+                    ));
+                    break;
+                }
             }
-            // Route first, then publish: a free targeting this segment
-            // must reach the recipient from the instant the recipient
-            // can hand out pointers from it.
-            self.seg_owner[seg as usize].store(to as u32, Ordering::Release);
-            trace::emit(|| trace::TraceEvent::SegmentDonate {
-                from: from as u32,
-                to: to as u32,
-                seg,
-            });
-            self.instance(to).adopt_segment(seg);
-            moved += 1;
         }
         self.donations.fetch_add(moved, Ordering::Relaxed);
-        Ok(moved)
+        outcome.map(|()| moved)
     }
 
-    /// Withdraw up to `max` quiescent free segments from instance `i`
-    /// and park them on the pool-level free list (memory returned to
-    /// the pool). Returns the number returned. Call
-    /// [`GallatinPool::trim`] first to release the buffered wavefront
-    /// if the instance should give up everything it can.
+    /// Withdraw up to `max` quiescent free segments from child `i` and
+    /// park them on the level free list (memory returned to the pool).
+    /// Returns the number returned; stops early at a segment that fails
+    /// the quiesce check. [`Gallatin::trim`] the instances first to release
+    /// the buffered wavefront if the child should give up everything.
     pub fn shrink_instance(&self, i: usize, max: u64) -> u64 {
         let mut count = 0u64;
         while count < max {
-            let Some(seg) = self.instance(i).withdraw_free_segment() else { break };
-            if !self.table.seg(seg).is_quiescent_free() {
-                // Same bounce as donation: never park a torn segment.
-                self.instance(i).adopt_segment(seg);
-                break;
-            }
+            let Ok(Some(seg)) = self.take_quiescent(i) else { break };
             self.seg_owner[seg as usize].store(UNOWNED, Ordering::Release);
-            self.pool_free.insert(seg);
-            self.pool_free_len.fetch_add(1, Ordering::Relaxed);
+            self.parked.insert(seg);
             count += 1;
         }
         self.returned.fetch_add(count, Ordering::Relaxed);
         count
     }
 
-    /// Release whole free segments round-robin across instances until
-    /// the instance-owned footprint is at most `target_bytes` (or no
-    /// instance can give anything more). Returns the number of segments
-    /// released to the pool free list by this call — best effort: live
-    /// allocations pin their segments.
+    /// Release whole free segments round-robin across children until the
+    /// child-owned footprint is at most `target_bytes` (or no child can
+    /// give anything more). Returns the number of segments released to
+    /// the level free list by this call — best effort: live allocations
+    /// pin their segments.
     pub fn shrink_to(&self, target_bytes: u64) -> u64 {
         let mut released = 0u64;
         loop {
-            // Instance-owned = responsible minus parked (NOT the table
-            // universe: in device-pool mode the universe spans every
-            // device, while responsibility is this pool's alone).
-            let owned =
-                self.resp_len.load(Ordering::Relaxed) - self.pool_free_len.load(Ordering::Relaxed);
+            // Child-owned = responsible minus parked (NOT the table
+            // universe: below another router the universe spans every
+            // sibling, while responsibility is this router's alone).
+            let owned = self.resp_len.load(Ordering::Relaxed) - self.parked.count();
             let owned_bytes = owned * self.segment_bytes;
             if owned_bytes <= target_bytes {
                 return released;
             }
             let need = (owned_bytes - target_bytes).div_ceil(self.segment_bytes);
             let mut progress = 0u64;
-            for i in 0..self.num_instances() {
+            for i in 0..self.children.len() {
                 if progress >= need {
                     break;
                 }
@@ -228,77 +246,26 @@ impl GallatinPool {
         }
     }
 
-    /// Adopt up to `max` segments from the pool-level free list into
-    /// instance `i` (the inverse of shrink). Returns the number
-    /// adopted. The malloc path calls this automatically when a home
-    /// instance is exhausted while the pool holds returned headroom.
+    /// Adopt up to `max` segments from the level free list into child
+    /// `i` (the inverse of shrink). Returns the number adopted. The spill
+    /// walk calls this automatically when a home child is exhausted
+    /// while the level holds returned headroom.
     pub fn grow(&self, i: usize, max: u64) -> u64 {
         let mut count = 0u64;
         while count < max {
-            let Some(seg) = self.pool_free.claim_first_ge(0) else { break };
-            self.pool_free_len.fetch_sub(1, Ordering::Relaxed);
+            let Some(seg) = self.parked.claim_first_ge(0) else { break };
             self.seg_owner[seg as usize].store(i as u32, Ordering::Release);
-            self.instance(i).adopt_segment(seg);
+            self.children[i].accept(seg, count);
             count += 1;
         }
-        self.adopted.fetch_add(count, Ordering::Relaxed);
+        if count > 0 {
+            self.adopted.fetch_add(count, Ordering::Relaxed);
+        }
         count
     }
+}
 
-    /// The pool share of the invariant check: the routing table, the
-    /// pool free list, and the shared table must tell one story —
-    /// parked ⇒ unowned and quiescent free, and the responsibility
-    /// balance holds: instance-owned plus parked segments equal exactly
-    /// what this pool is responsible for ([`GallatinPool::resp_len`]).
-    /// Segments that are unowned *and* unparked are foreign (another
-    /// device's, in device-pool mode) and legitimately skipped — the
-    /// balance check is what keeps a dropped segment loud anyway: losing
-    /// one from both the routing table and the free list leaves
-    /// `owned + parked` one short of the responsibility count.
-    pub(crate) fn ownership_audit(&self, errors: &mut Vec<String>) {
-        let n = self.num_instances() as u32;
-        let mut owned = 0u64;
-        let mut parked_count = 0u64;
-        for seg in 0..self.num_segments {
-            let o = self.seg_owner[seg as usize].load(Ordering::Acquire);
-            let parked = self.pool_free.contains(seg);
-            if o == UNOWNED {
-                if parked {
-                    parked_count += 1;
-                    if !self.table.seg(seg).is_quiescent_free() {
-                        errors.push(format!(
-                            "segment {seg} is on the pool free list but not quiescent-free"
-                        ));
-                    }
-                }
-                // Unowned and unparked: foreign to this pool.
-            } else {
-                owned += 1;
-                if o >= n {
-                    errors.push(format!("segment {seg} is routed to nonexistent instance {o}"));
-                }
-                if parked {
-                    errors.push(format!(
-                        "segment {seg} is owned by instance {o} but also on the pool free list"
-                    ));
-                }
-            }
-        }
-        let resp = self.resp_len.load(Ordering::Relaxed);
-        if owned + parked_count != resp {
-            errors.push(format!(
-                "responsibility leak: instances own {owned} + {parked_count} parked \
-                 != {resp} segments this pool answers for"
-            ));
-        }
-        let len = self.pool_free_len.load(Ordering::Relaxed);
-        if len != parked_count {
-            errors.push(format!(
-                "pool free list length counter says {len}, the free list holds {parked_count}"
-            ));
-        }
-    }
-
+impl Router<Gallatin> {
     /// Test-only sabotage: re-home a *formatted* segment from `from` to
     /// `to` without the claim-unreachable or quiesce steps — exactly
     /// the corruption a buggy donation would plant. Returns the segment
@@ -308,27 +275,24 @@ impl GallatinPool {
     /// recipient sees it simultaneously free and formatted).
     #[doc(hidden)]
     pub fn debug_donate_skip_quiesce(&self, from: usize, to: usize) -> Option<u64> {
-        let num_classes = self.instance(from).geometry().num_classes;
-        for seg in 0..self.num_segments {
-            if self.seg_owner[seg as usize].load(Ordering::Acquire) != from as u32 {
-                continue;
-            }
-            if (self.table.seg(seg).ldcv_tree_id() as usize) < num_classes {
-                self.seg_owner[seg as usize].store(to as u32, Ordering::Release);
-                self.instance(to).adopt_segment(seg);
-                return Some(seg);
-            }
-        }
-        None
+        let num_classes = self.children[from].geometry().num_classes;
+        let seg = (0..self.seg_owner.len() as u64).find(|&seg| {
+            self.owner_of_segment(seg) == Some(from)
+                && (self.table.seg(seg).ldcv_tree_id() as usize) < num_classes
+        })?;
+        self.seg_owner[seg as usize].store(to as u32, Ordering::Release);
+        self.children[to].accept(seg, 0);
+        Some(seg)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use crate::config::GallatinConfig;
-    use crate::pool::GallatinPool;
+    use crate::router::{Level, Router};
     use crate::table::TREE_FREE;
-    use gpu_sim::{DeviceAllocator, WarpCtx};
+    use crate::{DevicePool, GallatinPool};
+    use gpu_sim::{DeviceAllocator, DevicePtr, WarpCtx};
     use std::sync::atomic::Ordering;
 
     fn pool(n: usize) -> GallatinPool {
@@ -343,8 +307,8 @@ mod tests {
     fn donation_rehomes_free_segments_and_routing_follows() {
         let p = pool(2);
         assert_eq!(p.donate(0, 1, 4), Ok(4));
-        assert_eq!(p.donated_segments(), 4);
         let s = p.pool_stats();
+        assert_eq!(s.donated_segments, 4);
         assert_eq!(s.instances[0].owned_segments, 12);
         assert_eq!(s.instances[1].owned_segments, 20);
         p.check_invariants().expect("clean after donation");
@@ -362,21 +326,28 @@ mod tests {
         p.check_invariants().expect("clean after routed frees of donated segments");
     }
 
-    #[test]
-    fn donation_bounces_when_the_quiesce_check_fails() {
-        let p = pool(2);
+    /// The bounce protocol, at whichever level `r` routes: a torn
+    /// segment 0 on child 0's first leaf must bounce back, not donate.
+    fn donation_bounces<C: Level>(r: &Router<C>) {
+        let level = r.name();
         // Plant a torn state: segment 0 claims to be formatted while
-        // still sitting in instance 0's segment tree.
-        p.instance(0).table().seg(0).tree_id.store(0, Ordering::SeqCst);
-        let err = p.donate(0, 1, 16).unwrap_err();
-        assert!(err.contains("quiesce"), "unexpected error: {err}");
+        // still sitting in its leaf's segment tree.
+        r.table.seg(0).tree_id.store(0, Ordering::SeqCst);
+        let err = r.donate(0, 1, 16).unwrap_err();
+        assert!(err.contains("quiesce"), "{level}: unexpected error: {err}");
         // The segment bounced back to the donor: nothing crossed over.
-        assert_eq!(p.pool_stats().instances[0].owned_segments, 16);
-        assert_eq!(p.donated_segments(), 0);
+        assert_eq!(r.owned_segments()[0], 16, "{level}");
+        assert_eq!(r.donations.load(Ordering::Relaxed), 0, "{level}");
         // Undoing the corruption lets the full donation through.
-        p.instance(0).table().seg(0).tree_id.store(TREE_FREE, Ordering::SeqCst);
-        assert_eq!(p.donate(0, 1, 16), Ok(16));
-        p.check_invariants().expect("clean after the repaired donation");
+        r.table.seg(0).tree_id.store(TREE_FREE, Ordering::SeqCst);
+        assert_eq!(r.donate(0, 1, 16), Ok(16), "{level}");
+        r.check_invariants().expect("clean after the repaired donation");
+    }
+
+    #[test]
+    fn donation_bounces_when_the_quiesce_check_fails_at_both_levels() {
+        donation_bounces(&pool(2));
+        donation_bounces(&DevicePool::new(2, 1, GallatinConfig::small_test(1 << 20)));
     }
 
     #[test]
@@ -399,25 +370,37 @@ mod tests {
 
     #[test]
     fn shrink_returns_segments_and_malloc_adopts_them_back() {
-        let p = pool(2);
-        assert_eq!(p.shrink_instance(1, 10), 10);
-        assert_eq!(p.returned_segments(), 10);
-        assert_eq!(p.pool_free_segments(), 10);
-        p.check_invariants().expect("clean after shrink");
-        // Instance 0's home pressure adopts from the pool free list
-        // before spilling: 20 claims = 16 original + 4 adopted, 0 spills.
-        let l0 = warp_on(0, 1);
-        let seg = p.instance(0).geometry().segment_bytes;
-        let held: Vec<_> = (0..20).map(|_| p.malloc(&l0.lane(0), seg)).collect();
-        assert!(held.iter().all(|q| !q.is_null()));
-        assert_eq!(p.spill_count(0), 0, "adoption absorbs the pressure, no spills");
-        assert_eq!(p.adopted_segments(), 4);
-        assert_eq!(p.pool_free_segments(), 6);
-        for q in held {
-            p.free(&l0.lane(0), q);
+        // Scalar and warp-collective requests go through one walk, so
+        // both arms must adopt parked headroom before spilling — and
+        // report the same `(spills, adopted)`.
+        for collective in [false, true] {
+            let p = pool(2);
+            assert_eq!(p.shrink_instance(1, 10), 10);
+            let s = p.pool_stats();
+            assert_eq!((s.returned_segments, s.pool_free_segments), (10, 10));
+            p.check_invariants().expect("clean after shrink");
+            // Instance 0's home pressure adopts from the pool free list
+            // before spilling: 20 claims = 16 original + 4 adopted, 0 spills.
+            let w0 = warp_on(0, 20);
+            let seg = p.instance(0).geometry().segment_bytes;
+            let mut held = vec![DevicePtr::NULL; 20];
+            if collective {
+                p.warp_malloc(&w0, &[Some(seg); 20], &mut held);
+            } else {
+                held.iter_mut().for_each(|q| *q = p.malloc(&w0.lane(0), seg));
+            }
+            assert!(held.iter().all(|q| !q.is_null()));
+            let s = p.pool_stats();
+            assert_eq!(
+                (s.spills, s.adopted_segments),
+                (0, 4),
+                "collective = {collective}: adoption absorbs the pressure, no spills"
+            );
+            assert_eq!(s.pool_free_segments, 6);
+            p.warp_free(&w0, &held);
+            assert_eq!(p.stats().reserved_bytes, 0);
+            p.check_invariants().expect("clean after adopted traffic");
         }
-        assert_eq!(p.stats().reserved_bytes, 0);
-        p.check_invariants().expect("clean after adopted traffic");
     }
 
     #[test]
@@ -426,7 +409,7 @@ mod tests {
         let seg_bytes = p.instance(0).geometry().segment_bytes;
         let total = p.heap_bytes();
         assert_eq!(p.shrink_to(total - 6 * seg_bytes), 6);
-        assert_eq!(p.pool_free_segments(), 6);
+        assert_eq!(p.pool_stats().pool_free_segments, 6);
         assert_eq!(p.shrink_to(total - 6 * seg_bytes), 0, "idempotent at the target");
         p.check_invariants().expect("clean after shrink_to");
         // Live allocations pin their segments: shrinking to zero only
@@ -435,7 +418,7 @@ mod tests {
         let held: Vec<_> = (0..10).map(|_| p.malloc(&l0.lane(0), seg_bytes)).collect();
         assert!(held.iter().all(|q| !q.is_null()));
         assert_eq!(p.shrink_to(0), 16, "only the free segments could be released");
-        assert_eq!(p.pool_free_segments(), 22);
+        assert_eq!(p.pool_stats().pool_free_segments, 22);
         p.check_invariants().expect("clean with live data after best-effort shrink");
         for q in held {
             p.free(&l0.lane(0), q);

@@ -22,6 +22,7 @@
 //! The protocols live in [`crate::tiers`].
 
 use crate::config::{GallatinConfig, Geometry};
+use crate::router::{Arena, Level};
 use crate::table::{BlockHandle, MemoryTable, LARGE_BASE, LARGE_BODY, TREE_FREE};
 use crate::tiers::{BlockTier, SegmentTier, SliceTier, TierCtx};
 use gpu_sim::{
@@ -40,7 +41,7 @@ pub struct Gallatin {
     pub(crate) blocks: BlockTier,
     /// Generation-tagged claim words and coalesced claims (Algorithm 3).
     pub(crate) slices: SliceTier,
-    /// Shared in pool mode: every instance of a [`crate::pool::GallatinPool`]
+    /// Shared in pool mode: every instance under a [`crate::Router`]
     /// holds the same table so a donated segment's metadata travels with
     /// it (see `crate::elastic`).
     pub(crate) table: Arc<MemoryTable>,
@@ -59,10 +60,10 @@ pub struct Gallatin {
 
 /// Append lifecycle-ledger violations (leaks and unmatched frees seen by
 /// the host thread's trace sink, when its teardown leak check is armed)
-/// to `errors`, each with full provenance. Shared by the single-instance
-/// and pool invariant checks: the ledger pairs per `(instance, ptr)`, so
-/// one pass covers every instance whose events the sink captured.
-pub(crate) fn ledger_errors(errors: &mut Vec<String>) {
+/// to `errors`, each with full provenance. The ledger pairs per
+/// `(device, instance, ptr)`, so one pass covers every instance whose
+/// events the sink captured.
+fn ledger_errors(errors: &mut Vec<String>) {
     if !trace::compiled_in() {
         return;
     }
@@ -111,6 +112,23 @@ pub(crate) fn ledger_errors(errors: &mut Vec<String>) {
     }
 }
 
+/// The tail every invariant check ends with, whatever the level that ran
+/// it: add the lifecycle-ledger pass to the structural `errors` (once,
+/// at the root — the ledger already spans every device and instance; with
+/// the sink's leak check armed, an allocation the trace saw malloc'd but
+/// never freed is a violation), and on failure leave a replayable trace
+/// behind, named `dump_label`.
+pub(crate) fn invariant_report(mut errors: Vec<String>, dump_label: &str) -> Result<(), String> {
+    ledger_errors(&mut errors);
+    if errors.is_empty() {
+        return Ok(());
+    }
+    if let Some(path) = trace::auto_dump(dump_label) {
+        errors.push(format!("trace auto-dumped to {}", path.display()));
+    }
+    Err(errors.join("\n"))
+}
+
 impl Gallatin {
     /// Build and initialize an allocator over a fresh arena.
     pub fn new(cfg: GallatinConfig) -> Self {
@@ -119,13 +137,11 @@ impl Gallatin {
     }
 
     /// Build an allocator over caller-provided device memory. Owns the
-    /// whole heap and a private memory table; pool instances instead go
-    /// through `with_shared_table` (see `crate::elastic`) so a donated
-    /// segment's metadata is visible from its new home.
+    /// whole heap and a private memory table; pool instances are instead
+    /// built over a shared table (`Level::build`, see `crate::elastic`) so
+    /// a donated segment's metadata is visible from its new home.
     pub fn with_memory(cfg: GallatinConfig, mem: DeviceMemory) -> Self {
-        let geo = cfg.geometry();
-        let table = Arc::new(MemoryTable::new(geo));
-        Self::with_shared_table(cfg, mem, table, 0, geo.num_segments)
+        Level::build(&[], &Arena::new(cfg, mem), 0, cfg.geometry().num_segments)
     }
 
     /// The borrowed view of shared state every tier call operates through.
@@ -189,20 +205,15 @@ impl Gallatin {
     // Invariant checking (host-side diagnostics)
     // ==================================================================
 
-    /// The structural share of [`Self::check_invariants`]: every tier's
+    /// The structural share of [`Self::check_invariants`] — every tier's
     /// table/tree/buffer cross-checks plus the reserved-counter audit,
-    /// without the trace-ledger pass or the auto-dump (the pool runs
-    /// those once across all instances).
-    pub(crate) fn structural_errors(&self) -> Vec<String> {
-        self.structural_errors_where(&|_| true)
-    }
-
-    /// [`Self::structural_errors`] restricted to segments `owned` says
-    /// belong to this instance. The pool passes its routing table here:
-    /// each instance audits exactly the segments currently homed on it
-    /// (including adopted ones), and flags any unowned segment that
-    /// still lingers in one of its trees — the footprint of a donation
-    /// that skipped the quiesce handshake.
+    /// without the trace-ledger pass or the auto-dump (the root of a
+    /// routing hierarchy runs those once) — restricted to segments
+    /// `owned` says belong to this instance. A router passes its routing
+    /// table here: each instance audits exactly the segments currently
+    /// homed on it (including adopted ones), and flags any unowned
+    /// segment that still lingers in one of its trees — the footprint of
+    /// a donation that skipped the quiesce handshake.
     pub(crate) fn structural_errors_where(&self, owned: &dyn Fn(u64) -> bool) -> Vec<String> {
         let ctx = self.ctx();
         let mut errors: Vec<String> = Vec::new();
@@ -253,22 +264,7 @@ impl Gallatin {
     /// violations are collected before returning, so one corruption
     /// reports its full blast radius in a single `Err`.
     pub fn check_invariants(&self) -> Result<(), String> {
-        let mut errors = self.structural_errors();
-        // Lifecycle-ledger leak check: when a trace sink is installed on
-        // this (host) thread with its teardown leak check armed, any
-        // allocation the trace saw malloc'd but never freed is a
-        // violation, reported with its full provenance.
-        ledger_errors(&mut errors);
-        if errors.is_empty() {
-            Ok(())
-        } else {
-            // Every invariant failure leaves a replayable artifact behind
-            // when a trace was being captured.
-            if let Some(path) = trace::auto_dump("invariant_failure") {
-                errors.push(format!("trace auto-dumped to {}", path.display()));
-            }
-            Err(errors.join("\n"))
-        }
+        invariant_report(self.structural_errors_where(&|_| true), "invariant_failure")
     }
 
     // ==================================================================

@@ -4,11 +4,13 @@
 //! device pointers: `init_global_allocator(num_bytes)` once on the host,
 //! then `global_malloc` / `global_free` from any device function. This
 //! module reproduces that interface over a process-wide instance — a
-//! single [`Gallatin`] by default, or a sharded [`GallatinPool`] via
-//! [`init_global_pool`].
+//! single [`Gallatin`] from [`init_global_allocator`], or any allocator
+//! the caller built (a `GallatinPool`, a `DevicePool`) via
+//! [`init_global`], which hands back the typed `&'static` so pool
+//! counters stay reachable.
 //!
 //! Initialization is once-only, as with the CUDA original where the
-//! device pointer is set once: a second `init_*` call returns
+//! device pointer is set once: a second init call returns
 //! [`AlreadyInitialized`] (carrying what the global already is) instead
 //! of silently keeping the first instance.
 //!
@@ -25,36 +27,14 @@
 //! ```
 
 use crate::config::GallatinConfig;
-use crate::device_pool::DevicePool;
 use crate::gallatin::Gallatin;
-use crate::pool::GallatinPool;
 use gpu_sim::{DeviceAllocator, DevicePtr, LaneCtx};
 use std::sync::OnceLock;
 
-/// What the process-wide global allocator is backed by.
-enum GlobalBackend {
-    // All boxed: Gallatin inlines its per-class tree/buffer tables,
-    // and the pools carry the shared table plus ownership/free-list
-    // state inline.
-    Single(Box<Gallatin>),
-    Pool(Box<GallatinPool>),
-    Device(Box<DevicePool>),
-}
+static GLOBAL: OnceLock<&'static dyn DeviceAllocator> = OnceLock::new();
 
-impl GlobalBackend {
-    fn as_dyn(&self) -> &(dyn DeviceAllocator + Send + Sync) {
-        match self {
-            GlobalBackend::Single(g) => g.as_ref(),
-            GlobalBackend::Pool(p) => p.as_ref(),
-            GlobalBackend::Device(t) => t.as_ref(),
-        }
-    }
-}
-
-static GLOBAL: OnceLock<GlobalBackend> = OnceLock::new();
-
-/// The global allocator was already initialized; the new configuration
-/// was discarded. Carries a description of what the global already is.
+/// The global allocator was already initialized; the new allocator was
+/// discarded. Carries a description of what the global already is.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct AlreadyInitialized {
     /// `name()` of the backend that won the initialization race.
@@ -69,116 +49,41 @@ impl std::fmt::Display for AlreadyInitialized {
 
 impl std::error::Error for AlreadyInitialized {}
 
-fn set_global(backend: GlobalBackend) -> Result<(), AlreadyInitialized> {
-    GLOBAL
-        .set(backend)
-        .map_err(|_| AlreadyInitialized { existing: global_allocator().name().to_string() })
+/// Install `alloc` as the process-wide global allocator and return the
+/// typed reference to it. Errors with [`AlreadyInitialized`] (dropping
+/// `alloc`) if the global was already set, as the CUDA original's device
+/// pointer is set once.
+pub fn init_global<A: DeviceAllocator + 'static>(
+    alloc: A,
+) -> Result<&'static A, AlreadyInitialized> {
+    let mut installed = None;
+    let winner = GLOBAL.get_or_init(|| {
+        let typed: &'static A = Box::leak(Box::new(alloc));
+        installed = Some(typed);
+        typed
+    });
+    installed.ok_or_else(|| AlreadyInitialized { existing: winner.name().to_string() })
 }
 
-/// Round a byte budget down to whole default segments (16 MB), with a
-/// one-segment floor.
-fn whole_segments(num_bytes: u64) -> u64 {
-    (num_bytes / (16 << 20) * (16 << 20)).max(16 << 20)
-}
-
-/// Initialize the global allocator with `num_bytes` of device memory
-/// (rounded down to whole segments, minimum one segment) and the default
-/// configuration. Errors with [`AlreadyInitialized`] if the global was
-/// already set, as the CUDA original's device pointer is set once.
+/// Initialize the global allocator as one [`Gallatin`] with `num_bytes`
+/// of device memory (rounded down to whole default 16 MB segments,
+/// minimum one segment) and the default configuration.
 pub fn init_global_allocator(num_bytes: u64) -> Result<(), AlreadyInitialized> {
-    init_global_allocator_with(GallatinConfig {
-        heap_bytes: whole_segments(num_bytes),
-        ..GallatinConfig::default()
-    })
+    let heap_bytes = (num_bytes / (16 << 20) * (16 << 20)).max(16 << 20);
+    init_global(Gallatin::new(GallatinConfig { heap_bytes, ..GallatinConfig::default() })).map(drop)
 }
 
-/// Initialize the global allocator with an explicit configuration.
-pub fn init_global_allocator_with(cfg: GallatinConfig) -> Result<(), AlreadyInitialized> {
-    set_global(GlobalBackend::Single(Box::new(Gallatin::new(cfg))))
-}
-
-/// Initialize the global allocator as a [`GallatinPool`] of `n`
-/// instances sharing `num_bytes` in total: each instance gets
-/// `num_bytes / n`, rounded down to whole default segments (minimum one
-/// segment each). Placement, spilling, and free routing follow the pool
-/// semantics (see [`GallatinPool`]).
-pub fn init_global_pool(n: usize, num_bytes: u64) -> Result<(), AlreadyInitialized> {
-    assert!(n > 0, "a pool needs at least one instance");
-    let cfg = GallatinConfig {
-        heap_bytes: whole_segments(num_bytes / n as u64),
-        ..GallatinConfig::default()
-    };
-    init_global_pool_with(n, cfg)
-}
-
-/// Initialize the global allocator as a [`GallatinPool`] with an explicit
-/// *per-instance* configuration.
-pub fn init_global_pool_with(n: usize, cfg: GallatinConfig) -> Result<(), AlreadyInitialized> {
-    set_global(GlobalBackend::Pool(Box::new(GallatinPool::new(n, cfg))))
-}
-
-/// Initialize the global allocator as a [`DevicePool`] spanning
-/// `devices` devices of `width` instances each, sharing `num_bytes` in
-/// total: each instance gets `num_bytes / (devices * width)`, rounded
-/// down to whole default segments (minimum one segment each). Placement
-/// is SM-affine at both levels, frees route by segment home, and only a
-/// whole-device denial crosses the interconnect (see [`DevicePool`]).
-pub fn init_global_device_pool(
-    devices: u32,
-    width: usize,
-    num_bytes: u64,
-) -> Result<(), AlreadyInitialized> {
-    assert!(devices > 0, "a topology needs at least one device");
-    assert!(width > 0, "a device pool needs at least one instance");
-    let cfg = GallatinConfig {
-        heap_bytes: whole_segments(num_bytes / (devices as u64 * width as u64)),
-        ..GallatinConfig::default()
-    };
-    init_global_device_pool_with(devices, width, cfg)
-}
-
-/// Initialize the global allocator as a [`DevicePool`] with an explicit
-/// *per-instance* configuration.
-pub fn init_global_device_pool_with(
-    devices: u32,
-    width: usize,
-    cfg: GallatinConfig,
-) -> Result<(), AlreadyInitialized> {
-    set_global(GlobalBackend::Device(Box::new(DevicePool::new(devices, width, cfg))))
-}
-
-/// Whether any `init_global_*` call has succeeded.
+/// Whether an init call has succeeded.
 pub fn global_allocator_initialized() -> bool {
     GLOBAL.get().is_some()
 }
 
-/// The global instance — a [`Gallatin`] or a [`GallatinPool`], behind the
-/// common [`DeviceAllocator`] interface.
+/// The global instance, behind the common [`DeviceAllocator`] interface.
 ///
 /// # Panics
 /// Panics if the global allocator has not been initialized.
-pub fn global_allocator() -> &'static (dyn DeviceAllocator + Send + Sync) {
-    GLOBAL.get().expect("call init_global_allocator first").as_dyn()
-}
-
-/// The global pool, when [`init_global_pool`] initialized one — `None`
-/// when the global is a single instance (or uninitialized). For
-/// pool-specific introspection (per-instance metrics, spill counts).
-pub fn global_pool() -> Option<&'static GallatinPool> {
-    match GLOBAL.get() {
-        Some(GlobalBackend::Pool(p)) => Some(p),
-        _ => None,
-    }
-}
-
-/// The global device pool, when [`init_global_device_pool`] initialized
-/// one — `None` otherwise. For topology-specific introspection
-/// (per-device pools, cross-device spill counts, local/peer traffic).
-pub fn global_device_pool() -> Option<&'static DevicePool> {
-    match GLOBAL.get() {
-        Some(GlobalBackend::Device(t)) => Some(t),
-        _ => None,
-    }
+pub fn global_allocator() -> &'static dyn DeviceAllocator {
+    *GLOBAL.get().expect("call init_global_allocator first")
 }
 
 /// Device-side `void* global_malloc(num_bytes)`.
@@ -209,9 +114,9 @@ mod tests {
     use std::sync::atomic::{AtomicU64, Ordering};
 
     // Note: the global is process-wide, so all assertions live in one
-    // test to avoid cross-test init races. (The pool-backed global is
-    // exercised in the `pool_routing` integration test — its own
-    // process.)
+    // test to avoid cross-test init races. (Pool-backed globals are
+    // exercised in the `pool_routing` / `topo_routing` integration
+    // tests — each its own process.)
     #[test]
     fn global_variant_end_to_end() {
         assert!(!global_allocator_initialized());
@@ -222,10 +127,10 @@ mod tests {
         let err = init_global_allocator(128 << 20).unwrap_err();
         assert_eq!(err.existing, "Gallatin");
         assert!(err.to_string().contains("already initialized"));
-        let err = init_global_pool(2, 64 << 20).unwrap_err();
+        let pool = crate::GallatinPool::new(2, GallatinConfig::small_test(1 << 20));
+        let Err(err) = init_global(pool) else { panic!("a pool must not replace the global") };
         assert_eq!(err.existing, "Gallatin");
         assert_eq!(global_allocator().heap_bytes(), 48 << 20);
-        assert!(global_pool().is_none(), "the global is a single instance");
 
         let ok = AtomicU64::new(0);
         launch(DeviceConfig::default(), 10_000, |ctx| {

@@ -39,24 +39,24 @@
 mod buffer;
 mod compact;
 mod config;
-mod device_pool;
 mod elastic;
 mod gallatin;
 pub mod global;
 mod index;
-mod pool;
+mod pools;
 mod ring;
+mod router;
 mod table;
 mod tiers;
 
 pub use buffer::BlockBuffer;
 pub use compact::Relocation;
 pub use config::{GallatinConfig, Geometry};
-pub use device_pool::{DevicePool, TopoStats};
 pub use gallatin::Gallatin;
 pub use index::{SearchStructure, SegmentIndex};
-pub use pool::{GallatinPool, InstanceStats, PoolStats};
+pub use pools::{DevicePool, GallatinPool, InstanceStats, PoolStats, TopoStats};
 pub use ring::BlockRing;
+pub use router::Router;
 pub use table::{
     BlockHandle, MemoryTable, SegmentMeta, DRAIN_SPIN_LIMIT, LARGE_BASE, LARGE_BODY,
     SLICE_COUNT_MASK, SLICE_GEN_SHIFT, TREE_FREE,

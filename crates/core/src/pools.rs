@@ -1,0 +1,393 @@
+//! The two pools: [`Router`] instantiated once per level.
+//!
+//! [`GallatinPool`] shards one device's heap across `n` [`Gallatin`]
+//! instances; [`DevicePool`] is the same router one level up — `d`
+//! per-device pools over a [`Topology`] of `d` arenas joined by an
+//! interconnect with asymmetric local/peer cost. Everything that routes,
+//! spills, donates, resets or audits lives in `crate::router` and
+//! `crate::elastic`; this file holds only what is particular to a level:
+//! the constructors, the level-named accessors, and the snapshot shapes
+//! ([`PoolStats`] per pool, [`TopoStats`] per topology).
+
+use crate::config::GallatinConfig;
+use crate::gallatin::Gallatin;
+use crate::router::Router;
+use gpu_sim::{DeviceAllocator, Topology};
+use std::sync::atomic::Ordering;
+
+/// `n` Gallatin instances over one arena and one shared memory table:
+/// SM-affine placement (`sm % n`), spill to sibling instances,
+/// ownership-routed frees, elastic segment migration.
+pub type GallatinPool = Router<Gallatin>;
+
+/// `d` per-device [`GallatinPool`]s over one [`Topology`] reservation
+/// and one shared memory table: SM→device affinity (`sm % d`, matching
+/// [`Topology::affinity_device`]), device-homed free routing,
+/// cross-device spill as the last resort, quiesce-gated cross-device
+/// donation, and every served access classified local/peer.
+pub type DevicePool = Router<GallatinPool>;
+
+/// Point-in-time occupancy snapshot of one pool instance, as reported
+/// by [`GallatinPool::pool_stats`].
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct InstanceStats {
+    /// Bytes of this instance's nominal partition (the pool stride).
+    pub heap_bytes: u64,
+    /// Bytes reserved by live allocations (size-class rounded).
+    pub reserved_bytes: u64,
+    /// Segments still unclaimed in the instance's segment tree.
+    pub free_segments: u64,
+    /// Segments currently homed on this instance (initial shard, minus
+    /// donations/returns, plus adoptions).
+    pub owned_segments: u64,
+    /// Allocations homed here that a sibling had to absorb.
+    pub spills: u64,
+}
+
+/// Point-in-time snapshot of the whole pool's occupancy and pressure —
+/// the signal a host-side admission controller reads to decide whether
+/// to keep admitting traffic: per-instance headroom (a hot instance
+/// near capacity predicts spills), the spill and oversize-denial
+/// counters (already-visible pressure), the elasticity counters
+/// (donated / returned / adopted segments and the pool-level free
+/// list), and the aggregate reservation.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct PoolStats {
+    /// Total bytes across all partitions.
+    pub heap_bytes: u64,
+    /// Total bytes reserved across all instances.
+    pub reserved_bytes: u64,
+    /// Total spills across all home instances.
+    pub spills: u64,
+    /// Requests denied up front for exceeding the stride.
+    pub oversize_denials: u64,
+    /// Segments re-homed instance-to-instance (elastic donation).
+    pub donated_segments: u64,
+    /// Segments returned to the pool-level free list (shrink).
+    pub returned_segments: u64,
+    /// Segments adopted out of the pool-level free list (grow /
+    /// adopt-before-spill).
+    pub adopted_segments: u64,
+    /// Segments currently parked on the pool-level free list.
+    pub pool_free_segments: u64,
+    /// One entry per instance, in instance order.
+    pub instances: Vec<InstanceStats>,
+}
+
+impl PoolStats {
+    /// Unreserved bytes across the pool (an upper bound on what further
+    /// admissions could possibly reserve; per-instance headroom is the
+    /// binding constraint for sizes near the stride).
+    pub fn headroom_bytes(&self) -> u64 {
+        self.heap_bytes - self.reserved_bytes.min(self.heap_bytes)
+    }
+
+    /// Bytes parked on the pool-level free list — memory the pool has
+    /// withdrawn from every instance (e.g. [`GallatinPool::shrink_to`])
+    /// and could hand back to the host or to a future hot instance.
+    pub fn pool_free_bytes(&self, segment_bytes: u64) -> u64 {
+        self.pool_free_segments * segment_bytes
+    }
+}
+
+/// Point-in-time snapshot of the whole topology's occupancy, pressure,
+/// and interconnect traffic — what the E23 scaling experiment reads.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct TopoStats {
+    /// Total bytes across every device.
+    pub heap_bytes: u64,
+    /// Total bytes reserved across every device.
+    pub reserved_bytes: u64,
+    /// In-device spills summed over every device's pool.
+    pub in_device_spills: u64,
+    /// Whole-device denials a peer device absorbed.
+    pub cross_spills: u64,
+    /// Segments re-homed device-to-device.
+    pub cross_donations: u64,
+    /// Accesses served by the issuing SM's own device.
+    pub local_accesses: u64,
+    /// Accesses that crossed the interconnect.
+    pub peer_accesses: u64,
+    /// One [`PoolStats`] per device, in device order.
+    pub devices: Vec<PoolStats>,
+}
+
+impl TopoStats {
+    /// Fraction of classified accesses that crossed the interconnect.
+    pub fn peer_share(&self) -> f64 {
+        let total = self.local_accesses + self.peer_accesses;
+        if total == 0 {
+            0.0
+        } else {
+            self.peer_accesses as f64 / total as f64
+        }
+    }
+}
+
+impl GallatinPool {
+    /// Build `n` instances, each configured by `cfg` (so `cfg.heap_bytes`
+    /// is the *per-instance* shard; the pool manages `n` times that).
+    pub fn new(n: usize, cfg: GallatinConfig) -> Self {
+        Self::root(&[n], cfg, None)
+    }
+
+    /// Instance `i`, for per-instance metrics and diagnostics.
+    pub fn instance(&self, i: usize) -> &Gallatin {
+        &self.children[i]
+    }
+
+    /// Snapshot the pool's occupancy and pressure counters (see
+    /// [`PoolStats`]). Relaxed reads: the snapshot is advisory, exact
+    /// only when the pool is quiescent.
+    pub fn pool_stats(&self) -> PoolStats {
+        let owned = self.owned_segments();
+        let instances: Vec<InstanceStats> = (0..self.num_children())
+            .map(|i| InstanceStats {
+                heap_bytes: self.stride(),
+                reserved_bytes: self.instance(i).reserved_bytes(),
+                free_segments: self.instance(i).free_segments(),
+                owned_segments: owned[i],
+                spills: self.spill_count(i),
+            })
+            .collect();
+        PoolStats {
+            heap_bytes: self.heap_bytes(),
+            reserved_bytes: instances.iter().map(|s| s.reserved_bytes).sum(),
+            spills: self.total_spills(),
+            oversize_denials: self.oversize_denials.load(Ordering::Relaxed),
+            donated_segments: self.donations.load(Ordering::Relaxed),
+            returned_segments: self.returned.load(Ordering::Relaxed),
+            adopted_segments: self.adopted.load(Ordering::Relaxed),
+            pool_free_segments: self.parked.count(),
+            instances,
+        }
+    }
+}
+
+impl DevicePool {
+    /// Build `devices` pools of `width` instances each, every instance
+    /// configured by `cfg` (so `cfg.heap_bytes` is the *per-instance*
+    /// shard; the topology manages `devices × width` times that), joined
+    /// by [`Topology`]'s default interconnect tariff.
+    pub fn new(devices: u32, width: usize, cfg: GallatinConfig) -> Self {
+        let device_bytes = cfg.geometry().heap_bytes.saturating_mul(width as u64);
+        let topo = Topology::new(devices, device_bytes);
+        Self::root(&[devices as usize, width], cfg, Some(topo))
+    }
+
+    /// Number of devices.
+    pub fn devices(&self) -> u32 {
+        self.num_children() as u32
+    }
+
+    /// Instances per device.
+    pub fn width(&self) -> usize {
+        self.children[0].num_children()
+    }
+
+    /// Device `d`'s pool, for per-device introspection.
+    pub fn pool(&self, d: usize) -> &GallatinPool {
+        &self.children[d]
+    }
+
+    /// The underlying topology (windows, stride, interconnect tariff).
+    pub fn topology(&self) -> &Topology {
+        &self.tariff.as_ref().expect("a DevicePool is always built over a topology").0
+    }
+
+    /// Snapshot occupancy, pressure, and interconnect traffic.
+    pub fn topo_stats(&self) -> TopoStats {
+        let devices: Vec<PoolStats> = self.children.iter().map(|p| p.pool_stats()).collect();
+        let m = self.metrics().map(|m| m.snapshot()).unwrap_or_default();
+        TopoStats {
+            heap_bytes: self.heap_bytes(),
+            reserved_bytes: devices.iter().map(|s| s.reserved_bytes).sum(),
+            in_device_spills: devices.iter().map(|s| s.spills).sum(),
+            cross_spills: self.total_spills(),
+            cross_donations: self.donations.load(Ordering::Relaxed),
+            local_accesses: m.local_accesses,
+            peer_accesses: m.peer_accesses,
+            devices,
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use gpu_sim::{DevicePtr, WarpCtx};
+
+    fn cfg() -> GallatinConfig {
+        GallatinConfig::small_test(1 << 20) // 16 segments per instance
+    }
+
+    fn topo_pool(devices: u32, width: usize) -> DevicePool {
+        DevicePool::new(devices, width, cfg())
+    }
+
+    fn warp_on(sm_id: u32, active: u32) -> WarpCtx {
+        WarpCtx { warp_id: sm_id as u64, sm_id, base_tid: (sm_id as u64) << 32, active }
+    }
+
+    #[test]
+    fn affinity_places_on_the_sm_home_device() {
+        let t = topo_pool(2, 2);
+        let stride = t.topology().device_stride();
+        // SM 0 and 2 home on device 0, SM 1 and 3 on device 1.
+        for sm in 0..4u32 {
+            let p = t.malloc(&warp_on(sm, 1).lane(0), 64);
+            assert!(!p.is_null());
+            assert_eq!(p.device_of(stride), sm % 2, "SM {sm} must allocate on its device");
+            assert_eq!(t.device_of(p), t.affinity_device(sm));
+            t.free(&warp_on(sm, 1).lane(0), p);
+        }
+        let s = t.topo_stats();
+        assert_eq!((s.cross_spills, s.peer_accesses), (0, 0), "all-affine traffic stays local");
+        assert_eq!(s.local_accesses, 8, "4 mallocs + 4 frees, all local");
+        assert_eq!(t.stats().reserved_bytes, 0);
+        t.check_invariants().expect("clean after affine traffic");
+    }
+
+    #[test]
+    fn whole_device_denial_spills_across_the_interconnect() {
+        let t = topo_pool(2, 2);
+        let seg = t.pool(0).instance(0).geometry().segment_bytes;
+        let l0 = warp_on(0, 1);
+        // Exhaust device 0 wholesale: 2 instances × 16 segments.
+        let held: Vec<_> = (0..32).map(|_| t.malloc(&l0.lane(0), seg)).collect();
+        assert!(held.iter().all(|q| !q.is_null()));
+        assert_eq!(t.total_spills(), 0, "in-device walk absorbed everything so far");
+        assert!(t.pool(0).total_spills() > 0, "the in-device spill walk ran first");
+        // The 33rd crosses to device 1 — charged to home device 0, and
+        // the access is classified peer.
+        let crossed = t.malloc(&l0.lane(0), seg);
+        assert!(!crossed.is_null());
+        assert_eq!(t.device_of(crossed), 1, "served by the peer device");
+        assert_eq!(t.spill_count(0), 1);
+        assert_eq!(t.metrics().unwrap().snapshot().peer_accesses, 1);
+        // Frees route home by segment ownership regardless of SM.
+        t.free(&warp_on(3, 1).lane(0), crossed);
+        for q in held {
+            t.free(&warp_on(2, 1).lane(0), q);
+        }
+        assert_eq!(t.stats().reserved_bytes, 0);
+        t.check_invariants().expect("clean after cross-device spill + routed frees");
+    }
+
+    #[test]
+    fn cross_device_donation_rehomes_and_routing_follows() {
+        let t = topo_pool(2, 2);
+        assert_eq!(t.donate(0, 1, 4), Ok(4));
+        assert_eq!(t.topo_stats().cross_donations, 4);
+        t.check_invariants().expect("clean after cross-device donation");
+        // Device 1 now answers for 36 segments; device 0 for 28.
+        let s = t.topo_stats();
+        let owned: Vec<u64> = s
+            .devices
+            .iter()
+            .map(|d| d.instances.iter().map(|i| i.owned_segments).sum::<u64>())
+            .collect();
+        assert_eq!(owned, vec![28, 36], "responsibility moved without copying bytes");
+        // Device 1 can hold 36 segment claims with no cross-device spill;
+        // the 4 donated ones are physically on device 0, so those
+        // allocations classify as peer accesses.
+        let seg = t.pool(0).instance(0).geometry().segment_bytes;
+        let l1 = warp_on(1, 1);
+        let held: Vec<_> = (0..36).map(|_| t.malloc(&l1.lane(0), seg)).collect();
+        assert!(held.iter().all(|q| !q.is_null()));
+        assert_eq!(t.total_spills(), 0, "donated headroom absorbed the pressure");
+        let donated: Vec<_> = held.iter().filter(|q| t.device_of(**q) == 0).collect();
+        assert_eq!(donated.len(), 4, "exactly the donated segments are peer memory");
+        assert_eq!(t.metrics().unwrap().snapshot().peer_accesses, 4);
+        // Frees of donated-segment pointers route to device 1 (the
+        // owner), not device 0 (the physical host).
+        for q in held {
+            t.free(&warp_on(5, 1).lane(0), q);
+        }
+        assert_eq!(t.stats().reserved_bytes, 0);
+        t.check_invariants().expect("clean after routed frees of donated segments");
+    }
+
+    #[test]
+    fn oversize_requests_are_denied_once_and_walk_nothing() {
+        let t = topo_pool(2, 2);
+        assert!(!t.supports_size(t.stride() + 1));
+        assert_eq!(t.max_native_size(), t.stride());
+        assert!(t.malloc(&warp_on(0, 1).lane(0), t.stride() + 1).is_null());
+        assert_eq!(t.pool(0).pool_stats().oversize_denials, 1, "home device counts the one denial");
+        assert_eq!(t.pool(1).pool_stats().oversize_denials, 0, "peers are never consulted");
+        let w = warp_on(0, 32);
+        let sizes = vec![Some(t.stride() + 1); 32];
+        let mut out = vec![DevicePtr(7); 32];
+        t.warp_malloc(&w, &sizes, &mut out);
+        assert!(out.iter().all(|q| q.is_null()));
+        assert_eq!(t.pool(0).pool_stats().oversize_denials, 33);
+        assert_eq!(t.pool(1).pool_stats().oversize_denials, 0);
+        assert_eq!(t.total_spills(), 0, "an unservable size is not a spill");
+    }
+
+    #[test]
+    fn reset_restores_the_initial_topology() {
+        let t = topo_pool(2, 2);
+        let seg = t.pool(0).instance(0).geometry().segment_bytes;
+        let l0 = warp_on(0, 1);
+        for _ in 0..33 {
+            assert!(!t.malloc(&l0.lane(0), seg).is_null());
+        }
+        assert_eq!(t.total_spills(), 1);
+        assert_eq!(t.donate(1, 0, 2), Ok(2));
+        t.reset();
+        let s = t.topo_stats();
+        assert_eq!((s.reserved_bytes, s.cross_spills, s.cross_donations), (0, 0, 0));
+        assert_eq!((s.local_accesses, s.peer_accesses), (0, 0));
+        for d in 0..2 {
+            assert!(s.devices[d].instances.iter().all(|i| i.owned_segments == 16));
+        }
+        t.check_invariants().expect("clean after reset");
+    }
+
+    #[test]
+    fn single_device_pool_matches_a_standalone_pool_bit_for_bit() {
+        // The refactor's parity gate: DevicePool(1, n, cfg) must replay
+        // GallatinPool(n, cfg) exactly — same placement, same counters,
+        // same per-instance metrics — because the topology layer adds
+        // only host-side accounting (never a preemption point).
+        let one = DevicePool::new(1, 2, cfg());
+        let flat = GallatinPool::new(2, cfg());
+        let seg = flat.instance(0).geometry().segment_bytes;
+        let drive = |a: &dyn DeviceAllocator| {
+            let mut held = Vec::new();
+            for sm in 0..4u32 {
+                for i in 0..5u64 {
+                    let p = a.malloc(&warp_on(sm, 1).lane(0), 16 << (i % 3));
+                    assert!(!p.is_null());
+                    held.push((sm, p));
+                }
+            }
+            // Force the in-device spill walk on both.
+            for _ in 0..17 {
+                let p = a.malloc(&warp_on(0, 1).lane(0), seg);
+                assert!(!p.is_null());
+                held.push((0, p));
+            }
+            for (sm, p) in held {
+                a.free(&warp_on(sm, 1).lane(0), p);
+            }
+        };
+        drive(&one);
+        drive(&flat);
+        for i in 0..2 {
+            assert_eq!(
+                one.pool(0).instance(i).metrics().unwrap().snapshot(),
+                flat.instance(i).metrics().unwrap().snapshot(),
+                "instance {i} metrics must be bit-identical"
+            );
+        }
+        assert_eq!(one.pool(0).total_spills(), flat.total_spills());
+        assert_eq!(one.pool(0).pool_stats(), flat.pool_stats());
+        assert_eq!(one.total_spills(), 0, "one device has no peers to spill to");
+        assert_eq!(one.metrics().unwrap().snapshot().peer_accesses, 0);
+        one.check_invariants().expect("clean");
+        flat.check_invariants().expect("clean");
+    }
+}

@@ -93,7 +93,7 @@ fn elastic_hard_seed_churn(seed: u64) {
             for round in 0..6u64 {
                 let mut ptrs = [DevicePtr::NULL; 8];
                 for (i, slot) in ptrs.iter_mut().enumerate() {
-                    let size = if (warp.warp_id + i as u64) % 3 == 0 {
+                    let size = if (warp.warp_id + i as u64).is_multiple_of(3) {
                         1024
                     } else {
                         16 << ((warp.warp_id + round + i as u64) % 5)

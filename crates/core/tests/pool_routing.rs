@@ -9,12 +9,12 @@
 //! * spill regression: exhausting a home instance spills to the sibling
 //!   deterministically, the spilled events carry the sibling's instance
 //!   tag, and the trace replays byte-identically under the same seed;
-//! * the global allocator can be pool-backed (`init_global_pool`),
+//! * the global allocator can be pool-backed (`init_global`),
 //!   exercised here because this integration binary is its own process.
 
 use gallatin::global::{
     global_allocator, global_allocator_initialized, global_check_invariants, global_free,
-    global_malloc, global_pool, init_global_pool,
+    global_malloc, init_global,
 };
 use gallatin::{GallatinConfig, GallatinPool};
 use gpu_sim::trace::{self, Ledger, TraceSink};
@@ -177,13 +177,18 @@ fn spill_path_is_deterministic_and_instance_tagged() {
 #[test]
 fn global_allocator_can_be_a_pool() {
     assert!(!global_allocator_initialized());
-    init_global_pool(2, 64 << 20).expect("first init in this process");
-    let pool = global_pool().expect("the global is pool-backed");
-    assert_eq!(pool.num_instances(), 2);
-    assert_eq!(global_allocator().heap_bytes(), 64 << 20); // 32 MB each
+    // 32 MB (two default segments) per instance.
+    let shard = GallatinConfig { heap_bytes: 32 << 20, ..GallatinConfig::default() };
+    let Ok(pool) = init_global(GallatinPool::new(2, shard)) else {
+        panic!("first init in this process must succeed")
+    };
+    assert_eq!(pool.num_children(), 2);
+    assert_eq!(global_allocator().heap_bytes(), 64 << 20);
     assert_eq!(global_allocator().name(), "GallatinPool");
     // Double init of either flavour reports what already won.
-    let err = init_global_pool(4, 128 << 20).unwrap_err();
+    let Err(err) = init_global(GallatinPool::new(4, shard)) else {
+        panic!("a second init must fail")
+    };
     assert_eq!(err.existing, "GallatinPool");
     let err = gallatin::global::init_global_allocator(16 << 20).unwrap_err();
     assert_eq!(err.existing, "GallatinPool");

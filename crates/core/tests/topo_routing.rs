@@ -15,12 +15,12 @@
 //!   device's tag, and the trace replays byte-identically under the
 //!   same seed;
 //! * the global allocator can be topology-backed
-//!   (`init_global_device_pool`), exercised here because this
+//!   (`init_global`), exercised here because this
 //!   integration binary is its own process.
 
 use gallatin::global::{
-    global_allocator, global_allocator_initialized, global_check_invariants, global_device_pool,
-    global_free, global_malloc, init_global_device_pool,
+    global_allocator, global_allocator_initialized, global_check_invariants, global_free,
+    global_malloc, init_global,
 };
 use gallatin::{DevicePool, GallatinConfig};
 use gpu_sim::trace::{self, Ledger, TraceSink};
@@ -72,7 +72,7 @@ fn routed_churn(seed: u64, devices: u32, width: usize) {
             }
             *slots[warp.warp_id as usize].lock().unwrap() = (home, out);
         });
-        assert_eq!(pool.total_cross_spills(), 0, "this workload fits every home device");
+        assert_eq!(pool.total_spills(), 0, "this workload fits every home device");
         // Rotated frees: warp w returns warp (w+1)'s batch.
         let cross = AtomicU64::new(0);
         launch_warps(DeviceConfig::with_sms(num_sms).seeded(seed ^ 0x5eed), WARPS * 32, |warp| {
@@ -157,9 +157,9 @@ proptest! {
             );
             // The routing table agrees with the physical placement
             // (no donations have moved anything yet).
-            prop_assert_eq!(pool.home_of_segment(p.0 / seg_bytes), home_dev);
+            prop_assert_eq!(pool.owner_of_segment(p.0 / seg_bytes), Some(home_dev));
         }
-        prop_assert_eq!(pool.total_cross_spills(), 0);
+        prop_assert_eq!(pool.total_spills(), 0);
         let wf = WarpCtx { warp_id: 1, sm_id: free_sm, base_tid: 1 << 20, active: count as u32 };
         pool.warp_free(&wf, &out);
         prop_assert_eq!(
@@ -195,7 +195,7 @@ fn spill_run(seed: u64) -> (u64, u64, String) {
         pool.check_invariants().expect("clean after the cross-device round-trip");
         trace::chrome_trace_json(&sink.snapshot())
     });
-    (pool.cross_spill_count(0), pool.cross_spill_count(1), export)
+    (pool.spill_count(0), pool.spill_count(1), export)
 }
 
 #[test]
@@ -211,15 +211,20 @@ fn cross_device_spill_is_deterministic_and_device_tagged() {
 #[test]
 fn global_allocator_can_be_a_device_pool() {
     assert!(!global_allocator_initialized());
-    init_global_device_pool(2, 2, 64 << 20).expect("first init in this process");
-    let pool = global_device_pool().expect("the global is topology-backed");
+    // 16 MB (one default segment) per instance.
+    let shard = GallatinConfig { heap_bytes: 16 << 20, ..GallatinConfig::default() };
+    let Ok(pool) = init_global(DevicePool::new(2, 2, shard)) else {
+        panic!("first init in this process must succeed")
+    };
     assert_eq!((pool.devices(), pool.width()), (2, 2));
-    assert_eq!(global_allocator().heap_bytes(), 64 << 20); // 16 MB per instance
+    assert_eq!(global_allocator().heap_bytes(), 64 << 20);
     assert_eq!(global_allocator().name(), "DevicePool");
     // Double init of any flavour reports what already won.
-    let err = init_global_device_pool(4, 1, 128 << 20).unwrap_err();
+    let Err(err) = init_global(DevicePool::new(4, 1, shard)) else {
+        panic!("a second init must fail")
+    };
     assert_eq!(err.existing, "DevicePool");
-    let err = gallatin::global::init_global_pool(2, 64 << 20).unwrap_err();
+    let err = gallatin::global::init_global_allocator(64 << 20).unwrap_err();
     assert_eq!(err.existing, "DevicePool");
 
     let ok = AtomicU64::new(0);

@@ -288,16 +288,16 @@ pub struct TraceRecord {
     /// Lane within the warp, or [`LANE_NONE`] for warp-/host-level events.
     pub lane: u32,
     /// Device the event belongs to. `0` on a single-device topology; a
-    /// multi-device pool wraps each routed call in [`with_device`] so
-    /// topology-mode traces and ledger anomalies name the owning device.
-    /// Generalizes `instance` the same way `instance` generalized the
-    /// pre-pool single-allocator stamp: the full scope of an event is
-    /// `(device, instance)`.
+    /// multi-device pool wraps each routed call in [`with_level`] at
+    /// [`DEVICE`] so topology-mode traces and ledger anomalies name the
+    /// owning device. Generalizes `instance` the same way `instance`
+    /// generalized the pre-pool single-allocator stamp: the full scope
+    /// of an event is `(device, instance)`.
     pub device: u32,
     /// Allocator instance the event belongs to. `0` for a standalone
     /// allocator; a `GallatinPool` wraps each instance's calls in
-    /// [`with_instance`] so pool-mode traces and ledger anomalies name
-    /// the owning instance.
+    /// [`with_level`] at [`INSTANCE`] so pool-mode traces and ledger
+    /// anomalies name the owning instance.
     pub instance: u32,
     /// The event payload.
     pub event: TraceEvent,
@@ -428,62 +428,43 @@ thread_local! {
     /// `(sm, warp)` stamp for this thread's emissions. Installed per warp
     /// by the launch machinery; `(0, 0)` on host threads.
     static CURRENT_CTX: Cell<(u32, u64)> = const { Cell::new((0, 0)) };
-    /// Allocator-instance stamp for this thread's emissions. `0` (the
-    /// default) for standalone allocators; a pool scopes each routed call
-    /// with [`with_instance`].
-    static CURRENT_INSTANCE: Cell<u32> = const { Cell::new(0) };
-    /// Device stamp for this thread's emissions. `0` (the default) on a
-    /// single-device topology; a multi-device pool scopes each routed
-    /// call with [`with_device`].
-    static CURRENT_DEVICE: Cell<u32> = const { Cell::new(0) };
+    /// Routing-scope stamp for this thread's emissions, one id per
+    /// routing level ([`INSTANCE`], [`DEVICE`]). All `0` (the default)
+    /// for a standalone allocator; a router scopes each call it routes
+    /// to a child with [`with_level`].
+    static CURRENT_SCOPE: [Cell<u32>; LEVELS] = const { [Cell::new(0), Cell::new(0)] };
 }
 
-/// Stamp every event emitted during `f` with device `id` (restored
-/// afterwards, also on panic). Used by a multi-device pool to scope each
-/// routed malloc/free to the device serving it; nested scopes restore
-/// the outer id — the exact mirror of [`with_instance`] one level up.
-pub fn with_device<R>(id: u32, f: impl FnOnce() -> R) -> R {
-    struct Restore(u32);
+/// Routing levels a trace record is stamped with: the full scope of an
+/// event is `(device, instance)`.
+pub const LEVELS: usize = 2;
+/// The innermost routing level: which allocator instance of a pool.
+pub const INSTANCE: usize = 0;
+/// The routing level above [`INSTANCE`]: which device of a topology.
+pub const DEVICE: usize = 1;
+
+/// Stamp every event emitted during `f` with `id` at routing `level`
+/// (restored afterwards, also on panic). A router scopes each call it
+/// routes to a child this way, so traces and ledger anomalies name the
+/// child that served it; scopes of different levels nest, and a nested
+/// scope of the same level restores the outer id.
+///
+/// # Panics
+/// Panics if `level >= LEVELS`.
+pub fn with_level<R>(level: usize, id: u32, f: impl FnOnce() -> R) -> R {
+    struct Restore(usize, u32);
     impl Drop for Restore {
         fn drop(&mut self) {
-            CURRENT_DEVICE.with(|c| c.set(self.0));
+            CURRENT_SCOPE.with(|c| c[self.0].set(self.1));
         }
     }
-    let _restore = CURRENT_DEVICE.with(|c| {
-        let prev = c.get();
-        c.set(id);
-        Restore(prev)
-    });
+    let _restore = CURRENT_SCOPE.with(|c| Restore(level, c[level].replace(id)));
     f()
 }
 
-/// The device stamp currently installed for this thread.
-pub fn current_device() -> u32 {
-    CURRENT_DEVICE.with(|c| c.get())
-}
-
-/// Stamp every event emitted during `f` with allocator instance `id`
-/// (restored afterwards, also on panic). Used by `GallatinPool` to scope
-/// each routed malloc/free to the instance serving it; nested scopes
-/// restore the outer id.
-pub fn with_instance<R>(id: u32, f: impl FnOnce() -> R) -> R {
-    struct Restore(u32);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            CURRENT_INSTANCE.with(|c| c.set(self.0));
-        }
-    }
-    let _restore = CURRENT_INSTANCE.with(|c| {
-        let prev = c.get();
-        c.set(id);
-        Restore(prev)
-    });
-    f()
-}
-
-/// The allocator-instance stamp currently installed for this thread.
-pub fn current_instance() -> u32 {
-    CURRENT_INSTANCE.with(|c| c.get())
+/// The id currently installed for this thread at routing `level`.
+pub fn current_level(level: usize) -> u32 {
+    CURRENT_SCOPE.with(|c| c[level].get())
 }
 
 /// Install `sink` as the current thread's trace sink for the duration of
@@ -547,8 +528,7 @@ pub fn emit_lane(lane: u32, event: impl FnOnce() -> TraceEvent) {
         let sink = c.borrow().clone();
         if let Some(sink) = sink {
             let (sm, warp) = CURRENT_CTX.with(|ctx| ctx.get());
-            let device = CURRENT_DEVICE.with(|d| d.get());
-            let instance = CURRENT_INSTANCE.with(|i| i.get());
+            let (device, instance) = CURRENT_SCOPE.with(|c| (c[DEVICE].get(), c[INSTANCE].get()));
             sink.record(sm, warp, lane, device, instance, event());
         }
     });
@@ -738,26 +718,6 @@ mod tests {
         assert_eq!(sink.dropped(), 0);
     }
 
-    #[cfg(feature = "trace")]
-    #[test]
-    fn with_instance_stamps_and_restores() {
-        let sink = Arc::new(TraceSink::new());
-        with_sink(sink.clone(), || {
-            emit(|| TraceEvent::Free { ptr: 0, size: 0 });
-            with_instance(3, || {
-                assert_eq!(current_instance(), 3);
-                emit(|| TraceEvent::Free { ptr: 1, size: 0 });
-                with_instance(1, || emit(|| TraceEvent::Free { ptr: 2, size: 0 }));
-                // Nested scope restored the outer instance.
-                emit(|| TraceEvent::Free { ptr: 3, size: 0 });
-            });
-            assert_eq!(current_instance(), 0);
-            emit(|| TraceEvent::Free { ptr: 4, size: 0 });
-        });
-        let stamps: Vec<u32> = sink.snapshot().iter().map(|r| r.instance).collect();
-        assert_eq!(stamps, vec![0, 3, 1, 3, 0]);
-    }
-
     #[test]
     fn instance_tag_exports_only_when_nonzero() {
         let r0 = rec(0, 0, TraceEvent::Free { ptr: 7, size: 0 });
@@ -789,24 +749,32 @@ mod tests {
 
     #[cfg(feature = "trace")]
     #[test]
-    fn with_device_stamps_and_restores() {
+    fn with_level_stamps_and_restores_at_both_levels() {
         let sink = Arc::new(TraceSink::new());
         with_sink(sink.clone(), || {
             emit(|| TraceEvent::Free { ptr: 0, size: 0 });
-            with_device(2, || {
-                assert_eq!(current_device(), 2);
+            with_level(INSTANCE, 3, || {
+                assert_eq!(current_level(INSTANCE), 3);
                 emit(|| TraceEvent::Free { ptr: 1, size: 0 });
+                with_level(INSTANCE, 1, || emit(|| TraceEvent::Free { ptr: 2, size: 0 }));
+                // Nested scope restored the outer instance.
+                emit(|| TraceEvent::Free { ptr: 3, size: 0 });
+            });
+            assert_eq!(current_level(INSTANCE), 0);
+            with_level(DEVICE, 2, || {
+                assert_eq!(current_level(DEVICE), 2);
+                emit(|| TraceEvent::Free { ptr: 4, size: 0 });
                 // Instance scopes nest inside device scopes: the full
                 // stamp is (device, instance).
-                with_instance(5, || emit(|| TraceEvent::Free { ptr: 2, size: 0 }));
-                with_device(1, || emit(|| TraceEvent::Free { ptr: 3, size: 0 }));
-                emit(|| TraceEvent::Free { ptr: 4, size: 0 });
+                with_level(INSTANCE, 5, || emit(|| TraceEvent::Free { ptr: 5, size: 0 }));
+                with_level(DEVICE, 1, || emit(|| TraceEvent::Free { ptr: 6, size: 0 }));
+                emit(|| TraceEvent::Free { ptr: 7, size: 0 });
             });
-            assert_eq!(current_device(), 0);
+            assert_eq!(current_level(DEVICE), 0);
         });
         let stamps: Vec<(u32, u32)> =
             sink.snapshot().iter().map(|r| (r.device, r.instance)).collect();
-        assert_eq!(stamps, vec![(0, 0), (2, 0), (2, 5), (1, 0), (2, 0)]);
+        assert_eq!(stamps, vec![(0, 0), (0, 3), (0, 1), (0, 3), (2, 0), (2, 5), (1, 0), (2, 0)]);
     }
 
     #[test]

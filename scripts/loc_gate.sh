@@ -1,5 +1,10 @@
 #!/usr/bin/env bash
-# LOC gate: no source file under crates/**/src/ may grow past MAX_LINES.
+# LOC gate, two ratchets:
+#   1. no source file under crates/**/src/ may grow past MAX_LINES;
+#   2. no crate's non-test src/ lines (the lines before each file's first
+#      `#[cfg(test)]`) may exceed its budget in scripts/loc_budget.txt.
+#      Lower a budget freely; raising one means editing that file in the
+#      same diff, where a reviewer sees it.
 #
 # The PR that decomposed the monolithic allocator (gallatin.rs peaked at
 # 1,633 lines) installed this so the next monolith gets caught in review
@@ -64,7 +69,32 @@ while IFS= read -r f; do
     fi
 done < <(scan)
 
+# Per-crate budget of non-test lines.
+BUDGET_FILE=scripts/loc_budget.txt
+non_test_lines() {
+    awk 'FNR == 1 { counting = 1 } /#\[cfg\(test\)\]/ { counting = 0 } counting { n++ } END { print n + 0 }' "$@"
+}
+budgeted=0
+for crate in crates/*/; do
+    crate=${crate%/}
+    budget=$(awk -v c="$crate" '$1 == c { print $2 }' "$BUDGET_FILE")
+    if [ -z "$budget" ]; then
+        echo "LOC gate: $crate has no budget in $BUDGET_FILE — add its current count" >&2
+        status=1
+        continue
+    fi
+    budgeted=$((budgeted + 1))
+    mapfile -t files < <(scan | grep "^$crate/src/")
+    lines=$(non_test_lines "${files[@]}")
+    if [ "$lines" -gt "$budget" ]; then
+        echo "LOC gate: $crate has $lines non-test src lines (budget $budget) — delete code, or raise the budget in $BUDGET_FILE in this diff" >&2
+        status=1
+    elif [ "$lines" -lt "$budget" ]; then
+        echo "LOC gate: $crate is at $lines non-test src lines, under its budget of $budget — lower it in $BUDGET_FILE"
+    fi
+done
+
 if [ "$status" -eq 0 ]; then
-    echo "LOC gate: $scanned crates/**/src/*.rs files within $MAX_LINES lines"
+    echo "LOC gate: $scanned crates/**/src/*.rs files within $MAX_LINES lines, $budgeted crates within budget"
 fi
 exit "$status"
