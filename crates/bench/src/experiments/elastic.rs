@@ -32,7 +32,7 @@
 //! `BENCH_elastic.json` as bit-stable gates, and the perf lane reuses
 //! the maintenance cycle as a timed cell ([`perf_record`]).
 
-use crate::report::{write_bench_json, BenchRecord, Table};
+use crate::report::{emit_bench_json, BenchRecord, Table};
 use crate::workload::{run_script, SkewedHotspot, WorkloadSource};
 use crate::HarnessConfig;
 use gallatin::{Gallatin, GallatinConfig, GallatinPool};
@@ -254,35 +254,13 @@ pub fn perf_record() -> BenchRecord {
     }
     assert_eq!(pool.stats().reserved_bytes, 0, "maintenance cycle leaked");
     pool.check_invariants().expect("clean after maintenance cycle");
-    BenchRecord {
-        experiment: "perf".to_string(),
-        allocator: "GallatinPool".to_string(),
-        params: vec![("case".to_string(), "elastic-maintenance".to_string())],
-        median_ms: t0.elapsed().as_secs_f64() * 1e3,
-        counts: vec![
-            ("relocations".into(), relos.len() as u64),
-            ("donated".into(), donated),
-            ("returned".into(), returned),
-            ("adopted".into(), adopted),
-        ],
-    }
-}
-
-fn rec(
-    case: &str,
-    extra: Vec<(String, String)>,
-    ms: f64,
-    counts: Vec<(String, u64)>,
-) -> BenchRecord {
-    let mut params = vec![("case".to_string(), case.to_string())];
-    params.extend(extra);
-    BenchRecord {
-        experiment: "elastic".to_string(),
-        allocator: "GallatinPool".to_string(),
-        params,
-        median_ms: ms,
-        counts,
-    }
+    BenchRecord::new("perf", "GallatinPool")
+        .case("elastic-maintenance")
+        .ms(t0.elapsed().as_secs_f64() * 1e3)
+        .count("relocations", relos.len() as u64)
+        .count("donated", donated)
+        .count("returned", returned)
+        .count("adopted", adopted)
 }
 
 /// Run E22 and emit table + `BENCH_elastic.json`. Returns `false` (and
@@ -290,61 +268,43 @@ fn rec(
 /// at least one donated segment with a clean ledger, and both
 /// compaction rows must strictly beat their no-compaction controls.
 pub fn run_elastic(cfg: &HarnessConfig) -> bool {
-    let seed = std::env::var("GALLATIN_SCHED_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(DONATION_SEED);
+    let seed = gpu_sim::sched::seed_override().unwrap_or(DONATION_SEED);
 
     let d = donation_arm(seed);
     let (frag_off, frag_on) = (frag_arm(false), frag_arm(true));
     let (don_off, don_on) = (donate_after_frag(false), donate_after_frag(true));
 
+    let row = |case: &str| BenchRecord::new("elastic", "GallatinPool").case(case);
+    let frag_rec = |label: &str, arm: &FragArm| {
+        row("frag-reclaim")
+            .param("compaction", label)
+            .ms(arm.ms)
+            .count("reclaimable_segments", arm.reclaimable)
+            .count("relocations", arm.relocations)
+            .count("live", arm.live)
+    };
+    let donate_rec = |label: &str, (donated, relocations, ms): (u64, u64, f64)| {
+        row("donate-after-frag")
+            .param("compaction", label)
+            .ms(ms)
+            .count("donated", donated)
+            .count("relocations", relocations)
+    };
     let recs = vec![
-        rec(
-            "donation",
-            vec![("seed".into(), seed.to_string()), ("hot".into(), d.hot.to_string())],
-            d.donate_ms,
-            vec![
-                ("donated".into(), d.donated),
-                ("donate_events".into(), d.donate_events),
-                ("spills_before".into(), d.spills_before),
-                ("spills_after".into(), d.spills_after),
-                ("served".into(), d.served),
-                ("ledger_anomalies".into(), d.ledger_anomalies),
-            ],
-        ),
-        rec(
-            "frag-reclaim",
-            vec![("compaction".into(), "off".into())],
-            frag_off.ms,
-            vec![
-                ("reclaimable_segments".into(), frag_off.reclaimable),
-                ("relocations".into(), frag_off.relocations),
-                ("live".into(), frag_off.live),
-            ],
-        ),
-        rec(
-            "frag-reclaim",
-            vec![("compaction".into(), "on".into())],
-            frag_on.ms,
-            vec![
-                ("reclaimable_segments".into(), frag_on.reclaimable),
-                ("relocations".into(), frag_on.relocations),
-                ("live".into(), frag_on.live),
-            ],
-        ),
-        rec(
-            "donate-after-frag",
-            vec![("compaction".into(), "off".into())],
-            don_off.2,
-            vec![("donated".into(), don_off.0), ("relocations".into(), don_off.1)],
-        ),
-        rec(
-            "donate-after-frag",
-            vec![("compaction".into(), "on".into())],
-            don_on.2,
-            vec![("donated".into(), don_on.0), ("relocations".into(), don_on.1)],
-        ),
+        row("donation")
+            .param("seed", seed)
+            .param("hot", d.hot)
+            .ms(d.donate_ms)
+            .count("donated", d.donated)
+            .count("donate_events", d.donate_events)
+            .count("spills_before", d.spills_before)
+            .count("spills_after", d.spills_after)
+            .count("served", d.served)
+            .count("ledger_anomalies", d.ledger_anomalies),
+        frag_rec("off", &frag_off),
+        frag_rec("on", &frag_on),
+        donate_rec("off", don_off),
+        donate_rec("on", don_on),
     ];
 
     let mut tab = Table::new(
@@ -360,28 +320,15 @@ pub fn run_elastic(cfg: &HarnessConfig) -> bool {
         ],
     );
     for r in &recs {
-        let get = |k: &str| {
-            r.counts
-                .iter()
-                .find(|(n, _)| n == k)
-                .map(|(_, v)| v.to_string())
-                .unwrap_or_else(|| "-".to_string())
-        };
-        let param = |k: &str| {
-            r.params
-                .iter()
-                .find(|(pk, _)| pk == k)
-                .map(|(_, v)| v.clone())
-                .unwrap_or_else(|| "-".to_string())
-        };
-        let spills = if r.params[0].1 == "donation" {
+        let get = |k: &str| r.get_count(k).map_or_else(|| "-".to_string(), |v| v.to_string());
+        let spills = if r.get_param("case") == Some("donation") {
             format!("{}/{}", get("spills_before"), get("spills_after"))
         } else {
             "-".to_string()
         };
         tab.row(vec![
             r.params[0].1.clone(),
-            param("compaction"),
+            r.get_param("compaction").unwrap_or("-").to_string(),
             get("donated"),
             get("reclaimable_segments"),
             get("relocations"),
@@ -390,10 +337,7 @@ pub fn run_elastic(cfg: &HarnessConfig) -> bool {
         ]);
     }
     tab.emit(&cfg.out_dir, "e22_elastic");
-    match write_bench_json(&cfg.out_dir, "elastic", &recs) {
-        Ok(p) => println!("wrote {}", p.display()),
-        Err(e) => eprintln!("warning: could not write BENCH_elastic.json: {e}"),
-    }
+    emit_bench_json(cfg, "elastic", &recs);
 
     let mut ok = true;
     let mut verdict = |name: &str, pass: bool| {
@@ -478,11 +422,8 @@ mod tests {
     fn perf_cell_counts_replay_exactly() {
         let (a, b) = (perf_record(), perf_record());
         assert_eq!(a.counts, b.counts, "elastic maintenance cell must be count-deterministic");
-        let get = |r: &BenchRecord, k: &str| {
-            r.counts.iter().find(|(n, _)| n == k).map(|(_, v)| *v).unwrap()
-        };
-        assert!(get(&a, "relocations") > 0);
-        assert!(get(&a, "donated") > 0);
-        assert_eq!(get(&a, "returned"), get(&a, "adopted"), "the shuttle round-trips");
+        assert!(a.get_count("relocations").unwrap() > 0);
+        assert!(a.get_count("donated").unwrap() > 0);
+        assert_eq!(a.get_count("returned"), a.get_count("adopted"), "the shuttle round-trips");
     }
 }

@@ -18,6 +18,11 @@ pub mod trace;
 pub mod utilization;
 pub mod variance;
 
+/// Schedule seed of the replayable experiments (E17 trace, E19 replay,
+/// E20 serve) when `GALLATIN_SCHED_SEED` is unset — one value, so a
+/// capture, its replay and the serving sweep describe the same schedule.
+pub(crate) const DEFAULT_SEED: u64 = 7;
+
 pub use ablation::{run_ablation, run_bench_smoke};
 pub use elastic::run_elastic;
 pub use fragmentation::run_fragmentation;

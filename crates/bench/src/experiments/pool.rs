@@ -16,14 +16,16 @@
 //! home instance's 16th spills to the sibling) and regression-tested
 //! below.
 
-use crate::report::{write_bench_json, BenchRecord, Table};
+use crate::report::{emit_bench_json, BenchRecord, Table};
 use crate::HarnessConfig;
 use gallatin::{GallatinConfig, GallatinPool};
+use gpu_sim::metrics::MetricsSnapshot;
 use gpu_sim::{launch_warps, DeviceAllocator, DeviceConfig, DevicePtr};
 use std::time::Instant;
 
 use super::ablation::{
-    block_churn_config, churn_once, SWEEP_ROUNDS, SWEEP_SEEDS_SMOKE, SWEEP_SIZE_BLOCK, SWEEP_WARPS,
+    block_churn_config, churn_counts, churn_sweep, SWEEP_ROUNDS, SWEEP_SEEDS_SMOKE,
+    SWEEP_SIZE_BLOCK, SWEEP_WARPS,
 };
 
 /// Pool widths swept by `repro pool`.
@@ -37,42 +39,30 @@ const PRESSURE_SEED: u64 = 3;
 /// holds 16 small_test segments, so the remaining claims all spill.
 const PRESSURE_CLAIMS: u64 = 24;
 
-/// Counters accumulated for one pool instance across a seed sweep.
-#[derive(Clone, Copy, Default)]
-struct InstanceTotals {
-    cas_attempts: u64,
-    cas_failures: u64,
-    atomic_rmw: u64,
-    spills: u64,
-}
+/// One pool instance's totals across a seed sweep: its metrics and the
+/// spills charged to it as a home.
+pub(crate) type InstanceCounts = (MetricsSnapshot, u64);
 
 /// Run the block churn over `seeds` deterministic schedules on a fresh
-/// `n`-instance pool per seed; return per-instance totals and wall time.
-fn churn_pool(n: usize, seeds: u64) -> (Vec<InstanceTotals>, f64) {
-    let mut per = vec![InstanceTotals::default(); n];
-    let mut ms = 0.0;
-    for seed in 0..seeds {
-        let pool = GallatinPool::new(n, block_churn_config());
-        let t0 = Instant::now();
-        churn_once(&pool, seed, SWEEP_SIZE_BLOCK);
-        ms += t0.elapsed().as_secs_f64() * 1e3;
-        pool.check_invariants().expect("invariants after pool churn");
-        assert_eq!(pool.stats().reserved_bytes, 0, "pool churn leaked");
-        for (i, t) in per.iter_mut().enumerate() {
-            let m = pool.instance(i).metrics().expect("gallatin keeps metrics").snapshot();
-            t.cas_attempts += m.cas_attempts;
-            t.cas_failures += m.cas_failures;
-            t.atomic_rmw += m.atomic_rmw;
-            t.spills += pool.spill_count(i);
+/// allocator from `make` per seed, reading the `n`-instance pool inside
+/// it through `pool_of` (the identity for a [`GallatinPool`]; E23's
+/// parity arm reaches through a one-device `DevicePool`). Returns
+/// per-instance totals and wall time.
+pub(crate) fn churn_pool<A: DeviceAllocator>(
+    n: usize,
+    seeds: u64,
+    make: impl Fn() -> A,
+    pool_of: impl Fn(&A) -> &GallatinPool,
+) -> (Vec<InstanceCounts>, f64) {
+    let mut per = vec![InstanceCounts::default(); n];
+    let ms = churn_sweep(0..seeds, SWEEP_SIZE_BLOCK, make, |a| {
+        let pool = pool_of(a);
+        for (i, (m, spills)) in per.iter_mut().enumerate() {
+            *m += pool.instance(i).metrics().expect("gallatin keeps metrics").snapshot();
+            *spills += pool.spill_count(i);
         }
-    }
+    });
     (per, ms)
-}
-
-/// Allocation requests one churn sweep issues (the spill-rate
-/// denominator).
-fn churn_requests(seeds: u64) -> u64 {
-    seeds * SWEEP_WARPS * 32 * SWEEP_ROUNDS
 }
 
 /// The deterministic pressure case: one SM drains its home instance with
@@ -93,90 +83,54 @@ fn pressure() -> (u64, u64) {
     (pool.spill_count(0), PRESSURE_CLAIMS)
 }
 
-fn rec(
-    experiment: &str,
-    case: &str,
-    extra: Vec<(String, String)>,
+/// One row per pool instance of a churn sweep, built on `base` (which
+/// carries experiment, allocator and case): E18's deliverable, and the
+/// shape E23's parity rows share so the two files diff directly.
+pub(crate) fn instance_records(
+    base: &BenchRecord,
+    per: &[InstanceCounts],
+    seeds: u64,
     ms: f64,
-    counts: Vec<(String, u64)>,
-) -> BenchRecord {
-    let mut params = vec![("case".to_string(), case.to_string())];
-    params.extend(extra);
-    BenchRecord {
-        experiment: experiment.to_string(),
-        allocator: "GallatinPool".to_string(),
-        params,
-        median_ms: ms,
-        counts,
-    }
+) -> Vec<BenchRecord> {
+    let rows = per.iter().enumerate().map(|(i, (m, spills))| {
+        let rec = base
+            .clone()
+            .param("instances", per.len())
+            .param("instance", i)
+            .param("size", SWEEP_SIZE_BLOCK)
+            .param("seeds", seeds)
+            .ms(ms);
+        churn_counts(rec, m).count("spills", *spills)
+    });
+    rows.collect()
 }
 
-/// Records for one pool width: an aggregate row plus one row per
+/// Records for one pool width: the aggregate row, and one row per
 /// instance (the per-instance counts are the experiment's deliverable).
-fn width_records(experiment: &str, n: usize, seeds: u64) -> Vec<BenchRecord> {
-    let (per, ms) = churn_pool(n, seeds);
-    let sum = |f: fn(&InstanceTotals) -> u64| per.iter().map(f).sum::<u64>();
-    let mut out = vec![rec(
-        experiment,
-        "pool-churn",
-        vec![
-            ("instances".into(), n.to_string()),
-            ("size".into(), SWEEP_SIZE_BLOCK.to_string()),
-            ("seeds".into(), seeds.to_string()),
-        ],
-        ms,
-        vec![
-            ("cas_attempts".into(), sum(|t| t.cas_attempts)),
-            ("cas_failures".into(), sum(|t| t.cas_failures)),
-            ("atomic_rmw".into(), sum(|t| t.atomic_rmw)),
-            ("spills".into(), sum(|t| t.spills)),
-            ("requests".into(), churn_requests(seeds)),
-        ],
-    )];
-    for (i, t) in per.iter().enumerate() {
-        out.push(rec(
-            experiment,
-            "pool-churn",
-            vec![
-                ("instances".into(), n.to_string()),
-                ("instance".into(), i.to_string()),
-                ("size".into(), SWEEP_SIZE_BLOCK.to_string()),
-                ("seeds".into(), seeds.to_string()),
-            ],
-            ms,
-            vec![
-                ("cas_attempts".into(), t.cas_attempts),
-                ("cas_failures".into(), t.cas_failures),
-                ("atomic_rmw".into(), t.atomic_rmw),
-                ("spills".into(), t.spills),
-            ],
-        ));
+fn width_records(experiment: &str, n: usize, seeds: u64) -> (BenchRecord, Vec<BenchRecord>) {
+    let (per, ms) = churn_pool(n, seeds, || GallatinPool::new(n, block_churn_config()), |p| p);
+    let base = BenchRecord::new(experiment, "GallatinPool").case("pool-churn");
+    let mut total = InstanceCounts::default();
+    for (m, spills) in &per {
+        total.0 += *m;
+        total.1 += spills;
     }
-    out
+    let aggregate = base
+        .clone()
+        .param("instances", n)
+        .param("size", SWEEP_SIZE_BLOCK)
+        .param("seeds", seeds)
+        .ms(ms);
+    let aggregate = churn_counts(aggregate, &total.0).count("spills", total.1);
+    (aggregate, instance_records(&base, &per, seeds, ms))
 }
 
-/// The smoke-gate slice of E18: the 2-instance aggregate at the smoke
-/// seed width, appended to `smoke_records()` so a pool-path count
-/// regression fails the same gate as the single-instance sweeps.
-pub fn pool_smoke_records(experiment: &str) -> Vec<BenchRecord> {
-    let (per, ms) = churn_pool(2, SWEEP_SEEDS_SMOKE);
-    let sum = |f: fn(&InstanceTotals) -> u64| per.iter().map(f).sum::<u64>();
-    vec![rec(
-        experiment,
-        "pool-churn",
-        vec![
-            ("instances".into(), "2".into()),
-            ("size".into(), SWEEP_SIZE_BLOCK.to_string()),
-            ("seeds".into(), SWEEP_SEEDS_SMOKE.to_string()),
-        ],
-        ms,
-        vec![
-            ("cas_attempts".into(), sum(|t| t.cas_attempts)),
-            ("cas_failures".into(), sum(|t| t.cas_failures)),
-            ("atomic_rmw".into(), sum(|t| t.atomic_rmw)),
-            ("spills".into(), sum(|t| t.spills)),
-        ],
-    )]
+/// The smoke-gate slice of E18: the 2-instance aggregate row at the
+/// smoke seed width, appended to `smoke_records()` so a pool-path count
+/// regression fails the same gate as the single-instance sweeps (and
+/// timed by the perf lane as its pool cell).
+pub fn smoke_record(experiment: &str) -> BenchRecord {
+    width_records(experiment, 2, SWEEP_SEEDS_SMOKE).0
 }
 
 /// Run the E18 sweep and emit table + CSV + `BENCH_pool.json`.
@@ -184,18 +138,24 @@ pub fn run_pool(cfg: &HarnessConfig) {
     let seeds = SWEEP_SEEDS_SMOKE;
     let mut recs = Vec::new();
     for n in POOL_WIDTHS {
-        recs.extend(width_records("pool", n, seeds));
+        let (aggregate, rows) = width_records("pool", n, seeds);
+        // Only the aggregate row carries the spill-rate denominator:
+        // the allocation requests one churn sweep issues.
+        recs.push(aggregate.count("requests", seeds * SWEEP_WARPS * 32 * SWEEP_ROUNDS));
+        recs.extend(rows);
     }
     let t0 = Instant::now();
     let (spills, claims) = pressure();
     let pressure_ms = t0.elapsed().as_secs_f64() * 1e3;
-    recs.push(rec(
-        "pool",
-        "pressure",
-        vec![("instances".into(), "2".into()), ("seed".into(), PRESSURE_SEED.to_string())],
-        pressure_ms,
-        vec![("spills".into(), spills), ("requests".into(), claims)],
-    ));
+    recs.push(
+        BenchRecord::new("pool", "GallatinPool")
+            .case("pressure")
+            .param("instances", 2)
+            .param("seed", PRESSURE_SEED)
+            .ms(pressure_ms)
+            .count("spills", spills)
+            .count("requests", claims),
+    );
 
     let mut tab = Table::new(
         "E18 — sharded pool: block churn across instance counts",
@@ -211,35 +171,25 @@ pub fn run_pool(cfg: &HarnessConfig) {
         ],
     );
     for r in &recs {
-        let get = |k: &str| r.counts.iter().find(|(n, _)| n == k).map(|(_, v)| *v);
-        let param = |k: &str| {
-            r.params
-                .iter()
-                .find(|(pk, _)| pk == k)
-                .map(|(_, v)| v.clone())
-                .unwrap_or_else(|| "-".to_string())
-        };
-        let spill_rate = match (get("spills"), get("requests")) {
+        let param = |k: &str| r.get_param(k).unwrap_or("-").to_string();
+        let spill_rate = match (r.get_count("spills"), r.get_count("requests")) {
             (Some(s), Some(req)) if req > 0 => format!("{:.4}", s as f64 / req as f64),
             _ => "-".to_string(),
         };
-        let show = |v: Option<u64>| v.map(|v| v.to_string()).unwrap_or_else(|| "-".to_string());
+        let show = |k: &str| r.get_count(k).map_or_else(|| "-".to_string(), |v| v.to_string());
         tab.row(vec![
             r.params[0].1.clone(),
             param("instances"),
             param("instance"),
-            show(get("cas_attempts")),
-            show(get("cas_failures")),
-            show(get("atomic_rmw")),
-            show(get("spills")),
+            show("cas_attempts"),
+            show("cas_failures"),
+            show("atomic_rmw"),
+            show("spills"),
             spill_rate,
         ]);
     }
     tab.emit(&cfg.out_dir, "e18_pool");
-    match write_bench_json(&cfg.out_dir, "pool", &recs) {
-        Ok(p) => println!("wrote {}", p.display()),
-        Err(e) => eprintln!("warning: could not write BENCH_pool.json: {e}"),
-    }
+    emit_bench_json(cfg, "pool", &recs);
     println!(
         "pressure case: {spills} of {claims} segment claims spilled to the sibling \
          (home capacity 16 segments)"
@@ -252,19 +202,16 @@ mod tests {
 
     #[test]
     fn pool_churn_counts_replay_and_never_spill_with_headroom() {
-        let (a, _) = churn_pool(2, 2);
-        let (b, _) = churn_pool(2, 2);
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.cas_attempts, y.cas_attempts, "pool churn must replay exactly");
-            assert_eq!(x.atomic_rmw, y.atomic_rmw);
-        }
+        let run = || churn_pool(2, 2, || GallatinPool::new(2, block_churn_config()), |p| p).0;
+        let a = run();
+        assert_eq!(a, run(), "pool churn must replay exactly");
         assert_eq!(
-            a.iter().map(|t| t.spills).sum::<u64>(),
+            a.iter().map(|(_, spills)| spills).sum::<u64>(),
             0,
             "every home instance has capacity for this workload"
         );
         // Both instances see traffic: 8 SMs split evenly over 2 homes.
-        assert!(a.iter().all(|t| t.atomic_rmw > 0), "every instance must serve its SMs");
+        assert!(a.iter().all(|(m, _)| m.atomic_rmw > 0), "every instance must serve its SMs");
     }
 
     #[test]

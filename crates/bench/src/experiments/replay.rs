@@ -25,22 +25,18 @@
 //! matching `repro trace`, so a failing seed reported by the test suite
 //! replays here unchanged.
 
-use crate::report::{write_bench_json, BenchRecord, Table};
+use crate::report::{emit_bench_json, BenchRecord, Table};
 use crate::workload::{run_script, ScriptOutcome};
 use crate::HarnessConfig;
 use gallatin::{Gallatin, GallatinPool};
 use gpu_sim::replay::ReplayScript;
-use gpu_sim::sched::SCHED_SEED_ENV;
+use gpu_sim::sched::{seed_override, SCHED_SEED_ENV};
 use gpu_sim::trace::{Ledger, LedgerOutcome, TraceSink};
 use gpu_sim::{DeviceAllocator, DeviceConfig};
 use std::path::Path;
 use std::sync::Arc;
 
-use super::ablation;
-
-/// Default recording seed when `GALLATIN_SCHED_SEED` is unset (same as
-/// E17's).
-const DEFAULT_SEED: u64 = 7;
+use super::{ablation, DEFAULT_SEED};
 
 /// One replay target's results.
 struct TargetRun {
@@ -53,16 +49,7 @@ struct TargetRun {
 /// Record the E16 block churn under `seed`, returning the trace-derived
 /// lifecycle outcome and the converted script.
 fn record(seed: u64) -> (LedgerOutcome, ReplayScript) {
-    let g = ablation::block_churn_gallatin();
-    let sink = Arc::new(TraceSink::new());
-    let records = gpu_sim::trace::with_sink(sink.clone(), || {
-        ablation::block_churn(&g, seed);
-        g.check_invariants().expect("block churn must leave the allocator healthy");
-        sink.snapshot()
-    });
-    assert_eq!(sink.dropped(), 0, "sink capacity must cover the workload");
-    assert_eq!(g.stats().reserved_bytes, 0, "block churn leaked");
-
+    let (records, _) = super::trace::capture_block_churn(seed);
     let (script, stats) = ReplayScript::from_trace(&records, ablation::SWEEP_SMS);
     // Block churn frees within the allocating warp and pairs every
     // pointer, so the reduction must be lossless — any reassignment or
@@ -95,13 +82,7 @@ fn replay_through(
 
 /// Run the E19 round trip; see the module docs.
 pub fn run_replay(cfg: &HarnessConfig) {
-    let seed = match std::env::var(SCHED_SEED_ENV) {
-        Ok(s) => s
-            .trim()
-            .parse::<u64>()
-            .unwrap_or_else(|_| panic!("{SCHED_SEED_ENV} must be a u64, got {s:?}")),
-        Err(_) => DEFAULT_SEED,
-    };
+    let seed = seed_override().unwrap_or(DEFAULT_SEED);
     println!(
         "E19 replay: record block churn under {SCHED_SEED_ENV}={seed}, replay via script engine"
     );
@@ -184,30 +165,22 @@ pub fn run_replay(cfg: &HarnessConfig) {
     if cfg.json {
         let recs: Vec<BenchRecord> = runs
             .iter()
-            .map(|run| BenchRecord {
-                experiment: "replay".to_string(),
-                allocator: run.name.to_string(),
-                params: vec![
-                    ("case".to_string(), "block-churn".to_string()),
-                    ("seed".to_string(), seed.to_string()),
-                ],
-                median_ms: run.replay_ms,
-                counts: vec![
-                    ("mallocs".to_string(), run.outcome.mallocs),
-                    ("frees".to_string(), run.outcome.frees),
-                    ("leaks".to_string(), run.outcome.leaks),
-                    ("double_frees".to_string(), run.outcome.double_frees),
-                    ("unknown_frees".to_string(), run.outcome.unknown_frees),
-                    ("alloc_bytes".to_string(), run.outcome.alloc_bytes),
-                    ("served".to_string(), run.script_outcome.served),
-                    ("denied".to_string(), run.script_outcome.denied),
-                ],
+            .map(|run| {
+                BenchRecord::new("replay", run.name)
+                    .case("block-churn")
+                    .param("seed", seed)
+                    .ms(run.replay_ms)
+                    .count("mallocs", run.outcome.mallocs)
+                    .count("frees", run.outcome.frees)
+                    .count("leaks", run.outcome.leaks)
+                    .count("double_frees", run.outcome.double_frees)
+                    .count("unknown_frees", run.outcome.unknown_frees)
+                    .count("alloc_bytes", run.outcome.alloc_bytes)
+                    .count("served", run.script_outcome.served)
+                    .count("denied", run.script_outcome.denied)
             })
             .collect();
-        match write_bench_json(&cfg.out_dir, "replay", &recs) {
-            Ok(p) => println!("wrote {}", p.display()),
-            Err(e) => eprintln!("warning: could not write BENCH_replay.json: {e}"),
-        }
+        emit_bench_json(cfg, "replay", &recs);
     }
 }
 

@@ -24,21 +24,18 @@
 //! returns `false` (exit 1 in `repro`) on any quota violation or
 //! ledger anomaly.
 
-use crate::report::{write_bench_json, BenchRecord, Table};
+use super::DEFAULT_SEED;
+use crate::report::{emit_bench_json, BenchRecord, Table};
 use crate::serve::{
     run_serve_engine, run_serve_engine_sampled, ArrivalConfig, ArrivalShape, Rejection,
     ServeConfig, ServeOutcome, TenantSpec,
 };
 use crate::HarnessConfig;
 use gallatin::{DevicePool, Gallatin, GallatinConfig, GallatinPool};
-use gpu_sim::sched::SCHED_SEED_ENV;
+use gpu_sim::sched::{seed_override, SCHED_SEED_ENV};
 use gpu_sim::DeviceAllocator;
 use std::sync::Arc;
 use std::time::Instant;
-
-/// Schedule seed used when `GALLATIN_SCHED_SEED` is unset (matches the
-/// other deterministic experiments).
-const DEFAULT_SEED: u64 = 7;
 
 /// Arrival-seed offset: keeps the arrival stream independent of the
 /// schedule stream even though both replay from one env knob.
@@ -228,21 +225,17 @@ fn record_of(
     median_ms: f64,
     scenario: &str,
 ) -> BenchRecord {
-    BenchRecord {
-        experiment: "serve".into(),
-        allocator: allocator.into(),
-        params: vec![
-            ("scenario".into(), scenario.into()),
-            ("shape".into(), cfg.arrivals.shape.label().into()),
-            ("rate_per_kstep".into(), cfg.arrivals.rate_per_kstep.to_string()),
-            ("batch_width".into(), cfg.batch_width.to_string()),
-            ("horizon_steps".into(), cfg.arrivals.horizon_steps.to_string()),
-            ("admission".into(), if cfg.enforce_quotas { "on" } else { "off" }.to_string()),
-            ("seed".into(), cfg.sched_seed.to_string()),
-        ],
-        median_ms,
-        counts: counts_of(out),
-    }
+    let mut rec = BenchRecord::new("serve", allocator)
+        .param("scenario", scenario)
+        .param("shape", cfg.arrivals.shape.label())
+        .param("rate_per_kstep", cfg.arrivals.rate_per_kstep)
+        .param("batch_width", cfg.batch_width)
+        .param("horizon_steps", cfg.arrivals.horizon_steps)
+        .param("admission", if cfg.enforce_quotas { "on" } else { "off" })
+        .param("seed", cfg.sched_seed)
+        .ms(median_ms);
+    rec.counts = counts_of(out);
+    rec
 }
 
 /// Step cadence of the fragmentation timeline (one sample per 500
@@ -332,12 +325,7 @@ fn frag_timeline(cfg: &HarnessConfig, seed: u64, horizon: u64) -> bool {
 /// E20 entry point (`repro serve`). Returns `false` — exit 1 — when
 /// the smoke gate trips: any quota violation or ledger anomaly.
 pub fn run_serve(cfg: &HarnessConfig) -> bool {
-    let seed = match std::env::var(SCHED_SEED_ENV) {
-        Ok(s) => {
-            s.parse::<u64>().unwrap_or_else(|_| panic!("{SCHED_SEED_ENV} must be a u64, got {s:?}"))
-        }
-        Err(_) => DEFAULT_SEED,
-    };
+    let seed = seed_override().unwrap_or(DEFAULT_SEED);
     let smoke = cfg.smoke;
     let horizon: u64 = if smoke { 6_000 } else { 20_000 };
     let timing_runs = if smoke { 1 } else { cfg.runs.min(3) };
@@ -494,13 +482,7 @@ pub fn run_serve(cfg: &HarnessConfig) -> bool {
         if victim_p99[0] < victim_p99[1] { " — admission bounds the victim's tail" } else { "" }
     );
     table.emit(&cfg.out_dir, "e20_serve");
-    match write_bench_json(&cfg.out_dir, "serve", &records) {
-        Ok(path) => println!("wrote {}", path.display()),
-        Err(e) => {
-            eprintln!("error: could not write BENCH_serve.json: {e}");
-            clean = false;
-        }
-    }
+    clean &= emit_bench_json(cfg, "serve", &records);
     if !clean {
         eprintln!("serve gate FAILED: quota violation or ledger anomaly (see table above)");
     }

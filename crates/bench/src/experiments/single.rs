@@ -8,7 +8,7 @@
 //! Allocators are constructed one at a time (`for_each_allocator`) so
 //! only one heap is resident at once.
 
-use crate::report::{counts_delta, fmt_ms, write_bench_json, BenchRecord, Table};
+use crate::report::{counts_delta, emit_bench_json, fmt_ms, BenchRecord, Table};
 use crate::roster::{for_each_allocator, roster_names};
 use crate::workload::{measure, SizeSpec};
 use crate::HarnessConfig;
@@ -32,20 +32,15 @@ pub fn run_single(cfg: &HarnessConfig) {
             let before = a.metrics().map(|m| m.snapshot());
             let m = measure(a, cfg.device(), cfg.threads, SizeSpec::Fixed(size), cfg.runs, false);
             if cfg.json {
-                records.push(BenchRecord {
-                    experiment: "single".to_string(),
-                    allocator: a.name().to_string(),
-                    params: vec![
-                        ("size".to_string(), size.to_string()),
-                        ("threads".to_string(), cfg.threads.to_string()),
-                        ("runs".to_string(), cfg.runs.to_string()),
-                    ],
-                    median_ms: m.median_alloc_ms(),
-                    counts: match (&before, a.metrics().map(|m| m.snapshot())) {
-                        (Some(b), Some(after)) => counts_delta(b, &after),
-                        _ => Vec::new(),
-                    },
-                });
+                let mut rec = BenchRecord::new("single", a.name())
+                    .param("size", size)
+                    .param("threads", cfg.threads)
+                    .param("runs", cfg.runs)
+                    .ms(m.median_alloc_ms());
+                if let (Some(b), Some(after)) = (&before, a.metrics().map(|m| m.snapshot())) {
+                    rec.counts = counts_delta(b, &after);
+                }
+                records.push(rec);
             }
             let suffix = if m.corrupt > 0 {
                 "!"
@@ -62,10 +57,7 @@ pub fn run_single(cfg: &HarnessConfig) {
     });
 
     if cfg.json {
-        match write_bench_json(&cfg.out_dir, "single", &records) {
-            Ok(p) => println!("wrote {}", p.display()),
-            Err(e) => eprintln!("warning: could not write BENCH_single.json: {e}"),
-        }
+        emit_bench_json(cfg, "single", &records);
     }
 
     let mut headers = vec!["size B"];

@@ -30,7 +30,7 @@
 //! `GALLATIN_TOPO_SEEDS` bounds the seed sweep (default 8; CI quick
 //! uses 4). Everything replays bit-identically per seed.
 
-use crate::report::{write_bench_json, BenchRecord, Table};
+use crate::report::{emit_bench_json, BenchRecord, Table};
 use crate::serve::{run_serve_engine, ArrivalConfig, ArrivalShape, ServeConfig, TenantSpec};
 use crate::HarnessConfig;
 use gallatin::{DevicePool, GallatinConfig, GallatinPool, TopoStats};
@@ -39,7 +39,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use super::ablation::{block_churn_config, churn_once, SWEEP_SEEDS_SMOKE, SWEEP_SIZE_BLOCK};
+use super::ablation::{block_churn_config, SWEEP_SEEDS_SMOKE};
+use super::pool::{churn_pool, instance_records, InstanceCounts};
 
 /// Device counts swept by `repro topo`.
 const TOPO_DEVICES: [u32; 4] = [1, 2, 4, 8];
@@ -141,52 +142,14 @@ fn cascade(devices: u32) -> (TopoStats, u64, u64) {
     (stats, claims, cost)
 }
 
-/// Per-instance churn counters for the parity gate, in instance order.
-type ParityCounts = Vec<(u64, u64, u64, u64)>; // (cas_attempts, cas_failures, atomic_rmw, spills)
-
-/// Run the E18 block churn over `seeds` on `a`, reading instance `i`'s
-/// counters through `read`.
-fn churn_counts<A: DeviceAllocator>(
-    a_of: impl Fn() -> A,
-    read: impl Fn(&A, usize) -> (u64, u64, u64, u64),
-    seeds: u64,
-) -> (ParityCounts, f64) {
-    let mut per = vec![(0u64, 0u64, 0u64, 0u64); WIDTH];
-    let mut ms = 0.0;
-    for seed in 0..seeds {
-        let a = a_of();
-        let t0 = Instant::now();
-        churn_once(&a, seed, SWEEP_SIZE_BLOCK);
-        ms += t0.elapsed().as_secs_f64() * 1e3;
-        a.check_invariants().expect("invariants after churn");
-        assert_eq!(a.stats().reserved_bytes, 0, "churn leaked");
-        for (i, t) in per.iter_mut().enumerate() {
-            let (ca, cf, rmw, sp) = read(&a, i);
-            t.0 += ca;
-            t.1 += cf;
-            t.2 += rmw;
-            t.3 += sp;
-        }
-    }
-    (per, ms)
-}
-
 /// The parity gate: `DevicePool(1, 2)` must reproduce `GallatinPool(2)`
-/// bit-for-bit on the E18 churn. Returns `(pool rows, device rows, ok)`.
-fn parity(seeds: u64) -> (ParityCounts, f64, ParityCounts, f64, bool) {
-    let inst = |p: &GallatinPool, i: usize| {
-        let m = p.instance(i).metrics().expect("gallatin keeps metrics").snapshot();
-        (m.cas_attempts, m.cas_failures, m.atomic_rmw, p.spill_count(i))
-    };
-    let (flat, flat_ms) =
-        churn_counts(|| GallatinPool::new(WIDTH, block_churn_config()), |p, i| inst(p, i), seeds);
-    let (one, one_ms) = churn_counts(
-        || DevicePool::new(1, WIDTH, block_churn_config()),
-        |t, i| inst(t.pool(0), i),
-        seeds,
-    );
-    let ok = flat == one;
-    (flat, flat_ms, one, one_ms, ok)
+/// bit-for-bit on the E18 churn. Returns `[(flat rows, ms), (device
+/// rows, ms)]`; the gate holds when the two row sets are equal.
+fn parity(seeds: u64) -> [(Vec<InstanceCounts>, f64); 2] {
+    [
+        churn_pool(WIDTH, seeds, || GallatinPool::new(WIDTH, block_churn_config()), |p| p),
+        churn_pool(WIDTH, seeds, || DevicePool::new(1, WIDTH, block_churn_config()), |t| t.pool(0)),
+    ]
 }
 
 /// One open-loop serving cell on a 2-device pool; returns `(p99 steps,
@@ -220,72 +183,6 @@ fn serve_cell(seed: u64) -> (u64, bool) {
     let out = run_serve_engine(&cfg, &pool);
     pool.check_invariants().expect("clean after the serve cell");
     (out.latency.p99, out.clean())
-}
-
-fn rec(
-    allocator: &str,
-    case: &str,
-    extra: Vec<(String, String)>,
-    ms: f64,
-    counts: Vec<(String, u64)>,
-) -> BenchRecord {
-    let mut params = vec![("case".to_string(), case.to_string())];
-    params.extend(extra);
-    BenchRecord {
-        experiment: "topo".to_string(),
-        allocator: allocator.to_string(),
-        params,
-        median_ms: ms,
-        counts,
-    }
-}
-
-fn skew_record(devices: u32, skew: u64, s: &TopoStats, seeds: u64, ms: f64) -> BenchRecord {
-    rec(
-        "DevicePool",
-        "locality-skew",
-        vec![
-            ("devices".into(), devices.to_string()),
-            ("width".into(), WIDTH.to_string()),
-            ("skew_per_16".into(), skew.to_string()),
-            ("seeds".into(), seeds.to_string()),
-        ],
-        ms,
-        vec![
-            ("local_accesses".into(), s.local_accesses),
-            ("peer_accesses".into(), s.peer_accesses),
-            ("peer_share_bp".into(), (s.peer_share() * 10_000.0).round() as u64),
-            ("in_device_spills".into(), s.in_device_spills),
-            ("cross_spills".into(), s.cross_spills),
-        ],
-    )
-}
-
-/// The parity rows: identical count sets under both allocator names so
-/// `BENCH_topo.json` diffs against `BENCH_pool.json` directly.
-fn parity_records(per: &ParityCounts, name: &str, seeds: u64, ms: f64) -> Vec<BenchRecord> {
-    per.iter()
-        .enumerate()
-        .map(|(i, t)| {
-            rec(
-                name,
-                "parity-churn",
-                vec![
-                    ("instances".into(), WIDTH.to_string()),
-                    ("instance".into(), i.to_string()),
-                    ("size".into(), SWEEP_SIZE_BLOCK.to_string()),
-                    ("seeds".into(), seeds.to_string()),
-                ],
-                ms,
-                vec![
-                    ("cas_attempts".into(), t.0),
-                    ("cas_failures".into(), t.1),
-                    ("atomic_rmw".into(), t.2),
-                    ("spills".into(), t.3),
-                ],
-            )
-        })
-        .collect()
 }
 
 /// E23 entry point (`repro topo`). Returns `false` — exit 1 — when a
@@ -350,7 +247,20 @@ pub fn run_topo(cfg: &HarnessConfig) -> bool {
                 s.cross_spills.to_string(),
                 "-".into(),
             ]);
-            records.push(skew_record(devices, skew, &s, seeds, ms));
+            records.push(
+                BenchRecord::new("topo", "DevicePool")
+                    .case("locality-skew")
+                    .param("devices", devices)
+                    .param("width", WIDTH)
+                    .param("skew_per_16", skew)
+                    .param("seeds", seeds)
+                    .ms(ms)
+                    .count("local_accesses", s.local_accesses)
+                    .count("peer_accesses", s.peer_accesses)
+                    .count("peer_share_bp", (share * 10_000.0).round() as u64)
+                    .count("in_device_spills", s.in_device_spills)
+                    .count("cross_spills", s.cross_spills),
+            );
         }
     }
 
@@ -379,34 +289,35 @@ pub fn run_topo(cfg: &HarnessConfig) -> bool {
             s.cross_spills.to_string(),
             cost.to_string(),
         ]);
-        records.push(rec(
-            "DevicePool",
-            "cascade",
-            vec![
-                ("devices".into(), devices.to_string()),
-                ("width".into(), WIDTH.to_string()),
-                ("seed".into(), CASCADE_SEED.to_string()),
-            ],
-            ms,
-            vec![
-                ("claims".into(), claims),
-                ("cross_spills".into(), s.cross_spills),
-                ("in_device_spills".into(), s.in_device_spills),
-                ("peer_accesses".into(), s.peer_accesses),
-                ("cascade_cost_steps".into(), cost),
-            ],
-        ));
+        records.push(
+            BenchRecord::new("topo", "DevicePool")
+                .case("cascade")
+                .param("devices", devices)
+                .param("width", WIDTH)
+                .param("seed", CASCADE_SEED)
+                .ms(ms)
+                .count("claims", claims)
+                .count("cross_spills", s.cross_spills)
+                .count("in_device_spills", s.in_device_spills)
+                .count("peer_accesses", s.peer_accesses)
+                .count("cascade_cost_steps", cost),
+        );
     }
 
     // Arm 3: single-device parity against the sharded pool.
-    let (flat, flat_ms, one, one_ms, parity_ok) = parity(seeds.min(SWEEP_SEEDS_SMOKE));
+    // The rows are emitted under both allocator names, in E18's row
+    // shape, so `BENCH_topo.json` diffs against `BENCH_pool.json`.
+    let pseeds = seeds.min(SWEEP_SEEDS_SMOKE);
+    let [(flat, flat_ms), (one, one_ms)] = parity(pseeds);
+    let parity_ok = flat == one;
     if !parity_ok {
         eprintln!("topo gate FAILED: DevicePool(1,{WIDTH}) diverged from GallatinPool({WIDTH})");
         clean = false;
     }
-    let pseeds = seeds.min(SWEEP_SEEDS_SMOKE);
-    records.extend(parity_records(&flat, "GallatinPool", pseeds, flat_ms));
-    records.extend(parity_records(&one, "DevicePool", pseeds, one_ms));
+    for (name, per, ms) in [("GallatinPool", &flat, flat_ms), ("DevicePool", &one, one_ms)] {
+        let base = BenchRecord::new("topo", name).case("parity-churn");
+        records.extend(instance_records(&base, per, pseeds, ms));
+    }
     println!(
         "parity: DevicePool(1,{WIDTH}) {} GallatinPool({WIDTH}) on {pseeds}-seed churn counters",
         if parity_ok { "matches" } else { "DIVERGES FROM" }
@@ -419,23 +330,18 @@ pub fn run_topo(cfg: &HarnessConfig) -> bool {
         eprintln!("topo gate FAILED: serve cell reported quota/ledger anomalies");
         clean = false;
     }
-    records.push(rec(
-        "DevicePool",
-        "serve",
-        vec![("devices".into(), "2".into()), ("width".into(), "1".into())],
-        t0.elapsed().as_secs_f64() * 1e3,
-        vec![("p99_steps".into(), p99)],
-    ));
+    records.push(
+        BenchRecord::new("topo", "DevicePool")
+            .case("serve")
+            .param("devices", 2)
+            .param("width", 1)
+            .ms(t0.elapsed().as_secs_f64() * 1e3)
+            .count("p99_steps", p99),
+    );
     println!("serve cell: 2-device pool p99 {p99} steps");
 
     table.emit(&cfg.out_dir, "e23_topo");
-    match write_bench_json(&cfg.out_dir, "topo", &records) {
-        Ok(p) => println!("wrote {}", p.display()),
-        Err(e) => {
-            eprintln!("error: could not write BENCH_topo.json: {e}");
-            clean = false;
-        }
-    }
+    clean &= emit_bench_json(cfg, "topo", &records);
     if !clean {
         eprintln!("topo gate FAILED (see above)");
     }
@@ -449,18 +355,13 @@ pub fn perf_record() -> BenchRecord {
     let t0 = Instant::now();
     let (s, claims, cost) = cascade(2);
     assert_eq!(s.cross_spills, claims - WIDTH as u64 * 16, "cascade overflow is exact");
-    BenchRecord {
-        experiment: "perf".to_string(),
-        allocator: "DevicePool".to_string(),
-        params: vec![("case".to_string(), "inter-device-spill".to_string())],
-        median_ms: t0.elapsed().as_secs_f64() * 1e3,
-        counts: vec![
-            ("claims".into(), claims),
-            ("cross_spills".into(), s.cross_spills),
-            ("peer_accesses".into(), s.peer_accesses),
-            ("cascade_cost_steps".into(), cost),
-        ],
-    }
+    BenchRecord::new("perf", "DevicePool")
+        .case("inter-device-spill")
+        .ms(t0.elapsed().as_secs_f64() * 1e3)
+        .count("claims", claims)
+        .count("cross_spills", s.cross_spills)
+        .count("peer_accesses", s.peer_accesses)
+        .count("cascade_cost_steps", cost)
 }
 
 #[cfg(test)]
@@ -498,8 +399,11 @@ mod tests {
 
     #[test]
     fn single_device_parity_holds_on_the_churn() {
-        let (flat, _, one, _, ok) = parity(2);
-        assert!(ok, "DevicePool(1,2) churn diverged: {flat:?} vs {one:?}");
-        assert!(flat.iter().all(|t| t.0 > 0), "the churn must actually exercise CAS paths");
+        let [(flat, _), (one, _)] = parity(2);
+        assert_eq!(flat, one, "DevicePool(1,2) churn diverged from GallatinPool(2)");
+        assert!(
+            flat.iter().all(|(m, _)| m.cas_attempts > 0),
+            "the churn must actually exercise CAS paths"
+        );
     }
 }

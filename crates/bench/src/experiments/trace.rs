@@ -16,45 +16,37 @@
 //! `GALLATIN_SCHED_SEED=<seed> repro trace` captures the exact
 //! interleaving that failed as a diffable artifact.
 
-use crate::report::{write_bench_json, BenchRecord, Table};
+use crate::report::{emit_bench_json, BenchRecord, Table};
 use crate::HarnessConfig;
-use gpu_sim::sched::SCHED_SEED_ENV;
-use gpu_sim::trace::{chrome_trace_json, Ledger, TraceSink};
-use gpu_sim::DeviceAllocator;
+use gallatin::Gallatin;
+use gpu_sim::sched::{seed_override, SCHED_SEED_ENV};
+use gpu_sim::trace::{chrome_trace_json, Ledger, TraceRecord, TraceSink};
 use std::path::Path;
 use std::sync::Arc;
 
-use super::ablation;
+use super::{ablation, DEFAULT_SEED};
 
-/// Default schedule seed when `GALLATIN_SCHED_SEED` is unset.
-const DEFAULT_SEED: u64 = 7;
+/// Run the E16 block churn under `seed` with a fresh sink installed and
+/// return the captured records plus the launch's wall time (shared with
+/// E19's recording half). The sink's leak check is armed, so a leak or
+/// broken invariant fails [`ablation::churn_sweep`]'s audit — which
+/// auto-dumps the trace — before the caller exports anything.
+pub(crate) fn capture_block_churn(seed: u64) -> (Vec<TraceRecord>, f64) {
+    let g = Gallatin::new(ablation::block_churn_config());
+    let sink = Arc::new(TraceSink::new());
+    sink.set_leak_check(true);
+    let churn_ms = gpu_sim::trace::with_sink(sink.clone(), || {
+        ablation::churn_sweep([seed], ablation::SWEEP_SIZE_BLOCK, || &g, |_| ())
+    });
+    assert_eq!(sink.dropped(), 0, "sink capacity must cover the workload");
+    (sink.snapshot(), churn_ms)
+}
 
 /// Run the trace capture; see the module docs.
 pub fn run_trace(cfg: &HarnessConfig) {
-    let seed = match std::env::var(SCHED_SEED_ENV) {
-        Ok(s) => s
-            .trim()
-            .parse::<u64>()
-            .unwrap_or_else(|_| panic!("{SCHED_SEED_ENV} must be a u64, got {s:?}")),
-        Err(_) => DEFAULT_SEED,
-    };
+    let seed = seed_override().unwrap_or(DEFAULT_SEED);
     println!("E17 trace: block-churn workload under {SCHED_SEED_ENV}={seed}");
-
-    let g = ablation::block_churn_gallatin();
-    let sink = Arc::new(TraceSink::new());
-    sink.set_leak_check(true);
-    let mut churn_ms = 0.0f64;
-    let records = gpu_sim::trace::with_sink(sink.clone(), || {
-        let t0 = std::time::Instant::now();
-        ablation::block_churn(&g, seed);
-        churn_ms = t0.elapsed().as_secs_f64() * 1e3;
-        // Invariants + armed leak check: a failure auto-dumps the trace
-        // before this run's own export below.
-        g.check_invariants().expect("block churn must leave the allocator healthy");
-        sink.snapshot()
-    });
-    assert_eq!(sink.dropped(), 0, "sink capacity must cover the workload");
-    assert_eq!(g.stats().reserved_bytes, 0, "block churn leaked");
+    let (records, churn_ms) = capture_block_churn(seed);
 
     // Chrome trace artifact.
     if let Err(e) = std::fs::create_dir_all(&cfg.out_dir) {
@@ -95,29 +87,18 @@ pub fn run_trace(cfg: &HarnessConfig) {
     );
 
     if cfg.json {
-        let rec = BenchRecord {
-            experiment: "trace".to_string(),
-            allocator: "Gallatin".to_string(),
-            params: vec![
-                ("case".to_string(), "block-churn".to_string()),
-                ("seed".to_string(), seed.to_string()),
-            ],
-            median_ms: churn_ms,
-            counts: {
-                let mut c: Vec<(String, u64)> = vec![
-                    ("events".to_string(), records.len() as u64),
-                    ("leaks".to_string(), ledger.live.len() as u64),
-                    ("double_frees".to_string(), ledger.double_frees.len() as u64),
-                    ("cross_warp_frees".to_string(), ledger.cross_warp_frees),
-                    ("peak_live_bytes".to_string(), ledger.peak_live_bytes),
-                ];
-                c.extend(counts.iter().map(|(n, v)| (n.to_string(), *v)));
-                c
-            },
-        };
-        match write_bench_json(&cfg.out_dir, "trace", &[rec]) {
-            Ok(p) => println!("wrote {}", p.display()),
-            Err(e) => eprintln!("warning: could not write BENCH_trace.json: {e}"),
+        let mut rec = BenchRecord::new("trace", "Gallatin")
+            .case("block-churn")
+            .param("seed", seed)
+            .ms(churn_ms)
+            .count("events", records.len() as u64)
+            .count("leaks", ledger.live.len() as u64)
+            .count("double_frees", ledger.double_frees.len() as u64)
+            .count("cross_warp_frees", ledger.cross_warp_frees)
+            .count("peak_live_bytes", ledger.peak_live_bytes);
+        for (name, n) in &counts {
+            rec = rec.count(name, *n);
         }
+        emit_bench_json(cfg, "trace", &[rec]);
     }
 }

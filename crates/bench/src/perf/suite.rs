@@ -3,11 +3,12 @@
 //! Five groups of cells, chosen so the wall-clock trajectory covers
 //! every layer the speed campaign touches (E21):
 //!
-//! 1. **Allocator churn** — the E16 churn workload (`churn_once`) at
+//! 1. **Allocator churn** — the E16 churn workload (`churn_sweep`) at
 //!    the slice (16 B) and block (1 KiB) sizes, with wide vEB scans on
 //!    and off. The on/off pair is the standing A/B for the
-//!    word-parallel-scan optimization: counts must be *identical*
-//!    (asserted here — the scan only changes loads), only ms may move.
+//!    word-parallel-scan optimization, owned by this lane alone: counts
+//!    must be *identical* (asserted here — the scan only changes loads),
+//!    only ms may move.
 //! 2. **Pool churn** — the E18 2-instance aggregate (same cell the
 //!    count gate pins), timing the sharded path.
 //! 3. **Elastic maintenance** — the E22 maintenance cycle via
@@ -32,11 +33,9 @@
 //! so counts must agree bit-for-bit across the run's repeated samples —
 //! [`sampled_records`] asserts that and reports per-record median ms.
 
-use crate::experiments::ablation::{churn_once, SWEEP_HEAP, SWEEP_HEAP_BLOCK};
+use crate::experiments::ablation::{churn_counts, gallatin_sweep};
 use crate::experiments::{elastic, pool, serve, topo};
 use crate::report::BenchRecord;
-use gallatin::{Gallatin, GallatinConfig};
-use gpu_sim::DeviceAllocator;
 use std::time::Instant;
 use veb::VebTree;
 
@@ -58,39 +57,14 @@ const VEB_ROUNDS: u64 = 300_000;
 
 /// One churn cell: the E16 workload over `seeds`, wide scans on/off.
 fn churn_cell(size: u64, wide: bool, seeds: &[u64]) -> BenchRecord {
-    let heap = if size > 256 { SWEEP_HEAP_BLOCK } else { SWEEP_HEAP };
-    let (mut cas_attempts, mut cas_failures, mut atomic_rmw, mut ms) = (0u64, 0u64, 0u64, 0f64);
-    for &seed in seeds {
-        let g = Gallatin::new(GallatinConfig {
-            randomize_probe_starts: true,
-            wide_veb_scans: wide,
-            ..GallatinConfig::small_test(heap)
-        });
-        let t0 = Instant::now();
-        churn_once(&g, seed, size);
-        ms += t0.elapsed().as_secs_f64() * 1e3;
-        g.check_invariants().expect("invariants after perf churn");
-        let m = g.metrics().expect("gallatin keeps metrics").snapshot();
-        cas_attempts += m.cas_attempts;
-        cas_failures += m.cas_failures;
-        atomic_rmw += m.atomic_rmw;
-    }
-    BenchRecord {
-        experiment: "perf".into(),
-        allocator: "Gallatin".into(),
-        params: vec![
-            ("case".into(), "churn".into()),
-            ("size".into(), size.to_string()),
-            ("wide_veb_scans".into(), if wide { "on" } else { "off" }.into()),
-            ("seeds".into(), seed_label(seeds)),
-        ],
-        median_ms: ms,
-        counts: vec![
-            ("cas_attempts".into(), cas_attempts),
-            ("cas_failures".into(), cas_failures),
-            ("atomic_rmw".into(), atomic_rmw),
-        ],
-    }
+    let (m, ms) = gallatin_sweep(seeds.iter().copied(), size, |cfg| cfg.wide_veb_scans = wide);
+    let rec = BenchRecord::new("perf", "Gallatin")
+        .case("churn")
+        .param("size", size)
+        .param("wide_veb_scans", if wide { "on" } else { "off" })
+        .param("seeds", seed_label(seeds))
+        .ms(ms);
+    churn_counts(rec, &m)
 }
 
 /// Stable label for a seed list (part of the series key).
@@ -125,18 +99,14 @@ fn veb_storm(wide: bool) -> (u64, u64, f64) {
 
 fn veb_cell(wide: bool) -> BenchRecord {
     let (checksum, members, ms) = veb_storm(wide);
-    BenchRecord {
-        experiment: "perf".into(),
-        allocator: "VebTree".into(),
-        params: vec![
-            ("case".into(), "veb-succ".into()),
-            ("universe".into(), VEB_UNIVERSE.to_string()),
-            ("rounds".into(), VEB_ROUNDS.to_string()),
-            ("wide_veb_scans".into(), if wide { "on" } else { "off" }.into()),
-        ],
-        median_ms: ms,
-        counts: vec![("checksum".into(), checksum), ("members".into(), members)],
-    }
+    BenchRecord::new("perf", "VebTree")
+        .case("veb-succ")
+        .param("universe", VEB_UNIVERSE)
+        .param("rounds", VEB_ROUNDS)
+        .param("wide_veb_scans", if wide { "on" } else { "off" })
+        .ms(ms)
+        .count("checksum", checksum)
+        .count("members", members)
 }
 
 /// One full pass over the suite. Returns the records plus the serving
@@ -156,7 +126,7 @@ fn collect_once(seeds: &[u64]) -> (Vec<BenchRecord>, bool) {
             "wide vEB scans must not change atomic-op counts"
         );
     }
-    records.extend(pool::pool_smoke_records("perf"));
+    records.push(pool::smoke_record("perf"));
     records.push(elastic::perf_record());
     records.push(topo::perf_record());
     let (serve_recs, clean) = serve::perf_records();
@@ -211,7 +181,7 @@ pub fn sampled_records(samples: usize, seeds: &[u64]) -> Result<Vec<BenchRecord>
         } else {
             f64::NAN
         };
-        out.push(BenchRecord { median_ms, ..first.clone() });
+        out.push(first.clone().ms(median_ms));
     }
     Ok(out)
 }

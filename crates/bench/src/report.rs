@@ -5,6 +5,7 @@
 //! result uses, written as `BENCH_<experiment>.json` next to the CSVs
 //! and read back by the `bench-smoke` CI gate.
 
+use crate::HarnessConfig;
 use std::fs;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -105,6 +106,53 @@ pub struct BenchRecord {
 }
 
 impl BenchRecord {
+    /// An untimed record with no params or counts: the start of every
+    /// record the harness builds. Params and counts keep the order the
+    /// builder calls add them in — that order is part of [`Self::key`]
+    /// and of the rendered JSON.
+    pub fn new(experiment: &str, allocator: &str) -> Self {
+        BenchRecord {
+            experiment: experiment.to_string(),
+            allocator: allocator.to_string(),
+            params: Vec::new(),
+            median_ms: f64::NAN,
+            counts: Vec::new(),
+        }
+    }
+
+    /// Append the `case` param (by convention a record's first).
+    pub fn case(self, case: &str) -> Self {
+        self.param("case", case)
+    }
+
+    /// Append one configuration-cell parameter.
+    pub fn param(mut self, key: &str, value: impl ToString) -> Self {
+        self.params.push((key.to_string(), value.to_string()));
+        self
+    }
+
+    /// Append one counter.
+    pub fn count(mut self, key: &str, value: u64) -> Self {
+        self.counts.push((key.to_string(), value));
+        self
+    }
+
+    /// Set the wall time in milliseconds.
+    pub fn ms(mut self, median_ms: f64) -> Self {
+        self.median_ms = median_ms;
+        self
+    }
+
+    /// The counter named `key`, if the record carries it.
+    pub fn get_count(&self, key: &str) -> Option<u64> {
+        self.counts.iter().find(|(k, _)| k == key).map(|(_, v)| *v)
+    }
+
+    /// The parameter named `key`, if the record carries it.
+    pub fn get_param(&self, key: &str) -> Option<&str> {
+        self.params.iter().find(|(k, _)| k == key).map(|(_, v)| v.as_str())
+    }
+
     /// The key the smoke gate matches records on: allocator plus the
     /// rendered parameter list.
     pub fn key(&self) -> String {
@@ -177,6 +225,22 @@ pub fn write_bench_json(
     Ok(path)
 }
 
+/// Write `BENCH_<experiment>.json` under the run's output directory and
+/// report the path; a failed write warns on stderr and returns `false`,
+/// which the gating experiments fold into their verdict.
+pub fn emit_bench_json(cfg: &HarnessConfig, experiment: &str, records: &[BenchRecord]) -> bool {
+    match write_bench_json(&cfg.out_dir, experiment, records) {
+        Ok(path) => {
+            println!("wrote {}", path.display());
+            true
+        }
+        Err(e) => {
+            eprintln!("warning: could not write BENCH_{experiment}.json: {e}");
+            false
+        }
+    }
+}
+
 /// How a record's `median_ms` field is spelled on disk. The perf lane
 /// distinguishes "deliberately untimed" (schema marker, gate skips)
 /// from "missing/null" (a writer bug `repro perf-check` fails loudly
@@ -210,14 +274,12 @@ pub fn record_from_json(r: &json::Value) -> Result<BenchRecord, String> {
     let s = |k: &str| {
         r.get(k)
             .and_then(json::Value::as_str)
-            .map(str::to_string)
             .ok_or_else(|| format!("record missing string \"{k}\""))
     };
-    let pairs = |k: &str| -> Result<Vec<(String, json::Value)>, String> {
-        Ok(r.get(k)
+    let pairs = |k: &str| {
+        r.get(k)
             .and_then(json::Value::as_object)
-            .ok_or_else(|| format!("record missing object \"{k}\""))?
-            .to_vec())
+            .ok_or_else(|| format!("record missing object \"{k}\""))
     };
     let median_ms = match r.get("median_ms") {
         Some(json::Value::Num(n)) => *n,
@@ -225,25 +287,14 @@ pub fn record_from_json(r: &json::Value) -> Result<BenchRecord, String> {
         Some(json::Value::Null) | None => f64::NAN,
         Some(other) => return Err(format!("median_ms has unexpected shape: {other:?}")),
     };
-    Ok(BenchRecord {
-        experiment: s("experiment")?,
-        allocator: s("allocator")?,
-        params: pairs("params")?
-            .into_iter()
-            .map(|(k, v)| {
-                let v = v.as_str().ok_or_else(|| format!("param {k} not a string"))?;
-                Ok((k, v.to_string()))
-            })
-            .collect::<Result<_, String>>()?,
-        median_ms,
-        counts: pairs("counts")?
-            .into_iter()
-            .map(|(k, v)| {
-                let v = v.as_f64().ok_or_else(|| format!("count {k} not a number"))?;
-                Ok((k, v as u64))
-            })
-            .collect::<Result<_, String>>()?,
-    })
+    let mut rec = BenchRecord::new(s("experiment")?, s("allocator")?).ms(median_ms);
+    for (k, v) in pairs("params")? {
+        rec = rec.param(k, v.as_str().ok_or_else(|| format!("param {k} not a string"))?);
+    }
+    for (k, v) in pairs("counts")? {
+        rec = rec.count(k, v.as_f64().ok_or_else(|| format!("count {k} not a number"))? as u64);
+    }
+    Ok(rec)
 }
 
 /// Read a `BENCH_<experiment>.json` file back into records.
@@ -480,32 +531,24 @@ pub mod json {
     }
 }
 
-/// The telemetry counters a [`BenchRecord`] carries, extracted from a
-/// metrics snapshot in a stable order.
-pub fn counts_from(m: &gpu_sim::metrics::MetricsSnapshot) -> Vec<(String, u64)> {
-    vec![
-        ("atomic_rmw".to_string(), m.atomic_rmw),
-        ("cas_attempts".to_string(), m.cas_attempts),
-        ("cas_failures".to_string(), m.cas_failures),
-        ("lock_acquires".to_string(), m.lock_acquires),
-        ("coalesced_requests".to_string(), m.coalesced_requests),
-        ("mallocs".to_string(), m.mallocs),
-        ("frees".to_string(), m.frees),
-        ("failed_mallocs".to_string(), m.failed_mallocs),
-    ]
-}
-
-/// Counter deltas between two snapshots of the same [`gpu_sim::Metrics`]
-/// (e.g. around one measured size in a sweep), in [`counts_from`] order.
+/// The telemetry counters a [`BenchRecord`] carries, in a stable order,
+/// as deltas between two snapshots of the same [`gpu_sim::Metrics`]
+/// (e.g. around one measured size in a sweep).
 pub fn counts_delta(
     before: &gpu_sim::metrics::MetricsSnapshot,
     after: &gpu_sim::metrics::MetricsSnapshot,
 ) -> Vec<(String, u64)> {
-    counts_from(after)
-        .into_iter()
-        .zip(counts_from(before))
-        .map(|((k, a), (_, b))| (k, a.saturating_sub(b)))
-        .collect()
+    let delta = |name: &str, a: u64, b: u64| (name.to_string(), a.saturating_sub(b));
+    vec![
+        delta("atomic_rmw", after.atomic_rmw, before.atomic_rmw),
+        delta("cas_attempts", after.cas_attempts, before.cas_attempts),
+        delta("cas_failures", after.cas_failures, before.cas_failures),
+        delta("lock_acquires", after.lock_acquires, before.lock_acquires),
+        delta("coalesced_requests", after.coalesced_requests, before.coalesced_requests),
+        delta("mallocs", after.mallocs, before.mallocs),
+        delta("frees", after.frees, before.frees),
+        delta("failed_mallocs", after.failed_mallocs, before.failed_mallocs),
+    ]
 }
 
 /// Format milliseconds with sensible precision.
@@ -561,21 +604,25 @@ mod tests {
     #[test]
     fn bench_json_round_trips() {
         let records = vec![
-            BenchRecord {
-                experiment: "ablation".into(),
-                allocator: "Gallatin".into(),
-                params: vec![("case".into(), "sweep".into()), ("seeds".into(), "8".into())],
-                median_ms: 1.5,
-                counts: vec![("cas_attempts".into(), 1234), ("atomic_rmw".into(), 56)],
-            },
-            BenchRecord {
-                experiment: "ablation".into(),
-                allocator: "Gallatin".into(),
-                params: vec![("case".into(), "group \"quoted\"".into())],
-                median_ms: f64::NAN, // rendered as "untimed", read back as NaN
-                counts: vec![],
-            },
+            BenchRecord::new("ablation", "Gallatin")
+                .case("sweep")
+                .param("seeds", 8)
+                .ms(1.5)
+                .count("cas_attempts", 1234)
+                .count("atomic_rmw", 56),
+            // Untimed by default: rendered as "untimed", read back as NaN.
+            BenchRecord::new("ablation", "Gallatin").case("group \"quoted\""),
         ];
+        // Builder and readers round-trip: call order is field order.
+        assert_eq!(
+            records[0].params,
+            [("case".into(), "sweep".into()), ("seeds".into(), "8".into())]
+        );
+        assert_eq!(records[0].counts, [("cas_attempts".into(), 1234), ("atomic_rmw".into(), 56)]);
+        assert_eq!(records[0].get_param("seeds"), Some("8"));
+        assert_eq!(records[0].get_count("atomic_rmw"), Some(56));
+        assert_eq!((records[0].get_param("size"), records[0].get_count("spills")), (None, None));
+        assert!(records[1].counts.is_empty() && records[1].median_ms.is_nan());
         let dir = std::env::temp_dir().join("gallatin-bench-json-test");
         let path = write_bench_json(dir.to_str().unwrap(), "ablation", &records).unwrap();
         assert!(path.ends_with("BENCH_ablation.json"));

@@ -11,8 +11,18 @@
 //! the baseline counts.
 
 use bench::experiments::ablation::{smoke_gate, smoke_records};
-use bench::report::read_bench_json;
+use bench::report::{read_bench_json, render_bench_json};
 use std::path::Path;
+
+/// Blank every `median_ms` value: the only bytes of a BENCH document
+/// that may differ between two runs of a deterministic experiment.
+fn mask_medians(doc: &str) -> String {
+    let masked = doc.lines().map(|line| match line.split_once("\"median_ms\": ") {
+        Some((indent, _)) => format!("{indent}\"median_ms\": <masked>,"),
+        None => line.to_string(),
+    });
+    masked.collect::<Vec<_>>().join("\n")
+}
 
 #[test]
 fn bench_smoke_counts_match_committed_baseline() {
@@ -34,5 +44,14 @@ fn bench_smoke_counts_match_committed_baseline() {
          interleaving behind a count, capture it with\n  \
          GALLATIN_SCHED_SEED=<seed> cargo run -p bench --bin repro -- trace",
         failures.join("\n  ")
+    );
+    // Golden: beyond the gate's 10% tolerance on counts, the rendered
+    // document — record order, param and count key order (and so every
+    // `key()` string), exact counts — is the committed baseline's.
+    let committed = std::fs::read_to_string(&baseline_path).expect("read above");
+    assert_eq!(
+        mask_medians(&render_bench_json("bench_smoke", &current)),
+        mask_medians(&committed),
+        "bench-smoke records drifted from results/BENCH_bench_smoke.json outside median_ms"
     );
 }

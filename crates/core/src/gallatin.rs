@@ -338,58 +338,70 @@ impl Gallatin {
         ptr
     }
 
-    pub(crate) fn free_routed(&self, ptr: DevicePtr) {
+    /// The one free-route decode: read the segment's `tree_id` and
+    /// release what `ptr` names — a whole block, a large run — or, for a
+    /// slice, return its `(segment, class, block)` so the caller returns
+    /// it to the block's counter (alone, or batched per block by
+    /// `warp_free`). Panics on foreign, interior-large and
+    /// unformatted-segment pointers.
+    ///
+    /// The Free event (stamped with `lane`) records the bytes *this
+    /// path* releases; the trace Ledger cross-checks it against the
+    /// paired Malloc, so a misrouted free (wrong tier, wrong class)
+    /// surfaces as a typed size-mismatch anomaly instead of silent
+    /// accounting drift. Each branch emits before the region becomes
+    /// reusable by others.
+    #[inline]
+    fn release(&self, ctx: &TierCtx, lane: u32, ptr: DevicePtr) -> Option<(u64, usize, u64)> {
         self.metrics.count_free();
         let off = ptr.0;
         assert!(off < self.geo.heap_bytes, "free of foreign pointer {off}");
-        let ctx = self.ctx();
         let seg = self.geo.segment_of(off);
         let meta = self.table.seg(seg);
         let id = meta.ldcv_tree_id();
-        // The Free event records the bytes *this path* releases; the
-        // trace Ledger cross-checks it against the paired Malloc, so a
-        // misrouted free (wrong tier, wrong class) surfaces as a typed
-        // size-mismatch anomaly instead of silent accounting drift. Each
-        // branch emits before the region becomes reusable by others.
+        let freed =
+            |size: u64| trace::emit_lane(lane, || trace::TraceEvent::Free { ptr: off, size });
         if (id as usize) < self.geo.num_classes {
             let class = id as usize;
             let block = self.geo.block_of(off, class);
             let is_block_start = self.geo.slice_of(off, class) == 0;
             if is_block_start && meta.is_whole_block(block) && meta.clear_whole_block(block) {
-                trace::emit(|| trace::TraceEvent::Free {
-                    ptr: off,
-                    size: self.geo.block_size(class),
-                });
+                freed(self.geo.block_size(class));
                 self.reserved.fetch_sub(self.geo.block_size(class), Ordering::Relaxed);
                 self.blocks.free_block(
-                    &ctx,
+                    ctx,
                     BlockHandle::new(seg, block, self.geo.max_blocks),
                     class,
                     &self.segments,
                 );
-                return;
+                return None;
             }
-            trace::emit(|| trace::TraceEvent::Free { ptr: off, size: self.geo.slice_size(class) });
-            self.slices.free_one(&ctx, seg, class, off, &self.blocks, &self.segments);
+            freed(self.geo.slice_size(class));
+            return Some((seg, class, block));
         } else if id == LARGE_BODY {
-            trace::emit(|| trace::TraceEvent::Free { ptr: off, size: 0 });
+            freed(0);
             panic!("free of interior pointer into a large allocation (segment {seg})");
         } else if id >= LARGE_BASE && id != TREE_FREE {
             match self.table.unmark_large(seg) {
                 Some(n) => {
-                    trace::emit(|| trace::TraceEvent::Free {
-                        ptr: off,
-                        size: n * self.geo.segment_bytes,
-                    });
+                    freed(n * self.geo.segment_bytes);
                     self.reserved.fetch_sub(n * self.geo.segment_bytes, Ordering::Relaxed);
                     self.segments.tree.insert_range(seg, n);
                 }
                 // Raced large free: the run length is gone, size unknown.
-                None => trace::emit(|| trace::TraceEvent::Free { ptr: off, size: 0 }),
+                None => freed(0),
             }
         } else {
-            trace::emit(|| trace::TraceEvent::Free { ptr: off, size: 0 });
+            freed(0);
             panic!("free into an unformatted segment {seg} (double free?)");
+        }
+        None
+    }
+
+    pub(crate) fn free_routed(&self, ptr: DevicePtr) {
+        let ctx = self.ctx();
+        if let Some((seg, class, block)) = self.release(&ctx, trace::LANE_NONE, ptr) {
+            self.slices.free_n(&ctx, seg, class, block, 1, &self.blocks, &self.segments);
         }
     }
 }
@@ -427,69 +439,16 @@ impl DeviceAllocator for Gallatin {
             if ptr.is_null() {
                 continue;
             }
-            self.metrics.count_free();
-            let off = ptr.0;
-            assert!(off < self.geo.heap_bytes, "free of foreign pointer {off}");
-            let seg = self.geo.segment_of(off);
-            let meta = self.table.seg(seg);
-            let id = meta.ldcv_tree_id();
-            // As in `free_routed`: each branch records the bytes it
-            // releases so the Ledger can cross-check against the malloc.
-            if (id as usize) < self.geo.num_classes {
-                let class = id as usize;
-                let block = self.geo.block_of(off, class);
-                let is_block_start = self.geo.slice_of(off, class) == 0;
-                if is_block_start && meta.is_whole_block(block) && meta.clear_whole_block(block) {
-                    trace::emit_lane(lane as u32, || trace::TraceEvent::Free {
-                        ptr: off,
-                        size: self.geo.block_size(class),
-                    });
-                    self.reserved.fetch_sub(self.geo.block_size(class), Ordering::Relaxed);
-                    self.blocks.free_block(
-                        &ctx,
-                        BlockHandle::new(seg, block, self.geo.max_blocks),
-                        class,
-                        &self.segments,
-                    );
-                    continue;
+            let Some((seg, class, block)) = self.release(&ctx, lane as u32, ptr) else { continue };
+            // Coalesce: ballot-equivalent grouping by block.
+            let key = BlockHandle::new(seg, block, self.geo.max_blocks).0;
+            match groups[..n_groups].iter().position(|&(k, _)| k == key) {
+                Some(i) => groups[i].1 += 1,
+                None => {
+                    groups[n_groups] = (key, 1);
+                    classes[n_groups] = class;
+                    n_groups += 1;
                 }
-                trace::emit_lane(lane as u32, || trace::TraceEvent::Free {
-                    ptr: off,
-                    size: self.geo.slice_size(class),
-                });
-                // Coalesce: ballot-equivalent grouping by block.
-                let key = BlockHandle::new(seg, block, self.geo.max_blocks).0;
-                match groups[..n_groups].iter().position(|&(k, _)| k == key) {
-                    Some(i) => groups[i].1 += 1,
-                    None => {
-                        groups[n_groups] = (key, 1);
-                        classes[n_groups] = class;
-                        n_groups += 1;
-                    }
-                }
-            } else if id == LARGE_BODY {
-                trace::emit_lane(lane as u32, || trace::TraceEvent::Free { ptr: off, size: 0 });
-                panic!("free of interior pointer into a large allocation (segment {seg})");
-            } else if id >= LARGE_BASE && id != TREE_FREE {
-                match self.table.unmark_large(seg) {
-                    Some(n) => {
-                        trace::emit_lane(lane as u32, || trace::TraceEvent::Free {
-                            ptr: off,
-                            size: n * self.geo.segment_bytes,
-                        });
-                        self.reserved.fetch_sub(n * self.geo.segment_bytes, Ordering::Relaxed);
-                        self.segments.tree.insert_range(seg, n);
-                    }
-                    None => {
-                        trace::emit_lane(lane as u32, || trace::TraceEvent::Free {
-                            ptr: off,
-                            size: 0,
-                        });
-                    }
-                }
-            } else {
-                trace::emit_lane(lane as u32, || trace::TraceEvent::Free { ptr: off, size: 0 });
-                panic!("free into an unformatted segment {seg} (double free?)");
             }
         }
         for (i, &(key, count)) in groups[..n_groups].iter().enumerate() {

@@ -61,14 +61,8 @@ impl BlockTier {
             };
             let meta = ctx.table.seg(seg);
             let Some(block) = meta.ring.pop() else {
-                // Ring empty: deactivate the segment so searches skip it,
-                // repairing the race where a free lands in between.
-                if self.trees[class].claim_exact(seg) {
-                    ctx.metrics.count_cas(true);
-                    if !meta.ring.is_empty() && meta.ldcv_tree_id() == class as u32 {
-                        self.trees[class].insert(seg);
-                    }
-                }
+                // Ring empty: deactivate the segment so searches skip it.
+                self.deactivate(ctx, meta, class, seg);
                 continue;
             };
             ctx.metrics.count_rmw();
@@ -80,9 +74,27 @@ impl BlockTier {
                 self.push_home(ctx, meta, seg, block);
                 ctx.metrics.count_straggler_bounce();
                 ctx.metrics.count_cas(false);
+                // A reclaimer holds the bit while it runs, so this is a
+                // no-op in the reclaim race; a bit that outlived the
+                // segment's time in this class (a `free_block` re-insert
+                // racing reclaim + reformat) must go, or the next probe
+                // finds the same segment and bounces again, forever.
+                self.deactivate(ctx, meta, class, seg);
                 continue;
             }
             return Some(BlockHandle::new(seg, block, ctx.geo.max_blocks));
+        }
+    }
+
+    /// Take `seg` out of `class`'s tree so searches skip it, then repair
+    /// the race where a free landed in between: a segment that still is
+    /// `class`'s and has blocks home goes straight back.
+    fn deactivate(&self, ctx: &TierCtx, meta: &SegmentMeta, class: usize, seg: u64) {
+        if self.trees[class].claim_exact(seg) {
+            ctx.metrics.count_cas(true);
+            if !meta.ring.is_empty() && meta.ldcv_tree_id() == class as u32 {
+                self.trees[class].insert(seg);
+            }
         }
     }
 
@@ -128,8 +140,12 @@ impl BlockTier {
         let nblocks = ctx.geo.blocks_per_segment(class);
         if meta.ring.len() == nblocks {
             segments.try_reclaim(ctx, seg, class, nblocks, self);
-        } else {
-            // Ensure the segment is findable again (idempotent set-bit).
+        } else if meta.ldcv_tree_id() == class as u32 {
+            // Ensure the segment is findable again (idempotent set-bit) —
+            // unless it was reclaimed and reformatted while this warp sat
+            // at `push_home`'s preemption points: the segment is no
+            // longer `class`'s, and a bit in `class`'s tree would send
+            // `get` popping another class's blocks.
             self.trees[class].insert(seg);
         }
     }
@@ -272,7 +288,10 @@ impl BlockTier {
 mod tests {
     use crate::config::GallatinConfig;
     use crate::gallatin::Gallatin;
-    use gpu_sim::{DeviceAllocator, WarpCtx};
+    use gpu_sim::{
+        launch_warps, DeviceAllocator, DeviceConfig, DevicePtr, FaultPlan, PreemptPoint, WarpCtx,
+    };
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
     fn tiny() -> Gallatin {
         Gallatin::new(GallatinConfig::small_test(1 << 20)) // 16 segments
@@ -291,6 +310,102 @@ mod tests {
         g.free(&l, p);
         // Freeing the only block returns the segment.
         assert_eq!(g.free_segments(), before + 1);
+    }
+
+    /// Front-first probes, so the segment a reclaim frees is the one the
+    /// next format grabs.
+    fn front_first() -> Gallatin {
+        Gallatin::new(GallatinConfig {
+            randomize_probe_starts: false,
+            ..GallatinConfig::small_test(1 << 20)
+        })
+    }
+
+    /// Regression for the `BlockTier::get` livelock. Warp 0 frees a
+    /// whole block and is parked at one of `free_block`'s preemption
+    /// points; warp 1 brings the last block home, reclaims the segment
+    /// and reformats it for another class. Parked after its push
+    /// published, warp 0 used to resume, see a ring length that was not
+    /// its class's block count, and hand the old class's tree the
+    /// segment's bit back — which `get` then found, bounced off and
+    /// re-found forever. Sweeping the fault over the launch's first Rmw
+    /// crossings, under a few schedules, covers that window without
+    /// hard-coding its index.
+    #[test]
+    fn free_block_parked_across_reclaim_and_reformat_leaves_no_stale_bit() {
+        let host = WarpCtx { warp_id: 0, sm_id: 0, base_tid: 0, active: 1 };
+        let raced = AtomicU64::new(0);
+        for (seed, nth) in (0..8u64).flat_map(|s| (1..=12u64).map(move |n| (s, n))) {
+            let g = front_first();
+            let (a, b) = (g.malloc(&host.lane(0), 1000), g.malloc(&host.lane(0), 1000));
+            let seg = g.geometry().segment_of(a.0);
+            assert_eq!(g.geometry().segment_of(b.0), seg, "both class-0 blocks share a segment");
+            let (freeing, reformatted) = (AtomicBool::new(false), AtomicBool::new(false));
+            let other = AtomicU64::new(0);
+            let fault = FaultPlan::park(PreemptPoint::Rmw, nth, 10_000);
+            launch_warps(DeviceConfig::with_sms(1).seeded(seed).with_fault(fault), 64, |warp| {
+                let l = warp.lane(0);
+                if warp.warp_id == 0 {
+                    freeing.store(true, Ordering::SeqCst);
+                    g.free(&l, a);
+                    // Still inside `free` when warp 1 finished, with the
+                    // block home (or the segment could not have been
+                    // reclaimed): parked in the window under test.
+                    let c = DevicePtr(other.load(Ordering::SeqCst));
+                    if reformatted.load(Ordering::SeqCst) && g.geometry().segment_of(c.0) == seg {
+                        raced.fetch_add(1, Ordering::Relaxed);
+                    }
+                } else {
+                    while !freeing.load(Ordering::SeqCst) {
+                        gpu_sim::spin_hint();
+                    }
+                    g.free(&l, b);
+                    other.store(g.malloc(&l, 2000).0, Ordering::SeqCst);
+                    reformatted.store(true, Ordering::SeqCst);
+                }
+            });
+            let c = DevicePtr(other.load(Ordering::SeqCst));
+            assert!(!c.is_null());
+            for s in 0..g.geometry().num_segments {
+                let id = g.table.seg(s).ldcv_tree_id();
+                assert!(
+                    id == 0 || !g.blocks.trees[0].contains(s),
+                    "seed {seed} nth {nth}: class 0's tree holds segment {s}, whose tree_id is {id}"
+                );
+            }
+            // `get` for the old class returns (it spun forever on the
+            // stale bit) and the heap drains clean.
+            let d = g.malloc(&host.lane(0), 1000);
+            assert!(!d.is_null(), "seed {seed} nth {nth}");
+            g.free(&host.lane(0), c);
+            g.free(&host.lane(0), d);
+            assert_eq!(g.stats().reserved_bytes, 0, "seed {seed} nth {nth}");
+            g.check_invariants().unwrap_or_else(|e| panic!("seed {seed} nth {nth}: {e}"));
+        }
+        assert!(
+            raced.into_inner() > 0,
+            "no fault position parked the freeing warp across the reformat"
+        );
+    }
+
+    /// The other half of the fix: a stale bit that does get planted (in
+    /// `Pool` mode the check-then-insert in `free_block` is not atomic)
+    /// costs `get` one bounce, not an endless loop.
+    #[test]
+    fn get_clears_a_stale_bit_after_one_bounce() {
+        let g = front_first();
+        let l = WarpCtx { warp_id: 0, sm_id: 0, base_tid: 0, active: 1 }.lane(0);
+        let c = g.malloc(&l, 2000);
+        let seg = g.geometry().segment_of(c.0);
+        g.blocks.trees[0].insert(seg);
+        let d = g.malloc(&l, 1000);
+        assert!(!d.is_null());
+        assert_ne!(g.geometry().segment_of(d.0), seg, "class 0 is served from its own segment");
+        assert!(!g.blocks.trees[0].contains(seg), "the bounce clears the stale bit");
+        assert_eq!(g.metrics().unwrap().snapshot().straggler_bounces, 1);
+        g.free(&l, c);
+        g.free(&l, d);
+        g.check_invariants().expect("clean after the bounce");
     }
 
     #[test]

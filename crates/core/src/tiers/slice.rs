@@ -146,22 +146,9 @@ impl SliceTier {
         next
     }
 
-    /// Free one slice (Algorithm 4's small-allocation branch).
-    pub fn free_one(
-        &self,
-        ctx: &TierCtx,
-        seg: u64,
-        class: usize,
-        off: u64,
-        blocks: &BlockTier,
-        segments: &SegmentTier,
-    ) {
-        let block = ctx.geo.block_of(off, class);
-        self.free_n(ctx, seg, class, block, 1, blocks, segments);
-    }
-
-    /// Return `n` slices of one block with a single atomic — the
-    /// coalesced-free counterpart of Algorithm 3 (paper §6.5: frees from
+    /// Return `n` slices of one block with a single atomic — Algorithm
+    /// 4's small-allocation branch at `n == 1`, and the coalesced-free
+    /// counterpart of Algorithm 3 (paper §6.5: frees from
     /// the same warp hitting the same block share one `fetch_add`).
     #[allow(clippy::too_many_arguments)]
     pub fn free_n(

@@ -299,6 +299,26 @@ pub struct MetricsSnapshot {
     pub peer_accesses: u64,
 }
 
+/// Field-wise sum, for totals over seeds or pool instances.
+impl std::ops::AddAssign for MetricsSnapshot {
+    fn add_assign(&mut self, o: Self) {
+        self.atomic_rmw += o.atomic_rmw;
+        self.cas_attempts += o.cas_attempts;
+        self.cas_failures += o.cas_failures;
+        self.lock_acquires += o.lock_acquires;
+        self.coalesced_requests += o.coalesced_requests;
+        self.mallocs += o.mallocs;
+        self.frees += o.frees;
+        self.failed_mallocs += o.failed_mallocs;
+        self.reclaim_attempts += o.reclaim_attempts;
+        self.reclaim_aborts += o.reclaim_aborts;
+        self.drain_spins += o.drain_spins;
+        self.straggler_bounces += o.straggler_bounces;
+        self.local_accesses += o.local_accesses;
+        self.peer_accesses += o.peer_accesses;
+    }
+}
+
 impl MetricsSnapshot {
     /// Atomic operations per allocation — the ablation's headline number.
     pub fn rmw_per_malloc(&self) -> f64 {
@@ -364,6 +384,49 @@ mod tests {
         assert_eq!(s.peer_share(), 0.5);
         m.reset();
         assert_eq!(m.snapshot(), MetricsSnapshot::default());
+    }
+
+    #[test]
+    fn add_assign_sums_every_field() {
+        // Distinct primes: a field the impl forgets stays at its own
+        // prime instead of twice it, so the comparison names it.
+        let s = MetricsSnapshot {
+            atomic_rmw: 2,
+            cas_attempts: 3,
+            cas_failures: 5,
+            lock_acquires: 7,
+            coalesced_requests: 11,
+            mallocs: 13,
+            frees: 17,
+            failed_mallocs: 19,
+            reclaim_attempts: 23,
+            reclaim_aborts: 29,
+            drain_spins: 31,
+            straggler_bounces: 37,
+            local_accesses: 41,
+            peer_accesses: 43,
+        };
+        let mut sum = s;
+        sum += s;
+        let doubled = MetricsSnapshot {
+            atomic_rmw: 4,
+            cas_attempts: 6,
+            cas_failures: 10,
+            lock_acquires: 14,
+            coalesced_requests: 22,
+            mallocs: 26,
+            frees: 34,
+            failed_mallocs: 38,
+            reclaim_attempts: 46,
+            reclaim_aborts: 58,
+            drain_spins: 62,
+            straggler_bounces: 74,
+            local_accesses: 82,
+            peer_accesses: 86,
+        };
+        assert_eq!(sum, doubled);
+        sum += MetricsSnapshot::default();
+        assert_eq!(sum, doubled, "adding the zero snapshot changes nothing");
     }
 
     #[test]

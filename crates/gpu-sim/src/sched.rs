@@ -37,9 +37,9 @@ use std::cell::RefCell;
 use std::panic::AssertUnwindSafe;
 use std::sync::{Arc, Condvar, Mutex};
 
-/// Environment variable consulted by [`explore_schedules`]: when set,
-/// the sweep collapses to exactly that one seed — the reproduction
-/// workflow for a failure reported by a previous sweep.
+/// Environment variable read by [`seed_override`]: when set,
+/// [`explore_schedules`] collapses to exactly that one seed — the
+/// reproduction workflow for a failure reported by a previous sweep.
 pub const SCHED_SEED_ENV: &str = "GALLATIN_SCHED_SEED";
 
 /// Kind of preemption point being crossed (see [`preempt_point`]).
@@ -404,6 +404,19 @@ impl std::fmt::Display for ScheduleFailure {
     }
 }
 
+/// The seed [`SCHED_SEED_ENV`] pins, if set: the workspace's one read of
+/// the variable, so every replay surface (schedule sweeps and the
+/// `repro` experiments) accepts and rejects the same spellings. Panics
+/// on anything but a `u64` — a typo must not silently run the default.
+pub fn seed_override() -> Option<u64> {
+    parse_seed(std::env::var(SCHED_SEED_ENV).ok().as_deref())
+}
+
+fn parse_seed(raw: Option<&str>) -> Option<u64> {
+    let s = raw?;
+    Some(s.trim().parse().unwrap_or_else(|_| panic!("{SCHED_SEED_ENV} must be a u64, got {s:?}")))
+}
+
 /// Sweep deterministic schedules: run `scenario(seed)` for every seed,
 /// stopping at and reporting the first failing seed. `scenario` is
 /// expected to build fresh state and launch with
@@ -423,12 +436,7 @@ where
     I: IntoIterator<Item = u64>,
     F: Fn(u64),
 {
-    let override_seed = std::env::var(SCHED_SEED_ENV).ok().map(|s| {
-        s.trim()
-            .parse::<u64>()
-            .unwrap_or_else(|_| panic!("{SCHED_SEED_ENV} must be a u64, got {s:?}"))
-    });
-    let seeds: Vec<u64> = match override_seed {
+    let seeds: Vec<u64> = match seed_override() {
         Some(s) => vec![s],
         None => seeds.into_iter().collect(),
     };
@@ -563,6 +571,16 @@ mod tests {
         assert!(failure.to_string().contains("GALLATIN_SCHED_SEED=42"));
 
         assert_eq!(explore_schedules(0..10, |_| {}).unwrap(), 10);
+    }
+
+    #[test]
+    fn seed_override_parser_accepts_u64_and_names_the_variable_on_garbage() {
+        assert_eq!(parse_seed(None), None);
+        assert_eq!(parse_seed(Some(" 42 ")), Some(42));
+        let err = std::panic::catch_unwind(|| parse_seed(Some("banana"))).unwrap_err();
+        let msg = err.downcast_ref::<String>().expect("formatted panic message");
+        assert!(msg.contains("GALLATIN_SCHED_SEED must be a u64"), "{msg}");
+        assert!(msg.contains("banana"), "{msg}");
     }
 
     #[test]

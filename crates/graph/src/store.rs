@@ -45,7 +45,7 @@ struct VertexGuard<'a>(&'a Vertex);
 impl<'a> VertexGuard<'a> {
     fn acquire(v: &'a Vertex) -> Self {
         while v.lock.compare_exchange_weak(0, 1, Ordering::Acquire, Ordering::Relaxed).is_err() {
-            std::hint::spin_loop();
+            gpu_sim::spin_hint();
         }
         VertexGuard(v)
     }
@@ -292,13 +292,19 @@ mod tests {
 
     #[test]
     fn concurrent_inserts_same_vertex_serialize() {
-        let g = DynamicGraph::new(1, Gallatin::new(GallatinConfig::small_test(2 << 20)));
-        launch(DeviceConfig::with_sms(8), 500, |l| {
-            assert!(g.insert_edge(l, 0, l.global_tid()));
-        });
-        let mut edges = g.edges(0);
-        edges.sort_unstable();
-        assert_eq!(edges, (0..500).collect::<Vec<_>>());
+        // Free-running threads, then two warps under eight deterministic
+        // schedules: there a warp spinning on the vertex lock must yield
+        // its turn to the parked holder, or the launch never ends.
+        let seeded = (0..8).map(|seed| (DeviceConfig::with_sms(2).seeded(seed), 64));
+        for (device, n) in std::iter::once((DeviceConfig::with_sms(8), 500)).chain(seeded) {
+            let g = DynamicGraph::new(1, Gallatin::new(GallatinConfig::small_test(2 << 20)));
+            launch(device, n, |l| {
+                assert!(g.insert_edge(l, 0, l.global_tid()));
+            });
+            let mut edges = g.edges(0);
+            edges.sort_unstable();
+            assert_eq!(edges, (0..n).collect::<Vec<_>>());
+        }
     }
 
     #[test]
