@@ -41,6 +41,30 @@ pub use xmalloc::XMalloc;
 use gpu_sim::DeviceAllocator;
 use std::sync::Arc;
 
+/// The display name of every baseline, in the order the paper's figures
+/// list them — the one list [`all_baselines`] builds from.
+pub fn baseline_names() -> Vec<&'static str> {
+    let mut v = vec!["CUDA"];
+    v.extend(Ouroboros::VARIANTS.map(|v| v.0));
+    v.extend(RegEffVariant::ALL.map(|v| v.0));
+    v.extend(["ScatterAlloc", "XMalloc"]);
+    v
+}
+
+/// Build one baseline by its display name; `None` for a name
+/// [`baseline_names`] does not list.
+pub fn baseline_by_name(name: &str, heap_bytes: u64) -> Option<Arc<dyn DeviceAllocator>> {
+    Some(match name {
+        "CUDA" => Arc::new(CudaHeapSim::new(heap_bytes)),
+        "ScatterAlloc" => Arc::new(ScatterAlloc::new(heap_bytes)),
+        "XMalloc" => Arc::new(XMalloc::new(heap_bytes)),
+        _ => match Ouroboros::parse_name(name) {
+            Some((kind, queue)) => Arc::new(Ouroboros::new(heap_bytes, kind, queue)),
+            None => Arc::new(RegEff::new(heap_bytes, RegEffVariant::from_name(name)?)),
+        },
+    })
+}
+
 /// Build every baseline allocator at the given heap size, in the order
 /// the paper's figures list them.
 ///
@@ -57,26 +81,10 @@ use std::sync::Arc;
 /// }
 /// ```
 pub fn all_baselines(heap_bytes: u64) -> Vec<Arc<dyn DeviceAllocator>> {
-    let mut v: Vec<Arc<dyn DeviceAllocator>> = Vec::new();
-    v.push(Arc::new(CudaHeapSim::new(heap_bytes)));
-    for kind in [OuroborosKind::Chunk, OuroborosKind::Page] {
-        for queue in [QueueKind::Static, QueueKind::VirtArray, QueueKind::VirtList] {
-            v.push(Arc::new(Ouroboros::new(heap_bytes, kind, queue)));
-        }
-    }
-    for variant in [
-        RegEffVariant::A,
-        RegEffVariant::AW,
-        RegEffVariant::C,
-        RegEffVariant::CF,
-        RegEffVariant::CM,
-        RegEffVariant::CFM,
-    ] {
-        v.push(Arc::new(RegEff::new(heap_bytes, variant)));
-    }
-    v.push(Arc::new(ScatterAlloc::new(heap_bytes)));
-    v.push(Arc::new(XMalloc::new(heap_bytes)));
-    v
+    baseline_names()
+        .into_iter()
+        .map(|name| baseline_by_name(name, heap_bytes).expect("a listed baseline name"))
+        .collect()
 }
 
 #[cfg(test)]
@@ -93,6 +101,14 @@ mod tests {
         let before = names.len();
         names.dedup();
         assert_eq!(names.len(), before, "duplicate allocator names");
+    }
+
+    #[test]
+    fn every_listed_name_builds_the_allocator_that_reports_it() {
+        let all = all_baselines(32 << 20);
+        assert_eq!(all.iter().map(|a| a.name()).collect::<Vec<_>>(), baseline_names());
+        assert!(baseline_by_name("Ouroboros-Q-S", 32 << 20).is_none());
+        assert!(baseline_by_name("RegEff-", 32 << 20).is_none());
     }
 
     #[test]

@@ -136,8 +136,7 @@ fn active_unpack(word: u64) -> (u64, u64) {
 pub struct Ouroboros {
     mem: DeviceMemory,
     kind: OuroborosKind,
-    queue_kind: QueueKind,
-    name: String,
+    name: &'static str,
     /// P series: page queues, one per class.
     page_queues: Vec<Queue>,
     /// C series: active chunk per class, packed `(id+1, pages_taken)`.
@@ -175,21 +174,15 @@ impl Ouroboros {
         assert!(heap_bytes > reserve + CHUNK_BYTES, "heap too small for reserve");
         let native = (heap_bytes - reserve) / CHUNK_BYTES * CHUNK_BYTES;
         let num_chunks = native / CHUNK_BYTES;
-        let series = match kind {
-            OuroborosKind::Chunk => "C",
-            OuroborosKind::Page => "P",
-        };
-        let q = match queue_kind {
-            QueueKind::Static => "S",
-            QueueKind::VirtArray => "VA",
-            QueueKind::VirtList => "VL",
-        };
         let max_pages = (native / MIN_PAGE) as usize;
         Ouroboros {
             mem: DeviceMemory::new(heap_bytes as usize),
             kind,
-            queue_kind,
-            name: format!("Ouroboros-{series}-{q}"),
+            name: Self::VARIANTS
+                .iter()
+                .find(|v| (v.1, v.2) == (kind, queue_kind))
+                .expect("every series × queue pair is listed")
+                .0,
             page_queues: (0..NUM_CLASSES).map(|c| Queue::new(queue_kind, max_pages >> c)).collect(),
             active: (0..NUM_CLASSES).map(|_| AtomicU64::new(0)).collect(),
             chunk_queue: Queue::new(queue_kind, num_chunks as usize),
@@ -324,7 +317,7 @@ impl Ouroboros {
 
 impl DeviceAllocator for Ouroboros {
     fn name(&self) -> &str {
-        &self.name
+        self.name
     }
 
     fn memory(&self) -> &DeviceMemory {
@@ -412,16 +405,21 @@ impl DeviceAllocator for Ouroboros {
     }
 }
 
-// The queue kind is stored for introspection (benchmarks label variants).
 impl Ouroboros {
-    /// The series (C or P) this instance runs as.
-    pub fn kind(&self) -> OuroborosKind {
-        self.kind
-    }
+    /// The six published variants under their display names, in the order
+    /// the paper's figures list them (series-major).
+    pub const VARIANTS: [(&'static str, OuroborosKind, QueueKind); 6] = [
+        ("Ouroboros-C-S", OuroborosKind::Chunk, QueueKind::Static),
+        ("Ouroboros-C-VA", OuroborosKind::Chunk, QueueKind::VirtArray),
+        ("Ouroboros-C-VL", OuroborosKind::Chunk, QueueKind::VirtList),
+        ("Ouroboros-P-S", OuroborosKind::Page, QueueKind::Static),
+        ("Ouroboros-P-VA", OuroborosKind::Page, QueueKind::VirtArray),
+        ("Ouroboros-P-VL", OuroborosKind::Page, QueueKind::VirtList),
+    ];
 
-    /// The queue implementation this instance uses.
-    pub fn queue_kind(&self) -> QueueKind {
-        self.queue_kind
+    /// The variant a display name denotes.
+    pub fn parse_name(name: &str) -> Option<(OuroborosKind, QueueKind)> {
+        Self::VARIANTS.iter().find(|v| v.0 == name).map(|v| (v.1, v.2))
     }
 }
 

@@ -93,15 +93,24 @@ impl RegEffVariant {
         !matches!(self, RegEffVariant::A | RegEffVariant::AW)
     }
 
+    /// Every variant under its display name, in the order the paper's
+    /// figures list them.
+    pub const ALL: [(&'static str, RegEffVariant); 6] = [
+        ("RegEff-A", RegEffVariant::A),
+        ("RegEff-AW", RegEffVariant::AW),
+        ("RegEff-C", RegEffVariant::C),
+        ("RegEff-CF", RegEffVariant::CF),
+        ("RegEff-CM", RegEffVariant::CM),
+        ("RegEff-CFM", RegEffVariant::CFM),
+    ];
+
+    /// The variant a display name denotes.
+    pub fn from_name(name: &str) -> Option<Self> {
+        Self::ALL.iter().find(|v| v.0 == name).map(|v| v.1)
+    }
+
     fn display(self) -> &'static str {
-        match self {
-            RegEffVariant::A => "RegEff-A",
-            RegEffVariant::AW => "RegEff-AW",
-            RegEffVariant::C => "RegEff-C",
-            RegEffVariant::CF => "RegEff-CF",
-            RegEffVariant::CM => "RegEff-CM",
-            RegEffVariant::CFM => "RegEff-CFM",
-        }
+        Self::ALL.iter().find(|v| v.1 == self).expect("every variant is listed").0
     }
 }
 

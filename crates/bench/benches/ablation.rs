@@ -98,7 +98,8 @@ fn bench_ablation(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation_index_structure");
     group.sample_size(10);
     for (label, search) in [
-        ("veb", gallatin::SearchStructure::Veb),
+        // "veb" is the tree as the stock configurations build it.
+        ("veb", gallatin::SearchStructure::VebWide),
         ("flat_scan", gallatin::SearchStructure::FlatScan),
     ] {
         for heap_mb in [64u64, 512] {

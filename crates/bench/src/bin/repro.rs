@@ -92,7 +92,7 @@ fn parse_bytes(s: &str) -> Option<u64> {
         'K' | 'k' => (&s[..s.len() - 1], 1u64 << 10),
         _ => (s, 1),
     };
-    num.parse::<u64>().ok().map(|n| n * mult)
+    num.parse::<u64>().ok()?.checked_mul(mult)
 }
 
 /// `--seeds` accepts a half-open range (`0..8`) or a comma list (`0,3,7`).
@@ -107,43 +107,50 @@ fn parse_seeds(s: &str) -> Option<Vec<u64>> {
     s.split(',').map(|p| p.trim().parse::<u64>().ok()).collect()
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.is_empty() {
-        eprintln!("usage: repro <init|single|mixed|scaling|variance|warmup|fragmentation|utilization|graph|expansion|reclaim|ablation|bench-smoke|trace|pool|replay|serve|elastic|topo|perf|perf-gate|perf-report|perf-check|summary|all> [--threads N] [--runs N] [--heap BYTES] [--sms N] [--pool N] [--out DIR] [--json] [--full] [--smoke] [--samples N] [--history DIR] [--window N] [--sha S] [--stamp S] [--host S] [--seeds SPEC]");
-        std::process::exit(2);
-    }
-    let cmd = args[0].clone();
+fn number<T: std::str::FromStr>(s: &str) -> Option<T> {
+    s.parse().ok()
+}
+
+fn text(s: &str) -> Option<String> {
+    Some(s.to_string())
+}
+
+/// The value of the flag at `args[*i]`, advancing `i` past both. A
+/// missing value and one `parse` rejects are the same usage error: the
+/// flag's `usage` text.
+fn value<T>(
+    args: &[String],
+    i: &mut usize,
+    usage: &str,
+    parse: impl FnOnce(&str) -> Option<T>,
+) -> Result<T, String> {
+    let v = args.get(*i + 1).and_then(|s| parse(s)).ok_or_else(|| format!("usage: {usage}"))?;
+    *i += 2;
+    Ok(v)
+}
+
+/// Everything after the subcommand: flags into the two option structs,
+/// the rest positional. `Err` is a usage line for the caller to print.
+fn parse_flags(args: &[String]) -> Result<(HarnessConfig, PerfOptions, Vec<String>), String> {
     let mut cfg = HarnessConfig::default();
     let mut perf = PerfOptions::default();
     let mut positional: Vec<String> = Vec::new();
-    let mut i = 1;
+    let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "--threads" => {
-                cfg.threads = args[i + 1].parse().expect("--threads N");
-                i += 2;
-            }
-            "--runs" => {
-                cfg.runs = args[i + 1].parse().expect("--runs N");
-                i += 2;
-            }
-            "--heap" => {
-                cfg.heap_bytes = parse_bytes(&args[i + 1]).expect("--heap BYTES");
-                i += 2;
-            }
-            "--sms" => {
-                cfg.num_sms = args[i + 1].parse().expect("--sms N");
-                i += 2;
-            }
-            "--pool" => {
-                cfg.pool_threads = args[i + 1].parse().expect("--pool N");
-                i += 2;
-            }
-            "--out" => {
-                cfg.out_dir = args[i + 1].clone();
-                i += 2;
-            }
+            "--threads" => cfg.threads = value(args, &mut i, "--threads N", number)?,
+            "--runs" => cfg.runs = value(args, &mut i, "--runs N", number)?,
+            "--heap" => cfg.heap_bytes = value(args, &mut i, "--heap BYTES[K|M|G]", parse_bytes)?,
+            "--sms" => cfg.num_sms = value(args, &mut i, "--sms N", number)?,
+            "--pool" => cfg.pool_threads = value(args, &mut i, "--pool N", number)?,
+            "--out" => cfg.out_dir = value(args, &mut i, "--out DIR", text)?,
+            "--samples" => perf.samples = value(args, &mut i, "--samples N", number)?,
+            "--history" => perf.history_dir = value(args, &mut i, "--history DIR", text)?,
+            "--window" => perf.window = value(args, &mut i, "--window N", number)?,
+            "--sha" => perf.sha = value(args, &mut i, "--sha S", text)?,
+            "--stamp" => perf.stamp = value(args, &mut i, "--stamp S", text)?,
+            "--host" => perf.host = value(args, &mut i, "--host S", text)?,
+            "--seeds" => perf.seeds = value(args, &mut i, "--seeds A..B or A,B,C", parse_seeds)?,
             "--json" => {
                 cfg.json = true;
                 i += 1;
@@ -156,44 +163,27 @@ fn main() {
                 cfg.smoke = true;
                 i += 1;
             }
-            "--samples" => {
-                perf.samples = args[i + 1].parse().expect("--samples N");
-                i += 2;
-            }
-            "--history" => {
-                perf.history_dir = args[i + 1].clone();
-                i += 2;
-            }
-            "--window" => {
-                perf.window = args[i + 1].parse().expect("--window N");
-                i += 2;
-            }
-            "--sha" => {
-                perf.sha = args[i + 1].clone();
-                i += 2;
-            }
-            "--stamp" => {
-                perf.stamp = args[i + 1].clone();
-                i += 2;
-            }
-            "--host" => {
-                perf.host = args[i + 1].clone();
-                i += 2;
-            }
-            "--seeds" => {
-                perf.seeds = parse_seeds(&args[i + 1]).expect("--seeds A..B or A,B,C");
-                i += 2;
-            }
-            other if other.starts_with("--") => {
-                eprintln!("unknown flag {other}");
-                std::process::exit(2);
-            }
+            other if other.starts_with("--") => return Err(format!("unknown flag {other}")),
             other => {
                 positional.push(other.to_string());
                 i += 1;
             }
         }
     }
+    Ok((cfg, perf, positional))
+}
+
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.is_empty() {
+        eprintln!("usage: repro <init|single|mixed|scaling|variance|warmup|fragmentation|utilization|graph|expansion|reclaim|ablation|bench-smoke|trace|pool|replay|serve|elastic|topo|perf|perf-gate|perf-report|perf-check|summary|all> [--threads N] [--runs N] [--heap BYTES] [--sms N] [--pool N] [--out DIR] [--json] [--full] [--smoke] [--samples N] [--history DIR] [--window N] [--sha S] [--stamp S] [--host S] [--seeds SPEC]");
+        std::process::exit(2);
+    }
+    let cmd = args[0].clone();
+    let (cfg, perf, positional) = parse_flags(&args[1..]).unwrap_or_else(|usage| {
+        eprintln!("{usage}");
+        std::process::exit(2);
+    });
     cfg.install_pool();
     println!(
         "# gallatin-repro harness — threads={} runs={} heap={}MiB sms={} pool={}",
@@ -291,4 +281,52 @@ fn main() {
         }
     }
     println!("\n# done in {:.1}s — CSVs in {}/", t0.elapsed().as_secs_f64(), cfg.out_dir);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn flags(args: &[&str]) -> Result<(HarnessConfig, PerfOptions, Vec<String>), String> {
+        parse_flags(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn byte_sizes_parse_with_suffixes_and_refuse_overflow() {
+        assert_eq!(parse_bytes("64M"), Some(64 << 20));
+        assert_eq!(parse_bytes("2g"), Some(2 << 30));
+        assert_eq!(parse_bytes("4096"), Some(4096));
+        assert_eq!(parse_bytes("99999999999G"), None, "n * mult overflows u64");
+        assert_eq!(parse_bytes("G"), None);
+        assert_eq!(parse_bytes(""), None);
+        assert_eq!(parse_bytes("-1K"), None);
+    }
+
+    #[test]
+    fn seed_specs_parse_as_range_or_list() {
+        assert_eq!(parse_seeds("0..8"), Some((0..8).collect()));
+        assert_eq!(parse_seeds("0,3,7"), Some(vec![0, 3, 7]));
+        assert_eq!(parse_seeds("8..0"), None, "an empty range is a usage error");
+        assert_eq!(parse_seeds("0,x"), None);
+    }
+
+    #[test]
+    fn a_flag_without_a_usable_value_is_its_usage_line() {
+        assert_eq!(flags(&["--threads"]).unwrap_err(), "usage: --threads N");
+        assert_eq!(flags(&["--json", "--threads", "many"]).unwrap_err(), "usage: --threads N");
+        assert_eq!(flags(&["--heap", "99999999999G"]).unwrap_err(), "usage: --heap BYTES[K|M|G]");
+        assert_eq!(flags(&["--out"]).unwrap_err(), "usage: --out DIR");
+        assert_eq!(flags(&["--seeds", "8..0"]).unwrap_err(), "usage: --seeds A..B or A,B,C");
+        assert_eq!(flags(&["--bogus"]).unwrap_err(), "unknown flag --bogus");
+    }
+
+    #[test]
+    fn flags_fill_both_option_structs_and_leave_the_rest_positional() {
+        let (cfg, perf, positional) =
+            flags(&["--threads", "64", "a.json", "--heap", "64M", "--smoke", "--seeds", "0,3,7"])
+                .unwrap();
+        assert_eq!((cfg.threads, cfg.heap_bytes, cfg.smoke), (64, 64 << 20, true));
+        assert_eq!(perf.seeds, vec![0, 3, 7]);
+        assert_eq!(positional, ["a.json"]);
+    }
 }

@@ -36,6 +36,7 @@
 use crate::experiments::ablation::{churn_counts, gallatin_sweep};
 use crate::experiments::{elastic, pool, serve, topo};
 use crate::report::BenchRecord;
+use gallatin::SearchStructure;
 use std::time::Instant;
 use veb::VebTree;
 
@@ -56,8 +57,11 @@ const VEB_STEP: usize = 131;
 const VEB_ROUNDS: u64 = 300_000;
 
 /// One churn cell: the E16 workload over `seeds`, wide scans on/off.
+/// The param keeps the name of the config field it once mirrored, so
+/// every `series_key` in `results/history/` still matches.
 fn churn_cell(size: u64, wide: bool, seeds: &[u64]) -> BenchRecord {
-    let (m, ms) = gallatin_sweep(seeds.iter().copied(), size, |cfg| cfg.wide_veb_scans = wide);
+    let search = if wide { SearchStructure::VebWide } else { SearchStructure::Veb };
+    let (m, ms) = gallatin_sweep(seeds.iter().copied(), size, |cfg| cfg.search = search);
     let rec = BenchRecord::new("perf", "Gallatin")
         .case("churn")
         .param("size", size)

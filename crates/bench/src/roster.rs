@@ -1,6 +1,5 @@
 //! The allocator roster benchmarked by every experiment.
 
-use allocators::all_baselines;
 use gallatin::{Gallatin, GallatinConfig};
 use gpu_sim::DeviceAllocator;
 use std::sync::Arc;
@@ -10,38 +9,19 @@ pub fn gallatin(heap_bytes: u64, num_sms: u32) -> Gallatin {
     Gallatin::new(GallatinConfig { heap_bytes, num_sms, ..GallatinConfig::default() })
 }
 
-/// The full roster: Gallatin first, then every survey baseline, in the
-/// order the paper's figures list them.
-pub fn full_roster(heap_bytes: u64, num_sms: u32) -> Vec<Arc<dyn DeviceAllocator>> {
-    // Gallatin's heap must be segment-aligned.
-    let gall_heap = heap_bytes / (16 << 20) * (16 << 20);
-    let gall_heap = if gall_heap == 0 { 16 << 20 } else { gall_heap };
-    let mut v: Vec<Arc<dyn DeviceAllocator>> = vec![Arc::new(gallatin(gall_heap, num_sms))];
-    v.extend(all_baselines(heap_bytes));
-    v
+/// The display names of the full roster — Gallatin first, then every
+/// survey baseline, in the order the paper's figures list them —
+/// without constructing any allocator.
+pub fn roster_names() -> Vec<&'static str> {
+    std::iter::once("Gallatin").chain(allocators::baseline_names()).collect()
 }
 
-/// The display names of the full roster, in figure order, without
-/// constructing any allocator.
-pub fn roster_names() -> Vec<&'static str> {
-    vec![
-        "Gallatin",
-        "CUDA",
-        "Ouroboros-C-S",
-        "Ouroboros-C-VA",
-        "Ouroboros-C-VL",
-        "Ouroboros-P-S",
-        "Ouroboros-P-VA",
-        "Ouroboros-P-VL",
-        "RegEff-A",
-        "RegEff-AW",
-        "RegEff-C",
-        "RegEff-CF",
-        "RegEff-CM",
-        "RegEff-CFM",
-        "ScatterAlloc",
-        "XMalloc",
-    ]
+/// The full roster, resident all at once, in [`roster_names`] order.
+pub fn full_roster(heap_bytes: u64, num_sms: u32) -> Vec<Arc<dyn DeviceAllocator>> {
+    roster_names()
+        .into_iter()
+        .map(|name| build_by_name(name, heap_bytes, num_sms).expect("a listed roster name"))
+        .collect()
 }
 
 /// Iterate the roster **one allocator at a time**: each is constructed,
@@ -70,27 +50,16 @@ pub fn for_each_allocator(
 /// mode it exists to show (§6.12: skewed hub edge lists outgrow the
 /// fixed reserve).
 pub fn expansion_roster(heap_bytes: u64, num_sms: u32) -> Vec<Arc<dyn DeviceAllocator>> {
-    use allocators::{Ouroboros, OuroborosKind, QueueKind};
+    use allocators::Ouroboros;
     let reserve = (heap_bytes / 256).max(1 << 20);
-    full_roster(heap_bytes, num_sms)
+    roster_names()
         .into_iter()
-        .map(|a| -> Arc<dyn DeviceAllocator> {
-            if a.name().starts_with("Ouroboros-") {
-                let kind = if a.name().contains("-C-") {
-                    OuroborosKind::Chunk
-                } else {
-                    OuroborosKind::Page
-                };
-                let queue = if a.name().ends_with("-VA") {
-                    QueueKind::VirtArray
-                } else if a.name().ends_with("-VL") {
-                    QueueKind::VirtList
-                } else {
-                    QueueKind::Static
-                };
-                Arc::new(Ouroboros::with_reserve(heap_bytes, kind, queue, reserve))
-            } else {
-                a
+        .map(|name| -> Arc<dyn DeviceAllocator> {
+            match Ouroboros::parse_name(name) {
+                Some((kind, queue)) => {
+                    Arc::new(Ouroboros::with_reserve(heap_bytes, kind, queue, reserve))
+                }
+                None => build_by_name(name, heap_bytes, num_sms).expect("a listed roster name"),
             }
         })
         .collect()
@@ -103,44 +72,12 @@ pub fn build_by_name(
     heap_bytes: u64,
     num_sms: u32,
 ) -> Option<Arc<dyn DeviceAllocator>> {
-    use allocators::{
-        CudaHeapSim, Ouroboros, OuroborosKind, QueueKind, RegEff, RegEffVariant, ScatterAlloc,
-        XMalloc,
-    };
-    let a: Arc<dyn DeviceAllocator> = match name {
-        "Gallatin" => {
-            let gall_heap = (heap_bytes / (16 << 20) * (16 << 20)).max(16 << 20);
-            Arc::new(gallatin(gall_heap, num_sms))
-        }
-        "CUDA" => Arc::new(CudaHeapSim::new(heap_bytes)),
-        "ScatterAlloc" => Arc::new(ScatterAlloc::new(heap_bytes)),
-        "XMalloc" => Arc::new(XMalloc::new(heap_bytes)),
-        n if n.starts_with("Ouroboros-") => {
-            let kind = if n.contains("-C-") { OuroborosKind::Chunk } else { OuroborosKind::Page };
-            let queue = if n.ends_with("-VA") {
-                QueueKind::VirtArray
-            } else if n.ends_with("-VL") {
-                QueueKind::VirtList
-            } else {
-                QueueKind::Static
-            };
-            Arc::new(Ouroboros::new(heap_bytes, kind, queue))
-        }
-        n if n.starts_with("RegEff-") => {
-            let variant = match n {
-                "RegEff-A" => RegEffVariant::A,
-                "RegEff-AW" => RegEffVariant::AW,
-                "RegEff-C" => RegEffVariant::C,
-                "RegEff-CF" => RegEffVariant::CF,
-                "RegEff-CM" => RegEffVariant::CM,
-                "RegEff-CFM" => RegEffVariant::CFM,
-                _ => return None,
-            };
-            Arc::new(RegEff::new(heap_bytes, variant))
-        }
-        _ => return None,
-    };
-    Some(a)
+    if name == "Gallatin" {
+        // Gallatin's heap must be segment-aligned.
+        let gall_heap = (heap_bytes / (16 << 20) * (16 << 20)).max(16 << 20);
+        return Some(Arc::new(gallatin(gall_heap, num_sms)));
+    }
+    allocators::baseline_by_name(name, heap_bytes)
 }
 
 /// A reduced roster for quick runs: Gallatin plus one representative of
@@ -173,6 +110,18 @@ mod tests {
         let r = full_roster(64 << 20, 16);
         assert_eq!(r.len(), 16);
         assert_eq!(r[0].name(), "Gallatin");
+    }
+
+    #[test]
+    fn names_and_builds_share_one_order() {
+        let names = roster_names();
+        assert_eq!(names.len(), 16);
+        for (a, name) in full_roster(64 << 20, 16).iter().zip(&names) {
+            assert_eq!(a.name(), *name);
+        }
+        let exp = expansion_roster(64 << 20, 16);
+        assert_eq!(exp.iter().map(|a| a.name()).collect::<Vec<_>>(), names);
+        assert!(build_by_name("Ouroboros-C-", 64 << 20, 16).is_none());
     }
 
     #[test]

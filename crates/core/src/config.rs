@@ -32,7 +32,12 @@ pub struct GallatinConfig {
     /// Minimum block-buffer slots per size class (paper: capped at 4).
     pub min_buffer_slots: u32,
     /// Search structure backing the segment and block indexes: the
-    /// paper's vEB tree, or a flat linear-scan bitmap for ablations.
+    /// paper's vEB tree climbing its summaries (`Veb`), the same tree
+    /// with a bounded streaming scan of the leaf bitmap in front of the
+    /// climb (`VebWide`, trading dependent per-level loads for
+    /// contiguous prefetchable ones — results and atomic-op counts are
+    /// identical, a pure wall-clock choice A/B'd in E21), or the flat
+    /// linear-scan bitmap for ablations (`FlatScan`). Default: `VebWide`.
     pub search: crate::index::SearchStructure,
     /// Start segment- and block-tree probes at an SM-hashed position
     /// instead of index 0 (the paper's block-selection randomization,
@@ -42,14 +47,6 @@ pub struct GallatinConfig {
     /// Wraparound search preserves the "find any free" contract either
     /// way. Default: on. Turn off to ablate (see EXPERIMENTS.md).
     pub randomize_probe_starts: bool,
-    /// Use word-parallel (wide) leaf scans in vEB successor searches:
-    /// a bounded streaming scan of the leaf bitmap runs before the
-    /// summary climb, trading dependent per-level loads for contiguous
-    /// prefetchable ones (`veb::wide`). Results and atomic-op counts
-    /// are identical either way — this is a pure wall-clock knob,
-    /// A/B'd in E21. Ignored when `search` is `FlatScan` (the flat
-    /// baseline always scans wide: it has no hierarchy). Default: on.
-    pub wide_veb_scans: bool,
 }
 
 impl Default for GallatinConfig {
@@ -64,9 +61,8 @@ impl Default for GallatinConfig {
             slices_per_block: 4096,
             num_sms: 128,
             min_buffer_slots: 4,
-            search: crate::index::SearchStructure::Veb,
+            search: crate::index::SearchStructure::VebWide,
             randomize_probe_starts: true,
-            wide_veb_scans: true,
         }
     }
 }
@@ -87,9 +83,8 @@ impl GallatinConfig {
             slices_per_block: 256,
             num_sms: 128,
             min_buffer_slots: 4,
-            search: crate::index::SearchStructure::Veb,
+            search: crate::index::SearchStructure::VebWide,
             randomize_probe_starts: true,
-            wide_veb_scans: true,
         }
     }
 
@@ -104,21 +99,8 @@ impl GallatinConfig {
             slices_per_block: 64,
             num_sms: 8,
             min_buffer_slots: 2,
-            search: crate::index::SearchStructure::Veb,
+            search: crate::index::SearchStructure::VebWide,
             randomize_probe_starts: true,
-            wide_veb_scans: true,
-        }
-    }
-
-    /// The search structure the indexes should actually be built with:
-    /// `search` with the `wide_veb_scans` knob applied (a plain `Veb`
-    /// request is upgraded to `VebWide` when the knob is on; `FlatScan`
-    /// and an explicit `VebWide` pass through).
-    pub fn index_kind(&self) -> crate::index::SearchStructure {
-        use crate::index::SearchStructure;
-        match (self.search, self.wide_veb_scans) {
-            (SearchStructure::Veb, true) => SearchStructure::VebWide,
-            (kind, _) => kind,
         }
     }
 
@@ -291,6 +273,16 @@ mod tests {
         assert_eq!(g.blocks_per_segment(0), 256);
         assert_eq!(g.blocks_per_segment(8), 1);
         assert_eq!(g.num_segments, 64); // 1 GB / 16 MB
+    }
+
+    #[test]
+    fn stock_configurations_say_the_search_they_build() {
+        // The wide scan used to be a second knob that silently upgraded
+        // `Veb`; the stock configurations now name what they build.
+        use crate::index::SearchStructure::VebWide;
+        assert_eq!(GallatinConfig::default().search, VebWide);
+        assert_eq!(GallatinConfig::dense(64 << 20).search, VebWide);
+        assert_eq!(GallatinConfig::small_test(1 << 20).search, VebWide);
     }
 
     #[test]

@@ -70,8 +70,7 @@ impl Level for Gallatin {
             geo.heap_bytes
         );
         assert!(first_seg + num_segs <= geo.num_segments, "owned span exceeds the universe");
-        let segments =
-            SegmentTier::with_span(cfg.index_kind(), geo.num_segments, first_seg, num_segs);
+        let segments = SegmentTier::with_span(cfg.search, geo.num_segments, first_seg, num_segs);
         let blocks = BlockTier::new(&cfg, geo.num_segments, geo.num_classes);
         Gallatin {
             geo,

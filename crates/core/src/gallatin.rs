@@ -61,8 +61,8 @@ pub struct Gallatin {
 /// Append lifecycle-ledger violations (leaks and unmatched frees seen by
 /// the host thread's trace sink, when its teardown leak check is armed)
 /// to `errors`, each with full provenance. The ledger pairs per
-/// `(device, instance, ptr)`, so one pass covers every instance whose
-/// events the sink captured.
+/// `(device, instance, ptr)` and names both in every line, so one pass
+/// covers every instance whose events the sink captured.
 fn ledger_errors(errors: &mut Vec<String>) {
     if !trace::compiled_in() {
         return;
@@ -71,45 +71,7 @@ fn ledger_errors(errors: &mut Vec<String>) {
     if !sink.leak_check_enabled() {
         return;
     }
-    let ledger = trace::Ledger::build(&sink.snapshot());
-    let inst = |i: u32| if i == 0 { String::new() } else { format!(" instance {i}") };
-    for l in &ledger.live {
-        errors.push(format!(
-            "leaked allocation ptr {} ({} B): allocated at step {} by sm {} \
-             warp {} lane {}{} and never freed",
-            l.ptr,
-            l.size,
-            l.step,
-            l.sm,
-            l.warp,
-            l.lane,
-            inst(l.instance)
-        ));
-    }
-    for d in &ledger.double_frees {
-        errors.push(format!(
-            "unmatched free of ptr {} at step {} (sm {} warp {} lane {}{}): \
-             double free or free of an untraced allocation",
-            d.ptr,
-            d.step,
-            d.sm,
-            d.warp,
-            d.lane,
-            inst(d.instance)
-        ));
-    }
-    for m in &ledger.size_mismatches {
-        errors.push(format!(
-            "free-size mismatch on ptr {}: malloc recorded {} B at step {}, \
-             free recorded {} B at step {}{}",
-            m.ptr,
-            m.malloc_size,
-            m.malloc_step,
-            m.free_size,
-            m.step,
-            inst(m.instance)
-        ));
-    }
+    errors.extend(trace::Ledger::build(&sink.snapshot()).anomaly_lines());
 }
 
 /// The tail every invariant check ends with, whatever the level that ran

@@ -53,7 +53,7 @@ pub use buffer::BlockBuffer;
 pub use compact::Relocation;
 pub use config::{GallatinConfig, Geometry};
 pub use gallatin::Gallatin;
-pub use index::{SearchStructure, SegmentIndex};
+pub use index::SearchStructure;
 pub use pools::{DevicePool, GallatinPool, InstanceStats, PoolStats, TopoStats};
 pub use ring::BlockRing;
 pub use router::Router;

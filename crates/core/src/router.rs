@@ -47,7 +47,6 @@
 
 use crate::config::GallatinConfig;
 use crate::gallatin::invariant_report;
-use crate::index::SegmentIndex;
 use crate::table::MemoryTable;
 use gpu_sim::{
     trace, AllocStats, DeviceAllocator, DeviceMemory, DevicePtr, LaneCtx, Metrics, Topology,
@@ -55,6 +54,7 @@ use gpu_sim::{
 };
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
+use veb::VebTree;
 
 /// `seg_owner` value for a segment no child of this level answers for:
 /// parked on the level's free list, or foreign (another router's).
@@ -154,7 +154,7 @@ pub struct Router<C: Level> {
     pub(crate) seg_owner: Vec<AtomicU32>,
     /// Level free list: whole segments returned by shrink, claimable by
     /// any child (`grow`, or the walk's adopt-before-spill).
-    pub(crate) parked: SegmentIndex,
+    pub(crate) parked: VebTree,
     /// Allocations child `i` could not serve and a sibling absorbed.
     spills: Vec<AtomicU64>,
     /// Requests denied up front for exceeding the stride (counted here
@@ -449,7 +449,7 @@ impl<C: Level> Level for Router<C> {
             span: (first_seg, num_segs),
             resp_len: AtomicU64::new(0),
             seg_owner: (0..geo.num_segments).map(|_| AtomicU32::new(UNOWNED)).collect(),
-            parked: SegmentIndex::new(arena.full.index_kind(), geo.num_segments),
+            parked: arena.full.search.index(geo.num_segments),
             spills: (0..n).map(|_| AtomicU64::new(0)).collect(),
             oversize_denials: AtomicU64::new(0),
             donations: AtomicU64::new(0),

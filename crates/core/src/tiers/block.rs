@@ -10,17 +10,17 @@
 use super::{seed_diag, segment::SegmentTier, slice::SliceTier, TierCtx};
 use crate::buffer::BlockBuffer;
 use crate::config::GallatinConfig;
-use crate::index::SegmentIndex;
 use crate::table::{BlockHandle, SegmentMeta, DRAIN_SPIN_LIMIT};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::Ordering;
+use veb::VebTree;
 
 /// The block tier: per-class availability trees plus the per-SM buffer
 /// wavefront.
 pub(crate) struct BlockTier {
     /// One tree per slice class; a set bit means "this segment is
     /// formatted for the class and has blocks available" (§4.2).
-    pub trees: Vec<SegmentIndex>,
+    pub trees: Vec<VebTree>,
     /// Per-class, per-SM cached blocks the slice pipeline claims from.
     pub buffers: Vec<BlockBuffer>,
 }
@@ -28,8 +28,7 @@ pub(crate) struct BlockTier {
 impl BlockTier {
     /// Empty trees and sized buffers for every slice class.
     pub fn new(cfg: &GallatinConfig, num_segments: u64, num_classes: usize) -> Self {
-        let trees =
-            (0..num_classes).map(|_| SegmentIndex::new(cfg.index_kind(), num_segments)).collect();
+        let trees = (0..num_classes).map(|_| cfg.search.index(num_segments)).collect();
         let buffers = (0..num_classes)
             .map(|c| {
                 BlockBuffer::new(BlockBuffer::slots_for_class(cfg.num_sms, c, cfg.min_buffer_slots))

@@ -8,18 +8,18 @@
 //! host-side maintenance hook that releases the buffered wavefront.
 
 use super::{block::BlockTier, TierCtx};
-use crate::index::SegmentIndex;
 use crate::table::{LARGE_BASE, LARGE_BODY, SLICE_COUNT_MASK, TREE_FREE};
 use gpu_sim::trace;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::Ordering;
+use veb::VebTree;
 
 /// The segment tier: ownership of the segment tree and the protocols
 /// that move segments between "free" and "formatted".
 pub(crate) struct SegmentTier {
     /// One bit per free segment; allocations claim from the front,
     /// multi-segment allocations from the back (§4.1).
-    pub tree: SegmentIndex,
+    pub tree: VebTree,
 }
 
 impl SegmentTier {
@@ -33,7 +33,7 @@ impl SegmentTier {
         first: u64,
         count: u64,
     ) -> Self {
-        let tree = SegmentIndex::new(kind, universe);
+        let tree = kind.index(universe);
         tree.insert_range(first, count);
         SegmentTier { tree }
     }

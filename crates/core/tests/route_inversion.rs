@@ -33,9 +33,12 @@ fn config_strategy() -> impl Strategy<Value = GallatinConfig> {
                 slices_per_block,
                 num_sms: 2,
                 min_buffer_slots: 1,
-                search: if flat { SearchStructure::FlatScan } else { SearchStructure::Veb },
+                search: match (flat, wide) {
+                    (true, _) => SearchStructure::FlatScan,
+                    (false, true) => SearchStructure::VebWide,
+                    (false, false) => SearchStructure::Veb,
+                },
                 randomize_probe_starts: true,
-                wide_veb_scans: wide,
             }
         },
     )

@@ -111,7 +111,7 @@ fn planted_leak_is_pinpointed_and_dumps_a_trace() {
         let leaked = ledger.live[0].ptr;
         let err = g.check_invariants().expect_err("leak check must fire");
         assert!(
-            err.contains(&format!("leaked allocation ptr {leaked}")),
+            err.contains(&format!("leak: ptr {leaked}")),
             "report must pinpoint the planted pointer: {err}"
         );
         err

@@ -258,20 +258,14 @@ impl Ledger {
         ledger
     }
 
-    /// Human-readable summary; deterministic for a deterministic trace.
-    /// Lines for instance-0 records are identical to pre-pool reports;
-    /// pool-mode anomalies name their owning instance.
-    pub fn report(&self) -> String {
-        let mut out = format!(
-            "lifecycle ledger: {} malloc(s), {} free(s), {} live at end, peak {} bytes live\n",
-            self.mallocs,
-            self.frees,
-            self.live.len(),
-            self.peak_live_bytes
-        );
-        for l in &self.live {
-            out.push_str(&format!(
-                "  leak: ptr {} ({} B) allocated at step {} (sm {} warp {} lane {}{}{})\n",
+    /// One line per anomaly — leaks, then unmatched frees, then size
+    /// mismatches — each naming the device and instance it belongs to.
+    /// The one rendering behind both [`Self::report`] and the allocators'
+    /// `check_invariants`.
+    pub fn anomaly_lines(&self) -> Vec<String> {
+        let leaks = self.live.iter().map(|l| {
+            format!(
+                "leak: ptr {} ({} B) allocated at step {} (sm {} warp {} lane {}{}{})",
                 l.ptr,
                 l.size,
                 l.step,
@@ -280,11 +274,11 @@ impl Ledger {
                 l.lane,
                 device_suffix(l.device),
                 instance_suffix(l.instance)
-            ));
-        }
-        for d in &self.double_frees {
-            out.push_str(&format!(
-                "  {}: ptr {} at step {} (sm {} warp {} lane {}{}{})\n",
+            )
+        });
+        let frees = self.double_frees.iter().map(|d| {
+            format!(
+                "{}: ptr {} at step {} (sm {} warp {} lane {}{}{})",
                 match d.kind {
                     FreeAnomalyKind::DoubleFree => "double free",
                     FreeAnomalyKind::UnknownPtr => "unknown-ptr free",
@@ -296,11 +290,11 @@ impl Ledger {
                 d.lane,
                 device_suffix(d.device),
                 instance_suffix(d.instance)
-            ));
-        }
-        for m in &self.size_mismatches {
-            out.push_str(&format!(
-                "  size mismatch: ptr {} malloc'd {} B at step {}, freed as {} B at step {}{}{}\n",
+            )
+        });
+        let sizes = self.size_mismatches.iter().map(|m| {
+            format!(
+                "size mismatch: ptr {} malloc'd {} B at step {}, freed as {} B at step {}{}{}",
                 m.ptr,
                 m.malloc_size,
                 m.malloc_step,
@@ -308,7 +302,24 @@ impl Ledger {
                 m.step,
                 device_suffix(m.device),
                 instance_suffix(m.instance)
-            ));
+            )
+        });
+        leaks.chain(frees).chain(sizes).collect()
+    }
+
+    /// Human-readable summary; deterministic for a deterministic trace.
+    /// Lines for instance-0 records are identical to pre-pool reports;
+    /// pool-mode anomalies name their owning instance.
+    pub fn report(&self) -> String {
+        let mut out = format!(
+            "lifecycle ledger: {} malloc(s), {} free(s), {} live at end, peak {} bytes live\n",
+            self.mallocs,
+            self.frees,
+            self.live.len(),
+            self.peak_live_bytes
+        );
+        for line in self.anomaly_lines() {
+            out.push_str(&format!("  {line}\n"));
         }
         let paired = self.frees - self.double_frees.len() as u64;
         out.push_str(&format!("  cross-warp frees: {} of {paired}\n", self.cross_warp_frees));
@@ -481,6 +492,15 @@ mod tests {
         );
         let report = ledger.report();
         assert!(report.contains("lane 0 device 3"), "anomaly names its device: {report}");
+        // The report's anomaly lines are `anomaly_lines`, indented — the
+        // rendering the allocators' invariant reports share.
+        let lines = ledger.anomaly_lines();
+        assert_eq!(lines.len(), 2);
+        assert!(lines[0].starts_with("leak: ptr 100 (16 B)") && !lines[0].contains("device"));
+        assert!(
+            lines[1].starts_with("unknown-ptr free: ptr 100") && lines[1].ends_with("device 3)")
+        );
+        assert!(lines.iter().all(|l| report.contains(&format!("  {l}\n"))), "{report}");
     }
 
     // Edge-case matrix: each malformed lifecycle is a *classified

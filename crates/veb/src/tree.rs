@@ -26,12 +26,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 pub struct VebTree {
     universe: u64,
     levels: Vec<Box<[AtomicU64]>>,
-    /// When set, successor searches try a bounded word-parallel scan of
-    /// the leaf level before climbing the summary hierarchy (see
-    /// [`crate::wide`]). Search results are identical either way — the
-    /// leaf level is the source of truth — only the load pattern
-    /// changes.
-    wide: bool,
+    /// How many leaf words a successor search streams (`crate::wide`)
+    /// before it climbs the summaries: `0` is the paper's climb,
+    /// `WIDE_SCAN_BUDGET_WORDS` the wide search, `usize::MAX` the flat
+    /// ablation baseline, which builds no summary level at all. Search
+    /// results are identical for every budget — the leaf level is the
+    /// source of truth — only the load pattern changes.
+    scan_budget: usize,
 }
 
 impl VebTree {
@@ -39,18 +40,27 @@ impl VebTree {
     /// hierarchical (narrow) search path.
     ///
     /// # Panics
-    /// Panics if `universe == 0`.
+    /// Panics if `universe == 0` (as do the other constructors).
     pub fn new(universe: u64) -> Self {
-        Self::with_wide(universe, false)
+        Self::with_budget(universe, 0)
     }
 
-    /// An empty tree with the search strategy chosen explicitly: `wide`
-    /// enables the bounded word-parallel leaf scan of [`crate::wide`]
-    /// in front of the hierarchical climb.
-    ///
-    /// # Panics
-    /// Panics if `universe == 0`.
-    pub fn with_wide(universe: u64, wide: bool) -> Self {
+    /// An empty tree whose successor searches stream the next 64 leaf
+    /// words (`WIDE_SCAN_BUDGET_WORDS`, one summary word's span) before
+    /// climbing.
+    pub fn new_wide(universe: u64) -> Self {
+        Self::with_budget(universe, WIDE_SCAN_BUDGET_WORDS)
+    }
+
+    /// An empty *flat* tree: the leaf bitmap alone, searched by linear
+    /// word scans — `O(u/64)` per search instead of the near-constant
+    /// climb, and one atomic per `insert`/`remove`. This is the ablation
+    /// baseline that prices what the summary levels buy.
+    pub fn new_flat(universe: u64) -> Self {
+        Self::with_budget(universe, usize::MAX)
+    }
+
+    fn with_budget(universe: u64, scan_budget: usize) -> Self {
         assert!(universe > 0, "vEB universe must be non-empty");
         let mut levels = Vec::new();
         let mut width = universe;
@@ -58,17 +68,12 @@ impl VebTree {
             let words = width.div_ceil(WORD_BITS);
             levels
                 .push((0..words).map(|_| AtomicU64::new(0)).collect::<Vec<_>>().into_boxed_slice());
-            if words == 1 {
+            if words == 1 || scan_budget == usize::MAX {
                 break;
             }
             width = words;
         }
-        VebTree { universe, levels, wide }
-    }
-
-    /// An empty tree with wide (word-parallel) successor scans enabled.
-    pub fn new_wide(universe: u64) -> Self {
-        Self::with_wide(universe, true)
+        VebTree { universe, levels, scan_budget }
     }
 
     /// A tree with every item of the universe present (Gallatin's segment
@@ -79,26 +84,14 @@ impl VebTree {
         t
     }
 
-    /// A full tree with wide successor scans enabled.
-    pub fn new_full_wide(universe: u64) -> Self {
-        let t = Self::new_wide(universe);
-        t.fill();
-        t
-    }
-
-    /// Whether wide (word-parallel) successor scans are enabled.
-    #[inline]
-    pub fn is_wide(&self) -> bool {
-        self.wide
-    }
-
     /// Universe size `u`.
     #[inline]
     pub fn universe(&self) -> u64 {
         self.universe
     }
 
-    /// Number of levels (root included); `⌈log₆₄ u⌉`, minimum 1.
+    /// Number of levels (root included): `⌈log₆₄ u⌉`, minimum 1 — and
+    /// exactly 1 for a flat tree.
     #[inline]
     pub fn height(&self) -> usize {
         self.levels.len()
@@ -112,12 +105,9 @@ impl VebTree {
     /// Set every item present and rebuild all summaries. Not thread-safe;
     /// callers quiesce first (used at construction / allocator reset).
     pub fn fill(&self) {
-        self.clear();
-        for x in 0..self.universe {
-            // Leaf-level direct set; summaries rebuilt below.
-            let (w, b) = (x / WORD_BITS, x % WORD_BITS);
-            let old = self.levels[0][w as usize].load(Ordering::Relaxed);
-            self.levels[0][w as usize].store(old | (1 << b), Ordering::Relaxed);
+        for (i, w) in self.levels[0].iter().enumerate() {
+            let bits = (self.universe - i as u64 * WORD_BITS).min(WORD_BITS);
+            w.store(u64::MAX >> (WORD_BITS - bits), Ordering::Relaxed);
         }
         self.rebuild_summaries();
     }
@@ -214,15 +204,11 @@ impl VebTree {
         if prev & (1 << b) != 0 {
             return false;
         }
-        if prev == 0 {
-            self.propagate_set(w);
-        } else {
-            // Word was non-empty, so summaries should already be set; but
-            // a racing remove of the *other* bits may be clearing them
-            // right now. propagate_set is idempotent and cheap at this
-            // depth, so always ensure the immediate parent is set.
-            self.propagate_set(w);
-        }
+        // Even when the word was already non-empty (so its summaries
+        // should be set), a racing remove of the *other* bits may be
+        // clearing them right now. propagate_set is idempotent and stops
+        // at the first level already marked, so always run it.
+        self.propagate_set(w);
         true
     }
 
@@ -250,16 +236,7 @@ impl VebTree {
     /// Atomically remove `x` if present. Returns `true` on success —
     /// exclusive among concurrent claimants (Algorithm 1's `claimIndex`).
     pub fn claim_exact(&self, x: u64) -> bool {
-        self.check_index(x);
-        let (w, b) = (x / WORD_BITS, x % WORD_BITS);
-        let prev = self.levels[0][w as usize].fetch_and(!(1 << b), Ordering::AcqRel);
-        if prev & (1 << b) == 0 {
-            return false;
-        }
-        if prev & !(1 << b) == 0 {
-            self.propagate_clear(w);
-        }
-        true
+        self.remove(x)
     }
 
     // ------------------------------------------------------------------
@@ -278,22 +255,21 @@ impl VebTree {
         if let Some(b) = first_set_ge(leaf, x % WORD_BITS) {
             return Some(word_idx * WORD_BITS + b);
         }
-        if self.wide {
-            // Word-parallel path: stream the next WIDE_SCAN_BUDGET_WORDS
-            // leaf words before paying for the summary climb. The leaf
-            // level is the source of truth, so a hit is a member and an
-            // exhausted scan is a definitive None; only a budget overrun
-            // defers to the hierarchy (resume - 1 is the last word the
-            // scan saw empty; the climb searches strictly after it).
-            match wide_scan_from(&self.levels[0], word_idx as usize + 1, WIDE_SCAN_BUDGET_WORDS) {
-                WideScan::Hit(w, v) => {
-                    return Some(w as u64 * WORD_BITS + v.trailing_zeros() as u64)
-                }
-                WideScan::Exhausted => return None,
-                WideScan::Bounded(resume) => return self.climb_successor(resume as u64 - 1),
-            }
+        if self.scan_budget == 0 {
+            return self.climb_successor(word_idx);
         }
-        self.climb_successor(word_idx)
+        // Word-parallel path: stream the next `scan_budget` leaf words
+        // before paying for the summary climb. The leaf level is the
+        // source of truth, so a hit is a member and an exhausted scan is
+        // a definitive None; only a budget overrun defers to the
+        // hierarchy (resume - 1 is the last word the scan saw empty; the
+        // climb searches strictly after it). A flat tree's budget never
+        // overruns.
+        match wide_scan_from(&self.levels[0], word_idx as usize + 1, self.scan_budget) {
+            WideScan::Hit(w, v) => Some(w as u64 * WORD_BITS + v.trailing_zeros() as u64),
+            WideScan::Exhausted => None,
+            WideScan::Bounded(resume) => self.climb_successor(resume as u64 - 1),
+        }
     }
 
     /// Hierarchical successor: find the first member in a leaf word
@@ -378,6 +354,14 @@ impl VebTree {
         let leaf = self.levels[0][word_idx as usize].load(Ordering::Acquire);
         if let Some(b) = first_set_le(leaf, x % WORD_BITS) {
             return Some(word_idx * WORD_BITS + b);
+        }
+        if self.levels.len() == 1 {
+            // No summary to climb — a flat tree (or a one-word universe,
+            // where nothing lies below word 0): scan the leaves backward.
+            return (0..word_idx).rev().find_map(|w| {
+                let word = self.levels[0][w as usize].load(Ordering::Acquire);
+                first_set_le(word, WORD_BITS - 1).map(|b| w * WORD_BITS + b)
+            });
         }
         'restart: loop {
             let mut level = 1;
@@ -631,7 +615,7 @@ impl std::fmt::Debug for VebTree {
             .field("universe", &self.universe)
             .field("height", &self.height())
             .field("count", &self.count())
-            .field("wide", &self.wide)
+            .field("scan_budget", &self.scan_budget)
             .finish()
     }
 }
@@ -639,6 +623,25 @@ impl std::fmt::Debug for VebTree {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The three search strategies. Every test below that does not name
+    /// a constructor runs on all of them: the leaf bitmap is the truth,
+    /// so the budget may change only how a search loads, never what it
+    /// answers.
+    const CTORS: [fn(u64) -> VebTree; 3] = [VebTree::new, VebTree::new_wide, VebTree::new_flat];
+
+    fn each(universe: u64, check: impl Fn(VebTree)) {
+        for ctor in CTORS {
+            check(ctor(universe));
+        }
+    }
+
+    fn each_full(universe: u64, check: impl Fn(VebTree)) {
+        each(universe, |t| {
+            t.fill();
+            check(t)
+        });
+    }
 
     #[test]
     fn heights_match_universe() {
@@ -649,193 +652,211 @@ mod tests {
         assert_eq!(VebTree::new(4097).height(), 3);
         assert_eq!(VebTree::new(262_144).height(), 3);
         assert_eq!(VebTree::new(16_777_216).height(), 4);
+        // The wide budget changes the search, not the shape; a flat tree
+        // is the leaf level alone, so its mutations have no summary to
+        // propagate into (one atomic per insert/remove).
+        assert_eq!(VebTree::new_wide(1 << 16).height(), 3);
+        assert_eq!(VebTree::new_flat(1 << 16).height(), 1);
     }
 
     #[test]
     fn insert_remove_contains_roundtrip() {
-        let t = VebTree::new(500);
-        assert!(!t.contains(123));
-        assert!(t.insert(123));
-        assert!(!t.insert(123));
-        assert!(t.contains(123));
-        assert!(t.remove(123));
-        assert!(!t.remove(123));
-        assert!(!t.contains(123));
-        t.check_summaries().unwrap();
+        each(500, |t| {
+            assert!(!t.contains(123));
+            assert!(t.insert(123));
+            assert!(!t.insert(123));
+            assert!(t.contains(123));
+            assert!(t.remove(123));
+            assert!(!t.remove(123));
+            assert!(!t.contains(123));
+            // A claim is an exclusive remove.
+            t.insert(100);
+            assert!(t.claim_exact(100));
+            assert!(!t.claim_exact(100));
+            assert!(!t.contains(100));
+            t.check_summaries().unwrap();
+        });
     }
 
     #[test]
     fn successor_walks_members_in_order() {
-        let t = VebTree::new(100_000);
-        let members = [0u64, 1, 63, 64, 65, 4095, 4096, 4097, 50_000, 99_999];
-        for &m in &members {
-            t.insert(m);
-        }
-        let mut found = Vec::new();
-        let mut x = 0;
-        while let Some(s) = t.successor(x) {
-            found.push(s);
-            x = s + 1;
-        }
-        assert_eq!(found, members);
-        t.check_summaries().unwrap();
+        each(100_000, |t| {
+            let members = [0u64, 1, 63, 64, 65, 4095, 4096, 4097, 50_000, 99_999];
+            for &m in &members {
+                t.insert(m);
+            }
+            let mut found = Vec::new();
+            let mut x = 0;
+            while let Some(s) = t.successor(x) {
+                found.push(s);
+                x = s + 1;
+            }
+            assert_eq!(found, members);
+            t.check_summaries().unwrap();
+        });
     }
 
     #[test]
     fn predecessor_walks_members_in_reverse() {
-        let t = VebTree::new(100_000);
-        let members = [0u64, 63, 64, 4095, 4096, 99_999];
-        for &m in &members {
-            t.insert(m);
-        }
-        let mut found = Vec::new();
-        let mut x = t.universe() - 1;
-        while let Some(p) = t.predecessor(x) {
-            found.push(p);
-            if p == 0 {
-                break;
+        each(100_000, |t| {
+            let members = [0u64, 63, 64, 4095, 4096, 99_999];
+            for &m in &members {
+                t.insert(m);
             }
-            x = p - 1;
-        }
-        let mut expect = members.to_vec();
-        expect.reverse();
-        assert_eq!(found, expect);
+            let mut found = Vec::new();
+            let mut x = t.universe() - 1;
+            while let Some(p) = t.predecessor(x) {
+                found.push(p);
+                if p == 0 {
+                    break;
+                }
+                x = p - 1;
+            }
+            let mut expect = members.to_vec();
+            expect.reverse();
+            assert_eq!(found, expect);
+        });
     }
 
     #[test]
     fn successor_of_member_is_itself() {
-        let t = VebTree::new(1000);
-        t.insert(500);
-        assert_eq!(t.successor(500), Some(500));
-        assert_eq!(t.successor(501), None);
-        assert_eq!(t.predecessor(500), Some(500));
-        assert_eq!(t.predecessor(499), None);
+        each(1000, |t| {
+            t.insert(500);
+            assert_eq!(t.successor(500), Some(500));
+            assert_eq!(t.successor(501), None);
+            assert_eq!(t.predecessor(500), Some(500));
+            assert_eq!(t.predecessor(499), None);
+            // The universe may end mid-word, and may itself be queried.
+            t.insert(999);
+            assert_eq!(t.successor(501), Some(999));
+            assert_eq!(t.predecessor(999), Some(999));
+            assert_eq!(t.successor(1000), None);
+        });
     }
 
     #[test]
     fn empty_tree_has_no_members() {
-        let t = VebTree::new(70_000);
-        assert_eq!(t.successor(0), None);
-        assert_eq!(t.predecessor(69_999), None);
-        assert!(t.is_empty());
-        assert_eq!(t.count(), 0);
-        assert_eq!(t.first(), None);
-        assert_eq!(t.last(), None);
+        each(70_000, |t| {
+            assert_eq!(t.successor(0), None);
+            assert_eq!(t.predecessor(69_999), None);
+            assert!(t.is_empty());
+            assert_eq!(t.count(), 0);
+            assert_eq!(t.first(), None);
+            assert_eq!(t.last(), None);
+        });
     }
 
     #[test]
     fn full_tree_finds_everything() {
-        let t = VebTree::new_full(10_000);
-        assert_eq!(t.count(), 10_000);
-        assert_eq!(t.successor(0), Some(0));
-        assert_eq!(t.successor(9_999), Some(9_999));
-        assert_eq!(t.predecessor(9_999), Some(9_999));
-        t.check_summaries().unwrap();
+        each_full(10_000, |t| {
+            assert_eq!(t.count(), 10_000);
+            assert_eq!(t.successor(0), Some(0));
+            assert_eq!(t.successor(9_999), Some(9_999));
+            assert_eq!(t.predecessor(9_999), Some(9_999));
+            t.check_summaries().unwrap();
+        });
+        assert_eq!(VebTree::new_full(10_000).count(), 10_000);
     }
 
     #[test]
-    fn claim_exact_is_exclusive() {
-        let t = VebTree::new(128);
-        t.insert(100);
-        assert!(t.claim_exact(100));
-        assert!(!t.claim_exact(100));
-        assert!(!t.contains(100));
-    }
-
-    #[test]
-    fn claim_first_ge_takes_lowest() {
-        let t = VebTree::new(1 << 14);
-        for m in [10u64, 20, 30] {
-            t.insert(m);
-        }
-        assert_eq!(t.claim_first_ge(0), Some(10));
-        assert_eq!(t.claim_first_ge(0), Some(20));
-        assert_eq!(t.claim_first_ge(25), Some(30));
-        assert_eq!(t.claim_first_ge(0), None);
+    fn partial_last_word_fill_is_exact() {
+        each_full(70, |t| {
+            assert_eq!(t.count(), 70);
+            assert_eq!(t.predecessor(69), Some(69));
+            assert_eq!(t.successor(69), Some(69));
+            assert_eq!(t.successor(70), None);
+            assert_eq!(t.last(), Some(69));
+        });
     }
 
     #[test]
     fn find_first_from_wraps_to_front() {
-        let t = VebTree::new(1 << 14);
-        for m in [10u64, 2000] {
-            t.insert(m);
-        }
-        assert_eq!(t.find_first_from(0), Some(10));
-        assert_eq!(t.find_first_from(10), Some(10));
-        assert_eq!(t.find_first_from(11), Some(2000));
-        // Nothing at or above the hint: wrap to the front.
-        assert_eq!(t.find_first_from(2001), Some(10));
-        assert_eq!(t.find_first_from(t.universe() - 1), Some(10));
-        assert_eq!(VebTree::new(64).find_first_from(0), None);
-        assert_eq!(VebTree::new(64).find_first_from(63), None);
+        each(1 << 14, |t| {
+            for m in [10u64, 2000] {
+                t.insert(m);
+            }
+            assert_eq!(t.find_first_from(0), Some(10));
+            assert_eq!(t.find_first_from(10), Some(10));
+            assert_eq!(t.find_first_from(11), Some(2000));
+            // Nothing at or above the hint: wrap to the front.
+            assert_eq!(t.find_first_from(2001), Some(10));
+            assert_eq!(t.find_first_from(t.universe() - 1), Some(10));
+        });
+        each(64, |t| {
+            assert_eq!(t.find_first_from(0), None);
+            assert_eq!(t.find_first_from(63), None);
+        });
     }
 
     #[test]
     fn claim_first_from_wraps_and_is_exclusive() {
-        let t = VebTree::new(1 << 14);
-        for m in [10u64, 20, 2000] {
-            t.insert(m);
-        }
-        assert_eq!(t.claim_first_from(1000), Some(2000));
-        assert_eq!(t.claim_first_from(1000), Some(10)); // wrapped
-        assert_eq!(t.claim_first_from(0), Some(20));
-        assert_eq!(t.claim_first_from(0), None);
-        assert_eq!(t.claim_first_from(5000), None);
-        assert!(t.is_empty());
-        t.check_summaries().unwrap();
+        each(1 << 14, |t| {
+            for m in [10u64, 20, 2000] {
+                t.insert(m);
+            }
+            assert_eq!(t.claim_first_from(1000), Some(2000));
+            assert_eq!(t.claim_first_from(1000), Some(10)); // wrapped
+            assert_eq!(t.claim_first_from(0), Some(20));
+            assert_eq!(t.claim_first_from(0), None);
+            assert_eq!(t.claim_first_from(5000), None);
+            assert!(t.is_empty());
+            t.check_summaries().unwrap();
+        });
     }
 
     #[test]
-    fn claim_last_le_takes_highest() {
-        let t = VebTree::new(1 << 14);
-        for m in [10u64, 20, 30] {
-            t.insert(m);
-        }
-        assert_eq!(t.claim_last_le(t.universe() - 1), Some(30));
-        assert_eq!(t.claim_last_le(t.universe() - 1), Some(20));
-        assert_eq!(t.claim_last_le(15), Some(10));
-        assert_eq!(t.claim_last_le(t.universe() - 1), None);
+    fn claims_take_lowest_and_highest() {
+        each(1 << 14, |t| {
+            for m in [10u64, 20, 30, 40, 50, 60] {
+                t.insert(m);
+            }
+            assert_eq!(t.claim_first_ge(0), Some(10));
+            assert_eq!(t.claim_first_ge(0), Some(20));
+            assert_eq!(t.claim_first_ge(25), Some(30));
+            assert_eq!(t.claim_last_le(t.universe() - 1), Some(60));
+            assert_eq!(t.claim_last_le(t.universe() - 1), Some(50));
+            assert_eq!(t.claim_last_le(45), Some(40));
+            assert_eq!(t.claim_first_ge(0), None);
+            assert_eq!(t.claim_last_le(t.universe() - 1), None);
+        });
     }
 
     #[test]
     fn contiguous_claim_from_back() {
-        let t = VebTree::new_full(256);
-        assert_eq!(t.claim_contiguous_from_back(4), Some(252));
-        assert_eq!(t.claim_contiguous_from_back(4), Some(248));
-        assert_eq!(t.count(), 248);
-        // Fragment the back: remove 240, runs must now fit below it.
-        t.claim_exact(240);
-        assert_eq!(t.claim_contiguous_from_back(8), Some(232));
-        t.check_summaries().unwrap();
+        each_full(256, |t| {
+            assert_eq!(t.claim_contiguous_from_back(4), Some(252));
+            assert_eq!(t.claim_contiguous_from_back(4), Some(248));
+            assert_eq!(t.count(), 248);
+            // Fragment the back: remove 240, runs must now fit below it.
+            t.claim_exact(240);
+            assert_eq!(t.claim_contiguous_from_back(8), Some(232));
+            t.check_summaries().unwrap();
+        });
     }
 
     #[test]
     fn contiguous_claim_too_large_fails_cleanly() {
-        let t = VebTree::new_full(64);
-        assert_eq!(t.claim_contiguous_from_back(65), None);
-        assert_eq!(t.count(), 64);
-        assert_eq!(t.claim_contiguous_from_back(64), Some(0));
-        assert_eq!(t.count(), 0);
-        assert_eq!(t.claim_contiguous_from_back(1), None);
+        each_full(64, |t| {
+            assert_eq!(t.claim_contiguous_from_back(65), None);
+            assert_eq!(t.count(), 64);
+            assert_eq!(t.claim_contiguous_from_back(64), Some(0));
+            assert_eq!(t.count(), 0);
+            assert_eq!(t.claim_contiguous_from_back(1), None);
+        });
     }
 
     #[test]
-    fn insert_range_restores_runs() {
-        let t = VebTree::new_full(128);
-        let start = t.claim_contiguous_from_back(16).unwrap();
-        assert_eq!(t.count(), 112);
-        t.insert_range(start, 16);
-        assert_eq!(t.count(), 128);
-        t.check_summaries().unwrap();
-    }
-
-    #[test]
-    fn non_power_of_64_universe_edges() {
-        let t = VebTree::new(100);
-        t.insert(99);
-        assert_eq!(t.successor(0), Some(99));
-        assert_eq!(t.predecessor(99), Some(99));
-        assert_eq!(t.successor(100), None);
+    fn claims_from_both_ends_and_insert_range_restore_runs() {
+        // A universe that ends mid-word, claimed from the back, the
+        // front and the top, then handed back as a range.
+        each_full(130, |t| {
+            assert_eq!(t.claim_contiguous_from_back(4), Some(126));
+            assert_eq!(t.claim_first_ge(0), Some(0));
+            assert_eq!(t.claim_last_le(129), Some(125));
+            t.insert_range(126, 4);
+            assert_eq!(t.count(), 130 - 2);
+            t.check_summaries().unwrap();
+        });
     }
 
     #[test]
@@ -846,30 +867,34 @@ mod tests {
 
     #[test]
     fn iter_yields_members_in_order() {
-        let t = VebTree::new(100_000);
-        let members = [3u64, 64, 65, 4096, 99_999];
-        for &m in &members {
-            t.insert(m);
-        }
-        let collected: Vec<u64> = t.iter().collect();
-        assert_eq!(collected, members);
-        assert_eq!(VebTree::new(10).iter().count(), 0);
-        let full = VebTree::new_full(130);
-        assert_eq!(full.iter().count(), 130);
-        assert_eq!(full.iter().last(), Some(129));
+        each(100_000, |t| {
+            let members = [3u64, 64, 65, 4096, 99_999];
+            for &m in &members {
+                t.insert(m);
+            }
+            let collected: Vec<u64> = t.iter().collect();
+            assert_eq!(collected, members);
+        });
+        each(10, |t| assert_eq!(t.iter().count(), 0));
+        each_full(130, |t| {
+            assert_eq!(t.iter().count(), 130);
+            assert_eq!(t.iter().last(), Some(129));
+        });
     }
 
-    // Wide/narrow search parity lives in tests/wide_parity.rs: it only
-    // exercises the public API, and keeping it out of this file keeps
-    // tree.rs under the LOC gate.
+    // Narrow/wide/flat parity over one random op stream lives in
+    // tests/wide_parity.rs: it only exercises the public API, and
+    // keeping it out of this file keeps tree.rs under the LOC gate.
 
     #[test]
     fn clear_and_fill_are_inverses() {
-        let t = VebTree::new(5000);
-        t.fill();
-        assert_eq!(t.count(), 5000);
-        t.clear();
-        assert!(t.is_empty());
-        t.check_summaries().unwrap();
+        each(5000, |t| {
+            t.fill();
+            assert_eq!(t.count(), 5000);
+            t.check_summaries().unwrap();
+            t.clear();
+            assert!(t.is_empty());
+            t.check_summaries().unwrap();
+        });
     }
 }

@@ -16,8 +16,9 @@
 //!
 //! The scan performs only `Acquire` loads — no RMWs — so enabling it
 //! never changes the atomic-op *counts* the CI smoke gate pins; it is a
-//! pure wall-clock play, A/B-able via `GallatinConfig::wide_veb_scans`
-//! (E21).
+//! pure wall-clock play, A/B-able by building the tree with
+//! `VebTree::new` or `VebTree::new_wide` (E21). Run with an unbounded
+//! budget it is the whole search of a flat tree (`VebTree::new_flat`).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -54,8 +55,8 @@ pub enum WideScan {
 /// most `budget` words. Loads are `Acquire`, matching the search-side
 /// ordering of the narrow path.
 ///
-/// Pass `budget = usize::MAX` for an unbounded scan (the flat-bitset
-/// baseline, which has no hierarchy to fall back to).
+/// Pass `budget = usize::MAX` for an unbounded scan (the flat tree,
+/// which has no hierarchy to fall back to).
 pub fn wide_scan_from(level: &[AtomicU64], from: usize, budget: usize) -> WideScan {
     let end = level.len().min(from.saturating_add(budget));
     let mut w = from;

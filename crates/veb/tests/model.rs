@@ -36,8 +36,7 @@ fn model_predecessor(model: &BTreeSet<u64>, x: u64) -> Option<u64> {
     model.range(..=x).next_back().copied()
 }
 
-fn run_model(universe: u64, ops: Vec<Op>) {
-    let tree = VebTree::new(universe);
+fn run_model(tree: VebTree, ops: Vec<Op>) {
     let mut model = BTreeSet::new();
     for op in ops {
         match op {
@@ -76,66 +75,27 @@ fn run_model(universe: u64, ops: Vec<Op>) {
     tree.check_summaries().unwrap();
 }
 
-fn run_model_flat(universe: u64, ops: Vec<Op>) {
-    let set = veb::FlatBitset::new(universe);
-    let mut model = BTreeSet::new();
-    for op in ops {
-        match op {
-            Op::Insert(x) => {
-                assert_eq!(set.insert(x), model.insert(x));
-            }
-            Op::Remove(x) => {
-                assert_eq!(set.remove(x), model.remove(&x));
-            }
-            Op::Contains(x) => {
-                assert_eq!(set.contains(x), model.contains(&x));
-            }
-            Op::Successor(x) => {
-                assert_eq!(set.successor(x), model_successor(&model, x));
-            }
-            Op::Predecessor(x) => {
-                assert_eq!(set.predecessor(x), model_predecessor(&model, x));
-            }
-            Op::ClaimFirstGe(x) => {
-                let expect = model_successor(&model, x);
-                assert_eq!(set.claim_first_ge(x), expect);
-                if let Some(v) = expect {
-                    model.remove(&v);
-                }
-            }
-            Op::ClaimLastLe(x) => {
-                let expect = model_predecessor(&model, x);
-                assert_eq!(set.claim_last_le(x), expect);
-                if let Some(v) = expect {
-                    model.remove(&v);
-                }
-            }
-        }
-    }
-    assert_eq!(set.count(), model.len() as u64);
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
     fn small_universe_matches_model(ops in prop::collection::vec(op_strategy(200), 1..400)) {
-        run_model(200, ops);
+        run_model(VebTree::new(200), ops);
     }
 
     #[test]
-    fn flat_bitset_matches_model(ops in prop::collection::vec(op_strategy(3000), 1..300)) {
-        run_model_flat(3000, ops);
+    fn flat_tree_matches_model(ops in prop::collection::vec(op_strategy(3000), 1..300)) {
+        run_model(VebTree::new_flat(3000), ops);
     }
 
     #[test]
     fn two_level_universe_matches_model(ops in prop::collection::vec(op_strategy(4096), 1..300)) {
-        run_model(4096, ops);
+        run_model(VebTree::new(4096), ops);
     }
 
     #[test]
     fn three_level_universe_matches_model(ops in prop::collection::vec(op_strategy(300_000), 1..200)) {
-        run_model(300_000, ops);
+        run_model(VebTree::new(300_000), ops);
     }
 
     #[test]

@@ -1,10 +1,12 @@
 #!/usr/bin/env bash
 # LOC gate, two ratchets:
 #   1. no source file under crates/**/src/ may grow past MAX_LINES;
-#   2. no crate's non-test src/ lines (the lines before each file's first
-#      `#[cfg(test)]`) may exceed its budget in scripts/loc_budget.txt.
-#      Lower a budget freely; raising one means editing that file in the
-#      same diff, where a reviewer sees it.
+#   2. every crate's non-test src/ lines (the lines before each file's
+#      first `#[cfg(test)]`) must *equal* its budget in
+#      scripts/loc_budget.txt. Over budget fails: delete code, or raise
+#      the number in the same diff, where a reviewer sees it. Under budget
+#      fails too: lower the number in the same diff, or the deletion goes
+#      unratcheted and can be regrown for free.
 #
 # The PR that decomposed the monolithic allocator (gallatin.rs peaked at
 # 1,633 lines) installed this so the next monolith gets caught in review
@@ -75,6 +77,7 @@ non_test_lines() {
     awk 'FNR == 1 { counting = 1 } /#\[cfg\(test\)\]/ { counting = 0 } counting { n++ } END { print n + 0 }' "$@"
 }
 budgeted=0
+budget_total=0
 for crate in crates/*/; do
     crate=${crate%/}
     budget=$(awk -v c="$crate" '$1 == c { print $2 }' "$BUDGET_FILE")
@@ -84,17 +87,19 @@ for crate in crates/*/; do
         continue
     fi
     budgeted=$((budgeted + 1))
+    budget_total=$((budget_total + budget))
     mapfile -t files < <(scan | grep "^$crate/src/")
     lines=$(non_test_lines "${files[@]}")
     if [ "$lines" -gt "$budget" ]; then
         echo "LOC gate: $crate has $lines non-test src lines (budget $budget) — delete code, or raise the budget in $BUDGET_FILE in this diff" >&2
         status=1
     elif [ "$lines" -lt "$budget" ]; then
-        echo "LOC gate: $crate is at $lines non-test src lines, under its budget of $budget — lower it in $BUDGET_FILE"
+        echo "LOC gate: $crate is at $lines non-test src lines, under its budget of $budget — lower it to $lines in $BUDGET_FILE in this diff" >&2
+        status=1
     fi
 done
 
 if [ "$status" -eq 0 ]; then
-    echo "LOC gate: $scanned crates/**/src/*.rs files within $MAX_LINES lines, $budgeted crates within budget"
+    echo "LOC gate: $scanned crates/**/src/*.rs files within $MAX_LINES lines, $budgeted crates at budget, $budget_total budgeted non-test src lines in total"
 fi
 exit "$status"
