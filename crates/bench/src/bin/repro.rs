@@ -46,17 +46,10 @@
 //!                   wrong, parity diverges, or the serve cell is dirty
 //!                   (seed count from GALLATIN_TOPO_SEEDS, default 8)
 //!   summary         §6.3-style speedup summary from the written CSVs
-//!   all             everything above, in order
+//!   all             everything above, in order; exits 1 if any gate failed
 //!
-//! Perf-trend lane (E21 — see TESTING.md "Perf lane"):
-//!   perf            run the perf suite with repeated samples and append one
-//!                   gallatin-perf-v1 line to <history>/perf_history.jsonl
-//!   perf-gate       compare the latest history line against the rolling
-//!                   same-host baseline band; exits 1 on gross regressions
-//!   perf-report     render PERF_TREND.md + perf_trend.csv over the history
-//!   perf-check      lint BENCH_*.json files/dirs (positional args, default
-//!                   results/): median_ms must be a number or "untimed";
-//!                   null/missing exits 1
+//! `repro` checks counts and invariants. Wall-clock verdicts come from
+//! the stand-alone benchmark (`benchmark/README.md`), nowhere else.
 //!
 //! Flags:
 //!   --threads N     logical GPU threads (default 32768)
@@ -68,21 +61,9 @@
 //!   --json          also write machine-readable BENCH_<experiment>.json files
 //!   --full          paper-scale: 1M threads, 50 runs, 2G heap, 2^20 scaling
 //!   --smoke         CI smoke subset (serve): shorter horizon, fewer cells
-//!
-//! Perf flags (perf/perf-gate/perf-report only):
-//!   --samples N     repeated suite samples per run, medians kept (default 3)
-//!   --history DIR   history directory (default results/history)
-//!   --window N      rolling-baseline window for perf-gate (default 10)
-//!   --sha S         git SHA stamped on the appended run (default $GITHUB_SHA
-//!                   or "local")
-//!   --stamp S       timestamp label (default unix-<seconds>)
-//!   --host S        host label; the gate only compares equal labels
-//!                   (default $PERF_HOST or "local")
-//!   --seeds SPEC    churn-cell schedule seeds: "0..8" or "0,3,7" (default 0..8)
 //! ```
 
 use bench::experiments as exp;
-use bench::perf::PerfOptions;
 use bench::HarnessConfig;
 
 fn parse_bytes(s: &str) -> Option<u64> {
@@ -93,18 +74,6 @@ fn parse_bytes(s: &str) -> Option<u64> {
         _ => (s, 1),
     };
     num.parse::<u64>().ok()?.checked_mul(mult)
-}
-
-/// `--seeds` accepts a half-open range (`0..8`) or a comma list (`0,3,7`).
-fn parse_seeds(s: &str) -> Option<Vec<u64>> {
-    if let Some((a, b)) = s.split_once("..") {
-        let (a, b) = (a.parse::<u64>().ok()?, b.parse::<u64>().ok()?);
-        if a >= b {
-            return None;
-        }
-        return Some((a..b).collect());
-    }
-    s.split(',').map(|p| p.trim().parse::<u64>().ok()).collect()
 }
 
 fn number<T: std::str::FromStr>(s: &str) -> Option<T> {
@@ -129,12 +98,10 @@ fn value<T>(
     Ok(v)
 }
 
-/// Everything after the subcommand: flags into the two option structs,
-/// the rest positional. `Err` is a usage line for the caller to print.
-fn parse_flags(args: &[String]) -> Result<(HarnessConfig, PerfOptions, Vec<String>), String> {
+/// Everything after the subcommand, into the harness configuration.
+/// `Err` is a usage line for the caller to print.
+fn parse_flags(args: &[String]) -> Result<HarnessConfig, String> {
     let mut cfg = HarnessConfig::default();
-    let mut perf = PerfOptions::default();
-    let mut positional: Vec<String> = Vec::new();
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
@@ -144,13 +111,6 @@ fn parse_flags(args: &[String]) -> Result<(HarnessConfig, PerfOptions, Vec<Strin
             "--sms" => cfg.num_sms = value(args, &mut i, "--sms N", number)?,
             "--pool" => cfg.pool_threads = value(args, &mut i, "--pool N", number)?,
             "--out" => cfg.out_dir = value(args, &mut i, "--out DIR", text)?,
-            "--samples" => perf.samples = value(args, &mut i, "--samples N", number)?,
-            "--history" => perf.history_dir = value(args, &mut i, "--history DIR", text)?,
-            "--window" => perf.window = value(args, &mut i, "--window N", number)?,
-            "--sha" => perf.sha = value(args, &mut i, "--sha S", text)?,
-            "--stamp" => perf.stamp = value(args, &mut i, "--stamp S", text)?,
-            "--host" => perf.host = value(args, &mut i, "--host S", text)?,
-            "--seeds" => perf.seeds = value(args, &mut i, "--seeds A..B or A,B,C", parse_seeds)?,
             "--json" => {
                 cfg.json = true;
                 i += 1;
@@ -164,26 +124,89 @@ fn parse_flags(args: &[String]) -> Result<(HarnessConfig, PerfOptions, Vec<Strin
                 i += 1;
             }
             other if other.starts_with("--") => return Err(format!("unknown flag {other}")),
-            other => {
-                positional.push(other.to_string());
-                i += 1;
-            }
+            other => return Err(format!("unexpected argument {other}")),
         }
     }
-    Ok((cfg, perf, positional))
+    Ok(cfg)
+}
+
+/// Every subcommand but `all`, in the order `all` runs them.
+const SUBCOMMANDS: [&str; 20] = [
+    "init",
+    "single",
+    "mixed",
+    "scaling",
+    "variance",
+    "warmup",
+    "fragmentation",
+    "utilization",
+    "graph",
+    "expansion",
+    "reclaim",
+    "ablation",
+    "bench-smoke",
+    "trace",
+    "pool",
+    "replay",
+    "serve",
+    "elastic",
+    "topo",
+    "summary",
+];
+
+fn usage() -> String {
+    format!(
+        "usage: repro <{}|all> [--threads N] [--runs N] [--heap BYTES] [--sms N] [--pool N] \
+         [--out DIR] [--json] [--full] [--smoke]",
+        SUBCOMMANDS.join("|")
+    )
+}
+
+/// Run one subcommand. `Some(false)` is a failed gate (the harness exits
+/// 1), `None` an unknown subcommand.
+fn run(cmd: &str, cfg: &HarnessConfig) -> Option<bool> {
+    let ungated = |experiment: fn(&HarnessConfig)| {
+        experiment(cfg);
+        true
+    };
+    Some(match cmd {
+        "init" => ungated(exp::run_init),
+        "single" => ungated(exp::run_single),
+        "mixed" => ungated(exp::run_mixed),
+        "scaling" => ungated(exp::run_scaling),
+        "variance" => ungated(exp::run_variance),
+        "warmup" => ungated(exp::run_warmup),
+        "fragmentation" => ungated(exp::run_fragmentation),
+        "utilization" => ungated(exp::run_utilization),
+        "graph" => ungated(exp::run_graph),
+        "expansion" => ungated(exp::run_graph_expansion),
+        "reclaim" => ungated(exp::run_reclaim),
+        "ablation" => ungated(exp::run_ablation),
+        "bench-smoke" => exp::run_bench_smoke(cfg),
+        "trace" => ungated(exp::run_trace),
+        "pool" => ungated(exp::run_pool),
+        "replay" => ungated(exp::run_replay),
+        "serve" => exp::run_serve(cfg),
+        "elastic" => exp::run_elastic(cfg),
+        "topo" => exp::run_topo(cfg),
+        "summary" => {
+            exp::run_summary(&cfg.out_dir);
+            true
+        }
+        // Every experiment runs even after a failed gate; the verdicts fold.
+        "all" => SUBCOMMANDS.iter().fold(true, |ok, c| run(c, cfg).expect("listed") & ok),
+        _ => return None,
+    })
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.is_empty() {
-        eprintln!("usage: repro <init|single|mixed|scaling|variance|warmup|fragmentation|utilization|graph|expansion|reclaim|ablation|bench-smoke|trace|pool|replay|serve|elastic|topo|perf|perf-gate|perf-report|perf-check|summary|all> [--threads N] [--runs N] [--heap BYTES] [--sms N] [--pool N] [--out DIR] [--json] [--full] [--smoke] [--samples N] [--history DIR] [--window N] [--sha S] [--stamp S] [--host S] [--seeds SPEC]");
+    let usage_error = |line: String| -> ! {
+        eprintln!("{line}");
         std::process::exit(2);
-    }
-    let cmd = args[0].clone();
-    let (cfg, perf, positional) = parse_flags(&args[1..]).unwrap_or_else(|usage| {
-        eprintln!("{usage}");
-        std::process::exit(2);
-    });
+    };
+    let Some(cmd) = args.first() else { usage_error(usage()) };
+    let cfg = parse_flags(&args[1..]).unwrap_or_else(|line| usage_error(line));
     cfg.install_pool();
     println!(
         "# gallatin-repro harness — threads={} runs={} heap={}MiB sms={} pool={}",
@@ -195,90 +218,10 @@ fn main() {
     );
 
     let t0 = std::time::Instant::now();
-    match cmd.as_str() {
-        "init" => exp::run_init(&cfg),
-        "single" => exp::run_single(&cfg),
-        "mixed" => exp::run_mixed(&cfg),
-        "scaling" => exp::run_scaling(&cfg),
-        "variance" => exp::run_variance(&cfg),
-        "warmup" => exp::run_warmup(&cfg),
-        "fragmentation" => exp::run_fragmentation(&cfg),
-        "utilization" => exp::run_utilization(&cfg),
-        "graph" => exp::run_graph(&cfg),
-        "expansion" => exp::run_graph_expansion(&cfg),
-        "reclaim" => exp::run_reclaim(&cfg),
-        "ablation" => exp::run_ablation(&cfg),
-        "bench-smoke" => {
-            if !exp::run_bench_smoke(&cfg) {
-                std::process::exit(1);
-            }
-        }
-        "trace" => exp::run_trace(&cfg),
-        "pool" => exp::run_pool(&cfg),
-        "replay" => exp::run_replay(&cfg),
-        "serve" => {
-            if !exp::run_serve(&cfg) {
-                std::process::exit(1);
-            }
-        }
-        "elastic" => {
-            if !exp::run_elastic(&cfg) {
-                std::process::exit(1);
-            }
-        }
-        "topo" => {
-            if !exp::run_topo(&cfg) {
-                std::process::exit(1);
-            }
-        }
-        "summary" => exp::run_summary(&cfg.out_dir),
-        "perf" => {
-            if !bench::perf::run_perf(&perf) {
-                std::process::exit(1);
-            }
-        }
-        "perf-gate" => {
-            if !bench::perf::run_perf_gate(&perf) {
-                std::process::exit(1);
-            }
-        }
-        "perf-report" => {
-            if !bench::perf::run_perf_report(&perf) {
-                std::process::exit(1);
-            }
-        }
-        "perf-check" => {
-            let paths =
-                if positional.is_empty() { vec!["results".to_string()] } else { positional };
-            if !bench::perf::run_perf_check(&paths) {
-                std::process::exit(1);
-            }
-        }
-        "all" => {
-            exp::run_init(&cfg);
-            exp::run_single(&cfg);
-            exp::run_mixed(&cfg);
-            exp::run_scaling(&cfg);
-            exp::run_variance(&cfg);
-            exp::run_warmup(&cfg);
-            exp::run_fragmentation(&cfg);
-            exp::run_utilization(&cfg);
-            exp::run_graph(&cfg);
-            exp::run_graph_expansion(&cfg);
-            exp::run_reclaim(&cfg);
-            exp::run_ablation(&cfg);
-            exp::run_trace(&cfg);
-            exp::run_pool(&cfg);
-            exp::run_replay(&cfg);
-            exp::run_serve(&cfg);
-            exp::run_elastic(&cfg);
-            exp::run_topo(&cfg);
-            exp::run_summary(&cfg.out_dir);
-        }
-        other => {
-            eprintln!("unknown subcommand {other}");
-            std::process::exit(2);
-        }
+    match run(cmd, &cfg) {
+        None => usage_error(format!("unknown subcommand {cmd}\n{}", usage())),
+        Some(false) => std::process::exit(1),
+        Some(true) => {}
     }
     println!("\n# done in {:.1}s — CSVs in {}/", t0.elapsed().as_secs_f64(), cfg.out_dir);
 }
@@ -287,7 +230,7 @@ fn main() {
 mod tests {
     use super::*;
 
-    fn flags(args: &[&str]) -> Result<(HarnessConfig, PerfOptions, Vec<String>), String> {
+    fn flags(args: &[&str]) -> Result<HarnessConfig, String> {
         parse_flags(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>())
     }
 
@@ -303,30 +246,35 @@ mod tests {
     }
 
     #[test]
-    fn seed_specs_parse_as_range_or_list() {
-        assert_eq!(parse_seeds("0..8"), Some((0..8).collect()));
-        assert_eq!(parse_seeds("0,3,7"), Some(vec![0, 3, 7]));
-        assert_eq!(parse_seeds("8..0"), None, "an empty range is a usage error");
-        assert_eq!(parse_seeds("0,x"), None);
-    }
-
-    #[test]
     fn a_flag_without_a_usable_value_is_its_usage_line() {
         assert_eq!(flags(&["--threads"]).unwrap_err(), "usage: --threads N");
         assert_eq!(flags(&["--json", "--threads", "many"]).unwrap_err(), "usage: --threads N");
         assert_eq!(flags(&["--heap", "99999999999G"]).unwrap_err(), "usage: --heap BYTES[K|M|G]");
         assert_eq!(flags(&["--out"]).unwrap_err(), "usage: --out DIR");
-        assert_eq!(flags(&["--seeds", "8..0"]).unwrap_err(), "usage: --seeds A..B or A,B,C");
         assert_eq!(flags(&["--bogus"]).unwrap_err(), "unknown flag --bogus");
+        assert_eq!(flags(&["results"]).unwrap_err(), "unexpected argument results");
     }
 
     #[test]
-    fn flags_fill_both_option_structs_and_leave_the_rest_positional() {
-        let (cfg, perf, positional) =
-            flags(&["--threads", "64", "a.json", "--heap", "64M", "--smoke", "--seeds", "0,3,7"])
-                .unwrap();
+    fn the_perf_lane_flags_are_unknown_flags_now() {
+        for gone in ["--samples", "--history", "--window", "--sha", "--stamp", "--host", "--seeds"]
+        {
+            assert_eq!(flags(&[gone, "3"]).unwrap_err(), format!("unknown flag {gone}"));
+        }
+    }
+
+    #[test]
+    fn flags_fill_the_harness_configuration() {
+        let cfg = flags(&["--threads", "64", "--heap", "64M", "--smoke"]).unwrap();
         assert_eq!((cfg.threads, cfg.heap_bytes, cfg.smoke), (64, 64 << 20, true));
-        assert_eq!(perf.seeds, vec![0, 3, 7]);
-        assert_eq!(positional, ["a.json"]);
+    }
+
+    #[test]
+    fn an_unlisted_subcommand_is_unknown_and_usage_lists_the_rest() {
+        let cfg = HarnessConfig::default();
+        for unknown in ["perf", "--help", ""] {
+            assert_eq!(run(unknown, &cfg), None);
+        }
+        assert!(usage().contains("|bench-smoke|") && usage().ends_with("[--smoke]"));
     }
 }

@@ -104,11 +104,11 @@ fn churn_once<A: DeviceAllocator + ?Sized>(g: &A, seed: u64, size: u64) {
 }
 
 /// The harness's one seeded churn loop (E16 sweeps, E18 pool widths,
-/// E23 parity, the perf lane's churn cells): per seed, a fresh allocator
-/// from `make`, one timed [`churn_once`] at `size`, then the audit —
-/// invariants hold and nothing leaked — before the quiescent allocator
-/// goes to `read`, which accumulates whatever counters its experiment
-/// reports. Returns the summed wall time of the launches in ms.
+/// E23 parity): per seed, a fresh allocator from `make`, one timed
+/// [`churn_once`] at `size`, then the audit — invariants hold and
+/// nothing leaked — before the quiescent allocator goes to `read`,
+/// which accumulates whatever counters its experiment reports. Returns
+/// the summed wall time of the launches in ms.
 pub(crate) fn churn_sweep<A: DeviceAllocator>(
     seeds: impl IntoIterator<Item = u64>,
     size: u64,
@@ -126,25 +126,6 @@ pub(crate) fn churn_sweep<A: DeviceAllocator>(
         read(&a);
     }
     ms
-}
-
-/// [`churn_sweep`] over one [`Gallatin`] per seed — [`sweep_config`]
-/// with the knob under test set by `tweak` — summing its metrics.
-pub(crate) fn gallatin_sweep(
-    seeds: impl IntoIterator<Item = u64>,
-    size: u64,
-    tweak: impl Fn(&mut GallatinConfig),
-) -> (MetricsSnapshot, f64) {
-    let mut total = MetricsSnapshot::default();
-    let make = || {
-        let mut cfg = sweep_config(size);
-        tweak(&mut cfg);
-        Gallatin::new(cfg)
-    };
-    let ms = churn_sweep(seeds, size, make, |g| {
-        total += g.metrics().expect("gallatin keeps metrics").snapshot();
-    });
-    (total, ms)
 }
 
 /// Append the three gated churn counters, in baseline order.
@@ -193,9 +174,19 @@ fn group_cost() -> (u64, u64) {
 }
 
 /// Part 2: the fixed churn workload over `seeds` deterministic
-/// schedules, with probe-start randomization on or off.
+/// schedules, with probe-start randomization on or off — [`churn_sweep`]
+/// over one [`Gallatin`] per seed, summing its metrics.
 fn sweep(randomize: bool, seeds: u64, size: u64) -> (MetricsSnapshot, f64) {
-    gallatin_sweep(0..seeds, size, |cfg| cfg.randomize_probe_starts = randomize)
+    let mut total = MetricsSnapshot::default();
+    let make = || {
+        let mut cfg = sweep_config(size);
+        cfg.randomize_probe_starts = randomize;
+        Gallatin::new(cfg)
+    };
+    let ms = churn_sweep(0..seeds, size, make, |g| {
+        total += g.metrics().expect("gallatin keeps metrics").snapshot();
+    });
+    (total, ms)
 }
 
 /// Build the full record set at the given sweep width.
@@ -253,8 +244,6 @@ fn emit(cfg: &HarnessConfig, experiment: &str, recs: &[BenchRecord]) {
 }
 
 /// Run the full ablation (64-seed sweep) and emit table + CSV + JSON.
-/// (The wide-vs-narrow vEB scan A/B over the same churn is owned by
-/// `repro perf`, which keeps its history and gates it.)
 pub fn run_ablation(cfg: &HarnessConfig) {
     let recs = records("ablation", SWEEP_SEEDS_FULL);
     emit(cfg, "ablation", &recs);
@@ -282,7 +271,7 @@ pub fn run_ablation(cfg: &HarnessConfig) {
 /// a count regression fails `cargo test` locally, not only the CI gate.
 pub fn smoke_records() -> Vec<BenchRecord> {
     let mut recs = records("bench_smoke", SWEEP_SEEDS_SMOKE);
-    recs.push(super::pool::smoke_record("bench_smoke"));
+    recs.push(super::pool::smoke_record());
     recs
 }
 

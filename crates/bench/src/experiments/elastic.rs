@@ -25,12 +25,14 @@
 //!    prior compaction pass: the with-compaction row must donate
 //!    strictly more segments. This is the end-to-end story — compaction
 //!    exists so that donation and [`gallatin::GallatinPool::shrink_to`]
-//!    have whole segments to move.
+//!    have whole segments to move. The with-compaction row then finishes
+//!    the maintenance cycle: the sibling shrinks the donated segments
+//!    back to the pool free list and the origin re-adopts them, and
+//!    `returned` must equal `adopted`.
 //!
 //! Every count is an exact function of the seed (deterministic
 //! scheduler, host-side maintenance), so the numbers land in
-//! `BENCH_elastic.json` as bit-stable gates, and the perf lane reuses
-//! the maintenance cycle as a timed cell ([`perf_record`]).
+//! `BENCH_elastic.json` as bit-stable gates.
 
 use crate::report::{emit_bench_json, BenchRecord, Table};
 use crate::workload::{run_script, SkewedHotspot, WorkloadSource};
@@ -213,17 +215,39 @@ fn frag_arm(compacted: bool) -> FragArm {
     arm
 }
 
+/// One `BENCH_elastic.json` row.
+fn row(case: &str) -> BenchRecord {
+    BenchRecord::new("elastic", "GallatinPool").case(case)
+}
+
+/// Segments a `donate-after-frag` row moved to the sibling.
+fn donated(row: &BenchRecord) -> u64 {
+    row.get_count("donated").expect("donate-after-frag rows count donations")
+}
+
 /// The attack on a 2-instance pool: fragment instance 0, optionally
-/// compact, then donate every whole free segment to the sibling.
-/// Returns `(donated, relocations, donate_ms)`.
-fn donate_after_frag(compacted: bool) -> (u64, u64, f64) {
+/// compact, then donate every whole free segment to the sibling (the
+/// timed step). The compacted arm then finishes the maintenance cycle —
+/// the sibling shrinks what it was given back to the pool free list and
+/// the origin re-adopts it — so the round trip is two exact counts.
+fn donate_after_frag(compacted: bool) -> BenchRecord {
     let pool = GallatinPool::new(2, GallatinConfig::small_test(FRAG_HEAP));
     let mut live = fragment_attack(&pool);
     let relos = if compacted { pool.compact(&live, COMPACT_OCCUPANCY) } else { Vec::new() };
     apply_relocations(pool.memory(), &mut live, &relos);
     let t0 = Instant::now();
     let donated = pool.donate(0, 1, 16).expect("whole free segments donate");
-    let donate_ms = t0.elapsed().as_secs_f64() * 1e3;
+    let mut rec = row("donate-after-frag")
+        .param("compaction", if compacted { "on" } else { "off" })
+        .ms(t0.elapsed().as_secs_f64() * 1e3)
+        .count("donated", donated)
+        .count("relocations", relos.len() as u64);
+    if compacted {
+        let returned = pool.shrink_instance(1, donated);
+        let adopted = pool.grow(0, returned);
+        assert_eq!(returned, adopted, "every returned segment is re-adopted at the origin");
+        rec = rec.count("returned", returned).count("adopted", adopted);
+    }
     // The stragglers still free correctly across the re-homed map.
     let w = WarpCtx { warp_id: 0, sm_id: 0, base_tid: 0, active: 1 };
     for &(p, _) in &live {
@@ -231,36 +255,7 @@ fn donate_after_frag(compacted: bool) -> (u64, u64, f64) {
     }
     assert_eq!(pool.stats().reserved_bytes, 0, "pool attack teardown leaked");
     pool.check_invariants().expect("clean after donate-after-frag");
-    (donated, relos.len() as u64, donate_ms)
-}
-
-/// The perf lane's elastic cell: one full maintenance cycle — fragment,
-/// compact, donate, shrink the recipient back to the pool free list,
-/// re-adopt at the origin — with every count an exact function of the
-/// (fixed) layout. The suite asserts the counts replay bit-for-bit
-/// across samples; only the ms may move.
-pub fn perf_record() -> BenchRecord {
-    let t0 = Instant::now();
-    let pool = GallatinPool::new(2, GallatinConfig::small_test(FRAG_HEAP));
-    let mut live = fragment_attack(&pool);
-    let relos = pool.compact(&live, COMPACT_OCCUPANCY);
-    apply_relocations(pool.memory(), &mut live, &relos);
-    let donated = pool.donate(0, 1, 16).expect("compacted segments donate");
-    let returned = pool.shrink_instance(1, donated);
-    let adopted = pool.grow(0, returned);
-    let w = WarpCtx { warp_id: 0, sm_id: 0, base_tid: 0, active: 1 };
-    for &(p, _) in &live {
-        pool.free(&w.lane(0), p);
-    }
-    assert_eq!(pool.stats().reserved_bytes, 0, "maintenance cycle leaked");
-    pool.check_invariants().expect("clean after maintenance cycle");
-    BenchRecord::new("perf", "GallatinPool")
-        .case("elastic-maintenance")
-        .ms(t0.elapsed().as_secs_f64() * 1e3)
-        .count("relocations", relos.len() as u64)
-        .count("donated", donated)
-        .count("returned", returned)
-        .count("adopted", adopted)
+    rec
 }
 
 /// Run E22 and emit table + `BENCH_elastic.json`. Returns `false` (and
@@ -274,7 +269,7 @@ pub fn run_elastic(cfg: &HarnessConfig) -> bool {
     let (frag_off, frag_on) = (frag_arm(false), frag_arm(true));
     let (don_off, don_on) = (donate_after_frag(false), donate_after_frag(true));
 
-    let row = |case: &str| BenchRecord::new("elastic", "GallatinPool").case(case);
+    let (donated_on, donated_off) = (donated(&don_on), donated(&don_off));
     let frag_rec = |label: &str, arm: &FragArm| {
         row("frag-reclaim")
             .param("compaction", label)
@@ -282,13 +277,6 @@ pub fn run_elastic(cfg: &HarnessConfig) -> bool {
             .count("reclaimable_segments", arm.reclaimable)
             .count("relocations", arm.relocations)
             .count("live", arm.live)
-    };
-    let donate_rec = |label: &str, (donated, relocations, ms): (u64, u64, f64)| {
-        row("donate-after-frag")
-            .param("compaction", label)
-            .ms(ms)
-            .count("donated", donated)
-            .count("relocations", relocations)
     };
     let recs = vec![
         row("donation")
@@ -303,8 +291,8 @@ pub fn run_elastic(cfg: &HarnessConfig) -> bool {
             .count("ledger_anomalies", d.ledger_anomalies),
         frag_rec("off", &frag_off),
         frag_rec("on", &frag_on),
-        donate_rec("off", don_off),
-        donate_rec("on", don_on),
+        don_off,
+        don_on,
     ];
 
     let mut tab = Table::new(
@@ -315,16 +303,16 @@ pub fn run_elastic(cfg: &HarnessConfig) -> bool {
             "donated",
             "reclaimable",
             "relocations",
+            "returned/adopted",
             "spills before/after",
             "ms",
         ],
     );
     for r in &recs {
         let get = |k: &str| r.get_count(k).map_or_else(|| "-".to_string(), |v| v.to_string());
-        let spills = if r.get_param("case") == Some("donation") {
-            format!("{}/{}", get("spills_before"), get("spills_after"))
-        } else {
-            "-".to_string()
+        let pair = |a: &str, b: &str| match r.get_count(a) {
+            Some(_) => format!("{}/{}", get(a), get(b)),
+            None => "-".to_string(),
         };
         tab.row(vec![
             r.params[0].1.clone(),
@@ -332,14 +320,13 @@ pub fn run_elastic(cfg: &HarnessConfig) -> bool {
             get("donated"),
             get("reclaimable_segments"),
             get("relocations"),
-            spills,
+            pair("returned", "adopted"),
+            pair("spills_before", "spills_after"),
             format!("{:.3}", r.median_ms),
         ]);
     }
     tab.emit(&cfg.out_dir, "e22_elastic");
-    emit_bench_json(cfg, "elastic", &recs);
-
-    let mut ok = true;
+    let mut ok = emit_bench_json(cfg, "elastic", &recs);
     let mut verdict = |name: &str, pass: bool| {
         println!("  [{}] {name}", if pass { "PASS" } else { "FAIL" });
         ok &= pass;
@@ -363,8 +350,8 @@ pub fn run_elastic(cfg: &HarnessConfig) -> bool {
         frag_on.reclaimable > frag_off.reclaimable,
     );
     verdict(
-        &format!("compaction donates strictly more segments ({} > {})", don_on.0, don_off.0),
-        don_on.0 > don_off.0,
+        &format!("compaction donates strictly more segments ({donated_on} > {donated_off})"),
+        donated_on > donated_off,
     );
     ok
 }
@@ -408,22 +395,17 @@ mod tests {
     #[test]
     fn donation_after_compaction_moves_strictly_more() {
         let (off, on) = (donate_after_frag(false), donate_after_frag(true));
-        assert!(
-            on.0 > off.0,
-            "compaction must free more donatable segments ({} vs {})",
-            on.0,
-            off.0
-        );
-        assert_eq!(off.0, 8, "without compaction only the untouched segments donate");
-        assert_eq!(on.0, 15, "with compaction everything but the straggler segment donates");
+        assert_eq!(donated(&off), 8, "without compaction only the untouched segments donate");
+        assert_eq!(donated(&on), 15, "with compaction all but the straggler segment donates");
+        assert_eq!(off.get_count("returned"), None, "only the compacted arm runs the round trip");
     }
 
     #[test]
-    fn perf_cell_counts_replay_exactly() {
-        let (a, b) = (perf_record(), perf_record());
-        assert_eq!(a.counts, b.counts, "elastic maintenance cell must be count-deterministic");
+    fn maintenance_round_trip_counts_replay_exactly() {
+        let (a, b) = (donate_after_frag(true), donate_after_frag(true));
+        assert_eq!(a.counts, b.counts, "the maintenance cycle must be count-deterministic");
         assert!(a.get_count("relocations").unwrap() > 0);
-        assert!(a.get_count("donated").unwrap() > 0);
+        assert!(a.get_count("returned").unwrap() > 0, "the sibling shrinks what it was given");
         assert_eq!(a.get_count("returned"), a.get_count("adopted"), "the shuttle round-trips");
     }
 }

@@ -488,34 +488,3 @@ pub fn run_serve(cfg: &HarnessConfig) -> bool {
     }
     clean
 }
-
-/// The serving cells of the perf suite (`repro perf`): the E20 smoke
-/// subset — both backends × Poisson × the two gated loads — run
-/// quietly (no table, no JSON file; the perf lane owns the output).
-/// Geometry is pinned (16 SMs, horizon 6000, `DEFAULT_SEED`) so the
-/// record keys are stable across hosts and CI runs. Returns the
-/// records plus the usual clean flag (quota/ledger audit).
-pub fn perf_records() -> (Vec<BenchRecord>, bool) {
-    let seed = DEFAULT_SEED;
-    let horizon = 6_000;
-    let mut records = Vec::new();
-    let mut clean = true;
-    for (name, alloc, max_req) in backends() {
-        for &rate in &LOADS[..2] {
-            let c = cell_config(
-                ArrivalShape::Poisson,
-                rate,
-                64,
-                horizon,
-                seed,
-                max_req,
-                standard_tenants(),
-                16,
-            );
-            let (out, ms) = measure(&c, alloc.as_ref(), 1);
-            clean &= out.clean();
-            records.push(record_of(&name, &c, &out, ms, "load"));
-        }
-    }
-    (records, clean)
-}

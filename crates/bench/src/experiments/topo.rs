@@ -348,22 +348,6 @@ pub fn run_topo(cfg: &HarnessConfig) -> bool {
     clean
 }
 
-/// The perf-lane cell (`repro perf`, E21 "inter-device-spill"): the
-/// 2-device cascade, whose counts are exact functions of the geometry;
-/// only the ms may move.
-pub fn perf_record() -> BenchRecord {
-    let t0 = Instant::now();
-    let (s, claims, cost) = cascade(2);
-    assert_eq!(s.cross_spills, claims - WIDTH as u64 * 16, "cascade overflow is exact");
-    BenchRecord::new("perf", "DevicePool")
-        .case("inter-device-spill")
-        .ms(t0.elapsed().as_secs_f64() * 1e3)
-        .count("claims", claims)
-        .count("cross_spills", s.cross_spills)
-        .count("peer_accesses", s.peer_accesses)
-        .count("cascade_cost_steps", cost)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -20,7 +20,6 @@
 //!   scheduling-independent witnesses of the same structure.
 
 pub mod experiments;
-pub mod perf;
 pub mod report;
 pub mod roster;
 pub mod serve;

@@ -97,9 +97,8 @@ pub struct BenchRecord {
     /// Configuration-cell parameters, in a stable order.
     pub params: Vec<(String, String)>,
     /// Median wall time of the measured kernel, milliseconds. NaN is
-    /// written as the explicit string `"untimed"` — a schema-level
-    /// marker the perf gate skips deliberately (a *missing* or `null`
-    /// `median_ms` is a validation error; see `repro perf-check`).
+    /// written as the explicit string `"untimed"`; a *missing* or `null`
+    /// `median_ms` is a writer bug [`record_from_json`] refuses.
     pub median_ms: f64,
     /// Atomic-op and telemetry counters, in a stable order.
     pub counts: Vec<(String, u64)>,
@@ -162,7 +161,7 @@ impl BenchRecord {
 }
 
 /// Escape a string for a JSON string literal.
-pub(crate) fn json_escape(s: &str) -> String {
+fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -241,35 +240,10 @@ pub fn emit_bench_json(cfg: &HarnessConfig, experiment: &str, records: &[BenchRe
     }
 }
 
-/// How a record's `median_ms` field is spelled on disk. The perf lane
-/// distinguishes "deliberately untimed" (schema marker, gate skips)
-/// from "missing/null" (a writer bug `repro perf-check` fails loudly
-/// on — the silent-skip hole the nightly gate closes).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum MedianField {
-    /// A finite number of milliseconds.
-    Timed,
-    /// The explicit `"untimed"` string marker.
-    Untimed,
-    /// JSON `null` (legacy writer; no longer produced).
-    Null,
-    /// The key is absent or holds an unrecognized value.
-    Missing,
-}
-
-/// Classify the `median_ms` member of one record object.
-pub fn median_field(record: &json::Value) -> MedianField {
-    match record.get("median_ms") {
-        Some(json::Value::Num(n)) if n.is_finite() => MedianField::Timed,
-        Some(json::Value::Str(s)) if s == "untimed" => MedianField::Untimed,
-        Some(json::Value::Null) => MedianField::Null,
-        _ => MedianField::Missing,
-    }
-}
-
 /// Decode one record object (an element of a `"records"` array) into a
-/// [`BenchRecord`]. `"untimed"` and legacy `null` medians both come
-/// back as NaN.
+/// [`BenchRecord`]. A `median_ms` is a number or the `"untimed"` marker
+/// (read back as NaN) — the only way to spell "deliberately not a
+/// timing"; `null` or an absent key is an error, not a silent NaN.
 pub fn record_from_json(r: &json::Value) -> Result<BenchRecord, String> {
     let s = |k: &str| {
         r.get(k)
@@ -284,8 +258,7 @@ pub fn record_from_json(r: &json::Value) -> Result<BenchRecord, String> {
     let median_ms = match r.get("median_ms") {
         Some(json::Value::Num(n)) => *n,
         Some(json::Value::Str(m)) if m == "untimed" => f64::NAN,
-        Some(json::Value::Null) | None => f64::NAN,
-        Some(other) => return Err(format!("median_ms has unexpected shape: {other:?}")),
+        other => return Err(format!("median_ms is {other:?} — time it or mark it \"untimed\"")),
     };
     let mut rec = BenchRecord::new(s("experiment")?, s("allocator")?).ms(median_ms);
     for (k, v) in pairs("params")? {
@@ -305,7 +278,9 @@ pub fn read_bench_json(path: &Path) -> Result<Vec<BenchRecord>, String> {
         .get("records")
         .and_then(json::Value::as_array)
         .ok_or_else(|| format!("{}: no \"records\" array", path.display()))?;
-    records.iter().map(record_from_json).collect()
+    let decode =
+        |(i, r)| record_from_json(r).map_err(|e| format!("{}: record {i}: {e}", path.display()));
+    records.iter().enumerate().map(decode).collect()
 }
 
 /// A minimal JSON parser — just enough to read the documents
@@ -636,27 +611,6 @@ mod tests {
         let text = std::fs::read_to_string(&path).unwrap();
         assert!(text.contains("\"median_ms\": \"untimed\""));
         assert!(!text.contains("\"median_ms\": null"));
-    }
-
-    #[test]
-    fn median_field_classifies_all_spellings() {
-        use super::json::parse;
-        let probe = |doc: &str| median_field(&parse(doc).unwrap());
-        assert_eq!(probe(r#"{"median_ms": 1.5}"#), MedianField::Timed);
-        assert_eq!(probe(r#"{"median_ms": "untimed"}"#), MedianField::Untimed);
-        assert_eq!(probe(r#"{"median_ms": null}"#), MedianField::Null);
-        assert_eq!(probe(r#"{"counts": {}}"#), MedianField::Missing);
-        assert_eq!(probe(r#"{"median_ms": "soon"}"#), MedianField::Missing);
-        // Legacy null still decodes (as NaN) for backward reads, but a
-        // truly malformed median is an error, not a silent NaN.
-        let legacy =
-            parse(r#"{"experiment":"e","allocator":"a","params":{},"median_ms":null,"counts":{}}"#)
-                .unwrap();
-        assert!(record_from_json(&legacy).unwrap().median_ms.is_nan());
-        let bad =
-            parse(r#"{"experiment":"e","allocator":"a","params":{},"median_ms":[1],"counts":{}}"#)
-                .unwrap();
-        assert!(record_from_json(&bad).is_err());
     }
 
     #[test]

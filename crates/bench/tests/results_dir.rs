@@ -40,6 +40,55 @@ fn bench_json_writer_creates_missing_nested_directories_and_round_trips() {
     let _ = std::fs::remove_dir_all(dir.ancestors().nth(2).unwrap());
 }
 
+/// The schema lint: `median_ms` is a number or `"untimed"`. Every
+/// checked-in `results/BENCH_*.json` reads back, and a `null` or absent
+/// median is an error naming the record, never a silent NaN.
+#[test]
+fn checked_in_bench_json_reads_back_and_null_or_missing_medians_are_refused() {
+    let results = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results");
+    let mut checked = 0;
+    for entry in std::fs::read_dir(&results).expect("results/ is checked in") {
+        let path = entry.unwrap().path();
+        let name = path.file_name().unwrap().to_string_lossy().into_owned();
+        if name.starts_with("BENCH_") && name.ends_with(".json") {
+            let recs = read_bench_json(&path).unwrap_or_else(|e| panic!("{e}"));
+            assert!(!recs.is_empty(), "{name} holds no records");
+            checked += 1;
+        }
+    }
+    assert!(checked >= 4, "results/ lost its BENCH files ({checked} found)");
+
+    let dir = fresh_dir("lint");
+    std::fs::create_dir_all(&dir).unwrap();
+    let read = |records: &str| {
+        let path = dir.join("BENCH_lint.json");
+        let doc = format!(r#"{{"schema":"gallatin-bench-v1","records":[{records}]}}"#);
+        std::fs::write(&path, doc).unwrap();
+        read_bench_json(&path)
+    };
+    let good = read(
+        r#"{"experiment":"e","allocator":"a","params":{},"median_ms":1.5,"counts":{}},
+           {"experiment":"e","allocator":"a","params":{},"median_ms":"untimed","counts":{}}"#,
+    )
+    .expect("a number and the untimed marker are the two legal spellings");
+    assert_eq!(good[0].median_ms, 1.5);
+    assert!(good[1].median_ms.is_nan(), "\"untimed\" round-trips as NaN");
+    for (bad, why) in [
+        (r#""median_ms":null,"#, "null"),
+        ("", "missing"),
+        (r#""median_ms":[1],"#, "[1]"),
+        (r#""median_ms":"soon","#, "soon"),
+    ] {
+        let err = read(&format!(
+            r#"{{"experiment":"e","allocator":"a","params":{{}},"median_ms":1,"counts":{{}}}},
+               {{"experiment":"e","allocator":"a","params":{{}},{bad}"counts":{{}}}}"#
+        ))
+        .expect_err(why);
+        assert!(err.contains("record 1: median_ms"), "{why}: {err}");
+    }
+    let _ = std::fs::remove_dir_all(dir.ancestors().nth(2).unwrap());
+}
+
 #[test]
 fn table_csv_writer_creates_missing_nested_directories() {
     let dir = fresh_dir("csv");

@@ -17,27 +17,6 @@ set -euo pipefail
 MAX_LINES=${MAX_LINES:-900}
 cd "$(dirname "$0")/.."
 
-# Generated files are exempt: their size tracks their inputs, not code
-# health, and splitting them is meaningless. Patterns are matched with
-# `case` globs against the repo-relative path. (The perf-history
-# artifacts under results/history/ are *.jsonl/*.md/*.csv and thus never
-# scanned, but list the dir anyway so a future format change can't sneak
-# generated output into the gate.)
-EXEMPT_PATTERNS=(
-    "results/history/*"
-)
-
-is_exempt() {
-    local f="$1" pat
-    for pat in "${EXEMPT_PATTERNS[@]}"; do
-        # shellcheck disable=SC2254
-        case "$f" in
-        $pat) return 0 ;;
-        esac
-    done
-    return 1
-}
-
 scan() {
     find crates -path '*/src/*' -name '*.rs' | sort
 }
@@ -45,11 +24,11 @@ scan() {
 # Recursion self-test: the scan must reach files nested below a crate's
 # src/ root (src/<module>/<file>.rs). If a future edit to the find
 # expression silently stops recursing, deep modules like tiers/ and
-# perf/ would drop out of the gate without anyone noticing — fail loudly
+# serve/ would drop out of the gate without anyone noticing — fail loudly
 # here instead.
 for probe in \
     crates/core/src/tiers/segment.rs \
-    crates/bench/src/perf/gate.rs \
+    crates/bench/src/serve/engine.rs \
     crates/bench/src/experiments/ablation.rs; do
     if ! scan | grep -qx "$probe"; then
         echo "LOC gate: self-test failed — scan does not reach $probe (recursion broken?)" >&2
@@ -60,9 +39,6 @@ done
 status=0
 scanned=0
 while IFS= read -r f; do
-    if is_exempt "$f"; then
-        continue
-    fi
     scanned=$((scanned + 1))
     lines=$(wc -l <"$f")
     if [ "$lines" -gt "$MAX_LINES" ]; then
