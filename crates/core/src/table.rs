@@ -352,7 +352,7 @@ impl MemoryTable {
         let mut spins = 0u64;
         while meta.ring.len() < prev_blocks {
             // spin_hint keeps the straggler schedulable under the
-            // deterministic coordinator (it may be a parked warp that
+            // deterministic scheduler (it may be a parked warp that
             // still has to push its block home).
             gpu_sim::spin_hint();
             spins += 1;

@@ -25,7 +25,7 @@ pub enum ExecMode {
     /// interleavings are real races and depend on OS timing. This is
     /// the throughput mode and the default.
     Pool,
-    /// Warps run serialized under the deterministic coordinator
+    /// Warps run serialized by the deterministic scheduler
     /// ([`crate::sched`]), context-switching only at preemption points,
     /// with the interleaving fully determined by `seed`.
     Deterministic {
@@ -109,8 +109,8 @@ where
 
 /// [`launch_warps`] that also reports the launch's duration in
 /// *schedule steps*: under [`ExecMode::Deterministic`] this is the
-/// coordinator's turn-grant count (one per preemption-point crossing,
-/// plus one final grant per warp) — a deterministic function of
+/// scheduler's turn count (one per preemption-point crossing, plus one
+/// per warp for its finish) — a deterministic function of
 /// `(seed, kernel)` that the serving layer uses as simulated kernel
 /// service time. Pool mode has no schedule clock and reports 0.
 pub fn launch_warps_counted<F>(cfg: DeviceConfig, total_threads: u64, kernel: F) -> u64

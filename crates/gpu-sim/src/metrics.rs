@@ -29,9 +29,9 @@
 //! `count_rmw`/`count_cas`/`count_lock` call marks "this thread just
 //! touched contended shared state", which is exactly where interleavings
 //! matter, so each forwards to [`crate::sched::preempt_point`]. Under
-//! the free-running pool mode that is a no-op; under
-//! `ExecMode::Deterministic` it yields the warp's turn to the
-//! coordinator (see [`crate::sched`]).
+//! the free-running pool mode that is one thread-local flag test; under
+//! `ExecMode::Deterministic` it ends the warp's turn and passes the
+//! baton to the next warp drawn (see [`crate::sched`]).
 
 use crate::sched::{preempt_point, PreemptPoint};
 use std::cell::Cell;
@@ -483,6 +483,51 @@ mod tests {
         assert_eq!(s.frees, 1);
         m.reset();
         assert_eq!(m.snapshot(), MetricsSnapshot::default());
+    }
+
+    #[test]
+    fn a_panicking_launch_leaves_no_state_on_the_threads_it_ran_on() {
+        use crate::sched::{current_sched_seed, run_tasks};
+        use crate::trace::{self, TraceEvent, TraceSink};
+        use std::sync::Arc;
+
+        // Deterministic launches reuse their threads (the launcher and
+        // pooled workers), so what a warp installs must be gone when it
+        // ends. Warp 2 dies mid-schedule with everything installed: its
+        // stripe, the sink, its `(sm, warp)` stamp, the seed, the hooks.
+        let sink = Arc::new(TraceSink::new());
+        let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            trace::with_sink(sink, || {
+                crate::launch_warps(crate::DeviceConfig::with_sms(4).seeded(5), 4 * 32, |w| {
+                    preempt_point(PreemptPoint::Rmw);
+                    assert!(w.warp_id != 2, "warp 2 fails");
+                    preempt_point(PreemptPoint::Rmw);
+                })
+            })
+        }));
+        assert!(died.is_err());
+
+        let pristine_but_for = |seed: Option<u64>| {
+            assert_eq!(current_sched_seed(), seed);
+            assert_eq!(CURRENT_STRIPE.with(|c| c.get()), 0);
+            assert!(trace::current_sink().is_none());
+            let probe = Arc::new(TraceSink::with_capacity(1));
+            trace::with_sink(probe.clone(), || {
+                trace::emit(|| TraceEvent::Free { ptr: 0, size: 0 })
+            });
+            assert!(probe.snapshot().iter().all(|r| (r.sm, r.warp) == (0, 0)));
+        };
+        pristine_but_for(None);
+        // No stale hooks on the host: a no-op, not a yield into a dead run.
+        preempt_point(PreemptPoint::Rmw);
+        // The next launch on the same workers installs only its own seed
+        // and hooks, and each yield reaches those hooks exactly once.
+        let steps = run_tasks(9, 4, |_| {
+            pristine_but_for(Some(9));
+            preempt_point(PreemptPoint::Rmw);
+            pristine_but_for(Some(9));
+        });
+        assert_eq!(steps, 8);
     }
 
     #[test]

@@ -4,15 +4,16 @@
 //! The pool mode in [`mod@crate::launch`] runs warps on a work-stealing
 //! thread pool, so racy interleavings depend on OS timing and cannot be
 //! reproduced. This module provides the alternative execution engine
-//! behind `ExecMode::Deterministic`: all warps of a launch run under one
-//! coordinator that serializes execution and context-switches only at
-//! *preemption points* — each atomic RMW / CAS / lock acquisition
-//! (observed at the existing [`crate::Metrics`] counting sites), each
-//! warp collective, each volatile (`ldcv`) load, and each spin-wait
-//! iteration. Which warp runs after each preemption point is drawn from
-//! a seeded PRNG, so a launch with `DeviceConfig::deterministic(seed)`
-//! replays the *exact same* interleaving for the same seed, and a seed
-//! sweep ([`explore_schedules`]) turns "hope the pool races" into an
+//! behind `ExecMode::Deterministic`: the warps of a launch pass one
+//! *baton* among themselves, so exactly one executes at any instant, and
+//! the baton changes hands only at *preemption points* — each atomic
+//! RMW / CAS / lock acquisition (observed at the existing
+//! [`crate::Metrics`] counting sites), each warp collective, each
+//! volatile (`ldcv`) load, and each spin-wait iteration. Which warp runs
+//! after each preemption point is drawn from a seeded PRNG, so a launch
+//! with `DeviceConfig::deterministic(seed)` replays the *exact same*
+//! interleaving for the same seed, and a seed sweep
+//! ([`explore_schedules`]) turns "hope the pool races" into an
 //! enumerable, one-line-reproducible search over schedules.
 //!
 //! # How preemption points are observed
@@ -20,22 +21,41 @@
 //! Instrumented call sites (in `metrics.rs`, `warp.rs`, `mem.rs`, and
 //! spin loops in the allocators) call [`preempt_point`], which forwards
 //! to the [`SimHooks`] installed for the current thread. Pool mode
-//! installs no hooks, making the call a cheap no-op — both modes share
-//! one instrumented code path. Deterministic mode installs hooks that
-//! hand the warp's turn back to the coordinator.
+//! installs no hooks, making the call one thread-local flag test — both
+//! modes share one instrumented code path. Deterministic mode installs
+//! hooks that end the warp's turn.
+//!
+//! # The engine: one baton, persistent workers
+//!
+//! Everything that decides a schedule — the PRNG, the runnable list, the
+//! fault injector's bookkeeping, the step counter — lives in one
+//! `Chooser`, owned by whoever holds the baton. A warp whose turn ends
+//! (it yielded or finished) accounts the step and draws its successor
+//! itself. If it drew itself it keeps running: no other thread is
+//! involved, no syscall made. Otherwise it sets the successor's flag,
+//! unparks it and parks on its own: one hand-off per step, and no
+//! coordinator thread. The launching thread hosts warp 0; the other
+//! warps borrow parked workers from a process-wide idle set that grows
+//! on demand and never shrinks, and the launch returns once all are back
+//! in it. A one-warp launch touches no other thread at all.
 //!
 //! # Liveness contract
 //!
-//! Serialized execution means a warp that blocks *outside* a preemption
-//! point (e.g. on a mutex held by a parked warp) deadlocks the
-//! coordinator. The workspace's rule: no instrumented site may sit
-//! inside a critical section, and every unbounded spin-wait loop must
-//! call [`spin_hint`] (the lock-based baselines count their lock
-//! acquisition *before* acquiring, and hold no lock across any hook).
+//! The baton moves only at preemption points, so a warp that blocks
+//! *outside* one (e.g. on a mutex held by a warp that is waiting for the
+//! baton) keeps the baton while it sleeps: no other warp can run to
+//! release it, and the launch deadlocks. The workspace's rule: no
+//! instrumented site may sit inside a critical section, and every
+//! unbounded spin-wait loop must call [`spin_hint`] (the lock-based
+//! baselines count their lock acquisition *before* acquiring, and hold
+//! no lock across any hook).
 
-use std::cell::RefCell;
-use std::panic::AssertUnwindSafe;
-use std::sync::{Arc, Condvar, Mutex};
+use std::any::Any;
+use std::cell::{Cell, RefCell};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc, Mutex};
+use std::thread::{self, Thread};
 
 /// Environment variable read by [`seed_override`]: when set,
 /// [`explore_schedules`] collapses to exactly that one seed — the
@@ -72,7 +92,7 @@ pub enum PreemptPoint {
 ///
 /// Both launch modes drive the same instrumented call sites; they differ
 /// only in the hooks installed: pool mode installs none (free-running),
-/// deterministic mode installs a yield to the coordinator. Tests can
+/// deterministic mode installs one that ends the warp's turn. Tests can
 /// install custom hooks (e.g. counters) via [`with_hooks`].
 pub trait SimHooks: Send + Sync {
     /// Called at each preemption point crossed by the current thread.
@@ -80,12 +100,16 @@ pub trait SimHooks: Send + Sync {
 }
 
 thread_local! {
+    /// Whether `CURRENT_HOOKS` holds hooks. A `const` thread-local with
+    /// no destructor is a plain TLS load (no lazy registration), which
+    /// is all a hook-free [`preempt_point`] costs.
+    static HOOKED: Cell<bool> = const { Cell::new(false) };
     static CURRENT_HOOKS: RefCell<Option<Arc<dyn SimHooks>>> = const { RefCell::new(None) };
     static CURRENT_SEED: RefCell<Option<u64>> = const { RefCell::new(None) };
 }
 
 /// The schedule seed of the deterministic run the current thread is part
-/// of, if any. Set for the duration of every task spawned by
+/// of, if any. Set for the duration of every task run by
 /// [`run_tasks`]; `None` on pool-mode and host threads. Diagnostic
 /// timeouts (e.g. the segment-drain bound in `gallatin-core`) include it
 /// so a stall report is immediately reproducible with
@@ -114,10 +138,12 @@ pub fn with_hooks<R>(hooks: Arc<dyn SimHooks>, f: impl FnOnce() -> R) -> R {
     struct Restore(Option<Arc<dyn SimHooks>>);
     impl Drop for Restore {
         fn drop(&mut self) {
+            HOOKED.set(self.0.is_some());
             CURRENT_HOOKS.with(|c| *c.borrow_mut() = self.0.take());
         }
     }
     let prev = CURRENT_HOOKS.with(|c| c.borrow_mut().replace(hooks));
+    HOOKED.set(true);
     let _restore = Restore(prev);
     f()
 }
@@ -126,14 +152,13 @@ pub fn with_hooks<R>(hooks: Arc<dyn SimHooks>, f: impl FnOnce() -> R) -> R {
 /// does nothing when none are installed (pool mode's free-running path).
 #[inline]
 pub fn preempt_point(point: PreemptPoint) {
-    CURRENT_HOOKS.with(|c| {
+    if HOOKED.get() {
         // Clone out of the RefCell so re-entrant hooks cannot alias the
         // borrow; the Arc clone is the slow path (hooks installed) only.
-        let hooks = c.borrow().clone();
-        if let Some(h) = hooks {
-            h.preempt(point);
+        if let Some(hooks) = CURRENT_HOOKS.with(|c| c.borrow().clone()) {
+            hooks.preempt(point);
         }
-    });
+    }
 }
 
 /// Preemption point for spin-wait loops. Under the deterministic
@@ -164,83 +189,6 @@ impl SplitMix64 {
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         z ^ (z >> 31)
-    }
-}
-
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum TurnState {
-    /// Waiting for the coordinator to hand over the turn.
-    Parked,
-    /// Owns the turn and is executing.
-    Running,
-    /// Gave the turn back at a preemption point.
-    Yielded,
-    /// Task function returned; the thread is done.
-    Finished,
-}
-
-/// One task's turn-taking gate. The coordinator and the task thread
-/// hand a single logical token back and forth through `state`.
-/// `last_point` records which preemption point the task yielded at, so
-/// the coordinator's fault injector can recognize its trigger window.
-struct Gate {
-    state: Mutex<(TurnState, Option<PreemptPoint>)>,
-    cv: Condvar,
-}
-
-impl Gate {
-    fn new() -> Self {
-        Gate { state: Mutex::new((TurnState::Parked, None)), cv: Condvar::new() }
-    }
-
-    /// Coordinator side: grant the turn and block until the task yields
-    /// it back (or finishes). Returns `(finished, yield_point)`.
-    fn grant_turn(&self) -> (bool, Option<PreemptPoint>) {
-        let mut st = self.state.lock().unwrap();
-        debug_assert!(matches!(st.0, TurnState::Parked | TurnState::Yielded));
-        st.0 = TurnState::Running;
-        self.cv.notify_all();
-        while st.0 == TurnState::Running {
-            st = self.cv.wait(st).unwrap();
-        }
-        (st.0 == TurnState::Finished, st.1)
-    }
-
-    /// Task side: give the turn back and block until granted again.
-    fn yield_turn(&self, point: PreemptPoint) {
-        let mut st = self.state.lock().unwrap();
-        *st = (TurnState::Yielded, Some(point));
-        self.cv.notify_all();
-        while st.0 != TurnState::Running {
-            st = self.cv.wait(st).unwrap();
-        }
-    }
-
-    /// Task side: block until the coordinator grants the first turn.
-    fn await_first_turn(&self) {
-        let mut st = self.state.lock().unwrap();
-        while st.0 != TurnState::Running {
-            st = self.cv.wait(st).unwrap();
-        }
-    }
-
-    /// Task side: mark the task finished and wake the coordinator.
-    fn finish(&self) {
-        let mut st = self.state.lock().unwrap();
-        st.0 = TurnState::Finished;
-        self.cv.notify_all();
-    }
-}
-
-/// The deterministic-mode [`SimHooks`]: every preemption point yields
-/// the turn back to the coordinator.
-struct YieldHooks {
-    gate: Arc<Gate>,
-}
-
-impl SimHooks for YieldHooks {
-    fn preempt(&self, point: PreemptPoint) {
-        self.gate.yield_turn(point);
     }
 }
 
@@ -279,21 +227,232 @@ impl FaultPlan {
     }
 }
 
-/// Run `n_tasks` tasks to completion under the deterministic
-/// coordinator. `task(i)` is invoked once per task index, on its own OS
-/// thread, with yield-to-coordinator hooks installed; exactly one task
-/// executes at any instant, and the successor after each preemption
-/// point is drawn from a PRNG seeded with `seed`.
+/// Everything that decides a run's schedule, owned by whoever holds the
+/// baton: the PRNG, the runnable list and the running task's position in
+/// it, the fault injector's state, the step counter. The draw sequence
+/// is a pure function of `(seed, fault)` and of what the tasks report to
+/// [`Chooser::turn_over`].
+struct Chooser {
+    rng: SplitMix64,
+    /// Swap-remove keeps selection O(1), and the evolution of this list
+    /// is itself deterministic.
+    runnable: Vec<usize>,
+    pick: usize,
+    /// The fault still to fire; `None` once it has (or was never set).
+    fault: Option<FaultPlan>,
+    crossings: u64,
+    /// The task the fault parked and the turns it still sits out. It
+    /// rejoins `runnable` after `park_turns` turns, or at once if it is
+    /// the only unfinished task left, which preserves liveness.
+    parked: Option<(usize, u64)>,
+    steps: u64,
+}
+
+impl Chooser {
+    fn new(seed: u64, n_tasks: usize, fault: Option<FaultPlan>) -> Self {
+        let (rng, runnable) = (SplitMix64::new(seed), (0..n_tasks).collect());
+        Chooser { rng, runnable, pick: 0, fault, crossings: 0, parked: None, steps: 0 }
+    }
+
+    /// Draw the task that runs next: one PRNG draw per turn, also when
+    /// only one task can run. `None` when every task has finished.
+    fn draw(&mut self) -> Option<usize> {
+        if self.runnable.is_empty() {
+            // Only the victim is left: release it or the run hangs.
+            let (victim, _) = self.parked.take()?;
+            self.runnable.push(victim);
+        }
+        self.pick = (self.rng.next() % self.runnable.len() as u64) as usize;
+        Some(self.runnable[self.pick])
+    }
+
+    /// The running task's turn is over: it yielded at `yielded_at`, or
+    /// finished (`None`). Accounts the step, advances the fault injector
+    /// and draws the next task to run — possibly the same one again.
+    fn turn_over(&mut self, yielded_at: Option<PreemptPoint>) -> Option<usize> {
+        self.steps += 1;
+        if let Some((victim, remaining)) = &mut self.parked {
+            *remaining = remaining.saturating_sub(1);
+            if *remaining == 0 {
+                self.runnable.push(*victim);
+                self.parked = None;
+            }
+        }
+        if yielded_at.is_none() {
+            self.runnable.swap_remove(self.pick);
+        } else if let Some(plan) = self.fault.filter(|plan| Some(plan.point) == yielded_at) {
+            self.crossings += 1;
+            if self.crossings == plan.nth && plan.park_turns > 0 {
+                self.fault = None;
+                self.parked = Some((self.runnable.swap_remove(self.pick), plan.park_turns));
+            }
+        }
+        self.draw()
+    }
+}
+
+/// Where one participant of a run waits for the baton.
+struct Seat {
+    thread: Thread,
+    granted: AtomicBool,
+    /// A pooled worker's next `(run, task index)`, posted by the launcher
+    /// that checked it out; unused on a launcher's own seat.
+    job: Mutex<Option<(Arc<Run>, usize)>>,
+}
+
+impl Seat {
+    fn new(thread: Thread) -> Arc<Seat> {
+        Arc::new(Seat { thread, granted: AtomicBool::new(false), job: Mutex::new(None) })
+    }
+
+    /// Hand the baton to this seat. The `Release` store pairs with the
+    /// `Acquire` swap in [`Seat::wait`], so everything the granter did
+    /// during its turn happens-before the grantee's.
+    fn grant(&self) {
+        self.granted.store(true, Ordering::Release);
+        self.thread.unpark();
+    }
+
+    /// Block until the baton arrives. The flag, not the wake-up, is the
+    /// hand-off: an early or a spurious unpark is harmless.
+    fn wait(&self) {
+        while !self.granted.swap(false, Ordering::Acquire) {
+            thread::park();
+        }
+    }
+}
+
+/// Parked worker threads that are in no run. Process-wide; grows when a
+/// launch needs more workers than are idle and never shrinks.
+static IDLE: Mutex<Vec<Arc<Seat>>> = Mutex::new(Vec::new());
+
+/// The seats of an `n`-task run: the calling thread's, then `n - 1`
+/// workers checked out of [`IDLE`], spawning those it lacks.
+fn take_seats(n: usize) -> Vec<Arc<Seat>> {
+    let mut seats = vec![Seat::new(thread::current())];
+    {
+        let mut idle = IDLE.lock().expect("idle list poisoned");
+        let keep = idle.len().saturating_sub(n - 1);
+        seats.extend(idle.drain(keep..));
+    }
+    while seats.len() < n {
+        // The seat needs the thread's handle and the thread its seat.
+        let (tx, rx) = mpsc::channel::<Arc<Seat>>();
+        let handle = thread::Builder::new()
+            .name("warp-worker".into())
+            .spawn(move || worker(rx.recv().expect("spawner sends the seat")))
+            .expect("spawn a warp worker");
+        let seat = Seat::new(handle.thread().clone());
+        tx.send(Arc::clone(&seat)).expect("worker waits for its seat");
+        seats.push(seat);
+    }
+    seats
+}
+
+/// A pooled worker's life: sleep until granted a baton (a run's first
+/// grant doubles as the wake-up), host the posted task, rejoin [`IDLE`].
+fn worker(me: Arc<Seat>) {
+    loop {
+        me.wait();
+        let job = me.job.lock().expect("job slot poisoned").take();
+        let (run, index) = job.expect("a granted worker has a job");
+        run.host(index);
+        // Idle again before the launcher can return: a thread launching
+        // in a loop finds the same workers every time.
+        IDLE.lock().expect("idle list poisoned").push(Arc::clone(&me));
+        // The `Release` decrements pair with the `Acquire` load in
+        // `Released`; from here on only `Arc`-owned state is touched.
+        if run.remaining.fetch_sub(1, Ordering::Release) == 1 {
+            run.seats[0].thread.unpark();
+        }
+    }
+}
+
+/// One run's shared state.
+struct Run {
+    seed: u64,
+    /// The launcher's task closure, the borrow's lifetime erased (see
+    /// the `SAFETY` argument in [`run_tasks_faulted`]).
+    task: &'static (dyn Fn(u64) + Sync),
+    /// Locked only by the baton holder, so never contended.
+    chooser: Mutex<Chooser>,
+    /// `seats[i]` is where task `i` waits; `seats[0]` is the launcher's.
+    seats: Vec<Arc<Seat>>,
+    first_panic: Mutex<Option<Box<dyn Any + Send>>>,
+    /// Workers that may still call `task`.
+    remaining: AtomicUsize,
+}
+
+impl Run {
+    /// Run task `index` on the current thread, which holds the baton,
+    /// then pass the baton on for good. A panicking task counts as
+    /// finished, so the rest of the run completes.
+    fn host(self: &Arc<Self>, index: usize) {
+        let hooks: Arc<dyn SimHooks> = Arc::new(Baton { run: Arc::clone(self), index });
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            with_seed(self.seed, || with_hooks(hooks, || (self.task)(index as u64)))
+        }));
+        if let Err(payload) = outcome {
+            self.first_panic.lock().expect("panic slot poisoned").get_or_insert(payload);
+        }
+        self.pass_baton(index, None);
+    }
+
+    /// Task `index`, the baton holder, ends its turn: draw the successor
+    /// and, unless that is `index` itself, hand over and (if the task
+    /// only yielded) wait for the baton to come back.
+    fn pass_baton(&self, index: usize, yielded_at: Option<PreemptPoint>) {
+        let next = self.chooser.lock().expect("chooser poisoned").turn_over(yielded_at);
+        if let Some(next) = next.filter(|&next| next != index) {
+            self.seats[next].grant();
+            if yielded_at.is_some() {
+                self.seats[index].wait();
+            }
+        }
+    }
+}
+
+/// The deterministic-mode [`SimHooks`]: every preemption point ends the
+/// task's turn.
+struct Baton {
+    run: Arc<Run>,
+    index: usize,
+}
+
+impl SimHooks for Baton {
+    fn preempt(&self, point: PreemptPoint) {
+        self.run.pass_baton(self.index, Some(point));
+    }
+}
+
+/// Keeps the launcher inside [`run_tasks_faulted`], on return and unwind
+/// alike, until every worker of the run has released the task closure.
+struct Released<'a>(&'a Run);
+
+impl Drop for Released<'_> {
+    fn drop(&mut self) {
+        while self.0.remaining.load(Ordering::Acquire) != 0 {
+            thread::park();
+        }
+    }
+}
+
+/// Run `n_tasks` tasks to completion under the deterministic scheduler.
+/// `task(i)` is invoked once per task index — task 0 on the calling
+/// thread, the others on pooled worker threads — with baton-passing
+/// hooks installed; exactly one task executes at any instant, and the
+/// successor after each preemption point is drawn from a PRNG seeded
+/// with `seed`.
 ///
-/// Panics in tasks propagate: the coordinator releases every remaining
-/// task (so their threads exit their scope) and re-raises the first
-/// panic, which keeps `std::thread::scope` from aborting the process.
+/// Panics in tasks propagate: a panicking task counts as finished, the
+/// remaining tasks run to completion, and the first panic (in schedule
+/// order) is then re-raised, payload intact, on the calling thread.
 ///
-/// Returns the schedule length: the number of turn grants the
-/// coordinator issued. This is the run's duration in *schedule steps* —
-/// a deterministic function of `(seed, workload)`, one step per
-/// preemption-point crossing (plus one final grant per task) — and is
-/// what the serving layer uses as simulated service time.
+/// Returns the schedule length: the number of turns the run took. This
+/// is the run's duration in *schedule steps* — a deterministic function
+/// of `(seed, workload)`, one step per preemption-point crossing (plus
+/// one per task, for its finish) — and is what the serving layer uses as
+/// simulated service time.
 pub fn run_tasks<F>(seed: u64, n_tasks: u64, task: F) -> u64
 where
     F: Fn(u64) + Sync,
@@ -306,8 +465,8 @@ where
 /// preemption point is parked for `park_turns` turn grants (see
 /// [`FaultPlan`]). Scheduling stays fully deterministic — the fault is
 /// part of the schedule, so the same `(seed, fault)` pair replays the
-/// identical interleaving. Returns the schedule length in turn grants
-/// (see [`run_tasks`]).
+/// identical interleaving. Returns the schedule length in turns (see
+/// [`run_tasks`]).
 pub fn run_tasks_faulted<F>(seed: u64, n_tasks: u64, fault: Option<FaultPlan>, task: F) -> u64
 where
     F: Fn(u64) + Sync,
@@ -315,73 +474,44 @@ where
     if n_tasks == 0 {
         return 0;
     }
-    let gates: Vec<Arc<Gate>> = (0..n_tasks).map(|_| Arc::new(Gate::new())).collect();
-    let mut rng = SplitMix64::new(seed);
-    let task = &task;
-
-    std::thread::scope(|scope| {
-        for (i, gate) in gates.iter().enumerate() {
-            let gate = Arc::clone(gate);
-            scope.spawn(move || {
-                gate.await_first_turn();
-                let hooks: Arc<dyn SimHooks> = Arc::new(YieldHooks { gate: Arc::clone(&gate) });
-                // Catch panics so the gate still reports Finished and the
-                // coordinator can unwind cleanly instead of deadlocking.
-                let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                    with_seed(seed, || with_hooks(hooks, || task(i as u64)))
-                }));
-                gate.finish();
-                if let Err(payload) = result {
-                    std::panic::resume_unwind(payload);
-                }
-            });
-        }
-
-        // Runnable task list; swap-remove keeps selection O(1) and the
-        // evolution of this list is itself deterministic. At most one
-        // task is parked by the fault injector at a time; it rejoins
-        // after `park_turns` grants (or immediately if it is the only
-        // unfinished task left, preserving liveness).
-        let mut runnable: Vec<usize> = (0..n_tasks as usize).collect();
-        let mut crossings = 0u64;
-        let mut fault_armed = fault.is_some();
-        let mut parked: Option<(usize, u64)> = None;
-        let mut steps = 0u64;
-        while !runnable.is_empty() || parked.is_some() {
-            if runnable.is_empty() {
-                // Only the victim is left: release it or the run hangs.
-                let (idx, _) = parked.take().expect("loop invariant");
-                runnable.push(idx);
-            }
-            let pick = (rng.next() % runnable.len() as u64) as usize;
-            let idx = runnable[pick];
-            let (finished, point) = gates[idx].grant_turn();
-            steps += 1;
-            if let Some((victim, ref mut remaining)) = parked {
-                *remaining = remaining.saturating_sub(1);
-                if *remaining == 0 {
-                    runnable.push(victim);
-                    parked = None;
-                }
-            }
-            if finished {
-                runnable.swap_remove(pick);
-                continue;
-            }
-            if fault_armed {
-                let plan = fault.expect("armed implies a plan");
-                if point == Some(plan.point) {
-                    crossings += 1;
-                    if crossings == plan.nth && plan.park_turns > 0 {
-                        fault_armed = false;
-                        runnable.swap_remove(pick);
-                        parked = Some((idx, plan.park_turns));
-                    }
-                }
-            }
-        }
-        steps
-    })
+    let n = n_tasks as usize;
+    // SAFETY: only the lifetime of the borrow changes. `task` is called
+    // nowhere but in `Run::host`: by this thread, below, and by each of
+    // the run's `n - 1` workers strictly before it decrements
+    // `remaining`. The `Released` guard keeps this frame — and with it
+    // `task` and everything it borrows — alive until `remaining` is
+    // zero, whether the frame is left by return or by unwind. `F: Sync`
+    // makes the calls from other threads sound.
+    let task = unsafe {
+        std::mem::transmute::<&(dyn Fn(u64) + Sync), &'static (dyn Fn(u64) + Sync)>(&task)
+    };
+    let mut chooser = Chooser::new(seed, n, fault);
+    let first = chooser.draw().expect("a non-empty run has a first task");
+    let run = Arc::new(Run {
+        seed,
+        task,
+        chooser: Mutex::new(chooser),
+        seats: take_seats(n),
+        first_panic: Mutex::new(None),
+        remaining: AtomicUsize::new(n - 1),
+    });
+    let released = Released(&run);
+    // Jobs are posted without waking anyone: a worker's wake-up is its
+    // first grant.
+    for (index, seat) in run.seats.iter().enumerate().skip(1) {
+        *seat.job.lock().expect("job slot poisoned") = Some((Arc::clone(&run), index));
+    }
+    if first != 0 {
+        run.seats[first].grant();
+        run.seats[0].wait();
+    }
+    run.host(0);
+    drop(released);
+    let steps = run.chooser.lock().expect("chooser poisoned").steps;
+    if let Some(payload) = run.first_panic.lock().expect("panic slot poisoned").take() {
+        resume_unwind(payload);
+    }
+    steps
 }
 
 /// Outcome of an [`explore_schedules`] sweep that found a failure.
@@ -442,7 +572,7 @@ where
     };
     let mut ran = 0u64;
     for seed in seeds {
-        let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| scenario(seed)));
+        let outcome = catch_unwind(AssertUnwindSafe(|| scenario(seed)));
         match outcome {
             Ok(()) => ran += 1,
             Err(payload) => {
@@ -520,7 +650,7 @@ mod tests {
     #[test]
     fn spin_hint_yields_instead_of_monopolizing() {
         // Task 0 spins until task 1 stores a flag; without the yield in
-        // spin_hint this would deadlock the coordinator.
+        // spin_hint task 0 would keep the baton forever.
         let flag = AtomicU64::new(0);
         run_tasks(11, 2, |i| {
             if i == 0 {
@@ -551,13 +681,126 @@ mod tests {
 
     #[test]
     fn task_panic_propagates() {
-        let result = std::panic::catch_unwind(|| {
+        let finished = AtomicU64::new(0);
+        let result = catch_unwind(AssertUnwindSafe(|| {
             run_tasks(5, 4, |i| {
                 preempt_point(PreemptPoint::Rmw);
                 assert!(i != 2, "task 2 fails");
+                finished.fetch_add(1, Ordering::Relaxed);
             });
-        });
+        }));
         assert!(result.is_err(), "panic in a task must propagate to the launch");
+        assert_eq!(finished.load(Ordering::Relaxed), 3, "the other tasks run to completion");
+    }
+
+    #[test]
+    fn explore_reports_task_panic_message() {
+        // The failing seed's report carries the task's own assertion
+        // text, wherever in the run (launcher or worker) the task ran.
+        for failing in 0..4u64 {
+            let failure = explore_schedules(0..4, |seed| {
+                run_tasks(seed, 4, |i| {
+                    preempt_point(PreemptPoint::Rmw);
+                    assert!(i != failing, "task {i} fails");
+                });
+            })
+            .unwrap_err();
+            assert_eq!(failure.seed, 0);
+            assert_eq!(failure.message, format!("task {failing} fails"));
+            assert!(failure.to_string().contains("GALLATIN_SCHED_SEED=0"));
+        }
+    }
+
+    /// The coordinator loop this engine replaced, kept as the reference
+    /// `Chooser` is checked against. Granting a turn is reading the
+    /// task's next scripted action: a yield point, or `None` = it
+    /// finishes. Returns the pick sequence and the step count.
+    fn coordinator_reference(
+        seed: u64,
+        scripts: &[Vec<PreemptPoint>],
+        fault: Option<FaultPlan>,
+    ) -> (Vec<usize>, u64) {
+        let mut cursor = vec![0usize; scripts.len()];
+        let mut picks = Vec::new();
+        let mut rng = SplitMix64::new(seed);
+        let mut runnable: Vec<usize> = (0..scripts.len()).collect();
+        let mut crossings = 0u64;
+        let mut fault_armed = fault.is_some();
+        let mut parked: Option<(usize, u64)> = None;
+        let mut steps = 0u64;
+        while !runnable.is_empty() || parked.is_some() {
+            if runnable.is_empty() {
+                let (idx, _) = parked.take().expect("loop invariant");
+                runnable.push(idx);
+            }
+            let pick = (rng.next() % runnable.len() as u64) as usize;
+            let idx = runnable[pick];
+            picks.push(idx);
+            let point = scripts[idx].get(cursor[idx]).copied();
+            cursor[idx] += 1;
+            steps += 1;
+            if let Some((victim, ref mut remaining)) = parked {
+                *remaining = remaining.saturating_sub(1);
+                if *remaining == 0 {
+                    runnable.push(victim);
+                    parked = None;
+                }
+            }
+            if point.is_none() {
+                runnable.swap_remove(pick);
+                continue;
+            }
+            if fault_armed {
+                let plan = fault.expect("armed implies a plan");
+                if point == Some(plan.point) {
+                    crossings += 1;
+                    if crossings == plan.nth && plan.park_turns > 0 {
+                        fault_armed = false;
+                        runnable.swap_remove(pick);
+                        parked = Some((idx, plan.park_turns));
+                    }
+                }
+            }
+        }
+        (picks, steps)
+    }
+
+    #[test]
+    fn chooser_replays_the_coordinator_loop_on_random_scripts() {
+        const POINTS: [PreemptPoint; 4] =
+            [PreemptPoint::Rmw, PreemptPoint::Cas, PreemptPoint::Spin, PreemptPoint::RingPop];
+        let mut gen = SplitMix64::new(0xC0FFEE);
+        let mut below = |n: u64| gen.next() % n;
+        let (mut faults_fired, mut early_releases) = (0, 0);
+        for case in 0..1000u64 {
+            let scripts: Vec<Vec<PreemptPoint>> = (0..below(7))
+                .map(|_| (0..below(6)).map(|_| POINTS[below(4) as usize]).collect())
+                .collect();
+            // Every other case injects a fault; `park_turns` 0 (a plan
+            // that never fires) and parks longer than the run included.
+            let fault = (case % 2 == 1)
+                .then(|| FaultPlan::park(POINTS[below(4) as usize], 1 + below(8), below(40)));
+
+            let mut cursor = vec![0usize; scripts.len()];
+            let mut picks = Vec::new();
+            let mut chooser = Chooser::new(case, scripts.len(), fault);
+            let mut next = chooser.draw();
+            while let Some(idx) = next {
+                picks.push(idx);
+                let point = scripts[idx].get(cursor[idx]).copied();
+                cursor[idx] += 1;
+                let (parked, armed) = (chooser.parked, chooser.fault.is_some());
+                next = chooser.turn_over(point);
+                let fired = armed && chooser.fault.is_none();
+                let owed_turns = fired || parked.is_some_and(|(_, turns)| turns > 1);
+                faults_fired += u64::from(fired);
+                early_releases += u64::from(owed_turns && chooser.parked.is_none());
+            }
+            let reference = coordinator_reference(case, &scripts, fault);
+            assert_eq!((picks, chooser.steps), reference, "case {case}: {scripts:?} {fault:?}");
+            assert_eq!(reference.1, scripts.iter().map(|s| s.len() as u64 + 1).sum::<u64>());
+        }
+        assert!(faults_fired > 100 && early_releases > 20, "{faults_fired} {early_releases}");
     }
 
     #[test]
