@@ -161,20 +161,18 @@ fn cell_config(
     }
 }
 
-/// Run one cell `runs` times on a fresh backend each time (the engine
-/// drains, but a fresh allocator removes cross-cell state); returns the
-/// (identical) outcome plus the median wall time.
+/// Run one cell `runs` times on `alloc`; returns the last run's outcome
+/// plus the median wall time. The engine drains after every run, but the
+/// allocator keeps its formatted segments and cached blocks, so a later
+/// run (and a later cell on the same backend) starts warm: the outcomes
+/// are a deterministic function of the whole sweep, not equal run to run.
 fn measure(cfg: &ServeConfig, alloc: &dyn DeviceAllocator, runs: usize) -> (ServeOutcome, f64) {
     let mut times = Vec::with_capacity(runs);
     let mut out = None;
     for _ in 0..runs.max(1) {
         let t0 = Instant::now();
-        let o = run_serve_engine(cfg, alloc);
+        out = Some(run_serve_engine(cfg, alloc));
         times.push(t0.elapsed().as_secs_f64() * 1e3);
-        if let Some(prev) = &out {
-            debug_assert_eq!(prev, &o, "serving runs must be deterministic");
-        }
-        out = Some(o);
     }
     (out.unwrap(), crate::workload::measure::median(&times))
 }

@@ -342,12 +342,12 @@ pub fn run_batch(
             // Malloc warp: lanes beyond the batch tail request nothing.
             let base = id * w;
             let end = (base + active).min(mallocs.len());
-            let mut sizes = vec![None; active];
+            let mut sizes = [None; WARP_SIZE];
             for (lane, &size) in mallocs[base..end].iter().enumerate() {
                 sizes[lane] = Some(size);
             }
-            let mut out = vec![DevicePtr::NULL; active];
-            a.warp_malloc(warp, &sizes, &mut out);
+            let mut out = [DevicePtr::NULL; WARP_SIZE];
+            a.warp_malloc(warp, &sizes[..active], &mut out[..active]);
             for (lane, ptr) in out.iter().enumerate().take(end - base) {
                 results[base + lane].store(ptr.0, Ordering::Relaxed);
             }
@@ -355,9 +355,9 @@ pub fn run_batch(
             // Free warp: tail lanes free NULL, which allocators ignore.
             let base = (id - m_warps) * w;
             let end = (base + active).min(frees.len());
-            let mut ptrs = vec![DevicePtr::NULL; active];
+            let mut ptrs = [DevicePtr::NULL; WARP_SIZE];
             ptrs[..end - base].copy_from_slice(&frees[base..end]);
-            a.warp_free(warp, &ptrs);
+            a.warp_free(warp, &ptrs[..active]);
         }
     });
     let ptrs = results.into_iter().map(|p| DevicePtr(p.into_inner())).collect();

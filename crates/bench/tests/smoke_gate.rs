@@ -4,6 +4,10 @@
 //! `results/BENCH_bench_smoke.json`, inside `cargo test` instead of a
 //! separate `repro bench-smoke` invocation.
 //!
+//! The E20 serve sweep gets the same golden comparison against
+//! `results/BENCH_serve.json`, so the serving path's step and latency
+//! counts are pinned here too, not only the ablation's.
+//!
 //! The gate is pure counting — no wall-clock thresholds — so it is
 //! stable on any machine. Tracing is compiled in by default but no sink
 //! is installed here, which is exactly the configuration the acceptance
@@ -11,7 +15,9 @@
 //! the baseline counts.
 
 use bench::experiments::ablation::{smoke_gate, smoke_records};
+use bench::experiments::serve::run_serve;
 use bench::report::{read_bench_json, render_bench_json};
+use bench::HarnessConfig;
 use std::path::Path;
 
 /// Blank every `median_ms` value: the only bytes of a BENCH document
@@ -54,4 +60,26 @@ fn bench_smoke_counts_match_committed_baseline() {
         mask_medians(&committed),
         "bench-smoke records drifted from results/BENCH_bench_smoke.json outside median_ms"
     );
+}
+
+/// `repro serve`, as the binary runs it, reproduces the checked-in
+/// `results/BENCH_serve.json` and `e20_serve.csv` outside `median_ms`.
+/// A drift here is a schedule or a count that moved on the serving path.
+#[test]
+fn serve_sweep_matches_committed_results() {
+    let results = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
+    let out = std::env::temp_dir().join(format!("gallatin-serve-gate-{}", std::process::id()));
+    let cfg = HarnessConfig { out_dir: out.to_string_lossy().into_owned(), ..Default::default() };
+    assert!(run_serve(&cfg), "the serve sweep's own quota and ledger gate failed");
+    // (The CSV has no `median_ms` line: masking leaves it as it is.)
+    for file in ["BENCH_serve.json", "e20_serve.csv"] {
+        let read = |dir: &Path| mask_medians(&std::fs::read_to_string(dir.join(file)).expect(file));
+        assert_eq!(
+            read(&out),
+            read(&results),
+            "{file} drifted from results/; if on purpose, refresh it with\n  \
+             cargo run --release -p bench --bin repro -- serve --json"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&out);
 }

@@ -46,8 +46,8 @@
 use crate::gallatin::Gallatin;
 use crate::router::{Arena, Level, Router, UNOWNED};
 use crate::tiers::{BlockTier, SegmentTier, SliceTier};
-use gpu_sim::{trace, Metrics};
-use std::sync::atomic::{AtomicU64, Ordering};
+use gpu_sim::{trace, Metrics, Striped};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 /// The leaf of every routing hierarchy: an instance owns a span of the
@@ -81,7 +81,7 @@ impl Level for Gallatin {
             table: Arc::clone(&arena.table),
             metrics: Metrics::new(),
             randomize_probes: cfg.randomize_probe_starts,
-            reserved: AtomicU64::new(0),
+            reserved: Striped::default(),
             span: (first_seg, num_segs),
         }
     }
@@ -98,7 +98,7 @@ impl Level for Gallatin {
             t.clear();
         }
         self.metrics.reset();
-        self.reserved.store(0, Ordering::Relaxed);
+        self.reserved.reset();
     }
 
     fn local_errors(&self, routed_here: &dyn Fn(u64) -> bool) -> Vec<String> {

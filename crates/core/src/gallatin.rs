@@ -24,11 +24,10 @@
 use crate::config::{GallatinConfig, Geometry};
 use crate::router::{Arena, Level};
 use crate::table::{BlockHandle, MemoryTable, LARGE_BASE, LARGE_BODY, TREE_FREE};
-use crate::tiers::{BlockTier, SegmentTier, SliceTier, TierCtx};
+use crate::tiers::{BlockTier, SegmentTier, SliceTier, TierCtx, RESERVED};
 use gpu_sim::{
-    trace, AllocStats, DeviceAllocator, DeviceMemory, DevicePtr, LaneCtx, Metrics, WarpCtx,
+    trace, AllocStats, DeviceAllocator, DeviceMemory, DevicePtr, LaneCtx, Metrics, Striped, WarpCtx,
 };
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// The Gallatin GPU memory manager.
@@ -50,8 +49,8 @@ pub struct Gallatin {
     /// [`GallatinConfig::randomize_probe_starts`].
     pub(crate) randomize_probes: bool,
     /// Bytes reserved by live allocations (internal accounting, includes
-    /// size-class rounding).
-    pub(crate) reserved: AtomicU64,
+    /// size-class rounding), in cell [`RESERVED`].
+    pub(crate) reserved: Striped,
     /// The segment span `[first, first+count)` this instance initially
     /// owns — the whole universe standalone, one shard in pool mode.
     /// `reset_local` restores exactly this span.
@@ -130,16 +129,16 @@ impl Gallatin {
 
     /// Bytes reserved by live allocations, saturated against wrap.
     ///
-    /// The `reserved` counter is adjusted with unpaired Relaxed
-    /// `fetch_add`/`fetch_sub` on the malloc and free paths, so a reader
-    /// racing those updates can observe the subtraction before the
-    /// matching addition and see the counter momentarily below zero —
-    /// which as a `u64` reads as ~2^64. Stats must never surface that
-    /// absurdity, so a wrapped reading reports 0. (The transient is
+    /// The `reserved` counter is a wrapping sum over per-thread cells,
+    /// adjusted with unpaired adds and subs on the malloc and free paths,
+    /// so a reader racing those updates can observe the subtraction
+    /// before the matching addition and see the sum momentarily below
+    /// zero — which as a `u64` reads as ~2^64. Stats must never surface
+    /// that absurdity, so a wrapped reading reports 0. (The transient is
     /// read-side only: the adds and subs themselves always pair off, and
     /// [`Self::check_invariants`] verifies the settled value exactly.)
     pub fn reserved_bytes(&self) -> u64 {
-        let raw = self.reserved.load(Ordering::Relaxed);
+        let raw = self.reserved.sum(RESERVED);
         if (raw as i64) < 0 {
             0
         } else {
@@ -185,9 +184,9 @@ impl Gallatin {
         let computed_reserved =
             self.segments.check(&ctx, &self.blocks, &buffered, owned, &mut errors);
         // Invariant 5: the reserved counter matches the table. Checked on
-        // the raw counter, not the saturating accessor — a wrapped value
-        // is itself the violation being reported.
-        let reserved = self.reserved.load(Ordering::Acquire);
+        // the raw sum, not the saturating accessor — a wrapped value is
+        // itself the violation being reported.
+        let reserved = self.reserved.sum(RESERVED);
         if computed_reserved != reserved {
             let wrapped = if (reserved as i64) < 0 { " (wrapped below zero)" } else { "" };
             errors.push(format!(
@@ -242,7 +241,7 @@ impl Gallatin {
         let seg = handle.segment(self.geo.max_blocks);
         let block = handle.block(self.geo.max_blocks);
         self.table.seg(seg).set_whole_block(block);
-        self.reserved.fetch_add(self.geo.block_size(class), Ordering::Relaxed);
+        self.reserved.add(RESERVED, self.geo.block_size(class));
         let off = self.geo.offset_of(seg, block, 0, class);
         trace::emit(|| trace::TraceEvent::Malloc {
             size: self.geo.block_size(class),
@@ -258,7 +257,7 @@ impl Gallatin {
         let n = self.geo.segments_for(size);
         match self.segments.claim_back(&self.ctx(), n) {
             Some(start) => {
-                self.reserved.fetch_add(n * self.geo.segment_bytes, Ordering::Relaxed);
+                self.reserved.add(RESERVED, n * self.geo.segment_bytes);
                 let off = start * self.geo.segment_bytes;
                 trace::emit(|| trace::TraceEvent::Malloc {
                     size: n * self.geo.segment_bytes,
@@ -304,7 +303,8 @@ impl Gallatin {
     /// release what `ptr` names — a whole block, a large run — or, for a
     /// slice, return its `(segment, class, block)` so the caller returns
     /// it to the block's counter (alone, or batched per block by
-    /// `warp_free`). Panics on foreign, interior-large and
+    /// `warp_free`). The caller also counts the free: once per pointer,
+    /// or once per warp. Panics on foreign, interior-large and
     /// unformatted-segment pointers.
     ///
     /// The Free event (stamped with `lane`) records the bytes *this
@@ -315,7 +315,6 @@ impl Gallatin {
     /// reusable by others.
     #[inline]
     fn release(&self, ctx: &TierCtx, lane: u32, ptr: DevicePtr) -> Option<(u64, usize, u64)> {
-        self.metrics.count_free();
         let off = ptr.0;
         assert!(off < self.geo.heap_bytes, "free of foreign pointer {off}");
         let seg = self.geo.segment_of(off);
@@ -329,7 +328,7 @@ impl Gallatin {
             let is_block_start = self.geo.slice_of(off, class) == 0;
             if is_block_start && meta.is_whole_block(block) && meta.clear_whole_block(block) {
                 freed(self.geo.block_size(class));
-                self.reserved.fetch_sub(self.geo.block_size(class), Ordering::Relaxed);
+                self.reserved.sub(RESERVED, self.geo.block_size(class));
                 self.blocks.free_block(
                     ctx,
                     BlockHandle::new(seg, block, self.geo.max_blocks),
@@ -347,7 +346,7 @@ impl Gallatin {
             match self.table.unmark_large(seg) {
                 Some(n) => {
                     freed(n * self.geo.segment_bytes);
-                    self.reserved.fetch_sub(n * self.geo.segment_bytes, Ordering::Relaxed);
+                    self.reserved.sub(RESERVED, n * self.geo.segment_bytes);
                     self.segments.tree.insert_range(seg, n);
                 }
                 // Raced large free: the run length is gone, size unknown.
@@ -362,6 +361,7 @@ impl Gallatin {
 
     pub(crate) fn free_routed(&self, ptr: DevicePtr) {
         let ctx = self.ctx();
+        self.metrics.count_free();
         if let Some((seg, class, block)) = self.release(&ctx, trace::LANE_NONE, ptr) {
             self.slices.free_n(&ctx, seg, class, block, 1, &self.blocks, &self.segments);
         }
@@ -396,6 +396,7 @@ impl DeviceAllocator for Gallatin {
         let mut groups = [(u64::MAX, 0u32); gpu_sim::WARP_SIZE];
         let mut classes = [0usize; gpu_sim::WARP_SIZE];
         let mut n_groups = 0usize;
+        self.metrics.count_frees(ptrs.iter().filter(|p| !p.is_null()).count() as u64);
         for lane in warp.lanes() {
             let ptr = ptrs[lane];
             if ptr.is_null() {
@@ -461,12 +462,7 @@ impl DeviceAllocator for Gallatin {
                 &self.segments,
             );
             // Unserved lanes (exhaustion) keep NULL.
-            for _ in 0..served {
-                self.metrics.count_malloc(true);
-            }
-            for _ in served..n {
-                self.metrics.count_malloc(false);
-            }
+            self.metrics.count_mallocs(served as u64, (n - served) as u64);
         }
         // Non-slice requests fall through to the scalar paths.
         for lane in warp.lanes() {
@@ -691,10 +687,11 @@ mod tests {
         let g = tiny();
         with_lane(|l| {
             let p = g.malloc(l, 16);
-            g.reserved.fetch_add(1, Ordering::Relaxed);
+            g.reserved.add(RESERVED, 1);
             let err = g.check_invariants().unwrap_err();
             assert!(err.contains("reserved accounting mismatch"), "unexpected report: {err}");
-            g.reserved.fetch_sub(1, Ordering::Relaxed);
+            // Undone from another thread: only the sum over cells counts.
+            std::thread::scope(|s| s.spawn(|| g.reserved.sub(RESERVED, 1)).join()).unwrap();
             g.free(l, p);
             g.check_invariants().expect("healthy after undoing the drift");
         });
@@ -703,13 +700,13 @@ mod tests {
     #[test]
     fn reserved_stat_never_reports_a_wrapped_value() {
         let g = tiny();
-        // Simulate the read-side transient: a free's fetch_sub observed
-        // before the matching malloc's fetch_add drives the raw counter
-        // below zero (~2^64 as a u64).
-        g.reserved.fetch_sub(4096, Ordering::Relaxed);
+        // Simulate the read-side transient: a free's sub observed before
+        // the matching malloc's add drives the raw sum below zero (~2^64
+        // as a u64).
+        g.reserved.sub(RESERVED, 4096);
         assert_eq!(g.stats().reserved_bytes, 0, "wrapped counter must saturate to 0");
         assert_eq!(g.reserved_bytes(), 0);
-        g.reserved.fetch_add(4096, Ordering::Relaxed);
+        g.reserved.add(RESERVED, 4096);
         assert_eq!(g.stats().reserved_bytes, 0);
         // Ordinary values pass through untouched.
         with_lane(|l| {
@@ -719,6 +716,44 @@ mod tests {
             assert_eq!(g.stats().reserved_bytes, 0);
         });
         g.check_invariants().expect("healthy after the transient was undone");
+    }
+
+    #[test]
+    fn reserved_settles_to_zero_when_other_threads_free() {
+        // Each round every thread frees what its neighbour allocated, so
+        // each thread's own `reserved` cell only ever drifts (up on the
+        // allocating side of a pair, below zero on the freeing side);
+        // the sum over cells must still settle to exactly 0.
+        const THREADS: usize = 4;
+        let g = Gallatin::new(GallatinConfig::small_test(4 << 20));
+        let handoff: Vec<_> = (0..THREADS).map(|_| std::sync::Mutex::new(Vec::new())).collect();
+        let round_done = std::sync::Barrier::new(THREADS);
+        std::thread::scope(|s| {
+            for t in 0..THREADS {
+                let (g, handoff, round_done) = (&g, &handoff, &round_done);
+                s.spawn(move || {
+                    let warp =
+                        WarpCtx { warp_id: t as u64, sm_id: t as u32, base_tid: 0, active: 1 };
+                    let lane = warp.lane(0);
+                    for round in 0..50u64 {
+                        // All three pipelines: slices, a block, a large run.
+                        let sizes = [16, 64 << (round % 4), 1024, 2 * (64 << 10)];
+                        let mine: Vec<_> = sizes.iter().map(|&sz| g.malloc(&lane, sz)).collect();
+                        assert!(mine.iter().all(|p| !p.is_null()));
+                        *handoff[t].lock().unwrap() = mine;
+                        round_done.wait();
+                        let theirs =
+                            std::mem::take(&mut *handoff[(t + 1) % THREADS].lock().unwrap());
+                        for p in theirs {
+                            g.free(&lane, p);
+                        }
+                        round_done.wait();
+                    }
+                });
+            }
+        });
+        assert_eq!(g.stats().reserved_bytes, 0);
+        g.check_invariants().expect("reserved matches the table after the storm");
     }
 
     #[test]

@@ -262,11 +262,12 @@ impl<C: Level> Router<C> {
         trace::with_level(C::DEPTH, i as u32, f)
     }
 
-    /// Account one served access against the tariff, if this level has one.
+    /// Account a warp's served accesses (the non-null `ptrs`) against the
+    /// tariff, if this level has one.
     #[inline]
-    fn classify(&self, sm_id: u32, ptr: DevicePtr) {
+    fn classify(&self, sm_id: u32, ptrs: &[DevicePtr]) {
         if let Some((topo, metrics)) = &self.tariff {
-            topo.classify_access(sm_id, ptr, metrics);
+            topo.classify_accesses(sm_id, ptrs, metrics);
         }
     }
 
@@ -312,12 +313,12 @@ impl<C: Level> Router<C> {
         while step < n {
             let i = (home + step) % n;
             Self::enter(i, || offer(i, &pending[..k], &mut got[..k]));
+            self.classify(sm_id, &got[..k]);
             let (mut left, mut bytes) = (0u64, 0u64);
             for lane in 0..k {
                 if !got[lane].is_null() {
                     out[lane] = got[lane];
                     pending[lane] = None;
-                    self.classify(sm_id, got[lane]);
                 } else if let Some(sz) = pending[lane] {
                     left += 1;
                     bytes += sz;
@@ -541,7 +542,7 @@ impl<C: Level> DeviceAllocator for Router<C> {
 
     fn free(&self, ctx: &LaneCtx, ptr: DevicePtr) {
         let i = self.owner_of(ptr);
-        self.classify(ctx.sm_id(), ptr);
+        self.classify(ctx.sm_id(), &[ptr]);
         Self::enter(i, || self.children[i].free(ctx, ptr));
     }
 
@@ -567,9 +568,9 @@ impl<C: Level> DeviceAllocator for Router<C> {
         for lane in warp.lanes() {
             if !ptrs[lane].is_null() {
                 owner[lane] = self.owner_of(ptrs[lane]);
-                self.classify(warp.sm_id, ptrs[lane]);
             }
         }
+        self.classify(warp.sm_id, ptrs);
         for (i, child) in self.children.iter().enumerate() {
             let mut local = [DevicePtr::NULL; WARP_SIZE];
             let mut any = false;

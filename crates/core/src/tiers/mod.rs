@@ -34,8 +34,7 @@ pub(crate) use slice::SliceTier;
 
 use crate::config::Geometry;
 use crate::table::MemoryTable;
-use gpu_sim::Metrics;
-use std::sync::atomic::AtomicU64;
+use gpu_sim::{Metrics, Striped};
 
 /// The read-only seam every tier operates through: borrowed views of the
 /// composition root's shared state, rebuilt per call (it is all
@@ -46,13 +45,17 @@ pub(crate) struct TierCtx<'a> {
     /// The memory table: per-segment metadata (tree ids, rings, claim
     /// words, free counters).
     pub table: &'a MemoryTable,
-    /// Striped instrumentation counters.
+    /// Instrumentation counters.
     pub metrics: &'a Metrics,
-    /// Bytes reserved by live allocations (shared accounting).
-    pub reserved: &'a AtomicU64,
+    /// Bytes reserved by live allocations, in cell [`RESERVED`] (shared
+    /// accounting, striped like the metrics: no two threads write a line).
+    pub reserved: &'a Striped,
     /// Start tree probes at an SM-hashed position (paper §4.3).
     pub randomize_probes: bool,
 }
+
+/// The cell of [`TierCtx::reserved`] that holds the byte count.
+pub(crate) const RESERVED: usize = 0;
 
 impl TierCtx<'_> {
     /// Start position for a tree probe over `universe` ids by `sm_id`.

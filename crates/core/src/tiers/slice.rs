@@ -8,7 +8,7 @@
 //! generation so a stale buffered handle can never land slices on a
 //! recycled block (the slice-pipeline ABA).
 
-use super::{block::BlockTier, segment::SegmentTier, TierCtx};
+use super::{block::BlockTier, segment::SegmentTier, TierCtx, RESERVED};
 use crate::table::{BlockHandle, SLICE_COUNT_MASK};
 use gpu_sim::{trace, DevicePtr};
 use std::sync::atomic::Ordering;
@@ -108,7 +108,7 @@ impl SliceTier {
                     assign(*lane, DevicePtr(off));
                 }
                 next += take as usize;
-                ctx.reserved.fetch_add(take as u64 * ctx.geo.slice_size(class), Ordering::Relaxed);
+                ctx.reserved.add(RESERVED, take as u64 * ctx.geo.slice_size(class));
             }
 
             if (base, take) == (0, 0) {
@@ -166,7 +166,7 @@ impl SliceTier {
         let prev = meta.free_ctr[block as usize].fetch_add(n, Ordering::AcqRel);
         ctx.metrics.count_rmw();
         ctx.metrics.count_coalesced(n.saturating_sub(1) as u64);
-        ctx.reserved.fetch_sub(n as u64 * ctx.geo.slice_size(class), Ordering::Relaxed);
+        ctx.reserved.sub(RESERVED, n as u64 * ctx.geo.slice_size(class));
         if prev as u64 + n as u64 == spb {
             // Every slice allocated and returned: recycle the block.
             // Exclusive here (only one free observes the last count).

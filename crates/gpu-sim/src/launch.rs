@@ -12,7 +12,6 @@
 //! fills a GPU in the steady state and gives Gallatin's per-SM block
 //! buffers the intended access pattern.
 
-use crate::metrics::with_metrics_stripe;
 use crate::sched::{self, FaultPlan};
 use crate::trace;
 use crate::warp::{LaneCtx, WarpCtx, WARP_SIZE};
@@ -123,18 +122,15 @@ where
     let n_warps = total_threads.div_ceil(WARP_SIZE as u64);
     // The launching thread's trace sink (if any) is propagated to every
     // warp, which runs on a pool worker with its own thread-locals.
+    // (Metric bumps need nothing here: a pool worker owns a counter
+    // slot, a deterministic task borrows the launcher's — see `sched`.)
     let sink = trace::current_sink();
     let run_warp = |warp_id: u64| {
         let base_tid = warp_id * WARP_SIZE as u64;
         let active = (total_threads - base_tid).min(WARP_SIZE as u64) as u32;
         let warp =
             WarpCtx { warp_id, sm_id: (warp_id % cfg.num_sms as u64) as u32, base_tid, active };
-        // Metric bumps made by this warp land in its SM's counter
-        // stripe (see `metrics`): telemetry writes then contend only
-        // within an SM, like the per-SM block buffers they instrument.
-        with_metrics_stripe(warp.sm_id, || {
-            trace::in_warp(sink.clone(), warp.sm_id, warp.warp_id, || kernel(&warp))
-        });
+        trace::in_warp(sink.clone(), warp.sm_id, warp.warp_id, || kernel(&warp));
     };
     match cfg.mode {
         ExecMode::Pool => {

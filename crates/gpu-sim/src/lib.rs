@@ -63,7 +63,7 @@ pub use alloc_api::{AllocStats, DeviceAllocator};
 pub use clock::{Stamped, StepClock};
 pub use launch::{launch, launch_warps, launch_warps_counted, DeviceConfig, ExecMode};
 pub use mem::{DeviceMemory, DevicePtr};
-pub use metrics::{with_metrics_stripe, Metrics};
+pub use metrics::{Metrics, Striped};
 pub use replay::{ConversionStats, ReplayOp, ReplayScript, WarpScript};
 pub use sched::{
     current_sched_seed, explore_schedules, preempt_point, spin_hint, with_hooks, FaultPlan,

@@ -6,24 +6,32 @@
 //! workspace owns a [`Metrics`] and bumps it on its contended operations;
 //! counts are relaxed (they are statistics, not synchronization).
 //!
-//! Ordering audit (E21): this module was reviewed alongside the core
-//! allocator's SeqCst diet and deliberately has nothing left to relax —
-//! every counter bump is already `Relaxed` and the striping removes the
-//! cross-SM cache-line traffic a global counter would add. Per-stripe
-//! sums are only combined in [`Metrics::snapshot`], on the host, between
-//! kernels, so no stronger ordering is ever needed here.
+//! # Who may write a cell
 //!
-//! The counters are *striped*: each SM writes to its own
-//! cache-line-padded cell group (stripe chosen by SM id, mirroring the
-//! per-SM block buffers in `core`), and [`Metrics::snapshot`] aggregates
-//! across stripes on read. A single global `AtomicU64` per counter would
-//! itself be the most contended object in the simulator — every lane of
-//! every allocator bumps it on every operation — and would perturb the
-//! very scaling curves the harness exists to measure. The stripe in
-//! effect for a thread is set by the launch machinery
-//! ([`with_metrics_stripe`]); threads outside a launch (host-side setup,
-//! unit tests) fall back to stripe 0, which is correct because every
-//! accessor sums all stripes.
+//! Every counter is *striped over thread slots* ([`Striped`]): one
+//! cache-line-padded cell group per slot, and a cell has **exactly one
+//! OS thread writing it at a time**, so a bump is a plain load + store —
+//! no `lock`-prefixed instruction, no line shared between CPUs. Counters
+//! that price the allocator's atomics must not be its most contended
+//! object.
+//!
+//! * **A thread owns a slot**: taken from a process-wide free set on its
+//!   first bump, given back when it exits. The set's `Mutex` is the
+//!   hand-over, so the old owner's stores happen-before the new owner's
+//!   loads. Pool-mode workers and host threads bump under their own.
+//! * **A deterministic run's tasks borrow the launcher's slot.** Only the
+//!   baton holder runs, the launcher is blocked in the run, and every
+//!   hand-off is a `Release`/`Acquire` pair ([`crate::sched`]): still one
+//!   writer at a time, and the persistent warp workers hold no slots, so
+//!   a thousand-warp launch cannot drain the set.
+//! * **One overflow group is shared** by the threads that found no free
+//!   slot or bump after their thread-locals are torn down; they pay
+//!   `fetch_add`. Any thread count is exact, the first 64 threads fast.
+//! * **Readers** ([`Striped::sum`], [`Metrics::snapshot`], `reset`) are
+//!   host-side, between kernels: exact at quiescence (the end of a launch
+//!   orders every bump before the read), an estimate during one. Cells
+//!   are `AtomicU64`: a broken ownership rule loses a count, never
+//!   causes undefined behaviour.
 //!
 //! The counting sites double as the scheduler's *preemption points*: a
 //! `count_rmw`/`count_cas`/`count_lock` call marks "this thread just
@@ -36,130 +44,180 @@
 use crate::sched::{preempt_point, PreemptPoint};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
-/// Number of counter stripes. A power of two so the SM id maps to a
-/// stripe with a mask; 16 stripes keep the struct at 2 KiB while cutting
-/// worst-case writer contention per cell by the device's SM count / 16.
-const STRIPES: usize = 16;
+/// Thread slots: one bit of [`FREE_SLOTS`] each.
+const SLOTS: usize = u64::BITS as usize;
+/// The group after the slots': shared by every thread without a slot.
+const OVERFLOW: usize = SLOTS;
+/// [`SLOT`] before the thread's first bump.
+const UNASSIGNED: usize = usize::MAX;
 
-thread_local! {
-    /// Stripe index the current thread's bumps land in. Installed per
-    /// warp by the launch machinery; 0 for host threads.
-    static CURRENT_STRIPE: Cell<usize> = const { Cell::new(0) };
+/// The slots no thread owns, one bit each.
+static FREE_SLOTS: Mutex<u64> = Mutex::new(u64::MAX);
+
+fn free_slots() -> MutexGuard<'static, u64> {
+    // A bit set is valid at every step: a poisoned lock is still good.
+    FREE_SLOTS.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Run `f` with this thread's metric bumps attributed to the stripe for
-/// `sm_id`. Used by `launch_warps` so each warp writes the cell group of
-/// its SM; restores the previous stripe on exit (also on unwind, so a
-/// panicking kernel does not leak its stripe into the harness thread).
-pub fn with_metrics_stripe<R>(sm_id: u32, f: impl FnOnce() -> R) -> R {
+/// A thread's own slot ([`OVERFLOW`] if none was free), given back when
+/// the thread exits.
+struct OwnedSlot(usize);
+
+impl Drop for OwnedSlot {
+    fn drop(&mut self) {
+        // Thread-local destructors that run after this one may still bump.
+        SLOT.set(OVERFLOW);
+        if self.0 < SLOTS {
+            *free_slots() |= 1 << self.0;
+        }
+    }
+}
+
+thread_local! {
+    /// The group this thread's bumps land in: its own slot, its
+    /// launcher's while it hosts a deterministic task, [`OVERFLOW`], or
+    /// [`UNASSIGNED`]. `const` and destructor-free: a plain TLS load.
+    static SLOT: Cell<usize> = const { Cell::new(UNASSIGNED) };
+    static OWNED: OwnedSlot = {
+        let mut free = free_slots();
+        // An empty set has `SLOTS` trailing zeros: the overflow group.
+        let slot = free.trailing_zeros() as usize;
+        if slot < SLOTS {
+            *free &= !(1 << slot);
+        }
+        OwnedSlot(slot)
+    };
+}
+
+/// The group the current thread bumps, taking the thread's slot if it
+/// has none yet.
+pub(crate) fn current_slot() -> usize {
+    if SLOT.get() == UNASSIGNED {
+        // `try_with` fails once this thread's `OWNED` is destroyed.
+        SLOT.set(OWNED.try_with(|owned| owned.0).unwrap_or(OVERFLOW));
+    }
+    SLOT.get()
+}
+
+/// Run `f` with this thread's bumps landing in `slot`: how the tasks of
+/// a deterministic run borrow their launcher's slot. Restores the
+/// thread's own on exit, also on unwind.
+pub(crate) fn with_slot<R>(slot: usize, f: impl FnOnce() -> R) -> R {
     struct Restore(usize);
     impl Drop for Restore {
         fn drop(&mut self) {
-            CURRENT_STRIPE.with(|c| c.set(self.0));
+            SLOT.set(self.0);
         }
     }
-    let _restore = CURRENT_STRIPE.with(|c| {
-        let prev = c.get();
-        c.set(sm_id as usize & (STRIPES - 1));
-        Restore(prev)
-    });
+    let _restore = Restore(SLOT.replace(slot));
     f()
 }
 
-/// One stripe's counter cells, padded to cache lines so stripes never
-/// share a line (14 × 8 = 112 bytes of counters, aligned up to 128).
-/// Counters of the *same* stripe may share a line — by construction they
-/// are only bumped by warps of the same SMs.
+/// One slot's cells: a 128-byte line pair no other group shares.
 #[repr(align(128))]
-#[derive(Debug, Default)]
-struct Stripe {
-    atomic_rmw: AtomicU64,
-    cas_attempts: AtomicU64,
-    cas_failures: AtomicU64,
-    lock_acquires: AtomicU64,
-    coalesced_requests: AtomicU64,
-    mallocs: AtomicU64,
-    frees: AtomicU64,
-    failed_mallocs: AtomicU64,
-    reclaim_attempts: AtomicU64,
-    reclaim_aborts: AtomicU64,
-    drain_spins: AtomicU64,
-    straggler_bounces: AtomicU64,
-    local_accesses: AtomicU64,
-    peer_accesses: AtomicU64,
+#[derive(Default)]
+struct Group([AtomicU64; 16]);
+
+/// Sixteen wrapping `u64` counters, each striped over the thread slots
+/// (see the module docs for who may write which cell).
+pub struct Striped {
+    groups: [Group; SLOTS + 1],
 }
 
-impl Stripe {
-    /// Every cell of this stripe. `reset` iterates this list, so a
-    /// counter added to the struct but forgotten here fails the
-    /// `counters_accumulate_and_reset` round-trip test immediately —
-    /// there is no way for reset coverage to silently drift.
-    fn cells(&self) -> [&AtomicU64; 14] {
-        [
-            &self.atomic_rmw,
-            &self.cas_attempts,
-            &self.cas_failures,
-            &self.lock_acquires,
-            &self.coalesced_requests,
-            &self.mallocs,
-            &self.frees,
-            &self.failed_mallocs,
-            &self.reclaim_attempts,
-            &self.reclaim_aborts,
-            &self.drain_spins,
-            &self.straggler_bounces,
-            &self.local_accesses,
-            &self.peer_accesses,
-        ]
-    }
-}
-
-/// Relaxed operation counters for one allocator instance, striped by SM.
-#[derive(Debug)]
-pub struct Metrics {
-    stripes: [Stripe; STRIPES],
-}
-
-impl Default for Metrics {
+impl Default for Striped {
     fn default() -> Self {
-        Self::new()
+        Striped { groups: std::array::from_fn(|_| Group::default()) }
     }
+}
+
+impl Striped {
+    /// Add `n` to counter `cell`, wrapping: a plain load + store on the
+    /// thread's own (or borrowed) group, the one branch of a bump.
+    #[inline]
+    pub fn add(&self, cell: usize, n: u64) {
+        let slot = SLOT.get();
+        if slot < SLOTS {
+            let c = &self.groups[slot].0[cell];
+            c.store(c.load(Ordering::Relaxed).wrapping_add(n), Ordering::Relaxed);
+        } else {
+            self.add_slowly(cell, n);
+        }
+    }
+
+    /// [`Self::add`] for a thread with no slot yet, or with none to have.
+    #[cold]
+    fn add_slowly(&self, cell: usize, n: u64) {
+        if current_slot() == OVERFLOW {
+            self.groups[OVERFLOW].0[cell].fetch_add(n, Ordering::Relaxed);
+        } else {
+            self.add(cell, n);
+        }
+    }
+
+    /// Subtract `n` from counter `cell`, wrapping (a thread that frees
+    /// what another allocated drives its own cell below zero; only the
+    /// sum means anything).
+    #[inline]
+    pub fn sub(&self, cell: usize, n: u64) {
+        self.add(cell, n.wrapping_neg());
+    }
+
+    /// Counter `cell` summed over every group, wrapping.
+    pub fn sum(&self, cell: usize) -> u64 {
+        self.groups.iter().fold(0, |s, g| s.wrapping_add(g.0[cell].load(Ordering::Relaxed)))
+    }
+
+    /// Zero every counter.
+    pub fn reset(&self) {
+        for cell in self.groups.iter().flat_map(|g| &g.0) {
+            cell.store(0, Ordering::Relaxed);
+        }
+    }
+}
+
+// Each counter's cell, in `MetricsSnapshot` field order.
+const ATOMIC_RMW: usize = 0;
+const CAS_ATTEMPTS: usize = 1;
+const CAS_FAILURES: usize = 2;
+const LOCK_ACQUIRES: usize = 3;
+const COALESCED_REQUESTS: usize = 4;
+const MALLOCS: usize = 5;
+const FREES: usize = 6;
+const FAILED_MALLOCS: usize = 7;
+const RECLAIM_ATTEMPTS: usize = 8;
+const RECLAIM_ABORTS: usize = 9;
+const DRAIN_SPINS: usize = 10;
+const STRAGGLER_BOUNCES: usize = 11;
+const LOCAL_ACCESSES: usize = 12;
+const PEER_ACCESSES: usize = 13;
+
+/// Relaxed operation counters for one allocator instance.
+#[derive(Default)]
+pub struct Metrics {
+    cells: Striped,
 }
 
 impl Metrics {
-    /// New zeroed counter set. The only constructor; `Default`
-    /// delegates here.
+    /// New zeroed counter set.
     pub fn new() -> Self {
-        Metrics { stripes: std::array::from_fn(|_| Stripe::default()) }
-    }
-
-    /// The stripe the current thread writes to.
-    #[inline]
-    fn stripe(&self) -> &Stripe {
-        &self.stripes[CURRENT_STRIPE.with(|c| c.get())]
-    }
-
-    /// Sum one cell across all stripes.
-    #[inline]
-    fn sum(&self, cell: impl Fn(&Stripe) -> &AtomicU64) -> u64 {
-        self.stripes.iter().map(|s| cell(s).load(Ordering::Relaxed)).sum()
+        Self::default()
     }
 
     /// Record one atomic RMW on shared metadata. Preemption point.
     #[inline]
     pub fn count_rmw(&self) {
-        self.stripe().atomic_rmw.fetch_add(1, Ordering::Relaxed);
+        self.cells.add(ATOMIC_RMW, 1);
         preempt_point(PreemptPoint::Rmw);
     }
 
     /// Record one CAS attempt and whether it succeeded. Preemption point.
     #[inline]
     pub fn count_cas(&self, success: bool) {
-        let stripe = self.stripe();
-        stripe.cas_attempts.fetch_add(1, Ordering::Relaxed);
+        self.cells.add(CAS_ATTEMPTS, 1);
         if !success {
-            stripe.cas_failures.fetch_add(1, Ordering::Relaxed);
+            self.cells.add(CAS_FAILURES, 1);
         }
         preempt_point(PreemptPoint::Cas);
     }
@@ -169,99 +227,108 @@ impl Metrics {
     /// or the deterministic scheduler can park the holder.
     #[inline]
     pub fn count_lock(&self) {
-        self.stripe().lock_acquires.fetch_add(1, Ordering::Relaxed);
+        self.cells.add(LOCK_ACQUIRES, 1);
         preempt_point(PreemptPoint::Lock);
     }
 
     /// Record `followers` requests served by another lane's atomic.
     #[inline]
     pub fn count_coalesced(&self, followers: u64) {
-        self.stripe().coalesced_requests.fetch_add(followers, Ordering::Relaxed);
+        self.cells.add(COALESCED_REQUESTS, followers);
+    }
+
+    /// Record `ok + failed` allocation requests, `failed` of which
+    /// returned null: one bump for a whole coalesced group.
+    #[inline]
+    pub fn count_mallocs(&self, ok: u64, failed: u64) {
+        self.cells.add(MALLOCS, ok + failed);
+        if failed > 0 {
+            self.cells.add(FAILED_MALLOCS, failed);
+        }
     }
 
     /// Record one allocation request and whether it succeeded.
     #[inline]
     pub fn count_malloc(&self, ok: bool) {
-        let stripe = self.stripe();
-        stripe.mallocs.fetch_add(1, Ordering::Relaxed);
-        if !ok {
-            stripe.failed_mallocs.fetch_add(1, Ordering::Relaxed);
-        }
+        self.count_mallocs(ok as u64, !ok as u64);
+    }
+
+    /// Record `n` free requests: one bump for a whole warp.
+    #[inline]
+    pub fn count_frees(&self, n: u64) {
+        self.cells.add(FREES, n);
     }
 
     /// Record one free request.
     #[inline]
     pub fn count_free(&self) {
-        self.stripe().frees.fetch_add(1, Ordering::Relaxed);
+        self.count_frees(1);
     }
 
     /// Record the start of a segment-reclamation attempt.
     #[inline]
     pub fn count_reclaim_attempt(&self) {
-        self.stripe().reclaim_attempts.fetch_add(1, Ordering::Relaxed);
+        self.cells.add(RECLAIM_ATTEMPTS, 1);
     }
 
     /// Record a reclamation attempt aborted at the quiesce re-verify.
     #[inline]
     pub fn count_reclaim_abort(&self) {
-        self.stripe().reclaim_aborts.fetch_add(1, Ordering::Relaxed);
+        self.cells.add(RECLAIM_ABORTS, 1);
     }
 
     /// Record `n` spin iterations waiting out a format-time drain.
     #[inline]
     pub fn count_drain_spins(&self, n: u64) {
-        self.stripe().drain_spins.fetch_add(n, Ordering::Relaxed);
+        self.cells.add(DRAIN_SPINS, n);
     }
 
     /// Record one block bounced home by the `ldcv` staleness re-check.
     #[inline]
     pub fn count_straggler_bounce(&self) {
-        self.stripe().straggler_bounces.fetch_add(1, Ordering::Relaxed);
+        self.cells.add(STRAGGLER_BOUNCES, 1);
     }
 
-    /// Record one memory access served by the issuing SM's own device.
+    /// Record `n` memory accesses served by the issuing SM's own device.
     /// NOT a preemption point: topology accounting must not perturb the
     /// deterministic schedule, so single-device replays stay bit-identical
     /// whether or not traffic classification is enabled.
     #[inline]
-    pub fn count_local_access(&self) {
-        self.stripe().local_accesses.fetch_add(1, Ordering::Relaxed);
+    pub fn count_local_access(&self, n: u64) {
+        self.cells.add(LOCAL_ACCESSES, n);
     }
 
     /// Record `n` memory accesses crossing the interconnect to a peer
     /// device. NOT a preemption point (see [`Self::count_local_access`]).
     #[inline]
     pub fn count_peer_access(&self, n: u64) {
-        self.stripe().peer_accesses.fetch_add(n, Ordering::Relaxed);
+        self.cells.add(PEER_ACCESSES, n);
     }
 
-    /// Reset all counters in all stripes to zero.
+    /// Reset all counters to zero.
     pub fn reset(&self) {
-        for stripe in &self.stripes {
-            for cell in stripe.cells() {
-                cell.store(0, Ordering::Relaxed);
-            }
-        }
+        self.cells.reset();
     }
 
-    /// Snapshot into a plain struct for reporting: each counter is the
-    /// sum of its cell across all stripes.
+    /// Snapshot into a plain struct for reporting: each counter summed
+    /// over every cell group.
     pub fn snapshot(&self) -> MetricsSnapshot {
+        let sum = |cell| self.cells.sum(cell);
         MetricsSnapshot {
-            atomic_rmw: self.sum(|s| &s.atomic_rmw),
-            cas_attempts: self.sum(|s| &s.cas_attempts),
-            cas_failures: self.sum(|s| &s.cas_failures),
-            lock_acquires: self.sum(|s| &s.lock_acquires),
-            coalesced_requests: self.sum(|s| &s.coalesced_requests),
-            mallocs: self.sum(|s| &s.mallocs),
-            frees: self.sum(|s| &s.frees),
-            failed_mallocs: self.sum(|s| &s.failed_mallocs),
-            reclaim_attempts: self.sum(|s| &s.reclaim_attempts),
-            reclaim_aborts: self.sum(|s| &s.reclaim_aborts),
-            drain_spins: self.sum(|s| &s.drain_spins),
-            straggler_bounces: self.sum(|s| &s.straggler_bounces),
-            local_accesses: self.sum(|s| &s.local_accesses),
-            peer_accesses: self.sum(|s| &s.peer_accesses),
+            atomic_rmw: sum(ATOMIC_RMW),
+            cas_attempts: sum(CAS_ATTEMPTS),
+            cas_failures: sum(CAS_FAILURES),
+            lock_acquires: sum(LOCK_ACQUIRES),
+            coalesced_requests: sum(COALESCED_REQUESTS),
+            mallocs: sum(MALLOCS),
+            frees: sum(FREES),
+            failed_mallocs: sum(FAILED_MALLOCS),
+            reclaim_attempts: sum(RECLAIM_ATTEMPTS),
+            reclaim_aborts: sum(RECLAIM_ABORTS),
+            drain_spins: sum(DRAIN_SPINS),
+            straggler_bounces: sum(STRAGGLER_BOUNCES),
+            local_accesses: sum(LOCAL_ACCESSES),
+            peer_accesses: sum(PEER_ACCESSES),
         }
     }
 }
@@ -357,14 +424,15 @@ mod tests {
         m.count_coalesced(3);
         m.count_malloc(true);
         m.count_malloc(false);
+        m.count_mallocs(3, 2);
         m.count_free();
+        m.count_frees(4);
         m.count_reclaim_attempt();
         m.count_reclaim_attempt();
         m.count_reclaim_abort();
         m.count_drain_spins(5);
         m.count_straggler_bounce();
-        m.count_local_access();
-        m.count_local_access();
+        m.count_local_access(2);
         m.count_peer_access(2);
         let s = m.snapshot();
         assert_eq!(s.atomic_rmw, 2);
@@ -372,9 +440,9 @@ mod tests {
         assert_eq!(s.cas_failures, 1);
         assert_eq!(s.lock_acquires, 1);
         assert_eq!(s.coalesced_requests, 3);
-        assert_eq!(s.mallocs, 2);
-        assert_eq!(s.failed_mallocs, 1);
-        assert_eq!(s.frees, 1);
+        assert_eq!(s.mallocs, 7, "the counted form is the scalar form, n at a time");
+        assert_eq!(s.failed_mallocs, 3);
+        assert_eq!(s.frees, 5);
         assert_eq!(s.reclaim_attempts, 2);
         assert_eq!(s.reclaim_aborts, 1);
         assert_eq!(s.drain_spins, 5);
@@ -454,27 +522,24 @@ mod tests {
     }
 
     #[test]
-    fn bumps_from_distinct_stripes_aggregate() {
-        // Concurrent bumps attributed to different SMs land in different
-        // stripes; the snapshot must sum them all. Covers the mixed case
-        // (striped writers + an unstriped host thread) and a reset of
-        // every stripe, not just stripe 0.
+    fn bumps_from_distinct_slots_aggregate() {
+        // Concurrent threads bump under their own slots; the snapshot
+        // must sum them all. Covers the mixed case (spawned writers + the
+        // host thread) and a reset of every group, not just the host's.
         let m = Metrics::new();
         std::thread::scope(|s| {
-            for sm in 0..32u32 {
+            for t in 0..32u32 {
                 let m = &m;
                 s.spawn(move || {
-                    with_metrics_stripe(sm, || {
-                        for _ in 0..1_000 {
-                            m.count_rmw();
-                        }
-                        m.count_cas(sm % 2 == 0);
-                        m.count_malloc(true);
-                    });
+                    for _ in 0..1_000 {
+                        m.count_rmw();
+                    }
+                    m.count_cas(t % 2 == 0);
+                    m.count_malloc(true);
                 });
             }
         });
-        m.count_free(); // host thread, stripe 0
+        m.count_free();
         let s = m.snapshot();
         assert_eq!(s.atomic_rmw, 32_000);
         assert_eq!(s.cas_attempts, 32);
@@ -485,16 +550,151 @@ mod tests {
         assert_eq!(m.snapshot(), MetricsSnapshot::default());
     }
 
+    /// Serializes the tests that exhaust the slots or need one free.
+    static SLOT_TESTS: Mutex<()> = Mutex::new(());
+
+    /// Bump every counter of `m` `n` times.
+    fn bump_all(m: &Metrics, n: u64) {
+        for _ in 0..n {
+            m.count_rmw();
+            m.count_cas(false);
+            m.count_lock();
+            m.count_coalesced(1);
+            m.count_mallocs(1, 1);
+            m.count_frees(1);
+            m.count_reclaim_attempt();
+            m.count_reclaim_abort();
+            m.count_drain_spins(1);
+            m.count_straggler_bounce();
+            m.count_local_access(1);
+            m.count_peer_access(1);
+        }
+    }
+
+    #[test]
+    fn more_threads_than_slots_count_exactly_and_leak_no_slot() {
+        let _serial = SLOT_TESTS.lock().unwrap_or_else(PoisonError::into_inner);
+        const THREADS: usize = SLOTS + 8;
+        const BUMPS: u64 = 100_000;
+        let m = Metrics::new();
+        let mut held = 0u64;
+        for _wave in 0..3 {
+            // Every thread of a wave has its slot (or the overflow group)
+            // before any of them finishes: more owners than slots.
+            let all_assigned = std::sync::Barrier::new(THREADS);
+            let slots: Vec<usize> = std::thread::scope(|s| {
+                let wave: Vec<_> = (0..THREADS)
+                    .map(|_| {
+                        s.spawn(|| {
+                            let slot = current_slot();
+                            all_assigned.wait();
+                            bump_all(&m, BUMPS);
+                            slot
+                        })
+                    })
+                    .collect();
+                // An explicit join also waits for the thread-local
+                // destructors that give the slots back.
+                wave.into_iter().map(|t| t.join().unwrap()).collect()
+            });
+            assert!(slots.iter().filter(|&&s| s == OVERFLOW).count() >= 8, "{slots:?}");
+            assert!(slots.iter().any(|&s| s < SLOTS), "a leak would leave later waves none");
+            held |= slots.iter().filter(|&&s| s < SLOTS).fold(0, |set, &s| set | 1 << s);
+        }
+        let each = 3 * THREADS as u64 * BUMPS;
+        let all = MetricsSnapshot {
+            atomic_rmw: each,
+            cas_attempts: each,
+            cas_failures: each,
+            lock_acquires: each,
+            coalesced_requests: each,
+            mallocs: 2 * each,
+            frees: each,
+            failed_mallocs: each,
+            reclaim_attempts: each,
+            reclaim_aborts: each,
+            drain_spins: each,
+            straggler_bounces: each,
+            local_accesses: each,
+            peer_accesses: each,
+        };
+        assert_eq!(m.snapshot(), all);
+        // Every slot the waves held is free again. Tests running beside
+        // this one take and return slots too, so each is polled for, not
+        // the whole set compared at one instant.
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+        while held != 0 {
+            held &= !*free_slots();
+            assert!(std::time::Instant::now() < deadline, "leaked slots: {held:#b}");
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn deterministic_workers_keep_no_slot() {
+        let _serial = SLOT_TESTS.lock().unwrap_or_else(PoisonError::into_inner);
+        // 127 workers, twice the slots: had each kept one, the fresh
+        // thread below would find none.
+        let m = Metrics::new();
+        crate::launch_warps(crate::DeviceConfig::with_sms(4).seeded(1), 128 * 32, |_| {
+            m.count_rmw();
+        });
+        let slot = std::thread::scope(|s| {
+            let fresh = s.spawn(|| {
+                crate::launch_warps(crate::DeviceConfig::with_sms(4), 2 * 32, |_| m.count_rmw());
+                current_slot()
+            });
+            fresh.join().unwrap()
+        });
+        assert!(slot < SLOTS, "no free slot after a 128-warp deterministic launch");
+        assert_eq!(m.snapshot().atomic_rmw, 130);
+    }
+
+    #[test]
+    fn nested_launches_of_either_mode_count_exactly() {
+        let (pool, seeded) = (crate::DeviceConfig::with_sms(2), crate::DeviceConfig::with_sms(2));
+        let m = Metrics::new();
+        // A deterministic launch inside each pool-mode warp: its tasks
+        // borrow the slot of the pool worker that launched it.
+        crate::launch_warps(pool, 4 * 32, |w| {
+            m.count_rmw();
+            crate::launch_warps(seeded.seeded(w.warp_id), 3 * 32, |_| m.count_cas(true));
+        });
+        // A pool launch inside each deterministic task: its workers are
+        // fresh threads with slots of their own (or, with one worker, the
+        // task's thread under the slot it already borrows).
+        crate::launch_warps(seeded.seeded(3), 4 * 32, |_| {
+            m.count_lock();
+            crate::launch_warps(pool, 3 * 32, |_| m.count_frees(1));
+        });
+        let s = m.snapshot();
+        assert_eq!((s.atomic_rmw, s.cas_attempts, s.lock_acquires, s.frees), (4, 12, 4, 12));
+    }
+
+    /// What a launch installs on a thread, all back to `seed` and `slot`.
+    fn pristine_but_for(seed: Option<u64>, slot: usize) {
+        use crate::trace::{self, TraceEvent, TraceSink};
+        use std::sync::Arc;
+        assert_eq!(crate::sched::current_sched_seed(), seed);
+        assert_eq!(SLOT.get(), slot);
+        assert!(trace::current_sink().is_none());
+        let probe = Arc::new(TraceSink::with_capacity(1));
+        trace::with_sink(probe.clone(), || trace::emit(|| TraceEvent::Free { ptr: 0, size: 0 }));
+        assert!(probe.snapshot().iter().all(|r| (r.sm, r.warp) == (0, 0)));
+    }
+
     #[test]
     fn a_panicking_launch_leaves_no_state_on_the_threads_it_ran_on() {
-        use crate::sched::{current_sched_seed, run_tasks};
-        use crate::trace::{self, TraceEvent, TraceSink};
+        use crate::sched::run_tasks;
+        use crate::trace::{self, TraceSink};
         use std::sync::Arc;
 
         // Deterministic launches reuse their threads (the launcher and
         // pooled workers), so what a warp installs must be gone when it
-        // ends. Warp 2 dies mid-schedule with everything installed: its
-        // stripe, the sink, its `(sm, warp)` stamp, the seed, the hooks.
+        // ends. Warp 2 dies mid-schedule with everything installed: the
+        // launcher's slot, the sink, its `(sm, warp)` stamp, the seed,
+        // the hooks.
+        let mine = current_slot();
         let sink = Arc::new(TraceSink::new());
         let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             trace::with_sink(sink, || {
@@ -507,39 +707,40 @@ mod tests {
         }));
         assert!(died.is_err());
 
-        let pristine_but_for = |seed: Option<u64>| {
-            assert_eq!(current_sched_seed(), seed);
-            assert_eq!(CURRENT_STRIPE.with(|c| c.get()), 0);
-            assert!(trace::current_sink().is_none());
-            let probe = Arc::new(TraceSink::with_capacity(1));
-            trace::with_sink(probe.clone(), || {
-                trace::emit(|| TraceEvent::Free { ptr: 0, size: 0 })
-            });
-            assert!(probe.snapshot().iter().all(|r| (r.sm, r.warp) == (0, 0)));
-        };
-        pristine_but_for(None);
+        // The host still bumps under its own slot.
+        pristine_but_for(None, mine);
         // No stale hooks on the host: a no-op, not a yield into a dead run.
         preempt_point(PreemptPoint::Rmw);
-        // The next launch on the same workers installs only its own seed
-        // and hooks, and each yield reaches those hooks exactly once.
-        let steps = run_tasks(9, 4, |_| {
-            pristine_but_for(Some(9));
-            preempt_point(PreemptPoint::Rmw);
-            pristine_but_for(Some(9));
+        // The next launch on the same workers, from another thread,
+        // installs only that launcher's slot, seed and hooks, and each
+        // yield reaches those hooks exactly once.
+        let next = std::thread::spawn(move || {
+            let theirs = current_slot();
+            assert!(theirs != mine || theirs == OVERFLOW);
+            run_tasks(9, 4, |_| {
+                pristine_but_for(Some(9), theirs);
+                preempt_point(PreemptPoint::Rmw);
+                pristine_but_for(Some(9), theirs);
+            })
         });
-        assert_eq!(steps, 8);
+        assert_eq!(next.join().unwrap(), 8);
     }
 
     #[test]
-    fn stripe_is_restored_on_exit() {
+    fn a_borrowed_slot_is_restored_on_exit_and_on_unwind() {
+        // Nobody else bumps `m`, so this thread may write any group.
         let m = Metrics::new();
-        with_metrics_stripe(7, || {
-            with_metrics_stripe(3, || m.count_rmw());
+        let mine = current_slot();
+        let other = (mine + 1) % SLOTS;
+        with_slot(other, || {
+            with_slot(OVERFLOW, || m.count_rmw());
+            assert_eq!(SLOT.get(), other);
             m.count_rmw();
         });
+        let died = std::panic::catch_unwind(|| with_slot(other, || panic!("mid-task")));
+        assert!(died.is_err());
+        assert_eq!(SLOT.get(), mine);
         m.count_rmw();
-        // All three bumps are visible regardless of which stripe each
-        // landed in.
         assert_eq!(m.snapshot().atomic_rmw, 3);
     }
 }

@@ -50,6 +50,7 @@
 //! baselines count their lock acquisition *before* acquiring, and hold
 //! no lock across any hook).
 
+use crate::metrics::{current_slot, with_slot};
 use std::any::Any;
 use std::cell::{Cell, RefCell};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -371,6 +372,9 @@ fn worker(me: Arc<Seat>) {
 /// One run's shared state.
 struct Run {
     seed: u64,
+    /// The launcher's metric slot, which every task of the run bumps
+    /// under: one baton, one writer (see [`crate::metrics`]).
+    slot: usize,
     /// The launcher's task closure, the borrow's lifetime erased (see
     /// the `SAFETY` argument in [`run_tasks_faulted`]).
     task: &'static (dyn Fn(u64) + Sync),
@@ -390,7 +394,8 @@ impl Run {
     fn host(self: &Arc<Self>, index: usize) {
         let hooks: Arc<dyn SimHooks> = Arc::new(Baton { run: Arc::clone(self), index });
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            with_seed(self.seed, || with_hooks(hooks, || (self.task)(index as u64)))
+            let task = || with_hooks(hooks, || (self.task)(index as u64));
+            with_seed(self.seed, || with_slot(self.slot, task))
         }));
         if let Err(payload) = outcome {
             self.first_panic.lock().expect("panic slot poisoned").get_or_insert(payload);
@@ -489,6 +494,7 @@ where
     let first = chooser.draw().expect("a non-empty run has a first task");
     let run = Arc::new(Run {
         seed,
+        slot: current_slot(),
         task,
         chooser: Mutex::new(chooser),
         seats: take_seats(n),

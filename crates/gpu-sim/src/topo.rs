@@ -19,9 +19,9 @@
 //!   single-device step counts bit-identical to the pre-topology
 //!   simulator), peer accesses charge roughly the local/remote latency
 //!   ratio NVLink-class fabrics exhibit.
-//! * [`Topology::classify_access`] — the accounting hook: given the
-//!   issuing SM and the pointer touched, bump the local/peer counters on
-//!   a [`Metrics`] and return the step cost to charge on a
+//! * [`Topology::classify_accesses`] — the accounting hook: given the
+//!   issuing SM and the pointers a warp touched, bump the local/peer
+//!   counters on a [`Metrics`] and return the step cost to charge on a
 //!   [`crate::clock::StepClock`]. Deliberately *not* a scheduler
 //!   preemption point: traffic accounting must never perturb the
 //!   deterministic schedule (see `crate::metrics::Metrics::count_local_access`).
@@ -171,18 +171,19 @@ impl Topology {
         }
     }
 
-    /// Account one access from `sm` to `ptr`: bump the local or peer
-    /// counter on `metrics` and return the step cost for the caller to
-    /// charge on its [`crate::clock::StepClock`]. Not a preemption point.
+    /// Account a warp's accesses from `sm` to the non-null `ptrs`: one
+    /// bump of the local and one of the peer counter on `metrics`, and
+    /// the step cost for the caller to charge on its
+    /// [`crate::clock::StepClock`]. Not a preemption point.
     #[inline]
-    pub fn classify_access(&self, sm: u32, ptr: DevicePtr, metrics: &Metrics) -> u64 {
-        if self.device_of(ptr) == self.affinity_device(sm) {
-            metrics.count_local_access();
-            self.cost.local_steps
-        } else {
-            metrics.count_peer_access(1);
-            self.cost.peer_steps
-        }
+    pub fn classify_accesses(&self, sm: u32, ptrs: &[DevicePtr], metrics: &Metrics) -> u64 {
+        let home = self.affinity_device(sm);
+        let served = ptrs.iter().filter(|p| !p.is_null());
+        let peer = served.clone().filter(|&&p| self.device_of(p) != home).count() as u64;
+        let local = served.count() as u64 - peer;
+        metrics.count_local_access(local);
+        metrics.count_peer_access(peer);
+        local * self.cost.local_steps + peer * self.cost.peer_steps
     }
 }
 
@@ -225,16 +226,16 @@ mod tests {
     }
 
     #[test]
-    fn classify_access_counts_and_charges() {
+    fn classify_accesses_counts_and_charges() {
         let topo =
             Topology::with_cost(2, 1 << 16, InterconnectCost { local_steps: 1, peer_steps: 40 });
         let m = Metrics::new();
-        // SM 0 → device 0 pointer: local.
-        assert_eq!(topo.classify_access(0, DevicePtr(8), &m), 1);
-        // SM 0 → device 1 pointer: peer.
-        assert_eq!(topo.classify_access(0, DevicePtr((1 << 16) + 8), &m), 40);
+        let (near, far) = (DevicePtr(8), DevicePtr((1 << 16) + 8));
+        // SM 0's warp: one device-0 pointer (local), one device-1 pointer
+        // (peer), and an idle lane that is not an access at all.
+        assert_eq!(topo.classify_accesses(0, &[near, DevicePtr::NULL, far], &m), 41);
         // SM 1 → device 1 pointer: local again.
-        assert_eq!(topo.classify_access(1, DevicePtr((1 << 16) + 8), &m), 1);
+        assert_eq!(topo.classify_accesses(1, &[far], &m), 1);
         let s = m.snapshot();
         assert_eq!((s.local_accesses, s.peer_accesses), (2, 1));
         assert!((s.peer_share() - 1.0 / 3.0).abs() < 1e-12);

@@ -21,12 +21,12 @@
 //! # Cost model
 //!
 //! Recording is **off unless a sink is installed** for the current thread
-//! ([`with_sink`]); the disabled path is a single thread-local check and
+//! ([`with_sink`]); the disabled path is one flag test and
 //! the event payload is built inside a closure that never runs, so
 //! tracing adds *zero* atomic operations and zero preemption points to an
 //! untraced run — schedules and the E16 atomic-count gate are unaffected.
-//! Enabled, events land in per-SM cache-line-padded stripes (mirroring
-//! [`crate::metrics`]) so tracing warps contend only within an SM. The
+//! Enabled, events land in per-SM cache-line-padded stripes, so tracing
+//! warps contend only within an SM. The
 //! whole subsystem can additionally be compiled out with
 //! `--no-default-features` (the `trace` feature), which turns every emit
 //! site into a literally empty inline function.
@@ -67,8 +67,7 @@ pub const TRACE_ABORT_DUMP_ENV: &str = "GALLATIN_TRACE_DUMP_ON_ABORT";
 /// protocol steps, host-side calls).
 pub const LANE_NONE: u32 = u32::MAX;
 
-/// Number of event stripes; SM ids map onto stripes with a mask, exactly
-/// as in [`crate::metrics`].
+/// Number of event stripes; SM ids map onto stripes with a mask.
 const STRIPES: usize = 16;
 
 /// Default per-stripe event capacity. Generous for every workload in this
@@ -422,6 +421,9 @@ impl TraceSink {
 }
 
 thread_local! {
+    /// Whether `CURRENT_SINK` holds a sink, kept by [`with_sink`]: a
+    /// destructor-free `const` TLS load is all a dormant emit costs.
+    static TRACING: Cell<bool> = const { Cell::new(false) };
     /// Sink receiving this thread's emissions; `None` (the default) makes
     /// every emit a no-op.
     static CURRENT_SINK: RefCell<Option<Arc<TraceSink>>> = const { RefCell::new(None) };
@@ -474,10 +476,12 @@ pub fn with_sink<R>(sink: Arc<TraceSink>, f: impl FnOnce() -> R) -> R {
     struct Restore(Option<Arc<TraceSink>>);
     impl Drop for Restore {
         fn drop(&mut self) {
+            TRACING.set(self.0.is_some());
             CURRENT_SINK.with(|c| *c.borrow_mut() = self.0.take());
         }
     }
     let prev = CURRENT_SINK.with(|c| c.borrow_mut().replace(sink));
+    TRACING.set(true);
     let _restore = Restore(prev);
     f()
 }
@@ -517,21 +521,25 @@ pub fn in_warp<R>(sink: Option<Arc<TraceSink>>, sm: u32, warp: u64, f: impl FnOn
 
 /// Emit an event from the current thread, attributed to `lane`. The
 /// closure builds the payload only when a sink is installed: the disabled
-/// path is one thread-local check — no atomics, no allocation, and no
+/// path is one flag test — no atomics, no allocation, and no
 /// preemption point, so tracing can never perturb a schedule.
 #[inline]
 pub fn emit_lane(lane: u32, event: impl FnOnce() -> TraceEvent) {
     #[cfg(feature = "trace")]
-    CURRENT_SINK.with(|c| {
-        // Clone out of the RefCell so a re-entrant borrow (e.g. an
-        // analysis pass emitting while iterating) cannot alias.
-        let sink = c.borrow().clone();
-        if let Some(sink) = sink {
-            let (sm, warp) = CURRENT_CTX.with(|ctx| ctx.get());
-            let (device, instance) = CURRENT_SCOPE.with(|c| (c[DEVICE].get(), c[INSTANCE].get()));
-            sink.record(sm, warp, lane, device, instance, event());
-        }
-    });
+    if TRACING.get() {
+        CURRENT_SINK.with(|c| {
+            // A shared borrow, not a clone of the `Arc` (an RMW per event
+            // on a line every warp shares). Shared borrows nest, so an
+            // `event` that itself emits is fine; only `with_sink` borrows
+            // mutably, and no event closure installs a sink.
+            if let Some(sink) = c.borrow().as_deref() {
+                let (sm, warp) = CURRENT_CTX.with(|ctx| ctx.get());
+                let (device, instance) =
+                    CURRENT_SCOPE.with(|c| (c[DEVICE].get(), c[INSTANCE].get()));
+                sink.record(sm, warp, lane, device, instance, event());
+            }
+        });
+    }
     #[cfg(not(feature = "trace"))]
     let _ = (lane, event);
 }
@@ -674,6 +682,37 @@ mod tests {
             TraceEvent::Free { ptr: 1, size: 0 }
         });
         assert!(!built.get(), "payload closure must not run without a sink");
+    }
+
+    #[cfg(feature = "trace")]
+    #[test]
+    fn the_dormant_flag_follows_the_sink_through_nesting_and_unwind() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let free = |ptr| emit(move || TraceEvent::Free { ptr, size: 0 });
+        let (outer, inner) = (Arc::new(TraceSink::new()), Arc::new(TraceSink::new()));
+        with_sink(outer.clone(), || {
+            with_sink(inner.clone(), || free(1));
+            // Leaving the nested sink restores the outer one, still live.
+            assert!(TRACING.get());
+            free(2);
+            let nested = || with_sink(inner.clone(), || panic!("mid-trace"));
+            assert!(catch_unwind(AssertUnwindSafe(nested)).is_err());
+            assert!(TRACING.get());
+            // An event that itself emits records through a nested borrow.
+            emit(|| {
+                free(3);
+                TraceEvent::Free { ptr: 4, size: 0 }
+            });
+        });
+        assert!(!TRACING.get());
+        assert!(catch_unwind(|| with_sink(Arc::default(), || panic!("mid-trace"))).is_err());
+        assert!(!TRACING.get(), "an unwinding sink must not leave the thread tracing");
+        emit_lane(0, || unreachable!("a dormant emit builds no payload"));
+        let freed = |sink: &TraceSink| -> Vec<TraceEvent> {
+            sink.snapshot().iter().map(|r| r.event).collect()
+        };
+        assert_eq!(freed(&inner), [TraceEvent::Free { ptr: 1, size: 0 }]);
+        assert_eq!(freed(&outer), [2, 3, 4].map(|ptr| TraceEvent::Free { ptr, size: 0 }));
     }
 
     // Exercises the live emit path, which compiles to nothing without
