@@ -25,8 +25,9 @@ pub enum ExecMode {
     /// the throughput mode and the default.
     Pool,
     /// Warps run serialized by the deterministic scheduler
-    /// ([`crate::sched`]), context-switching only at preemption points,
-    /// with the interleaving fully determined by `seed`.
+    /// ([`crate::sched`]) as fibers on the launching thread, switching
+    /// stacks only at preemption points, with the interleaving fully
+    /// determined by `seed`.
     Deterministic {
         /// Schedule seed: same seed ⇒ identical interleaving.
         seed: u64,
@@ -120,21 +121,23 @@ where
         return 0;
     }
     let n_warps = total_threads.div_ceil(WARP_SIZE as u64);
-    // The launching thread's trace sink (if any) is propagated to every
-    // warp, which runs on a pool worker with its own thread-locals.
-    // (Metric bumps need nothing here: a pool worker owns a counter
-    // slot, a deterministic task borrows the launcher's — see `sched`.)
-    let sink = trace::current_sink();
     let run_warp = |warp_id: u64| {
         let base_tid = warp_id * WARP_SIZE as u64;
         let active = (total_threads - base_tid).min(WARP_SIZE as u64) as u32;
         let warp =
             WarpCtx { warp_id, sm_id: (warp_id % cfg.num_sms as u64) as u32, base_tid, active };
-        trace::in_warp(sink.clone(), warp.sm_id, warp.warp_id, || kernel(&warp));
+        trace::in_warp(warp.sm_id, warp.warp_id, || kernel(&warp));
     };
     match cfg.mode {
         ExecMode::Pool => {
-            (0..n_warps).into_par_iter().for_each(run_warp);
+            // A pool worker has thread-locals of its own, so the launching
+            // thread's trace sink (if any) is installed around each warp; a
+            // deterministic launch never leaves the thread that holds it.
+            let sink = trace::current_sink();
+            (0..n_warps).into_par_iter().for_each(|warp_id| match &sink {
+                Some(sink) => trace::with_sink(sink.clone(), || run_warp(warp_id)),
+                None => run_warp(warp_id),
+            });
             0
         }
         ExecMode::Deterministic { seed } => {

@@ -49,6 +49,7 @@
 
 pub mod alloc_api;
 pub mod clock;
+mod fiber;
 pub mod launch;
 pub mod ledger;
 pub mod mem;

@@ -18,12 +18,9 @@
 //! * **A thread owns a slot**: taken from a process-wide free set on its
 //!   first bump, given back when it exits. The set's `Mutex` is the
 //!   hand-over, so the old owner's stores happen-before the new owner's
-//!   loads. Pool-mode workers and host threads bump under their own.
-//! * **A deterministic run's tasks borrow the launcher's slot.** Only the
-//!   baton holder runs, the launcher is blocked in the run, and every
-//!   hand-off is a `Release`/`Acquire` pair ([`crate::sched`]): still one
-//!   writer at a time, and the persistent warp workers hold no slots, so
-//!   a thousand-warp launch cannot drain the set.
+//!   loads. Pool-mode workers and host threads bump under their own; a
+//!   deterministic run *is* one thread, its launcher ([`crate::sched`]),
+//!   so a thousand-warp launch bumps under one slot and takes no other.
 //! * **One overflow group is shared** by the threads that found no free
 //!   slot or bump after their thread-locals are torn down; they pay
 //!   `fetch_add`. Any thread count is exact, the first 64 threads fast.
@@ -76,9 +73,8 @@ impl Drop for OwnedSlot {
 }
 
 thread_local! {
-    /// The group this thread's bumps land in: its own slot, its
-    /// launcher's while it hosts a deterministic task, [`OVERFLOW`], or
-    /// [`UNASSIGNED`]. `const` and destructor-free: a plain TLS load.
+    /// The group this thread's bumps land in: its own slot, [`OVERFLOW`],
+    /// or [`UNASSIGNED`]. `const` and destructor-free: a plain TLS load.
     static SLOT: Cell<usize> = const { Cell::new(UNASSIGNED) };
     static OWNED: OwnedSlot = {
         let mut free = free_slots();
@@ -93,26 +89,12 @@ thread_local! {
 
 /// The group the current thread bumps, taking the thread's slot if it
 /// has none yet.
-pub(crate) fn current_slot() -> usize {
+fn current_slot() -> usize {
     if SLOT.get() == UNASSIGNED {
         // `try_with` fails once this thread's `OWNED` is destroyed.
         SLOT.set(OWNED.try_with(|owned| owned.0).unwrap_or(OVERFLOW));
     }
     SLOT.get()
-}
-
-/// Run `f` with this thread's bumps landing in `slot`: how the tasks of
-/// a deterministic run borrow their launcher's slot. Restores the
-/// thread's own on exit, also on unwind.
-pub(crate) fn with_slot<R>(slot: usize, f: impl FnOnce() -> R) -> R {
-    struct Restore(usize);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            SLOT.set(self.0);
-        }
-    }
-    let _restore = Restore(SLOT.replace(slot));
-    f()
 }
 
 /// One slot's cells: a 128-byte line pair no other group shares.
@@ -134,7 +116,7 @@ impl Default for Striped {
 
 impl Striped {
     /// Add `n` to counter `cell`, wrapping: a plain load + store on the
-    /// thread's own (or borrowed) group, the one branch of a bump.
+    /// thread's own group, the one branch of a bump.
     #[inline]
     pub fn add(&self, cell: usize, n: u64) {
         let slot = SLOT.get();
@@ -631,14 +613,18 @@ mod tests {
     }
 
     #[test]
-    fn deterministic_workers_keep_no_slot() {
+    fn a_deterministic_launch_takes_no_slot_beyond_its_launchers() {
         let _serial = SLOT_TESTS.lock().unwrap_or_else(PoisonError::into_inner);
-        // 127 workers, twice the slots: had each kept one, the fresh
-        // thread below would find none.
+        // 128 warps, twice the slots, all on the launching thread and so
+        // all under its slot.
         let m = Metrics::new();
+        let mine = current_slot();
         crate::launch_warps(crate::DeviceConfig::with_sms(4).seeded(1), 128 * 32, |_| {
+            assert_eq!(SLOT.get(), mine);
             m.count_rmw();
         });
+        assert_eq!(m.cells.groups[mine].0[ATOMIC_RMW].load(Ordering::Relaxed), 128);
+        // A thread that comes after still finds a slot of its own.
         let slot = std::thread::scope(|s| {
             let fresh = s.spawn(|| {
                 crate::launch_warps(crate::DeviceConfig::with_sms(4), 2 * 32, |_| m.count_rmw());
@@ -646,7 +632,7 @@ mod tests {
             });
             fresh.join().unwrap()
         });
-        assert!(slot < SLOTS, "no free slot after a 128-warp deterministic launch");
+        assert!(slot < SLOTS && slot != mine, "no free slot after a 128-warp launch: {slot}");
         assert_eq!(m.snapshot().atomic_rmw, 130);
     }
 
@@ -655,14 +641,15 @@ mod tests {
         let (pool, seeded) = (crate::DeviceConfig::with_sms(2), crate::DeviceConfig::with_sms(2));
         let m = Metrics::new();
         // A deterministic launch inside each pool-mode warp: its tasks
-        // borrow the slot of the pool worker that launched it.
+        // run on, and bump under the slot of, the pool worker that
+        // launched it.
         crate::launch_warps(pool, 4 * 32, |w| {
             m.count_rmw();
             crate::launch_warps(seeded.seeded(w.warp_id), 3 * 32, |_| m.count_cas(true));
         });
         // A pool launch inside each deterministic task: its workers are
         // fresh threads with slots of their own (or, with one worker, the
-        // task's thread under the slot it already borrows).
+        // launcher's thread itself, on the task's stack).
         crate::launch_warps(seeded.seeded(3), 4 * 32, |_| {
             m.count_lock();
             crate::launch_warps(pool, 3 * 32, |_| m.count_frees(1));
@@ -689,11 +676,10 @@ mod tests {
         use crate::trace::{self, TraceSink};
         use std::sync::Arc;
 
-        // Deterministic launches reuse their threads (the launcher and
-        // pooled workers), so what a warp installs must be gone when it
-        // ends. Warp 2 dies mid-schedule with everything installed: the
-        // launcher's slot, the sink, its `(sm, warp)` stamp, the seed,
-        // the hooks.
+        // A deterministic launch runs on its launcher's thread and on
+        // pooled stacks, so what a warp installs must be gone when it
+        // ends. Warp 2 dies mid-schedule with everything installed: its
+        // `(sm, warp)` stamp, the seed, the hooks.
         let mine = current_slot();
         let sink = Arc::new(TraceSink::new());
         let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -711,9 +697,9 @@ mod tests {
         pristine_but_for(None, mine);
         // No stale hooks on the host: a no-op, not a yield into a dead run.
         preempt_point(PreemptPoint::Rmw);
-        // The next launch on the same workers, from another thread,
-        // installs only that launcher's slot, seed and hooks, and each
-        // yield reaches those hooks exactly once.
+        // A launch from another thread installs only its own seed and
+        // hooks, bumps under that thread's slot, and each yield reaches
+        // those hooks exactly once.
         let next = std::thread::spawn(move || {
             let theirs = current_slot();
             assert!(theirs != mine || theirs == OVERFLOW);
@@ -724,23 +710,5 @@ mod tests {
             })
         });
         assert_eq!(next.join().unwrap(), 8);
-    }
-
-    #[test]
-    fn a_borrowed_slot_is_restored_on_exit_and_on_unwind() {
-        // Nobody else bumps `m`, so this thread may write any group.
-        let m = Metrics::new();
-        let mine = current_slot();
-        let other = (mine + 1) % SLOTS;
-        with_slot(other, || {
-            with_slot(OVERFLOW, || m.count_rmw());
-            assert_eq!(SLOT.get(), other);
-            m.count_rmw();
-        });
-        let died = std::panic::catch_unwind(|| with_slot(other, || panic!("mid-task")));
-        assert!(died.is_err());
-        assert_eq!(SLOT.get(), mine);
-        m.count_rmw();
-        assert_eq!(m.snapshot().atomic_rmw, 3);
     }
 }

@@ -25,38 +25,41 @@
 //! modes share one instrumented code path. Deterministic mode installs
 //! hooks that end the warp's turn.
 //!
-//! # The engine: one baton, persistent workers
+//! # The engine: one baton, one thread, a stack per warp
 //!
 //! Everything that decides a schedule — the PRNG, the runnable list, the
 //! fault injector's bookkeeping, the step counter — lives in one
 //! `Chooser`, owned by whoever holds the baton. A warp whose turn ends
 //! (it yielded or finished) accounts the step and draws its successor
-//! itself. If it drew itself it keeps running: no other thread is
-//! involved, no syscall made. Otherwise it sets the successor's flag,
-//! unparks it and parks on its own: one hand-off per step, and no
-//! coordinator thread. The launching thread hosts warp 0; the other
-//! warps borrow parked workers from a process-wide idle set that grows
-//! on demand and never shrinks, and the launch returns once all are back
-//! in it. A one-warp launch touches no other thread at all.
+//! itself. If it drew itself it keeps running; otherwise it switches
+//! *stacks*, not threads. Every warp of a launch is a fiber
+//! (`crate::fiber`) on the launching thread: warp 0 on that thread's own
+//! stack, the others on 256 KiB stacks (resident only where touched;
+//! overrunning one is a SIGSEGV on its guard page, without std's
+//! stack-overflow message) from a per-thread pool that only grows. A
+//! hand-off moves six registers, a stack pointer and the warp-locals
+//! (`trace::WarpLocals`): tens of nanoseconds, pinned or not. A one-warp
+//! launch touches no stack but its own; nested launches (the inner run
+//! lives on the outer warp's stack) and concurrent launchers (one run per
+//! OS thread) work because a run never leaves its thread.
 //!
 //! # Liveness contract
 //!
-//! The baton moves only at preemption points, so a warp that blocks
-//! *outside* one (e.g. on a mutex held by a warp that is waiting for the
-//! baton) keeps the baton while it sleeps: no other warp can run to
-//! release it, and the launch deadlocks. The workspace's rule: no
-//! instrumented site may sit inside a critical section, and every
-//! unbounded spin-wait loop must call [`spin_hint`] (the lock-based
-//! baselines count their lock acquisition *before* acquiring, and hold
-//! no lock across any hook).
+//! The baton moves only at preemption points and the warps of a launch
+//! share one OS thread, so a warp that blocks *outside* one blocks the
+//! thread, and with it every warp that could unblock it: waiting for a
+//! `std::sync::Mutex` another warp holds across a yield is a
+//! self-deadlock, not a wait. The workspace's rule: no instrumented site
+//! may sit inside a critical section, and every unbounded spin-wait loop
+//! must call [`spin_hint`] (the lock-based baselines count their lock
+//! acquisition *before* acquiring, and hold no lock across any hook).
 
-use crate::metrics::{current_slot, with_slot};
+use crate::fiber::Fiber;
+use crate::trace::{self, WarpLocals};
 use std::any::Any;
 use std::cell::{Cell, RefCell};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
-use std::thread::{self, Thread};
+use std::sync::Arc;
 
 /// Environment variable read by [`seed_override`]: when set,
 /// [`explore_schedules`] collapses to exactly that one seed — the
@@ -109,9 +112,9 @@ thread_local! {
     static CURRENT_SEED: RefCell<Option<u64>> = const { RefCell::new(None) };
 }
 
-/// The schedule seed of the deterministic run the current thread is part
-/// of, if any. Set for the duration of every task run by
-/// [`run_tasks`]; `None` on pool-mode and host threads. Diagnostic
+/// The schedule seed of the deterministic run the current thread is
+/// hosting, if any. Set for the duration of [`run_tasks`]; `None` on
+/// pool-mode and host threads. Diagnostic
 /// timeouts (e.g. the segment-drain bound in `gallatin-core`) include it
 /// so a stall report is immediately reproducible with
 /// `GALLATIN_SCHED_SEED=<seed>`.
@@ -164,8 +167,8 @@ pub fn preempt_point(point: PreemptPoint) {
 
 /// Preemption point for spin-wait loops. Under the deterministic
 /// scheduler a bare `std::hint::spin_loop()` would monopolize the one
-/// running turn forever (the peer that must make progress is parked);
-/// spin loops call this instead/in addition, which yields the turn.
+/// running turn forever (the peer that must make progress is switched
+/// out); spin loops call this instead/in addition, which yields the turn.
 #[inline]
 pub fn spin_hint() {
     preempt_point(PreemptPoint::Spin);
@@ -292,162 +295,101 @@ impl Chooser {
     }
 }
 
-/// Where one participant of a run waits for the baton.
-struct Seat {
-    thread: Thread,
-    granted: AtomicBool,
-    /// A pooled worker's next `(run, task index)`, posted by the launcher
-    /// that checked it out; unused on a launcher's own seat.
-    job: Mutex<Option<(Arc<Run>, usize)>>,
-}
-
-impl Seat {
-    fn new(thread: Thread) -> Arc<Seat> {
-        Arc::new(Seat { thread, granted: AtomicBool::new(false), job: Mutex::new(None) })
-    }
-
-    /// Hand the baton to this seat. The `Release` store pairs with the
-    /// `Acquire` swap in [`Seat::wait`], so everything the granter did
-    /// during its turn happens-before the grantee's.
-    fn grant(&self) {
-        self.granted.store(true, Ordering::Release);
-        self.thread.unpark();
-    }
-
-    /// Block until the baton arrives. The flag, not the wake-up, is the
-    /// hand-off: an early or a spurious unpark is harmless.
-    fn wait(&self) {
-        while !self.granted.swap(false, Ordering::Acquire) {
-            thread::park();
-        }
-    }
-}
-
-/// Parked worker threads that are in no run. Process-wide; grows when a
-/// launch needs more workers than are idle and never shrinks.
-static IDLE: Mutex<Vec<Arc<Seat>>> = Mutex::new(Vec::new());
-
-/// The seats of an `n`-task run: the calling thread's, then `n - 1`
-/// workers checked out of [`IDLE`], spawning those it lacks.
-fn take_seats(n: usize) -> Vec<Arc<Seat>> {
-    let mut seats = vec![Seat::new(thread::current())];
-    {
-        let mut idle = IDLE.lock().expect("idle list poisoned");
-        let keep = idle.len().saturating_sub(n - 1);
-        seats.extend(idle.drain(keep..));
-    }
-    while seats.len() < n {
-        // The seat needs the thread's handle and the thread its seat.
-        let (tx, rx) = mpsc::channel::<Arc<Seat>>();
-        let handle = thread::Builder::new()
-            .name("warp-worker".into())
-            .spawn(move || worker(rx.recv().expect("spawner sends the seat")))
-            .expect("spawn a warp worker");
-        let seat = Seat::new(handle.thread().clone());
-        tx.send(Arc::clone(&seat)).expect("worker waits for its seat");
-        seats.push(seat);
-    }
-    seats
-}
-
-/// A pooled worker's life: sleep until granted a baton (a run's first
-/// grant doubles as the wake-up), host the posted task, rejoin [`IDLE`].
-fn worker(me: Arc<Seat>) {
-    loop {
-        me.wait();
-        let job = me.job.lock().expect("job slot poisoned").take();
-        let (run, index) = job.expect("a granted worker has a job");
-        run.host(index);
-        // Idle again before the launcher can return: a thread launching
-        // in a loop finds the same workers every time.
-        IDLE.lock().expect("idle list poisoned").push(Arc::clone(&me));
-        // The `Release` decrements pair with the `Acquire` load in
-        // `Released`; from here on only `Arc`-owned state is touched.
-        if run.remaining.fetch_sub(1, Ordering::Release) == 1 {
-            run.seats[0].thread.unpark();
-        }
-    }
-}
-
-/// One run's shared state.
+/// One run's state: on the launcher's frame, in [`run_tasks_faulted`],
+/// for exactly the run's duration, and touched by no other thread.
 struct Run {
-    seed: u64,
-    /// The launcher's metric slot, which every task of the run bumps
-    /// under: one baton, one writer (see [`crate::metrics`]).
-    slot: usize,
-    /// The launcher's task closure, the borrow's lifetime erased (see
-    /// the `SAFETY` argument in [`run_tasks_faulted`]).
-    task: &'static (dyn Fn(u64) + Sync),
-    /// Locked only by the baton holder, so never contended.
-    chooser: Mutex<Chooser>,
-    /// `seats[i]` is where task `i` waits; `seats[0]` is the launcher's.
-    seats: Vec<Arc<Seat>>,
-    first_panic: Mutex<Option<Box<dyn Any + Send>>>,
-    /// Workers that may still call `task`.
-    remaining: AtomicUsize,
+    chooser: RefCell<Chooser>,
+    /// The task that holds the baton: the one executing.
+    current: Cell<usize>,
+    /// Each task's stack and where it is switched out: the launcher's own
+    /// for task 0, a pooled one for the others.
+    fibers: Vec<Fiber>,
+    first_panic: RefCell<Option<Box<dyn Any + Send>>>,
 }
 
 impl Run {
-    /// Run task `index` on the current thread, which holds the baton,
-    /// then pass the baton on for good. A panicking task counts as
-    /// finished, so the rest of the run completes.
-    fn host(self: &Arc<Self>, index: usize) {
-        let hooks: Arc<dyn SimHooks> = Arc::new(Baton { run: Arc::clone(self), index });
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            let task = || with_hooks(hooks, || (self.task)(index as u64));
-            with_seed(self.seed, || with_slot(self.slot, task))
-        }));
-        if let Err(payload) = outcome {
-            self.first_panic.lock().expect("panic slot poisoned").get_or_insert(payload);
+    /// Run the current task's body on the current stack, then pass the
+    /// baton on for good. A panicking task counts as finished, so the
+    /// rest of the run completes. Returns only on the launcher's stack,
+    /// once the run is over.
+    fn host(&self, body: &dyn Fn(u64)) {
+        let index = self.current.get() as u64;
+        if let Err(payload) = catch_unwind(AssertUnwindSafe(|| body(index))) {
+            self.first_panic.borrow_mut().get_or_insert(payload);
         }
-        self.pass_baton(index, None);
+        self.pass_baton(None);
     }
 
-    /// Task `index`, the baton holder, ends its turn: draw the successor
-    /// and, unless that is `index` itself, hand over and (if the task
-    /// only yielded) wait for the baton to come back.
-    fn pass_baton(&self, index: usize, yielded_at: Option<PreemptPoint>) {
-        let next = self.chooser.lock().expect("chooser poisoned").turn_over(yielded_at);
-        if let Some(next) = next.filter(|&next| next != index) {
-            self.seats[next].grant();
-            if yielded_at.is_some() {
-                self.seats[index].wait();
-            }
+    /// The current task ends its turn: draw the successor and switch to
+    /// it — to the launcher, where every run ends, if the run is over.
+    fn pass_baton(&self, yielded_at: Option<PreemptPoint>) {
+        let next = self.chooser.borrow_mut().turn_over(yielded_at);
+        self.switch_to(next.unwrap_or(0));
+    }
+
+    /// Hand the baton to task `next`; returns when it comes back. Drawing
+    /// oneself costs nothing.
+    fn switch_to(&self, next: usize) {
+        let me = self.current.replace(next);
+        if next != me {
+            // Warp-locals travel with the stack, beside the registers.
+            let locals = trace::warp_locals();
+            // SAFETY: this runs on task `me`'s stack (`current` said so).
+            // `next` is not running — only `me` is — and was booted before
+            // the run's first switch or switched out right here; it has
+            // not finished, because the chooser draws no finished task and
+            // the launcher's stack, once task 0 is done, is resumed only
+            // to end the run. What it goes on to touch is this `Run` and
+            // the task body, which outlive the run.
+            unsafe { self.fibers[me].switch(&self.fibers[next]) };
+            trace::set_warp_locals(locals);
         }
     }
 }
 
 /// The deterministic-mode [`SimHooks`]: every preemption point ends the
-/// task's turn.
-struct Baton {
-    run: Arc<Run>,
-    index: usize,
-}
+/// current task's turn.
+struct Baton(*const Run);
+
+// SAFETY: `SimHooks` demands both, but a `Baton` never leaves the thread
+// that made it: its one `Arc` sits in that thread's `CURRENT_HOOKS`, which
+// nothing but `preempt_point` reads, for the span of one `with_hooks` call.
+unsafe impl Send for Baton {}
+unsafe impl Sync for Baton {}
 
 impl SimHooks for Baton {
     fn preempt(&self, point: PreemptPoint) {
-        self.run.pass_baton(self.index, Some(point));
+        // SAFETY: the `Run` outlives every pointer to it: hooks are reached
+        // through `CURRENT_HOOKS` alone, and `run_tasks_faulted` uninstalls
+        // these before its `Run` goes out of scope.
+        unsafe { &*self.0 }.pass_baton(Some(point));
     }
 }
 
-/// Keeps the launcher inside [`run_tasks_faulted`], on return and unwind
-/// alike, until every worker of the run has released the task closure.
-struct Released<'a>(&'a Run);
+/// What a pooled fiber boots with: its run, the run's task body and the
+/// launcher's warp-locals, which every task starts from.
+struct Launch<'a>(&'a Run, &'a dyn Fn(u64), WarpLocals);
 
-impl Drop for Released<'_> {
-    fn drop(&mut self) {
-        while self.0.remaining.load(Ordering::Acquire) != 0 {
-            thread::park();
-        }
-    }
+/// A pooled fiber's whole life: host the task it was first switched to as.
+///
+/// # Safety
+/// `launch` must point to a [`Launch`] that outlives the fiber's run.
+unsafe extern "C" fn fiber_main(launch: *mut u8) {
+    // SAFETY: `run_tasks_faulted` boots fibers with a pointer to its
+    // `Launch`, which it keeps until no fiber will run again.
+    let Launch(run, body, locals) = unsafe { &*launch.cast::<Launch>() };
+    trace::set_warp_locals(*locals);
+    // Catches the task's panic, and does not return: its last hand-off
+    // is final, because a finished fiber is never resumed.
+    run.host(body);
 }
 
 /// Run `n_tasks` tasks to completion under the deterministic scheduler.
-/// `task(i)` is invoked once per task index — task 0 on the calling
-/// thread, the others on pooled worker threads — with baton-passing
-/// hooks installed; exactly one task executes at any instant, and the
-/// successor after each preemption point is drawn from a PRNG seeded
-/// with `seed`.
+/// `task(i)` is invoked once per task index, all on the calling thread —
+/// task 0 on its own stack, the others as fibers on pooled stacks — with
+/// baton-passing hooks installed; exactly one task executes at any
+/// instant, and the successor after each preemption point is drawn from
+/// a PRNG seeded with `seed`.
 ///
 /// Panics in tasks propagate: a panicking task counts as finished, the
 /// remaining tasks run to completion, and the first panic (in schedule
@@ -480,44 +422,31 @@ where
         return 0;
     }
     let n = n_tasks as usize;
-    // SAFETY: only the lifetime of the borrow changes. `task` is called
-    // nowhere but in `Run::host`: by this thread, below, and by each of
-    // the run's `n - 1` workers strictly before it decrements
-    // `remaining`. The `Released` guard keeps this frame — and with it
-    // `task` and everything it borrows — alive until `remaining` is
-    // zero, whether the frame is left by return or by unwind. `F: Sync`
-    // makes the calls from other threads sound.
-    let task = unsafe {
-        std::mem::transmute::<&(dyn Fn(u64) + Sync), &'static (dyn Fn(u64) + Sync)>(&task)
-    };
     let mut chooser = Chooser::new(seed, n, fault);
     let first = chooser.draw().expect("a non-empty run has a first task");
-    let run = Arc::new(Run {
-        seed,
-        slot: current_slot(),
-        task,
-        chooser: Mutex::new(chooser),
-        seats: take_seats(n),
-        first_panic: Mutex::new(None),
-        remaining: AtomicUsize::new(n - 1),
+    let run = Run {
+        chooser: RefCell::new(chooser),
+        current: Cell::new(0),
+        fibers: (0..n).map(|i| Fiber::new(i > 0)).collect(),
+        first_panic: RefCell::new(None),
+    };
+    let launch = Launch(&run, &task, trace::warp_locals());
+    for fiber in &run.fibers[1..] {
+        fiber.boot(fiber_main, std::ptr::from_ref(&launch).cast_mut().cast());
+    }
+    with_seed(seed, || {
+        with_hooks(Arc::new(Baton(&run)), || {
+            // Back here when task 0 is first drawn, and `host` returns
+            // when the run is over: every fiber is switched out for good,
+            // so dropping `run` may hand their stacks to the next launch.
+            run.switch_to(first);
+            run.host(&task);
+        })
     });
-    let released = Released(&run);
-    // Jobs are posted without waking anyone: a worker's wake-up is its
-    // first grant.
-    for (index, seat) in run.seats.iter().enumerate().skip(1) {
-        *seat.job.lock().expect("job slot poisoned") = Some((Arc::clone(&run), index));
-    }
-    if first != 0 {
-        run.seats[first].grant();
-        run.seats[0].wait();
-    }
-    run.host(0);
-    drop(released);
-    let steps = run.chooser.lock().expect("chooser poisoned").steps;
-    if let Some(payload) = run.first_panic.lock().expect("panic slot poisoned").take() {
+    if let Some(payload) = run.first_panic.take() {
         resume_unwind(payload);
     }
-    steps
+    run.chooser.into_inner().steps
 }
 
 /// Outcome of an [`explore_schedules`] sweep that found a failure.
@@ -600,6 +529,7 @@ where
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Mutex;
 
     #[test]
     fn all_tasks_run_to_completion() {
@@ -702,7 +632,7 @@ mod tests {
     #[test]
     fn explore_reports_task_panic_message() {
         // The failing seed's report carries the task's own assertion
-        // text, wherever in the run (launcher or worker) the task ran.
+        // text, whichever stack (the launcher's or a pooled one) it ran on.
         for failing in 0..4u64 {
             let failure = explore_schedules(0..4, |seed| {
                 run_tasks(seed, 4, |i| {

@@ -311,7 +311,7 @@ struct TraceStripe {
 }
 
 /// A bounded, striped event sink. Install one for the current thread with
-/// [`with_sink`]; launches propagate it to every warp (see [`in_warp`]).
+/// [`with_sink`]; launches propagate it to every warp they run.
 pub struct TraceSink {
     stripes: Vec<TraceStripe>,
     step: AtomicU64,
@@ -499,24 +499,35 @@ pub const fn compiled_in() -> bool {
     cfg!(feature = "trace")
 }
 
-/// Run `f` with `sink` (when present) and the `(sm, warp)` stamp
-/// installed for the current thread — the launch machinery wraps each
-/// warp's kernel invocation in this so emissions are attributed to the
-/// warp that made them. With no sink the call is just `f()`.
-pub fn in_warp<R>(sink: Option<Arc<TraceSink>>, sm: u32, warp: u64, f: impl FnOnce() -> R) -> R {
-    let Some(sink) = sink else { return f() };
+/// Run `f` with the `(sm, warp)` stamp installed for the current thread —
+/// the launch machinery wraps each warp's kernel invocation in this so
+/// emissions are attributed to the warp that made them.
+pub fn in_warp<R>(sm: u32, warp: u64, f: impl FnOnce() -> R) -> R {
     struct Restore((u32, u64));
     impl Drop for Restore {
         fn drop(&mut self) {
-            CURRENT_CTX.with(|c| c.set(self.0));
+            CURRENT_CTX.set(self.0);
         }
     }
-    let _restore = CURRENT_CTX.with(|c| {
-        let prev = c.get();
-        c.set((sm, warp));
-        Restore(prev)
-    });
-    with_sink(sink, f)
+    let _restore = Restore(CURRENT_CTX.replace((sm, warp)));
+    f()
+}
+
+/// The thread-locals that belong to a warp, not its thread: the `(sm,
+/// warp)` stamp and the routing scope are live across preemption points
+/// (a router holds [`with_level`] around a child's `malloc`), so the
+/// deterministic engine, all of whose warps share a thread, swaps them.
+pub(crate) type WarpLocals = ((u32, u64), [u32; LEVELS]);
+
+/// The current thread's [`WarpLocals`].
+pub(crate) fn warp_locals() -> WarpLocals {
+    (CURRENT_CTX.get(), CURRENT_SCOPE.with(|scope| scope.each_ref().map(Cell::get)))
+}
+
+/// Install `locals` as the current thread's [`WarpLocals`].
+pub(crate) fn set_warp_locals((ctx, scope): WarpLocals) {
+    CURRENT_CTX.set(ctx);
+    CURRENT_SCOPE.with(|cells| cells.iter().zip(scope).for_each(|(cell, id)| cell.set(id)));
 }
 
 /// Emit an event from the current thread, attributed to `lane`. The
@@ -724,7 +735,7 @@ mod tests {
         with_sink(sink.clone(), || {
             for i in 0..20u64 {
                 // Rotate the SM stamp so records land in many stripes.
-                in_warp(current_sink(), (i % 5) as u32, i, || {
+                in_warp((i % 5) as u32, i, || {
                     emit_lane(i as u32, || TraceEvent::Free { ptr: i, size: 0 });
                 });
             }

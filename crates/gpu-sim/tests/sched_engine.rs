@@ -1,7 +1,7 @@
 //! The deterministic engine seen from outside: schedules pinned as
-//! literals captured from the coordinator-based engine this one replaced
+//! literals captured from the coordinator-based engine two engines ago
 //! (one OS thread per task, two `Condvar` hand-offs per step), plus the
-//! shapes of use the persistent worker set must survive — nested and
+//! shapes of use the per-thread stack pool must survive — nested and
 //! concurrent launches.
 
 use gpu_sim::sched::{preempt_point, run_tasks, run_tasks_faulted, spin_hint};
@@ -77,8 +77,8 @@ fn schedules_match_the_literals_captured_from_the_coordinator_engine() {
 
 #[test]
 fn a_launch_inside_a_task_completes() {
-    // The inner launcher is an outer task's thread, and the outer run's
-    // workers are checked out: the nested checkout must grow the set.
+    // The inner launcher is an outer task's stack, and the outer run's
+    // stacks are checked out: the nested checkout must grow the pool.
     let inner_steps = Mutex::new(Vec::new());
     let outer = run_tasks(3, 4, |i| {
         preempt_point(PreemptPoint::Rmw);
@@ -94,7 +94,7 @@ fn a_launch_inside_a_task_completes() {
 #[test]
 fn concurrent_launches_each_replay_their_own_schedule() {
     // What `cargo test`'s parallel test threads do all day: launches
-    // from several host threads at once, sharing one worker set.
+    // from several host threads at once, each a run on its own thread.
     std::thread::scope(|s| {
         for (k, golden) in SPIN_GOLDEN.into_iter().enumerate() {
             s.spawn(move || {
