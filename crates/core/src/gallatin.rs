@@ -26,7 +26,8 @@ use crate::router::{Arena, Level};
 use crate::table::{BlockHandle, MemoryTable, LARGE_BASE, LARGE_BODY, TREE_FREE};
 use crate::tiers::{BlockTier, SegmentTier, SliceTier, TierCtx, RESERVED};
 use gpu_sim::{
-    trace, AllocStats, DeviceAllocator, DeviceMemory, DevicePtr, LaneCtx, Metrics, Striped, WarpCtx,
+    trace, AllocStats, DeviceAllocator, DeviceMemory, DevicePtr, LaneCtx, LaneMask, Metrics,
+    Striped, WarpCtx, WARP_SIZE,
 };
 use std::sync::Arc;
 
@@ -284,7 +285,7 @@ impl Gallatin {
                 &self.ctx(),
                 sm_id,
                 class,
-                &[0u32],
+                LaneMask::lane(0),
                 |_, p| out = p,
                 &self.blocks,
                 &self.segments,
@@ -387,90 +388,78 @@ impl DeviceAllocator for Gallatin {
 
     /// Warp-collective free with opportunistic coalescing: slice frees
     /// targeting the same block are grouped so one `fetch_add(k)` returns
-    /// all of them (paper §6.5). Whole-block and large frees take the
-    /// scalar path.
+    /// all of them (paper §6.5). Whole-block and large frees complete
+    /// inside `release`, lane by lane.
     fn warp_free(&self, warp: &WarpCtx, ptrs: &[DevicePtr]) {
         debug_assert_eq!(ptrs.len(), warp.active as usize);
         let ctx = self.ctx();
-        // (block handle raw, count) groups; ≤32 entries, fixed scratch.
-        let mut groups = [(u64::MAX, 0u32); gpu_sim::WARP_SIZE];
-        let mut classes = [0usize; gpu_sim::WARP_SIZE];
-        let mut n_groups = 0usize;
-        self.metrics.count_frees(ptrs.iter().filter(|p| !p.is_null()).count() as u64);
-        for lane in warp.lanes() {
-            let ptr = ptrs[lane];
-            if ptr.is_null() {
-                continue;
-            }
-            let Some((seg, class, block)) = self.release(&ctx, lane as u32, ptr) else { continue };
-            // Coalesce: ballot-equivalent grouping by block.
-            let key = BlockHandle::new(seg, block, self.geo.max_blocks).0;
-            match groups[..n_groups].iter().position(|&(k, _)| k == key) {
-                Some(i) => groups[i].1 += 1,
-                None => {
-                    groups[n_groups] = (key, 1);
-                    classes[n_groups] = class;
-                    n_groups += 1;
-                }
+        let live = LaneMask::ballot(ptrs, |p| !p.is_null());
+        self.metrics.count_frees(live.count() as u64);
+        // Block handle and class of each slice lane, for the regrouping.
+        let mut blocks = [0u64; WARP_SIZE];
+        let mut classes = [0u8; WARP_SIZE];
+        let mut slices = LaneMask::EMPTY;
+        for lane in live {
+            if let Some((seg, class, block)) = self.release(&ctx, lane as u32, ptrs[lane]) {
+                blocks[lane] = BlockHandle::new(seg, block, self.geo.max_blocks).0;
+                classes[lane] = class as u8;
+                slices.insert(lane);
             }
         }
-        for (i, &(key, count)) in groups[..n_groups].iter().enumerate() {
-            let handle = BlockHandle(key);
+        // Ballot by block among the lanes left; groups go in order of
+        // their leader, the lowest lane.
+        while let Some(leader) = slices.lowest() {
+            let group = slices.keep(|lane| blocks[lane] == blocks[leader]);
+            slices = slices.without(group);
+            let handle = BlockHandle(blocks[leader]);
             let seg = handle.segment(self.geo.max_blocks);
             let block = handle.block(self.geo.max_blocks);
-            self.slices.free_n(&ctx, seg, classes[i], block, count, &self.blocks, &self.segments);
+            let (class, n) = (classes[leader] as usize, group.count() as u32);
+            self.slices.free_n(&ctx, seg, class, block, n, &self.blocks, &self.segments);
         }
     }
 
     /// Warp-collective allocation with opportunistic coalescing
-    /// (Algorithm 3): lanes requesting the same slice class are grouped by
-    /// ballot; each group's leader issues one atomic for the whole group.
+    /// (Algorithm 3): one pass ballots the requesting lanes into a group
+    /// per slice class, each group's leader issues one atomic for the
+    /// whole group, and the lanes no slice serves fall through to the
+    /// scalar paths. The order — classes ascending, lanes ascending
+    /// inside a class, scalar lanes ascending last — is the CAS order,
+    /// hence part of every recorded schedule.
     fn warp_malloc(&self, warp: &WarpCtx, sizes: &[Option<u64>], out: &mut [DevicePtr]) {
         debug_assert_eq!(sizes.len(), warp.active as usize);
         debug_assert_eq!(out.len(), warp.active as usize);
-        for p in out.iter_mut() {
-            *p = DevicePtr::NULL;
-        }
-        // Group lanes by slice class (cg::coalesced_threads + ballot).
-        // Fixed-size scratch keeps this path allocation-free.
-        let mut keys = [None::<usize>; gpu_sim::WARP_SIZE];
-        for lane in warp.lanes() {
+        out.fill(DevicePtr::NULL);
+        // A class is the exponent of a power-of-two `u64` size.
+        let mut groups = [LaneMask::EMPTY; u64::BITS as usize];
+        let mut scalar = LaneMask::EMPTY;
+        for (lane, size) in sizes.iter().enumerate() {
+            let &Some(size) = size else { continue };
             // max(1): zero-size requests coalesce into the smallest class.
-            keys[lane] = sizes[lane].and_then(|sz| self.geo.slice_class(sz.max(1)));
-        }
-        let mut lanes_buf = [0u32; gpu_sim::WARP_SIZE];
-        for class in 0..self.geo.num_classes {
-            let mut n = 0usize;
-            for lane in warp.lanes() {
-                if keys[lane] == Some(class) {
-                    lanes_buf[n] = lane as u32;
-                    n += 1;
-                }
+            match self.geo.slice_class(size.max(1)) {
+                Some(class) => groups[class].insert(lane),
+                None => scalar.insert(lane),
             }
-            if n == 0 {
+        }
+        for (class, &group) in groups[..self.geo.num_classes].iter().enumerate() {
+            if group.is_empty() {
                 continue;
             }
             let served = self.slices.malloc_group(
                 &self.ctx(),
                 warp.sm_id,
                 class,
-                &lanes_buf[..n],
-                |lane, p| {
-                    out[lane as usize] = p;
-                },
+                group,
+                |lane, p| out[lane] = p,
                 &self.blocks,
                 &self.segments,
             );
             // Unserved lanes (exhaustion) keep NULL.
-            self.metrics.count_mallocs(served as u64, (n - served) as u64);
+            self.metrics.count_mallocs(served as u64, (group.count() - served) as u64);
         }
-        // Non-slice requests fall through to the scalar paths.
-        for lane in warp.lanes() {
-            if keys[lane].is_none() {
-                if let Some(size) = sizes[lane] {
-                    out[lane] = self.malloc_routed(warp.sm_id, size);
-                }
-            }
+        for lane in scalar {
+            let size = sizes[lane].expect("a scalar lane was balloted from a request");
+            out[lane] = self.malloc_routed(warp.sm_id, size);
         }
     }
 

@@ -49,8 +49,8 @@ use crate::config::GallatinConfig;
 use crate::gallatin::invariant_report;
 use crate::table::MemoryTable;
 use gpu_sim::{
-    trace, AllocStats, DeviceAllocator, DeviceMemory, DevicePtr, LaneCtx, Metrics, Topology,
-    WarpCtx, WARP_SIZE,
+    trace, AllocStats, DeviceAllocator, DeviceMemory, DevicePtr, LaneCtx, LaneMask, Metrics,
+    Topology, WarpCtx, WARP_SIZE,
 };
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -265,7 +265,7 @@ impl<C: Level> Router<C> {
     /// Account a warp's served accesses (the non-null `ptrs`) against the
     /// tariff, if this level has one.
     #[inline]
-    fn classify(&self, sm_id: u32, ptrs: &[DevicePtr]) {
+    fn classify(&self, sm_id: u32, ptrs: impl Iterator<Item = DevicePtr>) {
         if let Some((topo, metrics)) = &self.tariff {
             topo.classify_accesses(sm_id, ptrs, metrics);
         }
@@ -284,63 +284,52 @@ impl<C: Level> Router<C> {
         offer: impl Fn(usize, &[Option<u64>], &mut [DevicePtr]),
     ) {
         let k = sizes.len();
+        out.fill(DevicePtr::NULL);
         // Nothing larger than the stride fits in *any* leaf: deny those
         // lanes before touching a tree, rather than pay CAS traffic down
         // a guaranteed-futile walk; the rest of the warp proceeds as one
         // coalesced group.
-        let mut pending = [None::<u64>; N];
-        let mut oversize = 0u64;
-        for lane in 0..k {
-            out[lane] = DevicePtr::NULL;
-            match sizes[lane] {
-                Some(sz) if sz > self.stride => oversize += 1,
-                sz => pending[lane] = sz,
-            }
+        let asking = LaneMask::ballot(sizes, Option::is_some);
+        let mut live = asking.keep(|lane| sizes[lane].is_some_and(|sz| sz <= self.stride));
+        if live != asking {
+            self.note_oversize(sm_id, asking.without(live).count() as u64);
         }
-        if oversize > 0 {
-            self.note_oversize(sm_id, oversize);
-            if pending[..k].iter().all(Option::is_none) {
-                return; // the whole request was oversize: nothing to launch
-            }
+        let mut pending = [None::<u64>; N];
+        for lane in live {
+            pending[lane] = sizes[lane];
         }
         // The walk: home first, then each sibling in turn, every child
         // seeing the lanes still pending as one (shrinking) coalesced
-        // group.
+        // group. Nothing pending — an idle or all-oversize warp — is
+        // nothing to launch.
         let (n, home) = (self.children.len(), self.home(sm_id));
         let mut got = [DevicePtr::NULL; N];
-        let mut unserved = u64::MAX; // lanes the previous attempt left
         let (mut step, mut may_adopt) = (0, true);
-        while step < n {
+        while step < n && !live.is_empty() {
             let i = (home + step) % n;
             Self::enter(i, || offer(i, &pending[..k], &mut got[..k]));
-            self.classify(sm_id, &got[..k]);
-            let (mut left, mut bytes) = (0u64, 0u64);
-            for lane in 0..k {
-                if !got[lane].is_null() {
-                    out[lane] = got[lane];
-                    pending[lane] = None;
-                } else if let Some(sz) = pending[lane] {
-                    left += 1;
-                    bytes += sz;
-                }
+            let served = live.keep(|lane| !got[lane].is_null());
+            self.classify(sm_id, served.map(|lane| got[lane]));
+            for lane in served {
+                out[lane] = got[lane];
+                pending[lane] = None;
             }
-            if step > 0 && left < unserved {
+            if step > 0 && !served.is_empty() {
                 // Charged only here — on actual sibling placement; a walk
                 // every sibling denies never touches the counter.
-                self.spills[home].fetch_add(unserved - left, Ordering::Relaxed);
+                self.spills[home].fetch_add(served.count() as u64, Ordering::Relaxed);
             }
-            if left == 0 {
-                return;
-            }
-            unserved = left;
+            live = live.without(served);
             // Home exhausted: if the level holds returned headroom, adopt
             // enough for the unserved bytes and retry the home once before
             // spilling, so elasticity absorbs pressure the fixed shards
             // would push onto siblings.
-            let need = bytes.div_ceil(self.segment_bytes).max(1);
-            if step == 0 && may_adopt && self.grow(home, need) > 0 {
-                may_adopt = false;
-                continue;
+            if step == 0 && may_adopt && !live.is_empty() {
+                let bytes: u64 = live.filter_map(|lane| pending[lane]).sum();
+                if self.grow(home, bytes.div_ceil(self.segment_bytes).max(1)) > 0 {
+                    may_adopt = false;
+                    continue;
+                }
             }
             step += 1;
         }
@@ -542,7 +531,7 @@ impl<C: Level> DeviceAllocator for Router<C> {
 
     fn free(&self, ctx: &LaneCtx, ptr: DevicePtr) {
         let i = self.owner_of(ptr);
-        self.classify(ctx.sm_id(), &[ptr]);
+        self.classify(ctx.sm_id(), std::iter::once(ptr));
         Self::enter(i, || self.children[i].free(ctx, ptr));
     }
 
@@ -557,32 +546,29 @@ impl<C: Level> DeviceAllocator for Router<C> {
         });
     }
 
-    /// Warp-collective free with per-child regrouping: the warp's
-    /// pointers are split by owning child and each child receives one
-    /// lane-aligned collective free, so the per-block `fetch_add`
-    /// coalescing inside each leaf survives every level of sharding.
+    /// Warp-collective free with per-child regrouping: one pass resolves
+    /// every live lane's owner; then each child that owns something, in
+    /// ascending order, receives its lanes as one lane-aligned collective
+    /// free, so the per-block `fetch_add` coalescing inside each leaf
+    /// survives every level of sharding.
     fn warp_free(&self, warp: &WarpCtx, ptrs: &[DevicePtr]) {
         debug_assert_eq!(ptrs.len(), warp.active as usize);
-        let active = warp.active as usize;
-        let mut owner = [usize::MAX; WARP_SIZE];
-        for lane in warp.lanes() {
-            if !ptrs[lane].is_null() {
-                owner[lane] = self.owner_of(ptrs[lane]);
-            }
+        let live = LaneMask::ballot(ptrs, |p| !p.is_null());
+        let mut owner = [0u32; WARP_SIZE];
+        for lane in live {
+            owner[lane] = self.owner_of(ptrs[lane]) as u32;
         }
-        self.classify(warp.sm_id, ptrs);
-        for (i, child) in self.children.iter().enumerate() {
-            let mut local = [DevicePtr::NULL; WARP_SIZE];
-            let mut any = false;
-            for lane in warp.lanes() {
-                if owner[lane] == i {
-                    local[lane] = ptrs[lane];
-                    any = true;
-                }
-            }
-            if any {
-                Self::enter(i, || child.warp_free(warp, &local[..active]));
-            }
+        self.classify(warp.sm_id, live.map(|lane| ptrs[lane]));
+        let mut local = [DevicePtr::NULL; WARP_SIZE];
+        let mut rest = live;
+        while let Some(i) = rest.map(|lane| owner[lane]).min() {
+            let mine = rest.keep(|lane| owner[lane] == i);
+            rest = rest.without(mine);
+            mine.for_each(|lane| local[lane] = ptrs[lane]);
+            Self::enter(i as usize, || {
+                self.children[i as usize].warp_free(warp, &local[..ptrs.len()])
+            });
+            mine.for_each(|lane| local[lane] = DevicePtr::NULL);
         }
     }
 

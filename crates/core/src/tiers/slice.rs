@@ -10,7 +10,7 @@
 
 use super::{block::BlockTier, segment::SegmentTier, TierCtx, RESERVED};
 use crate::table::{BlockHandle, SLICE_COUNT_MASK};
-use gpu_sim::{trace, DevicePtr};
+use gpu_sim::{trace, DevicePtr, LaneMask};
 use std::sync::atomic::Ordering;
 
 /// Number of times the slice pipeline retries a failed block refresh
@@ -35,7 +35,7 @@ impl SliceTier {
 
     /// Allocate one slice of `class` per lane in `lanes` (a coalesced
     /// group), writing results through `assign`. Returns the number of
-    /// lanes served (a prefix of `lanes`); the rest hit heap exhaustion.
+    /// lanes served (the group's lowest); the rest hit heap exhaustion.
     ///
     /// The group leader's single batched claim on the cached block's
     /// malloc counter ([`crate::table::SegmentMeta::claim_slices`])
@@ -53,16 +53,16 @@ impl SliceTier {
         ctx: &TierCtx,
         sm_id: u32,
         class: usize,
-        lanes: &[u32],
-        mut assign: impl FnMut(u32, DevicePtr),
+        lanes: LaneMask,
+        mut assign: impl FnMut(usize, DevicePtr),
         blocks: &BlockTier,
         segments: &SegmentTier,
     ) -> usize {
         let spb = ctx.geo.slices_per_block;
         let buffer = &blocks.buffers[class];
-        let mut next = 0usize; // lanes[..next] are served
+        let mut left = lanes; // lanes not yet served, the leader lowest
         let mut attempts = 0;
-        while next < lanes.len() {
+        while !left.is_empty() {
             attempts += 1;
             if attempts > SLICE_RETRIES {
                 break; // heap exhausted for this class
@@ -87,8 +87,7 @@ impl SliceTier {
             let seg = handle.segment(ctx.geo.max_blocks);
             let block = handle.block(ctx.geo.max_blocks);
             let meta = ctx.table.seg(seg);
-            let want = (lanes.len() - next) as u32;
-            let (base, take) = meta.claim_slices(block, want, spb, gen, ctx.metrics);
+            let (base, take) = meta.claim_slices(block, left.count() as u32, spb, gen, ctx.metrics);
             if take > 0 {
                 // One successful RMW served `take` lanes: the leader's
                 // atomic plus `take − 1` piggybacked followers.
@@ -97,17 +96,16 @@ impl SliceTier {
                     class: class as u32,
                     lanes: take,
                 });
-                for (rank, lane) in lanes[next..next + take as usize].iter().enumerate() {
+                for (rank, lane) in left.by_ref().take(take as usize).enumerate() {
                     let idx = base as u64 + rank as u64;
                     let off = ctx.geo.offset_of(seg, block, idx, class);
-                    trace::emit_lane(*lane, || trace::TraceEvent::Malloc {
+                    trace::emit_lane(lane as u32, || trace::TraceEvent::Malloc {
                         size: ctx.geo.slice_size(class),
                         tier: trace::AllocTier::Slice,
                         ptr: off,
                     });
-                    assign(*lane, DevicePtr(off));
+                    assign(lane, DevicePtr(off));
                 }
-                next += take as usize;
                 ctx.reserved.add(RESERVED, take as u64 * ctx.geo.slice_size(class));
             }
 
@@ -134,7 +132,7 @@ impl SliceTier {
                         buffer.try_clear(sm_id, entry);
                     }
                 }
-            } else if next < lanes.len() {
+            } else if !left.is_empty() {
                 // Found the block exhausted (or only partly served): the
                 // designated replacer owns the swap; yield so it can
                 // finish, then retry with the fresh block. (spin_hint
@@ -143,7 +141,7 @@ impl SliceTier {
                 gpu_sim::spin_hint();
             }
         }
-        next
+        lanes.count() - left.count()
     }
 
     /// Return `n` slices of one block with a single atomic — Algorithm

@@ -14,10 +14,10 @@
 //!   pointers ([`mem::DevicePtr`]) are byte offsets into an arena, exactly
 //!   as Gallatin treats pointers (§5 of the paper derives the segment id
 //!   by dividing the pointer offset by the segment size).
-//! * [`warp::WarpCtx`] — a warp of 32 lanes executed as a unit, with the
-//!   cooperative-groups collectives the paper relies on
-//!   (`coalesced_threads`, ballot, broadcast, exclusive scan, leader
-//!   election).
+//! * [`warp::WarpCtx`] — a warp of 32 lanes executed as a unit, and
+//!   [`warp::LaneMask`], the cooperative-groups vocabulary `gallatin`'s
+//!   collective calls are written in: a ballot is a 32-bit lane mask, its
+//!   leader the lowest set lane, a lane's rank its place in the walk.
 //! * [`mod@launch`] — grid launches: N logical threads are split into warps
 //!   and executed by a work-stealing CPU thread pool. Streaming
 //!   multiprocessor (SM) ids are assigned to warps so per-SM structures
@@ -72,4 +72,4 @@ pub use sched::{
 };
 pub use topo::{InterconnectCost, Topology};
 pub use trace::{TraceEvent, TraceRecord, TraceSink};
-pub use warp::{LaneCtx, WarpCtx, WARP_SIZE};
+pub use warp::{LaneCtx, LaneMask, WarpCtx, WARP_SIZE};

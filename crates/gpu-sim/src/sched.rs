@@ -75,7 +75,9 @@ pub enum PreemptPoint {
     Cas,
     /// A lock acquisition (lock-based baselines).
     Lock,
-    /// A warp collective (ballot / coalesced-group formation).
+    /// A warp collective (ballot / coalesced-group formation). Nothing
+    /// crosses it now — a [`crate::LaneMask`] ballot is a plain value —
+    /// but fault plans and recorded traces may name it.
     Collective,
     /// A volatile load that bypasses caches (`ldcv`).
     VolatileLoad,

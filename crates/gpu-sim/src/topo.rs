@@ -171,16 +171,24 @@ impl Topology {
         }
     }
 
-    /// Account a warp's accesses from `sm` to the non-null `ptrs`: one
-    /// bump of the local and one of the peer counter on `metrics`, and
-    /// the step cost for the caller to charge on its
+    /// Account a warp's accesses from `sm` to the non-null `ptrs` in one
+    /// pass: one bump of the local and one of the peer counter on
+    /// `metrics`, and the step cost for the caller to charge on its
     /// [`crate::clock::StepClock`]. Not a preemption point.
     #[inline]
-    pub fn classify_accesses(&self, sm: u32, ptrs: &[DevicePtr], metrics: &Metrics) -> u64 {
+    pub fn classify_accesses(
+        &self,
+        sm: u32,
+        ptrs: impl IntoIterator<Item = DevicePtr>,
+        metrics: &Metrics,
+    ) -> u64 {
         let home = self.affinity_device(sm);
-        let served = ptrs.iter().filter(|p| !p.is_null());
-        let peer = served.clone().filter(|&&p| self.device_of(p) != home).count() as u64;
-        let local = served.count() as u64 - peer;
+        let (mut served, mut peer) = (0u64, 0u64);
+        for p in ptrs.into_iter().filter(|p| !p.is_null()) {
+            served += 1;
+            peer += u64::from(self.device_of(p) != home);
+        }
+        let local = served - peer;
         metrics.count_local_access(local);
         metrics.count_peer_access(peer);
         local * self.cost.local_steps + peer * self.cost.peer_steps
@@ -233,9 +241,9 @@ mod tests {
         let (near, far) = (DevicePtr(8), DevicePtr((1 << 16) + 8));
         // SM 0's warp: one device-0 pointer (local), one device-1 pointer
         // (peer), and an idle lane that is not an access at all.
-        assert_eq!(topo.classify_accesses(0, &[near, DevicePtr::NULL, far], &m), 41);
+        assert_eq!(topo.classify_accesses(0, [near, DevicePtr::NULL, far], &m), 41);
         // SM 1 → device 1 pointer: local again.
-        assert_eq!(topo.classify_accesses(1, &[far], &m), 1);
+        assert_eq!(topo.classify_accesses(1, [far], &m), 1);
         let s = m.snapshot();
         assert_eq!((s.local_accesses, s.peer_accesses), (2, 1));
         assert!((s.peer_share() - 1.0 / 3.0).abs() < 1e-12);

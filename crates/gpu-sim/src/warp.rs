@@ -9,15 +9,94 @@
 //! result is distributed with broadcast + exclusive scan.
 //!
 //! The simulator executes a warp as a unit (one closure invocation per
-//! warp; see [`mod@crate::launch`]), so the collectives here have exact lane
-//! visibility and are implemented as plain slice operations. That matches
-//! hardware semantics: from inside the warp, the collective is a
-//! synchronous, all-lanes-visible primitive.
-
-use crate::sched::{preempt_point, PreemptPoint};
+//! warp; see [`mod@crate::launch`]), so a collective has exact lane
+//! visibility and its result is a plain value: a [`LaneMask`], the word
+//! `__ballot_sync` returns. The allocators' collective entry points
+//! ballot once and from then on revisit set lanes only — an idle lane
+//! costs nothing, as on hardware. None of it is a scheduler preemption
+//! point: a group forms between two atomics, never across one.
 
 /// Number of lanes in a warp, fixed at the CUDA value.
 pub const WARP_SIZE: usize = 32;
+
+/// A set of lanes of one warp: a ballot's result, and a coalesced group
+/// once a leader acts for it. Iterating pops lanes in ascending order
+/// (`trailing_zeros`, clear the lowest bit), so a pass costs the lanes
+/// set, not the warp's width, and a lane's place in the walk is its rank
+/// (Algorithm 3's exclusive scan). The type is `Copy`: `for lane in mask`
+/// walks a copy and leaves `mask` whole; `mask.by_ref()` drains it.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct LaneMask(u32);
+
+impl LaneMask {
+    /// No lane.
+    pub const EMPTY: LaneMask = LaneMask(0);
+
+    /// The group of `lane` alone: a scalar call seen as a collective one.
+    #[inline]
+    pub fn lane(lane: usize) -> Self {
+        LaneMask(1 << lane)
+    }
+
+    /// `__ballot_sync`: the lanes whose entry of `values` (one per active
+    /// lane) satisfies `pred`, in one pass.
+    #[inline]
+    pub fn ballot<T>(values: &[T], mut pred: impl FnMut(&T) -> bool) -> Self {
+        debug_assert!(values.len() <= WARP_SIZE);
+        LaneMask(values.iter().enumerate().fold(0, |m, (lane, v)| m | (pred(v) as u32) << lane))
+    }
+
+    /// The ballot of `pred` among this group's lanes alone.
+    #[inline]
+    pub fn keep(self, mut pred: impl FnMut(usize) -> bool) -> Self {
+        LaneMask(self.fold(0, |m, lane| m | (pred(lane) as u32) << lane))
+    }
+
+    /// Add `lane` to the group.
+    #[inline]
+    pub fn insert(&mut self, lane: usize) {
+        self.0 |= 1 << lane;
+    }
+
+    /// This group without the lanes of `other`.
+    #[inline]
+    pub fn without(self, other: LaneMask) -> Self {
+        LaneMask(self.0 & !other.0)
+    }
+
+    /// Whether no lane is set.
+    #[inline]
+    pub fn is_empty(self) -> bool {
+        self.0 == 0
+    }
+
+    /// The group's leader: its lowest lane (CUDA's
+    /// `coalesced_group::thread_rank() == 0`).
+    #[inline]
+    pub fn lowest(mut self) -> Option<usize> {
+        self.next()
+    }
+}
+
+impl Iterator for LaneMask {
+    type Item = usize;
+
+    #[inline]
+    fn next(&mut self) -> Option<usize> {
+        if self.0 == 0 {
+            return None;
+        }
+        let lane = self.0.trailing_zeros() as usize;
+        self.0 &= self.0 - 1;
+        Some(lane)
+    }
+
+    /// The group's size, by popcount.
+    #[inline]
+    fn count(self) -> usize {
+        self.0.count_ones() as usize
+    }
+}
 
 /// Execution context of one warp.
 ///
@@ -49,71 +128,6 @@ impl WarpCtx {
         debug_assert!(lane < self.active as usize);
         LaneCtx { warp: self, lane: lane as u32 }
     }
-
-    /// `__ballot_sync`: a bitmask of active lanes whose predicate is true.
-    ///
-    /// `preds` must have one entry per active lane.
-    ///
-    /// Like the hardware instruction this is a warp-synchronizing
-    /// operation, so it is a scheduler preemption point.
-    #[inline]
-    pub fn ballot(&self, preds: &[bool]) -> u32 {
-        debug_assert_eq!(preds.len(), self.active as usize);
-        preempt_point(PreemptPoint::Collective);
-        let mut mask = 0u32;
-        for (lane, &p) in preds.iter().enumerate() {
-            if p {
-                mask |= 1 << lane;
-            }
-        }
-        mask
-    }
-
-    /// The leader of a coalesced group: the lowest set lane in `mask`
-    /// (CUDA's `coalesced_group::thread_rank() == 0` convention).
-    #[inline]
-    pub fn leader(mask: u32) -> u32 {
-        debug_assert!(mask != 0, "leader of empty group");
-        mask.trailing_zeros()
-    }
-
-    /// Exclusive prefix rank of `lane` within the coalesced group `mask` —
-    /// CUDA's `coalesced_group::thread_rank()`. Gallatin uses this as the
-    /// `exclusiveScan(1)` in Algorithm 3 to give each lane a distinct
-    /// slice index from the leader's single `atomicAdd`.
-    #[inline]
-    pub fn rank_in(mask: u32, lane: u32) -> u32 {
-        debug_assert!(mask & (1 << lane) != 0, "lane not in group");
-        (mask & ((1u32 << lane) - 1)).count_ones()
-    }
-
-    /// `coalesced_threads()` + grouping by request key: partitions the
-    /// active lanes that made a request (`keys[lane] = Some(k)`) into
-    /// groups of equal `k`, each with its lane mask.
-    ///
-    /// Returns `(key, mask)` pairs in order of first occurrence. Lanes with
-    /// `None` made no request and join no group, exactly like inactive
-    /// lanes in a coalesced group.
-    pub fn coalesce_by<K: Eq + Copy>(&self, keys: &[Option<K>]) -> Vec<(K, u32)> {
-        debug_assert_eq!(keys.len(), self.active as usize);
-        // Group formation synchronizes the warp: preemption point.
-        preempt_point(PreemptPoint::Collective);
-        let mut groups: Vec<(K, u32)> = Vec::new();
-        for (lane, key) in keys.iter().enumerate() {
-            let Some(k) = key else { continue };
-            match groups.iter_mut().find(|(gk, _)| gk == k) {
-                Some((_, mask)) => *mask |= 1 << lane,
-                None => groups.push((*k, 1 << lane)),
-            }
-        }
-        groups
-    }
-
-    /// Lanes set in `mask`, in ascending order.
-    #[inline]
-    pub fn group_lanes(mask: u32) -> impl Iterator<Item = u32> {
-        (0..WARP_SIZE as u32).filter(move |l| mask & (1 << l) != 0)
-    }
 }
 
 /// Execution context of a single lane (thread) inside a warp.
@@ -143,70 +157,47 @@ impl LaneCtx<'_> {
 mod tests {
     use super::*;
 
-    fn warp(active: u32) -> WarpCtx {
-        WarpCtx { warp_id: 7, sm_id: 3, base_tid: 7 * 32, active }
+    #[test]
+    fn ballot_sets_matching_lanes_and_the_leader_is_the_lowest() {
+        let mask = LaneMask::ballot(&[true, false, true, true], |&p| p);
+        assert_eq!(mask, LaneMask(0b1101));
+        assert_eq!((mask.lowest(), mask.count(), mask.is_empty()), (Some(0), 3, false));
+        assert_eq!(LaneMask(0b1100).lowest(), Some(2));
+        let none = LaneMask::ballot(&[None::<u64>; 32], Option::is_some);
+        assert_eq!((none, none.lowest(), none.count()), (LaneMask::EMPTY, None, 0));
+        assert_eq!(LaneMask::ballot(&[7u8; 32], |&v| v == 7).count(), 32);
     }
 
     #[test]
-    fn ballot_sets_matching_lanes() {
-        let w = warp(4);
-        let mask = w.ballot(&[true, false, true, true]);
-        assert_eq!(mask, 0b1101);
+    fn iteration_visits_set_lanes_ascending_and_drains_by_ref() {
+        let mask = LaneMask(0b1000_0000_0000_0000_1011_0100_0000_0001);
+        assert_eq!(mask.collect::<Vec<_>>(), [0, 10, 12, 13, 15, 31]);
+        // Lane i of the walk has rank i: the exclusive scan of Algorithm 3.
+        let mut rest = mask;
+        assert_eq!(rest.by_ref().take(2).collect::<Vec<_>>(), [0, 10]);
+        assert_eq!(rest, LaneMask(0b1000_0000_0000_0000_1011_0000_0000_0000));
+        assert_eq!(mask.without(rest), LaneMask(0b100_0000_0001));
     }
 
     #[test]
-    fn leader_is_lowest_lane() {
-        assert_eq!(WarpCtx::leader(0b1101), 0);
-        assert_eq!(WarpCtx::leader(0b1100), 2);
-    }
-
-    #[test]
-    fn rank_counts_lower_set_lanes() {
-        let mask = 0b1011_0100u32;
-        assert_eq!(WarpCtx::rank_in(mask, 2), 0);
-        assert_eq!(WarpCtx::rank_in(mask, 4), 1);
-        assert_eq!(WarpCtx::rank_in(mask, 5), 2);
-        assert_eq!(WarpCtx::rank_in(mask, 7), 3);
-    }
-
-    #[test]
-    fn coalesce_groups_equal_keys() {
-        let w = warp(6);
-        let keys = [Some(16u64), Some(32), None, Some(16), Some(32), Some(16)];
-        let groups = w.coalesce_by(&keys);
-        assert_eq!(groups.len(), 2);
-        assert_eq!(groups[0], (16, 0b101001));
-        assert_eq!(groups[1], (32, 0b010010));
-    }
-
-    #[test]
-    fn coalesce_all_none_is_empty() {
-        let w = warp(3);
-        let groups = w.coalesce_by::<u64>(&[None, None, None]);
-        assert!(groups.is_empty());
-    }
-
-    #[test]
-    fn group_lanes_enumerates_mask() {
-        let lanes: Vec<u32> = WarpCtx::group_lanes(0b1010).collect();
-        assert_eq!(lanes, vec![1, 3]);
+    fn keep_ballots_among_the_group_only() {
+        let keys = [16u64, 32, 16, 99, 32, 16];
+        let mut group = LaneMask::ballot(&keys, |&k| k != 99);
+        let mut visited = 0;
+        let same = group.keep(|lane| {
+            visited += 1;
+            keys[lane] == keys[0]
+        });
+        assert_eq!((same, visited), (LaneMask(0b100101), 5));
+        group.insert(3);
+        assert_eq!(group.without(same), LaneMask(0b011010));
+        assert_eq!(LaneMask::lane(31).lowest(), Some(31));
     }
 
     #[test]
     fn lane_ctx_global_tid() {
-        let w = warp(32);
+        let w = WarpCtx { warp_id: 7, sm_id: 3, base_tid: 7 * 32, active: 32 };
         assert_eq!(w.lane(5).global_tid(), 7 * 32 + 5);
         assert_eq!(w.lane(5).sm_id(), 3);
-    }
-
-    #[test]
-    fn ranks_partition_group() {
-        // Every lane in a group gets a unique rank 0..count.
-        let mask = 0b1111_0110_1001u32;
-        let mut ranks: Vec<u32> =
-            WarpCtx::group_lanes(mask).map(|l| WarpCtx::rank_in(mask, l)).collect();
-        ranks.sort_unstable();
-        let expect: Vec<u32> = (0..mask.count_ones()).collect();
-        assert_eq!(ranks, expect);
     }
 }
