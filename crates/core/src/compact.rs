@@ -103,9 +103,7 @@ impl Gallatin {
             if new.is_null() {
                 continue;
             }
-            let mut buf = vec![0u8; size as usize];
-            self.mem.read_bytes(old, &mut buf);
-            self.mem.write_bytes(new, &buf);
+            self.mem.copy(old, new, size as usize);
             self.free_routed(old);
             out.push(Relocation { old, new, size });
         }

@@ -9,7 +9,7 @@
 //!
 //! # Access discipline
 //!
-//! Two kinds of access are offered:
+//! Three kinds of access are offered:
 //!
 //! * **Atomic views** ([`DeviceMemory::atomic_u32`] /
 //!   [`DeviceMemory::atomic_u64`]): used for all allocator *metadata*
@@ -23,6 +23,12 @@
 //!   only between `malloc` and `free`. The allocator property tests verify
 //!   ownership is exclusive (no double allocation), which is what makes
 //!   this discipline sound.
+//! * **Ranged payload primitives** ([`DeviceMemory::find_stamp`] /
+//!   [`DeviceMemory::copy`]): the search and the device-to-device copy a
+//!   kernel runs over ranges it owns, same discipline. The rule is *one
+//!   check per range*: the bytes a word-by-word [`DeviceMemory::read_stamp`]
+//!   loop would check one by one are checked once, up front. Like the
+//!   payload copies, neither is a preemption point.
 
 use std::alloc::{alloc_zeroed, dealloc, handle_alloc_error, Layout};
 use std::ptr::NonNull;
@@ -70,15 +76,6 @@ impl DevicePtr {
         debug_assert!(!self.is_null());
         debug_assert!(device_stride > 0);
         (self.0 / device_stride) as u32
-    }
-
-    /// This pointer's byte offset within its device's arena (the
-    /// remainder of the device-id division).
-    #[inline]
-    pub fn local_offset(self, device_stride: u64) -> u64 {
-        debug_assert!(!self.is_null());
-        debug_assert!(device_stride > 0);
-        self.0 % device_stride
     }
 }
 
@@ -236,25 +233,6 @@ impl DeviceMemory {
         self.atomic_u32(off).load(Ordering::Relaxed)
     }
 
-    /// Relaxed atomic store of a u32.
-    #[inline]
-    pub fn store_u32(&self, off: u64, v: u32) {
-        self.atomic_u32(off).store(v, Ordering::Relaxed)
-    }
-
-    /// Acquire load of a u32, modeling the CUDA `ld.cv` ("load, cache
-    /// volatile") intrinsic Gallatin uses to re-read possibly-stale global
-    /// metadata (paper Algorithm 2).
-    ///
-    /// Scheduler preemption point: the whole point of `ld.cv` is that
-    /// the value may have changed under the reader, so the deterministic
-    /// scheduler gets a chance to interleave a writer right before it.
-    #[inline]
-    pub fn ldcv_u32(&self, off: u64) -> u32 {
-        crate::sched::preempt_point(crate::sched::PreemptPoint::VolatileLoad);
-        self.atomic_u32(off).load(Ordering::Acquire)
-    }
-
     /// Relaxed atomic load of a u64.
     #[inline]
     pub fn load_u64(&self, off: u64) -> u64 {
@@ -306,6 +284,39 @@ impl DeviceMemory {
         u64::from_le_bytes(buf)
     }
 
+    /// Index of the first of the `count` little-endian u64 words at `ptr`
+    /// equal to `needle`, bounds-checked once for the whole range. `ptr`
+    /// needs no alignment, and `count == 0` is `None` without looking at
+    /// it (an empty list may hold [`DevicePtr::NULL`]).
+    #[inline]
+    pub fn find_stamp(&self, ptr: DevicePtr, count: u64, needle: u64) -> Option<u64> {
+        if count == 0 {
+            return None;
+        }
+        let words = usize::try_from(count).expect("word count exceeds the address space");
+        self.check(ptr.0, words.checked_mul(8).expect("search range overflows usize"), 1);
+        // SAFETY: the check covers all `8 * words` bytes from `ptr`, `[u8; 8]`
+        // has alignment 1, and a live payload range is accessed by its owner
+        // only (module docs), so nothing writes under the slice.
+        let list = unsafe {
+            std::slice::from_raw_parts(self.ptr(ptr.0 as usize).cast::<[u8; 8]>(), words)
+        };
+        list.iter().position(|w| u64::from_le_bytes(*w) == needle).map(|i| i as u64)
+    }
+
+    /// Device-to-device payload copy (the `memcpy` of a reallocation or a
+    /// migration): each range is bounds-checked once; they must not overlap.
+    #[inline]
+    pub fn copy(&self, src: DevicePtr, dst: DevicePtr, bytes: usize) {
+        self.check(src.0, bytes, 1);
+        self.check(dst.0, bytes, 1);
+        assert!(src.0.abs_diff(dst.0) >= bytes as u64, "device copy of {bytes} bytes overlaps");
+        let (from, to) = (self.ptr(src.0 as usize), self.ptr(dst.0 as usize));
+        // SAFETY: both ranges are in bounds and disjoint (checked above);
+        // see write_bytes for the ownership discipline.
+        unsafe { std::ptr::copy_nonoverlapping(from, to, bytes) };
+    }
+
     /// Zero a byte range (used by allocator `reset` implementations).
     pub fn zero_range(&self, off: u64, bytes: usize) {
         self.check(off, bytes, 1);
@@ -343,14 +354,12 @@ mod tests {
     }
 
     #[test]
-    fn device_routing_is_quotient_and_remainder() {
+    fn device_routing_is_the_quotient() {
         let stride = 1 << 20;
         assert_eq!(DevicePtr(0).device_of(stride), 0);
         assert_eq!(DevicePtr(stride - 1).device_of(stride), 0);
         assert_eq!(DevicePtr(stride).device_of(stride), 1);
         assert_eq!(DevicePtr(3 * stride + 17).device_of(stride), 3);
-        assert_eq!(DevicePtr(3 * stride + 17).local_offset(stride), 17);
-        assert_eq!(DevicePtr(stride - 1).local_offset(stride), stride - 1);
     }
 
     #[test]
@@ -442,12 +451,12 @@ mod tests {
     fn split_parts_outlive_the_parent_view() {
         let parts = {
             let mem = DeviceMemory::new(128);
-            mem.store_u32(64, 7);
+            mem.atomic_u32(64).store(7, Ordering::Relaxed);
             mem.split(2)
         };
         // The parent view is gone but the shared arena is still alive.
         assert_eq!(parts[1].load_u32(0), 7);
-        parts[0].store_u32(0, 9);
+        parts[0].atomic_u32(0).store(9, Ordering::Relaxed);
         assert_eq!(parts[0].load_u32(0), 9);
     }
 
@@ -464,6 +473,89 @@ mod tests {
     fn uneven_split_panics() {
         let mem = DeviceMemory::new(128);
         let _ = mem.split(3);
+    }
+
+    /// A 128-byte arena holding the words 10, 20, 30, 20 at offset 64.
+    fn arena_with_list() -> DeviceMemory {
+        let mem = DeviceMemory::new(128);
+        for (i, w) in [10u64, 20, 30, 20].into_iter().enumerate() {
+            mem.write_stamp(DevicePtr(64 + i as u64 * 8), w);
+        }
+        mem
+    }
+
+    #[test]
+    fn find_stamp_returns_the_first_match_or_none() {
+        let mem = arena_with_list();
+        assert_eq!(mem.find_stamp(DevicePtr(64), 4, 20), Some(1), "first of two equal words");
+        assert_eq!(mem.find_stamp(DevicePtr(64), 4, 30), Some(2));
+        assert_eq!(mem.find_stamp(DevicePtr(64), 4, 99), None);
+        assert_eq!(mem.find_stamp(DevicePtr(64), 1, 20), None, "the range ends where told");
+        // An empty list is never dereferenced, so it may be null.
+        assert_eq!(mem.find_stamp(DevicePtr::NULL, 0, 0), None);
+    }
+
+    #[test]
+    fn find_stamp_reads_unaligned_words() {
+        let mem = DeviceMemory::new(64);
+        mem.write_stamp(DevicePtr(3 + 2 * 8), 0xfeed_f00d);
+        assert_eq!(mem.find_stamp(DevicePtr(3), 5, 0xfeed_f00d), Some(2));
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn find_stamp_one_word_past_the_view_panics() {
+        let mem = arena_with_list();
+        // Words 8..17 of a 16-word arena: a miss that would read word 16.
+        mem.find_stamp(DevicePtr(64), 9, 99);
+    }
+
+    #[test]
+    #[should_panic(expected = "overflows usize")]
+    fn find_stamp_range_length_overflow_panics() {
+        let mem = arena_with_list();
+        // 2^61 words are 2^64 bytes: wrapped to 0 they would pass the check.
+        mem.find_stamp(DevicePtr(64), 1 << 61, 10);
+    }
+
+    #[test]
+    fn copy_moves_a_range_and_zero_bytes_is_a_no_op() {
+        let mem = arena_with_list();
+        mem.copy(DevicePtr(64), DevicePtr(0), 32);
+        assert_eq!(mem.find_stamp(DevicePtr(0), 4, 30), Some(2));
+        assert_eq!(mem.read_stamp(DevicePtr(32)), 0, "nothing past the range is written");
+        mem.copy(DevicePtr(64), DevicePtr(64), 0);
+        mem.copy(DevicePtr(128), DevicePtr(0), 0);
+        assert_eq!(mem.read_stamp(DevicePtr(64)), 10);
+        assert_eq!(mem.read_stamp(DevicePtr(0)), 10);
+    }
+
+    #[test]
+    #[should_panic(expected = "overlaps")]
+    fn copy_of_overlapping_ranges_panics() {
+        let mem = arena_with_list();
+        mem.copy(DevicePtr(64), DevicePtr(72), 16);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn copy_past_the_end_panics() {
+        let mem = arena_with_list();
+        mem.copy(DevicePtr(0), DevicePtr(112), 24);
+    }
+
+    #[test]
+    fn copy_through_a_split_part_stays_inside_the_part() {
+        let mem = arena_with_list();
+        let parts = mem.split(2);
+        // Part 1 is bytes 64..128 of the parent: the list sits at its 0.
+        parts[1].copy(DevicePtr(0), DevicePtr(32), 32);
+        assert_eq!(mem.find_stamp(DevicePtr(96), 4, 30), Some(2));
+        assert_eq!(mem.find_stamp(DevicePtr(0), 8, 10), None, "part 0 is untouched");
+        // In the parent's bounds, past the part's.
+        let past = std::panic::catch_unwind(|| parts[1].copy(DevicePtr(0), DevicePtr(48), 32));
+        let msg = *past.unwrap_err().downcast::<String>().expect("formatted panic message");
+        assert!(msg.contains("out of bounds"), "{msg}");
     }
 
     #[test]

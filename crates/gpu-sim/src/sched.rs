@@ -75,10 +75,6 @@ pub enum PreemptPoint {
     Cas,
     /// A lock acquisition (lock-based baselines).
     Lock,
-    /// A warp collective (ballot / coalesced-group formation). Nothing
-    /// crosses it now — a [`crate::LaneMask`] ballot is a plain value —
-    /// but fault plans and recorded traces may name it.
-    Collective,
     /// A volatile load that bypasses caches (`ldcv`).
     VolatileLoad,
     /// One iteration of a spin-wait loop.
@@ -775,7 +771,7 @@ mod tests {
         let hooks = Arc::new(Counter(AtomicU64::new(0)));
         with_hooks(hooks.clone(), || {
             preempt_point(PreemptPoint::Rmw);
-            preempt_point(PreemptPoint::Collective);
+            preempt_point(PreemptPoint::Cas);
         });
         // Outside with_hooks the call is a no-op again.
         preempt_point(PreemptPoint::Rmw);

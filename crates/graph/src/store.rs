@@ -113,11 +113,12 @@ impl<A: DeviceAllocator> DynamicGraph<A> {
         let _guard = VertexGuard::acquire(vert);
         let len = vert.len.load(Ordering::Relaxed) as usize;
         let ptr = DevicePtr(vert.ptr.load(Ordering::Relaxed));
-        let mut out = vec![0u64; len];
-        for (i, e) in out.iter_mut().enumerate() {
-            *e = self.alloc.memory().read_stamp(ptr.offset(i as u64 * 8));
+        let mut words = vec![[0u8; 8]; len];
+        // An empty list may be null: nothing to read, so never looked at.
+        if len > 0 {
+            self.alloc.memory().read_bytes(ptr, words.as_flattened_mut());
         }
-        out
+        words.into_iter().map(u64::from_le_bytes).collect()
     }
 
     /// Grow or shrink `vert`'s storage to hold `need` entries. Returns
@@ -140,17 +141,12 @@ impl<A: DeviceAllocator> DynamicGraph<A> {
         }
         let fresh = self.alloc.malloc(ctx, new_cap * 8);
         if fresh.is_null() {
-            self.failed_updates.fetch_add(1, Ordering::Relaxed);
             return None;
         }
-        // Copy the surviving prefix.
-        let live = (vert.len.load(Ordering::Relaxed) as u64).min(new_cap);
-        let mut buf = vec![0u8; (live * 8) as usize];
-        if !old.is_null() && live > 0 {
-            self.alloc.memory().read_bytes(old, &mut buf);
-            self.alloc.memory().write_bytes(fresh, &buf);
-        }
         if !old.is_null() {
+            // Move the surviving prefix, device to device.
+            let live = (vert.len.load(Ordering::Relaxed) as u64).min(new_cap);
+            self.alloc.memory().copy(old, fresh, (live * 8) as usize);
             self.alloc.free(ctx, old);
         }
         vert.ptr.store(fresh.0, Ordering::Relaxed);
@@ -166,10 +162,11 @@ impl<A: DeviceAllocator> DynamicGraph<A> {
         let len = vert.len.load(Ordering::Relaxed) as u64;
         let cap = vert.cap.load(Ordering::Relaxed) as u64;
         let ptr = if len == cap {
-            match self.resize_locked(ctx, vert, len + 1) {
-                Some(p) => p,
-                None => return false,
-            }
+            let Some(fresh) = self.resize_locked(ctx, vert, len + 1) else {
+                self.failed_updates.fetch_add(1, Ordering::Relaxed);
+                return false;
+            };
+            fresh
         } else {
             DevicePtr(vert.ptr.load(Ordering::Relaxed))
         };
@@ -186,21 +183,19 @@ impl<A: DeviceAllocator> DynamicGraph<A> {
         let len = vert.len.load(Ordering::Relaxed) as u64;
         let ptr = DevicePtr(vert.ptr.load(Ordering::Relaxed));
         let mem = self.alloc.memory();
-        for i in 0..len {
-            if mem.read_stamp(ptr.offset(i * 8)) == dst {
-                let last = mem.read_stamp(ptr.offset((len - 1) * 8));
-                mem.write_stamp(ptr.offset(i * 8), last);
-                vert.len.store(len as u32 - 1, Ordering::Release);
-                // Shrink at quarter occupancy (paper: lists sized to the
-                // next power of two of their length).
-                let cap = vert.cap.load(Ordering::Relaxed) as u64;
-                if len - 1 <= cap / 4 {
-                    let _ = self.resize_locked(ctx, vert, len - 1);
-                }
-                return true;
-            }
+        // The first match: swap-remove makes list order observable.
+        let Some(i) = mem.find_stamp(ptr, len, dst) else { return false };
+        let last = mem.read_stamp(ptr.offset((len - 1) * 8));
+        mem.write_stamp(ptr.offset(i * 8), last);
+        vert.len.store(len as u32 - 1, Ordering::Release);
+        // Shrink at quarter occupancy (paper: lists sized to the next
+        // power of two of their length). A shrink the allocator cannot
+        // serve keeps the capacity; the delete itself has succeeded.
+        let cap = vert.cap.load(Ordering::Relaxed) as u64;
+        if len - 1 <= cap / 4 {
+            let _ = self.resize_locked(ctx, vert, len - 1);
         }
-        false
+        true
     }
 
     /// Release every edge list back to the allocator.
@@ -322,6 +317,33 @@ mod tests {
             assert!(inserted < 10_000);
             assert!(g.failed_updates() > 0);
         });
+    }
+
+    #[test]
+    fn shrink_that_cannot_allocate_is_not_a_failed_update() {
+        // Grow one list, then fill what is left of the heap so no shrink
+        // can be served: every delete still succeeds, at full capacity.
+        let g = DynamicGraph::new(1, CudaHeapSim::new(4 << 10));
+        with_lane(|l| {
+            for d in 0..100u64 {
+                assert!(g.insert_edge(l, 0, d));
+            }
+            let filler: Vec<DevicePtr> = std::iter::repeat_with(|| g.allocator().malloc(l, 16))
+                .take_while(|p| !p.is_null())
+                .collect();
+            for d in 0..99u64 {
+                assert!(g.delete_edge(l, 0, d));
+                assert_eq!(g.edge_bytes(), 128 * 8, "the list keeps its capacity");
+            }
+            assert_eq!(g.edges(0), vec![99]);
+            assert!(g.delete_edge(l, 0, 99), "emptying the list needs no allocation");
+            assert_eq!(g.failed_updates(), 0);
+            for p in filler {
+                g.allocator().free(l, p);
+            }
+            g.destroy(l);
+        });
+        assert_eq!(g.allocator().stats().reserved_bytes, 0);
     }
 
     #[test]

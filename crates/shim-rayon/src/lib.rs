@@ -14,13 +14,31 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 /// Global worker-count override installed by [`ThreadPoolBuilder::build_global`].
 static GLOBAL_THREADS: AtomicUsize = AtomicUsize::new(0);
 
+// From the libc std already links.
+#[cfg(target_os = "linux")]
+extern "C" {
+    fn sched_getaffinity(pid: i32, cpusetsize: usize, mask: *mut u64) -> i32;
+}
+
 fn pool_threads() -> usize {
     let n = GLOBAL_THREADS.load(Ordering::Relaxed);
     if n > 0 {
-        n
-    } else {
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+        return n;
     }
+    // The affinity mask in one syscall (`available_parallelism` re-reads
+    // the cgroup files too, ≈12 µs a launch). Read at every launch, never
+    // cached: callers pin and unpin the launching thread.
+    #[cfg(target_os = "linux")]
+    {
+        // Room for 1,024 CPUs; a wider kernel mask is an error.
+        let mut mask = [0u64; 16];
+        // SAFETY: `mask` is a live, writable buffer of the `cpusetsize` bytes
+        // passed, all the call writes; pid 0 is the calling thread.
+        if unsafe { sched_getaffinity(0, size_of_val(&mask), mask.as_mut_ptr()) } == 0 {
+            return mask.iter().map(|w| w.count_ones() as usize).sum();
+        }
+    }
+    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
 }
 
 /// Builder mirroring `rayon::ThreadPoolBuilder`; only the global-pool
@@ -152,6 +170,52 @@ mod tests {
             hits[i as usize].fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         });
         assert!(hits.iter().all(|h| h.load(std::sync::atomic::Ordering::Relaxed) == 1));
+    }
+
+    /// No test here installs a global worker count, so `pool_threads`
+    /// reads the calling test thread's own mask (affinity is per thread).
+    #[test]
+    #[cfg(target_os = "linux")]
+    fn pool_follows_the_calling_threads_affinity_mask() {
+        use super::sched_getaffinity;
+        extern "C" {
+            fn sched_setaffinity(pid: i32, cpusetsize: usize, mask: *const u64) -> i32;
+        }
+        let mut allowed = [0u64; 16];
+        let bytes = std::mem::size_of_val(&allowed);
+        // SAFETY: `allowed` is a live, writable buffer of `bytes` bytes.
+        assert_eq!(unsafe { sched_getaffinity(0, bytes, allowed.as_mut_ptr()) }, 0);
+        let cpus: usize = allowed.iter().map(|w| w.count_ones() as usize).sum();
+        assert_eq!(super::pool_threads(), cpus);
+        if cpus < 2 {
+            return; // nothing to narrow from
+        }
+        let run_ids = || {
+            let ids = std::sync::Mutex::new(Vec::new());
+            (0u32..64).into_par_iter().for_each(|_| {
+                ids.lock().unwrap().push(std::thread::current().id());
+            });
+            ids.into_inner().unwrap()
+        };
+        let caller = std::thread::current().id();
+
+        let word = allowed.iter().position(|&w| w != 0).unwrap();
+        let mut one = [0u64; 16];
+        one[word] = 1 << allowed[word].trailing_zeros();
+        // SAFETY: `one` is a live buffer of `bytes` bytes the call only reads.
+        assert_eq!(unsafe { sched_setaffinity(0, bytes, one.as_ptr()) }, 0);
+        let narrowed = (super::pool_threads(), run_ids());
+        // SAFETY: as above, for `allowed`. Restored before any assert.
+        assert_eq!(unsafe { sched_setaffinity(0, bytes, allowed.as_ptr()) }, 0);
+        assert_eq!(narrowed.0, 1);
+        assert!(narrowed.1.iter().all(|&id| id == caller), "one CPU: every item on the caller");
+
+        // The mask is read again at this launch: workers come back, and
+        // with more than one of them no item runs on the launching thread.
+        assert_eq!(super::pool_threads(), cpus);
+        let ids = run_ids();
+        assert_eq!(ids.len(), 64);
+        assert!(ids.iter().all(|&id| id != caller), "restored mask: the items run on workers");
     }
 
     #[test]
