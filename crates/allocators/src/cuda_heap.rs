@@ -12,10 +12,11 @@
 //!
 //! Each allocation carries an 8-byte size header, as a device heap does.
 
+use crate::util::lock;
 use gpu_sim::{AllocStats, DeviceAllocator, DeviceMemory, DevicePtr, LaneCtx, Metrics};
-use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 const HEADER: u64 = 8;
 
@@ -65,7 +66,7 @@ impl FirstFitHeap {
         let size = size.max(1);
         let need = crate::util::align_up(size, 8) + HEADER;
         metrics.count_lock();
-        let mut free = self.free.lock();
+        let mut free = lock(&self.free);
         // First fit: leftmost region large enough.
         let found = free.iter().find(|(_, &len)| len >= need).map(|(&off, &len)| (off, len));
         let Some((off, len)) = found else {
@@ -94,7 +95,7 @@ impl FirstFitHeap {
         );
         self.reserved.fetch_sub(len, Ordering::Relaxed);
         metrics.count_lock();
-        let mut free = self.free.lock();
+        let mut free = lock(&self.free);
         let mut start = off;
         let mut size = len;
         // Coalesce with the predecessor…
@@ -116,7 +117,7 @@ impl FirstFitHeap {
 
     /// Restore the whole region to one free extent. Reset-time only.
     pub fn reset(&self) {
-        let mut free = self.free.lock();
+        let mut free = lock(&self.free);
         free.clear();
         free.insert(self.region_start, self.region_len);
         drop(free);
@@ -252,12 +253,12 @@ mod tests {
             let p = h.malloc(l, 64);
             assert!(!p.is_null());
             h.memory().write_stamp(p, l.global_tid());
-            ptrs.lock().push((p, l.global_tid()));
+            lock(&ptrs).push((p, l.global_tid()));
         });
-        for &(p, tid) in ptrs.lock().iter() {
+        for &(p, tid) in lock(&ptrs).iter() {
             assert_eq!(h.memory().read_stamp(p), tid);
         }
-        let mut offs: Vec<u64> = ptrs.lock().iter().map(|&(p, _)| p.0).collect();
+        let mut offs: Vec<u64> = lock(&ptrs).iter().map(|&(p, _)| p.0).collect();
         offs.sort_unstable();
         offs.dedup();
         assert_eq!(offs.len(), 1000);

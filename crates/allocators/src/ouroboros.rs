@@ -18,8 +18,10 @@
 //!   release memory, so their second run starts with pre-filled queues.
 //! * **how the queue is built** — [`QueueKind::Static`] (S): a bounded
 //!   ring; [`QueueKind::VirtArray`] (VA): a growable segmented array;
-//!   [`QueueKind::VirtList`] (VL): a linked list guarded by a lock (the
-//!   published queues are semaphore-controlled).
+//!   [`QueueKind::VirtList`] (VL): a linked list. Here all three are one
+//!   locked FIFO that takes no preemption point, so the step clock sees
+//!   one queue with one parameter: S refuses a push past its capacity, VA
+//!   and VL never do (and are the same run, pointer for pointer).
 //!
 //! No variant natively serves requests above the 8192-byte chunk; those
 //! fall back to a **capped** CUDA-heap reserve at the top of the arena
@@ -28,12 +30,11 @@
 //! passes.
 
 use crate::cuda_heap::FirstFitHeap;
-use crate::util::{class_of, class_size};
-use crossbeam::queue::{ArrayQueue, SegQueue};
+use crate::util::{class_of, class_size, lock};
 use gpu_sim::{AllocStats, DeviceAllocator, DeviceMemory, DevicePtr, LaneCtx, Metrics};
-use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::Mutex;
 
 /// Chunk size: the hard ceiling of native allocations.
 pub const CHUNK_BYTES: u64 = 8192;
@@ -62,50 +63,35 @@ pub enum QueueKind {
     VirtList,
 }
 
-/// One queue of device offsets, in the variant's flavor.
-enum Queue {
-    Static(ArrayQueue<u64>),
-    VirtArray(SegQueue<u64>),
-    VirtList(Mutex<VecDeque<u64>>),
+/// One FIFO of device offsets: bounded at `capacity` for
+/// [`QueueKind::Static`], unbounded for the other two.
+struct Queue {
+    capacity: usize,
+    items: Mutex<VecDeque<u64>>,
 }
 
 impl Queue {
     fn new(kind: QueueKind, capacity: usize) -> Self {
-        match kind {
-            QueueKind::Static => Queue::Static(ArrayQueue::new(capacity.max(1))),
-            QueueKind::VirtArray => Queue::VirtArray(SegQueue::new()),
-            QueueKind::VirtList => Queue::VirtList(Mutex::new(VecDeque::new())),
-        }
+        let capacity = if kind == QueueKind::Static { capacity.max(1) } else { usize::MAX };
+        Queue { capacity, items: Mutex::new(VecDeque::new()) }
     }
 
+    /// Whether `v` was queued; `false` is a full bounded queue.
     fn push(&self, v: u64) -> bool {
-        match self {
-            Queue::Static(q) => q.push(v).is_ok(),
-            Queue::VirtArray(q) => {
-                q.push(v);
-                true
-            }
-            Queue::VirtList(q) => {
-                q.lock().push_back(v);
-                true
-            }
+        let mut items = lock(&self.items);
+        let room = items.len() < self.capacity;
+        if room {
+            items.push_back(v);
         }
+        room
     }
 
     fn pop(&self) -> Option<u64> {
-        match self {
-            Queue::Static(q) => q.pop(),
-            Queue::VirtArray(q) => q.pop(),
-            Queue::VirtList(q) => q.lock().pop_front(),
-        }
+        lock(&self.items).pop_front()
     }
 
     fn drain(&self) {
-        match self {
-            Queue::Static(q) => while q.pop().is_some() {},
-            Queue::VirtArray(q) => while q.pop().is_some() {},
-            Queue::VirtList(q) => q.lock().clear(),
-        }
+        lock(&self.items).clear();
     }
 }
 
@@ -426,7 +412,7 @@ impl Ouroboros {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gpu_sim::{launch_warps, DeviceConfig, WarpCtx};
+    use gpu_sim::{launch_warps, launch_warps_counted, DeviceConfig, WarpCtx};
 
     fn with_lane<R>(f: impl FnOnce(&LaneCtx) -> R) -> R {
         let warp = WarpCtx { warp_id: 0, sm_id: 0, base_tid: 0, active: 1 };
@@ -441,6 +427,46 @@ mod tests {
             }
         }
         v
+    }
+
+    #[test]
+    fn only_the_static_queue_refuses_a_push_past_its_capacity() {
+        let (s, va) = (Queue::new(QueueKind::Static, 2), Queue::new(QueueKind::VirtArray, 2));
+        for q in [&s, &va] {
+            assert!(q.push(1) && q.push(2));
+        }
+        assert!(!s.push(3), "S is bounded at the capacity it was built with");
+        assert!(va.push(3), "VA grows");
+        assert_eq!((s.pop(), s.pop(), s.pop()), (Some(1), Some(2), None), "FIFO, 3 never queued");
+    }
+
+    /// The step clock cannot tell VA from VL: schedule length, every
+    /// pointer handed out and every counter agree, seed by seed.
+    #[test]
+    fn virt_array_and_virt_list_are_the_same_run() {
+        for kind in [OuroborosKind::Chunk, OuroborosKind::Page] {
+            for seed in 0..16 {
+                let run = |queue| {
+                    let a = Ouroboros::new(4 << 20, kind, queue);
+                    let ptrs = Mutex::new(Vec::new());
+                    let device = DeviceConfig::with_sms(4).seeded(seed);
+                    let steps = launch_warps_counted(device, 8 * 32, |warp| {
+                        for lane in warp.lanes() {
+                            let l = warp.lane(lane);
+                            let p = a.malloc(&l, 16 << (l.global_tid() % 5));
+                            lock(&ptrs).push(p.0);
+                            if l.global_tid() % 3 != 0 {
+                                a.free(&l, p);
+                            }
+                        }
+                    });
+                    (steps, ptrs.into_inner().unwrap(), a.metrics.snapshot())
+                };
+                let (va, vl) = (run(QueueKind::VirtArray), run(QueueKind::VirtList));
+                assert!(va.0 > 8 && va.1.iter().all(|&p| p != DevicePtr::NULL.0));
+                assert_eq!(va, vl, "{kind:?} seed {seed}");
+            }
+        }
     }
 
     #[test]

@@ -1,6 +1,14 @@
 //! Shared building blocks for the baseline allocators.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Lock `m`, poisoned or not: a scenario that panicked under the lock
+/// must not cascade into the next one's `lock`. Every critical section in
+/// this crate leaves its data valid at each step.
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Round a request up to `align` (power of two).
 #[inline]

@@ -166,7 +166,7 @@ fn run_concurrent_contract(a: &dyn DeviceAllocator, cfg: DeviceConfig) {
 }
 
 /// Every baseline survives the concurrent contract under the free-running
-/// rayon pool.
+/// pool.
 #[test]
 fn concurrent_contract_pool_mode() {
     for a in all_baselines(HEAP) {

@@ -15,7 +15,8 @@
 //!   graph           E12 — §6.12 dynamic graph phases
 //!   expansion       E13 — §6.12 graph expansion
 //!   reclaim         E15 — reclaim-protocol telemetry (attempts/aborts/bounces)
-//!   ablation        E16 — deterministic atomic-count ablation (64-seed sweep)
+//!   ablation        E16 — deterministic atomic-count ablation (64-seed sweep,
+//!                   plus E14's coalescing on/off count)
 //!   bench-smoke     E16 smoke subset, gated against results/BENCH_bench_smoke.json;
 //!                   exits 1 if any atomic-op count regresses past the tolerance
 //!   trace           E17 — allocation-lifecycle trace of the block-churn workload
@@ -33,7 +34,7 @@
 //!                   ledger anomaly (seed from GALLATIN_SCHED_SEED)
 //!   elastic         E22 — elastic pool: hotspot donation with lifecycle
 //!                   ledger, fragmentation-attack compaction A/B, and
-//!                   donation latency with/without compaction, to
+//!                   donation counts with/without compaction, to
 //!                   BENCH_elastic.json; exits 1 if the hot home absorbs no
 //!                   donated segment, the ledger shows anomalies, or a
 //!                   compaction row fails to strictly beat its control

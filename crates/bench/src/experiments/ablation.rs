@@ -21,6 +21,11 @@
 //!    hammering bit 0 of the same trees and the CAS-attempt total drops
 //!    severalfold.
 //!
+//! 3. **Coalescing on / off** (E14's count witness) — the same 16 B
+//!    request from every lane of every warp, issued as one collective
+//!    `warp_malloc` and again lane by lane: the shared-metadata atomics a
+//!    malloc costs with and without the warp's one leader claim.
+//!
 //! All workload constants are fixed (never scaled by [`HarnessConfig`])
 //! so the emitted counts are bit-identical across hosts; that is what
 //! lets `bench-smoke` diff them against a checked-in baseline with a
@@ -30,10 +35,9 @@ use crate::report::{emit_bench_json, read_bench_json, BenchRecord, Table};
 use crate::HarnessConfig;
 use gallatin::{Gallatin, GallatinConfig};
 use gpu_sim::metrics::MetricsSnapshot;
-use gpu_sim::{launch_warps, DeviceAllocator, DeviceConfig, DevicePtr};
+use gpu_sim::{launch_warps, DeviceAllocator, DeviceConfig, DevicePtr, WarpCtx, WARP_SIZE};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
 
 /// Schedule seed for the single-warp group-cost part (any seed gives the
 /// same counts — one warp has nothing to interleave with).
@@ -104,28 +108,23 @@ fn churn_once<A: DeviceAllocator + ?Sized>(g: &A, seed: u64, size: u64) {
 }
 
 /// The harness's one seeded churn loop (E16 sweeps, E18 pool widths,
-/// E23 parity): per seed, a fresh allocator from `make`, one timed
+/// E23 parity): per seed, a fresh allocator from `make`, one
 /// [`churn_once`] at `size`, then the audit — invariants hold and
 /// nothing leaked — before the quiescent allocator goes to `read`,
-/// which accumulates whatever counters its experiment reports. Returns
-/// the summed wall time of the launches in ms.
+/// which accumulates whatever counters its experiment reports.
 pub(crate) fn churn_sweep<A: DeviceAllocator>(
     seeds: impl IntoIterator<Item = u64>,
     size: u64,
     make: impl Fn() -> A,
     mut read: impl FnMut(&A),
-) -> f64 {
-    let mut ms = 0.0;
+) {
     for seed in seeds {
         let a = make();
-        let t0 = Instant::now();
         churn_once(&a, seed, size);
-        ms += t0.elapsed().as_secs_f64() * 1e3;
         a.check_invariants().expect("invariants after churn sweep");
         assert_eq!(a.stats().reserved_bytes, 0, "churn sweep leaked");
         read(&a);
     }
-    ms
 }
 
 /// Append the three gated churn counters, in baseline order.
@@ -176,41 +175,69 @@ fn group_cost() -> (u64, u64) {
 /// Part 2: the fixed churn workload over `seeds` deterministic
 /// schedules, with probe-start randomization on or off — [`churn_sweep`]
 /// over one [`Gallatin`] per seed, summing its metrics.
-fn sweep(randomize: bool, seeds: u64, size: u64) -> (MetricsSnapshot, f64) {
+fn sweep(randomize: bool, seeds: u64, size: u64) -> MetricsSnapshot {
     let mut total = MetricsSnapshot::default();
     let make = || {
         let mut cfg = sweep_config(size);
         cfg.randomize_probe_starts = randomize;
         Gallatin::new(cfg)
     };
-    let ms = churn_sweep(0..seeds, size, make, |g| {
+    churn_sweep(0..seeds, size, make, |g| {
         total += g.metrics().expect("gallatin keeps metrics").snapshot();
     });
-    (total, ms)
+    total
+}
+
+/// Part 3: every lane of `SWEEP_WARPS` warps mallocs and frees 16 B once,
+/// through the warp-collective entry points and again lane by lane, each
+/// on a fresh allocator under one schedule. Returns `(mallocs, coalesced,
+/// scalar)`, the latter two in `atomic_rmw + cas_attempts`.
+fn coalescing_cost() -> (u64, u64, u64) {
+    fn spent(kernel: impl Fn(&Gallatin, &WarpCtx) + Sync) -> (u64, u64) {
+        let g = Gallatin::new(sweep_config(SWEEP_SIZE_SLICE));
+        let device = DeviceConfig::with_sms(SWEEP_SMS).seeded(GROUP_SEED);
+        launch_warps(device, SWEEP_WARPS * 32, |warp| kernel(&g, warp));
+        g.check_invariants().expect("invariants after the coalescing probe");
+        let m = g.metrics().expect("gallatin keeps metrics").snapshot();
+        assert_eq!(m.failed_mallocs, 0, "the probe's working set fits the heap");
+        (m.mallocs, m.atomic_rmw + m.cas_attempts)
+    }
+    let (mallocs, coalesced) = spent(|g, warp| {
+        let n = warp.active as usize;
+        let mut out = [DevicePtr::NULL; WARP_SIZE];
+        g.warp_malloc(warp, &[Some(SWEEP_SIZE_SLICE); WARP_SIZE][..n], &mut out[..n]);
+        g.warp_free(warp, &out[..n]);
+    });
+    let (scalar_mallocs, scalar) = spent(|g, warp| {
+        let mut out = [DevicePtr::NULL; WARP_SIZE];
+        for lane in warp.lanes() {
+            out[lane] = g.malloc(&warp.lane(lane), SWEEP_SIZE_SLICE);
+        }
+        for lane in warp.lanes() {
+            g.free(&warp.lane(lane), out[lane]);
+        }
+    });
+    assert_eq!(mallocs, scalar_mallocs, "both arms issue the same requests");
+    (mallocs, coalesced, scalar)
 }
 
 /// Build the full record set at the given sweep width.
 fn records(experiment: &str, seeds: u64) -> Vec<BenchRecord> {
-    let t0 = Instant::now();
     let (fresh, steady) = group_cost();
-    let group_cost_ms = t0.elapsed().as_secs_f64() * 1e3;
     assert_eq!(steady, 1, "steady-state coalesced group must cost exactly one atomic");
     let mut out = vec![BenchRecord::new(experiment, "Gallatin")
         .case("group-cost")
         .param("lanes", 32)
-        .ms(group_cost_ms)
         .count("fresh_group_atomics", fresh)
         .count("steady_group_atomics", steady)];
     for size in [SWEEP_SIZE_SLICE, SWEEP_SIZE_BLOCK] {
         for (label, randomize) in [("on", true), ("off", false)] {
-            let (m, ms) = sweep(randomize, seeds, size);
             let rec = BenchRecord::new(experiment, "Gallatin")
                 .case("sweep")
                 .param("size", size)
                 .param("randomize_probe_starts", label)
-                .param("seeds", seeds)
-                .ms(ms);
-            out.push(churn_counts(rec, &m));
+                .param("seeds", seeds);
+            out.push(churn_counts(rec, &sweep(randomize, seeds, size)));
         }
     }
     out
@@ -225,10 +252,19 @@ fn emit(cfg: &HarnessConfig, experiment: &str, recs: &[BenchRecord]) {
         let get = |k: &str| r.get_count(k).map_or_else(|| "-".to_string(), |v| v.to_string());
         let params: Vec<String> =
             r.params.iter().skip(1).map(|(k, v)| format!("{k}={v}")).collect();
-        let note = if r.get_param("case") == Some("group-cost") {
-            format!("fresh={} steady={}", get("fresh_group_atomics"), get("steady_group_atomics"))
-        } else {
-            String::new()
+        let note = match r.get_param("case") {
+            Some("group-cost") => format!(
+                "fresh={} steady={}",
+                get("fresh_group_atomics"),
+                get("steady_group_atomics")
+            ),
+            Some("coalescing") => format!(
+                "mallocs={} coalesced={} scalar={}",
+                get("mallocs"),
+                get("coalesced_atomics"),
+                get("scalar_atomics")
+            ),
+            _ => String::new(),
         };
         tab.row(vec![
             r.params[0].1.clone(),
@@ -245,7 +281,16 @@ fn emit(cfg: &HarnessConfig, experiment: &str, recs: &[BenchRecord]) {
 
 /// Run the full ablation (64-seed sweep) and emit table + CSV + JSON.
 pub fn run_ablation(cfg: &HarnessConfig) {
-    let recs = records("ablation", SWEEP_SEEDS_FULL);
+    let mut recs = records("ablation", SWEEP_SEEDS_FULL);
+    let (mallocs, coalesced, scalar) = coalescing_cost();
+    recs.push(
+        BenchRecord::new("ablation", "Gallatin")
+            .case("coalescing")
+            .param("size", SWEEP_SIZE_SLICE)
+            .count("mallocs", mallocs)
+            .count("coalesced_atomics", coalesced)
+            .count("scalar_atomics", scalar),
+    );
     emit(cfg, "ablation", &recs);
     let find = |rand: &str, k: &str| {
         recs.iter()
@@ -262,6 +307,13 @@ pub fn run_ablation(cfg: &HarnessConfig) {
         find("on", "cas_attempts"),
         find("off", "atomic_rmw"),
         find("on", "atomic_rmw"),
+    );
+    println!(
+        "warp coalescing (16 B, {mallocs} mallocs): {:.3} atomics per malloc collective, {:.3} \
+         lane by lane ({:.1}x)",
+        coalesced as f64 / mallocs as f64,
+        scalar as f64 / mallocs as f64,
+        scalar as f64 / coalesced as f64,
     );
 }
 
@@ -368,9 +420,17 @@ mod tests {
     }
 
     #[test]
+    fn coalescing_cuts_atomics_per_malloc_and_replays_exactly() {
+        let (mallocs, coalesced, scalar) = coalescing_cost();
+        assert_eq!(mallocs, SWEEP_WARPS * 32);
+        assert!(coalesced < scalar, "coalesced={coalesced} scalar={scalar}");
+        assert_eq!((mallocs, coalesced, scalar), coalescing_cost(), "counts must replay exactly");
+    }
+
+    #[test]
     fn randomization_does_not_increase_slice_cas_traffic() {
-        let (on, _) = sweep(true, 4, SWEEP_SIZE_SLICE);
-        let (off, _) = sweep(false, 4, SWEEP_SIZE_SLICE);
+        let on = sweep(true, 4, SWEEP_SIZE_SLICE);
+        let off = sweep(false, 4, SWEEP_SIZE_SLICE);
         assert!(
             on.cas_attempts <= off.cas_attempts,
             "randomized probes must not add CAS traffic: on={} off={}",
@@ -378,7 +438,7 @@ mod tests {
             off.cas_attempts
         );
         // Deterministic: a second run of the same sweep is bit-identical.
-        assert_eq!(on, sweep(true, 4, SWEEP_SIZE_SLICE).0);
+        assert_eq!(on, sweep(true, 4, SWEEP_SIZE_SLICE));
     }
 
     #[test]
@@ -386,8 +446,8 @@ mod tests {
         // Block-pipeline churn: every malloc pops a block, so the tree
         // probes dominate — the case §4.3's randomization targets. The
         // drop is severalfold; assert a conservative strict reduction.
-        let (on, _) = sweep(true, 4, SWEEP_SIZE_BLOCK);
-        let (off, _) = sweep(false, 4, SWEEP_SIZE_BLOCK);
+        let on = sweep(true, 4, SWEEP_SIZE_BLOCK);
+        let off = sweep(false, 4, SWEEP_SIZE_BLOCK);
         assert!(
             on.cas_attempts < off.cas_attempts,
             "hashed probe starts must reduce block-churn CAS attempts: on={} off={}",

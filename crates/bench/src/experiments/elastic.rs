@@ -6,8 +6,7 @@
 //! 1. **Donation under a skewed-SM hotspot.** The E19 `SkewedHotspot`
 //!    script saturates one home instance while the cold homes idle; a
 //!    host rebalance pass then donates one quiescent-free segment from
-//!    every cold home to the hot one (timed — the donation-latency
-//!    series), and the same script replays against the grown pool so
+//!    every cold home to the hot one, and the same script replays against the grown pool so
 //!    the spill counters show the absorbed capacity. The whole arm runs
 //!    under a [`TraceSink`] and the lifecycle [`Ledger`] must come up
 //!    with zero anomalies — donations re-home address ranges mid-story,
@@ -41,7 +40,6 @@ use gallatin::{Gallatin, GallatinConfig, GallatinPool};
 use gpu_sim::trace::{Ledger, TraceEvent, TraceSink};
 use gpu_sim::{DeviceAllocator, DeviceConfig, DevicePtr, WarpCtx};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// SMs in the hotspot arm — one per pool instance, so `home()` maps the
 /// hot SM straight onto its own instance.
@@ -81,7 +79,6 @@ struct DonationArm {
     spills_after: u64,
     served: u64,
     ledger_anomalies: u64,
-    donate_ms: f64,
 }
 
 /// Run the skewed-hotspot script, rebalance cold → hot, replay.
@@ -103,13 +100,11 @@ fn donation_arm(seed: u64) -> DonationArm {
         // cold segment is drained — but a drained segment can still be
         // pinned by a cached wavefront block, so the maintenance pass
         // trims before it donates (both are host-side quiescent points).
-        let t0 = Instant::now();
         let mut donated = 0;
         for i in (0..NUM_SMS as usize).filter(|&i| i != hot) {
             pool.instance(i).trim();
             donated += pool.donate(i, hot, 1).expect("drained cold homes donate cleanly");
         }
-        let donate_ms = t0.elapsed().as_secs_f64() * 1e3;
 
         // Replay the identical script against the grown hot home.
         let out2 = run_script(&pool, DeviceConfig::with_sms(NUM_SMS).seeded(seed), &script, true);
@@ -122,7 +117,6 @@ fn donation_arm(seed: u64) -> DonationArm {
             spills_after: pool.spill_count(hot) - spills_before,
             served: out.served + out2.served,
             ledger_anomalies: 0,
-            donate_ms,
         };
         (arm, sink.snapshot())
     });
@@ -186,7 +180,6 @@ struct FragArm {
     reclaimable: u64,
     relocations: u64,
     live: u64,
-    ms: f64,
 }
 
 /// The attack on a standalone allocator; with `compacted` the stragglers
@@ -194,16 +187,13 @@ struct FragArm {
 fn frag_arm(compacted: bool) -> FragArm {
     let g = Gallatin::new(GallatinConfig::small_test(FRAG_HEAP));
     let mut live = fragment_attack(&g);
-    let t0 = Instant::now();
     let relos = if compacted { g.compact(&live, COMPACT_OCCUPANCY) } else { Vec::new() };
     g.trim();
-    let ms = t0.elapsed().as_secs_f64() * 1e3;
     apply_relocations(g.memory(), &mut live, &relos);
     let arm = FragArm {
         reclaimable: g.free_segments(),
         relocations: relos.len() as u64,
         live: live.len() as u64,
-        ms,
     };
     // Teardown must drain completely either way.
     let w = WarpCtx { warp_id: 0, sm_id: 0, base_tid: 0, active: 1 };
@@ -226,8 +216,8 @@ fn donated(row: &BenchRecord) -> u64 {
 }
 
 /// The attack on a 2-instance pool: fragment instance 0, optionally
-/// compact, then donate every whole free segment to the sibling (the
-/// timed step). The compacted arm then finishes the maintenance cycle —
+/// compact, then donate every whole free segment to the sibling. The
+/// compacted arm then finishes the maintenance cycle —
 /// the sibling shrinks what it was given back to the pool free list and
 /// the origin re-adopts it — so the round trip is two exact counts.
 fn donate_after_frag(compacted: bool) -> BenchRecord {
@@ -235,11 +225,9 @@ fn donate_after_frag(compacted: bool) -> BenchRecord {
     let mut live = fragment_attack(&pool);
     let relos = if compacted { pool.compact(&live, COMPACT_OCCUPANCY) } else { Vec::new() };
     apply_relocations(pool.memory(), &mut live, &relos);
-    let t0 = Instant::now();
     let donated = pool.donate(0, 1, 16).expect("whole free segments donate");
     let mut rec = row("donate-after-frag")
         .param("compaction", if compacted { "on" } else { "off" })
-        .ms(t0.elapsed().as_secs_f64() * 1e3)
         .count("donated", donated)
         .count("relocations", relos.len() as u64);
     if compacted {
@@ -273,7 +261,6 @@ pub fn run_elastic(cfg: &HarnessConfig) -> bool {
     let frag_rec = |label: &str, arm: &FragArm| {
         row("frag-reclaim")
             .param("compaction", label)
-            .ms(arm.ms)
             .count("reclaimable_segments", arm.reclaimable)
             .count("relocations", arm.relocations)
             .count("live", arm.live)
@@ -282,7 +269,6 @@ pub fn run_elastic(cfg: &HarnessConfig) -> bool {
         row("donation")
             .param("seed", seed)
             .param("hot", d.hot)
-            .ms(d.donate_ms)
             .count("donated", d.donated)
             .count("donate_events", d.donate_events)
             .count("spills_before", d.spills_before)
@@ -305,7 +291,6 @@ pub fn run_elastic(cfg: &HarnessConfig) -> bool {
             "relocations",
             "returned/adopted",
             "spills before/after",
-            "ms",
         ],
     );
     for r in &recs {
@@ -322,7 +307,6 @@ pub fn run_elastic(cfg: &HarnessConfig) -> bool {
             get("relocations"),
             pair("returned", "adopted"),
             pair("spills_before", "spills_after"),
-            format!("{:.3}", r.median_ms),
         ]);
     }
     tab.emit(&cfg.out_dir, "e22_elastic");

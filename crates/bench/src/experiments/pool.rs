@@ -21,7 +21,6 @@ use crate::HarnessConfig;
 use gallatin::{GallatinConfig, GallatinPool};
 use gpu_sim::metrics::MetricsSnapshot;
 use gpu_sim::{launch_warps, DeviceAllocator, DeviceConfig, DevicePtr};
-use std::time::Instant;
 
 use super::ablation::{
     block_churn_config, churn_counts, churn_sweep, SWEEP_ROUNDS, SWEEP_SEEDS_SMOKE,
@@ -47,22 +46,22 @@ pub(crate) type InstanceCounts = (MetricsSnapshot, u64);
 /// allocator from `make` per seed, reading the `n`-instance pool inside
 /// it through `pool_of` (the identity for a [`GallatinPool`]; E23's
 /// parity arm reaches through a one-device `DevicePool`). Returns
-/// per-instance totals and wall time.
+/// per-instance totals.
 pub(crate) fn churn_pool<A: DeviceAllocator>(
     n: usize,
     seeds: u64,
     make: impl Fn() -> A,
     pool_of: impl Fn(&A) -> &GallatinPool,
-) -> (Vec<InstanceCounts>, f64) {
+) -> Vec<InstanceCounts> {
     let mut per = vec![InstanceCounts::default(); n];
-    let ms = churn_sweep(0..seeds, SWEEP_SIZE_BLOCK, make, |a| {
+    churn_sweep(0..seeds, SWEEP_SIZE_BLOCK, make, |a| {
         let pool = pool_of(a);
         for (i, (m, spills)) in per.iter_mut().enumerate() {
             *m += pool.instance(i).metrics().expect("gallatin keeps metrics").snapshot();
             *spills += pool.spill_count(i);
         }
     });
-    (per, ms)
+    per
 }
 
 /// The deterministic pressure case: one SM drains its home instance with
@@ -90,7 +89,6 @@ pub(crate) fn instance_records(
     base: &BenchRecord,
     per: &[InstanceCounts],
     seeds: u64,
-    ms: f64,
 ) -> Vec<BenchRecord> {
     let rows = per.iter().enumerate().map(|(i, (m, spills))| {
         let rec = base
@@ -98,8 +96,7 @@ pub(crate) fn instance_records(
             .param("instances", per.len())
             .param("instance", i)
             .param("size", SWEEP_SIZE_BLOCK)
-            .param("seeds", seeds)
-            .ms(ms);
+            .param("seeds", seeds);
         churn_counts(rec, m).count("spills", *spills)
     });
     rows.collect()
@@ -108,21 +105,17 @@ pub(crate) fn instance_records(
 /// Records for one pool width: the aggregate row, and one row per
 /// instance (the per-instance counts are the experiment's deliverable).
 fn width_records(experiment: &str, n: usize, seeds: u64) -> (BenchRecord, Vec<BenchRecord>) {
-    let (per, ms) = churn_pool(n, seeds, || GallatinPool::new(n, block_churn_config()), |p| p);
+    let per = churn_pool(n, seeds, || GallatinPool::new(n, block_churn_config()), |p| p);
     let base = BenchRecord::new(experiment, "GallatinPool").case("pool-churn");
     let mut total = InstanceCounts::default();
     for (m, spills) in &per {
         total.0 += *m;
         total.1 += spills;
     }
-    let aggregate = base
-        .clone()
-        .param("instances", n)
-        .param("size", SWEEP_SIZE_BLOCK)
-        .param("seeds", seeds)
-        .ms(ms);
+    let aggregate =
+        base.clone().param("instances", n).param("size", SWEEP_SIZE_BLOCK).param("seeds", seeds);
     let aggregate = churn_counts(aggregate, &total.0).count("spills", total.1);
-    (aggregate, instance_records(&base, &per, seeds, ms))
+    (aggregate, instance_records(&base, &per, seeds))
 }
 
 /// The smoke-gate slice of E18: the 2-instance aggregate row at the
@@ -143,15 +136,12 @@ pub fn run_pool(cfg: &HarnessConfig) {
         recs.push(aggregate.count("requests", seeds * SWEEP_WARPS * 32 * SWEEP_ROUNDS));
         recs.extend(rows);
     }
-    let t0 = Instant::now();
     let (spills, claims) = pressure();
-    let pressure_ms = t0.elapsed().as_secs_f64() * 1e3;
     recs.push(
         BenchRecord::new("pool", "GallatinPool")
             .case("pressure")
             .param("instances", 2)
             .param("seed", PRESSURE_SEED)
-            .ms(pressure_ms)
             .count("spills", spills)
             .count("requests", claims),
     );
@@ -201,7 +191,7 @@ mod tests {
 
     #[test]
     fn pool_churn_counts_replay_and_never_spill_with_headroom() {
-        let run = || churn_pool(2, 2, || GallatinPool::new(2, block_churn_config()), |p| p).0;
+        let run = || churn_pool(2, 2, || GallatinPool::new(2, block_churn_config()), |p| p);
         let a = run();
         assert_eq!(a, run(), "pool churn must replay exactly");
         assert_eq!(

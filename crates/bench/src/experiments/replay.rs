@@ -43,13 +43,12 @@ struct TargetRun {
     name: &'static str,
     outcome: LedgerOutcome,
     script_outcome: ScriptOutcome,
-    replay_ms: f64,
 }
 
 /// Record the E16 block churn under `seed`, returning the trace-derived
 /// lifecycle outcome and the converted script.
 fn record(seed: u64) -> (LedgerOutcome, ReplayScript) {
-    let (records, _) = super::trace::capture_block_churn(seed);
+    let records = super::trace::capture_block_churn(seed);
     let (script, stats) = ReplayScript::from_trace(&records, ablation::SWEEP_SMS);
     // Block churn frees within the allocating warp and pairs every
     // pointer, so the reduction must be lossless — any reassignment or
@@ -69,15 +68,13 @@ fn replay_through(
     script: &ReplayScript,
 ) -> TargetRun {
     let sink = Arc::new(TraceSink::new());
-    let t0 = std::time::Instant::now();
     let (script_outcome, records) = gpu_sim::trace::with_sink(sink.clone(), || {
         let out =
             run_script(a, DeviceConfig::with_sms(ablation::SWEEP_SMS).seeded(seed), script, true);
         (out, sink.snapshot())
     });
-    let replay_ms = t0.elapsed().as_secs_f64() * 1e3;
     assert_eq!(sink.dropped(), 0, "replay sink capacity must cover the workload");
-    TargetRun { name, outcome: Ledger::build(&records).outcome(), script_outcome, replay_ms }
+    TargetRun { name, outcome: Ledger::build(&records).outcome(), script_outcome }
 }
 
 /// Run the E19 round trip; see the module docs.
@@ -169,7 +166,6 @@ pub fn run_replay(cfg: &HarnessConfig) {
                 BenchRecord::new("replay", run.name)
                     .case("block-churn")
                     .param("seed", seed)
-                    .ms(run.replay_ms)
                     .count("mallocs", run.outcome.mallocs)
                     .count("frees", run.outcome.frees)
                     .count("leaks", run.outcome.leaks)

@@ -17,8 +17,8 @@
 //!
 //! Everything runs on the deterministic scheduler: latencies are in
 //! schedule steps and replay byte-identically from
-//! `GALLATIN_SCHED_SEED` (see the `serve_determinism` test). Wall time
-//! appears only as the informational `median_ms` of the engine run.
+//! `GALLATIN_SCHED_SEED` (see the `serve_determinism` test); nothing is
+//! timed on the wall clock.
 //!
 //! `--smoke` shrinks the sweep to one gating subset per backend and
 //! returns `false` (exit 1 in `repro`) on any quota violation or
@@ -35,7 +35,6 @@ use gallatin::{DevicePool, Gallatin, GallatinConfig, GallatinPool};
 use gpu_sim::sched::{seed_override, SCHED_SEED_ENV};
 use gpu_sim::DeviceAllocator;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Arrival-seed offset: keeps the arrival stream independent of the
 /// schedule stream even though both replay from one env knob.
@@ -161,20 +160,13 @@ fn cell_config(
     }
 }
 
-/// Run one cell `runs` times on `alloc`; returns the last run's outcome
-/// plus the median wall time. The engine drains after every run, but the
-/// allocator keeps its formatted segments and cached blocks, so a later
-/// run (and a later cell on the same backend) starts warm: the outcomes
-/// are a deterministic function of the whole sweep, not equal run to run.
-fn measure(cfg: &ServeConfig, alloc: &dyn DeviceAllocator, runs: usize) -> (ServeOutcome, f64) {
-    let mut times = Vec::with_capacity(runs);
-    let mut out = None;
-    for _ in 0..runs.max(1) {
-        let t0 = Instant::now();
-        out = Some(run_serve_engine(cfg, alloc));
-        times.push(t0.elapsed().as_secs_f64() * 1e3);
-    }
-    (out.unwrap(), crate::workload::measure::median(&times))
+/// Run one cell `passes` times on `alloc`; returns the last pass's
+/// outcome. The engine drains after every pass, but the allocator keeps
+/// its formatted segments and cached blocks, so a later pass (and a later
+/// cell on the same backend) starts warm: the outcomes are a deterministic
+/// function of the whole sweep, not equal pass to pass.
+fn run_passes(cfg: &ServeConfig, alloc: &dyn DeviceAllocator, passes: usize) -> ServeOutcome {
+    (0..passes.max(1)).map(|_| run_serve_engine(cfg, alloc)).last().expect("at least one pass")
 }
 
 /// Reduce one outcome to the BENCH counts map. The full latency
@@ -220,7 +212,6 @@ fn record_of(
     allocator: &str,
     cfg: &ServeConfig,
     out: &ServeOutcome,
-    median_ms: f64,
     scenario: &str,
 ) -> BenchRecord {
     let mut rec = BenchRecord::new("serve", allocator)
@@ -230,8 +221,7 @@ fn record_of(
         .param("batch_width", cfg.batch_width)
         .param("horizon_steps", cfg.arrivals.horizon_steps)
         .param("admission", if cfg.enforce_quotas { "on" } else { "off" })
-        .param("seed", cfg.sched_seed)
-        .ms(median_ms);
+        .param("seed", cfg.sched_seed);
     rec.counts = counts_of(out);
     rec
 }
@@ -326,7 +316,7 @@ pub fn run_serve(cfg: &HarnessConfig) -> bool {
     let seed = seed_override().unwrap_or(DEFAULT_SEED);
     let smoke = cfg.smoke;
     let horizon: u64 = if smoke { 6_000 } else { 20_000 };
-    let timing_runs = if smoke { 1 } else { cfg.runs.min(3) };
+    let passes = if smoke { 1 } else { cfg.runs.min(3) };
     let loads: &[u64] = if smoke { &LOADS[..2] } else { &LOADS };
     let shapes: &[ArrivalShape] = if smoke {
         &[ArrivalShape::Poisson]
@@ -362,7 +352,7 @@ pub fn run_serve(cfg: &HarnessConfig) -> bool {
                     cfg_cell: &ServeConfig,
                     records: &mut Vec<BenchRecord>,
                     table: &mut Table| {
-        let (out, ms) = measure(cfg_cell, alloc, timing_runs);
+        let out = run_passes(cfg_cell, alloc, passes);
         table.row(vec![
             name.into(),
             scenario.into(),
@@ -375,7 +365,7 @@ pub fn run_serve(cfg: &HarnessConfig) -> bool {
             out.latency.p999.to_string(),
             out.goodput_bytes_per_kstep().to_string(),
         ]);
-        records.push(record_of(name, cfg_cell, &out, ms, scenario));
+        records.push(record_of(name, cfg_cell, &out, scenario));
         out
     };
 

@@ -37,7 +37,6 @@ use gallatin::{DevicePool, GallatinConfig, GallatinPool, TopoStats};
 use gpu_sim::{launch_warps, DeviceAllocator, DeviceConfig, DevicePtr};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
 use super::ablation::{block_churn_config, SWEEP_SEEDS_SMOKE};
 use super::pool::{churn_pool, instance_records, InstanceCounts};
@@ -138,14 +137,14 @@ fn cascade(devices: u32) -> (TopoStats, u64, u64) {
     });
     pool.check_invariants().expect("clean after the cascade round-trip");
     let stats = pool.topo_stats();
-    let cost = stats.peer_accesses * pool.topology().cost().peer_steps;
+    let cost = stats.peer_accesses * gpu_sim::topo::PEER_STEPS;
     (stats, claims, cost)
 }
 
 /// The parity gate: `DevicePool(1, 2)` must reproduce `GallatinPool(2)`
-/// bit-for-bit on the E18 churn. Returns `[(flat rows, ms), (device
-/// rows, ms)]`; the gate holds when the two row sets are equal.
-fn parity(seeds: u64) -> [(Vec<InstanceCounts>, f64); 2] {
+/// bit-for-bit on the E18 churn. Returns `[flat rows, device rows]`; the
+/// gate holds when the two row sets are equal.
+fn parity(seeds: u64) -> [Vec<InstanceCounts>; 2] {
     [
         churn_pool(WIDTH, seeds, || GallatinPool::new(WIDTH, block_churn_config()), |p| p),
         churn_pool(WIDTH, seeds, || DevicePool::new(1, WIDTH, block_churn_config()), |t| t.pool(0)),
@@ -212,7 +211,6 @@ pub fn run_topo(cfg: &HarnessConfig) -> bool {
     // replay bit-identically across seeds of the same cell.
     for &devices in &TOPO_DEVICES {
         for &skew in &SKEWS {
-            let t0 = Instant::now();
             let mut first: Option<TopoStats> = None;
             for seed in 0..seeds {
                 let s = skew_run(devices, skew, seed);
@@ -226,7 +224,6 @@ pub fn run_topo(cfg: &HarnessConfig) -> bool {
                     first = Some(s);
                 }
             }
-            let ms = t0.elapsed().as_secs_f64() * 1e3;
             let s = first.expect("at least one seed");
             let share = s.peer_share();
             if devices > 1 && skew <= 1 && share >= PEER_SHARE_GATE {
@@ -254,7 +251,6 @@ pub fn run_topo(cfg: &HarnessConfig) -> bool {
                     .param("width", WIDTH)
                     .param("skew_per_16", skew)
                     .param("seeds", seeds)
-                    .ms(ms)
                     .count("local_accesses", s.local_accesses)
                     .count("peer_accesses", s.peer_accesses)
                     .count("peer_share_bp", (share * 10_000.0).round() as u64)
@@ -266,9 +262,7 @@ pub fn run_topo(cfg: &HarnessConfig) -> bool {
 
     // Arm 2: the spill cascade at every device count.
     for &devices in &TOPO_DEVICES {
-        let t0 = Instant::now();
         let (s, claims, cost) = cascade(devices);
-        let ms = t0.elapsed().as_secs_f64() * 1e3;
         let expected_cross = claims - (WIDTH as u64 * 16);
         if s.cross_spills != expected_cross {
             eprintln!(
@@ -295,7 +289,6 @@ pub fn run_topo(cfg: &HarnessConfig) -> bool {
                 .param("devices", devices)
                 .param("width", WIDTH)
                 .param("seed", CASCADE_SEED)
-                .ms(ms)
                 .count("claims", claims)
                 .count("cross_spills", s.cross_spills)
                 .count("in_device_spills", s.in_device_spills)
@@ -308,15 +301,15 @@ pub fn run_topo(cfg: &HarnessConfig) -> bool {
     // The rows are emitted under both allocator names, in E18's row
     // shape, so `BENCH_topo.json` diffs against `BENCH_pool.json`.
     let pseeds = seeds.min(SWEEP_SEEDS_SMOKE);
-    let [(flat, flat_ms), (one, one_ms)] = parity(pseeds);
+    let [flat, one] = parity(pseeds);
     let parity_ok = flat == one;
     if !parity_ok {
         eprintln!("topo gate FAILED: DevicePool(1,{WIDTH}) diverged from GallatinPool({WIDTH})");
         clean = false;
     }
-    for (name, per, ms) in [("GallatinPool", &flat, flat_ms), ("DevicePool", &one, one_ms)] {
+    for (name, per) in [("GallatinPool", &flat), ("DevicePool", &one)] {
         let base = BenchRecord::new("topo", name).case("parity-churn");
-        records.extend(instance_records(&base, per, pseeds, ms));
+        records.extend(instance_records(&base, per, pseeds));
     }
     println!(
         "parity: DevicePool(1,{WIDTH}) {} GallatinPool({WIDTH}) on {pseeds}-seed churn counters",
@@ -324,7 +317,6 @@ pub fn run_topo(cfg: &HarnessConfig) -> bool {
     );
 
     // Arm 4: the serving tail on a 2-device pool.
-    let t0 = Instant::now();
     let (p99, serve_clean) = serve_cell(7);
     if !serve_clean {
         eprintln!("topo gate FAILED: serve cell reported quota/ledger anomalies");
@@ -335,7 +327,6 @@ pub fn run_topo(cfg: &HarnessConfig) -> bool {
             .case("serve")
             .param("devices", 2)
             .param("width", 1)
-            .ms(t0.elapsed().as_secs_f64() * 1e3)
             .count("p99_steps", p99),
     );
     println!("serve cell: 2-device pool p99 {p99} steps");
@@ -383,7 +374,7 @@ mod tests {
 
     #[test]
     fn single_device_parity_holds_on_the_churn() {
-        let [(flat, _), (one, _)] = parity(2);
+        let [flat, one] = parity(2);
         assert_eq!(flat, one, "DevicePool(1,2) churn diverged from GallatinPool(2)");
         assert!(
             flat.iter().all(|(m, _)| m.cas_attempts > 0),

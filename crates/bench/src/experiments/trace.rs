@@ -27,26 +27,25 @@ use std::sync::Arc;
 use super::{ablation, DEFAULT_SEED};
 
 /// Run the E16 block churn under `seed` with a fresh sink installed and
-/// return the captured records plus the launch's wall time (shared with
-/// E19's recording half). The sink's leak check is armed, so a leak or
+/// return the captured records (shared with E19's recording half). The sink's leak check is armed, so a leak or
 /// broken invariant fails [`ablation::churn_sweep`]'s audit — which
 /// auto-dumps the trace — before the caller exports anything.
-pub(crate) fn capture_block_churn(seed: u64) -> (Vec<TraceRecord>, f64) {
+pub(crate) fn capture_block_churn(seed: u64) -> Vec<TraceRecord> {
     let g = Gallatin::new(ablation::block_churn_config());
     let sink = Arc::new(TraceSink::new());
     sink.set_leak_check(true);
-    let churn_ms = gpu_sim::trace::with_sink(sink.clone(), || {
+    gpu_sim::trace::with_sink(sink.clone(), || {
         ablation::churn_sweep([seed], ablation::SWEEP_SIZE_BLOCK, || &g, |_| ())
     });
     assert_eq!(sink.dropped(), 0, "sink capacity must cover the workload");
-    (sink.snapshot(), churn_ms)
+    sink.snapshot()
 }
 
 /// Run the trace capture; see the module docs.
 pub fn run_trace(cfg: &HarnessConfig) {
     let seed = seed_override().unwrap_or(DEFAULT_SEED);
     println!("E17 trace: block-churn workload under {SCHED_SEED_ENV}={seed}");
-    let (records, churn_ms) = capture_block_churn(seed);
+    let records = capture_block_churn(seed);
 
     // Chrome trace artifact.
     if let Err(e) = std::fs::create_dir_all(&cfg.out_dir) {
@@ -90,7 +89,6 @@ pub fn run_trace(cfg: &HarnessConfig) {
         let mut rec = BenchRecord::new("trace", "Gallatin")
             .case("block-churn")
             .param("seed", seed)
-            .ms(churn_ms)
             .count("events", records.len() as u64)
             .count("leaks", ledger.live.len() as u64)
             .count("double_frees", ledger.double_frees.len() as u64)

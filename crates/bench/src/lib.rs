@@ -1,8 +1,8 @@
 //! # bench: the Gallatin reproduction harness
 //!
 //! Drivers for every experiment in the paper's §6 evaluation, shared by
-//! the `repro` binary and the criterion benches. See DESIGN.md §5 for the
-//! experiment index (E1–E15) mapping each figure/table to a subcommand.
+//! the `repro` binary. See DESIGN.md §5 for the experiment index mapping
+//! each figure/table to a subcommand.
 //!
 //! ## Execution environment note
 //!
@@ -10,7 +10,7 @@
 //! whatever CPU is present. Two decisions keep the benchmark *shapes*
 //! meaningful regardless of host width:
 //!
-//! * the rayon pool is **oversubscribed** (default 8 OS threads even on a
+//! * the executor pool is **oversubscribed** (default 8 OS threads even on a
 //!   1-core host, see [`HarnessConfig::pool_threads`]): preemptive OS
 //!   scheduling then interleaves warps mid-operation, so lock-based
 //!   designs (the CUDA-heap model) genuinely block and lock-free designs
@@ -81,10 +81,7 @@ impl HarnessConfig {
 
     /// Install the oversubscribed executor pool. Call once at startup.
     pub fn install_pool(&self) {
-        let _ = rayon::ThreadPoolBuilder::new()
-            .num_threads(self.pool_threads)
-            .thread_name(|i| format!("simt-worker-{i}"))
-            .build_global();
+        gpu_sim::launch::set_pool_threads(self.pool_threads);
     }
 
     /// Device configuration for launches.

@@ -103,6 +103,11 @@ fn label<'v>(args: &'v Value, key: &str) -> &'v str {
         .unwrap_or_else(|| panic!("args missing string {key}: {args:?}"))
 }
 
+/// The one of `all` whose exported label is `s`.
+fn from_label<T: Copy>(all: &[T], to_label: fn(T) -> &'static str, s: &str) -> T {
+    *all.iter().find(|&&t| to_label(t) == s).unwrap_or_else(|| panic!("unknown label {s:?}"))
+}
+
 /// Decode one `traceEvents` entry back into a [`TraceRecord`].
 fn decode(entry: &Value) -> TraceRecord {
     let name = entry.get("name").and_then(Value::as_str).expect("name");
@@ -110,7 +115,11 @@ fn decode(entry: &Value) -> TraceRecord {
     let event = match name {
         "malloc" => TraceEvent::Malloc {
             size: field(args, "size"),
-            tier: AllocTier::from_label(label(args, "tier")).expect("tier label"),
+            tier: from_label(
+                &[AllocTier::Slice, AllocTier::Block, AllocTier::Large],
+                AllocTier::label,
+                label(args, "tier"),
+            ),
             ptr: field(args, "ptr"),
         },
         "free" => TraceEvent::Free { ptr: field(args, "ptr"), size: field(args, "size") },
@@ -125,7 +134,11 @@ fn decode(entry: &Value) -> TraceRecord {
         "segment_reclaim" => TraceEvent::SegmentReclaim {
             seg: field(args, "seg"),
             class: field(args, "class") as u32,
-            phase: ReclaimPhase::from_label(label(args, "phase")).expect("phase label"),
+            phase: from_label(
+                &[ReclaimPhase::Attempt, ReclaimPhase::Abort, ReclaimPhase::Publish],
+                ReclaimPhase::label,
+                label(args, "phase"),
+            ),
         },
         "ring_push" => {
             TraceEvent::RingPush { seg: field(args, "seg"), block: field(args, "block") }

@@ -64,9 +64,6 @@ pub struct Gallatin {
 /// `(device, instance, ptr)` and names both in every line, so one pass
 /// covers every instance whose events the sink captured.
 fn ledger_errors(errors: &mut Vec<String>) {
-    if !trace::compiled_in() {
-        return;
-    }
     let Some(sink) = trace::current_sink() else { return };
     if !sink.leak_check_enabled() {
         return;
@@ -92,18 +89,14 @@ pub(crate) fn invariant_report(mut errors: Vec<String>, dump_label: &str) -> Res
 }
 
 impl Gallatin {
-    /// Build and initialize an allocator over a fresh arena.
-    pub fn new(cfg: GallatinConfig) -> Self {
-        let bytes = cfg.geometry().heap_bytes as usize;
-        Self::with_memory(cfg, DeviceMemory::new(bytes))
-    }
-
-    /// Build an allocator over caller-provided device memory. Owns the
+    /// Build and initialize an allocator over a fresh arena. Owns the
     /// whole heap and a private memory table; pool instances are instead
     /// built over a shared table (`Level::build`, see `crate::elastic`) so
     /// a donated segment's metadata is visible from its new home.
-    pub fn with_memory(cfg: GallatinConfig, mem: DeviceMemory) -> Self {
-        Level::build(&[], &Arena::new(cfg, mem), 0, cfg.geometry().num_segments)
+    pub fn new(cfg: GallatinConfig) -> Self {
+        let geo = cfg.geometry();
+        let mem = DeviceMemory::new(geo.heap_bytes as usize);
+        Level::build(&[], &Arena::new(cfg, mem), 0, geo.num_segments)
     }
 
     /// The borrowed view of shared state every tier call operates through.

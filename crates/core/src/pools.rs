@@ -190,7 +190,7 @@ impl DevicePool {
         &self.children[d]
     }
 
-    /// The underlying topology (windows, stride, interconnect tariff).
+    /// The underlying topology (reservation, stride, SM affinity).
     pub fn topology(&self) -> &Topology {
         &self.tariff.as_ref().expect("a DevicePool is always built over a topology").0
     }

@@ -153,8 +153,7 @@ impl SegmentTier {
             });
             // Aborts are a legitimate outcome under contention; dump the
             // trace only when explicitly asked (debugging a reclaim race).
-            if trace::compiled_in()
-                && std::env::var_os(trace::TRACE_ABORT_DUMP_ENV).is_some()
+            if std::env::var_os(trace::TRACE_ABORT_DUMP_ENV).is_some()
                 && trace::current_sink().is_some()
             {
                 trace::auto_dump("reclaim_abort");

@@ -54,23 +54,6 @@ impl StepClock {
     }
 }
 
-/// A value stamped with the step it was observed at — the arrival /
-/// completion bookkeeping unit of an open-loop driver.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Stamped<T> {
-    /// Step the value was stamped at.
-    pub at: u64,
-    /// The stamped value.
-    pub item: T,
-}
-
-impl<T> Stamped<T> {
-    /// Stamp `item` with the clock's current step.
-    pub fn now(clock: &StepClock, item: T) -> Self {
-        Stamped { at: clock.now(), item }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -83,15 +66,6 @@ mod tests {
         assert_eq!(c.advance_to(5), 7, "advance_to never rewinds");
         assert_eq!(c.advance_to(30), 30);
         assert_eq!(c.advance(0), 30);
-    }
-
-    #[test]
-    fn stamps_carry_the_observation_step() {
-        let mut c = StepClock::new();
-        c.advance(12);
-        let s = Stamped::now(&c, "req");
-        c.advance(8);
-        assert_eq!((s.at, c.now() - s.at), (12, 8));
     }
 
     #[test]

@@ -1,11 +1,15 @@
-//! Kernel launches: executing N logical GPU threads as warps on a CPU
-//! thread pool.
+//! Kernel launches: executing N logical GPU threads as warps on CPU
+//! threads.
 //!
 //! A launch of `n` threads is split into `ceil(n / 32)` warps. Each warp
-//! is executed as a unit by one pool worker (rayon's work-stealing pool),
-//! which preserves the property the allocators care about: all 32 lanes of
-//! a warp are visible to each other at a collective operation, while
-//! different warps run genuinely concurrently and contend on atomics.
+//! is executed as a unit by one worker thread, which preserves the
+//! property the allocators care about: all 32 lanes of a warp are visible
+//! to each other at a collective operation, while different warps run
+//! genuinely concurrently and contend on atomics. Pool mode hands warps to
+//! its workers through a shared atomic cursor, so like a GPU the
+//! assignment of warps to OS threads is timing-dependent and racy
+//! interleavings are real; [`crate::sched`] is the reproducible
+//! alternative.
 //!
 //! SM residency is modeled by striping warps across `num_sms` streaming
 //! multiprocessors (`sm_id = warp_id % num_sms`), which is how a real grid
@@ -15,14 +19,73 @@
 use crate::sched::{self, FaultPlan};
 use crate::trace;
 use crate::warp::{LaneCtx, WarpCtx, WARP_SIZE};
-use rayon::prelude::*;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+
+/// Worker-count override installed by [`set_pool_threads`]; 0 = none.
+static POOL_THREADS: AtomicUsize = AtomicUsize::new(0);
+
+/// Fix the number of workers every later [`ExecMode::Pool`] launch of
+/// this process spawns; 0 goes back to following the launching thread's
+/// affinity mask.
+pub fn set_pool_threads(n: usize) {
+    POOL_THREADS.store(n, Ordering::Relaxed);
+}
+
+// From the libc std already links.
+#[cfg(target_os = "linux")]
+extern "C" {
+    fn sched_getaffinity(pid: i32, cpusetsize: usize, mask: *mut u64) -> i32;
+}
+
+fn pool_threads() -> usize {
+    let n = POOL_THREADS.load(Ordering::Relaxed);
+    if n > 0 {
+        return n;
+    }
+    // The affinity mask in one syscall (`available_parallelism` re-reads
+    // the cgroup files too, ≈12 µs a launch). Read at every launch, never
+    // cached: callers pin and unpin the launching thread.
+    #[cfg(target_os = "linux")]
+    {
+        // Room for 1,024 CPUs; a wider kernel mask is an error.
+        let mut mask = [0u64; 16];
+        // SAFETY: `mask` is a live, writable buffer of the `cpusetsize` bytes
+        // passed, all the call writes; pid 0 is the calling thread.
+        if unsafe { sched_getaffinity(0, size_of_val(&mask), mask.as_mut_ptr()) } == 0 {
+            return mask.iter().map(|w| w.count_ones() as usize).sum();
+        }
+    }
+    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+}
+
+/// Run `f(i)` for every `i < len`, handing indices to [`pool_threads`]
+/// scoped workers through a shared cursor; inline with one worker.
+fn pool_for_each(len: u64, f: impl Fn(u64) + Sync) {
+    let workers = (pool_threads() as u64).min(len).max(1);
+    if workers == 1 {
+        (0..len).for_each(f);
+        return;
+    }
+    let cursor = AtomicU64::new(0);
+    std::thread::scope(|s| {
+        for _ in 0..workers {
+            s.spawn(|| loop {
+                let i = cursor.fetch_add(1, Ordering::Relaxed);
+                if i >= len {
+                    break;
+                }
+                f(i);
+            });
+        }
+    });
+}
 
 /// How a launch's warps are executed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ExecMode {
-    /// Warps run concurrently on the work-stealing CPU thread pool;
-    /// interleavings are real races and depend on OS timing. This is
-    /// the throughput mode and the default.
+    /// Warps run concurrently on scoped worker threads; interleavings
+    /// are real races and depend on OS timing. This is the throughput
+    /// mode and the default.
     Pool,
     /// Warps run serialized by the deterministic scheduler
     /// ([`crate::sched`]) as fibers on the launching thread, switching
@@ -134,7 +197,7 @@ where
             // thread's trace sink (if any) is installed around each warp; a
             // deterministic launch never leaves the thread that holds it.
             let sink = trace::current_sink();
-            (0..n_warps).into_par_iter().for_each(|warp_id| match &sink {
+            pool_for_each(n_warps, |warp_id| match &sink {
                 Some(sink) => trace::with_sink(sink.clone(), || run_warp(warp_id)),
                 None => run_warp(warp_id),
             });
@@ -165,7 +228,75 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Mutex;
+    use std::thread::ThreadId;
+
+    /// Serialises the tests that touch the worker-count rule's process
+    /// state (the override; the affinity test asserts on its absence).
+    static POOL_RULE: Mutex<()> = Mutex::new(());
+
+    /// The OS thread each warp of a 64-warp pool launch ran on.
+    fn pool_launch_thread_ids() -> Vec<ThreadId> {
+        let ids = Mutex::new(Vec::new());
+        launch_warps(DeviceConfig::default(), 64 * 32, |_| {
+            ids.lock().unwrap().push(std::thread::current().id());
+        });
+        ids.into_inner().unwrap()
+    }
+
+    /// With no override installed, `pool_threads` reads the calling test
+    /// thread's own mask (affinity is per thread).
+    #[test]
+    #[cfg(target_os = "linux")]
+    fn pool_follows_the_calling_threads_affinity_mask() {
+        extern "C" {
+            fn sched_setaffinity(pid: i32, cpusetsize: usize, mask: *const u64) -> i32;
+        }
+        let _rule = POOL_RULE.lock().unwrap_or_else(|e| e.into_inner());
+        let mut allowed = [0u64; 16];
+        let bytes = std::mem::size_of_val(&allowed);
+        // SAFETY: `allowed` is a live, writable buffer of `bytes` bytes.
+        assert_eq!(unsafe { sched_getaffinity(0, bytes, allowed.as_mut_ptr()) }, 0);
+        let cpus: usize = allowed.iter().map(|w| w.count_ones() as usize).sum();
+        assert_eq!(pool_threads(), cpus);
+        if cpus < 2 {
+            return; // nothing to narrow from
+        }
+        let caller = std::thread::current().id();
+
+        let word = allowed.iter().position(|&w| w != 0).unwrap();
+        let mut one = [0u64; 16];
+        one[word] = 1 << allowed[word].trailing_zeros();
+        // SAFETY: `one` is a live buffer of `bytes` bytes the call only reads.
+        assert_eq!(unsafe { sched_setaffinity(0, bytes, one.as_ptr()) }, 0);
+        let narrowed = (pool_threads(), pool_launch_thread_ids());
+        // SAFETY: as above, for `allowed`. Restored before any assert.
+        assert_eq!(unsafe { sched_setaffinity(0, bytes, allowed.as_ptr()) }, 0);
+        assert_eq!(narrowed.0, 1);
+        assert!(narrowed.1.iter().all(|&id| id == caller), "one CPU: every warp on the caller");
+
+        // The mask is read again at this launch: workers come back, and
+        // with more than one of them no warp runs on the launching thread.
+        assert_eq!(pool_threads(), cpus);
+        let ids = pool_launch_thread_ids();
+        assert_eq!(ids.len(), 64);
+        assert!(ids.iter().all(|&id| id != caller), "restored mask: the warps run on workers");
+    }
+
+    #[test]
+    fn set_pool_threads_overrides_the_mask_until_cleared() {
+        let _rule = POOL_RULE.lock().unwrap_or_else(|e| e.into_inner());
+        let masked = pool_threads();
+        set_pool_threads(3);
+        let (installed, ids) = (pool_threads(), pool_launch_thread_ids());
+        set_pool_threads(0);
+        assert_eq!(installed, 3);
+        assert_eq!(ids.len(), 64);
+        assert!(!ids.contains(&std::thread::current().id()), "three workers: none is the caller");
+        let distinct: std::collections::HashSet<ThreadId> = ids.into_iter().collect();
+        assert!(distinct.len() <= 3, "{} distinct workers", distinct.len());
+        assert_eq!(pool_threads(), masked, "0 restores the mask rule");
+    }
 
     #[test]
     fn launch_runs_every_thread_once() {

@@ -19,7 +19,7 @@
 //!   collective calls are written in: a ballot is a 32-bit lane mask, its
 //!   leader the lowest set lane, a lane's rank its place in the walk.
 //! * [`mod@launch`] — grid launches: N logical threads are split into warps
-//!   and executed by a work-stealing CPU thread pool. Streaming
+//!   and executed by scoped CPU worker threads. Streaming
 //!   multiprocessor (SM) ids are assigned to warps so per-SM structures
 //!   (Gallatin's block buffers) behave as on hardware.
 //! * [`alloc_api::DeviceAllocator`] — the common malloc/free interface all
@@ -61,15 +61,15 @@ pub mod trace;
 pub mod warp;
 
 pub use alloc_api::{AllocStats, DeviceAllocator};
-pub use clock::{Stamped, StepClock};
+pub use clock::StepClock;
 pub use launch::{launch, launch_warps, launch_warps_counted, DeviceConfig, ExecMode};
 pub use mem::{DeviceMemory, DevicePtr};
 pub use metrics::{Metrics, Striped};
 pub use replay::{ConversionStats, ReplayOp, ReplayScript, WarpScript};
 pub use sched::{
-    current_sched_seed, explore_schedules, preempt_point, spin_hint, with_hooks, FaultPlan,
-    PreemptPoint, ScheduleFailure, SimHooks,
+    current_sched_seed, explore_schedules, preempt_point, spin_hint, FaultPlan, PreemptPoint,
+    ScheduleFailure,
 };
-pub use topo::{InterconnectCost, Topology};
+pub use topo::Topology;
 pub use trace::{TraceEvent, TraceRecord, TraceSink};
 pub use warp::{LaneCtx, LaneMask, WarpCtx, WARP_SIZE};

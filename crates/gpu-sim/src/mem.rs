@@ -11,11 +11,10 @@
 //!
 //! Three kinds of access are offered:
 //!
-//! * **Atomic views** ([`DeviceMemory::atomic_u32`] /
-//!   [`DeviceMemory::atomic_u64`]): used for all allocator *metadata*
-//!   (counters, bitmaps, queue slots). These are real `std::sync::atomic`
-//!   objects aliasing the arena, so concurrent metadata access is fully
-//!   defined behaviour.
+//! * **Atomic views** ([`DeviceMemory::atomic_u64`]): used for all
+//!   allocator *metadata* (counters, bitmaps, queue slots). These are real
+//!   `std::sync::atomic` objects aliasing the arena, so concurrent
+//!   metadata access is fully defined behaviour.
 //! * **Payload copies** ([`DeviceMemory::write_bytes`] /
 //!   [`DeviceMemory::read_bytes`]): plain `memcpy`-style access used by
 //!   benchmark kernels for allocation payloads. The required discipline is
@@ -32,7 +31,7 @@
 
 use std::alloc::{alloc_zeroed, dealloc, handle_alloc_error, Layout};
 use std::ptr::NonNull;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Arena alignment. 16 bytes satisfies every atomic type and — critically
@@ -81,9 +80,9 @@ impl DevicePtr {
 
 /// The backing host allocation for one or more [`DeviceMemory`] views.
 ///
-/// Owned behind an `Arc` so [`DeviceMemory::split`] can hand out disjoint
-/// windows over the same physical bytes; the allocation is freed when the
-/// last view drops.
+/// Owned behind an `Arc` so [`DeviceMemory::clone_view`] can hand out
+/// further views of the same physical bytes; the allocation is freed when
+/// the last view drops.
 struct Arena {
     base: NonNull<u8>,
     len: usize,
@@ -107,14 +106,9 @@ impl Drop for Arena {
 ///
 /// The arena is allocated once (the paper's Gallatin similarly grabs its
 /// whole heap with a single `cudaMalloc` at init) and freed when the last
-/// view of it drops. A `DeviceMemory` is a *window* `[off, off+len)` into
-/// the shared arena: [`DeviceMemory::split`] partitions one arena into
-/// disjoint sub-views (one per `GallatinPool` instance) whose offsets all
-/// start at zero, exactly like per-device heap partitions carved from one
-/// reservation.
+/// view of it drops.
 pub struct DeviceMemory {
     arena: Arc<Arena>,
-    off: usize,
     len: usize,
 }
 
@@ -131,52 +125,23 @@ impl DeviceMemory {
         // SAFETY: layout has non-zero size.
         let raw = unsafe { alloc_zeroed(layout) };
         let Some(base) = NonNull::new(raw) else { handle_alloc_error(layout) };
-        DeviceMemory { arena: Arc::new(Arena { base, len }), off: 0, len }
+        DeviceMemory { arena: Arc::new(Arena { base, len }), len }
     }
 
-    /// Partition this view into `n` equal, disjoint sub-views sharing the
-    /// same backing arena. Offset 0 of part `i` aliases offset
-    /// `i * (len / n)` of `self`; the parent view remains usable for
-    /// whole-arena access (stamps, debugging) alongside the parts.
-    ///
-    /// # Panics
-    /// Panics if `n == 0`, if `len` is not divisible by `n`, or if the
-    /// partition size would break the arena alignment.
-    pub fn split(&self, n: usize) -> Vec<DeviceMemory> {
-        assert!(n > 0, "cannot split device memory into zero parts");
-        assert!(
-            self.len.is_multiple_of(n),
-            "arena of {} bytes does not split evenly into {n} parts",
-            self.len
-        );
-        let part = self.len / n;
-        assert!(
-            part.is_multiple_of(ARENA_ALIGN),
-            "partition size {part} breaks {ARENA_ALIGN}-byte arena alignment"
-        );
-        (0..n)
-            .map(|i| DeviceMemory {
-                arena: Arc::clone(&self.arena),
-                off: self.off + i * part,
-                len: part,
-            })
-            .collect()
-    }
-
-    /// A second view of the same window, sharing the backing arena.
+    /// A second view of the same bytes, sharing the backing arena.
     /// Used where several owners need whole-range access to one heap
     /// (e.g. every `GallatinPool` instance holds a full-arena view so a
     /// donated segment's bytes stay reachable from its new home).
     pub fn clone_view(&self) -> DeviceMemory {
-        DeviceMemory { arena: Arc::clone(&self.arena), off: self.off, len: self.len }
+        DeviceMemory { arena: Arc::clone(&self.arena), len: self.len }
     }
 
     /// Host pointer to byte offset `off` of this view.
     #[inline]
     fn ptr(&self, off: usize) -> *mut u8 {
         // SAFETY: callers bounds-check `off` against `self.len` first, and
-        // `self.off + self.len` never exceeds the arena length.
-        unsafe { self.arena.base.as_ptr().add(self.off + off) }
+        // `self.len` is the arena length.
+        unsafe { self.arena.base.as_ptr().add(off) }
     }
 
     /// Total size of this view in bytes.
@@ -205,32 +170,13 @@ impl DeviceMemory {
         );
     }
 
-    /// An atomic 32-bit view of the word at byte offset `off`.
-    ///
-    /// Models a CUDA atomic on a 32-bit machine word (paper §4.3: "one
-    /// atomic operation on a 32-bit machine word is employed for malloc
-    /// and free").
-    #[inline]
-    pub fn atomic_u32(&self, off: u64) -> &AtomicU32 {
-        self.check(off, 4, 4);
-        // SAFETY: in-bounds, aligned, and AtomicU32 has no invalid bit
-        // patterns; aliasing with other atomic views is fine.
-        unsafe { &*(self.ptr(off as usize) as *const AtomicU32) }
-    }
-
     /// An atomic 64-bit view of the word at byte offset `off`.
     #[inline]
     pub fn atomic_u64(&self, off: u64) -> &AtomicU64 {
         self.check(off, 8, 8);
-        // SAFETY: see atomic_u32.
+        // SAFETY: in-bounds, aligned, and AtomicU64 has no invalid bit
+        // patterns; aliasing with other atomic views is fine.
         unsafe { &*(self.ptr(off as usize) as *const AtomicU64) }
-    }
-
-    /// Relaxed atomic load of a u32 — the common "just read the word" in
-    /// device code.
-    #[inline]
-    pub fn load_u32(&self, off: u64) -> u32 {
-        self.atomic_u32(off).load(Ordering::Relaxed)
     }
 
     /// Relaxed atomic load of a u64.
@@ -329,7 +275,7 @@ impl DeviceMemory {
 
 impl std::fmt::Debug for DeviceMemory {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("DeviceMemory").field("off", &self.off).field("len", &self.len).finish()
+        f.debug_struct("DeviceMemory").field("len", &self.len).finish()
     }
 }
 
@@ -408,12 +354,12 @@ mod tests {
             for _ in 0..8 {
                 s.spawn(|| {
                     for _ in 0..1000 {
-                        mem.atomic_u32(0).fetch_add(1, Ordering::Relaxed);
+                        mem.atomic_u64(0).fetch_add(1, Ordering::Relaxed);
                     }
                 });
             }
         });
-        assert_eq!(mem.load_u32(0), 8000);
+        assert_eq!(mem.load_u64(0), 8000);
     }
 
     #[test]
@@ -427,52 +373,7 @@ mod tests {
     #[should_panic(expected = "misaligned")]
     fn misaligned_atomic_panics() {
         let mem = DeviceMemory::new(64);
-        mem.load_u32(2);
-    }
-
-    #[test]
-    fn split_parts_are_disjoint_windows_over_the_parent() {
-        let mem = DeviceMemory::new(256);
-        let parts = mem.split(4);
-        assert_eq!(parts.len(), 4);
-        for (i, p) in parts.iter().enumerate() {
-            assert_eq!(p.len(), 64);
-            // Offset 0 of part i aliases offset i * 64 of the parent.
-            p.store_u64(0, 0x1000 + i as u64);
-            assert_eq!(mem.load_u64(i as u64 * 64), 0x1000 + i as u64);
-        }
-        // Writes through one part never show up in a sibling.
-        for (i, p) in parts.iter().enumerate() {
-            assert_eq!(p.load_u64(0), 0x1000 + i as u64);
-        }
-    }
-
-    #[test]
-    fn split_parts_outlive_the_parent_view() {
-        let parts = {
-            let mem = DeviceMemory::new(128);
-            mem.atomic_u32(64).store(7, Ordering::Relaxed);
-            mem.split(2)
-        };
-        // The parent view is gone but the shared arena is still alive.
-        assert_eq!(parts[1].load_u32(0), 7);
-        parts[0].atomic_u32(0).store(9, Ordering::Relaxed);
-        assert_eq!(parts[0].load_u32(0), 9);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of bounds")]
-    fn split_part_bounds_are_enforced() {
-        let mem = DeviceMemory::new(128);
-        let parts = mem.split(2);
-        parts[0].load_u64(64);
-    }
-
-    #[test]
-    #[should_panic(expected = "does not split evenly")]
-    fn uneven_split_panics() {
-        let mem = DeviceMemory::new(128);
-        let _ = mem.split(3);
+        mem.load_u64(4);
     }
 
     /// A 128-byte arena holding the words 10, 20, 30, 20 at offset 64.
@@ -542,20 +443,6 @@ mod tests {
     fn copy_past_the_end_panics() {
         let mem = arena_with_list();
         mem.copy(DevicePtr(0), DevicePtr(112), 24);
-    }
-
-    #[test]
-    fn copy_through_a_split_part_stays_inside_the_part() {
-        let mem = arena_with_list();
-        let parts = mem.split(2);
-        // Part 1 is bytes 64..128 of the parent: the list sits at its 0.
-        parts[1].copy(DevicePtr(0), DevicePtr(32), 32);
-        assert_eq!(mem.find_stamp(DevicePtr(96), 4, 30), Some(2));
-        assert_eq!(mem.find_stamp(DevicePtr(0), 8, 10), None, "part 0 is untouched");
-        // In the parent's bounds, past the part's.
-        let past = std::panic::catch_unwind(|| parts[1].copy(DevicePtr(0), DevicePtr(48), 32));
-        let msg = *past.unwrap_err().downcast::<String>().expect("formatted panic message");
-        assert!(msg.contains("out of bounds"), "{msg}");
     }
 
     #[test]

@@ -679,7 +679,7 @@ mod tests {
         // A deterministic launch runs on its launcher's thread and on
         // pooled stacks, so what a warp installs must be gone when it
         // ends. Warp 2 dies mid-schedule with everything installed: its
-        // `(sm, warp)` stamp, the seed, the hooks.
+        // `(sm, warp)` stamp, the seed, the run pointer.
         let mine = current_slot();
         let sink = Arc::new(TraceSink::new());
         let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -695,11 +695,11 @@ mod tests {
 
         // The host still bumps under its own slot.
         pristine_but_for(None, mine);
-        // No stale hooks on the host: a no-op, not a yield into a dead run.
+        // No stale run pointer on the host: a no-op, not a yield into a dead run.
         preempt_point(PreemptPoint::Rmw);
         // A launch from another thread installs only its own seed and
-        // hooks, bumps under that thread's slot, and each yield reaches
-        // those hooks exactly once.
+        // run, bumps under that thread's slot, and each yield reaches
+        // that run exactly once.
         let next = std::thread::spawn(move || {
             let theirs = current_slot();
             assert!(theirs != mine || theirs == OVERFLOW);

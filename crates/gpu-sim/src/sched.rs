@@ -1,8 +1,8 @@
 //! Deterministic warp scheduling: replayable interleavings for
 //! concurrency testing.
 //!
-//! The pool mode in [`mod@crate::launch`] runs warps on a work-stealing
-//! thread pool, so racy interleavings depend on OS timing and cannot be
+//! The pool mode in [`mod@crate::launch`] runs warps on free-running
+//! worker threads, so racy interleavings depend on OS timing and cannot be
 //! reproduced. This module provides the alternative execution engine
 //! behind `ExecMode::Deterministic`: the warps of a launch pass one
 //! *baton* among themselves, so exactly one executes at any instant, and
@@ -19,11 +19,10 @@
 //! # How preemption points are observed
 //!
 //! Instrumented call sites (in `metrics.rs`, `warp.rs`, `mem.rs`, and
-//! spin loops in the allocators) call [`preempt_point`], which forwards
-//! to the [`SimHooks`] installed for the current thread. Pool mode
-//! installs no hooks, making the call one thread-local flag test — both
-//! modes share one instrumented code path. Deterministic mode installs
-//! hooks that end the warp's turn.
+//! spin loops in the allocators) call [`preempt_point`], which ends the
+//! warp's turn in the deterministic run the current thread is hosting.
+//! Pool mode hosts none, making the call one thread-local pointer test —
+//! both modes share one instrumented code path.
 //!
 //! # The engine: one baton, one thread, a stack per warp
 //!
@@ -59,7 +58,6 @@ use crate::trace::{self, WarpLocals};
 use std::any::Any;
 use std::cell::{Cell, RefCell};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::Arc;
 
 /// Environment variable read by [`seed_override`]: when set,
 /// [`explore_schedules`] collapses to exactly that one seed — the
@@ -90,23 +88,12 @@ pub enum PreemptPoint {
     RingPush,
 }
 
-/// Execution hooks crossed at every preemption point.
-///
-/// Both launch modes drive the same instrumented call sites; they differ
-/// only in the hooks installed: pool mode installs none (free-running),
-/// deterministic mode installs one that ends the warp's turn. Tests can
-/// install custom hooks (e.g. counters) via [`with_hooks`].
-pub trait SimHooks: Send + Sync {
-    /// Called at each preemption point crossed by the current thread.
-    fn preempt(&self, point: PreemptPoint);
-}
-
 thread_local! {
-    /// Whether `CURRENT_HOOKS` holds hooks. A `const` thread-local with
-    /// no destructor is a plain TLS load (no lazy registration), which
-    /// is all a hook-free [`preempt_point`] costs.
-    static HOOKED: Cell<bool> = const { Cell::new(false) };
-    static CURRENT_HOOKS: RefCell<Option<Arc<dyn SimHooks>>> = const { RefCell::new(None) };
+    /// The deterministic run this thread is hosting; null = free-running.
+    /// A `const` thread-local with no destructor is a plain TLS load (no
+    /// lazy registration), which is all a free-running [`preempt_point`]
+    /// costs.
+    static CURRENT_RUN: Cell<*const Run> = const { Cell::new(std::ptr::null()) };
     static CURRENT_SEED: RefCell<Option<u64>> = const { RefCell::new(None) };
 }
 
@@ -134,32 +121,30 @@ fn with_seed<R>(seed: u64, f: impl FnOnce() -> R) -> R {
     f()
 }
 
-/// Install `hooks` as the current thread's [`SimHooks`] for the duration
-/// of `f` (restoring the previous hooks afterwards, also on panic).
-pub fn with_hooks<R>(hooks: Arc<dyn SimHooks>, f: impl FnOnce() -> R) -> R {
-    struct Restore(Option<Arc<dyn SimHooks>>);
+/// Install `run` as the run the current thread hosts for the duration
+/// of `f` (restoring the previous one afterwards, also on panic).
+fn with_run<R>(run: &Run, f: impl FnOnce() -> R) -> R {
+    struct Restore(*const Run);
     impl Drop for Restore {
         fn drop(&mut self) {
-            HOOKED.set(self.0.is_some());
-            CURRENT_HOOKS.with(|c| *c.borrow_mut() = self.0.take());
+            CURRENT_RUN.set(self.0);
         }
     }
-    let prev = CURRENT_HOOKS.with(|c| c.borrow_mut().replace(hooks));
-    HOOKED.set(true);
-    let _restore = Restore(prev);
+    let _restore = Restore(CURRENT_RUN.replace(run));
     f()
 }
 
-/// Cross a preemption point: forwards to the installed [`SimHooks`], or
-/// does nothing when none are installed (pool mode's free-running path).
+/// Cross a preemption point: ends the current warp's turn in the run this
+/// thread hosts, or does nothing when it hosts none (pool mode's
+/// free-running path).
 #[inline]
 pub fn preempt_point(point: PreemptPoint) {
-    if HOOKED.get() {
-        // Clone out of the RefCell so re-entrant hooks cannot alias the
-        // borrow; the Arc clone is the slow path (hooks installed) only.
-        if let Some(hooks) = CURRENT_HOOKS.with(|c| c.borrow().clone()) {
-            hooks.preempt(point);
-        }
+    let run = CURRENT_RUN.get();
+    if !run.is_null() {
+        // SAFETY: `with_run` sets the pointer only while it borrows the
+        // `Run`, on the thread that owns it, and restores it before the
+        // borrow ends.
+        unsafe { (*run).pass_baton(Some(point)) };
     }
 }
 
@@ -345,25 +330,6 @@ impl Run {
     }
 }
 
-/// The deterministic-mode [`SimHooks`]: every preemption point ends the
-/// current task's turn.
-struct Baton(*const Run);
-
-// SAFETY: `SimHooks` demands both, but a `Baton` never leaves the thread
-// that made it: its one `Arc` sits in that thread's `CURRENT_HOOKS`, which
-// nothing but `preempt_point` reads, for the span of one `with_hooks` call.
-unsafe impl Send for Baton {}
-unsafe impl Sync for Baton {}
-
-impl SimHooks for Baton {
-    fn preempt(&self, point: PreemptPoint) {
-        // SAFETY: the `Run` outlives every pointer to it: hooks are reached
-        // through `CURRENT_HOOKS` alone, and `run_tasks_faulted` uninstalls
-        // these before its `Run` goes out of scope.
-        unsafe { &*self.0 }.pass_baton(Some(point));
-    }
-}
-
 /// What a pooled fiber boots with: its run, the run's task body and the
 /// launcher's warp-locals, which every task starts from.
 struct Launch<'a>(&'a Run, &'a dyn Fn(u64), WarpLocals);
@@ -385,7 +351,7 @@ unsafe extern "C" fn fiber_main(launch: *mut u8) {
 /// Run `n_tasks` tasks to completion under the deterministic scheduler.
 /// `task(i)` is invoked once per task index, all on the calling thread —
 /// task 0 on its own stack, the others as fibers on pooled stacks — with
-/// baton-passing hooks installed; exactly one task executes at any
+/// the run installed as the thread's own; exactly one task executes at any
 /// instant, and the successor after each preemption point is drawn from
 /// a PRNG seeded with `seed`.
 ///
@@ -433,7 +399,7 @@ where
         fiber.boot(fiber_main, std::ptr::from_ref(&launch).cast_mut().cast());
     }
     with_seed(seed, || {
-        with_hooks(Arc::new(Baton(&run)), || {
+        with_run(&run, || {
             // Back here when task 0 is first drawn, and `host` returns
             // when the run is over: every fiber is switched out for good,
             // so dropping `run` may hand their stacks to the next launch.
@@ -758,23 +724,5 @@ mod tests {
         let msg = err.downcast_ref::<String>().expect("formatted panic message");
         assert!(msg.contains("GALLATIN_SCHED_SEED must be a u64"), "{msg}");
         assert!(msg.contains("banana"), "{msg}");
-    }
-
-    #[test]
-    fn custom_hooks_observe_preemption_points() {
-        struct Counter(AtomicU64);
-        impl SimHooks for Counter {
-            fn preempt(&self, _p: PreemptPoint) {
-                self.0.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        let hooks = Arc::new(Counter(AtomicU64::new(0)));
-        with_hooks(hooks.clone(), || {
-            preempt_point(PreemptPoint::Rmw);
-            preempt_point(PreemptPoint::Cas);
-        });
-        // Outside with_hooks the call is a no-op again.
-        preempt_point(PreemptPoint::Rmw);
-        assert_eq!(hooks.0.load(Ordering::Relaxed), 2);
     }
 }

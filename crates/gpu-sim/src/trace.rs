@@ -26,10 +26,7 @@
 //! tracing adds *zero* atomic operations and zero preemption points to an
 //! untraced run — schedules and the E16 atomic-count gate are unaffected.
 //! Enabled, events land in per-SM cache-line-padded stripes, so tracing
-//! warps contend only within an SM. The
-//! whole subsystem can additionally be compiled out with
-//! `--no-default-features` (the `trace` feature), which turns every emit
-//! site into a literally empty inline function.
+//! warps contend only within an SM.
 //!
 //! # Artifacts
 //!
@@ -95,16 +92,6 @@ impl AllocTier {
             AllocTier::Large => "large",
         }
     }
-
-    /// Inverse of [`AllocTier::label`].
-    pub fn from_label(s: &str) -> Option<Self> {
-        match s {
-            "slice" => Some(AllocTier::Slice),
-            "block" => Some(AllocTier::Block),
-            "large" => Some(AllocTier::Large),
-            _ => None,
-        }
-    }
 }
 
 /// Phase of a segment-reclamation attempt (the two-phase verify described
@@ -126,16 +113,6 @@ impl ReclaimPhase {
             ReclaimPhase::Attempt => "attempt",
             ReclaimPhase::Abort => "abort",
             ReclaimPhase::Publish => "publish",
-        }
-    }
-
-    /// Inverse of [`ReclaimPhase::label`].
-    pub fn from_label(s: &str) -> Option<Self> {
-        match s {
-            "attempt" => Some(ReclaimPhase::Attempt),
-            "abort" => Some(ReclaimPhase::Abort),
-            "publish" => Some(ReclaimPhase::Publish),
-            _ => None,
         }
     }
 }
@@ -491,14 +468,6 @@ pub fn current_sink() -> Option<Arc<TraceSink>> {
     CURRENT_SINK.with(|c| c.borrow().clone())
 }
 
-/// Whether tracing support is compiled in (the `trace` feature, on by
-/// default). When `false`, emits are no-ops and sinks never fill, so
-/// downstream trace-driven diagnostics (ledger leak checks, auto-dumps)
-/// should be skipped rather than reporting from an empty trace.
-pub const fn compiled_in() -> bool {
-    cfg!(feature = "trace")
-}
-
 /// Run `f` with the `(sm, warp)` stamp installed for the current thread —
 /// the launch machinery wraps each warp's kernel invocation in this so
 /// emissions are attributed to the warp that made them.
@@ -536,7 +505,6 @@ pub(crate) fn set_warp_locals((ctx, scope): WarpLocals) {
 /// preemption point, so tracing can never perturb a schedule.
 #[inline]
 pub fn emit_lane(lane: u32, event: impl FnOnce() -> TraceEvent) {
-    #[cfg(feature = "trace")]
     if TRACING.get() {
         CURRENT_SINK.with(|c| {
             // A shared borrow, not a clone of the `Arc` (an RMW per event
@@ -551,8 +519,6 @@ pub fn emit_lane(lane: u32, event: impl FnOnce() -> TraceEvent) {
             }
         });
     }
-    #[cfg(not(feature = "trace"))]
-    let _ = (lane, event);
 }
 
 /// [`emit_lane`] for warp-level (or host-side) events with no specific
@@ -695,7 +661,6 @@ mod tests {
         assert!(!built.get(), "payload closure must not run without a sink");
     }
 
-    #[cfg(feature = "trace")]
     #[test]
     fn the_dormant_flag_follows_the_sink_through_nesting_and_unwind() {
         use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -726,9 +691,6 @@ mod tests {
         assert_eq!(freed(&outer), [2, 3, 4].map(|ptr| TraceEvent::Free { ptr, size: 0 }));
     }
 
-    // Exercises the live emit path, which compiles to nothing without
-    // the `trace` feature.
-    #[cfg(feature = "trace")]
     #[test]
     fn sink_records_in_step_order_across_stripes() {
         let sink = Arc::new(TraceSink::new());
@@ -752,7 +714,6 @@ mod tests {
         assert_eq!(sink.len(), 20);
     }
 
-    #[cfg(feature = "trace")]
     #[test]
     fn capacity_overflow_is_counted_not_silent() {
         let sink = Arc::new(TraceSink::with_capacity(4));
@@ -797,7 +758,6 @@ mod tests {
         assert!(both.contains("\"lane\": 0, \"device\": 1, \"instance\": 2"), "export: {both}");
     }
 
-    #[cfg(feature = "trace")]
     #[test]
     fn with_level_stamps_and_restores_at_both_levels() {
         let sink = Arc::new(TraceSink::new());
@@ -848,18 +808,6 @@ mod tests {
         };
         assert!(balance('{', '}') && balance('[', ']'));
         assert!(chrome_trace_json(&[]).contains("\"traceEvents\": [\n]"));
-    }
-
-    #[test]
-    fn labels_roundtrip() {
-        for t in [AllocTier::Slice, AllocTier::Block, AllocTier::Large] {
-            assert_eq!(AllocTier::from_label(t.label()), Some(t));
-        }
-        for p in [ReclaimPhase::Attempt, ReclaimPhase::Abort, ReclaimPhase::Publish] {
-            assert_eq!(ReclaimPhase::from_label(p.label()), Some(p));
-        }
-        assert_eq!(AllocTier::from_label("bogus"), None);
-        assert_eq!(ReclaimPhase::from_label("bogus"), None);
     }
 
     #[test]

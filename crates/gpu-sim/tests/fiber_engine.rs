@@ -10,7 +10,6 @@ use std::hint::black_box;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 
-#[cfg(feature = "trace")]
 #[test]
 fn every_record_carries_its_own_warps_stamp_and_scope() {
     use gpu_sim::trace::{self, TraceEvent, TraceSink, DEVICE, INSTANCE};

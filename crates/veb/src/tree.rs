@@ -122,7 +122,7 @@ impl VebTree {
     }
 
     /// Recompute every summary level from the leaves. Not thread-safe.
-    pub fn rebuild_summaries(&self) {
+    fn rebuild_summaries(&self) {
         for li in 1..self.levels.len() {
             let (lower, upper) = {
                 let (a, b) = self.levels.split_at(li);

@@ -1,9 +1,24 @@
 //! Concurrent stress tests for the vEB tree: exclusivity of claims and
 //! eventual consistency of summaries under heavy contention.
 
-use rayon::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 use veb::VebTree;
+
+/// `f(i)` for every `i < len`, raced by four threads over a shared cursor.
+fn par_for_each(len: u64, f: impl Fn(u64) + Sync) {
+    let cursor = AtomicU64::new(0);
+    std::thread::scope(|s| {
+        for _ in 0..4 {
+            s.spawn(|| loop {
+                let i = cursor.fetch_add(1, Ordering::Relaxed);
+                if i >= len {
+                    break;
+                }
+                f(i);
+            });
+        }
+    });
+}
 
 #[test]
 fn concurrent_claims_are_exclusive() {
@@ -15,7 +30,7 @@ fn concurrent_claims_are_exclusive() {
         tree.fill();
         let winners: Vec<AtomicU64> = (0..universe).map(|_| AtomicU64::new(0)).collect();
 
-        (0..universe).into_par_iter().for_each(|_| {
+        par_for_each(universe, |_| {
             if let Some(x) = tree.claim_first_ge(0) {
                 winners[x as usize].fetch_add(1, Ordering::Relaxed);
             }
@@ -38,7 +53,7 @@ fn concurrent_insert_remove_storm_converges() {
 
     // Phase 1: every item inserted and removed many times, ending with
     // inserts of even items only.
-    (0..universe).into_par_iter().for_each(|x| {
+    par_for_each(universe, |x| {
         for _ in 0..20 {
             tree.insert(x);
             tree.remove(x);
@@ -70,7 +85,7 @@ fn claim_and_reinsert_churn_preserves_count() {
     let universe = 4096u64;
     let tree = VebTree::new_full(universe);
 
-    (0..32u64).into_par_iter().for_each(|_| {
+    par_for_each(32, |_| {
         for _ in 0..2_000 {
             if let Some(x) = tree.claim_first_ge(0) {
                 tree.insert(x);
@@ -92,7 +107,7 @@ fn contended_claims_front_and_back_partition_universe() {
     let tree = VebTree::new_full(universe);
     let owned: Vec<AtomicU64> = (0..universe).map(|_| AtomicU64::new(0)).collect();
 
-    (0..256u64).into_par_iter().for_each(|i| {
+    par_for_each(256, |i| {
         if i % 2 == 0 {
             for _ in 0..4 {
                 if let Some(x) = tree.claim_first_ge(0) {
@@ -126,8 +141,8 @@ fn successor_under_concurrent_mutation_stays_in_bounds() {
         tree.insert(x);
     }
 
-    rayon::scope(|s| {
-        s.spawn(|_| {
+    std::thread::scope(|s| {
+        s.spawn(|| {
             for round in 0..50 {
                 for x in 0..universe {
                     if (x + round) % 2 == 0 {
@@ -138,7 +153,7 @@ fn successor_under_concurrent_mutation_stays_in_bounds() {
                 }
             }
         });
-        s.spawn(|_| {
+        s.spawn(|| {
             for _ in 0..20_000 {
                 if let Some(v) = tree.successor(17) {
                     assert!(v < universe && v >= 17);

@@ -75,6 +75,15 @@ for crate in crates/*/; do
     fi
 done
 
+# A budget row must name a live crate: a row that outlives its crate would
+# let the crate be regrown later without anyone setting its number.
+while read -r crate _; do
+    if [ ! -d "$crate" ]; then
+        echo "LOC gate: $BUDGET_FILE budgets $crate, which does not exist — delete the row" >&2
+        status=1
+    fi
+done < <(grep -v '^#' "$BUDGET_FILE")
+
 if [ "$status" -eq 0 ]; then
     echo "LOC gate: $scanned crates/**/src/*.rs files within $MAX_LINES lines, $budgeted crates at budget, $budget_total budgeted non-test src lines in total"
 fi
