@@ -293,6 +293,8 @@ fn drive(
     let mut t_latencies: Vec<Vec<u64>> = vec![Vec::new(); n_tenants];
     let mut batches = 0u64;
     let mut sched_steps = 0u64;
+    // Per-batch scratch, hoisted: the host pays per launch.
+    let (mut sizes, mut free_ptrs, mut results) = (Vec::new(), Vec::new(), Vec::new());
 
     // Cadence bookkeeping for the fragmentation timeline; fires once
     // per crossed multiple, however far one batch jumps the clock.
@@ -331,19 +333,19 @@ fn drive(
         }
 
         // Compose the batch: every due free plus up to batch_width
-        // queued mallocs.
-        let mut batch_frees: Vec<(u64, usize, u64)> = Vec::new();
+        // queued mallocs (which stay queued until their launch returns).
+        free_ptrs.clear();
         while let Some(&Reverse((due, ptr, tenant, size))) = due_frees.peek() {
             if due > clock.now() {
                 break;
             }
             due_frees.pop();
-            batch_frees.push((ptr, tenant, size));
+            book.on_free(tenant, size);
+            free_ptrs.push(gpu_sim::DevicePtr(ptr));
         }
         let take = queue.len().min(cfg.batch_width);
-        let batch_ids: Vec<usize> = queue.drain(..take).collect();
 
-        if batch_frees.is_empty() && batch_ids.is_empty() {
+        if free_ptrs.is_empty() && take == 0 {
             // Idle: jump the clock to the next event, or finish.
             let next_a = arrivals.get(next_arrival).map(|a| a.step);
             let next_f = due_frees.peek().map(|Reverse((due, ..))| *due);
@@ -358,19 +360,15 @@ fn drive(
         }
 
         batches += 1;
-        let sizes: Vec<u64> = batch_ids.iter().map(|&i| arrivals[i].size).collect();
-        let free_ptrs: Vec<gpu_sim::DevicePtr> =
-            batch_frees.iter().map(|&(p, ..)| gpu_sim::DevicePtr(p)).collect();
+        sizes.clear();
+        sizes.extend(queue.iter().take(take).map(|&i| arrivals[i].size));
         let device = base_device.seeded(next_seed(&mut seed_chain));
-        let result = runner::run_batch(alloc, device, &sizes, &free_ptrs);
-        sched_steps += result.steps;
-        let completion = clock.now() + overhead + result.steps;
+        let steps = runner::run_batch_into(alloc, device, &sizes, &free_ptrs, &mut results);
+        sched_steps += steps;
+        let completion = clock.now() + overhead + steps;
 
-        for &(_, tenant, size) in &batch_frees {
-            book.on_free(tenant, size);
-        }
-        for (&idx, &ptr) in batch_ids.iter().zip(result.ptrs.iter()) {
-            let a = &arrivals[idx];
+        for (idx, ptr) in queue.drain(..take).zip(results.iter_mut()) {
+            let (a, ptr) = (&arrivals[idx], gpu_sim::DevicePtr(*ptr.get_mut()));
             if ptr.is_null() {
                 book.refund(a.tenant, a.size);
                 book.reject(a.tenant, Rejection::Exhausted);

@@ -326,16 +326,27 @@ pub fn run_batch(
     mallocs: &[u64],
     frees: &[DevicePtr],
 ) -> BatchResult {
+    let mut results = Vec::new();
+    let steps = run_batch_into(a, device, mallocs, frees, &mut results);
+    BatchResult { ptrs: results.into_iter().map(|p| DevicePtr(p.into_inner())).collect(), steps }
+}
+
+/// [`run_batch`] into caller-owned `results` (a pointer per malloc), so a
+/// loop of batches allocates nothing per launch; returns the steps.
+pub(crate) fn run_batch_into(
+    a: &dyn DeviceAllocator,
+    device: DeviceConfig,
+    mallocs: &[u64],
+    frees: &[DevicePtr],
+    results: &mut Vec<AtomicU64>,
+) -> u64 {
     let w = WARP_SIZE;
     let m_warps = mallocs.len().div_ceil(w);
     let f_warps = frees.len().div_ceil(w);
-    if m_warps + f_warps == 0 {
-        return BatchResult { ptrs: Vec::new(), steps: 0 };
-    }
-    let results: Vec<AtomicU64> =
-        mallocs.iter().map(|_| AtomicU64::new(DevicePtr::NULL.0)).collect();
+    results.clear();
+    results.resize_with(mallocs.len(), || AtomicU64::new(DevicePtr::NULL.0));
     let total_threads = ((m_warps + f_warps) * w) as u64;
-    let steps = gpu_sim::launch_warps_counted(device, total_threads, |warp| {
+    gpu_sim::launch_warps_counted(device, total_threads, |warp| {
         let id = warp.warp_id as usize;
         let active = warp.active as usize;
         if id < m_warps {
@@ -359,9 +370,7 @@ pub fn run_batch(
             ptrs[..end - base].copy_from_slice(&frees[base..end]);
             a.warp_free(warp, &ptrs[..active]);
         }
-    });
-    let ptrs = results.into_iter().map(|p| DevicePtr(p.into_inner())).collect();
-    BatchResult { ptrs, steps }
+    })
 }
 
 #[cfg(test)]

@@ -72,10 +72,12 @@ fn same_seeds_replay_byte_identical_histograms() {
 }
 
 /// The pool backend replays too, and a different schedule seed really
-/// changes the run (the clock is schedule-driven, not a constant).
+/// changes the run (the clock is schedule-driven, not a constant) — at
+/// rate 720, where the due frees fill several warps a launch: since block
+/// lanes share a ring ticket, rates 120–480 give every seed one latency.
 #[test]
 fn pool_backend_replays_and_seed_matters() {
-    let cfg = serve_cfg(ArrivalShape::Poisson, 0xBEEF, 11, 120);
+    let cfg = serve_cfg(ArrivalShape::Poisson, 0xBEEF, 11, 720);
     let mk = || GallatinPool::new(2, GallatinConfig::small_test(1 << 22));
     let a = run_serve_engine(&cfg, &mk());
     let b = run_serve_engine(&cfg, &mk());

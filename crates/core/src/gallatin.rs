@@ -7,15 +7,17 @@
 //!   warp, one batched claim on the cached block's malloc counter serves
 //!   the whole group (Algorithm 3);
 //! * `max_slice < size ≤ segment` → **block** pipeline
-//!   ([`crate::tiers::BlockTier`]): pop a whole block of the smallest
-//!   sufficient class (Algorithm 2);
+//!   ([`crate::tiers::BlockTier`]): pop whole blocks of the smallest
+//!   sufficient class, a warp's group one ring ticket a run (Algorithm 2);
 //! * `size > segment` → **segment** pipeline
 //!   ([`crate::tiers::SegmentTier`]): claim contiguous segments from the
 //!   *back* of the segment tree (Algorithm 1's multi-segment branch).
 //!
 //! Frees invert the mapping from the pointer offset alone (Algorithm 4):
 //! divide by the segment size for the segment id, read its `tree_id`,
-//! then route to the slice, block, or segment return path.
+//! then route to the slice, block, or segment return path. Group order in
+//! a warp: slice classes, block classes, multi-segment lanes on a malloc;
+//! multi-segment lanes, whole-block runs, slice groups on a free.
 //!
 //! This file owns only the glue: size routing, the warp-collective entry
 //! points, and the shared state ([`TierCtx`]) the tiers borrow per call.
@@ -226,25 +228,6 @@ impl Gallatin {
     // Size routing
     // ==================================================================
 
-    /// Allocate a whole block (mid-size requests).
-    fn block_malloc(&self, class: usize, sm_id: u32) -> DevicePtr {
-        let ctx = self.ctx();
-        let Some(handle) = self.blocks.get(&ctx, class, sm_id, &self.segments) else {
-            return DevicePtr::NULL;
-        };
-        let seg = handle.segment(self.geo.max_blocks);
-        let block = handle.block(self.geo.max_blocks);
-        self.table.seg(seg).set_whole_block(block);
-        self.reserved.add(RESERVED, self.geo.block_size(class));
-        let off = self.geo.offset_of(seg, block, 0, class);
-        trace::emit(|| trace::TraceEvent::Malloc {
-            size: self.geo.block_size(class),
-            tier: trace::AllocTier::Block,
-            ptr: off,
-        });
-        DevicePtr(off)
-    }
-
     /// Allocate `n` contiguous segments (requests above the largest
     /// block).
     fn large_malloc(&self, size: u64) -> DevicePtr {
@@ -264,6 +247,53 @@ impl Gallatin {
         }
     }
 
+    /// The group that serves `size`, indexed by the exponent of the size it
+    /// hands out over `min_slice`: slice class `c` at `c`, block class `c`
+    /// at `c + log2(slices_per_block)` — above every slice class, since a
+    /// block request exceeds `max_slice`. `None`: a multi-segment request.
+    fn group_of(&self, size: u64) -> Option<usize> {
+        let block_base = self.geo.slices_per_block.trailing_zeros() as usize;
+        let block_group = || self.geo.block_class(size).map(|class| class + block_base);
+        self.geo.slice_class(size).or_else(block_group)
+    }
+
+    /// Serve `lanes`, all of [`Self::group_of`]'s `group`, through `assign`;
+    /// returns the lanes served, the group's lowest. A slice group is
+    /// [`SliceTier::malloc_group`]'s; a block group (mid-size requests) takes
+    /// one whole block a lane: per run [`BlockTier::get_many`] returns — one
+    /// ring ticket — one `fetch_or` per bitmap word and one `reserved.add`.
+    fn malloc_group(
+        &self,
+        group: usize,
+        sm_id: u32,
+        lanes: LaneMask,
+        mut assign: impl FnMut(usize, DevicePtr),
+    ) -> usize {
+        let (ctx, blocks, segments) = (self.ctx(), &self.blocks, &self.segments);
+        if group < self.geo.num_classes {
+            return self.slices.malloc_group(&ctx, sm_id, group, lanes, assign, blocks, segments);
+        }
+        let class = group - self.geo.slices_per_block.trailing_zeros() as usize;
+        let size = self.geo.block_size(class);
+        let mut left = lanes; // lanes not yet served
+        let mut run = [0u64; WARP_SIZE];
+        while !left.is_empty() {
+            let want = &mut run[..left.count()];
+            let Some((seg, n)) = blocks.get_many(&ctx, class, sm_id, segments, want) else {
+                break; // heap exhausted for this class
+            };
+            self.table.seg(seg).set_whole_blocks(&run[..n]);
+            self.reserved.add(RESERVED, n as u64 * size);
+            for (&block, lane) in run[..n].iter().zip(left.by_ref()) {
+                let off = self.geo.offset_of(seg, block, 0, class);
+                let tier = trace::AllocTier::Block;
+                trace::emit(|| trace::TraceEvent::Malloc { size, tier, ptr: off });
+                assign(lane, DevicePtr(off));
+            }
+        }
+        lanes.count() - left.count()
+    }
+
     pub(crate) fn malloc_routed(&self, sm_id: u32, size: u64) -> DevicePtr {
         if size > self.geo.heap_bytes {
             self.metrics.count_malloc(false);
@@ -271,44 +301,32 @@ impl Gallatin {
         }
         // Zero-size requests are served as the minimum slice (see the
         // `DeviceAllocator::malloc` contract).
-        let size = size.max(1);
-        let ptr = if let Some(class) = self.geo.slice_class(size) {
-            let mut out = DevicePtr::NULL;
-            self.slices.malloc_group(
-                &self.ctx(),
-                sm_id,
-                class,
-                LaneMask::lane(0),
-                |_, p| out = p,
-                &self.blocks,
-                &self.segments,
-            );
-            out
-        } else if let Some(class) = self.geo.block_class(size) {
-            self.block_malloc(class, sm_id)
+        let mut ptr = DevicePtr::NULL;
+        if let Some(group) = self.group_of(size.max(1)) {
+            self.malloc_group(group, sm_id, LaneMask::lane(0), |_, p| ptr = p);
         } else {
-            self.large_malloc(size)
-        };
+            ptr = self.large_malloc(size);
+        }
         self.metrics.count_malloc(!ptr.is_null());
         ptr
     }
 
     /// The one free-route decode: read the segment's `tree_id` and
-    /// release what `ptr` names — a whole block, a large run — or, for a
-    /// slice, return its `(segment, class, block)` so the caller returns
-    /// it to the block's counter (alone, or batched per block by
-    /// `warp_free`). The caller also counts the free: once per pointer,
-    /// or once per warp. Panics on foreign, interior-large and
-    /// unformatted-segment pointers.
+    /// release what `ptr` names — a large run — or, for a pointer into a
+    /// formatted segment, return its `(segment, class, block)` and whether
+    /// it names a block handed out whole, for [`Self::free_lanes`] to
+    /// return in a run or to the block's slice counter. The caller also
+    /// counts the free: once per pointer, or once per warp. Panics on
+    /// foreign, interior-large and unformatted-segment pointers.
     ///
     /// The Free event (stamped with `lane`) records the bytes *this
     /// path* releases; the trace Ledger cross-checks it against the
     /// paired Malloc, so a misrouted free (wrong tier, wrong class)
     /// surfaces as a typed size-mismatch anomaly instead of silent
     /// accounting drift. Each branch emits before the region becomes
-    /// reusable by others.
+    /// reusable by others (a whole block's in `free_lanes`).
     #[inline]
-    fn release(&self, ctx: &TierCtx, lane: u32, ptr: DevicePtr) -> Option<(u64, usize, u64)> {
+    fn release(&self, lane: u32, ptr: DevicePtr) -> Option<(u64, usize, u64, bool)> {
         let off = ptr.0;
         assert!(off < self.geo.heap_bytes, "free of foreign pointer {off}");
         let seg = self.geo.segment_of(off);
@@ -319,20 +337,11 @@ impl Gallatin {
         if (id as usize) < self.geo.num_classes {
             let class = id as usize;
             let block = self.geo.block_of(off, class);
-            let is_block_start = self.geo.slice_of(off, class) == 0;
-            if is_block_start && meta.is_whole_block(block) && meta.clear_whole_block(block) {
-                freed(self.geo.block_size(class));
-                self.reserved.sub(RESERVED, self.geo.block_size(class));
-                self.blocks.free_block(
-                    ctx,
-                    BlockHandle::new(seg, block, self.geo.max_blocks),
-                    class,
-                    &self.segments,
-                );
-                return None;
+            let whole = self.geo.slice_of(off, class) == 0 && meta.is_whole_block(block);
+            if !whole {
+                freed(self.geo.slice_size(class));
             }
-            freed(self.geo.slice_size(class));
-            return Some((seg, class, block));
+            return Some((seg, class, block, whole));
         } else if id == LARGE_BODY {
             freed(0);
             panic!("free of interior pointer into a large allocation (segment {seg})");
@@ -353,12 +362,63 @@ impl Gallatin {
         None
     }
 
-    pub(crate) fn free_routed(&self, ptr: DevicePtr) {
-        let ctx = self.ctx();
-        self.metrics.count_free();
-        if let Some((seg, class, block)) = self.release(&ctx, trace::LANE_NONE, ptr) {
-            self.slices.free_n(&ctx, seg, class, block, 1, &self.blocks, &self.segments);
+    /// Free what the lanes of `live` name in `ptrs` (events stamped
+    /// `stamp(lane)`; a scalar free is the call for lane 0). Large frees
+    /// complete inside `release`, lane by lane. Then whole-block lanes ballot
+    /// by segment, leaders ascending: one `fetch_and` per bitmap word clears
+    /// a run, the lanes that won their bit share one `reserved.sub` and one
+    /// [`BlockTier::free_many`] — one ring ticket — and a lane that lost (a
+    /// block named twice, a double free) takes the slice route, as a lane
+    /// loop would. Last, slice lanes ballot by block (paper §6.5).
+    fn free_lanes(&self, live: LaneMask, ptrs: &[DevicePtr], stamp: impl Fn(usize) -> u32) {
+        let (ctx, max_blocks) = (self.ctx(), self.geo.max_blocks);
+        // Block handle and class of each block or slice lane.
+        let (mut handles, mut classes) = ([0u64; WARP_SIZE], [0u8; WARP_SIZE]);
+        let (mut wholes, mut slices) = (LaneMask::EMPTY, LaneMask::EMPTY);
+        for lane in live {
+            if let Some((seg, class, block, whole)) = self.release(stamp(lane), ptrs[lane]) {
+                handles[lane] = BlockHandle::new(seg, block, max_blocks).0;
+                classes[lane] = class as u8;
+                if whole { &mut wholes } else { &mut slices }.insert(lane);
+            }
         }
+        let freed = |lane: usize, size: u64| {
+            trace::emit_lane(stamp(lane), || trace::TraceEvent::Free { ptr: ptrs[lane].0, size })
+        };
+        while let Some(leader) = wholes.lowest() {
+            // A segment's handles are `first..first + max_blocks`, and it has
+            // one class while a block of it is out.
+            let (seg, class) = (handles[leader] / max_blocks, classes[leader] as usize);
+            let block = |lane: usize| handles[lane].wrapping_sub(seg * max_blocks);
+            let group = wholes.keep(|lane| block(lane) < max_blocks);
+            wholes = wholes.without(group);
+            let won = self.table.seg(seg).clear_whole_blocks(group, block);
+            let mut run = [0u64; WARP_SIZE];
+            for (slot, lane) in run.iter_mut().zip(won) {
+                freed(lane, self.geo.block_size(class));
+                *slot = block(lane);
+            }
+            if !won.is_empty() {
+                self.reserved.sub(RESERVED, won.count() as u64 * self.geo.block_size(class));
+                self.blocks.free_many(&ctx, seg, &run[..won.count()], class, &self.segments);
+            }
+            for lane in group.without(won) {
+                freed(lane, self.geo.slice_size(class));
+                slices.insert(lane);
+            }
+        }
+        while let Some(leader) = slices.lowest() {
+            let group = slices.keep(|lane| handles[lane] == handles[leader]);
+            slices = slices.without(group);
+            let (seg, block) = (handles[leader] / max_blocks, handles[leader] % max_blocks);
+            let (class, n) = (classes[leader] as usize, group.count() as u32);
+            self.slices.free_n(&ctx, seg, class, block, n, &self.blocks, &self.segments);
+        }
+    }
+
+    pub(crate) fn free_routed(&self, ptr: DevicePtr) {
+        self.metrics.count_free();
+        self.free_lanes(LaneMask::lane(0), &[ptr], |_| trace::LANE_NONE);
     }
 }
 
@@ -379,76 +439,41 @@ impl DeviceAllocator for Gallatin {
         self.free_routed(ptr);
     }
 
-    /// Warp-collective free with opportunistic coalescing: slice frees
-    /// targeting the same block are grouped so one `fetch_add(k)` returns
-    /// all of them (paper §6.5). Whole-block and large frees complete
-    /// inside `release`, lane by lane.
+    /// Warp-collective free: `free_lanes` documents its groups and order.
     fn warp_free(&self, warp: &WarpCtx, ptrs: &[DevicePtr]) {
         debug_assert_eq!(ptrs.len(), warp.active as usize);
-        let ctx = self.ctx();
         let live = LaneMask::ballot(ptrs, |p| !p.is_null());
         self.metrics.count_frees(live.count() as u64);
-        // Block handle and class of each slice lane, for the regrouping.
-        let mut blocks = [0u64; WARP_SIZE];
-        let mut classes = [0u8; WARP_SIZE];
-        let mut slices = LaneMask::EMPTY;
-        for lane in live {
-            if let Some((seg, class, block)) = self.release(&ctx, lane as u32, ptrs[lane]) {
-                blocks[lane] = BlockHandle::new(seg, block, self.geo.max_blocks).0;
-                classes[lane] = class as u8;
-                slices.insert(lane);
-            }
-        }
-        // Ballot by block among the lanes left; groups go in order of
-        // their leader, the lowest lane.
-        while let Some(leader) = slices.lowest() {
-            let group = slices.keep(|lane| blocks[lane] == blocks[leader]);
-            slices = slices.without(group);
-            let handle = BlockHandle(blocks[leader]);
-            let seg = handle.segment(self.geo.max_blocks);
-            let block = handle.block(self.geo.max_blocks);
-            let (class, n) = (classes[leader] as usize, group.count() as u32);
-            self.slices.free_n(&ctx, seg, class, block, n, &self.blocks, &self.segments);
-        }
+        self.free_lanes(live, ptrs, |lane| lane as u32);
     }
 
     /// Warp-collective allocation with opportunistic coalescing
     /// (Algorithm 3): one pass ballots the requesting lanes into a group
-    /// per slice class, each group's leader issues one atomic for the
-    /// whole group, and the lanes no slice serves fall through to the
-    /// scalar paths. The order — classes ascending, lanes ascending
-    /// inside a class, scalar lanes ascending last — is the CAS order,
+    /// per slice class and per block class, each group's leader issues one
+    /// atomic for the whole group (per run, in the block tier), and the
+    /// multi-segment lanes fall through to the scalar path. The order —
+    /// slice classes ascending, then block classes, lanes ascending inside
+    /// a class, multi-segment lanes ascending last — is the CAS order,
     /// hence part of every recorded schedule.
     fn warp_malloc(&self, warp: &WarpCtx, sizes: &[Option<u64>], out: &mut [DevicePtr]) {
         debug_assert_eq!(sizes.len(), warp.active as usize);
         debug_assert_eq!(out.len(), warp.active as usize);
         out.fill(DevicePtr::NULL);
-        // A class is the exponent of a power-of-two `u64` size.
+        // A group's index is the exponent of a power-of-two `u64` size.
         let mut groups = [LaneMask::EMPTY; u64::BITS as usize];
         let mut scalar = LaneMask::EMPTY;
         for (lane, size) in sizes.iter().enumerate() {
             let &Some(size) = size else { continue };
             // max(1): zero-size requests coalesce into the smallest class.
-            match self.geo.slice_class(size.max(1)) {
-                Some(class) => groups[class].insert(lane),
+            match self.group_of(size.max(1)) {
+                Some(group) => groups[group].insert(lane),
                 None => scalar.insert(lane),
             }
         }
-        for (class, &group) in groups[..self.geo.num_classes].iter().enumerate() {
-            if group.is_empty() {
-                continue;
-            }
-            let served = self.slices.malloc_group(
-                &self.ctx(),
-                warp.sm_id,
-                class,
-                group,
-                |lane, p| out[lane] = p,
-                &self.blocks,
-                &self.segments,
-            );
+        for (group, &lanes) in groups.iter().enumerate().filter(|(_, lanes)| !lanes.is_empty()) {
+            let served = self.malloc_group(group, warp.sm_id, lanes, |lane, p| out[lane] = p);
             // Unserved lanes (exhaustion) keep NULL.
-            self.metrics.count_mallocs(served as u64, (group.count() - served) as u64);
+            self.metrics.count_mallocs(served as u64, (lanes.count() - served) as u64);
         }
         for lane in scalar {
             let size = sizes[lane].expect("a scalar lane was balloted from a request");
@@ -585,7 +610,7 @@ mod tests {
     #[test]
     fn mixed_warp_requests_route_correctly() {
         let g = tiny();
-        let warp = WarpCtx { warp_id: 0, sm_id: 0, base_tid: 0, active: 8 };
+        let warp = WarpCtx { warp_id: 0, sm_id: 0, base_tid: 0, active: 10 };
         let sizes = vec![
             Some(16u64),
             Some(16),
@@ -595,8 +620,10 @@ mod tests {
             Some((2 * 64) << 10), // large path (2 segments)
             Some(16),
             Some(32),
+            Some(16 << 10), // a second block class
+            Some(1000),     // joins lane 4's run
         ];
-        let mut out = vec![DevicePtr::NULL; 8];
+        let mut out = vec![DevicePtr::NULL; 10];
         g.warp_malloc(&warp, &sizes, &mut out);
         for (i, p) in out.iter().enumerate() {
             if sizes[i].is_some() {
@@ -605,8 +632,10 @@ mod tests {
                 assert!(p.is_null());
             }
         }
+        assert_eq!(out[9].0, out[4].0 + 1024, "one class, one segment, consecutive blocks");
         g.warp_free(&warp, &out);
         assert_eq!(g.stats().reserved_bytes, 0);
+        g.check_invariants().unwrap();
     }
 
     #[test]
@@ -651,6 +680,12 @@ mod tests {
             let block = g.malloc(l, 1024);
             let large = g.malloc(l, 2 * (64 << 10));
             g.check_invariants().expect("live allocations");
+            // A stale bit (class 1's, on class 0's segment, whose 63 home
+            // blocks pass for "full") is dropped by `try_reclaim`, not obeyed.
+            let seg = g.geo.segment_of(block.0);
+            g.blocks.trees[1].insert(seg);
+            g.segments.try_reclaim(&g.ctx(), seg, 1, 63, &g.blocks);
+            assert!(!g.blocks.trees[1].contains(seg) && g.table.seg(seg).ldcv_tree_id() == 0);
             for &p in &slices {
                 g.free(l, p);
             }

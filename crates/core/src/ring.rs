@@ -8,8 +8,10 @@
 //! This is a bounded MPMC queue in the classic Vyukov style: each cell
 //! carries a sequence number that encodes whether it is ready for the next
 //! enqueue or the next dequeue, so both operations are a single CAS on the
-//! ticket counter plus one store in the common case. Capacity is fixed at
-//! construction (`max_blocks`, 256 in the paper's configuration).
+//! ticket counter plus one store per cell — **one ticket per run**: a call
+//! claims as many consecutive ready cells as it has ids for, that many
+//! single wins by one thread. Capacity is fixed at construction
+//! (`max_blocks`, 256 in the paper's configuration).
 //!
 //! ## Occupancy
 //!
@@ -41,9 +43,9 @@
 //!
 //! The pop CAS-win → cell-recycle window and the push CAS-win → publish
 //! window are the *straggler windows* of the reclamation protocol; both
-//! cross a [`gpu_sim::preempt_point`] so the deterministic scheduler (and
-//! its fault injector, see `gpu_sim::sched::FaultPlan`) can park a warp
-//! exactly there.
+//! cross a [`gpu_sim::preempt_point`], once per call, so the deterministic
+//! scheduler (and its fault injector, see `gpu_sim::sched::FaultPlan`) can
+//! park a warp exactly there, holding its whole run.
 
 use gpu_sim::{preempt_point, trace, PreemptPoint};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -165,107 +167,140 @@ impl BlockRing {
         self.push_in_flight.load(Ordering::Acquire)
     }
 
-    /// Enqueue a block id. Returns `false` if the queue is full (only
-    /// possible through misuse: a segment never holds more ids than its
-    /// block count, which is ≤ capacity) or if the target cell's pop is
-    /// still recycling it (transient; callers retry).
-    pub fn push(&self, value: u64) -> bool {
+    fn cell(&self, ticket: u64) -> &Cell {
+        &self.cells[(ticket & self.mask) as usize]
+    }
+
+    /// How many consecutive tickets from `pos`, of at most `max`, find
+    /// their cell's sequence `ready` past the ticket: 0 past it is a cell
+    /// recycled for that push, 1 one published for that pop.
+    fn run(&self, pos: u64, max: usize, ready: u64) -> u64 {
+        let is_ready = |t: &u64| self.cell(*t).seq.load(Ordering::Acquire) == t + ready;
+        (pos..pos + max as u64).take_while(is_ready).count() as u64
+    }
+
+    /// Enqueue the prefix of `values` that fits the run of recycled cells
+    /// at the back, as **one** ticket, and return its length `m` — `m`
+    /// single pushes won by one thread. 0 if the queue is full (only
+    /// through misuse: a segment never holds more ids than its block
+    /// count, which is ≤ capacity) or the next cell's pop is still
+    /// recycling it (transient; callers retry with what is left).
+    pub fn push_many(&self, values: &[u64]) -> usize {
         let mut pos = self.enqueue_pos.load(Ordering::Relaxed);
         loop {
-            let cell = &self.cells[(pos & self.mask) as usize];
-            let seq = cell.seq.load(Ordering::Acquire);
-            if seq == pos {
-                // Announce the in-flight push *before* the ticket CAS:
+            let m = self.run(pos, values.len(), 0);
+            if m > 0 {
+                // Announce the in-flight pushes *before* the ticket CAS:
                 // any observer that counts the bumped enqueue_pos must
                 // also see this increment (or the publish completed).
-                self.push_in_flight.fetch_add(1, Ordering::SeqCst);
+                self.push_in_flight.fetch_add(m, Ordering::SeqCst);
                 // AcqRel: the CAS releases the in-flight increment above
                 // to anyone who Acquire-loads the bumped ticket (len());
                 // SeqCst added nothing — the drain's Dekker partner is
                 // pop's ticket CAS, not this one.
                 match self.enqueue_pos.compare_exchange_weak(
                     pos,
-                    pos + 1,
+                    pos + m,
                     Ordering::AcqRel,
                     Ordering::Relaxed,
                 ) {
                     Ok(_) => {
-                        // Straggler window: ticket taken, cell not yet
-                        // published. The fault injector parks warps here.
+                        // Straggler window: tickets taken, no cell published
+                        // yet. The fault injector parks warps here.
                         preempt_point(PreemptPoint::RingPush);
-                        cell.value.store(value, Ordering::Relaxed);
-                        cell.seq.store(pos + 1, Ordering::Release);
+                        for (ticket, &value) in (pos..pos + m).zip(values) {
+                            self.cell(ticket).value.store(value, Ordering::Relaxed);
+                            self.cell(ticket).seq.store(ticket + 1, Ordering::Release);
+                        }
                         // Release: the decrement must not sink above the
-                        // cell publish, or len() could count the block
-                        // home before its cell is readable.
-                        self.push_in_flight.fetch_sub(1, Ordering::Release);
-                        // Cell published: the block is home. The tag load
-                        // happens inside the closure, so with no sink this
-                        // line costs one thread-local check.
-                        trace::emit(|| trace::TraceEvent::RingPush {
-                            seg: self.tag(),
-                            block: value,
-                        });
-                        return true;
+                        // last cell's publish, or len() could count a
+                        // block home before its cell is readable.
+                        self.push_in_flight.fetch_sub(m, Ordering::Release);
+                        // Cells published: the blocks are home. The tag
+                        // load happens inside the closure, so with no sink
+                        // each line costs one thread-local check.
+                        for &block in &values[..m as usize] {
+                            trace::emit(|| trace::TraceEvent::RingPush { seg: self.tag(), block });
+                        }
+                        return m as usize;
                     }
                     Err(p) => {
                         // Release (rollback): nothing was published, but
                         // the decrement still must not sink below a later
                         // retry's increment.
-                        self.push_in_flight.fetch_sub(1, Ordering::Release);
+                        self.push_in_flight.fetch_sub(m, Ordering::Release);
                         pos = p;
                     }
                 }
-            } else if seq < pos {
-                return false; // full
+            } else if values.is_empty() || self.cell(pos).seq.load(Ordering::Acquire) < pos {
+                return 0; // full
             } else {
                 pos = self.enqueue_pos.load(Ordering::Relaxed);
             }
         }
     }
 
-    /// Dequeue a block id, or `None` if the queue is empty.
-    pub fn pop(&self) -> Option<u64> {
+    /// Enqueue one block id: the 1-length [`Self::push_many`].
+    pub fn push(&self, value: u64) -> bool {
+        self.push_many(&[value]) == 1
+    }
+
+    /// Dequeue the run of published cells at the front into `out`, up to
+    /// its length, as **one** ticket. Returns the run's length; 0 if the
+    /// queue is empty.
+    pub fn pop_many(&self, out: &mut [u64]) -> usize {
         let mut pos = self.dequeue_pos.load(Ordering::Relaxed);
         loop {
-            let cell = &self.cells[(pos & self.mask) as usize];
-            let seq = cell.seq.load(Ordering::Acquire);
-            if seq == pos + 1 {
+            let m = self.run(pos, out.len(), 1);
+            if m > 0 {
                 // SeqCst retained: this ticket CAS is one side of the
                 // store-buffering pair with the reclaim drain's len()
                 // read (see TESTING.md, "Ordering audit") — weakening it
                 // lets a pop and the drain each miss the other.
                 match self.dequeue_pos.compare_exchange_weak(
                     pos,
-                    pos + 1,
+                    pos + m,
                     Ordering::SeqCst,
                     Ordering::Relaxed,
                 ) {
                     Ok(_) => {
-                        let v = cell.value.load(Ordering::Relaxed);
-                        // The block left home at the CAS win above; stamp
-                        // the pop before entering the straggler window so
-                        // the trace orders it ahead of whatever runs while
-                        // this warp is parked.
-                        trace::emit(|| trace::TraceEvent::RingPop { seg: self.tag(), block: v });
-                        // Straggler window: the block left home (occupancy
-                        // already reflects it) but the cell has not been
+                        // The blocks left home at the CAS win above; stamp
+                        // the pops before entering the straggler window so
+                        // the trace orders them ahead of whatever runs
+                        // while this warp is parked.
+                        for (ticket, v) in (pos..pos + m).zip(out) {
+                            *v = self.cell(ticket).value.load(Ordering::Relaxed);
+                            trace::emit(|| trace::TraceEvent::RingPop {
+                                seg: self.tag(),
+                                block: *v,
+                            });
+                        }
+                        // Straggler window: the run left home (occupancy
+                        // already reflects it) but its cells have not been
                         // recycled for the next lap. A warp parked here by
-                        // the fault injector holds the popped block across
+                        // the fault injector holds the popped blocks across
                         // whatever the other warps do next — exactly the
                         // reclaim/reformat hazard of paper Algorithm 2.
                         preempt_point(PreemptPoint::RingPop);
-                        cell.seq.store(pos + self.mask + 1, Ordering::Release);
-                        return Some(v);
+                        for ticket in pos..pos + m {
+                            self.cell(ticket).seq.store(ticket + self.mask + 1, Ordering::Release);
+                        }
+                        return m as usize;
                     }
                     Err(p) => pos = p,
                 }
-            } else if seq <= pos {
-                return None; // empty
+            } else if out.is_empty() || self.cell(pos).seq.load(Ordering::Acquire) <= pos {
+                return 0; // empty
             } else {
                 pos = self.dequeue_pos.load(Ordering::Relaxed);
             }
         }
+    }
+
+    /// Dequeue one block id: the 1-length [`Self::pop_many`].
+    pub fn pop(&self) -> Option<u64> {
+        let mut v = [0];
+        (self.pop_many(&mut v) == 1).then_some(v[0])
     }
 
     /// The ring's contents plus a count of unpublished cells.
@@ -284,7 +319,7 @@ impl BlockRing {
         let enq = self.enqueue_pos.load(Ordering::Acquire);
         let mut snap = RingSnapshot { ids: Vec::with_capacity((enq - deq) as usize), skipped: 0 };
         for pos in deq..enq {
-            let cell = &self.cells[(pos & self.mask) as usize];
+            let cell = self.cell(pos);
             if cell.seq.load(Ordering::Acquire) == pos + 1 {
                 snap.ids.push(cell.value.load(Ordering::Acquire));
             } else {
@@ -342,7 +377,8 @@ impl BlockRing {
 mod tests {
     use super::*;
     use gpu_sim::sched::{explore_schedules, run_tasks, run_tasks_faulted, FaultPlan};
-    use std::collections::HashSet;
+    use proptest::prelude::*;
+    use std::collections::{HashSet, VecDeque};
 
     #[test]
     fn fifo_order_single_threaded() {
@@ -530,38 +566,120 @@ mod tests {
         }
     }
 
-    /// A warp parked mid-push (ticket taken, cell unpublished) must not be
-    /// counted by `len()`: the fullness observation the reclaim protocol
-    /// consumes has to wait for the publish.
-    #[test]
-    fn parked_push_is_not_counted_as_occupancy() {
-        let r = BlockRing::new(4);
-        r.reset_full(2);
-        let observed_full_early = std::sync::atomic::AtomicU64::new(0);
-        // Park the first warp crossing the push window for 8 turns.
-        run_tasks_faulted(
-            9,
-            2,
-            Some(FaultPlan::park(gpu_sim::PreemptPoint::RingPush, 1, 8)),
-            |i| {
-                if i == 0 {
-                    let v = r.pop().expect("preloaded");
-                    assert!(r.push(v));
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// `push_many` / `pop_many` against a `VecDeque`, over capacities
+        /// 2–32 and runs of 1–32 so tickets wrap many laps: a run longer
+        /// than the free (published) cells lands (returns) its prefix, a
+        /// full (empty) ring 0, and `len()` is the model's at every step.
+        #[test]
+        fn batched_ops_match_a_deque_model(
+            cap_log in 1u32..6,
+            ops in prop::collection::vec((any::<bool>(), 1usize..=32), 1..160),
+        ) {
+            let r = BlockRing::new(1 << cap_log);
+            let cap = r.capacity() as usize;
+            let mut model = VecDeque::new();
+            let mut next = 0u64;
+            for (push, n) in ops {
+                if push {
+                    let values: Vec<u64> = (next..next + n as u64).collect();
+                    let m = r.push_many(&values);
+                    prop_assert_eq!(m, n.min(cap - model.len()), "prefix that fits; full is 0");
+                    model.extend(&values[..m]);
+                    next += m as u64;
                 } else {
-                    for _ in 0..12 {
-                        if r.len() == 2 && r.pushes_in_flight() > 0 {
-                            observed_full_early.fetch_add(1, Ordering::Relaxed);
-                        }
+                    let mut out = vec![u64::MAX; n];
+                    let m = r.pop_many(&mut out);
+                    prop_assert_eq!(m, n.min(model.len()), "published prefix; empty is 0");
+                    prop_assert_eq!(&out[..m], &model.drain(..m).collect::<Vec<_>>()[..]);
+                }
+                prop_assert_eq!(r.len(), model.len() as u64);
+                prop_assert_eq!(r.snapshot(), RingSnapshot { ids: model.clone().into(), skipped: 0 });
+            }
+            prop_assert_eq!((r.push_many(&[]), r.pop_many(&mut [])), (0, 0));
+        }
+    }
+
+    /// A run — of one block or of four — is all-or-nothing in `len()`: a
+    /// warp parked at `RingPop` has every block it popped excluded, one
+    /// parked at `RingPush` (tickets taken, no cell published) has none
+    /// counted: the fullness observation the reclaim protocol consumes
+    /// waits for the publish. The worker announces its phase around each
+    /// call, the observer runs only where the worker yields, and the fault
+    /// visits every crossing of both windows.
+    #[test]
+    fn a_parked_run_is_never_partly_counted() {
+        let parked_samples = AtomicU64::new(0);
+        let points = [PreemptPoint::RingPop, PreemptPoint::RingPush];
+        for (width, point, nth) in [1u64, 4]
+            .into_iter()
+            .flat_map(|w| points.into_iter().flat_map(move |p| (1..=3).map(move |n| (w, p, n))))
+        {
+            let r = BlockRing::new(8);
+            r.reset_full(6);
+            let phase = AtomicU64::new(0); // 0 at rest, 1 popping, 2 holding, 3 pushing
+            run_tasks_faulted(nth, 2, Some(FaultPlan::park(point, nth, 12)), |i| {
+                for _ in 0..if i == 0 { 3 } else { 64 } {
+                    if i == 0 {
+                        let mut run = [0; 4];
+                        let run = &mut run[..width as usize];
+                        phase.store(1, Ordering::SeqCst);
+                        assert_eq!(r.pop_many(run), run.len());
+                        phase.store(2, Ordering::SeqCst);
+                        gpu_sim::spin_hint();
+                        phase.store(3, Ordering::SeqCst);
+                        assert_eq!(r.push_many(run), run.len(), "its own cells were recycled");
+                        phase.store(0, Ordering::SeqCst);
+                    } else {
+                        let (len, in_flight, phase) =
+                            (r.len(), r.pushes_in_flight(), phase.load(Ordering::SeqCst));
+                        let ctx = format!("width {width} {point:?} nth {nth} phase {phase}");
+                        assert!(
+                            len == 6 || len == 6 - width,
+                            "{ctx}: len {len}, a run partly home"
+                        );
+                        assert_eq!(len == 6, phase == 0, "{ctx}: len {len}");
+                        assert!(
+                            in_flight == 0 || in_flight == width,
+                            "{ctx}: {in_flight} in flight"
+                        );
+                        parked_samples.fetch_add(phase % 2, Ordering::Relaxed);
+                    }
+                    gpu_sim::spin_hint();
+                }
+            });
+            assert_eq!((r.len(), r.snapshot().skipped), (6, 0));
+        }
+        assert!(parked_samples.into_inner() > 0, "no sample fell inside a straggler window");
+    }
+
+    /// Two warps each cycle batched pops into batched pushes on one ring,
+    /// through both straggler windows, under 64 schedules: the id
+    /// multiset is conserved, nothing torn, occupancy exact at the end.
+    #[test]
+    fn batched_pop_vs_batched_push_conserves_ids_across_schedules() {
+        explore_schedules(0..64, |seed| {
+            let r = BlockRing::new(16);
+            r.reset_full(12);
+            run_tasks(seed, 2, |i| {
+                for round in 0..8 {
+                    let mut run = [0; 7];
+                    let got = r.pop_many(&mut run[..1 + (round + 3 * i as usize) % 7]);
+                    let mut rest = &run[..got];
+                    while !rest.is_empty() {
+                        rest = &rest[r.push_many(rest)..];
                         gpu_sim::spin_hint();
                     }
+                    assert!(r.len() <= 12, "seed {seed}: occupancy over-reports");
                 }
-            },
-        );
-        assert_eq!(
-            observed_full_early.load(Ordering::Relaxed),
-            0,
-            "an unpublished push must never be counted as a home block"
-        );
-        assert_eq!(r.len(), 2);
+            });
+            let mut snap = r.snapshot();
+            snap.ids.sort_unstable();
+            let whole = RingSnapshot { ids: (0..12).collect(), skipped: 0 };
+            assert_eq!((r.len(), snap), (12, whole), "seed {seed}");
+        })
+        .unwrap_or_else(|failure| panic!("{failure}"));
     }
 }

@@ -55,7 +55,7 @@
 
 use crate::config::Geometry;
 use crate::ring::BlockRing;
-use gpu_sim::trace;
+use gpu_sim::{trace, LaneMask};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 /// `tree_id` value for a segment owned by the segment tree.
@@ -273,19 +273,38 @@ impl SegmentMeta {
         });
     }
 
-    /// Mark `block` as handed out wholesale (block-level allocation).
-    #[inline]
-    pub fn set_whole_block(&self, block: u64) {
-        self.whole_block[(block / 64) as usize].fetch_or(1 << (block % 64), Ordering::AcqRel);
+    /// Mark every block of `blocks` as handed out wholesale (block-level
+    /// allocation): one `fetch_or` per bitmap word the run touches.
+    pub fn set_whole_blocks(&self, blocks: &[u64]) {
+        for (w, word) in self.whole_block.iter().enumerate() {
+            let in_word = blocks.iter().filter(|&&b| b / 64 == w as u64);
+            let bits = in_word.fold(0u64, |bits, b| bits | 1 << (b % 64));
+            if bits != 0 {
+                word.fetch_or(bits, Ordering::AcqRel);
+            }
+        }
     }
 
-    /// Clears the whole-block bit; returns whether it was set (exclusive
-    /// among concurrent clearers, protecting against double free).
-    #[inline]
-    pub fn clear_whole_block(&self, block: u64) -> bool {
-        let prev = self.whole_block[(block / 64) as usize]
-            .fetch_and(!(1 << (block % 64)), Ordering::AcqRel);
-        prev & (1 << (block % 64)) != 0
+    /// Clear the whole-block bits of the blocks `lanes` name (`block(lane)`),
+    /// one `fetch_and` per bitmap word touched; returns the lanes that *won*
+    /// their block — the first to name it, and only if its bit was set
+    /// (exclusive among concurrent clearers, protecting against double free).
+    pub fn clear_whole_blocks(&self, lanes: LaneMask, block: impl Fn(usize) -> u64) -> LaneMask {
+        let mut won = LaneMask::EMPTY;
+        for (w, word) in self.whole_block.iter().enumerate() {
+            let here = lanes.keep(|lane| block(lane) / 64 == w as u64);
+            let bits = here.fold(0u64, |bits, lane| bits | 1 << (block(lane) % 64));
+            if bits != 0 {
+                let mut prev = word.fetch_and(!bits, Ordering::AcqRel);
+                for (lane, bit) in here.map(|lane| (lane, 1 << (block(lane) % 64))) {
+                    if prev & bit != 0 {
+                        won.insert(lane);
+                        prev &= !bit; // a second lane naming the block finds it taken
+                    }
+                }
+            }
+        }
+        won
     }
 
     /// Whether `block` is currently handed out wholesale.
@@ -509,11 +528,15 @@ mod tests {
     fn whole_block_bits_are_exclusive() {
         let t = table();
         let meta = t.seg(1);
-        meta.set_whole_block(63);
-        assert!(meta.is_whole_block(63));
+        meta.set_whole_blocks(&[63, 5]);
+        assert!(meta.is_whole_block(63) && meta.is_whole_block(5));
         assert!(!meta.is_whole_block(62));
-        assert!(meta.clear_whole_block(63));
-        assert!(!meta.clear_whole_block(63), "second clear must lose");
+        // Lanes 0 and 2 both name block 63, lane 1 a clear bit: lane 0 wins.
+        let lanes = LaneMask::ballot(&[63u64, 62, 63, 5], |_| true);
+        let won = meta.clear_whole_blocks(lanes, |lane| [63, 62, 63, 5][lane]);
+        assert_eq!(won.collect::<Vec<_>>(), [0, 3], "first namer of a set bit only");
+        let again = meta.clear_whole_blocks(LaneMask::lane(0), |_| 63);
+        assert!(again.is_empty(), "second clear must lose");
     }
 
     #[test]

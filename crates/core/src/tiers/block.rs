@@ -3,9 +3,9 @@
 //!
 //! A set bit in a class's tree means "this segment is formatted for the
 //! class and has blocks available" (paper §4.2); blocks wait in their
-//! segment's ring and the hot wavefront is cached per SM in
-//! [`crate::buffer::BlockBuffer`] slots for the slice tier to claim
-//! from.
+//! segment's ring — leaving and coming home a run a ticket, the segment
+//! made findable before it is reclaimed — and the hot wavefront is cached
+//! per SM in [`crate::buffer::BlockBuffer`] slots for the slice tier.
 
 use super::{seed_diag, segment::SegmentTier, slice::SliceTier, TierCtx};
 use crate::buffer::BlockBuffer;
@@ -37,16 +37,19 @@ impl BlockTier {
         BlockTier { trees, buffers }
     }
 
-    /// Pop a block of `class` from some formatted segment (probing the
-    /// block tree from `sm_id`'s start hint), pulling a new segment from
-    /// the segment tree when none has blocks available.
-    pub fn get(
+    /// Pop a run of up to `out.len()` blocks of `class` from **one**
+    /// formatted segment (probing the block tree from `sm_id`'s start
+    /// hint) — one ring ticket, one staleness check — pulling a new
+    /// segment from the segment tree when none has blocks available.
+    /// Returns the segment and the run's length.
+    pub fn get_many(
         &self,
         ctx: &TierCtx,
         class: usize,
         sm_id: u32,
         segments: &SegmentTier,
-    ) -> Option<BlockHandle> {
+        out: &mut [u64],
+    ) -> Option<(u64, usize)> {
         let hint = ctx.probe_hint(sm_id, ctx.geo.num_segments);
         loop {
             let Some(seg) = self.trees[class].find_first_from(hint) else {
@@ -59,30 +62,44 @@ impl BlockTier {
                 continue;
             };
             let meta = ctx.table.seg(seg);
-            let Some(block) = meta.ring.pop() else {
+            let n = meta.ring.pop_many(out);
+            if n == 0 {
                 // Ring empty: deactivate the segment so searches skip it.
                 self.deactivate(ctx, meta, class, seg);
                 continue;
-            };
+            }
             ctx.metrics.count_rmw();
             // Algorithm 2's staleness check: the segment may have been
             // reclaimed and reformatted since we found it.
             if meta.ldcv_tree_id() != class as u32 {
-                // Route the block home (the straggler bounce the reclaim
-                // protocol's drain waits for) and retry elsewhere.
-                self.push_home(ctx, meta, seg, block);
+                // Route the run home whole (the straggler bounce the
+                // reclaim protocol's drain waits for) and retry elsewhere.
+                self.push_home_many(ctx, meta, seg, &out[..n]);
                 ctx.metrics.count_straggler_bounce();
                 ctx.metrics.count_cas(false);
                 // A reclaimer holds the bit while it runs, so this is a
                 // no-op in the reclaim race; a bit that outlived the
-                // segment's time in this class (a `free_block` re-insert
+                // segment's time in this class (a `free_many` re-insert
                 // racing reclaim + reformat) must go, or the next probe
                 // finds the same segment and bounces again, forever.
                 self.deactivate(ctx, meta, class, seg);
                 continue;
             }
-            return Some(BlockHandle::new(seg, block, ctx.geo.max_blocks));
+            return Some((seg, n));
         }
+    }
+
+    /// Pop one block of `class`: the 1-length [`Self::get_many`].
+    pub fn get(
+        &self,
+        ctx: &TierCtx,
+        class: usize,
+        sm_id: u32,
+        segments: &SegmentTier,
+    ) -> Option<BlockHandle> {
+        let mut block = [0];
+        let (seg, _) = self.get_many(ctx, class, sm_id, segments, &mut block)?;
+        Some(BlockHandle::new(seg, block[0], ctx.geo.max_blocks))
     }
 
     /// Take `seg` out of `class`'s tree so searches skip it, then repair
@@ -97,16 +114,21 @@ impl BlockTier {
         }
     }
 
-    /// Push `block` home to `seg`'s ring, riding out transient fullness:
-    /// `push` reports "full" while the popper of the wrapped-onto cell is
-    /// between its ticket CAS and its sequence store, and dropping the
-    /// block would leak it. The wait is bounded — a push that can never
-    /// land means a block was duplicated or the ring was torn, so after
-    /// [`DRAIN_SPIN_LIMIT`] spins this panics with replay diagnostics
-    /// instead of hanging silently.
-    pub fn push_home(&self, ctx: &TierCtx, meta: &SegmentMeta, seg: u64, block: u64) {
+    /// Push `blocks` home to `seg`'s ring in as few tickets as it allows,
+    /// riding out transient fullness: `push_many` reports 0 while the
+    /// popper of the wrapped-onto cell is between its ticket CAS and its
+    /// sequence store, and dropping a block would leak it. The wait is
+    /// bounded — a push that can never land means a block was duplicated
+    /// or the ring was torn, so after [`DRAIN_SPIN_LIMIT`] spins this
+    /// panics with replay diagnostics instead of hanging silently.
+    pub fn push_home_many(&self, ctx: &TierCtx, meta: &SegmentMeta, seg: u64, mut blocks: &[u64]) {
         let mut spins = 0u64;
-        while !meta.ring.push(block) {
+        while let Some(&block) = blocks.first() {
+            let pushed = meta.ring.push_many(blocks);
+            blocks = &blocks[pushed..];
+            if pushed > 0 {
+                continue;
+            }
             gpu_sim::spin_hint();
             spins += 1;
             if spins > DRAIN_SPIN_LIMIT {
@@ -122,9 +144,37 @@ impl BlockTier {
         ctx.metrics.count_rmw();
     }
 
-    /// Return a block to its segment's ring and restore the segment's
-    /// block-tree visibility; reclaim the segment when every block is home
-    /// (paper §4.2 / §5).
+    /// Return a run of `seg`'s blocks to its ring and restore the
+    /// segment's block-tree visibility; reclaim the segment when every
+    /// block is home (paper §4.2 / §5). **Findable first, reclaimed
+    /// second**: a popper's `deactivate` may have cleared the bit, and a
+    /// run that brings the last blocks home (every free, when the block
+    /// *is* the segment) would find `try_reclaim`'s `claim_exact` failing
+    /// and leave the segment full, formatted and in no tree.
+    pub fn free_many(
+        &self,
+        ctx: &TierCtx,
+        seg: u64,
+        blocks: &[u64],
+        class: usize,
+        segments: &SegmentTier,
+    ) {
+        let meta = ctx.table.seg(seg);
+        self.push_home_many(ctx, meta, seg, blocks);
+        // Idempotent set-bit — unless the segment was reclaimed and
+        // reformatted while this warp sat at `push_home_many`'s preemption
+        // points: a bit in the old class's tree would send `get_many`
+        // popping another class's blocks.
+        if meta.ldcv_tree_id() == class as u32 {
+            self.trees[class].insert(seg);
+        }
+        let nblocks = ctx.geo.blocks_per_segment(class);
+        if meta.ring.len() == nblocks {
+            segments.try_reclaim(ctx, seg, class, nblocks, self);
+        }
+    }
+
+    /// Return one block: the 1-length [`Self::free_many`].
     pub fn free_block(
         &self,
         ctx: &TierCtx,
@@ -132,21 +182,8 @@ impl BlockTier {
         class: usize,
         segments: &SegmentTier,
     ) {
-        let seg = handle.segment(ctx.geo.max_blocks);
-        let block = handle.block(ctx.geo.max_blocks);
-        let meta = ctx.table.seg(seg);
-        self.push_home(ctx, meta, seg, block);
-        let nblocks = ctx.geo.blocks_per_segment(class);
-        if meta.ring.len() == nblocks {
-            segments.try_reclaim(ctx, seg, class, nblocks, self);
-        } else if meta.ldcv_tree_id() == class as u32 {
-            // Ensure the segment is findable again (idempotent set-bit) —
-            // unless it was reclaimed and reformatted while this warp sat
-            // at `push_home`'s preemption points: the segment is no
-            // longer `class`'s, and a bit in `class`'s tree would send
-            // `get` popping another class's blocks.
-            self.trees[class].insert(seg);
-        }
+        let (seg, block) = (handle.segment(ctx.geo.max_blocks), handle.block(ctx.geo.max_blocks));
+        self.free_many(ctx, seg, &[block], class, segments);
     }
 
     /// The buffer share of the invariant check (invariant 4: every
@@ -288,9 +325,11 @@ mod tests {
     use crate::config::GallatinConfig;
     use crate::gallatin::Gallatin;
     use gpu_sim::{
-        launch_warps, DeviceAllocator, DeviceConfig, DevicePtr, FaultPlan, PreemptPoint, WarpCtx,
+        launch_warps, launch_warps_counted, DeviceAllocator, DeviceConfig, DevicePtr, FaultPlan,
+        PreemptPoint, WarpCtx,
     };
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+    use std::sync::Mutex;
 
     fn tiny() -> Gallatin {
         Gallatin::new(GallatinConfig::small_test(1 << 20)) // 16 segments
@@ -436,5 +475,151 @@ mod tests {
         assert_eq!(legacy.geometry().segment_of(c.0), 0, "knob off restores front-first order");
         legacy.free(&w1.lane(0), c);
         legacy.check_invariants().expect("invariants hold with the knob off");
+    }
+
+    /// `[atomic_rmw, cas_attempts, mallocs, frees, failed_mallocs]` since the last call.
+    fn spent(g: &Gallatin) -> [u64; 5] {
+        let m = g.metrics().unwrap().snapshot();
+        g.metrics().unwrap().reset();
+        [m.atomic_rmw, m.cas_attempts, m.mallocs, m.frees, m.failed_mallocs]
+    }
+
+    fn warp(active: usize) -> WarpCtx {
+        WarpCtx { warp_id: 0, sm_id: 0, base_tid: 0, active: active as u32 }
+    }
+
+    fn warp_malloc(g: &Gallatin, size: u64, lanes: usize) -> Vec<DevicePtr> {
+        let mut out = vec![DevicePtr::NULL; lanes];
+        g.warp_malloc(&warp(lanes), &vec![Some(size); lanes], &mut out);
+        out
+    }
+
+    /// The block-tier twin of the slice tier's steady-state group test: in
+    /// a formatted segment, a 32-lane single-class block warp costs what one
+    /// lane costs — one ring ticket (the one counted RMW, two preemption
+    /// points) and one bitmap word a run, each way.
+    #[test]
+    fn a_block_warp_costs_one_ticket_and_one_bitmap_word_a_run() {
+        let cost = |lanes: usize| {
+            let g = tiny();
+            let held = g.malloc(&warp(1).lane(0), 1000); // formats class 0's segment
+            let seg = g.table.seg(g.geo.segment_of(held.0));
+            let whole = |p: &DevicePtr| seg.is_whole_block(g.geo.block_of(p.0, 0));
+            let device = DeviceConfig::with_sms(1).seeded(3);
+            let out = Mutex::new(Vec::new());
+            spent(&g);
+            let malloc_steps = launch_warps_counted(device, lanes as u64, |_| {
+                *out.lock().unwrap() = warp_malloc(&g, 1000, lanes);
+            });
+            let out = out.into_inner().unwrap();
+            assert!(out.iter().all(whole));
+            assert_eq!(spent(&g), [1, 0, lanes as u64, 0, 0], "{lanes}-lane malloc");
+            let free_steps = launch_warps_counted(device, lanes as u64, |w| g.warp_free(w, &out));
+            assert_eq!(spent(&g), [1, 0, 0, lanes as u64, 0], "{lanes}-lane free");
+            assert!(!out.iter().any(whole) && seg.ring.len() == 63, "the run is home");
+            (malloc_steps, free_steps)
+        };
+        assert_eq!(cost(32), cost(1), "steps: a run crosses the points one block crosses");
+    }
+
+    /// Runs that span two bitmap words (`max_blocks` 128) and two segments:
+    /// every block is marked, found again and cleared; a group the heap
+    /// cannot fill leaves exactly its unserved lanes NULL.
+    #[test]
+    fn runs_span_bitmap_words_and_segments_and_stop_at_exhaustion() {
+        let g = Gallatin::new(GallatinConfig {
+            segment_bytes: 128 << 10, // 128 class-0 blocks: two bitmap words
+            randomize_probe_starts: false,
+            ..GallatinConfig::small_test(256 << 10)
+        });
+        let mut held = warp_malloc(&g, 1000, 32);
+        held.extend(warp_malloc(&g, 1000, 16));
+        spent(&g);
+        let across_words = warp_malloc(&g, 1000, 32);
+        assert_eq!(spent(&g), [1, 0, 32, 0, 0], "one run, one ticket, two words");
+        let blocks: Vec<_> = across_words.iter().map(|p| g.geo.block_of(p.0, 0)).collect();
+        assert_eq!(blocks, (48..80).collect::<Vec<_>>());
+        assert!((48..80).all(|b| g.table.seg(0).is_whole_block(b)));
+        held.extend(warp_malloc(&g, 1000, 32));
+        spent(&g);
+        let across_segments = warp_malloc(&g, 1000, 32);
+        // Two runs' tickets and segment 1's attach (a tree insert; two
+        // CASes: segment 0 deactivated, segment 1 claimed).
+        assert_eq!(spent(&g), [3, 2, 32, 0, 0]);
+        let segs: Vec<_> = across_segments.iter().map(|p| g.geo.segment_of(p.0)).collect();
+        assert_eq!(segs, [[0u64; 16], [1; 16]].concat());
+        (0..3).for_each(|_| held.extend(warp_malloc(&g, 1000, 32)));
+        let short = warp_malloc(&g, 1000, 32); // 16 blocks left in a 2-segment heap
+        assert!(short[..16].iter().all(|p| !p.is_null()) && short[16..] == [DevicePtr::NULL; 16]);
+        assert_eq!(spent(&g)[2..], [32 * 4, 0, 16], "mallocs, frees, failed");
+        g.warp_free(&warp(32), &across_segments);
+        assert_eq!(spent(&g), [2, 0, 0, 32, 0], "a ticket a segment");
+        g.warp_free(&warp(32), &across_words);
+        assert!((48..80).all(|b| !g.table.seg(0).is_whole_block(b)));
+        held.extend(short);
+        held.chunks(32).for_each(|ptrs| g.warp_free(&warp(ptrs.len()), ptrs));
+        assert_eq!((g.stats().reserved_bytes, g.free_segments()), (0, 2));
+        g.check_invariants().unwrap();
+    }
+
+    /// Two lanes naming one whole block behave as the lane loop does: the
+    /// second takes the slice route and trips the double-free audit.
+    #[test]
+    fn two_lanes_freeing_one_block_are_a_lane_loops_double_free() {
+        let report = |collective: bool| {
+            let g = tiny();
+            let a = warp_malloc(&g, 1000, 2)[0]; // the other keeps the segment formatted
+            if collective {
+                g.warp_free(&warp(3), &[a, DevicePtr::NULL, a]);
+            } else {
+                g.free(&warp(1).lane(0), a);
+                g.free(&warp(1).lane(0), a);
+            }
+            let seg = g.table.seg(g.geo.segment_of(a.0));
+            assert_eq!((seg.ring.len(), g.metrics().unwrap().snapshot().frees), (63, 2));
+            g.check_invariants().unwrap_err()
+        };
+        assert!(report(true).contains("(double free)"), "{}", report(true));
+        assert_eq!(report(true), report(false));
+    }
+
+    /// The PR 2 straggler window, a run wide. Segment 0 is free (its four
+    /// class-4 blocks home) with a stale bit in class 4's tree; warp 0's
+    /// 3-lane group pops a run from it, fails the `ldcv` check and is parked
+    /// mid-`push_many`, tickets taken and no cell published, while warp 1
+    /// formats segment 0 for class 0: the drain waits, one bounce counted.
+    #[test]
+    fn a_run_parked_mid_push_is_waited_out_by_the_format_drain() {
+        for seed in 0..8 {
+            let g = front_first();
+            let first = g.malloc(&warp(1).lane(0), 16 << 10);
+            g.free(&warp(1).lane(0), first);
+            assert_eq!((g.geo.segment_of(first.0), g.free_segments()), (0, 16));
+            g.blocks.trees[4].insert(0); // what a `free_many` racing the reclaim plants
+            let fault = FaultPlan::park(PreemptPoint::RingPush, 1, 40);
+            let (popped, served) = (AtomicBool::new(false), Mutex::new(Vec::new()));
+            launch_warps(DeviceConfig::with_sms(1).seeded(seed).with_fault(fault), 64, |w| {
+                if w.warp_id == 0 {
+                    popped.store(true, Ordering::SeqCst);
+                    let out = warp_malloc(&g, 16 << 10, 3); // no lock across its yields
+                    served.lock().unwrap().extend(out);
+                } else {
+                    while !popped.load(Ordering::SeqCst) {
+                        gpu_sim::spin_hint();
+                    }
+                    let p = g.malloc(&w.lane(0), 1000);
+                    assert_eq!(g.geo.segment_of(p.0), 0, "seed {seed}: the front segment");
+                    served.lock().unwrap().push(p);
+                }
+            });
+            let (m, served) = (g.metrics().unwrap().snapshot(), served.into_inner().unwrap());
+            assert!(m.drain_spins > 0, "seed {seed}: the format never met the parked run");
+            assert_eq!(m.straggler_bounces, 1, "seed {seed}: once per bounced run");
+            assert!(!g.blocks.trees[4].contains(0), "seed {seed}: the stale bit is gone");
+            assert!(served.iter().all(|p| !p.is_null()), "seed {seed}: {served:?}");
+            served.iter().for_each(|&p| g.free(&warp(1).lane(0), p));
+            assert_eq!(g.stats().reserved_bytes, 0, "seed {seed}");
+            g.check_invariants().unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        }
     }
 }

@@ -120,21 +120,25 @@ impl SegmentTier {
             // re-inserted by the next free) or another reclaimer owns it.
             return;
         }
+        let meta = ctx.table.seg(seg);
+        // ...and publish FREE so any popper already inside Algorithm 2
+        // fails its ldcv staleness re-check and pushes its block back.
+        // SeqCst retained: this write races `ldcv_tree_id` on the free/pop
+        // path in a store-buffering shape — reclaimer writes FREE then
+        // reads occupancy, popper bumps occupancy then reads the id; weaker,
+        // each could miss the other (TESTING.md, "Ordering audit"). A CAS
+        // from `class`, not a store: `free_many` may have set the bit just
+        // as another reclaimer took the segment — a stale bit is dropped.
+        let free = Ordering::SeqCst;
+        if meta.tree_id.compare_exchange(class as u32, TREE_FREE, free, free).is_err() {
+            return;
+        }
         ctx.metrics.count_reclaim_attempt();
         trace::emit(|| trace::TraceEvent::SegmentReclaim {
             seg,
             class: class as u32,
             phase: trace::ReclaimPhase::Attempt,
         });
-        let meta = ctx.table.seg(seg);
-        // ...and publish FREE so any popper already inside Algorithm 2
-        // fails its ldcv staleness re-check and pushes its block back.
-        // SeqCst retained: this store races `ldcv_tree_id` on the
-        // free/pop path in a store-buffering shape — reclaimer stores
-        // FREE then reads occupancy, popper bumps occupancy then reads
-        // the id. Release/Acquire would let both read stale and each
-        // miss the other (see TESTING.md, "Ordering audit").
-        meta.tree_id.store(TREE_FREE, Ordering::SeqCst);
         // Phase 2 (quiesce-check): derived occupancy equal to the block
         // count proves every block is home *and* every push is published
         // — a popper that slipped in before the FREE store has already
