@@ -5,7 +5,7 @@
 //! kept up, so queueing delay compounds past saturation instead of being
 //! hidden by a closed loop that waits for each reply. This module
 //! pre-generates the full arrival schedule — step-stamped on the
-//! simulated [`gpu_sim::StepClock`], never wall clock — from a seed, so
+//! scheduler's step clock, never wall clock — from a seed, so
 //! a run is replayable byte-for-byte.
 //!
 //! Three arrival shapes share one mean offered load (so sweeps compare

@@ -22,7 +22,7 @@ use super::tenant::{Rejection, TenantBook, TenantSpec, N_REJECTIONS};
 use crate::workload::runner;
 use gpu_sim::ledger::Ledger;
 use gpu_sim::trace::{self, TraceSink};
-use gpu_sim::{DeviceAllocator, DeviceConfig, StepClock};
+use gpu_sim::{DeviceAllocator, DeviceConfig};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::sync::Arc;
@@ -278,7 +278,7 @@ fn drive(
     let base_device = DeviceConfig::with_sms(cfg.num_sms);
     let mut seed_chain = cfg.sched_seed;
 
-    let mut clock = StepClock::new();
+    let mut now = 0u64; // the step clock
     let mut next_arrival = 0usize;
     let mut queue: VecDeque<usize> = VecDeque::new(); // indices into `arrivals`
     let mut due_frees: BinaryHeap<DueFree> = BinaryHeap::new();
@@ -302,7 +302,7 @@ fn drive(
     macro_rules! drain_samples {
         () => {
             if let Some((every, f)) = sample.as_mut() {
-                while next_sample <= clock.now() {
+                while next_sample <= now {
                     f(next_sample);
                     next_sample += *every;
                 }
@@ -315,7 +315,7 @@ fn drive(
         // Ingest every arrival whose stamp has passed. This happens at
         // batch boundaries — requests landing mid-flight wait exactly
         // as they would while a real kernel occupies the device.
-        while next_arrival < arrivals.len() && arrivals[next_arrival].step <= clock.now() {
+        while next_arrival < arrivals.len() && arrivals[next_arrival].step <= now {
             let idx = next_arrival;
             next_arrival += 1;
             let a = &arrivals[idx];
@@ -336,7 +336,7 @@ fn drive(
         // queued mallocs (which stay queued until their launch returns).
         free_ptrs.clear();
         while let Some(&Reverse((due, ptr, tenant, size))) = due_frees.peek() {
-            if due > clock.now() {
+            if due > now {
                 break;
             }
             due_frees.pop();
@@ -352,7 +352,7 @@ fn drive(
             match (next_a, next_f) {
                 (None, None) => break,
                 (a, f) => {
-                    clock.advance_to(a.unwrap_or(u64::MAX).min(f.unwrap_or(u64::MAX)));
+                    now = now.max(a.unwrap_or(u64::MAX).min(f.unwrap_or(u64::MAX)));
                 }
             }
             drain_samples!();
@@ -365,7 +365,7 @@ fn drive(
         let device = base_device.seeded(next_seed(&mut seed_chain));
         let steps = runner::run_batch_into(alloc, device, &sizes, &free_ptrs, &mut results);
         sched_steps += steps;
-        let completion = clock.now() + overhead + steps;
+        let completion = now + overhead + steps;
 
         for (idx, ptr) in queue.drain(..take).zip(results.iter_mut()) {
             let (a, ptr) = (&arrivals[idx], gpu_sim::DevicePtr(*ptr.get_mut()));
@@ -381,7 +381,7 @@ fn drive(
                 due_frees.push(Reverse((completion + a.lifetime, ptr.0, a.tenant, a.size)));
             }
         }
-        clock.advance_to(completion);
+        now = completion;
         drain_samples!();
     }
 
@@ -407,7 +407,7 @@ fn drive(
         served_bytes: served_bytes.iter().sum(),
         batches,
         sched_steps,
-        end_step: clock.now(),
+        end_step: now,
         latency: LatencyStats::from_samples(&mut latencies),
         tenants,
         quota_violations: book.quota_violations(),

@@ -39,14 +39,6 @@ impl SizeSpec {
             }
         }
     }
-
-    /// Largest size the spec can request.
-    pub fn max_size(self) -> u64 {
-        match self {
-            SizeSpec::Fixed(s) => s,
-            SizeSpec::MixedUpTo(u) => u,
-        }
-    }
 }
 
 /// Result of one allocate→validate→free run.

@@ -10,12 +10,12 @@
 //!   stamp/verify/free contract discipline, reducing every run to a
 //!   [`ScriptOutcome`] that can be diffed across allocator families.
 //!
-//! Script sources come in two families (see TESTING.md "Workload
-//! sources"): [`TraceReplayer`] re-issues a recorded trace (E17/E19),
-//! and [`adversarial`] generates hostile shapes — fragmentation attack,
+//! The sources are the [`adversarial`] generators (see TESTING.md
+//! "Workload sources"): hostile shapes — fragmentation attack,
 //! size-class flipper, skewed-SM hotspot, OOM-pressure ramp — that the
 //! differential sweep in `crates/allocators/tests/contract.rs` runs
-//! across all eight allocator families.
+//! across all eight allocator families. E19 replays a recorded trace
+//! through [`gpu_sim::ReplayScript::from_trace`] directly.
 
 pub mod adversarial;
 pub mod measure;
@@ -29,4 +29,4 @@ pub use measure::{measure, median, run_alloc_free, variance, Measurement, RunRes
 pub use runner::{
     dump_script, dump_script_to, replay_dump_dir, run_script, ScriptOutcome, REPLAY_DIR_ENV,
 };
-pub use source::{TraceReplayer, WorkloadSource};
+pub use source::WorkloadSource;

@@ -1,7 +1,6 @@
-//! The [`WorkloadSource`] trait and the trace-replayer source.
+//! The [`WorkloadSource`] trait.
 
-use gpu_sim::replay::{ConversionStats, ReplayScript};
-use gpu_sim::TraceRecord;
+use gpu_sim::replay::ReplayScript;
 
 /// Anything that can produce a per-warp allocation script for a seed.
 ///
@@ -13,70 +12,6 @@ pub trait WorkloadSource {
     /// Display name, used in test output and dump filenames.
     fn name(&self) -> &str;
 
-    /// Build the workload for `seed`. Generators derive sizes and
-    /// shapes from the seed; fixed sources (a recorded trace) ignore it.
+    /// Build the workload for `seed`, deriving sizes and shapes from it.
     fn script(&self, seed: u64) -> ReplayScript;
-}
-
-/// A [`WorkloadSource`] that re-issues a recorded workload: either a
-/// trace captured by [`gpu_sim::TraceSink`] (converted through
-/// [`ReplayScript::from_trace`]) or a `gallatin-replay-v1` text file.
-/// The script is fixed; the seed only varies the replay schedule.
-pub struct TraceReplayer {
-    name: String,
-    script: ReplayScript,
-}
-
-impl TraceReplayer {
-    /// Wrap an already-built script.
-    pub fn new(name: impl Into<String>, script: ReplayScript) -> Self {
-        TraceReplayer { name: name.into(), script }
-    }
-
-    /// Convert a recorded trace into a replayer targeting a
-    /// `num_sms`-wide device. Returns the conversion stats so callers
-    /// can assert how faithful the reduction was (e.g. no frees dropped).
-    pub fn from_records(
-        name: impl Into<String>,
-        records: &[TraceRecord],
-        num_sms: u32,
-    ) -> (Self, ConversionStats) {
-        let (script, stats) = ReplayScript::from_trace(records, num_sms);
-        (TraceReplayer::new(name, script), stats)
-    }
-
-    /// Parse a `gallatin-replay-v1` text script (see
-    /// [`gpu_sim::replay`] for the schema).
-    pub fn from_text(name: impl Into<String>, text: &str) -> Result<Self, String> {
-        Ok(TraceReplayer::new(name, ReplayScript::parse(text)?))
-    }
-
-    /// The wrapped script.
-    pub fn script_ref(&self) -> &ReplayScript {
-        &self.script
-    }
-}
-
-impl WorkloadSource for TraceReplayer {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn script(&self, _seed: u64) -> ReplayScript {
-        self.script.clone()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn replayer_is_seed_invariant() {
-        let text = "# gallatin-replay-v1 sms=4 warps=1\nm 0 0 0 64\nf 0 0 0\n";
-        let r = TraceReplayer::from_text("unit", text).unwrap();
-        assert_eq!(r.name(), "unit");
-        assert_eq!(r.script(0), r.script(99));
-        assert_eq!(r.script(0).total_ops(), 2);
-    }
 }

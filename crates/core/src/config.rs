@@ -31,14 +31,6 @@ pub struct GallatinConfig {
     pub num_sms: u32,
     /// Minimum block-buffer slots per size class (paper: capped at 4).
     pub min_buffer_slots: u32,
-    /// Search structure backing the segment and block indexes: the
-    /// paper's vEB tree climbing its summaries (`Veb`), the same tree
-    /// with a bounded streaming scan of the leaf bitmap in front of the
-    /// climb (`VebWide`, trading dependent per-level loads for
-    /// contiguous prefetchable ones — results and atomic-op counts are
-    /// identical, a pure wall-clock choice A/B'd in E21), or the flat
-    /// linear-scan bitmap for ablations (`FlatScan`). Default: `VebWide`.
-    pub search: crate::index::SearchStructure,
     /// Start segment- and block-tree probes at an SM-hashed position
     /// instead of index 0 (the paper's block-selection randomization,
     /// §4.3), so concurrent SMs fan out across different tree words
@@ -61,7 +53,6 @@ impl Default for GallatinConfig {
             slices_per_block: 4096,
             num_sms: 128,
             min_buffer_slots: 4,
-            search: crate::index::SearchStructure::VebWide,
             randomize_probe_starts: true,
         }
     }
@@ -83,7 +74,6 @@ impl GallatinConfig {
             slices_per_block: 256,
             num_sms: 128,
             min_buffer_slots: 4,
-            search: crate::index::SearchStructure::VebWide,
             randomize_probe_starts: true,
         }
     }
@@ -99,7 +89,6 @@ impl GallatinConfig {
             slices_per_block: 64,
             num_sms: 8,
             min_buffer_slots: 2,
-            search: crate::index::SearchStructure::VebWide,
             randomize_probe_starts: true,
         }
     }
@@ -273,16 +262,6 @@ mod tests {
         assert_eq!(g.blocks_per_segment(0), 256);
         assert_eq!(g.blocks_per_segment(8), 1);
         assert_eq!(g.num_segments, 64); // 1 GB / 16 MB
-    }
-
-    #[test]
-    fn stock_configurations_say_the_search_they_build() {
-        // The wide scan used to be a second knob that silently upgraded
-        // `Veb`; the stock configurations now name what they build.
-        use crate::index::SearchStructure::VebWide;
-        assert_eq!(GallatinConfig::default().search, VebWide);
-        assert_eq!(GallatinConfig::dense(64 << 20).search, VebWide);
-        assert_eq!(GallatinConfig::small_test(1 << 20).search, VebWide);
     }
 
     #[test]

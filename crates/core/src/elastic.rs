@@ -70,7 +70,7 @@ impl Level for Gallatin {
             geo.heap_bytes
         );
         assert!(first_seg + num_segs <= geo.num_segments, "owned span exceeds the universe");
-        let segments = SegmentTier::with_span(cfg.search, geo.num_segments, first_seg, num_segs);
+        let segments = SegmentTier::with_span(geo.num_segments, first_seg, num_segs);
         let blocks = BlockTier::new(&cfg, geo.num_segments, geo.num_classes);
         Gallatin {
             geo,
@@ -426,7 +426,7 @@ mod tests {
         p.check_invariants().expect("clean after frees");
         let s = p.pool_stats();
         assert_eq!(s.returned_segments, 22);
-        assert_eq!(s.pool_free_bytes(seg_bytes), 22 * seg_bytes);
+        assert_eq!(s.pool_free_segments, 22);
     }
 
     #[test]

@@ -42,7 +42,6 @@ mod config;
 mod elastic;
 mod gallatin;
 pub mod global;
-mod index;
 mod pools;
 mod ring;
 mod router;
@@ -53,7 +52,6 @@ pub use buffer::BlockBuffer;
 pub use compact::Relocation;
 pub use config::{GallatinConfig, Geometry};
 pub use gallatin::Gallatin;
-pub use index::SearchStructure;
 pub use pools::{DevicePool, GallatinPool, InstanceStats, PoolStats, TopoStats};
 pub use ring::BlockRing;
 pub use router::Router;

@@ -81,13 +81,6 @@ impl PoolStats {
     pub fn headroom_bytes(&self) -> u64 {
         self.heap_bytes - self.reserved_bytes.min(self.heap_bytes)
     }
-
-    /// Bytes parked on the pool-level free list — memory the pool has
-    /// withdrawn from every instance (e.g. [`GallatinPool::shrink_to`])
-    /// and could hand back to the host or to a future hot instance.
-    pub fn pool_free_bytes(&self, segment_bytes: u64) -> u64 {
-        self.pool_free_segments * segment_bytes
-    }
 }
 
 /// Point-in-time snapshot of the whole topology's occupancy, pressure,

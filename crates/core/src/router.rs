@@ -439,7 +439,7 @@ impl<C: Level> Level for Router<C> {
             span: (first_seg, num_segs),
             resp_len: AtomicU64::new(0),
             seg_owner: (0..geo.num_segments).map(|_| AtomicU32::new(UNOWNED)).collect(),
-            parked: arena.full.search.index(geo.num_segments),
+            parked: VebTree::new(geo.num_segments),
             spills: (0..n).map(|_| AtomicU64::new(0)).collect(),
             oversize_denials: AtomicU64::new(0),
             donations: AtomicU64::new(0),

@@ -28,7 +28,7 @@ pub(crate) struct BlockTier {
 impl BlockTier {
     /// Empty trees and sized buffers for every slice class.
     pub fn new(cfg: &GallatinConfig, num_segments: u64, num_classes: usize) -> Self {
-        let trees = (0..num_classes).map(|_| cfg.search.index(num_segments)).collect();
+        let trees = (0..num_classes).map(|_| VebTree::new(num_segments)).collect();
         let buffers = (0..num_classes)
             .map(|c| {
                 BlockBuffer::new(BlockBuffer::slots_for_class(cfg.num_sms, c, cfg.min_buffer_slots))

@@ -27,13 +27,8 @@ impl SegmentTier {
     /// `[first, first+count)` free — pool mode, where every instance's
     /// tree covers the whole arena (so adopted segments are insertable
     /// anywhere) but initially owns just its shard.
-    pub fn with_span(
-        kind: crate::index::SearchStructure,
-        universe: u64,
-        first: u64,
-        count: u64,
-    ) -> Self {
-        let tree = kind.index(universe);
+    pub fn with_span(universe: u64, first: u64, count: u64) -> Self {
+        let tree = VebTree::new(universe);
         tree.insert_range(first, count);
         SegmentTier { tree }
     }

@@ -149,32 +149,6 @@ fn large_allocation_racing_segment_reclaim() {
     g.check_invariants().expect("invariants violated after large/reclaim race");
 }
 
-#[test]
-fn flat_scan_backend_survives_the_same_churn() {
-    // The ablation backend must be just as correct, only slower.
-    let g = Gallatin::new(GallatinConfig {
-        search: gallatin::SearchStructure::FlatScan,
-        ..churn_config()
-    });
-    let corrupt = AtomicU64::new(0);
-    launch_warps(DeviceConfig::with_sms(4), 64, |warp| {
-        let l = warp.lane(0);
-        for round in 0..20u64 {
-            let p = g.malloc(&l, 16 << ((warp.warp_id + round) % 5));
-            if !p.is_null() {
-                g.memory().write_stamp(p, warp.warp_id * 31 + round);
-                if g.memory().read_stamp(p) != warp.warp_id * 31 + round {
-                    corrupt.fetch_add(1, Ordering::Relaxed);
-                }
-                g.free(&l, p);
-            }
-        }
-    });
-    assert_eq!(corrupt.load(Ordering::Relaxed), 0);
-    assert_eq!(g.stats().reserved_bytes, 0);
-    g.check_invariants().expect("invariants violated after flat-scan churn");
-}
-
 // =====================================================================
 // Deterministic-schedule coverage
 // =====================================================================

@@ -9,7 +9,7 @@
 //! whole-block bit for the block pipeline, and a `LARGE_BASE + n` marker
 //! for the multi-segment pipeline.
 
-use gallatin::{Gallatin, GallatinConfig, SearchStructure, LARGE_BASE};
+use gallatin::{Gallatin, GallatinConfig, LARGE_BASE};
 use gpu_sim::{DeviceAllocator, WarpCtx};
 use proptest::prelude::*;
 use std::sync::atomic::Ordering;
@@ -19,8 +19,8 @@ use std::sync::atomic::Ordering;
 /// and dependent knobs (segment size, heap size) are derived so the
 /// combination always passes validation.
 fn config_strategy() -> impl Strategy<Value = GallatinConfig> {
-    (3u32..=6, 1usize..=4, 2u32..=6, 0u32..=2, 2u64..=8, any::<bool>(), any::<bool>()).prop_map(
-        |(e_min, n_classes, e_spb, e_seg, n_segs, flat, wide)| {
+    (3u32..=6, 1usize..=4, 2u32..=6, 0u32..=2, 2u64..=8).prop_map(
+        |(e_min, n_classes, e_spb, e_seg, n_segs)| {
             let min_slice = 1u64 << e_min;
             let max_slice = min_slice << (n_classes - 1);
             let slices_per_block = 1u64 << e_spb;
@@ -33,11 +33,6 @@ fn config_strategy() -> impl Strategy<Value = GallatinConfig> {
                 slices_per_block,
                 num_sms: 2,
                 min_buffer_slots: 1,
-                search: match (flat, wide) {
-                    (true, _) => SearchStructure::FlatScan,
-                    (false, true) => SearchStructure::VebWide,
-                    (false, false) => SearchStructure::Veb,
-                },
                 randomize_probe_starts: true,
             }
         },

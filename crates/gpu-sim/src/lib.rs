@@ -48,7 +48,6 @@
 #![warn(missing_docs)]
 
 pub mod alloc_api;
-pub mod clock;
 mod fiber;
 pub mod launch;
 pub mod ledger;
@@ -61,7 +60,6 @@ pub mod trace;
 pub mod warp;
 
 pub use alloc_api::{AllocStats, DeviceAllocator};
-pub use clock::StepClock;
 pub use launch::{launch, launch_warps, launch_warps_counted, DeviceConfig, ExecMode};
 pub use mem::{DeviceMemory, DevicePtr};
 pub use metrics::{Metrics, Striped};

@@ -41,24 +41,10 @@
 //! concurrent insert just means "allocate a fresh segment instead", never
 //! a correctness violation; a claim can never hand the same segment to two
 //! threads.
-//!
-//! ## One tree, three leaf-scan budgets
-//!
-//! Because the leaf bitmap is the truth, *how* a search reaches it is
-//! free to vary. A successor search first streams up to a fixed budget
-//! of leaf words past the query point, and only then climbs the
-//! summaries: [`VebTree::new`] sets the budget to 0 (the paper's climb),
-//! [`VebTree::new_wide`] to 64 words (one summary word's span), and
-//! [`VebTree::new_flat`] to unbounded — a flat tree therefore never
-//! climbs, builds no summary level, and is the linear-scan ablation
-//! baseline that prices what the hierarchy buys. Every other operation
-//! is defined once, on top of `successor` / `predecessor`, and answers
-//! identically under all three.
 
 #![warn(missing_docs)]
 
 mod tree;
-mod wide;
 mod word;
 
 pub use tree::VebTree;

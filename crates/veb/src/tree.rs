@@ -1,6 +1,5 @@
 //! The concurrent vEB tree proper.
 
-use crate::wide::{wide_scan_from, WideScan, WIDE_SCAN_BUDGET_WORDS};
 use crate::word::{first_set_ge, first_set_le, WORD_BITS};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -26,41 +25,14 @@ use std::sync::atomic::{AtomicU64, Ordering};
 pub struct VebTree {
     universe: u64,
     levels: Vec<Box<[AtomicU64]>>,
-    /// How many leaf words a successor search streams (`crate::wide`)
-    /// before it climbs the summaries: `0` is the paper's climb,
-    /// `WIDE_SCAN_BUDGET_WORDS` the wide search, `usize::MAX` the flat
-    /// ablation baseline, which builds no summary level at all. Search
-    /// results are identical for every budget — the leaf level is the
-    /// source of truth — only the load pattern changes.
-    scan_budget: usize,
 }
 
 impl VebTree {
-    /// An empty tree over `{0, …, universe−1}`, using the classic
-    /// hierarchical (narrow) search path.
+    /// An empty tree over `{0, …, universe−1}`.
     ///
     /// # Panics
-    /// Panics if `universe == 0` (as do the other constructors).
+    /// Panics if `universe == 0`.
     pub fn new(universe: u64) -> Self {
-        Self::with_budget(universe, 0)
-    }
-
-    /// An empty tree whose successor searches stream the next 64 leaf
-    /// words (`WIDE_SCAN_BUDGET_WORDS`, one summary word's span) before
-    /// climbing.
-    pub fn new_wide(universe: u64) -> Self {
-        Self::with_budget(universe, WIDE_SCAN_BUDGET_WORDS)
-    }
-
-    /// An empty *flat* tree: the leaf bitmap alone, searched by linear
-    /// word scans — `O(u/64)` per search instead of the near-constant
-    /// climb, and one atomic per `insert`/`remove`. This is the ablation
-    /// baseline that prices what the summary levels buy.
-    pub fn new_flat(universe: u64) -> Self {
-        Self::with_budget(universe, usize::MAX)
-    }
-
-    fn with_budget(universe: u64, scan_budget: usize) -> Self {
         assert!(universe > 0, "vEB universe must be non-empty");
         let mut levels = Vec::new();
         let mut width = universe;
@@ -68,12 +40,19 @@ impl VebTree {
             let words = width.div_ceil(WORD_BITS);
             levels
                 .push((0..words).map(|_| AtomicU64::new(0)).collect::<Vec<_>>().into_boxed_slice());
-            if words == 1 || scan_budget == usize::MAX {
+            if words == 1 {
                 break;
             }
             width = words;
         }
-        VebTree { universe, levels, scan_budget }
+        VebTree { universe, levels }
+    }
+
+    /// [`Self::new`] under its old name, kept only for
+    /// `benchmark/src/layers.rs`, which builds its `veb.*_ns` probe with it.
+    #[doc(hidden)]
+    pub fn new_wide(universe: u64) -> Self {
+        Self::new(universe)
     }
 
     /// A tree with every item of the universe present (Gallatin's segment
@@ -90,8 +69,7 @@ impl VebTree {
         self.universe
     }
 
-    /// Number of levels (root included): `⌈log₆₄ u⌉`, minimum 1 — and
-    /// exactly 1 for a flat tree.
+    /// Number of levels (root included): `⌈log₆₄ u⌉`, minimum 1.
     #[inline]
     pub fn height(&self) -> usize {
         self.levels.len()
@@ -255,26 +233,12 @@ impl VebTree {
         if let Some(b) = first_set_ge(leaf, x % WORD_BITS) {
             return Some(word_idx * WORD_BITS + b);
         }
-        if self.scan_budget == 0 {
-            return self.climb_successor(word_idx);
-        }
-        // Word-parallel path: stream the next `scan_budget` leaf words
-        // before paying for the summary climb. The leaf level is the
-        // source of truth, so a hit is a member and an exhausted scan is
-        // a definitive None; only a budget overrun defers to the
-        // hierarchy (resume - 1 is the last word the scan saw empty; the
-        // climb searches strictly after it). A flat tree's budget never
-        // overruns.
-        match wide_scan_from(&self.levels[0], word_idx as usize + 1, self.scan_budget) {
-            WideScan::Hit(w, v) => Some(w as u64 * WORD_BITS + v.trailing_zeros() as u64),
-            WideScan::Exhausted => None,
-            WideScan::Bounded(resume) => self.climb_successor(resume as u64 - 1),
-        }
+        self.climb_successor(word_idx)
     }
 
     /// Hierarchical successor: find the first member in a leaf word
-    /// *strictly after* `word_idx`, assuming leaf word `word_idx` (and
-    /// anything before it the caller scanned) holds no answer.
+    /// *strictly after* `word_idx`, assuming leaf word `word_idx` holds
+    /// no answer.
     fn climb_successor(&self, mut word_idx: u64) -> Option<u64> {
         // Climb until a summary shows a non-empty word strictly after
         // word_idx, then descend; on stale summaries, skip the subtree.
@@ -354,14 +318,6 @@ impl VebTree {
         let leaf = self.levels[0][word_idx as usize].load(Ordering::Acquire);
         if let Some(b) = first_set_le(leaf, x % WORD_BITS) {
             return Some(word_idx * WORD_BITS + b);
-        }
-        if self.levels.len() == 1 {
-            // No summary to climb — a flat tree (or a one-word universe,
-            // where nothing lies below word 0): scan the leaves backward.
-            return (0..word_idx).rev().find_map(|w| {
-                let word = self.levels[0][w as usize].load(Ordering::Acquire);
-                first_set_le(word, WORD_BITS - 1).map(|b| w * WORD_BITS + b)
-            });
         }
         'restart: loop {
             let mut level = 1;
@@ -615,7 +571,6 @@ impl std::fmt::Debug for VebTree {
             .field("universe", &self.universe)
             .field("height", &self.height())
             .field("count", &self.count())
-            .field("scan_budget", &self.scan_budget)
             .finish()
     }
 }
@@ -623,25 +578,6 @@ impl std::fmt::Debug for VebTree {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// The three search strategies. Every test below that does not name
-    /// a constructor runs on all of them: the leaf bitmap is the truth,
-    /// so the budget may change only how a search loads, never what it
-    /// answers.
-    const CTORS: [fn(u64) -> VebTree; 3] = [VebTree::new, VebTree::new_wide, VebTree::new_flat];
-
-    fn each(universe: u64, check: impl Fn(VebTree)) {
-        for ctor in CTORS {
-            check(ctor(universe));
-        }
-    }
-
-    fn each_full(universe: u64, check: impl Fn(VebTree)) {
-        each(universe, |t| {
-            t.fill();
-            check(t)
-        });
-    }
 
     #[test]
     fn heights_match_universe() {
@@ -652,211 +588,191 @@ mod tests {
         assert_eq!(VebTree::new(4097).height(), 3);
         assert_eq!(VebTree::new(262_144).height(), 3);
         assert_eq!(VebTree::new(16_777_216).height(), 4);
-        // The wide budget changes the search, not the shape; a flat tree
-        // is the leaf level alone, so its mutations have no summary to
-        // propagate into (one atomic per insert/remove).
-        assert_eq!(VebTree::new_wide(1 << 16).height(), 3);
-        assert_eq!(VebTree::new_flat(1 << 16).height(), 1);
     }
 
     #[test]
     fn insert_remove_contains_roundtrip() {
-        each(500, |t| {
-            assert!(!t.contains(123));
-            assert!(t.insert(123));
-            assert!(!t.insert(123));
-            assert!(t.contains(123));
-            assert!(t.remove(123));
-            assert!(!t.remove(123));
-            assert!(!t.contains(123));
-            // A claim is an exclusive remove.
-            t.insert(100);
-            assert!(t.claim_exact(100));
-            assert!(!t.claim_exact(100));
-            assert!(!t.contains(100));
-            t.check_summaries().unwrap();
-        });
+        let t = VebTree::new(500);
+        assert!(!t.contains(123));
+        assert!(t.insert(123));
+        assert!(!t.insert(123));
+        assert!(t.contains(123));
+        assert!(t.remove(123));
+        assert!(!t.remove(123));
+        assert!(!t.contains(123));
+        // A claim is an exclusive remove.
+        t.insert(100);
+        assert!(t.claim_exact(100));
+        assert!(!t.claim_exact(100));
+        assert!(!t.contains(100));
+        t.check_summaries().unwrap();
     }
 
     #[test]
     fn successor_walks_members_in_order() {
-        each(100_000, |t| {
-            let members = [0u64, 1, 63, 64, 65, 4095, 4096, 4097, 50_000, 99_999];
-            for &m in &members {
-                t.insert(m);
-            }
-            let mut found = Vec::new();
-            let mut x = 0;
-            while let Some(s) = t.successor(x) {
-                found.push(s);
-                x = s + 1;
-            }
-            assert_eq!(found, members);
-            t.check_summaries().unwrap();
-        });
+        let t = VebTree::new(100_000);
+        let members = [0u64, 1, 63, 64, 65, 4095, 4096, 4097, 50_000, 99_999];
+        for &m in &members {
+            t.insert(m);
+        }
+        let mut found = Vec::new();
+        let mut x = 0;
+        while let Some(s) = t.successor(x) {
+            found.push(s);
+            x = s + 1;
+        }
+        assert_eq!(found, members);
+        t.check_summaries().unwrap();
     }
 
     #[test]
     fn predecessor_walks_members_in_reverse() {
-        each(100_000, |t| {
-            let members = [0u64, 63, 64, 4095, 4096, 99_999];
-            for &m in &members {
-                t.insert(m);
+        let t = VebTree::new(100_000);
+        let members = [0u64, 63, 64, 4095, 4096, 99_999];
+        for &m in &members {
+            t.insert(m);
+        }
+        let mut found = Vec::new();
+        let mut x = t.universe() - 1;
+        while let Some(p) = t.predecessor(x) {
+            found.push(p);
+            if p == 0 {
+                break;
             }
-            let mut found = Vec::new();
-            let mut x = t.universe() - 1;
-            while let Some(p) = t.predecessor(x) {
-                found.push(p);
-                if p == 0 {
-                    break;
-                }
-                x = p - 1;
-            }
-            let mut expect = members.to_vec();
-            expect.reverse();
-            assert_eq!(found, expect);
-        });
+            x = p - 1;
+        }
+        let mut expect = members.to_vec();
+        expect.reverse();
+        assert_eq!(found, expect);
     }
 
     #[test]
     fn successor_of_member_is_itself() {
-        each(1000, |t| {
-            t.insert(500);
-            assert_eq!(t.successor(500), Some(500));
-            assert_eq!(t.successor(501), None);
-            assert_eq!(t.predecessor(500), Some(500));
-            assert_eq!(t.predecessor(499), None);
-            // The universe may end mid-word, and may itself be queried.
-            t.insert(999);
-            assert_eq!(t.successor(501), Some(999));
-            assert_eq!(t.predecessor(999), Some(999));
-            assert_eq!(t.successor(1000), None);
-        });
+        let t = VebTree::new(1000);
+        t.insert(500);
+        assert_eq!(t.successor(500), Some(500));
+        assert_eq!(t.successor(501), None);
+        assert_eq!(t.predecessor(500), Some(500));
+        assert_eq!(t.predecessor(499), None);
+        // The universe may end mid-word, and may itself be queried.
+        t.insert(999);
+        assert_eq!(t.successor(501), Some(999));
+        assert_eq!(t.predecessor(999), Some(999));
+        assert_eq!(t.successor(1000), None);
     }
 
     #[test]
     fn empty_tree_has_no_members() {
-        each(70_000, |t| {
-            assert_eq!(t.successor(0), None);
-            assert_eq!(t.predecessor(69_999), None);
-            assert!(t.is_empty());
-            assert_eq!(t.count(), 0);
-            assert_eq!(t.first(), None);
-            assert_eq!(t.last(), None);
-        });
+        let t = VebTree::new(70_000);
+        assert_eq!(t.successor(0), None);
+        assert_eq!(t.predecessor(69_999), None);
+        assert!(t.is_empty());
+        assert_eq!(t.count(), 0);
+        assert_eq!(t.first(), None);
+        assert_eq!(t.last(), None);
     }
 
     #[test]
     fn full_tree_finds_everything() {
-        each_full(10_000, |t| {
-            assert_eq!(t.count(), 10_000);
-            assert_eq!(t.successor(0), Some(0));
-            assert_eq!(t.successor(9_999), Some(9_999));
-            assert_eq!(t.predecessor(9_999), Some(9_999));
-            t.check_summaries().unwrap();
-        });
-        assert_eq!(VebTree::new_full(10_000).count(), 10_000);
+        let t = VebTree::new_full(10_000);
+        assert_eq!(t.count(), 10_000);
+        assert_eq!(t.successor(0), Some(0));
+        assert_eq!(t.successor(9_999), Some(9_999));
+        assert_eq!(t.predecessor(9_999), Some(9_999));
+        t.check_summaries().unwrap();
     }
 
     #[test]
     fn partial_last_word_fill_is_exact() {
-        each_full(70, |t| {
-            assert_eq!(t.count(), 70);
-            assert_eq!(t.predecessor(69), Some(69));
-            assert_eq!(t.successor(69), Some(69));
-            assert_eq!(t.successor(70), None);
-            assert_eq!(t.last(), Some(69));
-        });
+        let t = VebTree::new_full(70);
+        assert_eq!(t.count(), 70);
+        assert_eq!(t.predecessor(69), Some(69));
+        assert_eq!(t.successor(69), Some(69));
+        assert_eq!(t.successor(70), None);
+        assert_eq!(t.last(), Some(69));
     }
 
     #[test]
     fn find_first_from_wraps_to_front() {
-        each(1 << 14, |t| {
-            for m in [10u64, 2000] {
-                t.insert(m);
-            }
-            assert_eq!(t.find_first_from(0), Some(10));
-            assert_eq!(t.find_first_from(10), Some(10));
-            assert_eq!(t.find_first_from(11), Some(2000));
-            // Nothing at or above the hint: wrap to the front.
-            assert_eq!(t.find_first_from(2001), Some(10));
-            assert_eq!(t.find_first_from(t.universe() - 1), Some(10));
-        });
-        each(64, |t| {
-            assert_eq!(t.find_first_from(0), None);
-            assert_eq!(t.find_first_from(63), None);
-        });
+        let t = VebTree::new(1 << 14);
+        for m in [10u64, 2000] {
+            t.insert(m);
+        }
+        assert_eq!(t.find_first_from(0), Some(10));
+        assert_eq!(t.find_first_from(10), Some(10));
+        assert_eq!(t.find_first_from(11), Some(2000));
+        // Nothing at or above the hint: wrap to the front.
+        assert_eq!(t.find_first_from(2001), Some(10));
+        assert_eq!(t.find_first_from(t.universe() - 1), Some(10));
+        let t = VebTree::new(64);
+        assert_eq!(t.find_first_from(0), None);
+        assert_eq!(t.find_first_from(63), None);
     }
 
     #[test]
     fn claim_first_from_wraps_and_is_exclusive() {
-        each(1 << 14, |t| {
-            for m in [10u64, 20, 2000] {
-                t.insert(m);
-            }
-            assert_eq!(t.claim_first_from(1000), Some(2000));
-            assert_eq!(t.claim_first_from(1000), Some(10)); // wrapped
-            assert_eq!(t.claim_first_from(0), Some(20));
-            assert_eq!(t.claim_first_from(0), None);
-            assert_eq!(t.claim_first_from(5000), None);
-            assert!(t.is_empty());
-            t.check_summaries().unwrap();
-        });
+        let t = VebTree::new(1 << 14);
+        for m in [10u64, 20, 2000] {
+            t.insert(m);
+        }
+        assert_eq!(t.claim_first_from(1000), Some(2000));
+        assert_eq!(t.claim_first_from(1000), Some(10)); // wrapped
+        assert_eq!(t.claim_first_from(0), Some(20));
+        assert_eq!(t.claim_first_from(0), None);
+        assert_eq!(t.claim_first_from(5000), None);
+        assert!(t.is_empty());
+        t.check_summaries().unwrap();
     }
 
     #[test]
     fn claims_take_lowest_and_highest() {
-        each(1 << 14, |t| {
-            for m in [10u64, 20, 30, 40, 50, 60] {
-                t.insert(m);
-            }
-            assert_eq!(t.claim_first_ge(0), Some(10));
-            assert_eq!(t.claim_first_ge(0), Some(20));
-            assert_eq!(t.claim_first_ge(25), Some(30));
-            assert_eq!(t.claim_last_le(t.universe() - 1), Some(60));
-            assert_eq!(t.claim_last_le(t.universe() - 1), Some(50));
-            assert_eq!(t.claim_last_le(45), Some(40));
-            assert_eq!(t.claim_first_ge(0), None);
-            assert_eq!(t.claim_last_le(t.universe() - 1), None);
-        });
+        let t = VebTree::new(1 << 14);
+        for m in [10u64, 20, 30, 40, 50, 60] {
+            t.insert(m);
+        }
+        assert_eq!(t.claim_first_ge(0), Some(10));
+        assert_eq!(t.claim_first_ge(0), Some(20));
+        assert_eq!(t.claim_first_ge(25), Some(30));
+        assert_eq!(t.claim_last_le(t.universe() - 1), Some(60));
+        assert_eq!(t.claim_last_le(t.universe() - 1), Some(50));
+        assert_eq!(t.claim_last_le(45), Some(40));
+        assert_eq!(t.claim_first_ge(0), None);
+        assert_eq!(t.claim_last_le(t.universe() - 1), None);
     }
 
     #[test]
     fn contiguous_claim_from_back() {
-        each_full(256, |t| {
-            assert_eq!(t.claim_contiguous_from_back(4), Some(252));
-            assert_eq!(t.claim_contiguous_from_back(4), Some(248));
-            assert_eq!(t.count(), 248);
-            // Fragment the back: remove 240, runs must now fit below it.
-            t.claim_exact(240);
-            assert_eq!(t.claim_contiguous_from_back(8), Some(232));
-            t.check_summaries().unwrap();
-        });
+        let t = VebTree::new_full(256);
+        assert_eq!(t.claim_contiguous_from_back(4), Some(252));
+        assert_eq!(t.claim_contiguous_from_back(4), Some(248));
+        assert_eq!(t.count(), 248);
+        // Fragment the back: remove 240, runs must now fit below it.
+        t.claim_exact(240);
+        assert_eq!(t.claim_contiguous_from_back(8), Some(232));
+        t.check_summaries().unwrap();
     }
 
     #[test]
     fn contiguous_claim_too_large_fails_cleanly() {
-        each_full(64, |t| {
-            assert_eq!(t.claim_contiguous_from_back(65), None);
-            assert_eq!(t.count(), 64);
-            assert_eq!(t.claim_contiguous_from_back(64), Some(0));
-            assert_eq!(t.count(), 0);
-            assert_eq!(t.claim_contiguous_from_back(1), None);
-        });
+        let t = VebTree::new_full(64);
+        assert_eq!(t.claim_contiguous_from_back(65), None);
+        assert_eq!(t.count(), 64);
+        assert_eq!(t.claim_contiguous_from_back(64), Some(0));
+        assert_eq!(t.count(), 0);
+        assert_eq!(t.claim_contiguous_from_back(1), None);
     }
 
     #[test]
     fn claims_from_both_ends_and_insert_range_restore_runs() {
         // A universe that ends mid-word, claimed from the back, the
         // front and the top, then handed back as a range.
-        each_full(130, |t| {
-            assert_eq!(t.claim_contiguous_from_back(4), Some(126));
-            assert_eq!(t.claim_first_ge(0), Some(0));
-            assert_eq!(t.claim_last_le(129), Some(125));
-            t.insert_range(126, 4);
-            assert_eq!(t.count(), 130 - 2);
-            t.check_summaries().unwrap();
-        });
+        let t = VebTree::new_full(130);
+        assert_eq!(t.claim_contiguous_from_back(4), Some(126));
+        assert_eq!(t.claim_first_ge(0), Some(0));
+        assert_eq!(t.claim_last_le(129), Some(125));
+        t.insert_range(126, 4);
+        assert_eq!(t.count(), 130 - 2);
+        t.check_summaries().unwrap();
     }
 
     #[test]
@@ -867,34 +783,27 @@ mod tests {
 
     #[test]
     fn iter_yields_members_in_order() {
-        each(100_000, |t| {
-            let members = [3u64, 64, 65, 4096, 99_999];
-            for &m in &members {
-                t.insert(m);
-            }
-            let collected: Vec<u64> = t.iter().collect();
-            assert_eq!(collected, members);
-        });
-        each(10, |t| assert_eq!(t.iter().count(), 0));
-        each_full(130, |t| {
-            assert_eq!(t.iter().count(), 130);
-            assert_eq!(t.iter().last(), Some(129));
-        });
+        let t = VebTree::new(100_000);
+        let members = [3u64, 64, 65, 4096, 99_999];
+        for &m in &members {
+            t.insert(m);
+        }
+        let collected: Vec<u64> = t.iter().collect();
+        assert_eq!(collected, members);
+        assert_eq!(VebTree::new(10).iter().count(), 0);
+        let t = VebTree::new_full(130);
+        assert_eq!(t.iter().count(), 130);
+        assert_eq!(t.iter().last(), Some(129));
     }
-
-    // Narrow/wide/flat parity over one random op stream lives in
-    // tests/wide_parity.rs: it only exercises the public API, and
-    // keeping it out of this file keeps tree.rs under the LOC gate.
 
     #[test]
     fn clear_and_fill_are_inverses() {
-        each(5000, |t| {
-            t.fill();
-            assert_eq!(t.count(), 5000);
-            t.check_summaries().unwrap();
-            t.clear();
-            assert!(t.is_empty());
-            t.check_summaries().unwrap();
-        });
+        let t = VebTree::new(5000);
+        t.fill();
+        assert_eq!(t.count(), 5000);
+        t.check_summaries().unwrap();
+        t.clear();
+        assert!(t.is_empty());
+        t.check_summaries().unwrap();
     }
 }

@@ -23,23 +23,20 @@ fn par_for_each(len: u64, f: impl Fn(u64) + Sync) {
 #[test]
 fn concurrent_claims_are_exclusive() {
     // N threads race to claim from a full tree; every item must be won by
-    // exactly one claimant — under each of the three search strategies.
+    // exactly one claimant.
     let universe = 1u64 << 14;
-    for ctor in [VebTree::new, VebTree::new_wide, VebTree::new_flat] {
-        let tree = ctor(universe);
-        tree.fill();
-        let winners: Vec<AtomicU64> = (0..universe).map(|_| AtomicU64::new(0)).collect();
+    let tree = VebTree::new_full(universe);
+    let winners: Vec<AtomicU64> = (0..universe).map(|_| AtomicU64::new(0)).collect();
 
-        par_for_each(universe, |_| {
-            if let Some(x) = tree.claim_first_ge(0) {
-                winners[x as usize].fetch_add(1, Ordering::Relaxed);
-            }
-        });
-
-        assert!(tree.is_empty());
-        for (i, w) in winners.iter().enumerate() {
-            assert_eq!(w.load(Ordering::Relaxed), 1, "item {i} claimed wrong number of times");
+    par_for_each(universe, |_| {
+        if let Some(x) = tree.claim_first_ge(0) {
+            winners[x as usize].fetch_add(1, Ordering::Relaxed);
         }
+    });
+
+    assert!(tree.is_empty());
+    for (i, w) in winners.iter().enumerate() {
+        assert_eq!(w.load(Ordering::Relaxed), 1, "item {i} claimed wrong number of times");
     }
 }
 

@@ -16,6 +16,20 @@ enum Op {
     ClaimLastLe(u64),
 }
 
+impl Op {
+    fn arg(&mut self) -> &mut u64 {
+        match self {
+            Op::Insert(x)
+            | Op::Remove(x)
+            | Op::Contains(x)
+            | Op::Successor(x)
+            | Op::Predecessor(x)
+            | Op::ClaimFirstGe(x)
+            | Op::ClaimLastLe(x) => x,
+        }
+    }
+}
+
 fn op_strategy(universe: u64) -> impl Strategy<Value = Op> {
     prop_oneof![
         (0..universe).prop_map(Op::Insert),
@@ -34,6 +48,20 @@ fn model_successor(model: &BTreeSet<u64>, x: u64) -> Option<u64> {
 
 fn model_predecessor(model: &BTreeSet<u64>, x: u64) -> Option<u64> {
     model.range(..=x).next_back().copied()
+}
+
+/// First index of the highest run of `n` consecutive members.
+fn model_back_run(model: &BTreeSet<u64>, n: u64) -> Option<u64> {
+    let mut run = 0;
+    let mut above = None;
+    for &v in model.iter().rev() {
+        run = if above == Some(v + 1) { run + 1 } else { 1 };
+        above = Some(v);
+        if run == n {
+            return Some(v);
+        }
+    }
+    None
 }
 
 fn run_model(tree: VebTree, ops: Vec<Op>) {
@@ -84,8 +112,16 @@ proptest! {
     }
 
     #[test]
-    fn flat_tree_matches_model(ops in prop::collection::vec(op_strategy(3000), 1..300)) {
-        run_model(VebTree::new_flat(3000), ops);
+    fn height_one_universes_match_model(ops in prop::collection::vec(op_strategy(3000), 1..300)) {
+        // 1, 63 and 64 are one leaf word with no summary to climb; 3000
+        // is the universe the deleted flat tree was checked at.
+        for universe in [1u64, 63, 64, 3000] {
+            let mut ops = ops.clone();
+            for op in &mut ops {
+                *op.arg() %= universe;
+            }
+            run_model(VebTree::new(universe), ops);
+        }
     }
 
     #[test]
@@ -100,23 +136,36 @@ proptest! {
 
     #[test]
     fn contiguous_claims_are_disjoint_runs(
-        sizes in prop::collection::vec(1u64..12, 1..30),
+        holes in prop::collection::vec(0u64..8192, 0..600),
+        sizes in prop::collection::vec(1u64..70, 1..60),
     ) {
-        let universe = 2048u64;
+        // A full three-level universe with holes punched across word
+        // boundaries: every run claimed from the back must be the highest
+        // run wholly present, and handing the runs back restores the count.
+        let universe = 8192u64;
         let tree = VebTree::new_full(universe);
+        let mut model: BTreeSet<u64> = (0..universe).collect();
+        for h in holes {
+            prop_assert_eq!(tree.claim_exact(h), model.remove(&h), "claim_exact({})", h);
+        }
         let mut claimed: Vec<(u64, u64)> = Vec::new();
         for n in sizes {
-            if let Some(start) = tree.claim_contiguous_from_back(n) {
-                // Run must be in-range and previously unclaimed.
-                prop_assert!(start + n <= universe);
-                for &(s, m) in &claimed {
-                    prop_assert!(start + n <= s || s + m <= start,
-                        "runs overlap: [{start},{}) vs [{s},{})", start + n, s + m);
+            let start = tree.claim_contiguous_from_back(n);
+            prop_assert_eq!(start, model_back_run(&model, n), "claim_contiguous_from_back({})", n);
+            if let Some(start) = start {
+                for i in start..start + n {
+                    prop_assert!(model.remove(&i), "run [{start},{}) took absent {i}", start + n);
                 }
                 claimed.push((start, n));
             }
         }
+        prop_assert_eq!(tree.count(), model.len() as u64);
+        let before = tree.count();
         let total: u64 = claimed.iter().map(|&(_, n)| n).sum();
-        prop_assert_eq!(tree.count(), universe - total);
+        for (start, n) in claimed {
+            tree.insert_range(start, n);
+        }
+        prop_assert_eq!(tree.count(), before + total);
+        tree.check_summaries().unwrap();
     }
 }
