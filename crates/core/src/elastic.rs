@@ -46,13 +46,13 @@
 use crate::gallatin::Gallatin;
 use crate::router::{Arena, Level, Router, UNOWNED};
 use crate::tiers::{BlockTier, SegmentTier, SliceTier};
-use gpu_sim::{trace, Metrics, Striped};
+use gpu_sim::{trace, DevicePtr, LaneMask, Metrics, Striped};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-/// The leaf of every routing hierarchy: an instance owns a span of the
-/// shared table's universe, and a segment is handed to or taken from it
-/// through its segment tree alone.
+/// The leaf of every routing hierarchy: it serves the lane masks the
+/// routers hand down, owns a span of the shared table's universe, and a
+/// segment is handed to or taken from it through its segment tree alone.
 impl Level for Gallatin {
     const DEPTH: usize = 0;
 
@@ -84,6 +84,57 @@ impl Level for Gallatin {
             reserved: Striped::default(),
             span: (first_seg, num_segs),
         }
+    }
+
+    /// Opportunistic coalescing (Algorithm 3): one pass sorts the lanes
+    /// into a group per slice class and per block class, each group's
+    /// leader issues one atomic for the whole group (per run, in the block
+    /// tier), and the multi-segment lanes fall through to the scalar path.
+    /// The order — slice classes ascending, then block classes, lanes
+    /// ascending inside a class, multi-segment lanes ascending last — is
+    /// the CAS order, hence part of every recorded schedule.
+    fn malloc_lanes(
+        &self,
+        sm_id: u32,
+        live: LaneMask,
+        sizes: &[Option<u64>],
+        out: &mut [DevicePtr],
+    ) -> LaneMask {
+        let size = |lane: usize| sizes[lane].expect("a live lane carries a request");
+        // Group `g` hands out `min_slice << g` bytes; bit `g` marks it used.
+        let (mut groups, mut occupied) = ([LaneMask::EMPTY; u64::BITS as usize], 0u64);
+        let (mut scalar, mut served) = (LaneMask::EMPTY, LaneMask::EMPTY);
+        for lane in live {
+            // max(1): zero-size requests coalesce into the smallest class.
+            match self.group_of(size(lane).max(1)) {
+                Some(group) => {
+                    groups[group].insert(lane);
+                    occupied |= 1 << group;
+                }
+                None => scalar.insert(lane),
+            }
+        }
+        while occupied != 0 {
+            let group = occupied.trailing_zeros() as usize;
+            occupied &= occupied - 1;
+            let lanes = groups[group];
+            let n = self.malloc_group(group, sm_id, lanes, |lane, p| out[lane] = p);
+            lanes.take(n).for_each(|lane| served.insert(lane));
+            self.metrics.count_mallocs(n as u64, (lanes.count() - n) as u64);
+        }
+        for lane in scalar {
+            let p = self.malloc_routed(sm_id, size(lane));
+            if !p.is_null() {
+                out[lane] = p;
+                served.insert(lane);
+            }
+        }
+        served
+    }
+
+    /// Lane-stamped: `Gallatin::free_stamped` documents its groups.
+    fn free_lanes(&self, _sm_id: u32, live: LaneMask, ptrs: &[DevicePtr]) {
+        self.free_stamped(live, ptrs, None);
     }
 
     /// Drain the buffer wavefront, restore the segment tree to the
@@ -290,9 +341,11 @@ mod tests {
     use crate::config::GallatinConfig;
     use crate::router::{Level, Router};
     use crate::table::TREE_FREE;
-    use crate::{DevicePool, GallatinPool};
-    use gpu_sim::{DeviceAllocator, DevicePtr, WarpCtx};
+    use crate::{DevicePool, Gallatin, GallatinPool};
+    use gpu_sim::metrics::MetricsSnapshot;
+    use gpu_sim::{trace, DeviceAllocator, DevicePtr, LaneMask, TraceSink, WarpCtx, WARP_SIZE};
     use std::sync::atomic::Ordering;
+    use std::sync::Arc;
 
     fn pool(n: usize) -> GallatinPool {
         GallatinPool::new(n, GallatinConfig::small_test(1 << 20)) // 16 segments each
@@ -445,5 +498,214 @@ mod tests {
         assert_eq!(s.pool_free_segments, 0);
         assert_eq!((s.donated_segments, s.returned_segments, s.adopted_segments), (0, 0, 0));
         p.check_invariants().expect("clean after reset");
+    }
+
+    // The `Level` mask contract, checked at the leaf and at both routers:
+    // every case below runs on a `Gallatin`, a `GallatinPool(3)` and a
+    // `DevicePool(2×3)`, each built fresh at `small_test`.
+
+    trait Fresh: Level {
+        fn fresh() -> Self;
+        /// Every leaf, in routing order.
+        fn leaves(&self) -> Vec<&Gallatin>;
+        /// Oversize lanes from SM 0, `[counted where they belong, counted
+        /// anywhere else]`: at the lowest router on the home path, or as
+        /// the lone leaf's failed mallocs (oversize there is beyond its heap).
+        fn denials(&self) -> [u64; 2];
+        /// Spills charged to SM 0's home by the lowest router above it.
+        fn spills(&self) -> u64;
+    }
+
+    fn failed(leaves: &[&Gallatin]) -> u64 {
+        leaves.iter().map(|g| g.metrics.snapshot().failed_mallocs).sum()
+    }
+
+    impl Fresh for Gallatin {
+        fn fresh() -> Self {
+            Gallatin::new(GallatinConfig::small_test(1 << 20))
+        }
+        fn leaves(&self) -> Vec<&Gallatin> {
+            vec![self]
+        }
+        fn denials(&self) -> [u64; 2] {
+            [failed(&[self]), 0]
+        }
+        fn spills(&self) -> u64 {
+            0
+        }
+    }
+
+    impl Fresh for GallatinPool {
+        fn fresh() -> Self {
+            pool(3)
+        }
+        fn leaves(&self) -> Vec<&Gallatin> {
+            self.children.iter().collect()
+        }
+        fn denials(&self) -> [u64; 2] {
+            [self.oversize_denials.load(Ordering::Relaxed), failed(&self.leaves())]
+        }
+        fn spills(&self) -> u64 {
+            self.spill_count(0)
+        }
+    }
+
+    impl Fresh for DevicePool {
+        fn fresh() -> Self {
+            DevicePool::new(2, 3, GallatinConfig::small_test(1 << 20))
+        }
+        fn leaves(&self) -> Vec<&Gallatin> {
+            self.children.iter().flat_map(|d| d.leaves()).collect()
+        }
+        fn denials(&self) -> [u64; 2] {
+            let ([home, a], [b, c]) = (self.children[0].denials(), self.children[1].denials());
+            [home, a + b + c + self.oversize_denials.load(Ordering::Relaxed)]
+        }
+        fn spills(&self) -> u64 {
+            self.children[0].spills()
+        }
+    }
+
+    macro_rules! at_every_level {
+        ($case:ident) => {{
+            $case::<Gallatin>();
+            $case::<GallatinPool>();
+            $case::<DevicePool>();
+        }};
+    }
+
+    /// What every lane of `out` starts as, and keeps unless it is served.
+    const SENTINEL: DevicePtr = DevicePtr(u64::MAX - 7);
+
+    fn mask(lanes: &[usize]) -> LaneMask {
+        LaneMask::ballot(&[(); WARP_SIZE], |_| true).keep(|lane| lanes.contains(&lane))
+    }
+
+    /// A request in every lane: a 2-segment run every seventh lane, a
+    /// 4 KiB block every seventh from lane 5, slices otherwise — each its
+    /// own class, so a lane reserves exactly what it asks for.
+    fn requests() -> Vec<Option<u64>> {
+        let size = |lane: u64| match lane % 7 {
+            0 => 128 << 10,
+            5 => 4 << 10,
+            _ => 16 << (lane % 3),
+        };
+        (0..WARP_SIZE as u64).map(|lane| Some(size(lane))).collect()
+    }
+
+    /// Every counter a call can move: each leaf's, and the tariff's.
+    fn counters<L: Fresh>(level: &L) -> (Vec<MetricsSnapshot>, Option<MetricsSnapshot>) {
+        let leaves = level.leaves().iter().map(|g| g.metrics.snapshot()).collect();
+        (leaves, level.metrics().map(|m| m.snapshot()))
+    }
+
+    #[test]
+    fn a_sparse_mask_is_served_and_no_other_lane_is_touched() {
+        fn case<L: Fresh>() {
+            let (level, sizes) = (L::fresh(), requests());
+            let live = mask(&[0, 3, 5, 14, 31]);
+            let mut out = vec![SENTINEL; WARP_SIZE];
+            let served = level.malloc_lanes(0, live, &sizes, &mut out);
+            assert_eq!(served, live, "{}: every live lane fits", level.name());
+            assert_eq!(LaneMask::ballot(&out, |p| *p != SENTINEL), served, "{}", level.name());
+            assert!(out.iter().all(|p| !p.is_null()), "{}", level.name());
+            level.free_lanes(0, served, &out);
+            assert_eq!(level.stats().reserved_bytes, 0, "{}", level.name());
+            level.check_invariants().expect("clean after a sparse mask");
+        }
+        at_every_level!(case);
+    }
+
+    #[test]
+    fn oversize_lanes_leave_the_mask_and_are_denied_once() {
+        fn case<L: Fresh>() {
+            let (level, mut sizes) = (L::fresh(), requests());
+            sizes[3] = Some(level.max_native_size() + 1);
+            sizes[6] = sizes[3];
+            let mut out = vec![SENTINEL; WARP_SIZE];
+            let served = level.malloc_lanes(0, mask(&[2, 3, 4, 6]), &sizes, &mut out);
+            assert_eq!(served, mask(&[2, 4]), "{}", level.name());
+            assert_eq!(LaneMask::ballot(&out, |p| *p != SENTINEL), served, "{}", level.name());
+            assert_eq!(level.denials(), [2, 0], "{}: one count per lane", level.name());
+            level.free_lanes(0, served, &out);
+            level.check_invariants().expect("clean after oversize lanes");
+        }
+        at_every_level!(case);
+    }
+
+    #[test]
+    fn an_exhausted_home_spills_the_mask_to_a_sibling() {
+        fn case<L: Fresh>() {
+            let level = L::fresh();
+            let seg = level.leaves()[0].geometry().segment_bytes;
+            let lane = warp_on(0, 1);
+            let held: Vec<_> = (0..16).map(|_| level.malloc(&lane.lane(0), seg)).collect();
+            assert!(held.iter().all(|p| !p.is_null()) && level.spills() == 0, "{}", level.name());
+            let (live, sizes) = (mask(&[1, 2]), vec![Some(seg); WARP_SIZE]);
+            let mut out = vec![SENTINEL; WARP_SIZE];
+            let served = level.malloc_lanes(0, live, &sizes, &mut out);
+            // A lone leaf has no sibling: its full heap denies both lanes.
+            let sibling = level.leaves().len() > 1;
+            assert_eq!(served, if sibling { live } else { LaneMask::EMPTY }, "{}", level.name());
+            assert_eq!(level.spills(), served.count() as u64, "{}", level.name());
+            assert_eq!(LaneMask::ballot(&out, |p| *p != SENTINEL), served, "{}", level.name());
+            level.free_lanes(0, served, &out);
+            held.into_iter().for_each(|p| level.free(&lane.lane(0), p));
+            assert_eq!(level.stats().reserved_bytes, 0, "{}", level.name());
+            level.check_invariants().expect("clean after a spill");
+        }
+        at_every_level!(case);
+    }
+
+    #[test]
+    fn an_empty_mask_enters_no_child() {
+        fn case<L: Fresh>() {
+            let (level, sizes) = (L::fresh(), requests());
+            let (before, sink) = (counters(&level), Arc::new(TraceSink::new()));
+            let mut out = vec![SENTINEL; WARP_SIZE];
+            let served = trace::with_sink(sink.clone(), || {
+                level.free_lanes(0, LaneMask::EMPTY, &out);
+                level.malloc_lanes(0, LaneMask::EMPTY, &sizes, &mut out)
+            });
+            assert_eq!(served, LaneMask::EMPTY, "{}", level.name());
+            assert!(out.iter().all(|p| *p == SENTINEL), "{}", level.name());
+            assert!(sink.snapshot().is_empty(), "{}: traced an idle call", level.name());
+            assert_eq!(counters(&level), before, "{}", level.name());
+        }
+        at_every_level!(case);
+    }
+
+    #[test]
+    fn freeing_a_sparse_mask_frees_exactly_its_lanes() {
+        fn case<L: Fresh>() {
+            let (level, sizes) = (L::fresh(), requests());
+            let mut out = vec![DevicePtr::NULL; WARP_SIZE];
+            level.warp_malloc(&warp_on(0, WARP_SIZE as u32), &sizes, &mut out);
+            assert!(out.iter().all(|p| !p.is_null()), "{}", level.name());
+            let (all, freed) = (mask(&(0..WARP_SIZE).collect::<Vec<_>>()), mask(&[0, 5, 6, 13]));
+            let reserved = level.stats().reserved_bytes;
+            level.free_lanes(0, freed, &out);
+            let bytes: u64 = freed.filter_map(|lane| sizes[lane]).sum();
+            assert_eq!(level.stats().reserved_bytes, reserved - bytes, "{}", level.name());
+            level.check_invariants().expect("clean with the other lanes live");
+            level.free_lanes(0, all.without(freed), &out);
+            assert_eq!(level.stats().reserved_bytes, 0, "{}", level.name());
+        }
+        at_every_level!(case);
+    }
+
+    #[test]
+    fn a_scalar_malloc_is_a_one_lane_collective() {
+        fn case<L: Fresh>() {
+            for size in [16, 4 << 10, 128 << 10] {
+                let (scalar, collective) = (L::fresh(), L::fresh());
+                let p = scalar.malloc(&warp_on(0, 1).lane(0), size);
+                let mut q = [DevicePtr::NULL];
+                collective.warp_malloc(&warp_on(0, 1), &[Some(size)], &mut q);
+                assert!(!p.is_null() && p == q[0], "{}: {size} B", scalar.name());
+                assert_eq!(counters(&scalar), counters(&collective), "{}", scalar.name());
+            }
+        }
+        at_every_level!(case);
     }
 }

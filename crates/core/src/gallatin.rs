@@ -251,7 +251,7 @@ impl Gallatin {
     /// hands out over `min_slice`: slice class `c` at `c`, block class `c`
     /// at `c + log2(slices_per_block)` — above every slice class, since a
     /// block request exceeds `max_slice`. `None`: a multi-segment request.
-    fn group_of(&self, size: u64) -> Option<usize> {
+    pub(crate) fn group_of(&self, size: u64) -> Option<usize> {
         let block_base = self.geo.slices_per_block.trailing_zeros() as usize;
         let block_group = || self.geo.block_class(size).map(|class| class + block_base);
         self.geo.slice_class(size).or_else(block_group)
@@ -262,7 +262,7 @@ impl Gallatin {
     /// [`SliceTier::malloc_group`]'s; a block group (mid-size requests) takes
     /// one whole block a lane: per run [`BlockTier::get_many`] returns — one
     /// ring ticket — one `fetch_or` per bitmap word and one `reserved.add`.
-    fn malloc_group(
+    pub(crate) fn malloc_group(
         &self,
         group: usize,
         sm_id: u32,
@@ -295,10 +295,6 @@ impl Gallatin {
     }
 
     pub(crate) fn malloc_routed(&self, sm_id: u32, size: u64) -> DevicePtr {
-        if size > self.geo.heap_bytes {
-            self.metrics.count_malloc(false);
-            return DevicePtr::NULL;
-        }
         // Zero-size requests are served as the minimum slice (see the
         // `DeviceAllocator::malloc` contract).
         let mut ptr = DevicePtr::NULL;
@@ -314,7 +310,7 @@ impl Gallatin {
     /// The one free-route decode: read the segment's `tree_id` and
     /// release what `ptr` names — a large run — or, for a pointer into a
     /// formatted segment, return its `(segment, class, block)` and whether
-    /// it names a block handed out whole, for [`Self::free_lanes`] to
+    /// it names a block handed out whole, for [`Self::free_stamped`] to
     /// return in a run or to the block's slice counter. The caller also
     /// counts the free: once per pointer, or once per warp. Panics on
     /// foreign, interior-large and unformatted-segment pointers.
@@ -324,7 +320,7 @@ impl Gallatin {
     /// paired Malloc, so a misrouted free (wrong tier, wrong class)
     /// surfaces as a typed size-mismatch anomaly instead of silent
     /// accounting drift. Each branch emits before the region becomes
-    /// reusable by others (a whole block's in `free_lanes`).
+    /// reusable by others (a whole block's in `free_stamped`).
     #[inline]
     fn release(&self, lane: u32, ptr: DevicePtr) -> Option<(u64, usize, u64, bool)> {
         let off = ptr.0;
@@ -362,15 +358,17 @@ impl Gallatin {
         None
     }
 
-    /// Free what the lanes of `live` name in `ptrs` (events stamped
-    /// `stamp(lane)`; a scalar free is the call for lane 0). Large frees
-    /// complete inside `release`, lane by lane. Then whole-block lanes ballot
-    /// by segment, leaders ascending: one `fetch_and` per bitmap word clears
-    /// a run, the lanes that won their bit share one `reserved.sub` and one
+    /// Count and free what the lanes of `live` name in `ptrs`, events
+    /// stamped `stamp` (`None`: their lane). Large frees complete inside
+    /// `release`, lane by lane. Then whole-block lanes ballot by segment,
+    /// leaders ascending: one `fetch_and` per bitmap word clears a run, the
+    /// lanes that won their bit share one `reserved.sub` and one
     /// [`BlockTier::free_many`] — one ring ticket — and a lane that lost (a
     /// block named twice, a double free) takes the slice route, as a lane
     /// loop would. Last, slice lanes ballot by block (paper §6.5).
-    fn free_lanes(&self, live: LaneMask, ptrs: &[DevicePtr], stamp: impl Fn(usize) -> u32) {
+    pub(crate) fn free_stamped(&self, live: LaneMask, ptrs: &[DevicePtr], stamp: Option<u32>) {
+        self.metrics.count_frees(live.count() as u64);
+        let stamp = |lane: usize| stamp.unwrap_or(lane as u32);
         let (ctx, max_blocks) = (self.ctx(), self.geo.max_blocks);
         // Block handle and class of each block or slice lane.
         let (mut handles, mut classes) = ([0u64; WARP_SIZE], [0u8; WARP_SIZE]);
@@ -417,8 +415,7 @@ impl Gallatin {
     }
 
     pub(crate) fn free_routed(&self, ptr: DevicePtr) {
-        self.metrics.count_free();
-        self.free_lanes(LaneMask::lane(0), &[ptr], |_| trace::LANE_NONE);
+        self.free_stamped(LaneMask::lane(0), &[ptr], Some(trace::LANE_NONE));
     }
 }
 
@@ -439,46 +436,18 @@ impl DeviceAllocator for Gallatin {
         self.free_routed(ptr);
     }
 
-    /// Warp-collective free: `free_lanes` documents its groups and order.
+    /// One ballot; `free_stamped` documents the groups and their order.
     fn warp_free(&self, warp: &WarpCtx, ptrs: &[DevicePtr]) {
         debug_assert_eq!(ptrs.len(), warp.active as usize);
-        let live = LaneMask::ballot(ptrs, |p| !p.is_null());
-        self.metrics.count_frees(live.count() as u64);
-        self.free_lanes(live, ptrs, |lane| lane as u32);
+        self.free_lanes(warp.sm_id, LaneMask::ballot(ptrs, |p| !p.is_null()), ptrs);
     }
 
-    /// Warp-collective allocation with opportunistic coalescing
-    /// (Algorithm 3): one pass ballots the requesting lanes into a group
-    /// per slice class and per block class, each group's leader issues one
-    /// atomic for the whole group (per run, in the block tier), and the
-    /// multi-segment lanes fall through to the scalar path. The order —
-    /// slice classes ascending, then block classes, lanes ascending inside
-    /// a class, multi-segment lanes ascending last — is the CAS order,
-    /// hence part of every recorded schedule.
+    /// One ballot; `Level::malloc_lanes` documents the groups and their order.
     fn warp_malloc(&self, warp: &WarpCtx, sizes: &[Option<u64>], out: &mut [DevicePtr]) {
         debug_assert_eq!(sizes.len(), warp.active as usize);
         debug_assert_eq!(out.len(), warp.active as usize);
         out.fill(DevicePtr::NULL);
-        // A group's index is the exponent of a power-of-two `u64` size.
-        let mut groups = [LaneMask::EMPTY; u64::BITS as usize];
-        let mut scalar = LaneMask::EMPTY;
-        for (lane, size) in sizes.iter().enumerate() {
-            let &Some(size) = size else { continue };
-            // max(1): zero-size requests coalesce into the smallest class.
-            match self.group_of(size.max(1)) {
-                Some(group) => groups[group].insert(lane),
-                None => scalar.insert(lane),
-            }
-        }
-        for (group, &lanes) in groups.iter().enumerate().filter(|(_, lanes)| !lanes.is_empty()) {
-            let served = self.malloc_group(group, warp.sm_id, lanes, |lane, p| out[lane] = p);
-            // Unserved lanes (exhaustion) keep NULL.
-            self.metrics.count_mallocs(served as u64, (lanes.count() - served) as u64);
-        }
-        for lane in scalar {
-            let size = sizes[lane].expect("a scalar lane was balloted from a request");
-            out[lane] = self.malloc_routed(warp.sm_id, size);
-        }
+        self.malloc_lanes(warp.sm_id, LaneMask::ballot(sizes, Option::is_some), sizes, out);
     }
 
     fn reset(&self) {

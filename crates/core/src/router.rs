@@ -19,7 +19,7 @@
 //! * **Placement** is SM-affine: a warp on SM `s` allocates from its
 //!   *home* child `s % n` — device `s % d` and, inside it, instance
 //!   `s % n`.
-//! * **Overflow spills, strictly layered** (`Router::place`): an
+//! * **Overflow spills, strictly layered** ([`Level::malloc_lanes`]): an
 //!   exhausted home first adopts headroom parked on the level's free
 //!   list and retries, then the request walks the siblings (`home+1,
 //!   home+2, …` mod `n`). A spill is charged to the home — *only* when a
@@ -89,6 +89,21 @@ pub trait Level: DeviceAllocator + Sized {
     /// num_segs)` of its universe. `shape` lists the fan-out of every
     /// router from here down (empty for a leaf).
     fn build(shape: &[usize], arena: &Arena, first_seg: u64, num_segs: u64) -> Self;
+
+    /// Serve exactly the lanes of `live` (each `Some(size)` in `sizes`),
+    /// writing each served lane's pointer to `out[lane]` and no other entry
+    /// of `out`; return the lanes served. The warp's one ballot travels
+    /// down as `live`: children get the same `sizes` and `out`.
+    fn malloc_lanes(
+        &self,
+        sm_id: u32,
+        live: LaneMask,
+        sizes: &[Option<u64>],
+        out: &mut [DevicePtr],
+    ) -> LaneMask;
+
+    /// Free what the lanes of `live` name in `ptrs`.
+    fn free_lanes(&self, sm_id: u32, live: LaneMask, ptrs: &[DevicePtr]);
 
     /// Everything [`DeviceAllocator::reset`] restores except the shared
     /// memory table, which the root resets exactly once.
@@ -271,70 +286,6 @@ impl<C: Level> Router<C> {
         }
     }
 
-    /// Place one request of up to `N` lanes — a lane per entry of
-    /// `sizes`, so a scalar malloc is the `N = 1` case — writing each
-    /// lane's pointer (or NULL) to `out`. `offer(i, pending, got)`
-    /// forwards the lanes still pending to child `i`. This is the only
-    /// oversize filter and the only spill walk.
-    fn place<const N: usize>(
-        &self,
-        sm_id: u32,
-        sizes: &[Option<u64>],
-        out: &mut [DevicePtr],
-        offer: impl Fn(usize, &[Option<u64>], &mut [DevicePtr]),
-    ) {
-        let k = sizes.len();
-        out.fill(DevicePtr::NULL);
-        // Nothing larger than the stride fits in *any* leaf: deny those
-        // lanes before touching a tree, rather than pay CAS traffic down
-        // a guaranteed-futile walk; the rest of the warp proceeds as one
-        // coalesced group.
-        let asking = LaneMask::ballot(sizes, Option::is_some);
-        let mut live = asking.keep(|lane| sizes[lane].is_some_and(|sz| sz <= self.stride));
-        if live != asking {
-            self.note_oversize(sm_id, asking.without(live).count() as u64);
-        }
-        let mut pending = [None::<u64>; N];
-        for lane in live {
-            pending[lane] = sizes[lane];
-        }
-        // The walk: home first, then each sibling in turn, every child
-        // seeing the lanes still pending as one (shrinking) coalesced
-        // group. Nothing pending — an idle or all-oversize warp — is
-        // nothing to launch.
-        let (n, home) = (self.children.len(), self.home(sm_id));
-        let mut got = [DevicePtr::NULL; N];
-        let (mut step, mut may_adopt) = (0, true);
-        while step < n && !live.is_empty() {
-            let i = (home + step) % n;
-            Self::enter(i, || offer(i, &pending[..k], &mut got[..k]));
-            let served = live.keep(|lane| !got[lane].is_null());
-            self.classify(sm_id, served.map(|lane| got[lane]));
-            for lane in served {
-                out[lane] = got[lane];
-                pending[lane] = None;
-            }
-            if step > 0 && !served.is_empty() {
-                // Charged only here — on actual sibling placement; a walk
-                // every sibling denies never touches the counter.
-                self.spills[home].fetch_add(served.count() as u64, Ordering::Relaxed);
-            }
-            live = live.without(served);
-            // Home exhausted: if the level holds returned headroom, adopt
-            // enough for the unserved bytes and retry the home once before
-            // spilling, so elasticity absorbs pressure the fixed shards
-            // would push onto siblings.
-            if step == 0 && may_adopt && !live.is_empty() {
-                let bytes: u64 = live.filter_map(|lane| pending[lane]).sum();
-                if self.grow(home, bytes.div_ceil(self.segment_bytes).max(1)) > 0 {
-                    may_adopt = false;
-                    continue;
-                }
-            }
-            step += 1;
-        }
-    }
-
     /// The single definition of the initial routing state: the span
     /// sharded evenly over the children, nothing parked, counters zero.
     fn restore_initial_routing(&self) {
@@ -451,6 +402,60 @@ impl<C: Level> Level for Router<C> {
         router
     }
 
+    /// The only oversize filter and spill walk (module docs): each child
+    /// sees the lanes still unserved as one coalesced group; a warp with
+    /// none left — idle or all-oversize — enters no child.
+    fn malloc_lanes(
+        &self,
+        sm_id: u32,
+        live: LaneMask,
+        sizes: &[Option<u64>],
+        out: &mut [DevicePtr],
+    ) -> LaneMask {
+        let fits = live.keep(|lane| sizes[lane].is_some_and(|sz| sz <= self.stride));
+        if fits != live {
+            self.note_oversize(sm_id, live.without(fits).count() as u64);
+        }
+        let (n, home) = (self.children.len(), self.home(sm_id));
+        let (mut left, mut step, mut may_adopt) = (fits, 0, true);
+        while step < n && !left.is_empty() {
+            let i = (home + step) % n;
+            let served = Self::enter(i, || self.children[i].malloc_lanes(sm_id, left, sizes, out));
+            self.classify(sm_id, served.map(|lane| out[lane]));
+            if step > 0 && !served.is_empty() {
+                self.spills[home].fetch_add(served.count() as u64, Ordering::Relaxed);
+            }
+            left = left.without(served);
+            // Home exhausted: adopt parked headroom for the unserved bytes
+            // and retry the home once before spilling.
+            if step == 0 && may_adopt && !left.is_empty() {
+                let bytes: u64 = left.filter_map(|lane| sizes[lane]).sum();
+                if self.grow(home, bytes.div_ceil(self.segment_bytes).max(1)) > 0 {
+                    may_adopt = false;
+                    continue;
+                }
+            }
+            step += 1;
+        }
+        fits.without(left)
+    }
+
+    /// One pass resolves every lane's owner; then each owning child, in
+    /// ascending order, frees its lanes as one collective, so the leaves'
+    /// per-block coalescing survives every level of sharding.
+    fn free_lanes(&self, sm_id: u32, mut live: LaneMask, ptrs: &[DevicePtr]) {
+        let mut owner = [0u32; WARP_SIZE];
+        for lane in live {
+            owner[lane] = self.owner_of(ptrs[lane]) as u32;
+        }
+        self.classify(sm_id, live.map(|lane| ptrs[lane]));
+        while let Some(i) = live.map(|lane| owner[lane]).min() {
+            let mine = live.keep(|lane| owner[lane] == i);
+            live = live.without(mine);
+            Self::enter(i as usize, || self.children[i as usize].free_lanes(sm_id, mine, ptrs));
+        }
+    }
+
     fn reset_local(&self) {
         for c in &self.children {
             c.reset_local();
@@ -522,11 +527,9 @@ impl<C: Level> DeviceAllocator for Router<C> {
     }
 
     fn malloc(&self, ctx: &LaneCtx, size: u64) -> DevicePtr {
-        let mut p = DevicePtr::NULL;
-        self.place::<1>(ctx.sm_id(), &[Some(size)], std::slice::from_mut(&mut p), |i, _, got| {
-            got[0] = self.children[i].malloc(ctx, size)
-        });
-        p
+        let mut p = [DevicePtr::NULL];
+        self.malloc_lanes(ctx.sm_id(), LaneMask::lane(0), &[Some(size)], &mut p);
+        p[0]
     }
 
     fn free(&self, ctx: &LaneCtx, ptr: DevicePtr) {
@@ -535,41 +538,18 @@ impl<C: Level> DeviceAllocator for Router<C> {
         Self::enter(i, || self.children[i].free(ctx, ptr));
     }
 
-    /// Warp-collective allocation: the whole warp goes to its home child
-    /// first (keeping the coalesced group intact — one batched claim per
-    /// class), then only the unserved lanes continue down the walk.
+    /// One ballot; `Level::malloc_lanes` walks the children.
     fn warp_malloc(&self, warp: &WarpCtx, sizes: &[Option<u64>], out: &mut [DevicePtr]) {
         debug_assert_eq!(sizes.len(), warp.active as usize);
         debug_assert_eq!(out.len(), warp.active as usize);
-        self.place::<WARP_SIZE>(warp.sm_id, sizes, out, |i, pending, got| {
-            self.children[i].warp_malloc(warp, pending, got)
-        });
+        out.fill(DevicePtr::NULL);
+        self.malloc_lanes(warp.sm_id, LaneMask::ballot(sizes, Option::is_some), sizes, out);
     }
 
-    /// Warp-collective free with per-child regrouping: one pass resolves
-    /// every live lane's owner; then each child that owns something, in
-    /// ascending order, receives its lanes as one lane-aligned collective
-    /// free, so the per-block `fetch_add` coalescing inside each leaf
-    /// survives every level of sharding.
+    /// One ballot; `Level::free_lanes` regroups by owning child.
     fn warp_free(&self, warp: &WarpCtx, ptrs: &[DevicePtr]) {
         debug_assert_eq!(ptrs.len(), warp.active as usize);
-        let live = LaneMask::ballot(ptrs, |p| !p.is_null());
-        let mut owner = [0u32; WARP_SIZE];
-        for lane in live {
-            owner[lane] = self.owner_of(ptrs[lane]) as u32;
-        }
-        self.classify(warp.sm_id, live.map(|lane| ptrs[lane]));
-        let mut local = [DevicePtr::NULL; WARP_SIZE];
-        let mut rest = live;
-        while let Some(i) = rest.map(|lane| owner[lane]).min() {
-            let mine = rest.keep(|lane| owner[lane] == i);
-            rest = rest.without(mine);
-            mine.for_each(|lane| local[lane] = ptrs[lane]);
-            Self::enter(i as usize, || {
-                self.children[i as usize].warp_free(warp, &local[..ptrs.len()])
-            });
-            mine.for_each(|lane| local[lane] = DevicePtr::NULL);
-        }
+        self.free_lanes(warp.sm_id, LaneMask::ballot(ptrs, |p| !p.is_null()), ptrs);
     }
 
     fn reset(&self) {

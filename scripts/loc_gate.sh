@@ -1,12 +1,14 @@
 #!/usr/bin/env bash
-# LOC gate, two ratchets:
+# LOC gate, three ratchets:
 #   1. no source file under crates/**/src/ may grow past MAX_LINES;
 #   2. every crate's non-test src/ lines (the lines before each file's
 #      first `#[cfg(test)]`) must *equal* its budget in
 #      scripts/loc_budget.txt. Over budget fails: delete code, or raise
 #      the number in the same diff, where a reviewer sees it. Under budget
 #      fails too: lower the number in the same diff, or the deletion goes
-#      unratcheted and can be regrown for free.
+#      unratcheted and can be regrown for free;
+#   3. the reader-facing documents (DOCS below) together must equal the
+#      `markdown` row of the same file, under the same rule.
 #
 # The PR that decomposed the monolithic allocator (gallatin.rs peaked at
 # 1,633 lines) installed this so the next monolith gets caught in review
@@ -49,6 +51,21 @@ done < <(scan)
 
 # Per-crate budget of non-test lines.
 BUDGET_FILE=scripts/loc_budget.txt
+DOCS=(README.md DESIGN.md EXPERIMENTS.md TESTING.md)
+# Hold `name`'s `lines` to its `budget` row, either way.
+check_budget() {
+    local name=$1 lines=$2 budget=$3 what=$4
+    if [ -z "$budget" ]; then
+        echo "LOC gate: $name has no budget in $BUDGET_FILE — add its current count" >&2
+        status=1
+    elif [ "$lines" -gt "$budget" ]; then
+        echo "LOC gate: $name has $lines $what (budget $budget) — delete lines, or raise the budget in $BUDGET_FILE in this diff" >&2
+        status=1
+    elif [ "$lines" -lt "$budget" ]; then
+        echo "LOC gate: $name is at $lines $what, under its budget of $budget — lower it to $lines in $BUDGET_FILE in this diff" >&2
+        status=1
+    fi
+}
 non_test_lines() {
     awk 'FNR == 1 { counting = 1 } /#\[cfg\(test\)\]/ { counting = 0 } counting { n++ } END { print n + 0 }' "$@"
 }
@@ -57,34 +74,26 @@ budget_total=0
 for crate in crates/*/; do
     crate=${crate%/}
     budget=$(awk -v c="$crate" '$1 == c { print $2 }' "$BUDGET_FILE")
-    if [ -z "$budget" ]; then
-        echo "LOC gate: $crate has no budget in $BUDGET_FILE — add its current count" >&2
-        status=1
-        continue
-    fi
+    mapfile -t files < <(scan | grep "^$crate/src/")
+    check_budget "$crate" "$(non_test_lines "${files[@]}")" "$budget" "non-test src lines"
+    [ -z "$budget" ] && continue
     budgeted=$((budgeted + 1))
     budget_total=$((budget_total + budget))
-    mapfile -t files < <(scan | grep "^$crate/src/")
-    lines=$(non_test_lines "${files[@]}")
-    if [ "$lines" -gt "$budget" ]; then
-        echo "LOC gate: $crate has $lines non-test src lines (budget $budget) — delete code, or raise the budget in $BUDGET_FILE in this diff" >&2
-        status=1
-    elif [ "$lines" -lt "$budget" ]; then
-        echo "LOC gate: $crate is at $lines non-test src lines, under its budget of $budget — lower it to $lines in $BUDGET_FILE in this diff" >&2
-        status=1
-    fi
 done
+docs_budget=$(awk '$1 == "markdown" { print $2 }' "$BUDGET_FILE")
+docs_lines=$(cat "${DOCS[@]}" | wc -l)
+check_budget markdown "$docs_lines" "$docs_budget" "lines in ${DOCS[*]}"
 
 # A budget row must name a live crate: a row that outlives its crate would
 # let the crate be regrown later without anyone setting its number.
 while read -r crate _; do
-    if [ ! -d "$crate" ]; then
+    if [ "$crate" != markdown ] && [ ! -d "$crate" ]; then
         echo "LOC gate: $BUDGET_FILE budgets $crate, which does not exist — delete the row" >&2
         status=1
     fi
 done < <(grep -v '^#' "$BUDGET_FILE")
 
 if [ "$status" -eq 0 ]; then
-    echo "LOC gate: $scanned crates/**/src/*.rs files within $MAX_LINES lines, $budgeted crates at budget, $budget_total budgeted non-test src lines in total"
+    echo "LOC gate: $scanned crates/**/src/*.rs files within $MAX_LINES lines, $budgeted crates at budget, $budget_total budgeted non-test src lines in total, $docs_lines markdown lines at budget"
 fi
 exit "$status"

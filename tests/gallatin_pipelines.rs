@@ -2,7 +2,7 @@
 //! whole blocks, and multi-segment allocations sharing one heap, plus
 //! segment reclamation and cross-class reuse.
 
-use gallatin::{Gallatin, GallatinConfig};
+use gallatin::{DevicePool, Gallatin, GallatinConfig};
 use gpu_sim::{launch, launch_warps, DeviceAllocator, DeviceConfig, DevicePtr, WarpCtx};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -141,6 +141,77 @@ fn small_heap_storm_replays_the_recorded_trajectory() {
             (rmw, cas, reclaims),
             "seed {seed}: the storm left its recorded trajectory"
         );
+    }
+}
+
+#[test]
+fn pool_storm_replays_the_recorded_trajectory() {
+    // The storm above through two routing levels, under the deterministic
+    // scheduler: a `DevicePool` of 2 devices × 3 instances (16 segments
+    // each), every warp two collective mallocs held across each other,
+    // then two collective frees. Each warp has idle lanes, one oversize
+    // lane and one 2-segment lane; SM 0's warps fill the rest with whole
+    // 16 KiB blocks, so their home instance overflows into its siblings
+    // and device 0 into device 1, while the other SMs draw blocks and
+    // slices of every class. The counts are what commit 3ce2129 measured:
+    // how a level hands a warp to its children must never move what the
+    // children do, so a routing change has to replay them to the atomic.
+    // A lane a leaf denies counts there as a failed malloc and tries the
+    // next child. (seed, summed over the six leaves [mallocs, frees,
+    // failed, atomic_rmw, cas_attempts], [in-device spills, cross-device
+    // spills, oversize denials])
+    for (seed, counts, routing) in [
+        (3u64, [1166, 861, 305, 630, 265], [132, 39, 32]),
+        (104, [1347, 833, 514, 609, 254], [116, 54, 32]),
+    ] {
+        let t = DevicePool::new(2, 3, GallatinConfig::small_test(1 << 20));
+        let oversize = t.stride() + 1;
+        let corrupt = AtomicU64::new(0);
+        launch_warps(DeviceConfig::with_sms(4).seeded(seed), 16 * 32, |warp| {
+            let size = |lane: usize| {
+                let tid = warp.base_tid + lane as u64;
+                match lane {
+                    _ if lane % 8 == 7 => None, // idle
+                    0 => Some(oversize),
+                    1 => Some(100 << 10), // 2 segments
+                    _ if warp.sm_id == 0 => Some(16 << 10),
+                    2..=8 => Some(1 << (10 + tid % 5)), // whole blocks, every class
+                    _ => Some(16 << (tid % 5)),         // slices, every class
+                }
+            };
+            let sizes: Vec<Option<u64>> = warp.lanes().map(size).collect();
+            let held: Vec<Vec<DevicePtr>> = (0..2)
+                .map(|_| {
+                    let mut out = vec![DevicePtr::NULL; sizes.len()];
+                    t.warp_malloc(warp, &sizes, &mut out);
+                    out
+                })
+                .collect();
+            for (round, out) in held.iter().enumerate() {
+                for (lane, &p) in out.iter().enumerate().filter(|(_, p)| !p.is_null()) {
+                    let stamp = (warp.base_tid + lane as u64) << 1 | round as u64;
+                    t.memory().write_stamp(p, stamp);
+                    if t.memory().read_stamp(p) != stamp {
+                        corrupt.fetch_add(1, Ordering::Relaxed);
+                    }
+                }
+            }
+            for out in &held {
+                t.warp_free(warp, out);
+            }
+        });
+        assert_eq!(corrupt.load(Ordering::Relaxed), 0, "seed {seed}");
+        assert_eq!(t.stats().reserved_bytes, 0, "seed {seed}");
+        t.check_invariants().unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        let leaves = (0..6).map(|k| t.pool(k / 3).instance(k % 3).metrics().unwrap().snapshot());
+        let m = leaves.fold([0u64; 5], |sum, m| {
+            let leaf = [m.mallocs, m.frees, m.failed_mallocs, m.atomic_rmw, m.cas_attempts];
+            std::array::from_fn(|k| sum[k] + leaf[k])
+        });
+        assert_eq!(m, counts, "seed {seed}: the storm left its recorded trajectory");
+        let s = t.topo_stats();
+        let denied = s.devices.iter().map(|d| d.oversize_denials).sum::<u64>();
+        assert_eq!([s.in_device_spills, s.cross_spills, denied], routing, "seed {seed}");
     }
 }
 
