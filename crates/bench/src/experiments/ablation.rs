@@ -28,10 +28,10 @@
 //!
 //! All workload constants are fixed (never scaled by [`HarnessConfig`])
 //! so the emitted counts are bit-identical across hosts; that is what
-//! lets `bench-smoke` diff them against a checked-in baseline with a
-//! tight tolerance.
+//! lets `bench-smoke` require them to equal a checked-in baseline byte
+//! for byte.
 
-use crate::report::{emit_bench_json, read_bench_json, BenchRecord, Table};
+use crate::report::{emit_bench_json, parse_bench_json, render_bench_json, BenchRecord, Table};
 use crate::HarnessConfig;
 use gallatin::{Gallatin, GallatinConfig};
 use gpu_sim::metrics::MetricsSnapshot;
@@ -65,11 +65,6 @@ pub(crate) const SWEEP_SIZE_BLOCK: u64 = 1024;
 /// per in-flight request (32 warps × 32 lanes = 1 MiB peak), so it gets
 /// twice the headroom of the slice case.
 const SWEEP_HEAP_BLOCK: u64 = 2 << 20; // 32 × 64 KiB segments
-
-/// Allowed relative growth of any gated counter before `bench-smoke`
-/// fails the build (the counts are deterministic, so this headroom only
-/// absorbs deliberate small reworks, not noise).
-const SMOKE_TOLERANCE: f64 = 0.10;
 
 /// The churn allocator configuration at `size`: hashed probe starts on
 /// the small_test geometry, with the block-churn headroom above the
@@ -317,99 +312,68 @@ pub fn run_ablation(cfg: &HarnessConfig) {
     );
 }
 
-/// Build the smoke-subset record set (the 8-seed prefix of the full
-/// sweep, plus the 2-instance pool churn from E18). Shared by
-/// `repro bench-smoke` and the tier-1 `smoke_gate` integration test, so
-/// a count regression fails `cargo test` locally, not only the CI gate.
-pub fn smoke_records() -> Vec<BenchRecord> {
-    let mut recs = records("bench_smoke", SWEEP_SEEDS_SMOKE);
-    recs.push(super::pool::smoke_record());
-    recs
-}
-
-/// Diff `current` smoke counts against `baseline`, applying the gate
-/// rules (any counter more than 10% over baseline fails; missing
-/// baseline records or counters fail). Returns `(failures, notes)`:
-/// empty `failures` means the gate passes, `notes` list improvements
-/// worth folding into a refreshed baseline.
-pub fn smoke_gate(current: &[BenchRecord], baseline: &[BenchRecord]) -> (Vec<String>, Vec<String>) {
-    let mut failures = Vec::new();
-    let mut notes = Vec::new();
-    for cur in current {
-        let Some(base) = baseline.iter().find(|b| b.key() == cur.key()) else {
-            failures.push(format!(
-                "baseline has no record {} — refresh results/BENCH_bench_smoke.json",
-                cur.key()
-            ));
-            continue;
-        };
-        for (name, cur_v) in &cur.counts {
-            let Some(base_v) = base.get_count(name) else {
-                failures.push(format!("baseline {} lacks counter {name} — refresh it", cur.key()));
-                continue;
-            };
-            let limit = (base_v as f64 * (1.0 + SMOKE_TOLERANCE)).ceil() as u64;
-            if *cur_v > limit {
-                failures.push(format!(
-                    "REGRESSION {} {name}: {cur_v} > {base_v} (+{:.0}% allowed)",
-                    cur.key(),
-                    SMOKE_TOLERANCE * 100.0
-                ));
-            } else if *cur_v < base_v {
-                notes.push(format!(
-                    "improvement {} {name}: {cur_v} < {base_v} — consider refreshing the baseline",
-                    cur.key()
-                ));
-            }
-        }
+/// `Ok` when `current` renders to the committed document `committed`
+/// byte for byte; otherwise `Err` naming the `key()` of the first record
+/// that renders differently, or that only one side has.
+pub fn smoke_verdict(current: &[BenchRecord], committed: &str) -> Result<(), String> {
+    if render_bench_json("bench_smoke", current) == committed {
+        return Ok(());
     }
-    (failures, notes)
+    let baseline = parse_bench_json(committed)?;
+    let render =
+        |r: Option<&BenchRecord>| r.map(|r| render_bench_json("", std::slice::from_ref(r)));
+    let differs = |i: &usize| render(current.get(*i)) != render(baseline.get(*i));
+    Err(match (0..current.len().max(baseline.len())).find(differs) {
+        Some(i) => format!("record {} differs", current.get(i).or(baseline.get(i)).unwrap().key()),
+        None => "the document differs outside its records".to_string(),
+    })
 }
 
 /// Run the CI smoke subset and gate it against the checked-in baseline.
 ///
 /// Reads `results/BENCH_bench_smoke.json` (committed to the repo) before
 /// writing the current counts to `<out_dir>/BENCH_bench_smoke.json`, then
-/// fails — returns `false` — if any gated counter grew more than
-/// the smoke tolerance (10%) over baseline. Refreshing the baseline is just
-/// running `repro bench-smoke` with the default `--out results` and
-/// committing the rewritten file (see EXPERIMENTS.md).
+/// fails — returns `false` — unless the two are equal byte for byte.
+/// Refreshing the baseline is just running `repro bench-smoke` with the
+/// default `--out results` and committing the rewritten file (see
+/// EXPERIMENTS.md).
 pub fn run_bench_smoke(cfg: &HarnessConfig) -> bool {
-    let baseline_path = Path::new("results").join("BENCH_bench_smoke.json");
-    let baseline = read_bench_json(&baseline_path);
-    let recs = smoke_records();
+    let baseline = std::fs::read_to_string(Path::new("results").join("BENCH_bench_smoke.json"));
+    // The smoke subset: the 8-seed prefix of the full sweep, plus the
+    // 2-instance pool churn from E18.
+    let mut recs = records("bench_smoke", SWEEP_SEEDS_SMOKE);
+    recs.push(super::pool::smoke_record());
     emit(cfg, "bench_smoke", &recs);
-    let baseline = match baseline {
-        Ok(b) => b,
+    match baseline.map_err(|e| e.to_string()).and_then(|b| smoke_verdict(&recs, &b)) {
+        Ok(()) => {
+            println!("bench-smoke: every count equals results/BENCH_bench_smoke.json");
+            true
+        }
         Err(e) => {
             eprintln!(
-                "bench-smoke: no usable baseline ({e}); run `repro bench-smoke` with \
-                 --out results and commit results/BENCH_bench_smoke.json"
+                "bench-smoke: {e} from results/BENCH_bench_smoke.json; if on purpose, run \
+                 `repro bench-smoke` from the repo root and commit the rewritten file"
             );
-            return false;
+            false
         }
-    };
-    let (failures, notes) = smoke_gate(&recs, &baseline);
-    for n in &notes {
-        println!("bench-smoke: {n}");
-    }
-    for f in &failures {
-        eprintln!("bench-smoke: {f}");
-    }
-    if failures.is_empty() {
-        println!(
-            "bench-smoke: all atomic-op counts within {:.0}% of baseline",
-            SMOKE_TOLERANCE * 100.0
-        );
-        true
-    } else {
-        false
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_count_raised_by_one_fails_the_gate_naming_its_record() {
+        let rec = |case: &str| BenchRecord::new("bench_smoke", "Gallatin").case(case).count("n", 5);
+        let recs = [rec("a"), rec("b"), rec("c")];
+        let committed = render_bench_json("bench_smoke", &recs);
+        assert_eq!(smoke_verdict(&recs, &committed), Ok(()));
+        let mut raised = recs.clone();
+        raised[1].counts[0].1 += 1;
+        let err = smoke_verdict(&recs, &render_bench_json("bench_smoke", &raised)).unwrap_err();
+        assert_eq!(err, "record Gallatin[case=b] differs");
+    }
 
     #[test]
     fn group_cost_is_o1_and_deterministic() {

@@ -119,8 +119,8 @@ fn width_records(experiment: &str, n: usize, seeds: u64) -> (BenchRecord, Vec<Be
 }
 
 /// The smoke-gate slice of E18: the 2-instance aggregate row at the
-/// smoke seed width, appended to `smoke_records()` so a pool-path count
-/// regression fails the same gate as the single-instance sweeps.
+/// smoke seed width, one of the `bench-smoke` records, so a pool-path
+/// count regression fails the same gate as the single-instance sweeps.
 pub fn smoke_record() -> BenchRecord {
     width_records("bench_smoke", 2, SWEEP_SEEDS_SMOKE).0
 }

@@ -152,8 +152,8 @@ impl BenchRecord {
         self.params.iter().find(|(k, _)| k == key).map(|(_, v)| v.as_str())
     }
 
-    /// The key the smoke gate matches records on: allocator plus the
-    /// rendered parameter list.
+    /// The key the smoke gate names a differing record by: allocator plus
+    /// the rendered parameter list.
     pub fn key(&self) -> String {
         let params: Vec<String> = self.params.iter().map(|(k, v)| format!("{k}={v}")).collect();
         format!("{}[{}]", self.allocator, params.join(","))
@@ -273,13 +273,15 @@ pub fn record_from_json(r: &json::Value) -> Result<BenchRecord, String> {
 /// Read a `BENCH_<experiment>.json` file back into records.
 pub fn read_bench_json(path: &Path) -> Result<Vec<BenchRecord>, String> {
     let text = fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    let doc = json::parse(&text).map_err(|e| format!("{}: {e}", path.display()))?;
-    let records = doc
-        .get("records")
-        .and_then(json::Value::as_array)
-        .ok_or_else(|| format!("{}: no \"records\" array", path.display()))?;
-    let decode =
-        |(i, r)| record_from_json(r).map_err(|e| format!("{}: record {i}: {e}", path.display()));
+    parse_bench_json(&text).map_err(|e| format!("{}: {e}", path.display()))
+}
+
+/// Decode a `BENCH_<experiment>.json` document into records.
+pub fn parse_bench_json(text: &str) -> Result<Vec<BenchRecord>, String> {
+    let doc = json::parse(text)?;
+    let records =
+        doc.get("records").and_then(json::Value::as_array).ok_or("no \"records\" array")?;
+    let decode = |(i, r)| record_from_json(r).map_err(|e| format!("record {i}: {e}"));
     records.iter().enumerate().map(decode).collect()
 }
 

@@ -16,14 +16,6 @@ pub fn roster_names() -> Vec<&'static str> {
     std::iter::once("Gallatin").chain(allocators::baseline_names()).collect()
 }
 
-/// The full roster, resident all at once, in [`roster_names`] order.
-pub fn full_roster(heap_bytes: u64, num_sms: u32) -> Vec<Arc<dyn DeviceAllocator>> {
-    roster_names()
-        .into_iter()
-        .map(|name| build_by_name(name, heap_bytes, num_sms).expect("a listed roster name"))
-        .collect()
-}
-
 /// Iterate the roster **one allocator at a time**: each is constructed,
 /// passed to `f`, and dropped (unmapping its arena) before the next is
 /// built. The timing experiments use this instead of holding the whole
@@ -41,8 +33,8 @@ pub fn for_each_allocator(
     }
 }
 
-/// The roster for the graph *expansion* test: identical to
-/// [`full_roster`], except the Ouroboros variants carry a CUDA-heap
+/// The roster for the graph *expansion* test: every [`roster_names`]
+/// allocator, except the Ouroboros variants carry a CUDA-heap
 /// reserve scaled the way the paper describes deployed allocators
 /// (≈50 MB beside an 8 GB benchmark heap, i.e. under 1% — `heap/256`
 /// here). With the default quarter-heap reserve the scaled-down workload
@@ -81,23 +73,21 @@ pub fn build_by_name(
 }
 
 /// A reduced roster for quick runs: Gallatin plus one representative of
-/// each design family.
+/// each design family, in [`roster_names`] order.
 pub fn quick_roster(heap_bytes: u64, num_sms: u32) -> Vec<Arc<dyn DeviceAllocator>> {
-    full_roster(heap_bytes, num_sms)
+    let names = [
+        "Gallatin",
+        "CUDA",
+        "Ouroboros-C-S",
+        "Ouroboros-P-VA",
+        "RegEff-AW",
+        "RegEff-CFM",
+        "ScatterAlloc",
+        "XMalloc",
+    ];
+    names
         .into_iter()
-        .filter(|a| {
-            matches!(
-                a.name(),
-                "Gallatin"
-                    | "CUDA"
-                    | "Ouroboros-P-VA"
-                    | "Ouroboros-C-S"
-                    | "RegEff-CFM"
-                    | "RegEff-AW"
-                    | "ScatterAlloc"
-                    | "XMalloc"
-            )
-        })
+        .map(|name| build_by_name(name, heap_bytes, num_sms).expect("a listed roster name"))
         .collect()
 }
 
@@ -105,9 +95,13 @@ pub fn quick_roster(heap_bytes: u64, num_sms: u32) -> Vec<Arc<dyn DeviceAllocato
 mod tests {
     use super::*;
 
+    fn build(name: &str) -> Arc<dyn DeviceAllocator> {
+        build_by_name(name, 64 << 20, 16).expect("a listed roster name")
+    }
+
     #[test]
     fn full_roster_has_gallatin_and_all_baselines() {
-        let r = full_roster(64 << 20, 16);
+        let r: Vec<_> = roster_names().into_iter().map(build).collect();
         assert_eq!(r.len(), 16);
         assert_eq!(r[0].name(), "Gallatin");
     }
@@ -116,8 +110,8 @@ mod tests {
     fn names_and_builds_share_one_order() {
         let names = roster_names();
         assert_eq!(names.len(), 16);
-        for (a, name) in full_roster(64 << 20, 16).iter().zip(&names) {
-            assert_eq!(a.name(), *name);
+        for name in &names {
+            assert_eq!(build(name).name(), *name);
         }
         let exp = expansion_roster(64 << 20, 16);
         assert_eq!(exp.iter().map(|a| a.name()).collect::<Vec<_>>(), names);
@@ -126,8 +120,11 @@ mod tests {
 
     #[test]
     fn quick_roster_is_a_subset() {
-        let q = quick_roster(64 << 20, 16);
+        let q: Vec<_> = quick_roster(64 << 20, 16).iter().map(|a| a.name().to_string()).collect();
         assert_eq!(q.len(), 8);
-        assert_eq!(q[0].name(), "Gallatin");
+        assert_eq!(q[0], "Gallatin");
+        let in_order: Vec<_> =
+            roster_names().into_iter().filter(|n| q.iter().any(|x| x == n)).collect();
+        assert_eq!(in_order, q, "quick_roster keeps roster order");
     }
 }

@@ -25,6 +25,7 @@
 //! sequence depends only on the seed.
 
 use super::tenant::TenantSpec;
+use gpu_sim::SplitMix64;
 
 /// Which inter-arrival process drives the open loop.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -109,42 +110,21 @@ pub struct Arrival {
     pub lifetime: u64,
 }
 
-/// SplitMix64, same constants as `gpu_sim::sched`'s private copy: the
-/// bench crate keeps its own so arrival randomness and schedule
-/// randomness stay independent streams even under the same seed.
-struct SplitMix64 {
-    state: u64,
+/// Uniform in [0, 1) with 53 bits of mantissa.
+fn u01(rng: &mut SplitMix64) -> f64 {
+    (rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64
 }
 
-impl SplitMix64 {
-    fn new(seed: u64) -> Self {
-        SplitMix64 { state: seed }
-    }
-
-    fn next(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform in [0, 1) with 53 bits of mantissa.
-    fn u01(&mut self) -> f64 {
-        (self.next() >> 11) as f64 / (1u64 << 53) as f64
-    }
-
-    /// Exponential with mean 1 (inverse-CDF; `1 - u` avoids ln(0)).
-    fn exp1(&mut self) -> f64 {
-        -(1.0 - self.u01()).ln()
-    }
+/// Exponential with mean 1 (inverse-CDF; `1 - u` avoids ln(0)).
+fn exp1(rng: &mut SplitMix64) -> f64 {
+    -(1.0 - u01(rng)).ln()
 }
 
 /// Draw a tenant index by weight.
 fn pick_tenant(rng: &mut SplitMix64, tenants: &[TenantSpec]) -> usize {
     let total: u64 = tenants.iter().map(|t| t.weight as u64).sum();
     debug_assert!(total > 0, "tenant weights must not all be zero");
-    let mut ticket = rng.next() % total;
+    let mut ticket = rng.next_u64() % total;
     for (i, t) in tenants.iter().enumerate() {
         if ticket < t.weight as u64 {
             return i;
@@ -162,7 +142,7 @@ fn pick_size(rng: &mut SplitMix64, t: &TenantSpec) -> u64 {
     }
     let lo = (t.size_min as f64).ln();
     let hi = (t.size_max as f64).ln();
-    let size = (lo + (hi - lo) * rng.u01()).exp().round() as u64;
+    let size = (lo + (hi - lo) * u01(rng)).exp().round() as u64;
     size.clamp(t.size_min, t.size_max)
 }
 
@@ -182,7 +162,7 @@ pub fn generate(cfg: &ArrivalConfig, tenants: &[TenantSpec]) -> Vec<Arrival> {
     let mut out = Vec::new();
     let mut t = 0.0f64;
     loop {
-        t += rng.exp1() / rate_max;
+        t += exp1(&mut rng) / rate_max;
         let step = t as u64;
         if step >= cfg.horizon_steps {
             break;
@@ -190,13 +170,13 @@ pub fn generate(cfg: &ArrivalConfig, tenants: &[TenantSpec]) -> Vec<Arrival> {
         // Thinning: accept with probability rate(t)/rate_max. The
         // rejected draws still consume rng state, keeping the stream
         // deterministic.
-        if rng.u01() * cfg.shape.factor_max() > cfg.shape.factor(step, cfg.horizon_steps) {
+        if u01(&mut rng) * cfg.shape.factor_max() > cfg.shape.factor(step, cfg.horizon_steps) {
             continue;
         }
         let tenant = pick_tenant(&mut rng, tenants);
         let spec = &tenants[tenant];
         let size = pick_size(&mut rng, spec);
-        let lifetime = (rng.exp1() * spec.mean_lifetime_steps as f64).round() as u64;
+        let lifetime = (exp1(&mut rng) * spec.mean_lifetime_steps as f64).round() as u64;
         out.push(Arrival { step, tenant, size, lifetime: lifetime.max(1) });
     }
     out

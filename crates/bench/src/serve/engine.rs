@@ -22,7 +22,7 @@ use super::tenant::{Rejection, TenantBook, TenantSpec, N_REJECTIONS};
 use crate::workload::runner;
 use gpu_sim::ledger::Ledger;
 use gpu_sim::trace::{self, TraceSink};
-use gpu_sim::{DeviceAllocator, DeviceConfig};
+use gpu_sim::{DeviceAllocator, DeviceConfig, SplitMix64};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::sync::Arc;
@@ -209,16 +209,6 @@ impl ServeOutcome {
     }
 }
 
-/// SplitMix64 step, used to derive one independent schedule seed per
-/// batch from `ServeConfig::sched_seed`.
-fn next_seed(chain: &mut u64) -> u64 {
-    *chain = chain.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *chain;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// A served allocation waiting for its free, keyed by due step in the
 /// drain heap.
 type DueFree = Reverse<(u64, u64, usize, u64)>; // (due_step, ptr, tenant, size)
@@ -276,7 +266,8 @@ fn drive(
     let n_tenants = cfg.tenants.len();
     let overhead = cfg.launch_overhead_steps.max(1);
     let base_device = DeviceConfig::with_sms(cfg.num_sms);
-    let mut seed_chain = cfg.sched_seed;
+    // One independent schedule seed per batch.
+    let mut batch_seeds = SplitMix64::new(cfg.sched_seed);
 
     let mut now = 0u64; // the step clock
     let mut next_arrival = 0usize;
@@ -362,7 +353,7 @@ fn drive(
         batches += 1;
         sizes.clear();
         sizes.extend(queue.iter().take(take).map(|&i| arrivals[i].size));
-        let device = base_device.seeded(next_seed(&mut seed_chain));
+        let device = base_device.seeded(batch_seeds.next_u64());
         let steps = runner::run_batch_into(alloc, device, &sizes, &free_ptrs, &mut results);
         sched_steps += steps;
         let completion = now + overhead + steps;

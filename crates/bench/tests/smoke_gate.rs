@@ -1,6 +1,6 @@
 //! Tier-1 promotion of the E16 bench-smoke gate: regenerate the
-//! deterministic atomic-op counts for the smoke seed subset and diff
-//! them against the committed baseline in
+//! deterministic atomic-op counts for the smoke seed subset and require
+//! them to equal the committed baseline in
 //! `results/BENCH_bench_smoke.json`, inside `cargo test` instead of a
 //! separate `repro bench-smoke` invocation.
 //!
@@ -14,17 +14,19 @@
 //! acceptance criterion pins down: dormant tracing must add ZERO atomic
 //! ops to the baseline counts.
 
-use bench::experiments::ablation::{smoke_gate, smoke_records};
-use bench::experiments::{run_elastic, run_serve};
-use bench::report::{read_bench_json, render_bench_json};
+use bench::experiments::{run_bench_smoke, run_elastic, run_serve};
 use bench::HarnessConfig;
 use std::path::Path;
 
-/// Run `experiment` as the binary does, into a scratch directory, and
-/// require each of `files` to be the checked-in `results/` copy, byte for
-/// byte. A drift is a schedule or a count that moved.
+/// Run `experiment` as the binary does, from the repo root into a scratch
+/// directory, and require each of `files` to be the checked-in `results/`
+/// copy, byte for byte. A drift is a schedule or a count that moved.
 fn assert_reproduces_results(name: &str, experiment: fn(&HarnessConfig) -> bool, files: [&str; 2]) {
-    let results = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    // `bench-smoke` reads its baseline from `results/` under the working
+    // directory; every test here sets the same one.
+    std::env::set_current_dir(&root).expect("enter the repo root");
+    let results = root.join("results");
     let out = std::env::temp_dir().join(format!("gallatin-{name}-gate-{}", std::process::id()));
     let cfg = HarnessConfig { out_dir: out.to_string_lossy().into_owned(), ..Default::default() };
     assert!(experiment(&cfg), "repro {name}'s own gate failed");
@@ -42,34 +44,8 @@ fn assert_reproduces_results(name: &str, experiment: fn(&HarnessConfig) -> bool,
 
 #[test]
 fn bench_smoke_counts_match_committed_baseline() {
-    let baseline_path =
-        Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results/BENCH_bench_smoke.json");
-    let baseline = read_bench_json(&baseline_path)
-        .unwrap_or_else(|e| panic!("cannot read {}: {e}", baseline_path.display()));
-    let current = smoke_records();
-    let (failures, notes) = smoke_gate(&current, &baseline);
-    for note in &notes {
-        eprintln!("note: {note}");
-    }
-    assert!(
-        failures.is_empty(),
-        "E16 smoke gate failed:\n  {}\n\
-         If a count grew on purpose, refresh the baseline with\n  \
-         cargo run --release -p bench --bin repro -- bench-smoke --json\n\
-         and commit results/BENCH_bench_smoke.json. To inspect the\n\
-         interleaving behind a count, capture it with\n  \
-         GALLATIN_SCHED_SEED=<seed> cargo run -p bench --bin repro -- trace",
-        failures.join("\n  ")
-    );
-    // Golden: beyond the gate's 10% tolerance on counts, the rendered
-    // document — record order, param and count key order (and so every
-    // `key()` string), exact counts — is the committed baseline's.
-    let committed = std::fs::read_to_string(&baseline_path).expect("read above");
-    assert_eq!(
-        render_bench_json("bench_smoke", &current),
-        committed,
-        "bench-smoke records drifted from results/BENCH_bench_smoke.json"
-    );
+    let files = ["BENCH_bench_smoke.json", "e16_bench_smoke.csv"];
+    assert_reproduces_results("bench-smoke", run_bench_smoke, files);
 }
 
 #[test]

@@ -43,12 +43,13 @@
 //! adopt-before-spill, which prefers adopting returned headroom over
 //! spilling to a sibling).
 
+use crate::buffer::BlockBuffer;
 use crate::gallatin::Gallatin;
 use crate::router::{Arena, Level, Router, UNOWNED};
-use crate::tiers::{BlockTier, SegmentTier, SliceTier};
 use gpu_sim::{trace, DevicePtr, LaneMask, Metrics, Striped};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
+use veb::VebTree;
 
 /// The leaf of every routing hierarchy: it serves the lane masks the
 /// routers hand down, owns a span of the shared table's universe, and a
@@ -70,14 +71,19 @@ impl Level for Gallatin {
             geo.heap_bytes
         );
         assert!(first_seg + num_segs <= geo.num_segments, "owned span exceeds the universe");
-        let segments = SegmentTier::with_span(geo.num_segments, first_seg, num_segs);
-        let blocks = BlockTier::new(&cfg, geo.num_segments, geo.num_classes);
+        // Every instance's trees span the whole universe, so an adopted
+        // segment is insertable anywhere; the segment tree starts with
+        // only the owned span free.
+        let segments = VebTree::new(geo.num_segments);
+        segments.insert_range(first_seg, num_segs);
+        let block_trees = (0..geo.num_classes).map(|_| VebTree::new(geo.num_segments)).collect();
+        let slots = |c| BlockBuffer::slots_for_class(cfg.num_sms, c, cfg.min_buffer_slots);
         Gallatin {
             geo,
             mem,
             segments,
-            blocks,
-            slices: SliceTier,
+            block_trees,
+            buffers: (0..geo.num_classes).map(|c| BlockBuffer::new(slots(c))).collect(),
             table: Arc::clone(&arena.table),
             metrics: Metrics::new(),
             randomize_probes: cfg.randomize_probe_starts,
@@ -140,12 +146,12 @@ impl Level for Gallatin {
     /// Drain the buffer wavefront, restore the segment tree to the
     /// instance's *initial* span, clear the block trees and counters.
     fn reset_local(&self) {
-        for b in &self.blocks.buffers {
+        for b in &self.buffers {
             b.drain();
         }
-        self.segments.tree.clear();
-        self.segments.tree.insert_range(self.span.0, self.span.1);
-        for t in &self.blocks.trees {
+        self.segments.clear();
+        self.segments.insert_range(self.span.0, self.span.1);
+        for t in &self.block_trees {
             t.clear();
         }
         self.metrics.reset();
@@ -165,18 +171,18 @@ impl Level for Gallatin {
     /// Once the bit is claimed, no malloc on this instance can reach the
     /// segment.
     fn withdraw(&self) -> Option<u64> {
-        self.segments.tree.claim_first_ge(0)
+        self.segments.claim_first_ge(0)
     }
 
     fn restore(&self, seg: u64) {
-        self.segments.tree.insert(seg);
+        self.segments.insert(seg);
     }
 
     /// Inserting the bit is the publish — the very next malloc may claim
     /// and format the segment. The caller must already have routed it
     /// here.
     fn accept(&self, seg: u64, _nth: u64) {
-        self.segments.tree.insert(seg);
+        self.segments.insert(seg);
     }
 }
 

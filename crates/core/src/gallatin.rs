@@ -1,16 +1,18 @@
-//! The Gallatin allocator: a thin composition of the three tier modules.
+//! The Gallatin allocator: its state, size routing and the warp-collective
+//! entry points; each tier's protocol is an `impl Gallatin` block in
+//! [`crate::tiers`].
 //!
 //! Allocation routes by size (paper Figure 3, smallest pipeline first):
 //!
 //! * `size ≤ max_slice` (4096 B default) → **slice** pipeline
-//!   ([`crate::tiers::SliceTier`]): coalesce same-class requests in the
+//!   ([`crate::tiers::slice`]): coalesce same-class requests in the
 //!   warp, one batched claim on the cached block's malloc counter serves
 //!   the whole group (Algorithm 3);
 //! * `max_slice < size ≤ segment` → **block** pipeline
-//!   ([`crate::tiers::BlockTier`]): pop whole blocks of the smallest
+//!   ([`crate::tiers::block`]): pop whole blocks of the smallest
 //!   sufficient class, a warp's group one ring ticket a run (Algorithm 2);
 //! * `size > segment` → **segment** pipeline
-//!   ([`crate::tiers::SegmentTier`]): claim contiguous segments from the
+//!   ([`crate::tiers::segment`]): claim contiguous segments from the
 //!   *back* of the segment tree (Algorithm 1's multi-segment branch).
 //!
 //! Frees invert the mapping from the pointer offset alone (Algorithm 4):
@@ -18,31 +20,32 @@
 //! then route to the slice, block, or segment return path. Group order in
 //! a warp: slice classes, block classes, multi-segment lanes on a malloc;
 //! multi-segment lanes, whole-block runs, slice groups on a free.
-//!
-//! This file owns only the glue: size routing, the warp-collective entry
-//! points, and the shared state ([`TierCtx`]) the tiers borrow per call.
-//! The protocols live in [`crate::tiers`].
 
+use crate::buffer::BlockBuffer;
 use crate::config::{GallatinConfig, Geometry};
 use crate::router::{Arena, Level};
 use crate::table::{BlockHandle, MemoryTable, LARGE_BASE, LARGE_BODY, TREE_FREE};
-use crate::tiers::{BlockTier, SegmentTier, SliceTier, TierCtx, RESERVED};
+use crate::tiers::RESERVED;
 use gpu_sim::{
     trace, AllocStats, DeviceAllocator, DeviceMemory, DevicePtr, LaneCtx, LaneMask, Metrics,
     Striped, WarpCtx, WARP_SIZE,
 };
 use std::sync::Arc;
+use veb::VebTree;
 
 /// The Gallatin GPU memory manager.
 pub struct Gallatin {
     pub(crate) geo: Geometry,
     pub(crate) mem: DeviceMemory,
-    /// Segment tree, claim/reclaim/trim (Algorithm 1).
-    pub(crate) segments: SegmentTier,
-    /// Per-class block trees and per-SM buffers (Algorithm 2).
-    pub(crate) blocks: BlockTier,
-    /// Generation-tagged claim words and coalesced claims (Algorithm 3).
-    pub(crate) slices: SliceTier,
+    /// One bit per free segment; allocations claim from the front,
+    /// multi-segment allocations from the back (Algorithm 1, §4.1).
+    pub(crate) segments: VebTree,
+    /// One tree per class; a set bit means "this segment is formatted for
+    /// the class and has blocks available" (Algorithm 2, §4.2).
+    pub(crate) block_trees: Vec<VebTree>,
+    /// Per-class, per-SM cached blocks the slice pipeline claims from
+    /// (Algorithm 3, §4.3).
+    pub(crate) buffers: Vec<BlockBuffer>,
     /// Shared in pool mode: every instance under a [`crate::Router`]
     /// holds the same table so a donated segment's metadata travels with
     /// it (see `crate::elastic`).
@@ -101,18 +104,6 @@ impl Gallatin {
         Level::build(&[], &Arena::new(cfg, mem), 0, geo.num_segments)
     }
 
-    /// The borrowed view of shared state every tier call operates through.
-    #[inline]
-    fn ctx(&self) -> TierCtx<'_> {
-        TierCtx {
-            geo: &self.geo,
-            table: &self.table,
-            metrics: &self.metrics,
-            reserved: &self.reserved,
-            randomize_probes: self.randomize_probes,
-        }
-    }
-
     /// The derived geometry.
     pub fn geometry(&self) -> &Geometry {
         &self.geo
@@ -120,7 +111,7 @@ impl Gallatin {
 
     /// Number of segments currently free (diagnostics / tests).
     pub fn free_segments(&self) -> u64 {
-        self.segments.tree.count()
+        self.segments.count()
     }
 
     /// Bytes reserved by live allocations, saturated against wrap.
@@ -150,14 +141,6 @@ impl Gallatin {
         &self.table
     }
 
-    /// Release the block-buffer *wavefront*; see
-    /// `SegmentTier::trim` for the protocol and the §6.11 motivation.
-    /// Must not run concurrently with allocation (host-side maintenance
-    /// point, like a stream synchronization on the GPU).
-    pub fn trim(&self) -> u64 {
-        self.segments.trim(&self.ctx(), &self.blocks)
-    }
-
     // ==================================================================
     // Invariant checking (host-side diagnostics)
     // ==================================================================
@@ -172,13 +155,11 @@ impl Gallatin {
     /// segment that still lingers in one of its trees — the footprint of
     /// a donation that skipped the quiesce handshake.
     pub(crate) fn structural_errors_where(&self, owned: &dyn Fn(u64) -> bool) -> Vec<String> {
-        let ctx = self.ctx();
         let mut errors: Vec<String> = Vec::new();
         // Invariant 4 first: collects each segment's cached blocks for
         // the per-block ownership accounting in the walk.
-        let buffered = self.blocks.check_buffers(&ctx, owned, &mut errors);
-        let computed_reserved =
-            self.segments.check(&ctx, &self.blocks, &buffered, owned, &mut errors);
+        let buffered = self.check_buffers(owned, &mut errors);
+        let computed_reserved = self.check_segments(&buffered, owned, &mut errors);
         // Invariant 5: the reserved counter matches the table. Checked on
         // the raw sum, not the saturating accessor — a wrapped value is
         // itself the violation being reported.
@@ -210,11 +191,9 @@ impl Gallatin {
     /// 5. the `reserved` counter equals the byte total implied by live
     ///    slices, whole blocks, and large allocations.
     ///
-    /// Each tier checks its own share: invariant 4 in
-    /// `BlockTier::check_buffers`, 1/2 and the segment walk in
-    /// `SegmentTier::check`, per-block ownership and the double-free
-    /// audit in `BlockTier::check_formatted` /
-    /// `SliceTier::check_block`.
+    /// Each tier checks its own share: invariant 4 in `check_buffers`,
+    /// 1/2 and the segment walk in `check_segments`, per-block ownership
+    /// and the double-free audit in `check_formatted` / `check_slices`.
     ///
     /// Like [`Gallatin::trim`], this must only run while the allocator is
     /// quiescent (a host-side maintenance point between kernels). All
@@ -232,7 +211,7 @@ impl Gallatin {
     /// block).
     fn large_malloc(&self, size: u64) -> DevicePtr {
         let n = self.geo.segments_for(size);
-        match self.segments.claim_back(&self.ctx(), n) {
+        match self.claim_back(n) {
             Some(start) => {
                 self.reserved.add(RESERVED, n * self.geo.segment_bytes);
                 let off = start * self.geo.segment_bytes;
@@ -259,8 +238,8 @@ impl Gallatin {
 
     /// Serve `lanes`, all of [`Self::group_of`]'s `group`, through `assign`;
     /// returns the lanes served, the group's lowest. A slice group is
-    /// [`SliceTier::malloc_group`]'s; a block group (mid-size requests) takes
-    /// one whole block a lane: per run [`BlockTier::get_many`] returns — one
+    /// [`Self::malloc_slices`]'s; a block group (mid-size requests) takes
+    /// one whole block a lane: per run [`Self::get_many`] returns — one
     /// ring ticket — one `fetch_or` per bitmap word and one `reserved.add`.
     pub(crate) fn malloc_group(
         &self,
@@ -269,9 +248,8 @@ impl Gallatin {
         lanes: LaneMask,
         mut assign: impl FnMut(usize, DevicePtr),
     ) -> usize {
-        let (ctx, blocks, segments) = (self.ctx(), &self.blocks, &self.segments);
         if group < self.geo.num_classes {
-            return self.slices.malloc_group(&ctx, sm_id, group, lanes, assign, blocks, segments);
+            return self.malloc_slices(sm_id, group, lanes, assign);
         }
         let class = group - self.geo.slices_per_block.trailing_zeros() as usize;
         let size = self.geo.block_size(class);
@@ -279,7 +257,7 @@ impl Gallatin {
         let mut run = [0u64; WARP_SIZE];
         while !left.is_empty() {
             let want = &mut run[..left.count()];
-            let Some((seg, n)) = blocks.get_many(&ctx, class, sm_id, segments, want) else {
+            let Some((seg, n)) = self.get_many(class, sm_id, want) else {
                 break; // heap exhausted for this class
             };
             self.table.seg(seg).set_whole_blocks(&run[..n]);
@@ -346,7 +324,7 @@ impl Gallatin {
                 Some(n) => {
                     freed(n * self.geo.segment_bytes);
                     self.reserved.sub(RESERVED, n * self.geo.segment_bytes);
-                    self.segments.tree.insert_range(seg, n);
+                    self.segments.insert_range(seg, n);
                 }
                 // Raced large free: the run length is gone, size unknown.
                 None => freed(0),
@@ -363,13 +341,13 @@ impl Gallatin {
     /// `release`, lane by lane. Then whole-block lanes ballot by segment,
     /// leaders ascending: one `fetch_and` per bitmap word clears a run, the
     /// lanes that won their bit share one `reserved.sub` and one
-    /// [`BlockTier::free_many`] — one ring ticket — and a lane that lost (a
+    /// [`Self::free_many`] — one ring ticket — and a lane that lost (a
     /// block named twice, a double free) takes the slice route, as a lane
     /// loop would. Last, slice lanes ballot by block (paper §6.5).
     pub(crate) fn free_stamped(&self, live: LaneMask, ptrs: &[DevicePtr], stamp: Option<u32>) {
         self.metrics.count_frees(live.count() as u64);
         let stamp = |lane: usize| stamp.unwrap_or(lane as u32);
-        let (ctx, max_blocks) = (self.ctx(), self.geo.max_blocks);
+        let max_blocks = self.geo.max_blocks;
         // Block handle and class of each block or slice lane.
         let (mut handles, mut classes) = ([0u64; WARP_SIZE], [0u8; WARP_SIZE]);
         let (mut wholes, mut slices) = (LaneMask::EMPTY, LaneMask::EMPTY);
@@ -398,7 +376,7 @@ impl Gallatin {
             }
             if !won.is_empty() {
                 self.reserved.sub(RESERVED, won.count() as u64 * self.geo.block_size(class));
-                self.blocks.free_many(&ctx, seg, &run[..won.count()], class, &self.segments);
+                self.free_many(seg, &run[..won.count()], class);
             }
             for lane in group.without(won) {
                 freed(lane, self.geo.slice_size(class));
@@ -410,7 +388,7 @@ impl Gallatin {
             slices = slices.without(group);
             let (seg, block) = (handles[leader] / max_blocks, handles[leader] % max_blocks);
             let (class, n) = (classes[leader] as usize, group.count() as u32);
-            self.slices.free_n(&ctx, seg, class, block, n, &self.blocks, &self.segments);
+            self.free_slices(seg, class, block, n);
         }
     }
 
@@ -652,9 +630,9 @@ mod tests {
             // A stale bit (class 1's, on class 0's segment, whose 63 home
             // blocks pass for "full") is dropped by `try_reclaim`, not obeyed.
             let seg = g.geo.segment_of(block.0);
-            g.blocks.trees[1].insert(seg);
-            g.segments.try_reclaim(&g.ctx(), seg, 1, 63, &g.blocks);
-            assert!(!g.blocks.trees[1].contains(seg) && g.table.seg(seg).ldcv_tree_id() == 0);
+            g.block_trees[1].insert(seg);
+            g.try_reclaim(seg, 1, 63);
+            assert!(!g.block_trees[1].contains(seg) && g.table.seg(seg).ldcv_tree_id() == 0);
             for &p in &slices {
                 g.free(l, p);
             }

@@ -7,109 +7,73 @@
 //! made findable before it is reclaimed — and the hot wavefront is cached
 //! per SM in [`crate::buffer::BlockBuffer`] slots for the slice tier.
 
-use super::{seed_diag, segment::SegmentTier, slice::SliceTier, TierCtx};
-use crate::buffer::BlockBuffer;
-use crate::config::GallatinConfig;
-use crate::table::{BlockHandle, SegmentMeta, DRAIN_SPIN_LIMIT};
+use super::seed_diag;
+use crate::gallatin::Gallatin;
+use crate::table::{SegmentMeta, DRAIN_SPIN_LIMIT};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::Ordering;
-use veb::VebTree;
 
-/// The block tier: per-class availability trees plus the per-SM buffer
-/// wavefront.
-pub(crate) struct BlockTier {
-    /// One tree per slice class; a set bit means "this segment is
-    /// formatted for the class and has blocks available" (§4.2).
-    pub trees: Vec<VebTree>,
-    /// Per-class, per-SM cached blocks the slice pipeline claims from.
-    pub buffers: Vec<BlockBuffer>,
-}
-
-impl BlockTier {
-    /// Empty trees and sized buffers for every slice class.
-    pub fn new(cfg: &GallatinConfig, num_segments: u64, num_classes: usize) -> Self {
-        let trees = (0..num_classes).map(|_| VebTree::new(num_segments)).collect();
-        let buffers = (0..num_classes)
-            .map(|c| {
-                BlockBuffer::new(BlockBuffer::slots_for_class(cfg.num_sms, c, cfg.min_buffer_slots))
-            })
-            .collect();
-        BlockTier { trees, buffers }
-    }
-
+/// The block tier: `Gallatin::block_trees`, the segments' rings and the
+/// per-SM buffer wavefront `Gallatin::buffers`.
+impl Gallatin {
     /// Pop a run of up to `out.len()` blocks of `class` from **one**
     /// formatted segment (probing the block tree from `sm_id`'s start
     /// hint) — one ring ticket, one staleness check — pulling a new
     /// segment from the segment tree when none has blocks available.
     /// Returns the segment and the run's length.
-    pub fn get_many(
+    pub(crate) fn get_many(
         &self,
-        ctx: &TierCtx,
         class: usize,
         sm_id: u32,
-        segments: &SegmentTier,
         out: &mut [u64],
     ) -> Option<(u64, usize)> {
-        let hint = ctx.probe_hint(sm_id, ctx.geo.num_segments);
+        let hint = self.probe_hint(sm_id, self.geo.num_segments);
         loop {
-            let Some(seg) = self.trees[class].find_first_from(hint) else {
+            let Some(seg) = self.block_trees[class].find_first_from(hint) else {
                 // No formatted segment with availability; grab a new one.
-                if !segments.provide(ctx, class, sm_id, self) {
+                if !self.provide(class, sm_id) {
                     // One more scan: a concurrent thread may have attached
                     // a segment between our search and the failed claim.
-                    self.trees[class].find_first_from(hint)?;
+                    self.block_trees[class].find_first_from(hint)?;
                 }
                 continue;
             };
-            let meta = ctx.table.seg(seg);
+            let meta = self.table.seg(seg);
             let n = meta.ring.pop_many(out);
             if n == 0 {
                 // Ring empty: deactivate the segment so searches skip it.
-                self.deactivate(ctx, meta, class, seg);
+                self.deactivate(meta, class, seg);
                 continue;
             }
-            ctx.metrics.count_rmw();
+            self.metrics.count_rmw();
             // Algorithm 2's staleness check: the segment may have been
             // reclaimed and reformatted since we found it.
             if meta.ldcv_tree_id() != class as u32 {
                 // Route the run home whole (the straggler bounce the
                 // reclaim protocol's drain waits for) and retry elsewhere.
-                self.push_home_many(ctx, meta, seg, &out[..n]);
-                ctx.metrics.count_straggler_bounce();
-                ctx.metrics.count_cas(false);
+                self.push_home_many(meta, seg, &out[..n]);
+                self.metrics.count_straggler_bounce();
+                self.metrics.count_cas(false);
                 // A reclaimer holds the bit while it runs, so this is a
                 // no-op in the reclaim race; a bit that outlived the
                 // segment's time in this class (a `free_many` re-insert
                 // racing reclaim + reformat) must go, or the next probe
                 // finds the same segment and bounces again, forever.
-                self.deactivate(ctx, meta, class, seg);
+                self.deactivate(meta, class, seg);
                 continue;
             }
             return Some((seg, n));
         }
     }
 
-    /// Pop one block of `class`: the 1-length [`Self::get_many`].
-    pub fn get(
-        &self,
-        ctx: &TierCtx,
-        class: usize,
-        sm_id: u32,
-        segments: &SegmentTier,
-    ) -> Option<BlockHandle> {
-        let mut block = [0];
-        let (seg, _) = self.get_many(ctx, class, sm_id, segments, &mut block)?;
-        Some(BlockHandle::new(seg, block[0], ctx.geo.max_blocks))
-    }
-
     /// Take `seg` out of `class`'s tree so searches skip it, then repair
     /// the race where a free landed in between: a segment that still is
     /// `class`'s and has blocks home goes straight back.
-    fn deactivate(&self, ctx: &TierCtx, meta: &SegmentMeta, class: usize, seg: u64) {
-        if self.trees[class].claim_exact(seg) {
-            ctx.metrics.count_cas(true);
+    fn deactivate(&self, meta: &SegmentMeta, class: usize, seg: u64) {
+        if self.block_trees[class].claim_exact(seg) {
+            self.metrics.count_cas(true);
             if !meta.ring.is_empty() && meta.ldcv_tree_id() == class as u32 {
-                self.trees[class].insert(seg);
+                self.block_trees[class].insert(seg);
             }
         }
     }
@@ -121,7 +85,7 @@ impl BlockTier {
     /// bounded — a push that can never land means a block was duplicated
     /// or the ring was torn, so after [`DRAIN_SPIN_LIMIT`] spins this
     /// panics with replay diagnostics instead of hanging silently.
-    pub fn push_home_many(&self, ctx: &TierCtx, meta: &SegmentMeta, seg: u64, mut blocks: &[u64]) {
+    fn push_home_many(&self, meta: &SegmentMeta, seg: u64, mut blocks: &[u64]) {
         let mut spins = 0u64;
         while let Some(&block) = blocks.first() {
             let pushed = meta.ring.push_many(blocks);
@@ -141,7 +105,7 @@ impl BlockTier {
                 );
             }
         }
-        ctx.metrics.count_rmw();
+        self.metrics.count_rmw();
     }
 
     /// Return a run of `seg`'s blocks to its ring and restore the
@@ -151,39 +115,20 @@ impl BlockTier {
     /// run that brings the last blocks home (every free, when the block
     /// *is* the segment) would find `try_reclaim`'s `claim_exact` failing
     /// and leave the segment full, formatted and in no tree.
-    pub fn free_many(
-        &self,
-        ctx: &TierCtx,
-        seg: u64,
-        blocks: &[u64],
-        class: usize,
-        segments: &SegmentTier,
-    ) {
-        let meta = ctx.table.seg(seg);
-        self.push_home_many(ctx, meta, seg, blocks);
+    pub(crate) fn free_many(&self, seg: u64, blocks: &[u64], class: usize) {
+        let meta = self.table.seg(seg);
+        self.push_home_many(meta, seg, blocks);
         // Idempotent set-bit — unless the segment was reclaimed and
         // reformatted while this warp sat at `push_home_many`'s preemption
         // points: a bit in the old class's tree would send `get_many`
         // popping another class's blocks.
         if meta.ldcv_tree_id() == class as u32 {
-            self.trees[class].insert(seg);
+            self.block_trees[class].insert(seg);
         }
-        let nblocks = ctx.geo.blocks_per_segment(class);
+        let nblocks = self.geo.blocks_per_segment(class);
         if meta.ring.len() == nblocks {
-            segments.try_reclaim(ctx, seg, class, nblocks, self);
+            self.try_reclaim(seg, class, nblocks);
         }
-    }
-
-    /// Return one block: the 1-length [`Self::free_many`].
-    pub fn free_block(
-        &self,
-        ctx: &TierCtx,
-        handle: BlockHandle,
-        class: usize,
-        segments: &SegmentTier,
-    ) {
-        let (seg, block) = (handle.segment(ctx.geo.max_blocks), handle.block(ctx.geo.max_blocks));
-        self.free_many(ctx, seg, &[block], class, segments);
     }
 
     /// The buffer share of the invariant check (invariant 4: every
@@ -194,13 +139,12 @@ impl BlockTier {
     /// mapping). A buffered block of a segment the instance does not
     /// own (per `owned`) is an error: a segment must be fully drained —
     /// wavefront included — before it can be donated away.
-    pub fn check_buffers(
+    pub(crate) fn check_buffers(
         &self,
-        ctx: &TierCtx,
         owned: &dyn Fn(u64) -> bool,
         errors: &mut Vec<String>,
     ) -> HashMap<u64, HashSet<u64>> {
-        let geo = ctx.geo;
+        let geo = &self.geo;
         let mut buffered: HashMap<u64, HashSet<u64>> = HashMap::new();
         for (class, buffer) in self.buffers.iter().enumerate() {
             for i in 0..buffer.num_slots() {
@@ -219,7 +163,7 @@ impl BlockTier {
                          {seg}, which this instance does not own"
                     ));
                 }
-                let id = ctx.table.seg(seg).ldcv_tree_id();
+                let id = self.table.seg(seg).ldcv_tree_id();
                 if id != class as u32 {
                     errors.push(format!(
                         "buffer[class {class}] slot {i} caches block {block} of segment \
@@ -239,17 +183,16 @@ impl BlockTier {
     /// — waiting in the ring, handed out wholesale, cached in a per-SM
     /// buffer, or carrying live slices). Returns the segment's
     /// reserved-byte contribution; live-slice accounting delegates to
-    /// [`SliceTier::check_block`].
-    pub fn check_formatted(
+    /// `check_slices`.
+    pub(crate) fn check_formatted(
         &self,
-        ctx: &TierCtx,
         seg: u64,
         class: usize,
         cached_set: &HashSet<u64>,
         errors: &mut Vec<String>,
     ) -> u64 {
-        let geo = ctx.geo;
-        let meta = ctx.table.seg(seg);
+        let geo = &self.geo;
+        let meta = self.table.seg(seg);
         let nblocks = geo.blocks_per_segment(class);
         let cur = meta.cur_blocks.load(Ordering::Acquire) as u64;
         if cur != nblocks {
@@ -291,7 +234,7 @@ impl BlockTier {
         }
         let mut reserved = 0u64;
         for b in 0..nblocks {
-            let Some(live) = SliceTier::check_block(ctx, seg, b, errors) else { continue };
+            let Some(live) = self.check_slices(seg, b, errors) else { continue };
             let whole = meta.is_whole_block(b);
             let ringed = in_ring[b as usize];
             let cached = cached_set.contains(&b);
@@ -359,13 +302,13 @@ mod tests {
         })
     }
 
-    /// Regression for the `BlockTier::get` livelock. Warp 0 frees a
-    /// whole block and is parked at one of `free_block`'s preemption
+    /// Regression for the `get_many` livelock. Warp 0 frees a
+    /// whole block and is parked at one of `free_many`'s preemption
     /// points; warp 1 brings the last block home, reclaims the segment
     /// and reformats it for another class. Parked after its push
     /// published, warp 0 used to resume, see a ring length that was not
     /// its class's block count, and hand the old class's tree the
-    /// segment's bit back — which `get` then found, bounced off and
+    /// segment's bit back — which `get_many` then found, bounced off and
     /// re-found forever. Sweeping the fault over the launch's first Rmw
     /// crossings, under a few schedules, covers that window without
     /// hard-coding its index.
@@ -407,11 +350,11 @@ mod tests {
             for s in 0..g.geometry().num_segments {
                 let id = g.table.seg(s).ldcv_tree_id();
                 assert!(
-                    id == 0 || !g.blocks.trees[0].contains(s),
+                    id == 0 || !g.block_trees[0].contains(s),
                     "seed {seed} nth {nth}: class 0's tree holds segment {s}, whose tree_id is {id}"
                 );
             }
-            // `get` for the old class returns (it spun forever on the
+            // `get_many` for the old class returns (it spun forever on the
             // stale bit) and the heap drains clean.
             let d = g.malloc(&host.lane(0), 1000);
             assert!(!d.is_null(), "seed {seed} nth {nth}");
@@ -427,19 +370,19 @@ mod tests {
     }
 
     /// The other half of the fix: a stale bit that does get planted (in
-    /// `Pool` mode the check-then-insert in `free_block` is not atomic)
-    /// costs `get` one bounce, not an endless loop.
+    /// `Pool` mode the check-then-insert in `free_many` is not atomic)
+    /// costs `get_many` one bounce, not an endless loop.
     #[test]
     fn get_clears_a_stale_bit_after_one_bounce() {
         let g = front_first();
         let l = WarpCtx { warp_id: 0, sm_id: 0, base_tid: 0, active: 1 }.lane(0);
         let c = g.malloc(&l, 2000);
         let seg = g.geometry().segment_of(c.0);
-        g.blocks.trees[0].insert(seg);
+        g.block_trees[0].insert(seg);
         let d = g.malloc(&l, 1000);
         assert!(!d.is_null());
         assert_ne!(g.geometry().segment_of(d.0), seg, "class 0 is served from its own segment");
-        assert!(!g.blocks.trees[0].contains(seg), "the bounce clears the stale bit");
+        assert!(!g.block_trees[0].contains(seg), "the bounce clears the stale bit");
         assert_eq!(g.metrics().unwrap().snapshot().straggler_bounces, 1);
         g.free(&l, c);
         g.free(&l, d);
@@ -595,7 +538,7 @@ mod tests {
             let first = g.malloc(&warp(1).lane(0), 16 << 10);
             g.free(&warp(1).lane(0), first);
             assert_eq!((g.geo.segment_of(first.0), g.free_segments()), (0, 16));
-            g.blocks.trees[4].insert(0); // what a `free_many` racing the reclaim plants
+            g.block_trees[4].insert(0); // what a `free_many` racing the reclaim plants
             let fault = FaultPlan::park(PreemptPoint::RingPush, 1, 40);
             let (popped, served) = (AtomicBool::new(false), Mutex::new(Vec::new()));
             launch_warps(DeviceConfig::with_sms(1).seeded(seed).with_fault(fault), 64, |w| {
@@ -615,7 +558,7 @@ mod tests {
             let (m, served) = (g.metrics().unwrap().snapshot(), served.into_inner().unwrap());
             assert!(m.drain_spins > 0, "seed {seed}: the format never met the parked run");
             assert_eq!(m.straggler_bounces, 1, "seed {seed}: once per bounced run");
-            assert!(!g.blocks.trees[4].contains(0), "seed {seed}: the stale bit is gone");
+            assert!(!g.block_trees[4].contains(0), "seed {seed}: the stale bit is gone");
             assert!(served.iter().all(|p| !p.is_null()), "seed {seed}: {served:?}");
             served.iter().for_each(|&p| g.free(&warp(1).lane(0), p));
             assert_eq!(g.stats().reserved_bytes, 0, "seed {seed}");

@@ -1,63 +1,34 @@
 //! The three allocation tiers, decomposed (paper §4).
 //!
-//! Gallatin's design is three pipelines layered over one memory table:
+//! Gallatin's design is three pipelines layered over one memory table,
+//! each file here one `impl Gallatin` block over the allocator's own
+//! fields:
 //!
-//! * [`segment::SegmentTier`] — the segment tree: claim free segments
-//!   from the front (to format for a class) or back (large
-//!   allocations), the two-phase reclaim protocol, and `trim`
-//!   (Algorithm 1, §4.1);
-//! * [`block::BlockTier`] — per-class block trees plus the per-SM block
-//!   buffers: pop blocks from formatted segments' rings, push them
-//!   home, keep the wavefront cached (Algorithm 2, §4.2);
-//! * [`slice::SliceTier`] — generation-tagged claim words and the
-//!   coalesced group claim: one batched RMW serves a whole same-class
-//!   warp group (Algorithm 3, §4.3).
+//! * [`segment`] — the segment tree: claim free segments from the front
+//!   (to format for a class) or back (large allocations), the two-phase
+//!   reclaim protocol, and `trim` (Algorithm 1, §4.1);
+//! * [`block`] — per-class block trees plus the per-SM block buffers: pop
+//!   blocks from formatted segments' rings, push them home, keep the
+//!   wavefront cached (Algorithm 2, §4.2);
+//! * [`slice`] — generation-tagged claim words and the coalesced group
+//!   claim: one batched RMW serves a whole same-class warp group
+//!   (Algorithm 3, §4.3).
 //!
-//! Each tier owns its slice of the cross-structure invariant check and
-//! its own metrics/trace emissions. The tiers are deliberately *not*
-//! self-contained objects: the protocols cross tiers by design (a block
-//! free may reclaim a segment; a slice claim may pull a fresh block,
-//! which may pull a fresh segment), so methods take the sibling tier as
-//! an explicit argument — the call graph stays visible in the
-//! signatures instead of hiding behind shared mutable state. Shared
-//! read-only facilities (geometry, memory table, metrics, the reserved
-//! counter, probe randomization) travel in a [`TierCtx`] built per call
-//! by the thin `Gallatin` composition root.
+//! Each file owns its protocol, its share of the cross-structure
+//! invariant check and its own metrics/trace emissions. The protocols
+//! cross tiers by design (a block free may reclaim a segment; a slice
+//! claim may pull a fresh block, which may pull a fresh segment).
 
 pub(crate) mod block;
 pub(crate) mod segment;
 pub(crate) mod slice;
 
-pub(crate) use block::BlockTier;
-pub(crate) use segment::SegmentTier;
-pub(crate) use slice::SliceTier;
+use crate::gallatin::Gallatin;
 
-use crate::config::Geometry;
-use crate::table::MemoryTable;
-use gpu_sim::{Metrics, Striped};
-
-/// The read-only seam every tier operates through: borrowed views of the
-/// composition root's shared state, rebuilt per call (it is all
-/// references, so construction is free).
-pub(crate) struct TierCtx<'a> {
-    /// Derived geometry (sizes, counts, offset arithmetic).
-    pub geo: &'a Geometry,
-    /// The memory table: per-segment metadata (tree ids, rings, claim
-    /// words, free counters).
-    pub table: &'a MemoryTable,
-    /// Instrumentation counters.
-    pub metrics: &'a Metrics,
-    /// Bytes reserved by live allocations, in cell [`RESERVED`] (shared
-    /// accounting, striped like the metrics: no two threads write a line).
-    pub reserved: &'a Striped,
-    /// Start tree probes at an SM-hashed position (paper §4.3).
-    pub randomize_probes: bool,
-}
-
-/// The cell of [`TierCtx::reserved`] that holds the byte count.
+/// The cell of `Gallatin::reserved` that holds the byte count.
 pub(crate) const RESERVED: usize = 0;
 
-impl TierCtx<'_> {
+impl Gallatin {
     /// Start position for a tree probe over `universe` ids by `sm_id`.
     ///
     /// A Fibonacci multiplicative hash of the SM id, scaled onto the
@@ -69,7 +40,7 @@ impl TierCtx<'_> {
     /// free" contract for everyone else. Identity, not time or an RNG:
     /// deterministic-mode replays stay bit-identical.
     #[inline]
-    pub fn probe_hint(&self, sm_id: u32, universe: u64) -> u64 {
+    fn probe_hint(&self, sm_id: u32, universe: u64) -> u64 {
         if !self.randomize_probes {
             return 0;
         }

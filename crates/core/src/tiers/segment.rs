@@ -7,48 +7,31 @@
 //! verify described in [`crate::table`]'s module docs; `trim` is the
 //! host-side maintenance hook that releases the buffered wavefront.
 
-use super::{block::BlockTier, TierCtx};
+use crate::gallatin::Gallatin;
 use crate::table::{LARGE_BASE, LARGE_BODY, SLICE_COUNT_MASK, TREE_FREE};
 use gpu_sim::trace;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::Ordering;
-use veb::VebTree;
 
-/// The segment tier: ownership of the segment tree and the protocols
-/// that move segments between "free" and "formatted".
-pub(crate) struct SegmentTier {
-    /// One bit per free segment; allocations claim from the front,
-    /// multi-segment allocations from the back (§4.1).
-    pub tree: VebTree,
-}
-
-impl SegmentTier {
-    /// A tier whose tree spans `universe` segments but starts with only
-    /// `[first, first+count)` free — pool mode, where every instance's
-    /// tree covers the whole arena (so adopted segments are insertable
-    /// anywhere) but initially owns just its shard.
-    pub fn with_span(universe: u64, first: u64, count: u64) -> Self {
-        let tree = VebTree::new(universe);
-        tree.insert_range(first, count);
-        SegmentTier { tree }
-    }
-
+/// The segment tier: the protocols that move segments of
+/// `Gallatin::segments` between "free" and "formatted".
+impl Gallatin {
     /// Claim one free segment, probing from `sm_id`'s hashed start with
     /// wraparound. Every claim attempt — won or lost — is surfaced to the
     /// metrics, so the E14 ablation prices exactly the CAS traffic the
     /// randomized starts remove.
-    fn claim_front(&self, ctx: &TierCtx, sm_id: u32) -> Option<u64> {
-        let universe = ctx.geo.num_segments;
-        let hint = ctx.probe_hint(sm_id, universe);
+    fn claim_front(&self, sm_id: u32) -> Option<u64> {
+        let universe = self.geo.num_segments;
+        let hint = self.probe_hint(sm_id, universe);
         let mut x = hint;
         // With a zero hint the first pass already covers the whole
         // universe, so there is nothing to wrap back for.
         let mut wrapped = hint == 0;
         loop {
-            match self.tree.successor(x) {
+            match self.segments.successor(x) {
                 Some(s) => {
-                    let won = self.tree.claim_exact(s);
-                    ctx.metrics.count_cas(won);
+                    let won = self.segments.claim_exact(s);
+                    self.metrics.count_cas(won);
                     if won {
                         return Some(s);
                     }
@@ -76,46 +59,39 @@ impl SegmentTier {
     /// Claim one segment from the segment tree (probing from `sm_id`'s
     /// start hint), format it for `class`, and attach it to that block
     /// tree. Returns `false` when no segment is free.
-    pub fn provide(&self, ctx: &TierCtx, class: usize, sm_id: u32, blocks: &BlockTier) -> bool {
-        let Some(seg) = self.claim_front(ctx, sm_id) else {
+    pub(crate) fn provide(&self, class: usize, sm_id: u32) -> bool {
+        let Some(seg) = self.claim_front(sm_id) else {
             return false;
         };
         trace::emit(|| trace::TraceEvent::SegmentGrab { seg, class: class as u32 });
-        let drain_spins = ctx.table.format_segment(seg, class);
-        ctx.metrics.count_drain_spins(drain_spins);
+        let drain_spins = self.table.format_segment(seg, class);
+        self.metrics.count_drain_spins(drain_spins);
         // Broadcast availability: insert into the block tree last, so any
         // thread that finds the segment sees a fully formatted state.
-        blocks.trees[class].insert(seg);
-        ctx.metrics.count_rmw();
+        self.block_trees[class].insert(seg);
+        self.metrics.count_rmw();
         true
     }
 
     /// Claim `n` contiguous segments from the *back* of the segment tree
     /// (first fit from the end) as one large allocation.
-    pub fn claim_back(&self, ctx: &TierCtx, n: u64) -> Option<u64> {
-        let start = self.tree.claim_contiguous_from_back(n)?;
-        ctx.table.mark_large(start, n);
+    pub(crate) fn claim_back(&self, n: u64) -> Option<u64> {
+        let start = self.segments.claim_contiguous_from_back(n)?;
+        self.table.mark_large(start, n);
         Some(start)
     }
 
     /// Attempt the class→free transition — the two-phase verify described
     /// in `crate::table`'s module docs.
-    pub fn try_reclaim(
-        &self,
-        ctx: &TierCtx,
-        seg: u64,
-        class: usize,
-        nblocks: u64,
-        blocks: &BlockTier,
-    ) {
+    pub(crate) fn try_reclaim(&self, seg: u64, class: usize, nblocks: u64) {
         // Phase 1 (claim-unreachable): remove the segment from its block
         // tree so no new block request can find it.
-        if !blocks.trees[class].claim_exact(seg) {
+        if !self.block_trees[class].claim_exact(seg) {
             // Not present: either a popper deactivated it (it will be
             // re-inserted by the next free) or another reclaimer owns it.
             return;
         }
-        let meta = ctx.table.seg(seg);
+        let meta = self.table.seg(seg);
         // ...and publish FREE so any popper already inside Algorithm 2
         // fails its ldcv staleness re-check and pushes its block back.
         // SeqCst retained: this write races `ldcv_tree_id` on the free/pop
@@ -128,7 +104,7 @@ impl SegmentTier {
         if meta.tree_id.compare_exchange(class as u32, TREE_FREE, free, free).is_err() {
             return;
         }
-        ctx.metrics.count_reclaim_attempt();
+        self.metrics.count_reclaim_attempt();
         trace::emit(|| trace::TraceEvent::SegmentReclaim {
             seg,
             class: class as u32,
@@ -144,7 +120,7 @@ impl SegmentTier {
             // owns its block (its ldcv predates our publish) and will
             // re-trigger reclaim when it frees. The segment stays
             // formatted.
-            ctx.metrics.count_reclaim_abort();
+            self.metrics.count_reclaim_abort();
             trace::emit(|| trace::TraceEvent::SegmentReclaim {
                 seg,
                 class: class as u32,
@@ -162,13 +138,13 @@ impl SegmentTier {
             // handshake above already ran and nothing new was written
             // that a reader could miss.
             meta.tree_id.store(class as u32, Ordering::Release);
-            blocks.trees[class].insert(seg);
+            self.block_trees[class].insert(seg);
             return;
         }
         // Publish: the ring is full and the id is FREE; any late
         // straggler bounces off the ldcv check and the next format's
         // bounded drain covers the push-back.
-        self.tree.insert(seg);
+        self.segments.insert(seg);
         trace::emit(|| trace::TraceEvent::SegmentReclaim {
             seg,
             class: class as u32,
@@ -191,13 +167,13 @@ impl SegmentTier {
     ///
     /// Must not run concurrently with allocation (host-side maintenance
     /// point, like a stream synchronization on the GPU).
-    pub fn trim(&self, ctx: &TierCtx, blocks: &BlockTier) -> u64 {
+    pub fn trim(&self) -> u64 {
         let mut reclaimed = 0;
-        for (class, buffer) in blocks.buffers.iter().enumerate() {
+        for (class, buffer) in self.buffers.iter().enumerate() {
             for handle in buffer.drain() {
-                let seg = handle.segment(ctx.geo.max_blocks);
-                let block = handle.block(ctx.geo.max_blocks);
-                let meta = ctx.table.seg(seg);
+                let seg = handle.segment(self.geo.max_blocks);
+                let block = handle.block(self.geo.max_blocks);
+                let meta = self.table.seg(seg);
                 let word = meta.claim_word(block);
                 let served = (word & SLICE_COUNT_MASK) as u64;
                 let freed = meta.free_ctr[block as usize].load(Ordering::Acquire) as u64;
@@ -205,7 +181,7 @@ impl SegmentTier {
                     // No live slices: safe to recycle wholesale.
                     meta.retire_claim_word(block);
                     meta.free_ctr[block as usize].store(0, Ordering::Release);
-                    blocks.free_block(ctx, handle, class, self);
+                    self.free_many(seg, &[block], class);
                     reclaimed += 1;
                 } else {
                     // Live slices: *retire* the block — mark it exhausted
@@ -214,7 +190,7 @@ impl SegmentTier {
                     // free path recycles it once the live slices come
                     // back. (Re-buffering it instead could strand it if
                     // the slot is taken, leaking the block.)
-                    let spb = ctx.geo.slices_per_block;
+                    let spb = self.geo.slices_per_block;
                     meta.malloc_ctr[block as usize]
                         .store((word & !SLICE_COUNT_MASK) | spb as u32, Ordering::Relaxed);
                     let credit = (spb - served) as u32;
@@ -224,7 +200,7 @@ impl SegmentTier {
                         // recycle now.
                         meta.retire_claim_word(block);
                         meta.free_ctr[block as usize].store(0, Ordering::Release);
-                        blocks.free_block(ctx, handle, class, self);
+                        self.free_many(seg, &[block], class);
                         reclaimed += 1;
                     }
                 }
@@ -238,27 +214,25 @@ impl SegmentTier {
     /// true standalone, the pool's routing table in pool mode) and
     /// verify single ownership (invariant 1), drained-ness of free
     /// segments (invariant 2), and large-allocation span integrity,
-    /// delegating formatted segments to [`BlockTier::check_formatted`].
+    /// delegating formatted segments to `check_formatted`.
     /// Unowned segments are another instance's to audit, but any residue
     /// of one in *this* instance's trees is an error (a donation that
     /// left without the quiesce handshake). Returns the reserved-byte
     /// total implied by the table for the owned segments.
-    pub fn check(
+    pub(crate) fn check_segments(
         &self,
-        ctx: &TierCtx,
-        blocks: &BlockTier,
         buffered: &HashMap<u64, HashSet<u64>>,
         owned: &dyn Fn(u64) -> bool,
         errors: &mut Vec<String>,
     ) -> u64 {
-        let geo = ctx.geo;
+        let geo = &self.geo;
         let spb = geo.slices_per_block;
         let empty = HashSet::new();
         let mut computed_reserved: u64 = 0;
         // LARGE_BODY segments still owed to the most recent large head.
         let mut expect_body = 0u64;
         for seg in 0..geo.num_segments {
-            let in_seg_tree = self.tree.contains(seg);
+            let in_seg_tree = self.segments.contains(seg);
             if !owned(seg) {
                 if in_seg_tree {
                     errors.push(format!(
@@ -266,7 +240,7 @@ impl SegmentTier {
                          segment tree"
                     ));
                 }
-                for (c, tree) in blocks.trees.iter().enumerate() {
+                for (c, tree) in self.block_trees.iter().enumerate() {
                     if tree.contains(seg) {
                         errors.push(format!(
                             "segment {seg} is not owned by this instance but is still in its \
@@ -283,9 +257,9 @@ impl SegmentTier {
                 }
                 continue;
             }
-            let meta = ctx.table.seg(seg);
+            let meta = self.table.seg(seg);
             let id = meta.ldcv_tree_id();
-            for (c, tree) in blocks.trees.iter().enumerate() {
+            for (c, tree) in self.block_trees.iter().enumerate() {
                 if tree.contains(seg) && id != c as u32 {
                     errors.push(format!(
                         "segment {seg} is in block tree {c} but its tree_id is {id}"
@@ -361,7 +335,7 @@ impl SegmentTier {
                     ));
                 }
                 let cached_set = buffered.get(&seg).unwrap_or(&empty);
-                computed_reserved += blocks.check_formatted(ctx, seg, class, cached_set, errors);
+                computed_reserved += self.check_formatted(seg, class, cached_set, errors);
                 continue;
             }
             if id >= LARGE_BASE {

@@ -8,7 +8,8 @@
 //! generation so a stale buffered handle can never land slices on a
 //! recycled block (the slice-pipeline ABA).
 
-use super::{block::BlockTier, segment::SegmentTier, TierCtx, RESERVED};
+use super::RESERVED;
+use crate::gallatin::Gallatin;
 use crate::table::{BlockHandle, SLICE_COUNT_MASK};
 use gpu_sim::{trace, DevicePtr, LaneMask};
 use std::sync::atomic::Ordering;
@@ -17,20 +18,26 @@ use std::sync::atomic::Ordering;
 /// before declaring the heap exhausted.
 const SLICE_RETRIES: usize = 64;
 
-/// The slice tier. Stateless: slice state lives in the claim words and
-/// free counters of the memory table, and the cached wavefront belongs
-/// to the block tier — this type owns the *protocol*.
-pub(crate) struct SliceTier;
-
-impl SliceTier {
-    /// The current recycle generation of `handle`'s claim word — captured
-    /// when a block enters a buffer so later claims and buffer swaps can
-    /// detect that the block was recycled in between (see
+/// The slice tier. It holds no state of its own: slice state lives in the
+/// claim words and free counters of the memory table, and the cached
+/// wavefront belongs to the block tier — this block is the *protocol*.
+impl Gallatin {
+    /// Pop one block of `class` as a buffer entry: its handle and the
+    /// current recycle generation of its claim word — captured when a
+    /// block enters a buffer so later claims and buffer swaps can detect
+    /// that the block was recycled in between (see
     /// [`crate::table::SegmentMeta::claim_slices`] and [`crate::buffer`]).
-    fn block_gen(ctx: &TierCtx, handle: BlockHandle) -> u32 {
-        let seg = handle.segment(ctx.geo.max_blocks);
-        let block = handle.block(ctx.geo.max_blocks);
-        ctx.table.seg(seg).slice_gen(block)
+    fn fresh_entry(&self, class: usize, sm_id: u32) -> Option<(BlockHandle, u32)> {
+        let mut block = [0];
+        let (seg, _) = self.get_many(class, sm_id, &mut block)?;
+        let gen = self.table.seg(seg).slice_gen(block[0]);
+        Some((BlockHandle::new(seg, block[0], self.geo.max_blocks), gen))
+    }
+
+    /// Return one buffer entry's block unused: the 1-length `free_many`.
+    fn free_block(&self, handle: BlockHandle, class: usize) {
+        let (seg, block) = (handle.segment(self.geo.max_blocks), handle.block(self.geo.max_blocks));
+        self.free_many(seg, &[block], class);
     }
 
     /// Allocate one slice of `class` per lane in `lanes` (a coalesced
@@ -43,23 +50,15 @@ impl SliceTier {
     /// per group, not per lane; lanes that did not fit the block retry
     /// after the last-slice taker swaps a fresh block into the buffer.
     /// Allocation-free: this is the hot path.
-    ///
-    /// (Sibling tiers arrive as explicit arguments by design — the
-    /// cross-tier call graph stays visible in signatures — hence the
-    /// argument-count allowance.)
-    #[allow(clippy::too_many_arguments)]
-    pub fn malloc_group(
+    pub(crate) fn malloc_slices(
         &self,
-        ctx: &TierCtx,
         sm_id: u32,
         class: usize,
         lanes: LaneMask,
         mut assign: impl FnMut(usize, DevicePtr),
-        blocks: &BlockTier,
-        segments: &SegmentTier,
     ) -> usize {
-        let spb = ctx.geo.slices_per_block;
-        let buffer = &blocks.buffers[class];
+        let spb = self.geo.slices_per_block;
+        let buffer = &self.buffers[class];
         let mut left = lanes; // lanes not yet served, the leader lowest
         let mut attempts = 0;
         while !left.is_empty() {
@@ -71,42 +70,42 @@ impl SliceTier {
                 Some(e) => e,
                 None => {
                     // Leader fetches a block and installs it.
-                    let Some(new) = blocks.get(ctx, class, sm_id, segments) else { break };
-                    let fresh = (new, Self::block_gen(ctx, new));
+                    let Some(fresh) = self.fresh_entry(class, sm_id) else { break };
                     match buffer.try_install(sm_id, fresh) {
                         Ok(()) => fresh,
                         Err(winner) => {
                             // Someone beat us; return ours and use theirs.
-                            blocks.free_block(ctx, new, class, segments);
+                            self.free_block(fresh.0, class);
                             winner
                         }
                     }
                 }
             };
             let (handle, gen) = entry;
-            let seg = handle.segment(ctx.geo.max_blocks);
-            let block = handle.block(ctx.geo.max_blocks);
-            let meta = ctx.table.seg(seg);
-            let (base, take) = meta.claim_slices(block, left.count() as u32, spb, gen, ctx.metrics);
+            let seg = handle.segment(self.geo.max_blocks);
+            let block = handle.block(self.geo.max_blocks);
+            let meta = self.table.seg(seg);
+            let (base, take) =
+                meta.claim_slices(block, left.count() as u32, spb, gen, &self.metrics);
             if take > 0 {
                 // One successful RMW served `take` lanes: the leader's
                 // atomic plus `take − 1` piggybacked followers.
-                ctx.metrics.count_coalesced((take - 1) as u64);
+                self.metrics.count_coalesced((take - 1) as u64);
                 trace::emit(|| trace::TraceEvent::CoalesceGroup {
                     class: class as u32,
                     lanes: take,
                 });
                 for (rank, lane) in left.by_ref().take(take as usize).enumerate() {
                     let idx = base as u64 + rank as u64;
-                    let off = ctx.geo.offset_of(seg, block, idx, class);
+                    let off = self.geo.offset_of(seg, block, idx, class);
                     trace::emit_lane(lane as u32, || trace::TraceEvent::Malloc {
-                        size: ctx.geo.slice_size(class),
+                        size: self.geo.slice_size(class),
                         tier: trace::AllocTier::Slice,
                         ptr: off,
                     });
                     assign(lane, DevicePtr(off));
                 }
-                ctx.reserved.add(RESERVED, take as u64 * ctx.geo.slice_size(class));
+                self.reserved.add(RESERVED, take as u64 * self.geo.slice_size(class));
             }
 
             if (base, take) == (0, 0) {
@@ -121,11 +120,10 @@ impl SliceTier {
                 // This group took the block's final slice: it is the
                 // designated replacer (paper §4.3). Swap in a fresh block,
                 // or clear the slot on exhaustion so others can retry.
-                match blocks.get(ctx, class, sm_id, segments) {
-                    Some(new) => {
-                        let fresh = (new, Self::block_gen(ctx, new));
+                match self.fresh_entry(class, sm_id) {
+                    Some(fresh) => {
                         if !buffer.try_replace(sm_id, entry, fresh) {
-                            blocks.free_block(ctx, new, class, segments);
+                            self.free_block(fresh.0, class);
                         }
                     }
                     None => {
@@ -148,23 +146,13 @@ impl SliceTier {
     /// 4's small-allocation branch at `n == 1`, and the coalesced-free
     /// counterpart of Algorithm 3 (paper §6.5: frees from
     /// the same warp hitting the same block share one `fetch_add`).
-    #[allow(clippy::too_many_arguments)]
-    pub fn free_n(
-        &self,
-        ctx: &TierCtx,
-        seg: u64,
-        class: usize,
-        block: u64,
-        n: u32,
-        blocks: &BlockTier,
-        segments: &SegmentTier,
-    ) {
-        let meta = ctx.table.seg(seg);
-        let spb = ctx.geo.slices_per_block;
+    pub(crate) fn free_slices(&self, seg: u64, class: usize, block: u64, n: u32) {
+        let meta = self.table.seg(seg);
+        let spb = self.geo.slices_per_block;
         let prev = meta.free_ctr[block as usize].fetch_add(n, Ordering::AcqRel);
-        ctx.metrics.count_rmw();
-        ctx.metrics.count_coalesced(n.saturating_sub(1) as u64);
-        ctx.reserved.sub(RESERVED, n as u64 * ctx.geo.slice_size(class));
+        self.metrics.count_rmw();
+        self.metrics.count_coalesced(n.saturating_sub(1) as u64);
+        self.reserved.sub(RESERVED, n as u64 * self.geo.slice_size(class));
         if prev as u64 + n as u64 == spb {
             // Every slice allocated and returned: recycle the block.
             // Exclusive here (only one free observes the last count).
@@ -175,12 +163,7 @@ impl SliceTier {
             // recycled counter (the slice-pipeline ABA).
             meta.retire_claim_word(block);
             meta.free_ctr[block as usize].store(0, Ordering::Release);
-            blocks.free_block(
-                ctx,
-                BlockHandle::new(seg, block, ctx.geo.max_blocks),
-                class,
-                segments,
-            );
+            self.free_many(seg, &[block], class);
         }
     }
 
@@ -188,9 +171,9 @@ impl SliceTier {
     /// free counter never exceeds served slices (a double free) and
     /// return the live-slice count, or `None` when the counters are
     /// inconsistent (the block's ownership cannot be judged).
-    pub fn check_block(ctx: &TierCtx, seg: u64, b: u64, errors: &mut Vec<String>) -> Option<u64> {
-        let meta = ctx.table.seg(seg);
-        let spb = ctx.geo.slices_per_block;
+    pub(crate) fn check_slices(&self, seg: u64, b: u64, errors: &mut Vec<String>) -> Option<u64> {
+        let meta = self.table.seg(seg);
+        let spb = self.geo.slices_per_block;
         let m = (meta.claim_word(b) & SLICE_COUNT_MASK) as u64;
         let f = meta.free_ctr[b as usize].load(Ordering::Acquire) as u64;
         let served = m.min(spb);

@@ -333,7 +333,7 @@ fn faulted_churn(seed: u64, nth: u64) -> gpu_sim::metrics::MetricsSnapshot {
 /// `ldcv` re-check has nothing to catch here. The bounces this sweep
 /// once counted (seed 1, nth 7 and 13) were `free_block` handing a
 /// reclaimed-and-reformatted segment's bit back to its old class — the
-/// `BlockTier::get` livelock, whose fix and whose `ldcv` route-home are
+/// `get_many` livelock, whose fix and whose `ldcv` route-home are
 /// pinned by the unit tests in `src/tiers/block.rs`. A failing
 /// combination replays exactly from its `(seed, nth)` pair.
 #[test]

@@ -159,18 +159,20 @@ pub fn spin_hint() {
 }
 
 /// SplitMix64: small, seedable, and good enough mixing for schedule
-/// choice. Kept private to the scheduler so the stream only advances on
-/// scheduling decisions (one draw per preemption).
-struct SplitMix64 {
+/// choice. Each instance is its own stream: the scheduler's advances only
+/// on scheduling decisions (one draw per preemption).
+pub struct SplitMix64 {
     state: u64,
 }
 
 impl SplitMix64 {
-    fn new(seed: u64) -> Self {
+    /// The stream seeded with `seed`.
+    pub fn new(seed: u64) -> Self {
         SplitMix64 { state: seed }
     }
 
-    fn next(&mut self) -> u64 {
+    /// Advance the stream one step and return its next draw.
+    pub fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let mut z = self.state;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -249,7 +251,7 @@ impl Chooser {
             let (victim, _) = self.parked.take()?;
             self.runnable.push(victim);
         }
-        self.pick = (self.rng.next() % self.runnable.len() as u64) as usize;
+        self.pick = (self.rng.next_u64() % self.runnable.len() as u64) as usize;
         Some(self.runnable[self.pick])
     }
 
@@ -633,7 +635,7 @@ mod tests {
                 let (idx, _) = parked.take().expect("loop invariant");
                 runnable.push(idx);
             }
-            let pick = (rng.next() % runnable.len() as u64) as usize;
+            let pick = (rng.next_u64() % runnable.len() as u64) as usize;
             let idx = runnable[pick];
             picks.push(idx);
             let point = scripts[idx].get(cursor[idx]).copied();
@@ -670,7 +672,7 @@ mod tests {
         const POINTS: [PreemptPoint; 4] =
             [PreemptPoint::Rmw, PreemptPoint::Cas, PreemptPoint::Spin, PreemptPoint::RingPop];
         let mut gen = SplitMix64::new(0xC0FFEE);
-        let mut below = |n: u64| gen.next() % n;
+        let mut below = |n: u64| gen.next_u64() % n;
         let (mut faults_fired, mut early_releases) = (0, 0);
         for case in 0..1000u64 {
             let scripts: Vec<Vec<PreemptPoint>> = (0..below(7))
