@@ -11,79 +11,82 @@ use crate::report::{fmt_ms, Table};
 use crate::HarnessConfig;
 use gpu_sim::{launch, DeviceAllocator};
 use graph::{expansion_rounds, uniform_edges, zipf_edges, DynamicGraph, EdgeBatch};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
+type Graph<'a> = DynamicGraph<&'a dyn DeviceAllocator>;
+
 /// Apply a batch of edge insertions, one logical thread per edge.
-fn apply_inserts(g: &DynamicGraph<&dyn DeviceAllocator>, cfg: &HarnessConfig, batch: &EdgeBatch) {
+fn apply_inserts(g: &Graph, cfg: &HarnessConfig, batch: &EdgeBatch) {
     launch(cfg.device(), batch.len() as u64, |l| {
         let (src, dst) = batch[l.global_tid() as usize];
         g.insert_edge(l, src, dst);
     });
 }
 
-/// Apply a batch of edge deletions.
-fn apply_deletes(g: &DynamicGraph<&dyn DeviceAllocator>, cfg: &HarnessConfig, batch: &EdgeBatch) {
+/// Apply a batch of edge deletions, counting those that find no edge.
+fn apply_deletes(g: &Graph, cfg: &HarnessConfig, batch: &EdgeBatch, misses: &AtomicU64) {
     launch(cfg.device(), batch.len() as u64, |l| {
         let (src, dst) = batch[l.global_tid() as usize];
-        g.delete_edge(l, src, dst);
+        if !g.delete_edge(l, src, dst) {
+            misses.fetch_add(1, Ordering::Relaxed);
+        }
     });
 }
 
-/// Phase timings for one allocator, in ms. `None` marks a phase the
-/// allocator failed (allocation failures during updates).
-#[derive(Debug, Default)]
-pub struct GraphTimings {
-    pub init: Option<f64>,
-    pub insert: Option<f64>,
-    pub bulk_insert: Option<f64>,
-    pub delete: Option<f64>,
-    pub bulk_delete: Option<f64>,
-}
+/// A phase's time in ms, or `fail` (an insert was refused), or `miss` (a
+/// delete missed an edge its batch's successful insert phase stored).
+pub type Phase = Result<f64, &'static str>;
 
-/// Run the five-phase graph benchmark on one allocator.
+/// Run the five-phase graph benchmark on one allocator: init, insert, bulk
+/// insert, delete and bulk delete, in table order.
 pub fn graph_phases(
     alloc: &Arc<dyn DeviceAllocator>,
     cfg: &HarnessConfig,
     num_vertices: u32,
     base_edges: usize,
-) -> GraphTimings {
+) -> [Phase; 5] {
     alloc.reset();
     let a: &dyn DeviceAllocator = alloc.as_ref();
     let g = DynamicGraph::new(num_vertices as usize, a);
-    let mut t = GraphTimings::default();
 
-    let phase = |g: &DynamicGraph<&dyn DeviceAllocator>,
-                 body: &dyn Fn(&DynamicGraph<&dyn DeviceAllocator>)|
-     -> Option<f64> {
+    let phase = |body: &dyn Fn(&Graph)| -> Phase {
         let before = g.failed_updates();
         let t0 = Instant::now();
-        body(g);
+        body(&g);
         let ms = t0.elapsed().as_secs_f64() * 1e3;
-        (g.failed_updates() == before).then_some(ms)
+        (g.failed_updates() == before).then_some(ms).ok_or("fail")
+    };
+    let deletes = |batch: &EdgeBatch, stored: &Phase| {
+        let misses = AtomicU64::new(0);
+        let t = phase(&|g| apply_deletes(g, cfg, batch, &misses));
+        if misses.into_inner() > 0 && stored.is_ok() {
+            Err("miss")
+        } else {
+            t
+        }
     };
 
     // Initialization: build the base graph from a uniform batch.
     let init_batch = uniform_edges(num_vertices, base_edges, 0xC0FFEE);
-    t.init = phase(&g, &|g| apply_inserts(g, cfg, &init_batch));
+    let init = phase(&|g| apply_inserts(g, cfg, &init_batch));
 
     // Edge updates: skewed single-edge stream (one thread per edge).
     let upd = zipf_edges(num_vertices, base_edges / 2, 0.8, 0xBEEF);
-    t.insert = phase(&g, &|g| apply_inserts(g, cfg, &upd));
+    let insert = phase(&|g| apply_inserts(g, cfg, &upd));
 
     // Bulk updates: one large batch.
     let bulk = zipf_edges(num_vertices, base_edges, 0.8, 0xF00D);
-    t.bulk_insert = phase(&g, &|g| apply_inserts(g, cfg, &bulk));
+    let bulk_insert = phase(&|g| apply_inserts(g, cfg, &bulk));
 
-    // Deletes: remove the update stream.
-    t.delete = phase(&g, &|g| apply_deletes(g, cfg, &upd));
-
-    // Bulk deletes: remove the bulk batch.
-    t.bulk_delete = phase(&g, &|g| apply_deletes(g, cfg, &bulk));
+    // Deletes: remove the update stream, then the bulk batch.
+    let delete = deletes(&upd, &insert);
+    let bulk_delete = deletes(&bulk, &bulk_insert);
 
     // Teardown (untimed).
     launch(cfg.device(), 1, |l| g.destroy(l));
-    t
+    [init, insert, bulk_insert, delete, bulk_delete]
 }
 
 /// E12: the five-phase table across the roster.
@@ -92,7 +95,7 @@ pub fn run_graph(cfg: &HarnessConfig) {
     let base_edges = (cfg.threads as usize).max(1 << 14);
     let mut tab = Table::new(
         format!(
-            "§6.12 — dynamic graph, {num_vertices} vertices, {base_edges} base edges (ms; fail = allocation failures)"
+            "§6.12 — dynamic graph, {num_vertices} vertices, {base_edges} base edges (ms; fail = allocation failures, miss = a delete found no edge)"
         ),
         &["allocator", "init", "insert", "bulk insert", "delete", "bulk delete"],
     );
@@ -102,16 +105,9 @@ pub fn run_graph(cfg: &HarnessConfig) {
         if !a.is_managing() {
             continue; // RegEff-AW cannot run a real data structure
         }
-        let t = graph_phases(&a, cfg, num_vertices, base_edges);
-        let cell = |x: Option<f64>| x.map(fmt_ms).unwrap_or_else(|| "fail".into());
-        tab.row(vec![
-            a.name().to_string(),
-            cell(t.init),
-            cell(t.insert),
-            cell(t.bulk_insert),
-            cell(t.delete),
-            cell(t.bulk_delete),
-        ]);
+        let phases = graph_phases(&a, cfg, num_vertices, base_edges);
+        let cells = phases.map(|t| t.map_or_else(String::from, fmt_ms));
+        tab.row([a.name().to_string()].into_iter().chain(cells).collect());
     }
     tab.emit(&cfg.out_dir, "graph_phases");
 }

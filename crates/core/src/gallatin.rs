@@ -349,11 +349,11 @@ impl Gallatin {
         let stamp = |lane: usize| stamp.unwrap_or(lane as u32);
         let max_blocks = self.geo.max_blocks;
         // Block handle and class of each block or slice lane.
-        let (mut handles, mut classes) = ([0u64; WARP_SIZE], [0u8; WARP_SIZE]);
+        let (mut handles, mut classes) = ([BlockHandle(0); WARP_SIZE], [0u8; WARP_SIZE]);
         let (mut wholes, mut slices) = (LaneMask::EMPTY, LaneMask::EMPTY);
         for lane in live {
             if let Some((seg, class, block, whole)) = self.release(stamp(lane), ptrs[lane]) {
-                handles[lane] = BlockHandle::new(seg, block, max_blocks).0;
+                handles[lane] = BlockHandle::new(seg, block, max_blocks);
                 classes[lane] = class as u8;
                 if whole { &mut wholes } else { &mut slices }.insert(lane);
             }
@@ -364,8 +364,8 @@ impl Gallatin {
         while let Some(leader) = wholes.lowest() {
             // A segment's handles are `first..first + max_blocks`, and it has
             // one class while a block of it is out.
-            let (seg, class) = (handles[leader] / max_blocks, classes[leader] as usize);
-            let block = |lane: usize| handles[lane].wrapping_sub(seg * max_blocks);
+            let (seg, class) = (handles[leader].segment(max_blocks), classes[leader] as usize);
+            let block = |lane: usize| handles[lane].0.wrapping_sub(seg * max_blocks);
             let group = wholes.keep(|lane| block(lane) < max_blocks);
             wholes = wholes.without(group);
             let won = self.table.seg(seg).clear_whole_blocks(group, block);
@@ -386,9 +386,8 @@ impl Gallatin {
         while let Some(leader) = slices.lowest() {
             let group = slices.keep(|lane| handles[lane] == handles[leader]);
             slices = slices.without(group);
-            let (seg, block) = (handles[leader] / max_blocks, handles[leader] % max_blocks);
-            let (class, n) = (classes[leader] as usize, group.count() as u32);
-            self.free_slices(seg, class, block, n);
+            let (h, class, n) = (handles[leader], classes[leader] as usize, group.count() as u32);
+            self.free_slices(h.segment(max_blocks), class, h.block(max_blocks), n);
         }
     }
 

@@ -267,7 +267,7 @@ impl<C: Level> Router<C> {
     /// Owning child of a pointer (global offset), via the routing table.
     #[inline]
     pub(crate) fn owner_of(&self, ptr: DevicePtr) -> usize {
-        let owner = self.owner_of_segment(ptr.0 / self.segment_bytes);
+        let owner = self.owner_of_segment(ptr.0 >> self.segment_bytes.trailing_zeros());
         owner.unwrap_or_else(|| panic!("free of foreign pointer {} (no child owns it)", ptr.0))
     }
 

@@ -74,7 +74,7 @@ pub const LARGE_BASE: u32 = 1 << 24;
 /// anything a correct protocol produces.
 pub const DRAIN_SPIN_LIMIT: u64 = 1 << 26;
 
-/// A handle to one block: `(segment, block_index)` packed densely.
+/// A handle to one block: `(segment, block_index)` packed densely (`max_blocks` a power of two).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct BlockHandle(pub u64);
 
@@ -91,13 +91,13 @@ impl BlockHandle {
     /// The segment this handle's block belongs to.
     #[inline]
     pub fn segment(self, max_blocks: u64) -> u64 {
-        self.0 / max_blocks
+        self.0 >> max_blocks.trailing_zeros()
     }
 
     /// The block index within its segment.
     #[inline]
     pub fn block(self, max_blocks: u64) -> u64 {
-        self.0 % max_blocks
+        self.0 & (max_blocks - 1)
     }
 }
 

@@ -24,10 +24,10 @@
 //!   this discipline sound.
 //! * **Ranged payload primitives** ([`DeviceMemory::find_stamp`] /
 //!   [`DeviceMemory::copy`]): the search and the device-to-device copy a
-//!   kernel runs over ranges it owns, same discipline. The rule is *one
-//!   check per range*: the bytes a word-by-word [`DeviceMemory::read_stamp`]
-//!   loop would check one by one are checked once, up front. Like the
-//!   payload copies, neither is a preemption point.
+//!   kernel runs over ranges it owns, same discipline, neither a preemption
+//!   point. The rule is *one check per range, one branch per eight words*:
+//!   what a word-by-word [`DeviceMemory::read_stamp`] loop would check and
+//!   compare one at a time is checked once and compared a line at a time.
 
 use std::alloc::{alloc_zeroed, dealloc, handle_alloc_error, Layout};
 use std::ptr::NonNull;
@@ -247,7 +247,17 @@ impl DeviceMemory {
         let list = unsafe {
             std::slice::from_raw_parts(self.ptr(ptr.0 as usize).cast::<[u8; 8]>(), words)
         };
-        list.iter().position(|w| u64::from_le_bytes(*w) == needle).map(|i| i as u64)
+        let eq = |w: &[u8; 8]| u64::from_le_bytes(*w) == needle;
+        // One branch per eight words: a chunk's compares are OR-ed without
+        // short-circuit, and only the chunk that hits is searched word by word.
+        let chunks = list.chunks_exact(8);
+        let tail = chunks.remainder();
+        for (c, chunk) in chunks.enumerate() {
+            if chunk.iter().fold(false, |hit, w| hit | eq(w)) {
+                return chunk.iter().position(eq).map(|i| (c * 8 + i) as u64);
+            }
+        }
+        tail.iter().position(eq).map(|i| (words - tail.len() + i) as u64)
     }
 
     /// Device-to-device payload copy (the `memcpy` of a reallocation or a
@@ -394,6 +404,44 @@ mod tests {
         assert_eq!(mem.find_stamp(DevicePtr(64), 1, 20), None, "the range ends where told");
         // An empty list is never dereferenced, so it may be null.
         assert_eq!(mem.find_stamp(DevicePtr::NULL, 0, 0), None);
+    }
+
+    /// Every length 0..=24 and 1,000 around the eight-word chunks, against
+    /// `iter().position` as the reference: the needle at each index and
+    /// absent, duplicates inside a chunk (3, 5), across a chunk edge (7, 8)
+    /// and in the remainder (17, 19), and an odd `ptr` with 17 words.
+    #[test]
+    fn find_stamp_matches_position_across_chunk_boundaries() {
+        let mem = DeviceMemory::new(8 * 1024);
+        let check = |base: u64, list: &[u64], needle: u64| {
+            for (i, &w) in list.iter().enumerate() {
+                mem.write_stamp(DevicePtr(base + i as u64 * 8), w);
+            }
+            let want = list.iter().position(|&w| w == needle).map(|i| i as u64);
+            let got = mem.find_stamp(DevicePtr(base), list.len() as u64, needle);
+            assert_eq!(got, want, "{} words at {base}, needle {needle}", list.len());
+        };
+        const NEEDLE: u64 = u64::MAX;
+        for len in (0..=24).chain([1000]) {
+            let list: Vec<u64> = (0..len as u64).collect();
+            check(0, &list, NEEDLE);
+            for at in 0..len {
+                let mut hit = list.clone();
+                hit[at] = NEEDLE;
+                check(0, &hit, NEEDLE);
+            }
+        }
+        for (a, b, len) in
+            [(3, 5, 8), (3, 5, 24), (7, 8, 9), (7, 8, 24), (17, 19, 20), (17, 19, 23)]
+        {
+            let mut list: Vec<u64> = (0..len).collect();
+            (list[a], list[b]) = (NEEDLE, NEEDLE);
+            check(0, &list, NEEDLE);
+        }
+        let list: Vec<u64> = (0..17).map(|i| 100 + i).collect();
+        for needle in [100, 107, 108, 116, 999] {
+            check(3, &list, needle);
+        }
     }
 
     #[test]
