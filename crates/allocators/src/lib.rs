@@ -14,9 +14,9 @@
 //!   atomicAdd wrapper pseudo-allocator), C, CF, CM, CFM.
 //! * [`ScatterAlloc`] — hashed scattering of requests across superblock
 //!   pages with bitfield chunk claims.
-//! * [`ouroboros`] — queue-based recycling over 8192-byte chunks, in the
-//!   six published variants (C/P × S/VA/VL), with the capped CUDA-heap
-//!   fallback for requests above the chunk size.
+//! * [`ouroboros`] — queue-based recycling over 8192-byte chunks (C/P;
+//!   S, VA and VL are one run here), with the capped CUDA-heap fallback
+//!   for requests above the chunk size.
 //! * [`XMalloc`] — warp-level request combining over size-class free
 //!   lists.
 //!
@@ -33,7 +33,7 @@ pub mod util;
 pub mod xmalloc;
 
 pub use cuda_heap::{CudaHeapSim, FirstFitHeap};
-pub use ouroboros::{Ouroboros, OuroborosKind, QueueKind};
+pub use ouroboros::{Ouroboros, OuroborosKind};
 pub use reg_eff::{RegEff, RegEffVariant};
 pub use scatter_alloc::ScatterAlloc;
 pub use xmalloc::XMalloc;
@@ -59,7 +59,7 @@ pub fn baseline_by_name(name: &str, heap_bytes: u64) -> Option<Arc<dyn DeviceAll
         "ScatterAlloc" => Arc::new(ScatterAlloc::new(heap_bytes)),
         "XMalloc" => Arc::new(XMalloc::new(heap_bytes)),
         _ => match Ouroboros::parse_name(name) {
-            Some((kind, queue)) => Arc::new(Ouroboros::new(heap_bytes, kind, queue)),
+            Some(kind) => Arc::new(Ouroboros::new(heap_bytes, kind)),
             None => Arc::new(RegEff::new(heap_bytes, RegEffVariant::from_name(name)?)),
         },
     })
@@ -94,8 +94,8 @@ mod tests {
     #[test]
     fn roster_is_complete_and_distinct() {
         let all = all_baselines(32 << 20);
-        // CUDA + 6 Ouroboros + 6 RegEff + ScatterAlloc + XMalloc = 15.
-        assert_eq!(all.len(), 15);
+        // CUDA + 2 Ouroboros + 6 RegEff + ScatterAlloc + XMalloc = 11.
+        assert_eq!(all.len(), 11);
         let mut names: Vec<&str> = all.iter().map(|a| a.name()).collect();
         names.sort_unstable();
         let before = names.len();
@@ -107,7 +107,7 @@ mod tests {
     fn every_listed_name_builds_the_allocator_that_reports_it() {
         let all = all_baselines(32 << 20);
         assert_eq!(all.iter().map(|a| a.name()).collect::<Vec<_>>(), baseline_names());
-        assert!(baseline_by_name("Ouroboros-Q-S", 32 << 20).is_none());
+        assert!(baseline_by_name("Ouroboros-Q", 32 << 20).is_none());
         assert!(baseline_by_name("RegEff-", 32 << 20).is_none());
     }
 

@@ -6,8 +6,8 @@
 //! class owns a queue; an allocation pops from the smallest class that
 //! fits, carving a fresh chunk when the queue is dry.
 //!
-//! The published matrix of variants is the cross product of two axes,
-//! both reproduced here (paper §2 "Ouroboros"):
+//! The published matrix of variants crosses two axes (paper §2
+//! "Ouroboros"):
 //!
 //! * **what the queues recycle** — [`OuroborosKind::Chunk`] (C series):
 //!   a fully freed chunk returns to a shared chunk queue and can be
@@ -16,12 +16,13 @@
 //!   class's queue and can only ever serve that class again. The paper's
 //!   warmed-up experiment (§6.9) hinges on exactly this: P variants never
 //!   release memory, so their second run starts with pre-filled queues.
-//! * **how the queue is built** — [`QueueKind::Static`] (S): a bounded
-//!   ring; [`QueueKind::VirtArray`] (VA): a growable segmented array;
-//!   [`QueueKind::VirtList`] (VL): a linked list. Here all three are one
-//!   locked FIFO that takes no preemption point, so the step clock sees
-//!   one queue with one parameter: S refuses a push past its capacity, VA
-//!   and VL never do (and are the same run, pointer for pointer).
+//! * **how the queue is built** — S (a bounded ring), VA (a growable
+//!   segmented array) or VL (a linked list). Here every queue is one
+//!   locked FIFO that takes no preemption point, and S's bound cannot
+//!   bind: a class queue never holds more pages than the native region
+//!   has of that class, the chunk queue never more than its chunks. So
+//!   C/P; S, VA and VL are one run here: [`Ouroboros::VARIANTS`] has one
+//!   row per series.
 //!
 //! No variant natively serves requests above the 8192-byte chunk; those
 //! fall back to a **capped** CUDA-heap reserve at the top of the arena
@@ -52,48 +53,8 @@ pub enum OuroborosKind {
     Page,
 }
 
-/// Queue implementation backing each variant.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum QueueKind {
-    /// S: bounded ring queue.
-    Static,
-    /// VA: growable segmented-array queue.
-    VirtArray,
-    /// VL: lock-guarded linked-list queue.
-    VirtList,
-}
-
-/// One FIFO of device offsets: bounded at `capacity` for
-/// [`QueueKind::Static`], unbounded for the other two.
-struct Queue {
-    capacity: usize,
-    items: Mutex<VecDeque<u64>>,
-}
-
-impl Queue {
-    fn new(kind: QueueKind, capacity: usize) -> Self {
-        let capacity = if kind == QueueKind::Static { capacity.max(1) } else { usize::MAX };
-        Queue { capacity, items: Mutex::new(VecDeque::new()) }
-    }
-
-    /// Whether `v` was queued; `false` is a full bounded queue.
-    fn push(&self, v: u64) -> bool {
-        let mut items = lock(&self.items);
-        let room = items.len() < self.capacity;
-        if room {
-            items.push_back(v);
-        }
-        room
-    }
-
-    fn pop(&self) -> Option<u64> {
-        lock(&self.items).pop_front()
-    }
-
-    fn drain(&self) {
-        lock(&self.items).clear();
-    }
-}
+/// One unbounded locked FIFO of device offsets.
+type Queue = Mutex<VecDeque<u64>>;
 
 /// Per-chunk metadata for the C series' full-reuse accounting.
 struct ChunkMeta {
@@ -142,36 +103,26 @@ pub struct Ouroboros {
 
 impl Ouroboros {
     /// Build a variant with the default (paper-style) CUDA-heap reserve.
-    pub fn new(heap_bytes: u64, kind: OuroborosKind, queue_kind: QueueKind) -> Self {
+    pub fn new(heap_bytes: u64, kind: OuroborosKind) -> Self {
         // Reserve for the CUDA-heap fallback: the paper's setups keep
         // 500 MB beside the allocator; scale to a quarter of small heaps.
         let reserve = (heap_bytes / 4).clamp(64 << 10, 500 << 20);
-        Self::with_reserve(heap_bytes, kind, queue_kind, reserve)
+        Self::with_reserve(heap_bytes, kind, reserve)
     }
 
     /// Explicit fallback-reserve size (the graph expansion experiment
     /// varies this).
-    pub fn with_reserve(
-        heap_bytes: u64,
-        kind: OuroborosKind,
-        queue_kind: QueueKind,
-        reserve: u64,
-    ) -> Self {
+    pub fn with_reserve(heap_bytes: u64, kind: OuroborosKind, reserve: u64) -> Self {
         assert!(heap_bytes > reserve + CHUNK_BYTES, "heap too small for reserve");
         let native = (heap_bytes - reserve) / CHUNK_BYTES * CHUNK_BYTES;
         let num_chunks = native / CHUNK_BYTES;
-        let max_pages = (native / MIN_PAGE) as usize;
         Ouroboros {
             mem: DeviceMemory::new(heap_bytes as usize),
             kind,
-            name: Self::VARIANTS
-                .iter()
-                .find(|v| (v.1, v.2) == (kind, queue_kind))
-                .expect("every series × queue pair is listed")
-                .0,
-            page_queues: (0..NUM_CLASSES).map(|c| Queue::new(queue_kind, max_pages >> c)).collect(),
+            name: Self::VARIANTS.iter().find(|v| v.1 == kind).expect("both series are listed").0,
+            page_queues: (0..NUM_CLASSES).map(|_| Queue::default()).collect(),
             active: (0..NUM_CLASSES).map(|_| AtomicU64::new(0)).collect(),
-            chunk_queue: Queue::new(queue_kind, num_chunks as usize),
+            chunk_queue: Queue::default(),
             next_chunk: AtomicU64::new(0),
             num_chunks,
             chunk_meta: (0..num_chunks)
@@ -185,14 +136,15 @@ impl Ouroboros {
 
     /// Grab a chunk: recycled (C series) or freshly carved.
     fn get_chunk(&self, class: usize) -> Option<u64> {
-        let id = match self.chunk_queue.pop() {
+        let recycled = lock(&self.chunk_queue).pop_front();
+        let id = match recycled {
             Some(id) => id,
             None => {
                 let id = self.next_chunk.fetch_add(1, Ordering::Relaxed);
                 self.metrics.count_rmw();
                 if id >= self.num_chunks {
-                    // Put the cursor back to avoid creeping past the end
-                    // forever (harmless either way, counter is monotonic).
+                    // The cursor stays past the end; every later carve
+                    // fails the same way until `reset` rewinds it.
                     return None;
                 }
                 id
@@ -210,9 +162,7 @@ impl Ouroboros {
         let page = class_size(class, MIN_PAGE);
         let pages = CHUNK_BYTES / page;
         let base = id * CHUNK_BYTES;
-        for p in 1..pages {
-            self.page_queues[class].push(base + p * page);
-        }
+        lock(&self.page_queues[class]).extend((1..pages).map(|p| base + p * page));
         base
     }
 
@@ -222,13 +172,14 @@ impl Ouroboros {
         match self.kind {
             // P series: page-granular reuse through the class queue.
             OuroborosKind::Page => {
-                if let Some(off) = self.page_queues[class].pop() {
+                let queued = lock(&self.page_queues[class]).pop_front();
+                if let Some(off) = queued {
                     self.metrics.count_rmw();
                     return DevicePtr(off);
                 }
                 match self.get_chunk(class) {
                     Some(id) => DevicePtr(self.split_chunk(id, class)),
-                    None => match self.page_queues[class].pop() {
+                    None => match lock(&self.page_queues[class]).pop_front() {
                         Some(off) => DevicePtr(off),
                         None => DevicePtr::NULL,
                     },
@@ -271,7 +222,7 @@ impl Ouroboros {
                         return DevicePtr(new * CHUNK_BYTES);
                     }
                     // Someone else installed first; recycle ours.
-                    self.chunk_queue.push(new);
+                    lock(&self.chunk_queue).push_back(new);
                 }
             }
         }
@@ -284,7 +235,7 @@ impl Ouroboros {
         match self.kind {
             OuroborosKind::Page => {
                 // P series: the page only ever serves its original class.
-                self.page_queues[class].push(ptr.0);
+                lock(&self.page_queues[class]).push_back(ptr.0);
                 self.metrics.count_rmw();
             }
             OuroborosKind::Chunk => {
@@ -294,7 +245,7 @@ impl Ouroboros {
                 let freed = meta.freed.fetch_add(1, Ordering::AcqRel) + 1;
                 self.metrics.count_rmw();
                 if freed == pages {
-                    self.chunk_queue.push(chunk);
+                    lock(&self.chunk_queue).push_back(chunk);
                 }
             }
         }
@@ -355,12 +306,12 @@ impl DeviceAllocator for Ouroboros {
 
     fn reset(&self) {
         for q in &self.page_queues {
-            q.drain();
+            lock(q).clear();
         }
         for a in &self.active {
             a.store(0, Ordering::Relaxed);
         }
-        self.chunk_queue.drain();
+        lock(&self.chunk_queue).clear();
         self.next_chunk.store(0, Ordering::Relaxed);
         for m in self.chunk_meta.iter() {
             m.freed.store(0, Ordering::Relaxed);
@@ -373,10 +324,6 @@ impl DeviceAllocator for Ouroboros {
 
     fn heap_bytes(&self) -> u64 {
         self.mem.len() as u64
-    }
-
-    fn max_native_size(&self) -> u64 {
-        CHUNK_BYTES
     }
 
     fn metrics(&self) -> Option<&Metrics> {
@@ -392,27 +339,22 @@ impl DeviceAllocator for Ouroboros {
 }
 
 impl Ouroboros {
-    /// The six published variants under their display names, in the order
-    /// the paper's figures list them (series-major).
-    pub const VARIANTS: [(&'static str, OuroborosKind, QueueKind); 6] = [
-        ("Ouroboros-C-S", OuroborosKind::Chunk, QueueKind::Static),
-        ("Ouroboros-C-VA", OuroborosKind::Chunk, QueueKind::VirtArray),
-        ("Ouroboros-C-VL", OuroborosKind::Chunk, QueueKind::VirtList),
-        ("Ouroboros-P-S", OuroborosKind::Page, QueueKind::Static),
-        ("Ouroboros-P-VA", OuroborosKind::Page, QueueKind::VirtArray),
-        ("Ouroboros-P-VL", OuroborosKind::Page, QueueKind::VirtList),
-    ];
+    /// The two series under their display names, in the order the paper's
+    /// figures list them. Each row stands for the paper's S, VA and VL
+    /// labels of its series (see the module docs).
+    pub const VARIANTS: [(&'static str, OuroborosKind); 2] =
+        [("Ouroboros-C", OuroborosKind::Chunk), ("Ouroboros-P", OuroborosKind::Page)];
 
-    /// The variant a display name denotes.
-    pub fn parse_name(name: &str) -> Option<(OuroborosKind, QueueKind)> {
-        Self::VARIANTS.iter().find(|v| v.0 == name).map(|v| (v.1, v.2))
+    /// The series a display name denotes.
+    pub fn parse_name(name: &str) -> Option<OuroborosKind> {
+        Self::VARIANTS.iter().find(|v| v.0 == name).map(|v| v.1)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gpu_sim::{launch_warps, launch_warps_counted, DeviceConfig, WarpCtx};
+    use gpu_sim::{launch_warps, DeviceConfig, WarpCtx};
 
     fn with_lane<R>(f: impl FnOnce(&LaneCtx) -> R) -> R {
         let warp = WarpCtx { warp_id: 0, sm_id: 0, base_tid: 0, active: 1 };
@@ -420,70 +362,14 @@ mod tests {
     }
 
     fn all_variants(heap: u64) -> Vec<Ouroboros> {
-        let mut v = Vec::new();
-        for kind in [OuroborosKind::Chunk, OuroborosKind::Page] {
-            for q in [QueueKind::Static, QueueKind::VirtArray, QueueKind::VirtList] {
-                v.push(Ouroboros::new(heap, kind, q));
-            }
-        }
-        v
-    }
-
-    #[test]
-    fn only_the_static_queue_refuses_a_push_past_its_capacity() {
-        let (s, va) = (Queue::new(QueueKind::Static, 2), Queue::new(QueueKind::VirtArray, 2));
-        for q in [&s, &va] {
-            assert!(q.push(1) && q.push(2));
-        }
-        assert!(!s.push(3), "S is bounded at the capacity it was built with");
-        assert!(va.push(3), "VA grows");
-        assert_eq!((s.pop(), s.pop(), s.pop()), (Some(1), Some(2), None), "FIFO, 3 never queued");
-    }
-
-    /// The step clock cannot tell VA from VL: schedule length, every
-    /// pointer handed out and every counter agree, seed by seed.
-    #[test]
-    fn virt_array_and_virt_list_are_the_same_run() {
-        for kind in [OuroborosKind::Chunk, OuroborosKind::Page] {
-            for seed in 0..16 {
-                let run = |queue| {
-                    let a = Ouroboros::new(4 << 20, kind, queue);
-                    let ptrs = Mutex::new(Vec::new());
-                    let device = DeviceConfig::with_sms(4).seeded(seed);
-                    let steps = launch_warps_counted(device, 8 * 32, |warp| {
-                        for lane in warp.lanes() {
-                            let l = warp.lane(lane);
-                            let p = a.malloc(&l, 16 << (l.global_tid() % 5));
-                            lock(&ptrs).push(p.0);
-                            if l.global_tid() % 3 != 0 {
-                                a.free(&l, p);
-                            }
-                        }
-                    });
-                    (steps, ptrs.into_inner().unwrap(), a.metrics.snapshot())
-                };
-                let (va, vl) = (run(QueueKind::VirtArray), run(QueueKind::VirtList));
-                assert!(va.0 > 8 && va.1.iter().all(|&p| p != DevicePtr::NULL.0));
-                assert_eq!(va, vl, "{kind:?} seed {seed}");
-            }
-        }
+        Ouroboros::VARIANTS.iter().map(|v| Ouroboros::new(heap, v.1)).collect()
     }
 
     #[test]
     fn names_cover_the_matrix() {
         let names: Vec<String> =
             all_variants(4 << 20).iter().map(|a| a.name().to_string()).collect();
-        assert_eq!(
-            names,
-            [
-                "Ouroboros-C-S",
-                "Ouroboros-C-VA",
-                "Ouroboros-C-VL",
-                "Ouroboros-P-S",
-                "Ouroboros-P-VA",
-                "Ouroboros-P-VL"
-            ]
-        );
+        assert_eq!(names, ["Ouroboros-C", "Ouroboros-P"]);
     }
 
     #[test]
@@ -509,7 +395,6 @@ mod tests {
         let a = Ouroboros::with_reserve(
             2 * CHUNK_BYTES + (64 << 10) + CHUNK_BYTES,
             OuroborosKind::Page,
-            QueueKind::VirtArray,
             64 << 10,
         );
         // Native region: 3 chunks. Fill them all with 16 B pages.
@@ -532,7 +417,6 @@ mod tests {
         let a = Ouroboros::with_reserve(
             2 * CHUNK_BYTES + (64 << 10) + CHUNK_BYTES,
             OuroborosKind::Chunk,
-            QueueKind::VirtArray,
             64 << 10,
         );
         with_lane(|l| {
@@ -549,11 +433,9 @@ mod tests {
 
     #[test]
     fn large_requests_use_capped_fallback() {
-        let a =
-            Ouroboros::with_reserve(1 << 20, OuroborosKind::Chunk, QueueKind::Static, 128 << 10);
+        let a = Ouroboros::with_reserve(1 << 20, OuroborosKind::Chunk, 128 << 10);
         with_lane(|l| {
-            assert_eq!(a.max_native_size(), 8192);
-            let big = a.malloc(l, 64 << 10);
+            let big = a.malloc(l, 8 * CHUNK_BYTES);
             assert!(!big.is_null(), "fallback serves large requests");
             assert!(big.0 >= (1 << 20) - (128 << 10), "fallback lives in the reserve");
             // The reserve is capped: a request beyond it fails even
@@ -592,7 +474,7 @@ mod tests {
     fn warmed_up_p_series_serves_from_queues() {
         // The §6.9 effect: after a run without reset, P queues are full
         // and the next run never carves chunks.
-        let a = Ouroboros::new(4 << 20, OuroborosKind::Page, QueueKind::VirtArray);
+        let a = Ouroboros::new(4 << 20, OuroborosKind::Page);
         with_lane(|l| {
             let ptrs: Vec<_> = (0..1000).map(|_| a.malloc(l, 64)).collect();
             for &p in &ptrs {
@@ -611,7 +493,7 @@ mod tests {
 
     #[test]
     fn reset_restores_cold_state() {
-        let a = Ouroboros::new(4 << 20, OuroborosKind::Chunk, QueueKind::VirtList);
+        let a = Ouroboros::new(4 << 20, OuroborosKind::Chunk);
         with_lane(|l| {
             for _ in 0..100 {
                 a.malloc(l, 128);

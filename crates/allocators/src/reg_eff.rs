@@ -367,14 +367,9 @@ impl DeviceAllocator for RegEff {
         self.mem.len() as u64
     }
 
-    fn max_native_size(&self) -> u64 {
-        // Bounded by one region's single initial chunk.
-        let r = self.variant.num_regions() as u64;
-        self.mem.len() as u64 / r - HEADER
-    }
-
     fn supports_size(&self, size: u64) -> bool {
-        size <= self.max_native_size()
+        // Bounded by one region's single initial chunk.
+        size <= self.mem.len() as u64 / self.variant.num_regions() as u64 - HEADER
     }
 
     fn is_managing(&self) -> bool {
@@ -450,8 +445,8 @@ mod tests {
     #[test]
     fn multi_variants_cap_native_size_at_region() {
         let a = RegEff::new(32 << 20, RegEffVariant::CM);
-        assert_eq!(a.max_native_size(), (32 << 20) / 32 - 8);
-        assert!(!a.supports_size(2 << 20));
+        let region = (32 << 20) / 32 - HEADER;
+        assert!(a.supports_size(region) && !a.supports_size(region + 1));
         let single = RegEff::new(32 << 20, RegEffVariant::C);
         assert!(single.supports_size(16 << 20));
     }
@@ -540,7 +535,8 @@ mod tests {
         a.reset();
         assert_eq!(a.stats().reserved_bytes, 0);
         with_lane(|l| {
-            assert!(!a.malloc(l, a.max_native_size()).is_null());
+            let region = (1 << 16) / RegEffVariant::CM.num_regions() as u64 - HEADER;
+            assert!(a.supports_size(region) && !a.malloc(l, region).is_null());
         });
     }
 }

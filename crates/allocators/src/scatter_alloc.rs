@@ -244,10 +244,6 @@ impl DeviceAllocator for ScatterAlloc {
         self.mem.len() as u64
     }
 
-    fn max_native_size(&self) -> u64 {
-        PAGE_SIZE
-    }
-
     fn supports_size(&self, size: u64) -> bool {
         size <= PAGE_SIZE
     }

@@ -218,11 +218,6 @@ impl DeviceAllocator for XMalloc {
         self.mem.len() as u64
     }
 
-    fn max_native_size(&self) -> u64 {
-        // A single lane's request plus headers must fit the largest class.
-        self.mem.len() as u64 - COMBINED_HEADER - LANE_HEADER
-    }
-
     fn metrics(&self) -> Option<&Metrics> {
         Some(&self.metrics)
     }

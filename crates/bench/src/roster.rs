@@ -19,7 +19,7 @@ pub fn roster_names() -> Vec<&'static str> {
 /// Iterate the roster **one allocator at a time**: each is constructed,
 /// passed to `f`, and dropped (unmapping its arena) before the next is
 /// built. The timing experiments use this instead of holding the whole
-/// roster because 16 concurrently resident heaps exceed small hosts'
+/// roster because 12 concurrently resident heaps exceed small hosts'
 /// RAM once their pages are touched.
 pub fn for_each_allocator(
     heap_bytes: u64,
@@ -48,9 +48,7 @@ pub fn expansion_roster(heap_bytes: u64, num_sms: u32) -> Vec<Arc<dyn DeviceAllo
         .into_iter()
         .map(|name| -> Arc<dyn DeviceAllocator> {
             match Ouroboros::parse_name(name) {
-                Some((kind, queue)) => {
-                    Arc::new(Ouroboros::with_reserve(heap_bytes, kind, queue, reserve))
-                }
+                Some(kind) => Arc::new(Ouroboros::with_reserve(heap_bytes, kind, reserve)),
                 None => build_by_name(name, heap_bytes, num_sms).expect("a listed roster name"),
             }
         })
@@ -78,8 +76,8 @@ pub fn quick_roster(heap_bytes: u64, num_sms: u32) -> Vec<Arc<dyn DeviceAllocato
     let names = [
         "Gallatin",
         "CUDA",
-        "Ouroboros-C-S",
-        "Ouroboros-P-VA",
+        "Ouroboros-C",
+        "Ouroboros-P",
         "RegEff-AW",
         "RegEff-CFM",
         "ScatterAlloc",
@@ -94,6 +92,8 @@ pub fn quick_roster(heap_bytes: u64, num_sms: u32) -> Vec<Arc<dyn DeviceAllocato
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gpu_sim::{launch_warps_counted, DeviceConfig, DevicePtr};
+    use std::sync::Mutex;
 
     fn build(name: &str) -> Arc<dyn DeviceAllocator> {
         build_by_name(name, 64 << 20, 16).expect("a listed roster name")
@@ -102,14 +102,14 @@ mod tests {
     #[test]
     fn full_roster_has_gallatin_and_all_baselines() {
         let r: Vec<_> = roster_names().into_iter().map(build).collect();
-        assert_eq!(r.len(), 16);
+        assert_eq!(r.len(), 12);
         assert_eq!(r[0].name(), "Gallatin");
     }
 
     #[test]
     fn names_and_builds_share_one_order() {
         let names = roster_names();
-        assert_eq!(names.len(), 16);
+        assert_eq!(names.len(), 12);
         for name in &names {
             assert_eq!(build(name).name(), *name);
         }
@@ -126,5 +126,63 @@ mod tests {
         let in_order: Vec<_> =
             roster_names().into_iter().filter(|n| q.iter().any(|x| x == n)).collect();
         assert_eq!(in_order, q, "quick_roster keeps roster order");
+    }
+
+    /// What the step clock sees of one seeded churn on `name`: schedule
+    /// steps, every pointer in the order handed out, and the counters.
+    fn churn(name: &str) -> impl PartialEq {
+        let a = build_by_name(name, 4 << 20, 4).expect("a listed roster name");
+        let device = DeviceConfig::with_sms(4).seeded(7);
+        let free = |order: Vec<DevicePtr>| {
+            launch_warps_counted(device, order.len() as u64, |warp| {
+                for lane in warp.lanes() {
+                    let l = warp.lane(lane);
+                    let p = order[l.global_tid() as usize];
+                    if !p.is_null() {
+                        a.free(&l, p);
+                    }
+                }
+            })
+        };
+        // Each launch frees the first half of what it got in reverse
+        // order, so the next one reuses holes; the rest go forward last.
+        let (mut steps, mut ptrs, mut kept) = (0, Vec::new(), Vec::new());
+        for launch in 0..3 {
+            let got = Mutex::new(Vec::new());
+            steps += launch_warps_counted(device, 8 * 32, |warp| {
+                for lane in warp.lanes() {
+                    let l = warp.lane(lane);
+                    let p = a.malloc(&l, 16 << ((l.global_tid() + launch) % 9));
+                    got.lock().unwrap().push(p);
+                }
+            });
+            let got = got.into_inner().unwrap();
+            let (back, front) = got.split_at(got.len() / 2);
+            steps += free(back.iter().rev().copied().collect());
+            kept.extend_from_slice(front);
+            ptrs.extend(got);
+        }
+        steps += free(kept);
+        (steps, ptrs, a.metrics().map(|m| m.snapshot()))
+    }
+
+    /// Every row is a design the step clock can tell apart from every
+    /// other: steps, pointers or counters differ for each pair.
+    #[test]
+    fn every_roster_row_is_distinguishable() {
+        let names = roster_names();
+        let runs: Vec<_> = names.iter().map(|name| churn(name)).collect();
+        for (name, run) in names.iter().zip(&runs) {
+            assert!(churn(name) == *run, "{name}'s churn does not replay");
+        }
+        let mut same = Vec::new();
+        for i in 0..names.len() {
+            for j in i + 1..names.len() {
+                if runs[i] == runs[j] {
+                    same.push(format!("{} = {}", names[i], names[j]));
+                }
+            }
+        }
+        assert!(same.is_empty(), "rows the step clock cannot tell apart: {}", same.join(", "));
     }
 }

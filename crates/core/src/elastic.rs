@@ -626,7 +626,7 @@ mod tests {
     fn oversize_lanes_leave_the_mask_and_are_denied_once() {
         fn case<L: Fresh>() {
             let (level, mut sizes) = (L::fresh(), requests());
-            sizes[3] = Some(level.max_native_size() + 1);
+            sizes[3] = Some(level.heap_bytes() / level.leaves().len() as u64 + 1);
             sizes[6] = sizes[3];
             let mut out = vec![SENTINEL; WARP_SIZE];
             let served = level.malloc_lanes(0, mask(&[2, 3, 4, 6]), &sizes, &mut out);

@@ -436,11 +436,6 @@ impl DeviceAllocator for Gallatin {
         self.geo.heap_bytes
     }
 
-    fn max_native_size(&self) -> u64 {
-        // Any size up to the whole heap, by design.
-        self.geo.heap_bytes
-    }
-
     fn metrics(&self) -> Option<&Metrics> {
         Some(&self.metrics)
     }

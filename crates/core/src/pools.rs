@@ -305,7 +305,6 @@ mod tests {
     fn oversize_requests_are_denied_once_and_walk_nothing() {
         let t = topo_pool(2, 2);
         assert!(!t.supports_size(t.stride() + 1));
-        assert_eq!(t.max_native_size(), t.stride());
         assert!(t.malloc(&warp_on(0, 1).lane(0), t.stride() + 1).is_null());
         assert_eq!(t.pool(0).pool_stats().oversize_denials, 1, "home device counts the one denial");
         assert_eq!(t.pool(1).pool_stats().oversize_denials, 0, "peers are never consulted");

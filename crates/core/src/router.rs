@@ -569,10 +569,6 @@ impl<C: Level> DeviceAllocator for Router<C> {
         size <= self.stride
     }
 
-    fn max_native_size(&self) -> u64 {
-        self.stride
-    }
-
     fn metrics(&self) -> Option<&Metrics> {
         // Only the tariff's local/peer counters live here: per-leaf
         // allocator metrics are the point of sharding and stay on the
@@ -694,7 +690,6 @@ mod tests {
     fn oversized_requests_fail_without_walking_siblings() {
         let p = pool(4);
         assert!(!p.supports_size(p.stride() + 1));
-        assert_eq!(p.max_native_size(), p.stride());
         assert_eq!(p.heap_bytes(), 4 * p.stride());
         // The denial must be decided before any instance is consulted:
         // zero atomic traffic (no CAS, no RMW, not even a counted failed

@@ -40,7 +40,7 @@ pub struct AllocStats {
 /// A device-side memory allocator running on the simulated SIMT substrate.
 pub trait DeviceAllocator: Send + Sync {
     /// Short display name used in benchmark tables, e.g. `"Gallatin"`,
-    /// `"Ouroboros-P-VA"`.
+    /// `"Ouroboros-P"`.
     fn name(&self) -> &str;
 
     /// The arena this allocator hands pointers into.
@@ -100,11 +100,6 @@ pub trait DeviceAllocator: Send + Sync {
     /// Zero is always supported (see [`DeviceAllocator::malloc`]).
     fn supports_size(&self, size: u64) -> bool {
         size <= self.heap_bytes()
-    }
-
-    /// The largest request the native (non-fallback) pipeline serves.
-    fn max_native_size(&self) -> u64 {
-        self.heap_bytes()
     }
 
     /// `false` for pseudo-allocators that do not actually manage memory
@@ -193,9 +188,6 @@ impl<T: DeviceAllocator + ?Sized> DeviceAllocator for &T {
     }
     fn supports_size(&self, size: u64) -> bool {
         (**self).supports_size(size)
-    }
-    fn max_native_size(&self) -> u64 {
-        (**self).max_native_size()
     }
     fn is_managing(&self) -> bool {
         (**self).is_managing()

@@ -1,7 +1,7 @@
 //! Dynamic graph: the workload the paper's introduction motivates.
 //!
 //! A streaming, heavily skewed ("Twitter-like") graph is built edge by
-//! edge on two allocators: Gallatin and Ouroboros-P-VA (the strongest
+//! edge on two allocators: Gallatin and Ouroboros-P (the strongest
 //! chunk-limited competitor). Hub vertices keep doubling their edge
 //! lists; once a list outgrows 8192 bytes, Ouroboros must serve it from
 //! its capped CUDA-heap reserve — and fails when the hubs' total exceeds
@@ -9,7 +9,7 @@
 //!
 //! Run with: `cargo run --release --example dynamic_graph`
 
-use allocators::{Ouroboros, OuroborosKind, QueueKind};
+use allocators::{Ouroboros, OuroborosKind};
 use gallatin_repro::prelude::*;
 use gpu_sim::launch;
 use graph::{zipf_edges, DynamicGraph};
@@ -56,9 +56,8 @@ fn main() {
 
     // Ouroboros with the (scaled) CUDA-heap reserve the paper describes:
     // hub edge lists above 8192 B land in the reserve and exhaust it.
-    let ouroboros =
-        Ouroboros::with_reserve(heap, OuroborosKind::Page, QueueKind::VirtArray, 2 << 20);
-    stream_graph("Ouroboros-P-VA (2 MiB CUDA reserve)", &ouroboros);
+    let ouroboros = Ouroboros::with_reserve(heap, OuroborosKind::Page, 2 << 20);
+    stream_graph("Ouroboros-P (2 MiB CUDA reserve)", &ouroboros);
 
     println!(
         "\nGallatin keeps hub lists in ordinary segments; the chunk-limited \

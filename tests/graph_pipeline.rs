@@ -1,7 +1,7 @@
 //! Integration: the dynamic graph workload over the whole allocator
 //! roster — the end-to-end pipeline the paper's §6.12 benchmark runs.
 
-use allocators::{all_baselines, Ouroboros, OuroborosKind, QueueKind};
+use allocators::{all_baselines, Ouroboros, OuroborosKind};
 use gallatin::{Gallatin, GallatinConfig};
 use gpu_sim::{launch, DeviceAllocator, DeviceConfig};
 use graph::{uniform_edges, zipf_edges, DynamicGraph};
@@ -76,8 +76,7 @@ fn skewed_expansion_discriminates_reserve_limited_allocators() {
     // The paper's headline failure mode: Gallatin absorbs hub growth,
     // a small-reserve Ouroboros does not.
     let gallatin = Gallatin::new(GallatinConfig::dense(HEAP));
-    let ouroboros =
-        Ouroboros::with_reserve(HEAP, OuroborosKind::Page, QueueKind::VirtArray, 1 << 20);
+    let ouroboros = Ouroboros::with_reserve(HEAP, OuroborosKind::Page, 1 << 20);
 
     let run = |a: &dyn DeviceAllocator| -> u64 {
         let g = DynamicGraph::new(512, a);
