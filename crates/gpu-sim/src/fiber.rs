@@ -5,6 +5,7 @@
 //! nothing in this file is `Send` and idle stacks are pooled per thread,
 //! so concurrent launchers share nothing.
 
+use crate::sys::{mmap, mprotect, munmap, NO_ACCESS, PRIVATE_ANONYMOUS, READ_WRITE};
 use std::arch::naked_asm;
 use std::cell::{Cell, RefCell};
 use std::ptr::null_mut;
@@ -22,17 +23,6 @@ const STACK_BYTES: usize = 256 * 1024;
 const GUARD_BYTES: usize = 4096;
 /// One mapping: the guard page, then the stack.
 const MAP_BYTES: usize = GUARD_BYTES + STACK_BYTES;
-
-// From the libc std already links; the constants are its `PROT_NONE`,
-// `PROT_READ | PROT_WRITE` and `MAP_PRIVATE | MAP_ANONYMOUS`.
-extern "C" {
-    fn mmap(addr: *mut u8, len: usize, prot: i32, flags: i32, fd: i32, off: i64) -> *mut u8;
-    fn mprotect(addr: *mut u8, len: usize, prot: i32) -> i32;
-    fn munmap(addr: *mut u8, len: usize) -> i32;
-}
-const NO_ACCESS: i32 = 0;
-const READ_WRITE: i32 = 1 | 2;
-const PRIVATE_ANONYMOUS: i32 = 2 | if cfg!(target_os = "linux") { 0x20 } else { 0x1000 };
 
 /// The base of one mapping of [`MAP_BYTES`], owned.
 struct Stack(*mut u8);

@@ -55,6 +55,7 @@ pub mod mem;
 pub mod metrics;
 pub mod replay;
 pub mod sched;
+mod sys;
 pub mod topo;
 pub mod trace;
 pub mod warp;

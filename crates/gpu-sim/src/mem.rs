@@ -1,4 +1,5 @@
-//! Device memory: one contiguous arena standing in for GPU DRAM.
+//! Device memory: one contiguous arena standing in for GPU DRAM, which
+//! [`DeviceMemory::zero_range`] populates in 2 MiB pages, as a GPU maps it.
 //!
 //! All of the allocators in this workspace hand out [`DevicePtr`]s, which
 //! are byte offsets into a [`DeviceMemory`] arena. Using offsets instead of
@@ -29,6 +30,7 @@
 //!   what a word-by-word [`DeviceMemory::read_stamp`] loop would check and
 //!   compare one at a time is checked once and compared a line at a time.
 
+use crate::sys::{madvise, mincore, MADV_DONTNEED, MADV_HUGEPAGE, MADV_POPULATE_WRITE};
 use std::alloc::{alloc_zeroed, dealloc, handle_alloc_error, Layout};
 use std::ptr::NonNull;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -40,6 +42,8 @@ use std::sync::Arc;
 /// `posix_memalign` + an explicit memset, which makes a multi-GiB arena
 /// fully resident at construction instead of lazily zero-paged.
 const ARENA_ALIGN: usize = 16;
+/// The host's base page (x86-64).
+const PAGE: usize = 4096;
 
 /// A device pointer: a byte offset into a [`DeviceMemory`] arena.
 ///
@@ -273,12 +277,31 @@ impl DeviceMemory {
         unsafe { std::ptr::copy_nonoverlapping(from, to, bytes) };
     }
 
-    /// Zero a byte range (used by allocator `reset` implementations).
+    /// Zero a byte range and leave it resident, as a benchmark's pre-fault
+    /// does to a whole arena. A range whose first whole page is not resident
+    /// has its whole pages dropped (zeroed), given 2 MiB pages and populated,
+    /// and its edges written; a resident one, cheaper to write than to refault,
+    /// or a refused call is written whole. Nothing may access it meanwhile.
     pub fn zero_range(&self, off: u64, bytes: usize) {
         self.check(off, bytes, 1);
-        // SAFETY: bounds-checked; callers only reset quiescent arenas.
+        let (off, at) = (off as usize, self.ptr(off as usize) as usize);
+        let (lo, hi) = (at.next_multiple_of(PAGE), (at + bytes) / PAGE * PAGE);
+        // SAFETY: the checked range's whole pages hold only this arena's bytes.
+        let advise = |advice| unsafe { madvise(lo as *mut u8, hi - lo, advice) } == 0;
+        let mut first = 1u8;
+        let paged = cfg!(target_os = "linux")
+            && lo < hi
+            // SAFETY: `lo` starts a mapped page; `first` takes its one status byte.
+            && unsafe { mincore(lo as *mut u8, PAGE, &mut first) } == 0
+            && first & 1 == 0
+            && advise(MADV_DONTNEED)
+            && advise(MADV_HUGEPAGE)
+            && advise(MADV_POPULATE_WRITE);
+        let (head, tail) = if paged { (lo - at, at + bytes - hi) } else { (bytes, 0) };
+        // SAFETY: both edges lie in the checked range; see `write_bytes`.
         unsafe {
-            std::ptr::write_bytes(self.ptr(off as usize), 0, bytes);
+            std::ptr::write_bytes(self.ptr(off), 0, head);
+            std::ptr::write_bytes(self.ptr(off + bytes - tail), 0, tail);
         }
     }
 }
@@ -499,5 +522,99 @@ mod tests {
         mem.store_u64(8, u64::MAX);
         mem.zero_range(8, 8);
         assert_eq!(mem.load_u64(8), 0);
+    }
+
+    /// Drop the first whole page at or after byte `off`, as if it had never
+    /// been touched: a `zero_range` from `off` then takes the page-level
+    /// path, where a resident first page has the range written.
+    fn drop_first_page(mem: &DeviceMemory, off: usize) {
+        let page = (mem.ptr(off) as usize).next_multiple_of(PAGE);
+        // SAFETY: a whole page of the test's own arena; nothing else reads it.
+        assert_eq!(unsafe { madvise(page as *mut u8, PAGE, MADV_DONTNEED) }, 0);
+    }
+
+    /// Fill the whole view with a pattern that has no zero byte, zero
+    /// `[off, off + bytes)` through `zeroer` and check every byte of the
+    /// view: 0 inside the range, the pattern outside it. A range holding a
+    /// whole page is checked on both paths: resident, and with its first
+    /// whole page dropped.
+    fn assert_zeroes_exactly(mem: &DeviceMemory, zeroer: &DeviceMemory, off: usize, bytes: usize) {
+        let mut pattern = (1..=251u8).collect::<Vec<_>>().repeat(mem.len() / 251 + 1);
+        pattern.truncate(mem.len());
+        let mut want = pattern.clone();
+        want[off..off + bytes].fill(0);
+        let at = mem.ptr(off) as usize;
+        let holds_a_page = at.next_multiple_of(PAGE) + PAGE <= at + bytes;
+        for dropped in [false, true].into_iter().take(1 + holds_a_page as usize) {
+            mem.write_bytes(DevicePtr(0), &pattern);
+            if dropped {
+                drop_first_page(mem, off);
+            }
+            zeroer.zero_range(off as u64, bytes);
+            let mut got = vec![0u8; mem.len()];
+            mem.read_bytes(DevicePtr(0), &mut got);
+            if got != want {
+                let i = got.iter().zip(&want).position(|(g, w)| g != w).unwrap();
+                let (g, w) = (got[i], want[i]);
+                panic!(
+                    "zeroing [{off}, +{bytes}), dropped {dropped}: byte {i} reads {g}, want {w}"
+                );
+            }
+        }
+    }
+
+    /// Both paths are exact at the page edges: a range that starts mid-page
+    /// and spans whole 2 MiB pages, one that ends at the arena's end, the
+    /// whole arena, a write through a second view, and the ranges too small
+    /// to hold a page.
+    #[test]
+    fn zero_range_is_exact_at_the_page_edges() {
+        let mem = DeviceMemory::new((8 << 20) + 3);
+        let len = mem.len();
+        assert_zeroes_exactly(&mem, &mem, 3 * PAGE + 5, (4 << 20) + 2 * PAGE + 7);
+        assert_zeroes_exactly(&mem, &mem, (2 << 20) + 123, len - (2 << 20) - 123);
+        assert_zeroes_exactly(&mem, &mem, 0, len);
+        assert_zeroes_exactly(&mem, &mem.clone_view(), PAGE - 64, (2 << 20) + 128);
+        for (off, bytes) in [(PAGE, 1), (PAGE - 1, 1), (5 * PAGE, 0), (len, 0), (len - 1, 1)] {
+            assert_zeroes_exactly(&mem, &mem, off, bytes);
+        }
+    }
+
+    /// Minor page faults taken by the calling thread so far.
+    fn thread_minor_faults() -> i64 {
+        extern "C" {
+            fn getrusage(who: i32, usage: *mut [i64; 18]) -> i32;
+        }
+        const RUSAGE_THREAD: i32 = 1;
+        let mut usage = [0i64; 18];
+        // SAFETY: `struct rusage` is two `timeval`s and fourteen `long`s on
+        // x86-64 Linux, 18 words; `ru_minflt` is the ninth.
+        assert_eq!(unsafe { getrusage(RUSAGE_THREAD, &mut usage) }, 0);
+        usage[8]
+    }
+
+    /// A pre-fault relies on the range being resident afterwards, on either
+    /// path: reading one word of each of its pages must take no fault.
+    /// (Dropping the pages without populating them leaves each read a
+    /// zero-page fault.)
+    #[test]
+    fn zero_range_leaves_the_range_resident() {
+        const BYTES: usize = 16 << 20;
+        let mem = DeviceMemory::new(BYTES + PAGE);
+        for dropped in [false, true] {
+            mem.write_bytes(DevicePtr(0), &vec![7u8; mem.len()]);
+            if dropped {
+                drop_first_page(&mem, PAGE / 2);
+            }
+            mem.zero_range(PAGE as u64 / 2, BYTES);
+            let before = thread_minor_faults();
+            let sum: u64 = (0..BYTES / PAGE).map(|p| mem.load_u64((PAGE + p * PAGE) as u64)).sum();
+            let faults = thread_minor_faults() - before;
+            assert_eq!(
+                (sum, faults),
+                (0, 0),
+                "dropped {dropped}: (sum of words read, faults taken)"
+            );
+        }
     }
 }
