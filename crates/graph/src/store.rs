@@ -7,6 +7,11 @@
 //! grow/shrink is a `malloc` + copy + `free` against the allocator under
 //! test — which is exactly what the benchmark measures.
 //!
+//! A list is a ring in arrival order inside its allocation. A delete
+//! fills the slot it empties with the *oldest* edge and advances the
+//! head, so a stream that expires its oldest edges (a sliding window)
+//! finds each at the head in one compare and moves nothing.
+//!
 //! Per-vertex updates are serialized with a spinlock, the standard
 //! device-side pattern for edge-list updaters; different vertices update
 //! fully in parallel.
@@ -24,16 +29,29 @@ struct Vertex {
     len: AtomicU32,
     /// Capacity in entries (power of two, or 0 when unallocated).
     cap: AtomicU32,
+    /// Slot of the oldest edge: the list is slots `head .. head + len`
+    /// modulo `cap`, oldest first. 0 whenever `cap` is.
+    head: AtomicU32,
     /// Spinlock guarding structural updates.
     lock: AtomicU32,
 }
 
 impl Vertex {
+    /// The live ring as two runs of slots, `[head, head + first)` then
+    /// `[0, second)`: `(head, first, second)`. Caller holds the lock.
+    fn runs(&self) -> (u64, u64, u64) {
+        let head = self.head.load(Ordering::Relaxed) as u64;
+        let len = self.len.load(Ordering::Relaxed) as u64;
+        let first = len.min(self.cap.load(Ordering::Relaxed) as u64 - head);
+        (head, first, len - first)
+    }
+
     fn new() -> Self {
         Vertex {
             ptr: AtomicU64::new(DevicePtr::NULL.0),
             len: AtomicU32::new(0),
             cap: AtomicU32::new(0),
+            head: AtomicU32::new(0),
             lock: AtomicU32::new(0),
         }
     }
@@ -107,29 +125,33 @@ impl<A: DeviceAllocator> DynamicGraph<A> {
         self.vertices.iter().map(|v| v.cap.load(Ordering::Acquire) as u64 * 8).sum()
     }
 
-    /// Read vertex `v`'s edge list back to the host.
+    /// Read vertex `v`'s edge list back to the host, oldest edge first
+    /// (arrival order, except where a delete moved the oldest edge into
+    /// the slot it emptied).
     pub fn edges(&self, v: u32) -> Vec<u64> {
         let vert = &self.vertices[v as usize];
         let _guard = VertexGuard::acquire(vert);
-        let len = vert.len.load(Ordering::Relaxed) as usize;
+        let (head, first, second) = vert.runs();
         let ptr = DevicePtr(vert.ptr.load(Ordering::Relaxed));
-        let mut words = vec![[0u8; 8]; len];
+        let mut words = vec![[0u8; 8]; (first + second) as usize];
         // An empty list may be null: nothing to read, so never looked at.
-        if len > 0 {
-            self.alloc.memory().read_bytes(ptr, words.as_flattened_mut());
+        if first > 0 {
+            let (older, wrapped) = words.split_at_mut(first as usize);
+            self.alloc.memory().read_bytes(ptr.offset(head * 8), older.as_flattened_mut());
+            self.alloc.memory().read_bytes(ptr, wrapped.as_flattened_mut());
         }
         words.into_iter().map(u64::from_le_bytes).collect()
     }
 
     /// Grow or shrink `vert`'s storage to hold `need` entries. Returns
-    /// the (possibly unchanged) data pointer, or `None` on allocation
-    /// failure. Caller holds the vertex lock.
-    fn resize_locked(&self, ctx: &LaneCtx, vert: &Vertex, need: u64) -> Option<DevicePtr> {
+    /// `false` on allocation failure, leaving the list as it was. Caller
+    /// holds the vertex lock.
+    fn resize_locked(&self, ctx: &LaneCtx, vert: &Vertex, need: u64) -> bool {
         let cap = vert.cap.load(Ordering::Relaxed) as u64;
         let old = DevicePtr(vert.ptr.load(Ordering::Relaxed));
         let new_cap = if need == 0 { 0 } else { need.next_power_of_two().max(MIN_CAP) };
         if new_cap == cap {
-            return Some(old);
+            return true;
         }
         if new_cap == 0 {
             if !old.is_null() {
@@ -137,21 +159,25 @@ impl<A: DeviceAllocator> DynamicGraph<A> {
             }
             vert.ptr.store(DevicePtr::NULL.0, Ordering::Relaxed);
             vert.cap.store(0, Ordering::Relaxed);
-            return Some(DevicePtr::NULL);
+            vert.head.store(0, Ordering::Relaxed);
+            return true;
         }
         let fresh = self.alloc.malloc(ctx, new_cap * 8);
         if fresh.is_null() {
-            return None;
+            return false;
         }
         if !old.is_null() {
-            // Move the surviving prefix, device to device.
-            let live = (vert.len.load(Ordering::Relaxed) as u64).min(new_cap);
-            self.alloc.memory().copy(old, fresh, (live * 8) as usize);
+            // Move the live ring, device to device, oldest edge first.
+            let (head, first, second) = vert.runs();
+            let mem = self.alloc.memory();
+            mem.copy(old.offset(head * 8), fresh, (first * 8) as usize);
+            mem.copy(old, fresh.offset(first * 8), (second * 8) as usize);
             self.alloc.free(ctx, old);
         }
         vert.ptr.store(fresh.0, Ordering::Relaxed);
         vert.cap.store(new_cap as u32, Ordering::Relaxed);
-        Some(fresh)
+        vert.head.store(0, Ordering::Relaxed);
+        true
     }
 
     /// Insert edge `src → dst`. Returns `false` if the allocator could
@@ -160,40 +186,53 @@ impl<A: DeviceAllocator> DynamicGraph<A> {
         let vert = &self.vertices[src as usize];
         let _guard = VertexGuard::acquire(vert);
         let len = vert.len.load(Ordering::Relaxed) as u64;
-        let cap = vert.cap.load(Ordering::Relaxed) as u64;
-        let ptr = if len == cap {
-            let Some(fresh) = self.resize_locked(ctx, vert, len + 1) else {
-                self.failed_updates.fetch_add(1, Ordering::Relaxed);
-                return false;
-            };
-            fresh
-        } else {
-            DevicePtr(vert.ptr.load(Ordering::Relaxed))
-        };
-        self.alloc.memory().write_stamp(ptr.offset(len * 8), dst);
+        if len == vert.cap.load(Ordering::Relaxed) as u64 && !self.resize_locked(ctx, vert, len + 1)
+        {
+            self.failed_updates.fetch_add(1, Ordering::Relaxed);
+            return false;
+        }
+        // The slot past the newest edge.
+        let ptr = DevicePtr(vert.ptr.load(Ordering::Relaxed));
+        let (head, cap) = (vert.head.load(Ordering::Relaxed), vert.cap.load(Ordering::Relaxed));
+        let tail = (head as u64 + len) & (cap as u64 - 1);
+        self.alloc.memory().write_stamp(ptr.offset(tail * 8), dst);
         vert.len.store(len as u32 + 1, Ordering::Release);
         true
     }
 
-    /// Delete one occurrence of edge `src → dst` (swap-remove). Returns
-    /// whether the edge existed.
+    /// Delete the first occurrence of edge `src → dst` in `edges()`
+    /// order; the list's oldest edge fills its slot (module docs).
+    /// Returns whether the edge existed.
     pub fn delete_edge(&self, ctx: &LaneCtx, src: u32, dst: u64) -> bool {
         let vert = &self.vertices[src as usize];
         let _guard = VertexGuard::acquire(vert);
-        let len = vert.len.load(Ordering::Relaxed) as u64;
+        let (head, first, second) = vert.runs();
+        // An empty list may be null: never offset.
+        if first == 0 {
+            return false;
+        }
         let ptr = DevicePtr(vert.ptr.load(Ordering::Relaxed));
         let mem = self.alloc.memory();
-        // The first match: swap-remove makes list order observable.
-        let Some(i) = mem.find_stamp(ptr, len, dst) else { return false };
-        let last = mem.read_stamp(ptr.offset((len - 1) * 8));
-        mem.write_stamp(ptr.offset(i * 8), last);
+        // The first match in arrival order: the run from the head, then
+        // the wrapped run. `edges()` order is what notices another match.
+        let Some(i) = mem
+            .find_stamp(ptr.offset(head * 8), first, dst)
+            .map(|i| head + i)
+            .or_else(|| mem.find_stamp(ptr, second, dst))
+        else {
+            return false;
+        };
+        if i != head {
+            mem.write_stamp(ptr.offset(i * 8), mem.read_stamp(ptr.offset(head * 8)));
+        }
+        let (len, cap) = (first + second, vert.cap.load(Ordering::Relaxed) as u64);
+        vert.head.store(((head + 1) & (cap - 1)) as u32, Ordering::Relaxed);
         vert.len.store(len as u32 - 1, Ordering::Release);
         // Shrink at quarter occupancy (paper: lists sized to the next
         // power of two of their length). A shrink the allocator cannot
         // serve keeps the capacity; the delete itself has succeeded.
-        let cap = vert.cap.load(Ordering::Relaxed) as u64;
         if len - 1 <= cap / 4 {
-            let _ = self.resize_locked(ctx, vert, len - 1);
+            self.resize_locked(ctx, vert, len - 1);
         }
         true
     }
@@ -208,6 +247,7 @@ impl<A: DeviceAllocator> DynamicGraph<A> {
                 vert.ptr.store(DevicePtr::NULL.0, Ordering::Relaxed);
                 vert.len.store(0, Ordering::Relaxed);
                 vert.cap.store(0, Ordering::Relaxed);
+                vert.head.store(0, Ordering::Relaxed);
             }
         }
     }
@@ -253,7 +293,7 @@ mod tests {
     }
 
     #[test]
-    fn delete_swaps_and_shrinks() {
+    fn delete_expires_the_oldest_and_shrinks() {
         let g = DynamicGraph::new(1, Gallatin::new(GallatinConfig::small_test(1 << 20)));
         with_lane(|l| {
             for d in 0..32u64 {
@@ -266,10 +306,67 @@ mod tests {
             assert!(!g.delete_edge(l, 0, 999));
             assert_eq!(g.degree(0), 4);
             assert!(g.vertices[0].cap.load(Ordering::Relaxed) <= 8, "list must shrink");
-            let mut rest = g.edges(0);
-            rest.sort_unstable();
-            assert_eq!(rest, vec![28, 29, 30, 31]);
+            assert_eq!(g.edges(0), vec![28, 29, 30, 31]);
         });
+    }
+
+    /// One vertex through every ring case with first-in-first-out deletes
+    /// only, so `edges()` must stay in insertion order throughout: the
+    /// head wraps past `cap` several times, the list grows while wrapped,
+    /// shrinks while wrapped, empties to the null list and refills.
+    #[test]
+    fn fifo_deletes_keep_insertion_order_through_every_ring_case() {
+        let g = DynamicGraph::new(1, Gallatin::new(GallatinConfig::small_test(1 << 20)));
+        let vert = &g.vertices[0];
+        let state = || {
+            let load = |a: &AtomicU32| a.load(Ordering::Relaxed);
+            (load(&vert.head), load(&vert.len), load(&vert.cap))
+        };
+        let mut model = std::collections::VecDeque::new();
+        let (mut next, mut wraps, mut grew_wrapped, mut shrank_wrapped) = (0u64, 0, false, false);
+        // Each step is an insert (`true`) or a delete of the oldest edge.
+        let mut step = |l: &LaneCtx, insert: bool| {
+            let (head, len, cap) = state();
+            if insert {
+                assert!(g.insert_edge(l, 0, next));
+                model.push_back(next);
+                next += 1;
+            } else {
+                assert!(g.delete_edge(l, 0, model.pop_front().unwrap()));
+            }
+            let (new_head, _, new_cap) = state();
+            let wrapped = head + len > cap;
+            grew_wrapped |= wrapped && new_cap > cap;
+            shrank_wrapped |= wrapped && new_cap < cap && new_cap > 0;
+            wraps += (new_cap == cap && new_head < head) as u32;
+            assert_eq!(g.edges(0), Vec::from(model.clone()), "at {:?}", state());
+        };
+        with_lane(|l| {
+            let mut run = |inserts: usize, window: usize, deletes: usize| {
+                (0..inserts).for_each(|_| step(l, true));
+                (0..window).for_each(|_| [true, false].into_iter().for_each(|i| step(l, i)));
+                (0..deletes).for_each(|_| step(l, false));
+            };
+            // Six edges in 8 slots, a 40-step sliding window (the head
+            // wraps five times), then expire down to 3 live at head 3.
+            run(6, 40, 3);
+            // Fill all 8 slots and grow to 16 from the wrapped ring, slide
+            // the head to 8, then expire down to 4 live: the shrink finds
+            // the ring wrapped at head 13.
+            run(6, 8, 5);
+            assert_eq!(state(), (0, 4, 4), "shrunk once, unwrapped");
+            // Empty to the null list, miss on it, and refill.
+            run(0, 0, 4);
+            assert_eq!((state(), vert.ptr.load(Ordering::Relaxed)), ((0, 0, 0), DevicePtr::NULL.0));
+            assert!(!g.delete_edge(l, 0, 7));
+            run(5, 3, 0);
+            g.destroy(l);
+        });
+        assert!(
+            wraps >= 5 && grew_wrapped && shrank_wrapped,
+            "{wraps} {grew_wrapped} {shrank_wrapped}"
+        );
+        assert_eq!(g.allocator().stats().reserved_bytes, 0);
     }
 
     #[test]

@@ -1,12 +1,14 @@
 //! Differential test of the edge-list store against a host oracle.
 //!
-//! The oracle is a `Vec<Vec<u64>>` doing what the store documents: push
-//! on insert, swap-remove of the **first** match on delete, capacities at
-//! the next power of two (at least 4) that grow when full and shrink at
-//! quarter occupancy. Swap-remove makes list order observable, so the
-//! comparison is element for element after every single op: a search that
-//! returned the last match, or any match, would pass every sorted or
-//! degree-only check in the workspace and fail here.
+//! The oracle is a `Vec<Vec<u64>>` in arrival order doing what the store
+//! documents: push on insert; on delete, find the **first** match, drop
+//! the oldest edge and write it into the match's slot; capacities at the
+//! next power of two (at least 4) that grow when full and shrink at
+//! quarter occupancy. The moved oldest edge makes list order observable,
+//! so the comparison is element for element after every single op: a
+//! search that returned the last match, or any match, or a resize that
+//! lost the ring's order, would pass every sorted or degree-only check in
+//! the workspace and fail here.
 
 use allocators::CudaHeapSim;
 use gallatin::{Gallatin, GallatinConfig};
@@ -51,7 +53,10 @@ impl OracleList {
 
     fn delete(&mut self, dst: u64) -> bool {
         let Some(i) = self.edges.iter().position(|&e| e == dst) else { return false };
-        self.edges.swap_remove(i);
+        let oldest = self.edges.remove(0);
+        if i > 0 {
+            self.edges[i - 1] = oldest;
+        }
         if self.edges.len() <= self.cap / 4 {
             self.cap = fit(self.edges.len());
         }
@@ -135,7 +140,8 @@ proptest! {
 fn ramp_crosses_every_grow_and_shrink_boundary() {
     let up = (0..200u64).map(|i| Op::Insert(2, i % 13));
     // Deleting value by value takes each duplicate's first occurrence in
-    // turn, so the swap-removes reorder the survivors as they go.
+    // turn, so the oldest edge moves into most emptied slots and the
+    // survivors reorder as they go.
     let down = (0..200u64).flat_map(|i| [Op::Delete(2, i / 16), Op::Delete(2, 99)]);
     let sweep = (0..13u64).flat_map(|d| std::iter::repeat_n(Op::Delete(2, d), 17));
     let ops: Vec<Op> = up.chain(down).chain(sweep).collect();

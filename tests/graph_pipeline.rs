@@ -1,7 +1,7 @@
 //! Integration: the dynamic graph workload over the whole allocator
 //! roster — the end-to-end pipeline the paper's §6.12 benchmark runs.
 
-use allocators::{all_baselines, Ouroboros, OuroborosKind};
+use allocators::{all_baselines, CudaHeapSim, Ouroboros, OuroborosKind};
 use gallatin::{Gallatin, GallatinConfig};
 use gpu_sim::{launch, DeviceAllocator, DeviceConfig};
 use graph::{uniform_edges, zipf_edges, DynamicGraph};
@@ -115,4 +115,50 @@ fn graph_survives_concurrent_mixed_insert_delete() {
     launch(DeviceConfig::with_sms(8), 1, |l| g.destroy(l));
     assert_eq!(a.stats().reserved_bytes, 0);
     a.check_invariants().expect("invariants violated after mixed insert/delete");
+}
+
+#[test]
+fn sliding_window_deletes_find_every_edge() {
+    // The benchmark's stream at a test's size: unit `u` inserts batch `u`
+    // and deletes batch `u - LAG`, each one concurrent launch, so every
+    // delete expires an old copy while hub lists wrap their rings, grow
+    // through the warm-up and shrink to nothing in the drain.
+    const VERTICES: u32 = 256;
+    const BATCH: usize = 1024;
+    const LAG: usize = 4;
+    const UNITS: usize = 24;
+    let batches: Vec<_> = (0..UNITS as u64).map(|u| zipf_edges(VERTICES, BATCH, 0.8, u)).collect();
+    let allocators: [Box<dyn DeviceAllocator>; 2] =
+        [Box::new(Gallatin::new(GallatinConfig::dense(HEAP))), Box::new(CudaHeapSim::new(HEAP))];
+    for a in allocators {
+        let g = DynamicGraph::new(VERTICES as usize, a.as_ref());
+        let launch_batch = |edges: &[(u32, u64)], insert: bool| {
+            launch(DeviceConfig::with_sms(8), edges.len() as u64, |l| {
+                let (s, d) = edges[l.global_tid() as usize];
+                if insert {
+                    assert!(g.insert_edge(l, s, d), "{}: insert refused", a.name());
+                } else {
+                    assert!(g.delete_edge(l, s, d), "{}: edge ({s}, {d}) missing", a.name());
+                }
+            });
+        };
+        let mut peak_bytes = 0;
+        for u in 0..UNITS + LAG {
+            if let Some(batch) = batches.get(u) {
+                launch_batch(batch, true);
+            }
+            peak_bytes = peak_bytes.max(g.edge_bytes());
+            if u >= LAG {
+                launch_batch(&batches[u - LAG], false);
+            }
+            let live = (u + 1).min(LAG).min(UNITS + LAG - 1 - u);
+            assert_eq!(g.num_edges(), (live * BATCH) as u64, "{} after unit {u}", a.name());
+        }
+        assert!(peak_bytes > (LAG * BATCH * 8) as u64, "{}: lists grew", a.name());
+        assert_eq!(g.edge_bytes(), 0, "{}: every list shrank to the null list", a.name());
+        assert_eq!(a.stats().reserved_bytes, 0, "{} leaked", a.name());
+        if let Err(e) = a.check_invariants() {
+            panic!("{}: invariant violation after the sliding window:\n{e}", a.name());
+        }
+    }
 }
