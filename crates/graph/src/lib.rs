@@ -13,7 +13,8 @@
 //! * [`gen`] — workload generators: uniform streams, Zipf/power-law
 //!   ("Twitter-like") skewed streams, and the expansion schedule that
 //!   drives hub vertices past the 8192-byte chunk limit of queue-based
-//!   allocators (§6.12's expansion tests).
+//!   allocators (§6.12's expansion tests). Each stream is a pure function
+//!   of its arguments, drawn from [`gpu_sim::SplitMix64`].
 
 #![warn(missing_docs)]
 

@@ -178,8 +178,11 @@ impl VebTree {
     pub fn insert(&self, x: u64) -> bool {
         self.check_index(x);
         let (w, b) = (x / WORD_BITS, x % WORD_BITS);
-        let prev = self.levels[0][w as usize].fetch_or(1 << b, Ordering::AcqRel);
-        if prev & (1 << b) != 0 {
+        let word = &self.levels[0][w as usize];
+        // A plain load first: re-inserting a present member takes no RMW.
+        if word.load(Ordering::Acquire) & (1 << b) != 0
+            || word.fetch_or(1 << b, Ordering::AcqRel) & (1 << b) != 0
+        {
             return false;
         }
         // Even when the word was already non-empty (so its summaries
@@ -428,7 +431,8 @@ impl VebTree {
     /// Claim `n` *contiguous* members scanning from the back of the
     /// universe (first fit from the end — how Gallatin places
     /// multi-segment allocations, §4.1). Returns the first index of the
-    /// run. Claims are per-bit atomic with rollback, so concurrent
+    /// run. Each leaf word of the run is claimed with one CAS, and a
+    /// failed word rolls back the words above it, so concurrent
     /// claimants never overlap.
     pub fn claim_contiguous_from_back(&self, n: u64) -> Option<u64> {
         assert!(n > 0, "contiguous claim of zero items");
@@ -436,55 +440,78 @@ impl VebTree {
             return None;
         }
         let mut high = self.universe - 1;
-        'outer: loop {
+        loop {
             // Find the highest member ≤ high; a run must end at a member.
             let end = self.predecessor(high)?;
             if end + 1 < n {
                 return None;
             }
-            let start = end + 1 - n;
-            // Check the whole candidate run is present before claiming.
-            // Scan from the top so the first gap found is the highest one;
-            // the next candidate run must end strictly below that gap.
-            for i in (start..=end).rev() {
-                if !self.contains(i) {
-                    if i == 0 {
-                        return None;
-                    }
-                    high = i - 1;
-                    continue 'outer;
-                }
-            }
-            // Claim bits from the end downward; roll back on conflict.
-            let mut claimed = 0u64;
-            let mut conflict = false;
-            for i in (start..=end).rev() {
-                if self.claim_exact(i) {
-                    claimed += 1;
-                } else {
-                    conflict = true;
-                    break;
-                }
-            }
-            if !conflict {
-                return Some(start);
-            }
-            // Roll back what we claimed (the top `claimed` items).
-            for i in (end + 1 - claimed)..=end {
-                self.insert(i);
-            }
-            if end == 0 {
+            // The next candidate run must end strictly below the highest
+            // gap under `end`, or below `end` if the claim loses a race.
+            let run = self.run_down_from(end, n);
+            let below = if run < n {
+                end - run
+            } else if self.claim_run(end + 1 - n, end) {
+                return Some(end + 1 - n);
+            } else {
+                end
+            };
+            if below == 0 {
                 return None;
             }
-            high = end - 1;
+            high = below - 1;
         }
     }
 
+    /// How many members run contiguously down from `end`, counting at
+    /// most `n`: `leading_ones` of each leaf word from `end`'s down.
+    fn run_down_from(&self, end: u64, n: u64) -> u64 {
+        let (mut w, mut top) = (end / WORD_BITS, end % WORD_BITS);
+        let mut run = 0;
+        loop {
+            let word = self.levels[0][w as usize].load(Ordering::Acquire);
+            let ones = (word << (WORD_BITS - 1 - top)).leading_ones() as u64;
+            run += ones;
+            if ones <= top || run >= n || w == 0 {
+                return run.min(n);
+            }
+            (w, top) = (w - 1, WORD_BITS - 1);
+        }
+    }
+
+    /// Claim every member of `[start, end]`, a word at a time from the
+    /// top. If a word no longer holds its part of the run, the words
+    /// already claimed go back and the claim fails.
+    fn claim_run(&self, start: u64, end: u64) -> bool {
+        for w in (start / WORD_BITS..=end / WORD_BITS).rev() {
+            let mask = run_mask(w, start, end);
+            let claim = |cur: u64| (cur & mask == mask).then_some(cur & !mask);
+            let leaf = &self.levels[0][w as usize];
+            match leaf.fetch_update(Ordering::AcqRel, Ordering::Acquire, claim) {
+                Ok(prev) if prev == mask => self.propagate_clear(w),
+                Ok(_) => {}
+                Err(_) => {
+                    let above = (w + 1) * WORD_BITS;
+                    self.insert_range(above, (end + 1).saturating_sub(above));
+                    return false;
+                }
+            }
+        }
+        true
+    }
+
     /// Insert the `n` contiguous members `[x, x+n)` (returning a
-    /// multi-segment allocation to the tree).
+    /// multi-segment allocation to the tree): one `fetch_or` per leaf
+    /// word.
     pub fn insert_range(&self, x: u64, n: u64) {
-        for i in x..x + n {
-            self.insert(i);
+        if n == 0 {
+            return;
+        }
+        let end = x + n - 1;
+        self.check_index(end);
+        for w in x / WORD_BITS..=end / WORD_BITS {
+            self.levels[0][w as usize].fetch_or(run_mask(w, x, end), Ordering::AcqRel);
+            self.propagate_set(w);
         }
     }
 
@@ -563,6 +590,14 @@ impl VebTree {
         }
         Ok(())
     }
+}
+
+/// The bits of leaf word `w` that lie in `[start, end]`.
+fn run_mask(w: u64, start: u64, end: u64) -> u64 {
+    let base = w * WORD_BITS;
+    let lo = start.max(base) - base;
+    let hi = end.min(base + WORD_BITS - 1) - base;
+    (u64::MAX << lo) & (u64::MAX >> (WORD_BITS - 1 - hi))
 }
 
 impl std::fmt::Debug for VebTree {

@@ -162,3 +162,44 @@ fn successor_under_concurrent_mutation_stays_in_bounds() {
         });
     });
 }
+
+#[test]
+fn word_runs_claimed_and_returned_concurrently_never_overlap() {
+    // Four threads claim runs of 1..=70 from the back — every run over
+    // 64 spans a word boundary, and the claims race on the same top
+    // words — hold up to three, and hand each back with `insert_range`.
+    // An item held twice, a count that is not restored or a stale
+    // summary fails.
+    let universe = 65 * 64 + 17; // three levels; the last word partial
+    let tree = VebTree::new_full(universe);
+    let held: Vec<AtomicU64> = (0..universe).map(|_| AtomicU64::new(0)).collect();
+    let claims = AtomicU64::new(0);
+    par_for_each(4, |t| {
+        let mut mine: Vec<(u64, u64)> = Vec::new();
+        for i in 0..3_000u64 {
+            let n = 1 + (t * 31 + i * 17) % 70;
+            if let Some(s) = tree.claim_contiguous_from_back(n) {
+                for x in s..s + n {
+                    assert_eq!(
+                        held[x as usize].swap(1, Ordering::Relaxed),
+                        0,
+                        "item {x} held twice"
+                    );
+                }
+                claims.fetch_add(1, Ordering::Relaxed);
+                mine.push((s, n));
+            }
+            if mine.len() == 3 || i == 2_999 {
+                for (s, n) in mine.drain(..) {
+                    for x in s..s + n {
+                        held[x as usize].store(0, Ordering::Relaxed);
+                    }
+                    tree.insert_range(s, n);
+                }
+            }
+        }
+    });
+    assert!(claims.load(Ordering::Relaxed) > 6_000, "claims mostly failed");
+    assert_eq!(tree.count(), universe);
+    tree.check_summaries().unwrap();
+}
