@@ -4,8 +4,7 @@
 //! (`tests/allocator_model.rs` at the workspace root).
 
 use allocators::all_baselines;
-use gpu_sim::{launch_warps, DeviceAllocator, DeviceConfig, DevicePtr, WarpCtx};
-use proptest::prelude::*;
+use gpu_sim::{cases, launch_warps, DeviceAllocator, DeviceConfig, DevicePtr, SplitMix64, WarpCtx};
 
 const HEAP: u64 = 8 << 20;
 
@@ -15,8 +14,13 @@ enum Op {
     Free(u16),
 }
 
-fn op_strategy() -> impl Strategy<Value = Op> {
-    prop_oneof![(0u8..10).prop_map(Op::Malloc), (0u16..512).prop_map(Op::Free)]
+/// `1..200` ops, each a malloc from the menu or a free of a live index.
+fn ops(rng: &mut SplitMix64) -> Vec<Op> {
+    let op = |rng: &mut SplitMix64| match rng.below(2) {
+        0 => Op::Malloc(rng.below(10) as u8),
+        _ => Op::Free(rng.below(512) as u16),
+    };
+    (0..1 + rng.below(199)).map(|_| op(rng)).collect()
 }
 
 /// Sizes spanning each allocator's native range (≤ 8192 B so every
@@ -25,7 +29,7 @@ fn menu(idx: u8) -> u64 {
     [1u64, 8, 16, 33, 100, 256, 1000, 4096, 7000, 8192][idx as usize]
 }
 
-fn run_contract(name_filter: fn(&str) -> bool, ops: &[Op]) -> Result<(), TestCaseError> {
+fn run_contract(name_filter: fn(&str) -> bool, ops: &[Op]) {
     let warp = WarpCtx { warp_id: 0, sm_id: 0, base_tid: 0, active: 1 };
     let lane = warp.lane(0);
     for a in all_baselines(HEAP) {
@@ -46,11 +50,7 @@ fn run_contract(name_filter: fn(&str) -> bool, ops: &[Op]) -> Result<(), TestCas
                     if p.is_null() {
                         continue;
                     }
-                    prop_assert!(
-                        p.0 + size <= a.heap_bytes(),
-                        "{}: allocation out of bounds",
-                        a.name()
-                    );
+                    assert!(p.0 + size <= a.heap_bytes(), "{}: allocation out of bounds", a.name());
                     stamp += 1;
                     a.memory().write_stamp(p, stamp);
                     live.push((p, size, stamp));
@@ -66,44 +66,36 @@ fn run_contract(name_filter: fn(&str) -> bool, ops: &[Op]) -> Result<(), TestCas
             // Every live stamp must be intact: clobbering means two live
             // allocations overlap.
             for &(p, _, s) in &live {
-                prop_assert_eq!(
-                    a.memory().read_stamp(p),
-                    s,
-                    "{}: stamp clobbered (overlap)",
-                    a.name()
-                );
+                assert_eq!(a.memory().read_stamp(p), s, "{}: stamp clobbered (overlap)", a.name());
             }
         }
         for (p, _, _) in live {
             a.free(&lane, p);
         }
-        prop_assert_eq!(a.stats().reserved_bytes, 0, "{}: leak", a.name());
+        assert_eq!(a.stats().reserved_bytes, 0, "{}: leak", a.name());
     }
-    Ok(())
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+#[test]
+fn cuda_heap_contract() {
+    cases("cuda_heap_contract", 24, |rng| run_contract(|n| n == "CUDA", &ops(rng)));
+}
 
-    #[test]
-    fn cuda_heap_contract(ops in prop::collection::vec(op_strategy(), 1..200)) {
-        run_contract(|n| n == "CUDA", &ops)?;
-    }
+#[test]
+fn ouroboros_contract() {
+    cases("ouroboros_contract", 24, |rng| run_contract(|n| n.starts_with("Ouroboros"), &ops(rng)));
+}
 
-    #[test]
-    fn ouroboros_contract(ops in prop::collection::vec(op_strategy(), 1..200)) {
-        run_contract(|n| n.starts_with("Ouroboros"), &ops)?;
-    }
+#[test]
+fn reg_eff_contract() {
+    cases("reg_eff_contract", 24, |rng| run_contract(|n| n.starts_with("RegEff"), &ops(rng)));
+}
 
-    #[test]
-    fn reg_eff_contract(ops in prop::collection::vec(op_strategy(), 1..200)) {
-        run_contract(|n| n.starts_with("RegEff"), &ops)?;
-    }
-
-    #[test]
-    fn scatter_xmalloc_contract(ops in prop::collection::vec(op_strategy(), 1..200)) {
-        run_contract(|n| n == "ScatterAlloc" || n == "XMalloc", &ops)?;
-    }
+#[test]
+fn scatter_xmalloc_contract() {
+    cases("scatter_xmalloc_contract", 24, |rng| {
+        run_contract(|n| n == "ScatterAlloc" || n == "XMalloc", &ops(rng))
+    });
 }
 
 // ---------------------------------------------------------------------------
@@ -479,13 +471,13 @@ enum MaintOp {
     Compact,
 }
 
-fn maint_strategy() -> impl Strategy<Value = MaintOp> {
-    prop_oneof![
-        (0usize..2, 1u64..4).prop_map(|(from, max)| MaintOp::Donate { from, max }),
-        (0usize..2, 1u64..4).prop_map(|(at, max)| MaintOp::Shrink { at, max }),
-        (0usize..2, 1u64..4).prop_map(|(at, max)| MaintOp::Grow { at, max }),
-        Just(MaintOp::Compact),
-    ]
+fn maint_op(rng: &mut SplitMix64) -> MaintOp {
+    match rng.below(4) {
+        0 => MaintOp::Donate { from: rng.below(2) as usize, max: 1 + rng.below(3) },
+        1 => MaintOp::Shrink { at: rng.below(2) as usize, max: 1 + rng.below(3) },
+        2 => MaintOp::Grow { at: rng.below(2) as usize, max: 1 + rng.below(3) },
+        _ => MaintOp::Compact,
+    }
 }
 
 /// The differential workload on a two-instance pool, split into one
@@ -603,36 +595,42 @@ fn pool_ledger_with_maintenance(seed: u64, ops: &[MaintOp]) -> OutcomeLedger {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// Any interleaving of donate/shrink/grow/compact with the shared
-    /// workload keeps the violation projection zero — and thus pairwise
-    /// equal with every family of the differential sweep running the
-    /// plain workload on the same seed.
-    #[test]
-    fn elastic_maintenance_is_contract_invisible(
-        seed in 0u64..4,
-        ops in prop::collection::vec(maint_strategy(), 1..10),
-    ) {
+/// Any interleaving of donate/shrink/grow/compact with the shared
+/// workload keeps the violation projection zero — and thus pairwise
+/// equal with every family of the differential sweep running the
+/// plain workload on the same seed.
+#[test]
+fn elastic_maintenance_is_contract_invisible() {
+    cases("elastic_maintenance_is_contract_invisible", 16, |rng| {
+        let seed = rng.below(4);
+        let ops: Vec<MaintOp> = (0..1 + rng.below(9)).map(|_| maint_op(rng)).collect();
         let maint = pool_ledger_with_maintenance(seed, &ops);
-        prop_assert_eq!(
-            maint.attempted, maint.served + maint.denied,
-            "maintenance ledger does not balance: {:?} under {:?}", maint, ops
+        assert_eq!(
+            maint.attempted,
+            maint.served + maint.denied,
+            "maintenance ledger does not balance: {:?} under {:?}",
+            maint,
+            ops
         );
-        prop_assert!(maint.served > 0, "workload never got served under {:?}", ops);
-        prop_assert_eq!(
-            maint.violations(), (0, 0, 0),
-            "maintenance interleaving broke the contract: {:?} under {:?}", maint, ops
+        assert!(maint.served > 0, "workload never got served under {:?}", ops);
+        assert_eq!(
+            maint.violations(),
+            (0, 0, 0),
+            "maintenance interleaving broke the contract: {:?} under {:?}",
+            maint,
+            ops
         );
         for a in families(HEAP) {
             let led = outcome_ledger(a.as_ref(), seed);
-            prop_assert_eq!(
-                led.violations(), maint.violations(),
-                "family {} diverges from the maintained pool on seed {}", a.name(), seed
+            assert_eq!(
+                led.violations(),
+                maint.violations(),
+                "family {} diverges from the maintained pool on seed {}",
+                a.name(),
+                seed
             );
         }
-    }
+    });
 }
 
 /// Same seed, same family, fresh heap ⇒ the *entire* ledger replays

@@ -110,14 +110,9 @@ pub struct Arrival {
     pub lifetime: u64,
 }
 
-/// Uniform in [0, 1) with 53 bits of mantissa.
-fn u01(rng: &mut SplitMix64) -> f64 {
-    (rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64
-}
-
 /// Exponential with mean 1 (inverse-CDF; `1 - u` avoids ln(0)).
 fn exp1(rng: &mut SplitMix64) -> f64 {
-    -(1.0 - u01(rng)).ln()
+    -(1.0 - rng.unit_f64()).ln()
 }
 
 /// Draw a tenant index by weight.
@@ -142,7 +137,7 @@ fn pick_size(rng: &mut SplitMix64, t: &TenantSpec) -> u64 {
     }
     let lo = (t.size_min as f64).ln();
     let hi = (t.size_max as f64).ln();
-    let size = (lo + (hi - lo) * u01(rng)).exp().round() as u64;
+    let size = (lo + (hi - lo) * rng.unit_f64()).exp().round() as u64;
     size.clamp(t.size_min, t.size_max)
 }
 
@@ -170,7 +165,7 @@ pub fn generate(cfg: &ArrivalConfig, tenants: &[TenantSpec]) -> Vec<Arrival> {
         // Thinning: accept with probability rate(t)/rate_max. The
         // rejected draws still consume rng state, keeping the stream
         // deterministic.
-        if u01(&mut rng) * cfg.shape.factor_max() > cfg.shape.factor(step, cfg.horizon_steps) {
+        if rng.unit_f64() * cfg.shape.factor_max() > cfg.shape.factor(step, cfg.horizon_steps) {
             continue;
         }
         let tenant = pick_tenant(&mut rng, tenants);

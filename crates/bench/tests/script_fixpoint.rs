@@ -25,8 +25,7 @@ use bench::workload::run_script;
 use gallatin::{Gallatin, GallatinConfig};
 use gpu_sim::replay::{ReplayOp, ReplayScript, WarpScript};
 use gpu_sim::trace::TraceSink;
-use gpu_sim::DeviceConfig;
-use proptest::prelude::*;
+use gpu_sim::{cases, DeviceConfig, SplitMix64};
 use std::sync::Arc;
 
 /// Exact slice classes under `small_test` geometry: recorded sizes equal
@@ -39,6 +38,12 @@ const HEAP: u64 = 8 << 20;
 /// One generator step: allocate a class, then maybe free one existing
 /// allocation chosen by `pick`.
 type Step = (u8, bool, u8);
+
+/// `1..24` steps: a class in `0..5`, a coin from `0..2`, a pick in `0..255`.
+fn steps(rng: &mut SplitMix64) -> Vec<Step> {
+    let step = |rng: &mut SplitMix64| (rng.below(5) as u8, rng.below(2) == 1, rng.below(255) as u8);
+    (0..1 + rng.below(23)).map(|_| step(rng)).collect()
+}
 
 /// Build a representable script from generator steps: slots numbered in
 /// malloc order, every op on lane 0, frees targeting a live slot,
@@ -68,21 +73,12 @@ fn build_script(per_warp: &[Vec<Step>]) -> ReplayScript {
     ReplayScript { num_sms: NUM_SMS, warps }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    #[test]
-    fn script_is_a_fixpoint_of_record_then_convert(
-        per_warp in prop::collection::vec(
-            prop::collection::vec(
-                (0u8..5, (0u8..2).prop_map(|b| b == 1), 0u8..255),
-                1..24,
-            ),
-            1..5,
-        )
-    ) {
+#[test]
+fn script_is_a_fixpoint_of_record_then_convert() {
+    cases("script_is_a_fixpoint_of_record_then_convert", 16, |rng| {
+        let per_warp: Vec<Vec<Step>> = (0..1 + rng.below(4)).map(|_| steps(rng)).collect();
         let script = build_script(&per_warp);
-        prop_assert_eq!(script.validate(), Ok(0), "generator must produce leak-free scripts");
+        assert_eq!(script.validate(), Ok(0), "generator must produce leak-free scripts");
 
         let g = Gallatin::new(GallatinConfig::small_test(HEAP));
         let sink = Arc::new(TraceSink::new());
@@ -95,23 +91,19 @@ proptest! {
             );
             (out, sink.snapshot())
         });
-        prop_assert_eq!(sink.dropped(), 0, "sink must capture the whole run");
-        prop_assert_eq!(outcome.denied, 0, "workload is far below heap capacity");
-        prop_assert_eq!(outcome.violations(), (0, 0, 0), "{:?}", outcome);
+        assert_eq!(sink.dropped(), 0, "sink must capture the whole run");
+        assert_eq!(outcome.denied, 0, "workload is far below heap capacity");
+        assert_eq!(outcome.violations(), (0, 0, 0), "{:?}", outcome);
 
         let (rebuilt, stats) = ReplayScript::from_trace(&records, NUM_SMS);
-        prop_assert_eq!(stats.reassigned_frees, 0, "scripts free within the warp");
-        prop_assert_eq!(stats.dropped_frees, 0, "every free pairs with its malloc");
-        prop_assert_eq!(stats.mallocs + stats.frees, script.total_ops());
-        prop_assert_eq!(&rebuilt, &script, "record→convert must be the identity");
+        assert_eq!(stats.reassigned_frees, 0, "scripts free within the warp");
+        assert_eq!(stats.dropped_frees, 0, "every free pairs with its malloc");
+        assert_eq!(stats.mallocs + stats.frees, script.total_ops());
+        assert_eq!(&rebuilt, &script, "record→convert must be the identity");
 
         // And once inside the representable subset, the text format is a
         // fixpoint too.
         let reparsed = ReplayScript::parse(&rebuilt.render());
-        prop_assert_eq!(
-            reparsed,
-            Ok(script),
-            "render→parse must also be the identity"
-        );
-    }
+        assert_eq!(reparsed, Ok(script), "render→parse must also be the identity");
+    });
 }

@@ -8,7 +8,7 @@
 
 use bench::serve::{run_serve_engine, ArrivalConfig, ArrivalShape, ServeConfig, TenantSpec};
 use gallatin::{Gallatin, GallatinConfig, GallatinPool};
-use proptest::prelude::*;
+use gpu_sim::cases;
 
 fn tenants(quota_a: u64, quota_b: u64) -> Vec<TenantSpec> {
     vec![
@@ -87,38 +87,37 @@ fn pool_backend_replays_and_seed_matters() {
     assert_ne!(a.latency, c.latency, "schedule seed must actually drive service time");
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Admission control invariant: whatever the arrival mix, no
-    /// tenant's committed bytes ever exceed its quota.
-    #[test]
-    fn no_tenant_ever_exceeds_quota(
-        arrival_seed in any::<u64>(),
-        sched_seed in any::<u64>(),
-        rate in 20u64..240,
-        quota_a in (4u64 << 10)..(1 << 21),
-        quota_b in (1u64 << 10)..(1 << 20),
-        shape_ix in 0usize..3,
-    ) {
+/// Admission control invariant: whatever the arrival mix, no
+/// tenant's committed bytes ever exceed its quota.
+#[test]
+fn no_tenant_ever_exceeds_quota() {
+    cases("no_tenant_ever_exceeds_quota", 24, |rng| {
+        let (arrival_seed, sched_seed, rate) =
+            (rng.next_u64(), rng.next_u64(), 20 + rng.below(220));
+        let quota_a = (4 << 10) + rng.below((1 << 21) - (4 << 10));
+        let quota_b = (1 << 10) + rng.below((1 << 20) - (1 << 10));
+        let shape_ix = rng.below(3) as usize;
         let shape = [ArrivalShape::Poisson, ArrivalShape::Bursty, ArrivalShape::Diurnal][shape_ix];
         let mut cfg = serve_cfg(shape, arrival_seed, sched_seed, rate);
         cfg.arrivals.horizon_steps = 3_000;
         cfg.tenants = tenants(quota_a, quota_b);
         let alloc = Gallatin::new(GallatinConfig::small_test(1 << 22));
         let out = run_serve_engine(&cfg, &alloc);
-        prop_assert_eq!(out.quota_violations, 0);
+        assert_eq!(out.quota_violations, 0);
         for t in &out.tenants {
-            prop_assert!(
+            assert!(
                 t.peak_live_bytes <= t.quota_bytes,
-                "{} peaked at {} over quota {}", t.name, t.peak_live_bytes, t.quota_bytes
+                "{} peaked at {} over quota {}",
+                t.name,
+                t.peak_live_bytes,
+                t.quota_bytes
             );
         }
         // The run must also stay lifecycle-clean: every served
         // allocation freed, no double frees, no size mismatches.
-        prop_assert_eq!(out.ledger_leaks, 0);
-        prop_assert_eq!(out.ledger_double_frees, 0);
-        prop_assert_eq!(out.ledger_unknown_frees, 0);
-        prop_assert_eq!(out.ledger_size_mismatches, 0);
-    }
+        assert_eq!(out.ledger_leaks, 0);
+        assert_eq!(out.ledger_double_frees, 0);
+        assert_eq!(out.ledger_unknown_frees, 0);
+        assert_eq!(out.ledger_size_mismatches, 0);
+    });
 }

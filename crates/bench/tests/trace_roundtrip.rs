@@ -12,77 +12,73 @@ use bench::report::json::{self, Value};
 use gpu_sim::trace::{
     chrome_trace_json, AllocTier, ReclaimPhase, TraceEvent, TraceRecord, LANE_NONE,
 };
-use proptest::prelude::*;
+use gpu_sim::{cases, SplitMix64};
 
 /// Exclusive bound keeping every numeric field exactly representable
 /// after a trip through the parser's `f64`.
 const B: u64 = 1 << 32;
 const B32: u32 = u32::MAX;
 
-fn tier_strategy() -> impl Strategy<Value = AllocTier> {
-    prop_oneof![Just(AllocTier::Slice), Just(AllocTier::Block), Just(AllocTier::Large)]
+/// A draw from `0..B`.
+fn b(rng: &mut SplitMix64) -> u64 {
+    rng.below(B)
 }
 
-fn phase_strategy() -> impl Strategy<Value = ReclaimPhase> {
-    prop_oneof![Just(ReclaimPhase::Attempt), Just(ReclaimPhase::Abort), Just(ReclaimPhase::Publish),]
+/// A draw from `0..B32`.
+fn b32(rng: &mut SplitMix64) -> u32 {
+    rng.below(B32.into()) as u32
 }
 
-fn event_strategy() -> impl Strategy<Value = TraceEvent> {
-    prop_oneof![
-        (0..B, tier_strategy(), 0..B).prop_map(|(size, tier, ptr)| TraceEvent::Malloc {
-            size,
-            tier,
-            ptr
-        }),
-        (0..B, 0..B).prop_map(|(ptr, size)| TraceEvent::Free { ptr, size }),
-        (0..B, 0..B32).prop_map(|(seg, class)| TraceEvent::SegmentGrab { seg, class }),
-        (0..B, 0..B32, 0..B).prop_map(|(seg, class, drain_spins)| {
-            TraceEvent::SegmentReformat { seg, class, drain_spins }
-        }),
-        (0..B, 0..B32, phase_strategy())
-            .prop_map(|(seg, class, phase)| TraceEvent::SegmentReclaim { seg, class, phase }),
-        (0..B, 0..B).prop_map(|(seg, block)| TraceEvent::RingPush { seg, block }),
-        (0..B, 0..B).prop_map(|(seg, block)| TraceEvent::RingPop { seg, block }),
-        (0..B, 0..B, 0..B32, 0..B32, 0..B32).prop_map(|(seg, block, attempts, gen, taken)| {
-            TraceEvent::ClaimCas { seg, block, attempts, gen, taken }
-        }),
-        (0..B32, 0..B32).prop_map(|(class, lanes)| TraceEvent::CoalesceGroup { class, lanes }),
-        (0..B32, 0..B).prop_map(|(slot, block)| TraceEvent::BufferInstall { slot, block }),
-        (0..B32, 0..B, 0..B).prop_map(|(slot, old, new)| TraceEvent::BufferReplace {
-            slot,
-            old,
-            new
-        }),
-    ]
-}
-
-/// Pool instance ids, weighted toward 0 so both exporter branches run:
-/// instance 0 is *omitted* from the JSON (single-instance traces stay
-/// byte-identical to the pre-pool format) and must decode back as the
-/// default.
-fn instance_strategy() -> impl Strategy<Value = u32> {
-    prop_oneof![Just(0u32), 1..B32]
-}
-
-/// Device ids, weighted toward 0 for the same reason: device 0 is
-/// omitted from the JSON (single-device traces stay byte-identical to
-/// the pre-topology format) and must decode back as the default.
-fn device_strategy() -> impl Strategy<Value = u32> {
-    prop_oneof![Just(0u32), 1..B32]
-}
-
-fn record_strategy() -> impl Strategy<Value = TraceRecord> {
-    (0..B32, 0..B, 0u32..33, device_strategy(), instance_strategy(), event_strategy()).prop_map(
-        |(sm, warp, lane, device, instance, event)| TraceRecord {
-            step: 0, // assigned from the index below, like the real sink's ticket
-            sm,
-            warp,
-            lane: if lane == 32 { LANE_NONE } else { lane },
-            device,
-            instance,
-            event,
+fn event(rng: &mut SplitMix64) -> TraceEvent {
+    let tiers = [AllocTier::Slice, AllocTier::Block, AllocTier::Large];
+    let phases = [ReclaimPhase::Attempt, ReclaimPhase::Abort, ReclaimPhase::Publish];
+    match rng.below(11) {
+        0 => TraceEvent::Malloc { size: b(rng), tier: tiers[rng.below(3) as usize], ptr: b(rng) },
+        1 => TraceEvent::Free { ptr: b(rng), size: b(rng) },
+        2 => TraceEvent::SegmentGrab { seg: b(rng), class: b32(rng) },
+        3 => TraceEvent::SegmentReformat { seg: b(rng), class: b32(rng), drain_spins: b(rng) },
+        4 => TraceEvent::SegmentReclaim {
+            seg: b(rng),
+            class: b32(rng),
+            phase: phases[rng.below(3) as usize],
         },
-    )
+        5 => TraceEvent::RingPush { seg: b(rng), block: b(rng) },
+        6 => TraceEvent::RingPop { seg: b(rng), block: b(rng) },
+        7 => TraceEvent::ClaimCas {
+            seg: b(rng),
+            block: b(rng),
+            attempts: b32(rng),
+            gen: b32(rng),
+            taken: b32(rng),
+        },
+        8 => TraceEvent::CoalesceGroup { class: b32(rng), lanes: b32(rng) },
+        9 => TraceEvent::BufferInstall { slot: b32(rng), block: b(rng) },
+        _ => TraceEvent::BufferReplace { slot: b32(rng), old: b(rng), new: b(rng) },
+    }
+}
+
+/// Device and pool instance ids, half of them 0 so both exporter
+/// branches run: id 0 is *omitted* from the JSON (single-device and
+/// single-instance traces stay byte-identical to the formats before
+/// topologies and pools) and must decode back as the default.
+fn id(rng: &mut SplitMix64) -> u32 {
+    match rng.below(2) {
+        0 => 0,
+        _ => 1 + rng.below(B32 as u64 - 1) as u32,
+    }
+}
+
+fn record(rng: &mut SplitMix64) -> TraceRecord {
+    let (sm, warp, lane) = (b32(rng), b(rng), rng.below(33) as u32);
+    TraceRecord {
+        step: 0, // assigned from the index below, like the real sink's ticket
+        sm,
+        warp,
+        lane: if lane == 32 { LANE_NONE } else { lane },
+        device: id(rng),
+        instance: id(rng),
+        event: event(rng),
+    }
 }
 
 fn field(args: &Value, key: &str) -> u64 {
@@ -177,29 +173,23 @@ fn decode(entry: &Value) -> TraceRecord {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn chrome_export_roundtrips(mut records in prop::collection::vec(record_strategy(), 0..40)) {
+#[test]
+fn chrome_export_roundtrips() {
+    cases("chrome_export_roundtrips", 64, |rng| {
+        let mut records: Vec<TraceRecord> = (0..rng.below(40)).map(|_| record(rng)).collect();
         for (i, r) in records.iter_mut().enumerate() {
             r.step = i as u64;
         }
         let text = chrome_trace_json(&records);
-        let doc = json::parse(&text)
-            .map_err(|e| TestCaseError::fail(format!("exporter produced invalid JSON: {e}")))?;
-        prop_assert_eq!(
-            doc.get("displayTimeUnit").and_then(Value::as_str),
-            Some("ns")
-        );
-        let events = doc
-            .get("traceEvents")
-            .and_then(Value::as_array)
-            .ok_or_else(|| TestCaseError::fail("missing traceEvents array"))?;
-        prop_assert_eq!(events.len(), records.len());
+        let doc =
+            json::parse(&text).unwrap_or_else(|e| panic!("exporter produced invalid JSON: {e}"));
+        assert_eq!(doc.get("displayTimeUnit").and_then(Value::as_str), Some("ns"));
+        let events =
+            doc.get("traceEvents").and_then(Value::as_array).expect("missing traceEvents array");
+        assert_eq!(events.len(), records.len());
         for (entry, original) in events.iter().zip(&records) {
-            prop_assert_eq!(entry.get("ph").and_then(Value::as_str), Some("i"));
-            prop_assert_eq!(decode(entry), *original);
+            assert_eq!(entry.get("ph").and_then(Value::as_str), Some("i"));
+            assert_eq!(decode(entry), *original);
         }
-    }
+    });
 }

@@ -377,7 +377,7 @@ impl BlockRing {
 mod tests {
     use super::*;
     use gpu_sim::sched::{explore_schedules, run_tasks, run_tasks_faulted, FaultPlan};
-    use proptest::prelude::*;
+    use gpu_sim::{cases, SplitMix64};
     use std::collections::{HashSet, VecDeque};
 
     #[test]
@@ -566,18 +566,21 @@ mod tests {
         }
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(96))]
+    /// `1..160` ops: a push (the low bit) or a pop, of a run of `1..=32`.
+    fn batched_ops(rng: &mut SplitMix64) -> Vec<(bool, usize)> {
+        (0..1 + rng.below(159))
+            .map(|_| (rng.next_u64() & 1 == 1, 1 + rng.below(32) as usize))
+            .collect()
+    }
 
-        /// `push_many` / `pop_many` against a `VecDeque`, over capacities
-        /// 2–32 and runs of 1–32 so tickets wrap many laps: a run longer
-        /// than the free (published) cells lands (returns) its prefix, a
-        /// full (empty) ring 0, and `len()` is the model's at every step.
-        #[test]
-        fn batched_ops_match_a_deque_model(
-            cap_log in 1u32..6,
-            ops in prop::collection::vec((any::<bool>(), 1usize..=32), 1..160),
-        ) {
+    /// `push_many` / `pop_many` against a `VecDeque`, over capacities
+    /// 2–32 and runs of 1–32 so tickets wrap many laps: a run longer
+    /// than the free (published) cells lands (returns) its prefix, a
+    /// full (empty) ring 0, and `len()` is the model's at every step.
+    #[test]
+    fn batched_ops_match_a_deque_model() {
+        cases("batched_ops_match_a_deque_model", 96, |rng| {
+            let (cap_log, ops) = (1 + rng.below(5), batched_ops(rng));
             let r = BlockRing::new(1 << cap_log);
             let cap = r.capacity() as usize;
             let mut model = VecDeque::new();
@@ -586,20 +589,20 @@ mod tests {
                 if push {
                     let values: Vec<u64> = (next..next + n as u64).collect();
                     let m = r.push_many(&values);
-                    prop_assert_eq!(m, n.min(cap - model.len()), "prefix that fits; full is 0");
+                    assert_eq!(m, n.min(cap - model.len()), "prefix that fits; full is 0");
                     model.extend(&values[..m]);
                     next += m as u64;
                 } else {
                     let mut out = vec![u64::MAX; n];
                     let m = r.pop_many(&mut out);
-                    prop_assert_eq!(m, n.min(model.len()), "published prefix; empty is 0");
-                    prop_assert_eq!(&out[..m], &model.drain(..m).collect::<Vec<_>>()[..]);
+                    assert_eq!(m, n.min(model.len()), "published prefix; empty is 0");
+                    assert_eq!(&out[..m], &model.drain(..m).collect::<Vec<_>>()[..]);
                 }
-                prop_assert_eq!(r.len(), model.len() as u64);
-                prop_assert_eq!(r.snapshot(), RingSnapshot { ids: model.clone().into(), skipped: 0 });
+                assert_eq!(r.len(), model.len() as u64);
+                assert_eq!(r.snapshot(), RingSnapshot { ids: model.clone().into(), skipped: 0 });
             }
-            prop_assert_eq!((r.push_many(&[]), r.pop_many(&mut [])), (0, 0));
-        }
+            assert_eq!((r.push_many(&[]), r.pop_many(&mut [])), (0, 0));
+        });
     }
 
     /// A run — of one block or of four — is all-or-nothing in `len()`: a

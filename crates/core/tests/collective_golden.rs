@@ -19,8 +19,7 @@
 use gallatin::{DevicePool, Gallatin, GallatinConfig, GallatinPool};
 use gpu_sim::metrics::MetricsSnapshot;
 use gpu_sim::trace::{self, AllocTier, TraceEvent, TraceRecord, TraceSink, LANE_NONE};
-use gpu_sim::{launch_warps_counted, DeviceAllocator, DeviceConfig, DevicePtr, WarpCtx};
-use proptest::prelude::*;
+use gpu_sim::{cases, launch_warps_counted, DeviceAllocator, DeviceConfig, DevicePtr, WarpCtx};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
@@ -525,12 +524,7 @@ fn request(draw: u32, idle: u32) -> Option<u64> {
     })
 }
 
-fn check_against_oracle<A: Subject>(
-    sm: u32,
-    active: usize,
-    idle: u32,
-    draws: &[u32],
-) -> Result<(), TestCaseError> {
+fn check_against_oracle<A: Subject>(sm: u32, active: usize, idle: u32, draws: &[u32]) {
     let (real, twin) = (A::build(TIGHT), A::build(TIGHT));
     let (real_sink, twin_sink) = (Arc::new(TraceSink::new()), Arc::new(TraceSink::new()));
     let warp = WarpCtx { warp_id: sm as u64, sm_id: sm, base_tid: 0, active: active as u32 };
@@ -550,13 +544,13 @@ fn check_against_oracle<A: Subject>(
         trace::with_sink(real_sink.clone(), || real.warp_malloc(&warp, &sizes, &mut out));
         let expect =
             trace::with_sink(twin_sink.clone(), || oracle_malloc(&twin, TIGHT, &warp, &sizes));
-        prop_assert_eq!(&out, &expect, "served set and pointers, sizes {:?}", sizes);
+        assert_eq!(&out, &expect, "served set and pointers, sizes {:?}", sizes);
         share_tickets(&mut saved, TIGHT, &sizes, &out);
         held.push((sizes, out));
     }
-    prop_assert_eq!(events_by_leaf(&real_sink), events_by_leaf(&twin_sink), "group order");
-    prop_assert_eq!(leaf_counters(&real), minus_saved(&twin, &saved), "counts after the mallocs");
-    prop_assert_eq!(real.pressure(), twin.pressure(), "spills and denials");
+    assert_eq!(events_by_leaf(&real_sink), events_by_leaf(&twin_sink), "group order");
+    assert_eq!(leaf_counters(&real), minus_saved(&twin, &saved), "counts after the mallocs");
+    assert_eq!(real.pressure(), twin.pressure(), "spills and denials");
     let coalesced = |a: &A| leaf_counters(a).iter().map(|c| c[4]).sum::<u64>();
     let before = coalesced(&real);
     let mut saved_adds = 0;
@@ -566,35 +560,34 @@ fn check_against_oracle<A: Subject>(
         saved_adds += coalesced_frees(TIGHT, sizes, ptrs);
         share_tickets(&mut saved, TIGHT, sizes, ptrs);
     }
-    prop_assert_eq!(coalesced(&real) - before, saved_adds, "one fetch_add a block on the free");
-    prop_assert_eq!(events_by_leaf(&real_sink), events_by_leaf(&twin_sink), "free order");
-    prop_assert_eq!(leaf_counters(&real), minus_saved(&twin, &saved), "counts after the frees");
-    prop_assert_eq!(real.pressure(), twin.pressure(), "tariff after the frees");
+    assert_eq!(coalesced(&real) - before, saved_adds, "one fetch_add a block on the free");
+    assert_eq!(events_by_leaf(&real_sink), events_by_leaf(&twin_sink), "free order");
+    assert_eq!(leaf_counters(&real), minus_saved(&twin, &saved), "counts after the frees");
+    assert_eq!(real.pressure(), twin.pressure(), "tariff after the frees");
     for a in [&real, &twin] {
-        prop_assert_eq!(a.stats().reserved_bytes, 0);
-        a.check_invariants().map_err(TestCaseError::fail)?;
+        assert_eq!(a.stats().reserved_bytes, 0);
+        a.check_invariants().unwrap_or_else(|e| panic!("{e}"));
     }
-    Ok(())
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
-
-    /// Random sparse warps from one hot SM on two-segment leaves: the
-    /// collective call and the lane-loop oracle serve the same lanes the
-    /// same pointers, in the same order per leaf, for the same counters.
-    #[test]
-    fn sparse_warps_match_the_lane_loop_oracle(
-        subject in 0usize..3,
-        sm in 0u32..SMS,
-        active in 1usize..=LANES,
-        idle in 0u32..950,
-        draws in prop::collection::vec(0u32..1000, 1..6 * LANES),
-    ) {
+/// Random sparse warps from one hot SM on two-segment leaves: the
+/// collective call and the lane-loop oracle serve the same lanes the
+/// same pointers, in the same order per leaf, for the same counters.
+#[test]
+fn sparse_warps_match_the_lane_loop_oracle() {
+    cases("sparse_warps_match_the_lane_loop_oracle", 96, |rng| {
+        let (subject, sm, active, idle) = (
+            rng.below(3),
+            rng.below(SMS.into()) as u32,
+            1 + rng.below(LANES as u64) as usize,
+            rng.below(950) as u32,
+        );
+        let draws: Vec<u32> =
+            (0..1 + rng.below(6 * LANES as u64 - 1)).map(|_| rng.below(1000) as u32).collect();
         match subject {
-            0 => check_against_oracle::<Gallatin>(sm, active, idle, &draws)?,
-            1 => check_against_oracle::<GallatinPool>(sm, active, idle, &draws)?,
-            _ => check_against_oracle::<DevicePool>(sm, active, idle, &draws)?,
+            0 => check_against_oracle::<Gallatin>(sm, active, idle, &draws),
+            1 => check_against_oracle::<GallatinPool>(sm, active, idle, &draws),
+            _ => check_against_oracle::<DevicePool>(sm, active, idle, &draws),
         }
-    }
+    });
 }

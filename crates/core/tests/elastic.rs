@@ -20,10 +20,9 @@
 use gallatin::{Gallatin, GallatinConfig, GallatinPool, TREE_FREE};
 use gpu_sim::trace::{Ledger, TraceSink};
 use gpu_sim::{
-    explore_schedules, launch_warps, DeviceAllocator, DeviceConfig, DevicePtr, FaultPlan,
+    cases, explore_schedules, launch_warps, DeviceAllocator, DeviceConfig, DevicePtr, FaultPlan,
     PreemptPoint, WarpCtx,
 };
-use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -250,14 +249,13 @@ fn skip_quiesce_donation_after_real_traffic_is_caught() {
 /// so arbitrary layouts mix both compactable granularities.
 const COMPACT_MENU: [u64; 6] = [16, 32, 64, 128, 256, 1024];
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    #[test]
-    fn compaction_preserves_contents_and_the_ledger_balances(
-        layout in prop::collection::vec((0usize..6, any::<bool>()), 10..120),
-        occupancy in prop_oneof![Just(0.25f64), Just(0.5), Just(0.9)],
-    ) {
+#[test]
+fn compaction_preserves_contents_and_the_ledger_balances() {
+    cases("compaction_preserves_contents_and_the_ledger_balances", 24, |rng| {
+        let layout: Vec<(usize, bool)> = (0..10 + rng.below(110))
+            .map(|_| (rng.below(6) as usize, rng.next_u64() & 1 == 1))
+            .collect();
+        let occupancy = [0.25, 0.5, 0.9][rng.below(3) as usize];
         let sink = Arc::new(TraceSink::new());
         let records = gpu_sim::trace::with_sink(sink.clone(), || {
             let g = Gallatin::new(GallatinConfig::small_test(1 << 20));
@@ -270,7 +268,7 @@ proptest! {
             for (i, &(menu_idx, keep)) in layout.iter().enumerate() {
                 let size = COMPACT_MENU[menu_idx];
                 let p = g.malloc(&lane, size);
-                prop_assert!(!p.is_null(), "layout exhausted the test heap");
+                assert!(!p.is_null(), "layout exhausted the test heap");
                 let stamp = 0xC0_0000 + i as u64;
                 g.memory().write_stamp(p, stamp);
                 all.push((p, size, stamp, keep));
@@ -280,39 +278,37 @@ proptest! {
                     g.free(&lane, p);
                 }
             }
-            let mut live: Vec<(DevicePtr, u64, u64)> = all
-                .iter()
-                .filter(|e| e.3)
-                .map(|&(p, size, stamp, _)| (p, size, stamp))
-                .collect();
-            let pairs: Vec<(DevicePtr, u64)> =
-                live.iter().map(|&(p, size, _)| (p, size)).collect();
+            let mut live: Vec<(DevicePtr, u64, u64)> =
+                all.iter().filter(|e| e.3).map(|&(p, size, stamp, _)| (p, size, stamp)).collect();
+            let pairs: Vec<(DevicePtr, u64)> = live.iter().map(|&(p, size, _)| (p, size)).collect();
             let relos = g.compact(&pairs, occupancy);
             for r in &relos {
-                prop_assert_eq!(r.size, live.iter().find(|e| e.0 == r.old).unwrap().1);
+                assert_eq!(r.size, live.iter().find(|e| e.0 == r.old).unwrap().1);
                 let e = live.iter_mut().find(|e| e.0 == r.old).unwrap();
                 e.0 = r.new;
             }
             // Every live payload survived the migration byte-for-byte.
             for &(p, _, stamp) in &live {
-                prop_assert_eq!(
-                    g.memory().read_stamp(p), stamp,
-                    "payload torn by compaction (relocations: {:?})", relos
+                assert_eq!(
+                    g.memory().read_stamp(p),
+                    stamp,
+                    "payload torn by compaction (relocations: {:?})",
+                    relos
                 );
             }
             g.check_invariants().expect("invariants violated after compaction");
             for &(p, _, _) in &live {
                 g.free(&lane, p);
             }
-            prop_assert_eq!(g.stats().reserved_bytes, 0);
-            Ok(sink.snapshot())
-        })?;
-        prop_assert_eq!(sink.dropped(), 0);
+            assert_eq!(g.stats().reserved_bytes, 0);
+            sink.snapshot()
+        });
+        assert_eq!(sink.dropped(), 0);
         let outcome = Ledger::build(&records).outcome();
-        prop_assert_eq!(outcome.leaks, 0, "compaction leaked: {:?}", outcome);
-        prop_assert_eq!(outcome.double_frees, 0, "compaction double-freed: {:?}", outcome);
-        prop_assert_eq!(outcome.unknown_frees, 0, "compaction freed unknown ptr: {:?}", outcome);
-        prop_assert_eq!(outcome.size_mismatches, 0, "compaction size mismatch: {:?}", outcome);
-        prop_assert_eq!(outcome.mallocs, outcome.frees, "every malloc pairs with a free");
-    }
+        assert_eq!(outcome.leaks, 0, "compaction leaked: {:?}", outcome);
+        assert_eq!(outcome.double_frees, 0, "compaction double-freed: {:?}", outcome);
+        assert_eq!(outcome.unknown_frees, 0, "compaction freed unknown ptr: {:?}", outcome);
+        assert_eq!(outcome.size_mismatches, 0, "compaction size mismatch: {:?}", outcome);
+        assert_eq!(outcome.mallocs, outcome.frees, "every malloc pairs with a free");
+    });
 }

@@ -18,8 +18,7 @@ use gallatin::global::{
 };
 use gallatin::{GallatinConfig, GallatinPool};
 use gpu_sim::trace::{self, Ledger, TraceSink};
-use gpu_sim::{launch, launch_warps, DeviceAllocator, DeviceConfig, DevicePtr, WarpCtx};
-use proptest::prelude::*;
+use gpu_sim::{cases, launch, launch_warps, DeviceAllocator, DeviceConfig, DevicePtr, WarpCtx};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -98,21 +97,16 @@ fn wider_pools_route_the_same_way() {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// The headline property: instance `i` mallocs (SM pinning chooses
-    /// `i`), a lane pinned to an arbitrary instance `j` frees, and the
-    /// reservation comes back to zero — the free routed home purely by
-    /// pointer range.
-    #[test]
-    fn pointer_mallocd_on_i_freed_from_j_routes_home(
-        n in 1usize..=4,
-        malloc_sm in 0u32..8,
-        free_sm in 0u32..8,
-        count in 1usize..=32,
-        class_skew in 0usize..5,
-    ) {
+/// The headline property: instance `i` mallocs (SM pinning chooses
+/// `i`), a lane pinned to an arbitrary instance `j` frees, and the
+/// reservation comes back to zero — the free routed home purely by
+/// pointer range.
+#[test]
+fn pointer_mallocd_on_i_freed_from_j_routes_home() {
+    cases("pointer_mallocd_on_i_freed_from_j_routes_home", 64, |rng| {
+        let (n, malloc_sm, free_sm) =
+            (1 + rng.below(4) as usize, rng.below(8) as u32, rng.below(8) as u32);
+        let (count, class_skew) = (1 + rng.below(32) as usize, rng.below(5) as usize);
         let pool = GallatinPool::new(n, GallatinConfig::small_test(HEAP));
         let wm = WarpCtx { warp_id: 0, sm_id: malloc_sm, base_tid: 0, active: count as u32 };
         let sizes: Vec<Option<u64>> =
@@ -121,21 +115,25 @@ proptest! {
         pool.warp_malloc(&wm, &sizes, &mut out);
         let home = malloc_sm as usize % n;
         for p in &out {
-            prop_assert!(!p.is_null());
-            prop_assert_eq!(
-                (p.0 / pool.stride()) as usize, home,
+            assert!(!p.is_null());
+            assert_eq!(
+                (p.0 / pool.stride()) as usize,
+                home,
                 "a fresh pool serves from the home instance"
             );
         }
-        prop_assert_eq!(pool.total_spills(), 0);
+        assert_eq!(pool.total_spills(), 0);
         let wf = WarpCtx { warp_id: 1, sm_id: free_sm, base_tid: 1 << 20, active: count as u32 };
         pool.warp_free(&wf, &out);
-        prop_assert_eq!(
-            pool.stats().reserved_bytes, 0,
-            "a free from instance {} must route to owner {}", free_sm as usize % n, home
+        assert_eq!(
+            pool.stats().reserved_bytes,
+            0,
+            "a free from instance {} must route to owner {}",
+            free_sm as usize % n,
+            home
         );
-        pool.check_invariants().map_err(TestCaseError::fail)?;
-    }
+        pool.check_invariants().unwrap_or_else(|e| panic!("{e}"));
+    });
 }
 
 /// Exhaust instance 0 wholesale from SM 0 and overflow once; return the

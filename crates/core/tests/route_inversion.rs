@@ -10,44 +10,36 @@
 //! for the multi-segment pipeline.
 
 use gallatin::{Gallatin, GallatinConfig, LARGE_BASE};
-use gpu_sim::{DeviceAllocator, WarpCtx};
-use proptest::prelude::*;
+use gpu_sim::{cases, DeviceAllocator, SplitMix64, WarpCtx};
 use std::sync::atomic::Ordering;
 
 /// Arbitrary-but-valid geometries: every knob that
 /// `GallatinConfig::geometry` validates is drawn from its legal range,
 /// and dependent knobs (segment size, heap size) are derived so the
 /// combination always passes validation.
-fn config_strategy() -> impl Strategy<Value = GallatinConfig> {
-    (3u32..=6, 1usize..=4, 2u32..=6, 0u32..=2, 2u64..=8).prop_map(
-        |(e_min, n_classes, e_spb, e_seg, n_segs)| {
-            let min_slice = 1u64 << e_min;
-            let max_slice = min_slice << (n_classes - 1);
-            let slices_per_block = 1u64 << e_spb;
-            let segment_bytes = (max_slice * slices_per_block) << e_seg;
-            GallatinConfig {
-                heap_bytes: segment_bytes * n_segs,
-                segment_bytes,
-                min_slice,
-                max_slice,
-                slices_per_block,
-                num_sms: 2,
-                min_buffer_slots: 1,
-                randomize_probe_starts: true,
-            }
-        },
-    )
+fn config(rng: &mut SplitMix64) -> GallatinConfig {
+    let (e_min, n_classes, e_spb) = (3 + rng.below(4), 1 + rng.below(4), 2 + rng.below(5));
+    let (e_seg, n_segs) = (rng.below(3), 2 + rng.below(7));
+    let min_slice = 1u64 << e_min;
+    let max_slice = min_slice << (n_classes - 1);
+    let slices_per_block = 1u64 << e_spb;
+    let segment_bytes = (max_slice * slices_per_block) << e_seg;
+    GallatinConfig {
+        heap_bytes: segment_bytes * n_segs,
+        segment_bytes,
+        min_slice,
+        max_slice,
+        slices_per_block,
+        num_sms: 2,
+        min_buffer_slots: 1,
+        randomize_probe_starts: true,
+    }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
-
-    #[test]
-    fn free_route_inverts_malloc_route(
-        cfg in config_strategy(),
-        pipeline in 0u8..3,
-        raw in any::<u64>(),
-    ) {
+#[test]
+fn free_route_inverts_malloc_route() {
+    cases("free_route_inverts_malloc_route", 96, |rng| {
+        let (cfg, pipeline, raw) = (config(rng), rng.below(3) as u8, rng.next_u64());
         let geo = cfg.geometry();
         let max_block = geo.block_size(geo.num_classes - 1);
         // Pick a size inside the chosen pipeline's band (the slice band
@@ -63,7 +55,7 @@ proptest! {
         let warp = WarpCtx { warp_id: 0, sm_id: 0, base_tid: 0, active: 1 };
         let lane = warp.lane(0);
         let p = g.malloc(&lane, size);
-        prop_assert!(!p.is_null(), "fresh heap must serve a {size}-byte request");
+        assert!(!p.is_null(), "fresh heap must serve a {size}-byte request");
 
         // Algorithm 4's routing key, recovered from the offset alone.
         let eff = size.max(1);
@@ -72,32 +64,33 @@ proptest! {
         match pipeline {
             0 => {
                 let c = geo.slice_class(eff).expect("band 0 is the slice range");
-                prop_assert_eq!(id as usize, c, "slice alloc must sit in a class-{} segment", c);
-                prop_assert_eq!(p.0 % geo.slice_size(c), 0, "slice-aligned");
-                prop_assert!(
+                assert_eq!(id as usize, c, "slice alloc must sit in a class-{} segment", c);
+                assert_eq!(p.0 % geo.slice_size(c), 0, "slice-aligned");
+                assert!(
                     !g.table().seg(seg).is_whole_block(geo.block_of(p.0, c)),
                     "slice alloc must not set the whole-block bit"
                 );
-                prop_assert_eq!(g.stats().reserved_bytes, geo.slice_size(c));
+                assert_eq!(g.stats().reserved_bytes, geo.slice_size(c));
             }
             1 => {
                 let c = geo.block_class(eff).expect("band 1 is the block range");
-                prop_assert_eq!(id as usize, c, "block alloc must sit in a class-{} segment", c);
-                prop_assert_eq!(geo.slice_of(p.0, c), 0, "block alloc starts on a block boundary");
-                prop_assert!(
+                assert_eq!(id as usize, c, "block alloc must sit in a class-{} segment", c);
+                assert_eq!(geo.slice_of(p.0, c), 0, "block alloc starts on a block boundary");
+                assert!(
                     g.table().seg(seg).is_whole_block(geo.block_of(p.0, c)),
                     "block alloc must set the whole-block bit"
                 );
-                prop_assert_eq!(g.stats().reserved_bytes, geo.block_size(c));
+                assert_eq!(g.stats().reserved_bytes, geo.block_size(c));
             }
             _ => {
                 let n = geo.segments_for(eff);
-                prop_assert_eq!(p.0 % geo.segment_bytes, 0, "large alloc is segment-aligned");
-                prop_assert_eq!(
-                    u64::from(id), u64::from(LARGE_BASE) + n,
+                assert_eq!(p.0 % geo.segment_bytes, 0, "large alloc is segment-aligned");
+                assert_eq!(
+                    u64::from(id),
+                    u64::from(LARGE_BASE) + n,
                     "large alloc head must carry its span"
                 );
-                prop_assert_eq!(g.stats().reserved_bytes, n * geo.segment_bytes);
+                assert_eq!(g.stats().reserved_bytes, n * geo.segment_bytes);
             }
         }
 
@@ -105,7 +98,7 @@ proptest! {
         // producing pipeline reserved — a mis-route would leave a residue
         // (or trip the allocator's own cross-structure invariants).
         g.free(&lane, p);
-        prop_assert_eq!(g.stats().reserved_bytes, 0, "free must invert the reservation");
-        g.check_invariants().map_err(TestCaseError::fail)?;
-    }
+        assert_eq!(g.stats().reserved_bytes, 0, "free must invert the reservation");
+        g.check_invariants().unwrap_or_else(|e| panic!("{e}"));
+    });
 }

@@ -24,8 +24,7 @@ use gallatin::global::{
 };
 use gallatin::{DevicePool, GallatinConfig};
 use gpu_sim::trace::{self, Ledger, TraceSink};
-use gpu_sim::{launch, launch_warps, DeviceAllocator, DeviceConfig, DevicePtr, WarpCtx};
-use proptest::prelude::*;
+use gpu_sim::{cases, launch, launch_warps, DeviceAllocator, DeviceConfig, DevicePtr, WarpCtx};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -117,22 +116,16 @@ fn wider_topologies_route_the_same_way() {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// The headline property: SM affinity picks device `i` and instance
-    /// `i'` within it; a warp on an arbitrary other SM frees; the
-    /// reservation comes back to zero — the free routed home purely by
-    /// the pointer→device→instance tables.
-    #[test]
-    fn pointer_mallocd_on_device_i_freed_from_j_routes_home(
-        devices in 1u32..=4,
-        width in 1usize..=2,
-        malloc_sm in 0u32..8,
-        free_sm in 0u32..8,
-        count in 1usize..=32,
-        class_skew in 0usize..5,
-    ) {
+/// The headline property: SM affinity picks device `i` and instance
+/// `i'` within it; a warp on an arbitrary other SM frees; the
+/// reservation comes back to zero — the free routed home purely by
+/// the pointer→device→instance tables.
+#[test]
+fn pointer_mallocd_on_device_i_freed_from_j_routes_home() {
+    cases("pointer_mallocd_on_device_i_freed_from_j_routes_home", 64, |rng| {
+        let (devices, width) = (1 + rng.below(4) as u32, 1 + rng.below(2) as usize);
+        let (malloc_sm, free_sm) = (rng.below(8) as u32, rng.below(8) as u32);
+        let (count, class_skew) = (1 + rng.below(32) as usize, rng.below(5) as usize);
         let pool = DevicePool::new(devices, width, GallatinConfig::small_test(HEAP));
         let device_bytes = pool.stride() * width as u64;
         let seg_bytes = pool.pool(0).instance(0).geometry().segment_bytes;
@@ -144,31 +137,35 @@ proptest! {
         let home_dev = malloc_sm as usize % devices as usize;
         let home_inst = malloc_sm as usize % width;
         for p in &out {
-            prop_assert!(!p.is_null());
+            assert!(!p.is_null());
             // Pointer → physical device → instance round-trip: the
             // flat instance index decomposes as device × width + local.
-            prop_assert_eq!(
-                (p.0 / device_bytes) as usize, home_dev,
+            assert_eq!(
+                (p.0 / device_bytes) as usize,
+                home_dev,
                 "a fresh topology serves from the affinity device"
             );
-            prop_assert_eq!(
-                (p.0 / pool.stride()) as usize, home_dev * width + home_inst,
+            assert_eq!(
+                (p.0 / pool.stride()) as usize,
+                home_dev * width + home_inst,
                 "…and from the affinity instance within it"
             );
             // The routing table agrees with the physical placement
             // (no donations have moved anything yet).
-            prop_assert_eq!(pool.owner_of_segment(p.0 / seg_bytes), Some(home_dev));
+            assert_eq!(pool.owner_of_segment(p.0 / seg_bytes), Some(home_dev));
         }
-        prop_assert_eq!(pool.total_spills(), 0);
+        assert_eq!(pool.total_spills(), 0);
         let wf = WarpCtx { warp_id: 1, sm_id: free_sm, base_tid: 1 << 20, active: count as u32 };
         pool.warp_free(&wf, &out);
-        prop_assert_eq!(
-            pool.stats().reserved_bytes, 0,
+        assert_eq!(
+            pool.stats().reserved_bytes,
+            0,
             "a free from device {} must route to owner {}",
-            free_sm as usize % devices as usize, home_dev
+            free_sm as usize % devices as usize,
+            home_dev
         );
-        pool.check_invariants().map_err(TestCaseError::fail)?;
-    }
+        pool.check_invariants().unwrap_or_else(|e| panic!("{e}"));
+    });
 }
 
 /// Exhaust device 0 wholesale from SM 0 and overflow once; return the

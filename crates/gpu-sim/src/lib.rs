@@ -66,8 +66,8 @@ pub use mem::{DeviceMemory, DevicePtr};
 pub use metrics::{Metrics, Striped};
 pub use replay::{ConversionStats, ReplayOp, ReplayScript, WarpScript};
 pub use sched::{
-    current_sched_seed, explore_schedules, preempt_point, spin_hint, FaultPlan, PreemptPoint,
-    ScheduleFailure, SplitMix64,
+    cases, current_sched_seed, explore_schedules, preempt_point, spin_hint, FaultPlan,
+    PreemptPoint, ScheduleFailure, SplitMix64,
 };
 pub use topo::Topology;
 pub use trace::{TraceEvent, TraceRecord, TraceSink};

@@ -158,9 +158,9 @@ pub fn spin_hint() {
     std::hint::spin_loop();
 }
 
-/// SplitMix64: small, seedable, and good enough mixing for schedule
-/// choice. Each instance is its own stream: the scheduler's advances only
-/// on scheduling decisions (one draw per preemption).
+/// SplitMix64, the workspace's one seedable stream (schedules, workload
+/// generators, property tests). Each instance is its own stream: the
+/// scheduler's advances only on scheduling decisions (one per preemption).
 pub struct SplitMix64 {
     state: u64,
 }
@@ -178,6 +178,40 @@ impl SplitMix64 {
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         z ^ (z >> 31)
+    }
+
+    /// A uniform draw from `0..n` by multiply-shift (`n > 0`).
+    pub fn below(&mut self, n: u64) -> u64 {
+        ((self.next_u64() as u128 * n as u128) >> 64) as u64
+    }
+
+    /// A uniform draw from `[0, 1)` with 53 random mantissa bits.
+    pub fn unit_f64(&mut self) -> f64 {
+        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+    }
+}
+
+/// Run the property `name` on `n` cases: case `i` draws from the stream
+/// seeded with FNV-1a(`name`) + `i`, so re-running a test replays it. A
+/// failing case panics naming the property, the case and its seed.
+pub fn cases(name: &str, n: u64, mut case: impl FnMut(&mut SplitMix64)) {
+    let fnv = |h: u64, b: u8| (h ^ b as u64).wrapping_mul(0x0100_0000_01b3);
+    let base = name.bytes().fold(0xcbf2_9ce4_8422_2325, fnv);
+    for i in 0..n {
+        let seed = base.wrapping_add(i);
+        if let Err(payload) = catch_unwind(AssertUnwindSafe(|| case(&mut SplitMix64::new(seed)))) {
+            let message = panic_message(&*payload);
+            panic!("property {name} failed on case {i} of {n} (seed {seed}): {message}");
+        }
+    }
+}
+
+/// The text of a panic payload: its `&str` or `String`.
+fn panic_message(payload: &(dyn Any + Send)) -> String {
+    match (payload.downcast_ref::<&str>(), payload.downcast_ref::<String>()) {
+        (Some(s), _) => s.to_string(),
+        (_, Some(s)) => s.clone(),
+        _ => "non-string panic payload".to_string(),
     }
 }
 
@@ -473,20 +507,10 @@ where
     };
     let mut ran = 0u64;
     for seed in seeds {
-        let outcome = catch_unwind(AssertUnwindSafe(|| scenario(seed)));
-        match outcome {
-            Ok(()) => ran += 1,
-            Err(payload) => {
-                let message = if let Some(s) = payload.downcast_ref::<&str>() {
-                    (*s).to_string()
-                } else if let Some(s) = payload.downcast_ref::<String>() {
-                    s.clone()
-                } else {
-                    "non-string panic payload".to_string()
-                };
-                return Err(ScheduleFailure { seed, message });
-            }
+        if let Err(payload) = catch_unwind(AssertUnwindSafe(|| scenario(seed))) {
+            return Err(ScheduleFailure { seed, message: panic_message(&*payload) });
         }
+        ran += 1;
     }
     Ok(ran)
 }
@@ -506,6 +530,38 @@ mod tests {
             hits.fetch_add(1 << (i + 8), Ordering::Relaxed);
         });
         assert_eq!(hits.load(Ordering::Relaxed), 0xFFFF);
+    }
+
+    #[test]
+    fn one_seed_gives_one_stream() {
+        let (mut a, mut b) = (SplitMix64::new(42), SplitMix64::new(42));
+        assert!((0..100).all(|_| a.next_u64() == b.next_u64()));
+    }
+
+    #[test]
+    fn draws_stay_in_range() {
+        let mut rng = SplitMix64::new(7);
+        for _ in 0..10_000 {
+            assert_eq!(rng.below(1), 0);
+            assert!(rng.below(10) < 10);
+            assert!(rng.below(u64::MAX) < u64::MAX);
+            assert!((0.0..1.0).contains(&rng.unit_f64()));
+        }
+    }
+
+    /// Case `i` runs on FNV-1a(name) + `i`: the third case of `doomed`
+    /// fails, and the message carries what replays it.
+    #[test]
+    #[should_panic(
+        expected = "property doomed failed on case 2 of 4 (seed 12021885832621497847): \
+                    forced at 2"
+    )]
+    fn a_failing_case_names_property_case_and_seed() {
+        let mut i = 0;
+        cases("doomed", 4, |_| {
+            assert!(i < 2, "forced at {i}");
+            i += 1;
+        });
     }
 
     #[test]

@@ -20,22 +20,12 @@ use std::sync::{Arc, Mutex, PoisonError};
 /// A batch of edge updates `(src, dst)`.
 pub type EdgeBatch = Vec<(u32, u64)>;
 
-/// A uniform draw from `[0, 1)` with 53 random mantissa bits.
-fn unit_f64(rng: &mut SplitMix64) -> f64 {
-    (rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-}
-
-/// A uniform draw from `0..n` by multiply-shift.
-fn below(rng: &mut SplitMix64, n: u32) -> u32 {
-    ((rng.next_u64() as u128 * n as u128) >> 64) as u32
-}
-
 /// Uniform stream: every edge picks its source uniformly. Models the
 /// benchmark's synthetic update batches.
 pub fn uniform_edges(num_vertices: u32, num_edges: usize, seed: u64) -> EdgeBatch {
     assert!(num_vertices > 0);
     let mut rng = SplitMix64::new(seed);
-    (0..num_edges).map(|_| (below(&mut rng, num_vertices), rng.next_u64() >> 16)).collect()
+    (0..num_edges).map(|_| (rng.below(num_vertices.into()) as u32, rng.next_u64() >> 16)).collect()
 }
 
 /// The inverse CDF of Zipf(α) over `0..n`, with a guide table that
@@ -104,7 +94,7 @@ impl Zipf {
 pub fn zipf_edges(num_vertices: u32, num_edges: usize, alpha: f64, seed: u64) -> EdgeBatch {
     let zipf = Zipf::shared(num_vertices, alpha);
     let mut rng = SplitMix64::new(seed);
-    (0..num_edges).map(|_| (zipf.index(unit_f64(&mut rng)), rng.next_u64() >> 16)).collect()
+    (0..num_edges).map(|_| (zipf.index(rng.unit_f64()), rng.next_u64() >> 16)).collect()
 }
 
 /// The expansion schedule (§6.12's expansion tests): a sequence of

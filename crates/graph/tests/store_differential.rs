@@ -12,9 +12,8 @@
 
 use allocators::CudaHeapSim;
 use gallatin::{Gallatin, GallatinConfig};
-use gpu_sim::{DeviceAllocator, WarpCtx};
+use gpu_sim::{cases, DeviceAllocator, SplitMix64, WarpCtx};
 use graph::DynamicGraph;
-use proptest::prelude::*;
 
 /// Vertices in the graph; ops only ever name the first `TOUCHED`, so the
 /// rest keep the null list they were born with.
@@ -114,23 +113,19 @@ fn over_both_allocators(ops: &[Op]) -> usize {
 /// A run of ops on one vertex with destinations from a domain of `span`
 /// values: narrow spans make duplicates (and deletes that hit), wide ones
 /// make absent edges.
-fn run_strategy() -> impl Strategy<Value = Vec<Op>> {
-    (0..TOUCHED, any::<bool>(), 1u64..24, prop::collection::vec(0u64..1 << 20, 1..160)).prop_map(
-        |(v, insert, span, draws)| {
-            let op =
-                |d: u64| if insert { Op::Insert(v, d % span) } else { Op::Delete(v, d % span) };
-            draws.into_iter().map(op).collect()
-        },
-    )
+fn run(rng: &mut SplitMix64) -> Vec<Op> {
+    let (v, insert, span) =
+        (rng.below(TOUCHED.into()) as u32, rng.next_u64() & 1 == 1, 1 + rng.below(23));
+    let op = |d: u64| if insert { Op::Insert(v, d % span) } else { Op::Delete(v, d % span) };
+    (0..1 + rng.below(159)).map(|_| op(rng.below(1 << 20))).collect()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    #[test]
-    fn random_runs_match_the_oracle(runs in prop::collection::vec(run_strategy(), 1..24)) {
+#[test]
+fn random_runs_match_the_oracle() {
+    cases("random_runs_match_the_oracle", 48, |rng| {
+        let runs: Vec<Vec<Op>> = (0..1 + rng.below(23)).map(|_| run(rng)).collect();
         over_both_allocators(&runs.concat());
-    }
+    });
 }
 
 /// One list up through every grow (4 → 8 → … → 256) and back down through

@@ -1,7 +1,7 @@
 //! Model-based property tests: the concurrent vEB tree must agree with a
 //! `BTreeSet` under any single-threaded operation sequence.
 
-use proptest::prelude::*;
+use gpu_sim::{cases, SplitMix64};
 use std::collections::BTreeSet;
 use veb::VebTree;
 
@@ -30,16 +30,25 @@ impl Op {
     }
 }
 
-fn op_strategy(universe: u64) -> impl Strategy<Value = Op> {
-    prop_oneof![
-        (0..universe).prop_map(Op::Insert),
-        (0..universe).prop_map(Op::Remove),
-        (0..universe).prop_map(Op::Contains),
-        (0..universe).prop_map(Op::Successor),
-        (0..universe).prop_map(Op::Predecessor),
-        (0..universe).prop_map(Op::ClaimFirstGe),
-        (0..universe).prop_map(Op::ClaimLastLe),
-    ]
+/// `1..max_len` ops, each a uniform kind on a uniform key in `0..universe`.
+fn ops(rng: &mut SplitMix64, universe: u64, max_len: u64) -> Vec<Op> {
+    let kinds: [fn(u64) -> Op; 7] = [
+        Op::Insert,
+        Op::Remove,
+        Op::Contains,
+        Op::Successor,
+        Op::Predecessor,
+        Op::ClaimFirstGe,
+        Op::ClaimLastLe,
+    ];
+    let len = 1 + rng.below(max_len - 1);
+    (0..len).map(|_| kinds[rng.below(7) as usize](rng.below(universe))).collect()
+}
+
+/// `min_len..max_len` draws from `lo..hi`.
+fn draws(rng: &mut SplitMix64, min_len: u64, max_len: u64, lo: u64, hi: u64) -> Vec<u64> {
+    let len = min_len + rng.below(max_len - min_len);
+    (0..len).map(|_| lo + rng.below(hi - lo)).collect()
 }
 
 fn model_successor(model: &BTreeSet<u64>, x: u64) -> Option<u64> {
@@ -103,16 +112,17 @@ fn run_model(tree: VebTree, ops: Vec<Op>) {
     tree.check_summaries().unwrap();
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+#[test]
+fn small_universe_matches_model() {
+    cases("small_universe_matches_model", 64, |rng| {
+        run_model(VebTree::new(200), ops(rng, 200, 400))
+    });
+}
 
-    #[test]
-    fn small_universe_matches_model(ops in prop::collection::vec(op_strategy(200), 1..400)) {
-        run_model(VebTree::new(200), ops);
-    }
-
-    #[test]
-    fn height_one_universes_match_model(ops in prop::collection::vec(op_strategy(3000), 1..300)) {
+#[test]
+fn height_one_universes_match_model() {
+    cases("height_one_universes_match_model", 64, |rng| {
+        let ops = ops(rng, 3000, 300);
         // 1, 63 and 64 are one leaf word with no summary to climb; 3000
         // is the universe the deleted flat tree was checked at.
         for universe in [1u64, 63, 64, 3000] {
@@ -122,23 +132,28 @@ proptest! {
             }
             run_model(VebTree::new(universe), ops);
         }
-    }
+    });
+}
 
-    #[test]
-    fn two_level_universe_matches_model(ops in prop::collection::vec(op_strategy(4096), 1..300)) {
-        run_model(VebTree::new(4096), ops);
-    }
+#[test]
+fn two_level_universe_matches_model() {
+    cases("two_level_universe_matches_model", 64, |rng| {
+        run_model(VebTree::new(4096), ops(rng, 4096, 300))
+    });
+}
 
-    #[test]
-    fn three_level_universe_matches_model(ops in prop::collection::vec(op_strategy(300_000), 1..200)) {
-        run_model(VebTree::new(300_000), ops);
-    }
+#[test]
+fn three_level_universe_matches_model() {
+    cases("three_level_universe_matches_model", 64, |rng| {
+        run_model(VebTree::new(300_000), ops(rng, 300_000, 200))
+    });
+}
 
-    #[test]
-    fn contiguous_claims_are_disjoint_runs(
-        holes in prop::collection::vec(0u64..8192, 0..600),
-        sizes in prop::collection::vec(1u64..70, 1..60),
-    ) {
+#[test]
+fn contiguous_claims_are_disjoint_runs() {
+    cases("contiguous_claims_are_disjoint_runs", 64, |rng| {
+        let holes = draws(rng, 0, 600, 0, 8192);
+        let sizes = draws(rng, 1, 60, 1, 70);
         // A full three-level universe with holes punched across word
         // boundaries: every run claimed from the back must be the highest
         // run wholly present, and handing the runs back restores the count.
@@ -146,26 +161,26 @@ proptest! {
         let tree = VebTree::new_full(universe);
         let mut model: BTreeSet<u64> = (0..universe).collect();
         for h in holes {
-            prop_assert_eq!(tree.claim_exact(h), model.remove(&h), "claim_exact({})", h);
+            assert_eq!(tree.claim_exact(h), model.remove(&h), "claim_exact({h})");
         }
         let mut claimed: Vec<(u64, u64)> = Vec::new();
         for n in sizes {
             let start = tree.claim_contiguous_from_back(n);
-            prop_assert_eq!(start, model_back_run(&model, n), "claim_contiguous_from_back({})", n);
+            assert_eq!(start, model_back_run(&model, n), "claim_contiguous_from_back({n})");
             if let Some(start) = start {
                 for i in start..start + n {
-                    prop_assert!(model.remove(&i), "run [{start},{}) took absent {i}", start + n);
+                    assert!(model.remove(&i), "run [{start},{}) took absent {i}", start + n);
                 }
                 claimed.push((start, n));
             }
         }
-        prop_assert_eq!(tree.count(), model.len() as u64);
+        assert_eq!(tree.count(), model.len() as u64);
         let before = tree.count();
         let total: u64 = claimed.iter().map(|&(_, n)| n).sum();
         for (start, n) in claimed {
             tree.insert_range(start, n);
         }
-        prop_assert_eq!(tree.count(), before + total);
+        assert_eq!(tree.count(), before + total);
         tree.check_summaries().unwrap();
-    }
+    });
 }

@@ -16,8 +16,7 @@
 //! Run with: `cargo run --release --example kmer_counting`
 
 use gallatin_repro::prelude::*;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use gpu_sim::SplitMix64;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 const K: usize = 21;
@@ -135,14 +134,14 @@ impl<'a> DeviceHashTable<'a> {
 /// Synthetic DNA: uniform ACGT with a few repeated motifs so counts > 1
 /// appear.
 fn synthesize_dna(len: usize, seed: u64) -> Vec<u8> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let motif: Vec<u8> = (0..64).map(|_| rng.gen_range(0..4u8)).collect();
+    let mut rng = SplitMix64::new(seed);
+    let motif: Vec<u8> = (0..64).map(|_| rng.below(4) as u8).collect();
     let mut dna = Vec::with_capacity(len);
     while dna.len() < len {
-        if rng.gen_bool(0.1) {
+        if rng.unit_f64() < 0.1 {
             dna.extend_from_slice(&motif);
         } else {
-            dna.push(rng.gen_range(0..4u8));
+            dna.push(rng.below(4) as u8);
         }
     }
     dna.truncate(len);

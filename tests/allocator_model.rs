@@ -4,8 +4,7 @@
 //! allocations and inside the heap, and frees return capacity.
 
 use gallatin::{Gallatin, GallatinConfig};
-use gpu_sim::{DeviceAllocator, DevicePtr, WarpCtx};
-use proptest::prelude::*;
+use gpu_sim::{cases, DeviceAllocator, DevicePtr, SplitMix64, WarpCtx};
 use std::collections::BTreeMap;
 
 #[derive(Clone, Debug)]
@@ -16,8 +15,11 @@ enum Op {
     Free(u16),
 }
 
-fn op_strategy() -> impl Strategy<Value = Op> {
-    prop_oneof![(0u8..13).prop_map(Op::Malloc), (0u16..1024).prop_map(Op::Free),]
+fn op(rng: &mut SplitMix64) -> Op {
+    match rng.below(2) {
+        0 => Op::Malloc(rng.below(13) as u8),
+        _ => Op::Free(rng.below(1024) as u16),
+    }
 }
 
 /// The size menu spans all three pipelines of the small-test geometry
@@ -56,11 +58,10 @@ fn rounded(size: u64, geo: &gallatin::Geometry) -> u64 {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    #[test]
-    fn live_allocations_stay_disjoint(ops in prop::collection::vec(op_strategy(), 1..300)) {
+#[test]
+fn live_allocations_stay_disjoint() {
+    cases("live_allocations_stay_disjoint", 48, |rng| {
+        let ops: Vec<Op> = (0..1 + rng.below(299)).map(|_| op(rng)).collect();
         let g = Gallatin::new(GallatinConfig::small_test(1 << 20));
         let geo = *g.geometry();
         let warp = WarpCtx { warp_id: 0, sm_id: 0, base_tid: 0, active: 1 };
@@ -79,16 +80,22 @@ proptest! {
                         continue; // exhaustion is legal
                     }
                     let len = rounded(size, &geo);
-                    prop_assert!(p.0 + size <= g.heap_bytes(), "out of heap");
+                    assert!(p.0 + size <= g.heap_bytes(), "out of heap");
                     // Disjoint from every live range (by internal
                     // footprint, which is what the allocator reserves).
                     if let Some((&prev_start, &(prev_len, _))) = live.range(..=p.0).next_back() {
-                        prop_assert!(prev_start + prev_len <= p.0,
-                            "overlaps predecessor: new [{}, +{len}) vs [{prev_start}, +{prev_len})", p.0);
+                        assert!(
+                            prev_start + prev_len <= p.0,
+                            "overlaps predecessor: new [{}, +{len}) vs [{prev_start}, +{prev_len})",
+                            p.0
+                        );
                     }
                     if let Some((&next_start, _)) = live.range(p.0 + 1..).next() {
-                        prop_assert!(p.0 + len <= next_start,
-                            "overlaps successor: new [{}, +{len}) vs {next_start}", p.0);
+                        assert!(
+                            p.0 + len <= next_start,
+                            "overlaps successor: new [{}, +{len}) vs {next_start}",
+                            p.0
+                        );
                     }
                     live.insert(p.0, (len, size));
                     order.push(p.0);
@@ -113,22 +120,27 @@ proptest! {
         for off in order {
             g.free(&lane, DevicePtr(off));
         }
-        prop_assert_eq!(g.stats().reserved_bytes, 0);
-        g.check_invariants().map_err(TestCaseError::fail)?;
+        assert_eq!(g.stats().reserved_bytes, 0);
+        g.check_invariants().unwrap_or_else(|e| panic!("{e}"));
         let wavefront = geo.num_classes as u64 * geo.segment_bytes;
         let p = g.malloc(&lane, g.heap_bytes() - wavefront);
-        prop_assert!(!p.is_null(), "heap minus wavefront must be allocatable after drain");
+        assert!(!p.is_null(), "heap minus wavefront must be allocatable after drain");
         g.free(&lane, p);
         // After a reset even the wavefront is released.
         g.reset();
         let p = g.malloc(&lane, g.heap_bytes());
-        prop_assert!(!p.is_null(), "whole heap must be allocatable after reset");
+        assert!(!p.is_null(), "whole heap must be allocatable after reset");
         g.free(&lane, p);
-        g.check_invariants().map_err(TestCaseError::fail)?;
-    }
+        g.check_invariants().unwrap_or_else(|e| panic!("{e}"));
+    });
+}
 
-    #[test]
-    fn payloads_never_alias(ops in prop::collection::vec((0u8..13, any::<bool>()), 1..200)) {
+#[test]
+fn payloads_never_alias() {
+    cases("payloads_never_alias", 48, |rng| {
+        let ops: Vec<(u8, bool)> = (0..1 + rng.below(199))
+            .map(|_| (rng.below(13) as u8, rng.next_u64() & 1 == 1))
+            .collect();
         // Write a unique stamp into every live allocation after each
         // operation batch; a clobbered stamp means aliasing.
         let g = Gallatin::new(GallatinConfig::small_test(1 << 20));
@@ -150,20 +162,19 @@ proptest! {
                 }
             }
             for &(p, s) in &live {
-                prop_assert_eq!(g.memory().read_stamp(p), s, "stamp clobbered");
+                assert_eq!(g.memory().read_stamp(p), s, "stamp clobbered");
             }
         }
         for (p, _) in live {
             g.free(&lane, p);
         }
-        g.check_invariants().map_err(TestCaseError::fail)?;
-    }
+        g.check_invariants().unwrap_or_else(|e| panic!("{e}"));
+    });
 }
 
-/// The recorded proptest regression (`ops = [Malloc(0)]`) promoted to an
-/// explicit case, as the vendored proptest shim does not replay
-/// `*.proptest-regressions` files: a zero-size allocation returns a
-/// valid, unique, freeable pointer and leaves the heap consistent.
+/// A once-recorded failing input (`ops = [Malloc(0)]`) kept as an
+/// explicit case: a zero-size allocation returns a valid, unique,
+/// freeable pointer and leaves the heap consistent.
 #[test]
 fn regression_single_zero_size_malloc() {
     let g = Gallatin::new(GallatinConfig::small_test(1 << 20));
