@@ -235,9 +235,10 @@ impl DeviceMemory {
     }
 
     /// Index of the first of the `count` little-endian u64 words at `ptr`
-    /// equal to `needle`, bounds-checked once for the whole range. `ptr`
-    /// needs no alignment, and `count == 0` is `None` without looking at
-    /// it (an empty list may hold [`DevicePtr::NULL`]).
+    /// equal to `needle`, bounds-checked once for the whole range: the
+    /// graph store's delete when the ring's head misses. `ptr` needs no
+    /// alignment, and `count == 0` is `None` without looking at it (an
+    /// empty list may hold [`DevicePtr::NULL`]).
     #[inline]
     pub fn find_stamp(&self, ptr: DevicePtr, count: u64, needle: u64) -> Option<u64> {
         if count == 0 {

@@ -12,7 +12,8 @@
 //! with `seed`, two draws per edge (source, then destination). A Zipf
 //! source is an inverse-CDF lookup; the table behind it is built once per
 //! distinct `(n, α)` and kept in a one-entry memo, so a caller that
-//! generates many batches of one shape pays for one table.
+//! generates many batches of one shape pays for one table; a draw counts a
+//! fixed window of the CDF, or binary-searches a bucket wider than that.
 
 use gpu_sim::SplitMix64;
 use std::sync::{Arc, Mutex, PoisonError};
@@ -28,21 +29,26 @@ pub fn uniform_edges(num_vertices: u32, num_edges: usize, seed: u64) -> EdgeBatc
     (0..num_edges).map(|_| (rng.below(num_vertices.into()) as u32, rng.next_u64() >> 16)).collect()
 }
 
+/// Entries a draw compares when its table's every bucket fits them.
+const WINDOW: usize = 8;
+
 /// The inverse CDF of Zipf(α) over `0..n`, with a guide table that
 /// narrows each lookup to one bucket.
 struct Zipf {
     key: (u32, u64),
-    /// `cdf[k]`: the normalized weight of `0..=k`; `cdf[n − 1]` is 1.
+    /// `cdf[k]`: the normalized weight of `0..=k`; 1 at `n − 1` and past it (the padding).
     cdf: Vec<f64>,
     /// `B = n.next_power_of_two()` buckets plus an end mark: `guide[b]`
     /// is the first index with `cdf[i] ≥ b/B`, and `guide[B] = n`.
     guide: Vec<u32>,
+    /// Whether no bucket holds more than [`WINDOW`] entries.
+    windowed: bool,
 }
 
 impl Zipf {
     fn new(n: u32, alpha: f64) -> Self {
         assert!(n > 0);
-        let mut cdf = Vec::with_capacity(n as usize);
+        let mut cdf = Vec::with_capacity(n as usize + WINDOW);
         let mut acc = 0.0;
         for k in 0..n {
             acc += 1.0 / ((k + 1) as f64).powf(alpha);
@@ -63,17 +69,22 @@ impl Zipf {
             guide.push(i as u32);
         }
         guide.push(n);
-        Zipf { key: (n, alpha.to_bits()), cdf, guide }
+        cdf.resize(n as usize + WINDOW, 1.0);
+        let windowed = guide.windows(2).all(|w| (w[1] - w[0]) as usize <= WINDOW);
+        Zipf { key: (n, alpha.to_bits()), cdf, guide, windowed }
     }
 
     /// The first index with `cdf[i] ≥ u`: the full search's answer, found
     /// in `u`'s bucket. `B` is a power of two, so `u·B` and `b/B` are
-    /// exact and the bucket's bounds bracket the answer.
+    /// exact and the bucket's bounds bracket the answer, which a window no
+    /// bucket outgrows counts: every later entry, padding too, exceeds `u`.
     fn index(&self, u: f64) -> u32 {
         let b = (u * (self.guide.len() - 1) as f64) as usize;
         let lo = self.guide[b] as usize;
-        let hi = (self.guide[b + 1] as usize).min(self.cdf.len() - 1);
-        (lo + self.cdf[lo..=hi].partition_point(|&c| c < u)) as u32
+        if self.windowed {
+            return (lo + self.cdf[lo..lo + WINDOW].iter().filter(|&&c| c < u).count()) as u32;
+        }
+        (lo + self.cdf[lo..=self.guide[b + 1] as usize].partition_point(|&c| c < u)) as u32
     }
 
     /// The table for `(n, α)`, from the memo when the last call asked for
@@ -152,10 +163,19 @@ mod tests {
 
     #[test]
     fn guide_table_draws_match_the_full_search() {
-        // 1.2 M Zipf draws over one-vertex, tiny, head-heavy, flat and
-        // benchmark-sized tables.
-        let shapes = [(1, 0.8), (3, 2.5), (50, 1.0), (1000, 0.0), (1 << 15, 0.8), (100_000, 0.5)];
+        // 1.4 M Zipf draws over one-vertex, tiny, head-heavy, flat and
+        // benchmark-sized tables, windowed or (the last) not.
+        let shapes = [
+            (1, 0.8),
+            (3, 2.5),
+            (50, 1.0),
+            (1000, 0.0),
+            (1 << 15, 0.8),
+            (100_000, 0.5),
+            (1 << 15, 2.0),
+        ];
         for (i, &(n, alpha)) in shapes.iter().enumerate() {
+            assert_eq!(Zipf::new(n, alpha).windowed, i + 1 < shapes.len(), "({n}, α = {alpha})");
             let seed = 0x5EED + i as u64;
             assert!(
                 zipf_edges(n, 200_000, alpha, seed) == reference_zipf(n, 200_000, alpha, seed),
@@ -175,19 +195,39 @@ mod tests {
 
     #[test]
     fn draws_on_bucket_and_cdf_boundaries_match_the_full_search() {
-        for (n, alpha) in [(1, 0.8), (2, 1.0), (3, 2.5), (5, 0.0), (7, 0.8), (12, 1.3), (33, 0.5)] {
+        // (112, 1.2)'s widest bucket fills the window and (123, 1.2)'s is
+        // one wider, neither the last: a draw just below its end needs all
+        // of it.
+        let shapes = [
+            (1, 0.8),
+            (2, 1.0),
+            (3, 2.5),
+            (5, 0.0),
+            (7, 0.8),
+            (12, 1.3),
+            (33, 0.5),
+            (112, 1.2),
+            (123, 1.2),
+        ];
+        let mut seen = Vec::new();
+        for (n, alpha) in shapes {
             let zipf = Zipf::new(n, alpha);
             let cdf = reference_cdf(n, alpha);
-            assert!(zipf.cdf == cdf, "n = {n}, α = {alpha}: table differs from the reference");
+            let (table, padding) = zipf.cdf.split_at(n as usize);
+            assert!(table == cdf, "n = {n}, α = {alpha}: table differs from the reference");
+            assert_eq!(padding, [1.0; WINDOW]);
             let buckets = zipf.guide.len() - 1;
             assert_eq!(buckets, n.next_power_of_two() as usize);
-            let floors = (0..buckets).map(|b| b as f64 / buckets as f64);
-            let cdf_edges = cdf.iter().flat_map(|&c| [c, c.next_down()]);
-            for u in floors.chain(cdf_edges).filter(|u| (0.0..1.0).contains(u)) {
+            let widest = zipf.guide.windows(2).map(|w| (w[1] - w[0]) as usize).max().unwrap();
+            seen.push((widest, zipf.windowed));
+            let floors = (0..=buckets).map(|b| b as f64 / buckets as f64);
+            let ends = floors.chain(cdf.iter().copied()).flat_map(|c| [c, c.next_down()]);
+            for u in ends.filter(|u| (0.0..1.0).contains(u)) {
                 let full = cdf.partition_point(|&c| c < u) as u32;
                 assert_eq!(zipf.index(u), full, "n = {n}, α = {alpha}, u = {u:e}");
             }
         }
+        assert!(seen.contains(&(WINDOW, true)) && seen.contains(&(WINDOW + 1, false)), "{seen:?}");
     }
 
     #[test]

@@ -8,9 +8,9 @@
 //! test — which is exactly what the benchmark measures.
 //!
 //! A list is a ring in arrival order inside its allocation. A delete
-//! fills the slot it empties with the *oldest* edge and advances the
-//! head, so a stream that expires its oldest edges (a sliding window)
-//! finds each at the head in one compare and moves nothing.
+//! compares the head first and scans the ring only on a miss, filling the
+//! slot it empties with the *oldest* edge; either way the head advances,
+//! so a sliding window's expiry is one compare and moves nothing.
 //!
 //! Per-vertex updates are serialized with a spinlock, the standard
 //! device-side pattern for edge-list updaters; different vertices update
@@ -200,9 +200,9 @@ impl<A: DeviceAllocator> DynamicGraph<A> {
         true
     }
 
-    /// Delete the first occurrence of edge `src → dst` in `edges()`
-    /// order; the list's oldest edge fills its slot (module docs).
-    /// Returns whether the edge existed.
+    /// Delete the first occurrence of edge `src → dst` in `edges()` order
+    /// (one compare at the head, else a scan; module docs). Returns whether
+    /// the edge existed.
     pub fn delete_edge(&self, ctx: &LaneCtx, src: u32, dst: u64) -> bool {
         let vert = &self.vertices[src as usize];
         let _guard = VertexGuard::acquire(vert);
@@ -213,17 +213,18 @@ impl<A: DeviceAllocator> DynamicGraph<A> {
         }
         let ptr = DevicePtr(vert.ptr.load(Ordering::Relaxed));
         let mem = self.alloc.memory();
-        // The first match in arrival order: the run from the head, then
+        // The first match in arrival order: the head, the run from it, then
         // the wrapped run. `edges()` order is what notices another match.
-        let Some(i) = mem
-            .find_stamp(ptr.offset(head * 8), first, dst)
-            .map(|i| head + i)
+        let oldest = mem.read_stamp(ptr.offset(head * 8));
+        let Some(i) = (oldest == dst)
+            .then_some(head)
+            .or_else(|| mem.find_stamp(ptr.offset(head * 8), first, dst).map(|i| head + i))
             .or_else(|| mem.find_stamp(ptr, second, dst))
         else {
             return false;
         };
         if i != head {
-            mem.write_stamp(ptr.offset(i * 8), mem.read_stamp(ptr.offset(head * 8)));
+            mem.write_stamp(ptr.offset(i * 8), oldest);
         }
         let (len, cap) = (first + second, vert.cap.load(Ordering::Relaxed) as u64);
         vert.head.store(((head + 1) & (cap - 1)) as u32, Ordering::Relaxed);
@@ -307,6 +308,32 @@ mod tests {
             assert_eq!(g.degree(0), 4);
             assert!(g.vertices[0].cap.load(Ordering::Relaxed) <= 8, "list must shrink");
             assert_eq!(g.edges(0), vec![28, 29, 30, 31]);
+        });
+    }
+
+    /// Each path of a delete's search on a wrapped ring, against `edges()`
+    /// order: a head hit, a duplicate whose older copy is at the head, a
+    /// hit in the run from the head and one in the wrapped run (the oldest
+    /// edge fills both holes), and a miss on both runs.
+    #[test]
+    fn delete_takes_the_first_match_at_the_head_or_in_either_run() {
+        let g = DynamicGraph::new(1, Gallatin::new(GallatinConfig::small_test(1 << 20)));
+        let ring = || (g.vertices[0].head.load(Ordering::Relaxed), g.edges(0));
+        with_lane(|l| {
+            (0..8).for_each(|d| assert!(g.insert_edge(l, 0, d)));
+            (0..3).for_each(|d| assert!(g.delete_edge(l, 0, d)));
+            (8..11).for_each(|d| assert!(g.insert_edge(l, 0, d)));
+            assert_eq!(ring(), (3, vec![3, 4, 5, 6, 7, 8, 9, 10]), "full and wrapped");
+            assert!(g.delete_edge(l, 0, 3), "at the head");
+            assert_eq!(ring(), (4, vec![4, 5, 6, 7, 8, 9, 10]));
+            assert!(g.insert_edge(l, 0, 4) && g.delete_edge(l, 0, 4), "the head's copy");
+            assert_eq!(ring(), (5, vec![5, 6, 7, 8, 9, 10, 4]));
+            assert!(g.delete_edge(l, 0, 7), "in the run from the head");
+            assert_eq!(ring(), (6, vec![6, 5, 8, 9, 10, 4]));
+            assert!(g.delete_edge(l, 0, 9), "in the wrapped run");
+            assert_eq!(ring(), (7, vec![5, 8, 6, 10, 4]));
+            assert!(!g.delete_edge(l, 0, 99), "in neither run");
+            assert_eq!(ring(), (7, vec![5, 8, 6, 10, 4]));
         });
     }
 

@@ -65,13 +65,14 @@ impl OracleList {
 
 /// Apply `ops` to a graph over `alloc` and to the oracle, comparing after
 /// every op; then destroy the graph and check the allocator came back
-/// whole. Returns the largest capacity any list reached.
-fn run_against_oracle(alloc: impl DeviceAllocator, ops: &[Op]) -> usize {
+/// whole. Returns the largest capacity any list reached, and how many
+/// deletes found their edge oldest and how many later in the list.
+fn run_against_oracle(alloc: impl DeviceAllocator, ops: &[Op]) -> (usize, [usize; 2]) {
     let warp = WarpCtx { warp_id: 0, sm_id: 0, base_tid: 0, active: 1 };
     let lane = warp.lane(0);
     let g = DynamicGraph::new(VERTICES as usize, alloc);
     let mut oracle = vec![OracleList::default(); VERTICES as usize];
-    let mut peak_cap = 0;
+    let (mut peak_cap, mut hits) = (0, [0; 2]);
     for (n, &op) in ops.iter().enumerate() {
         let v = match op {
             Op::Insert(v, dst) => {
@@ -80,6 +81,9 @@ fn run_against_oracle(alloc: impl DeviceAllocator, ops: &[Op]) -> usize {
                 v
             }
             Op::Delete(v, dst) => {
+                if let Some(i) = oracle[v as usize].edges.iter().position(|&e| e == dst) {
+                    hits[(i > 0) as usize] += 1;
+                }
                 let found = g.delete_edge(&lane, v, dst);
                 assert_eq!(found, oracle[v as usize].delete(dst), "op {n} {op:?}: return value");
                 v
@@ -100,10 +104,10 @@ fn run_against_oracle(alloc: impl DeviceAllocator, ops: &[Op]) -> usize {
     if let Err(e) = g.allocator().check_invariants() {
         panic!("invariant violation after destroy:\n{e}");
     }
-    peak_cap
+    (peak_cap, hits)
 }
 
-fn over_both_allocators(ops: &[Op]) -> usize {
+fn over_both_allocators(ops: &[Op]) -> (usize, [usize; 2]) {
     let a = run_against_oracle(Gallatin::new(GallatinConfig::small_test(4 << 20)), ops);
     let b = run_against_oracle(CudaHeapSim::new(1 << 20), ops);
     assert_eq!(a, b);
@@ -122,10 +126,15 @@ fn run(rng: &mut SplitMix64) -> Vec<Op> {
 
 #[test]
 fn random_runs_match_the_oracle() {
+    // Deletes of the oldest edge (the head compare) and of a later one
+    // (the scan) both occur.
+    let mut hits = [0; 2];
     cases("random_runs_match_the_oracle", 48, |rng| {
         let runs: Vec<Vec<Op>> = (0..1 + rng.below(23)).map(|_| run(rng)).collect();
-        over_both_allocators(&runs.concat());
+        let (_, case_hits) = over_both_allocators(&runs.concat());
+        (0..2).for_each(|k| hits[k] += case_hits[k]);
     });
+    assert!(hits.iter().all(|&h| h > 0), "oldest, later: {hits:?}");
 }
 
 /// One list up through every grow (4 → 8 → … → 256) and back down through
@@ -140,5 +149,6 @@ fn ramp_crosses_every_grow_and_shrink_boundary() {
     let down = (0..200u64).flat_map(|i| [Op::Delete(2, i / 16), Op::Delete(2, 99)]);
     let sweep = (0..13u64).flat_map(|d| std::iter::repeat_n(Op::Delete(2, d), 17));
     let ops: Vec<Op> = up.chain(down).chain(sweep).collect();
-    assert_eq!(over_both_allocators(&ops), 256);
+    let (peak_cap, hits) = over_both_allocators(&ops);
+    assert!(peak_cap == 256 && hits.iter().all(|&h| h > 0), "{peak_cap} {hits:?}");
 }
