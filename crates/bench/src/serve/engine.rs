@@ -12,10 +12,12 @@
 //! The loop models how a host-side serving layer actually drives a
 //! device allocator: requests accumulate in a bounded queue while a
 //! kernel is in flight, then the next launch fuses up to `batch_width`
-//! queued mallocs plus every due free into one grid. Wider batches
-//! amortize launch overhead (higher goodput) but make early requests
-//! wait for the batch to fill and lengthen each launch (worse p999) —
-//! the trade E20 sweeps.
+//! queued mallocs and every due free into one grid, lane by lane: lane
+//! `i` frees the `i`-th due free, then mallocs the `i`-th request
+//! ([`runner::run_batch`]), so up to 32 of each make one warp. Wider
+//! batches amortize launch overhead (higher goodput) but make early
+//! requests wait for the batch to fill and lengthen each launch (worse
+//! p999) — the trade E20 sweeps.
 
 use super::arrival::{self, ArrivalConfig};
 use super::tenant::{Rejection, TenantBook, TenantSpec, N_REJECTIONS};

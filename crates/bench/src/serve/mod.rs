@@ -13,9 +13,9 @@
 //! * [`tenant`] — multi-tenant byte quotas, admission control, typed
 //!   rejections;
 //! * [`engine`] — the bounded-queue batching loop that turns queued
-//!   requests into `warp_malloc`/`warp_free` launches via
-//!   [`crate::workload::runner::run_batch`] and reduces the run to
-//!   p50/p99/p999 latency and goodput.
+//!   requests into launches via [`crate::workload::runner::run_batch`],
+//!   each lane a due free's `warp_free` then a request's `warp_malloc`,
+//!   and reduces the run to p50/p99/p999 latency and goodput.
 //!
 //! Determinism: a run is a pure function of its [`engine::ServeConfig`].
 //! Arrivals replay from the arrival seed, every launch replays from a

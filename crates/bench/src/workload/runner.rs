@@ -311,11 +311,11 @@ pub struct BatchResult {
     pub steps: u64,
 }
 
-/// Dispatch one serving batch as a single kernel launch: `mallocs`
-/// request sizes and `frees` previously-served pointers, packed into
-/// warp-collective `warp_malloc`/`warp_free` calls (malloc warps first,
-/// then free warps, all concurrent within the launch — the batching a
-/// serving layer gets by fusing queued work into one kernel).
+/// Dispatch one serving batch as one kernel launch of ⌈max(f, m) / 32⌉
+/// warps for `f` previously-served `frees` and `m` `mallocs` sizes: lane
+/// `i` of warp `w` frees `frees[32w + i]`, then mallocs `mallocs[32w + i]`,
+/// where each exists (a warp with no entry on a side skips that call) —
+/// the free-then-malloc kernel a serving layer fuses queued work into.
 ///
 /// Under a deterministic device the returned `steps` is the simulated
 /// service time of the batch, a pure function of `(device seed, batch
@@ -341,17 +341,21 @@ pub(crate) fn run_batch_into(
     results: &mut Vec<AtomicU64>,
 ) -> u64 {
     let w = WARP_SIZE;
-    let m_warps = mallocs.len().div_ceil(w);
-    let f_warps = frees.len().div_ceil(w);
     results.clear();
     results.resize_with(mallocs.len(), || AtomicU64::new(DevicePtr::NULL.0));
-    let total_threads = ((m_warps + f_warps) * w) as u64;
+    let total_threads = (mallocs.len().max(frees.len()).div_ceil(w) * w) as u64;
     gpu_sim::launch_warps_counted(device, total_threads, |warp| {
-        let id = warp.warp_id as usize;
+        let base = warp.warp_id as usize * w;
         let active = warp.active as usize;
-        if id < m_warps {
-            // Malloc warp: lanes beyond the batch tail request nothing.
-            let base = id * w;
+        if base < frees.len() {
+            // Lanes beyond the batch's frees free NULL, which allocators ignore.
+            let end = (base + active).min(frees.len());
+            let mut ptrs = [DevicePtr::NULL; WARP_SIZE];
+            ptrs[..end - base].copy_from_slice(&frees[base..end]);
+            a.warp_free(warp, &ptrs[..active]);
+        }
+        if base < mallocs.len() {
+            // Lanes beyond the batch's mallocs request nothing.
             let end = (base + active).min(mallocs.len());
             let mut sizes = [None; WARP_SIZE];
             for (lane, &size) in mallocs[base..end].iter().enumerate() {
@@ -362,13 +366,6 @@ pub(crate) fn run_batch_into(
             for (lane, ptr) in out.iter().enumerate().take(end - base) {
                 results[base + lane].store(ptr.0, Ordering::Relaxed);
             }
-        } else {
-            // Free warp: tail lanes free NULL, which allocators ignore.
-            let base = (id - m_warps) * w;
-            let end = (base + active).min(frees.len());
-            let mut ptrs = [DevicePtr::NULL; WARP_SIZE];
-            ptrs[..end - base].copy_from_slice(&frees[base..end]);
-            a.warp_free(warp, &ptrs[..active]);
         }
     })
 }
@@ -378,6 +375,8 @@ mod tests {
     use super::*;
     use gallatin::{Gallatin, GallatinConfig};
     use gpu_sim::replay::WarpScript;
+    use gpu_sim::{DeviceMemory, LaneCtx, WarpCtx};
+    use std::sync::Mutex;
 
     fn two_warp_script() -> ReplayScript {
         let mut warps = Vec::new();
@@ -461,6 +460,81 @@ mod tests {
         let out = run_script(&g, DeviceConfig::with_sms(1).seeded(0), &script, true);
         assert_eq!(out.served, 1);
         assert!(out.leaked_bytes >= 256, "{out:?}");
+    }
+
+    /// One collective call as [`Recorder`] saw it: the warp, whether it
+    /// freed, and each lane's pointer or size (`None` for an idle lane).
+    type Call = (u64, bool, Vec<Option<u64>>);
+
+    /// Records every collective call and serves a malloc of `size` at
+    /// address `size`, so a result names the request it answers.
+    struct Recorder {
+        memory: DeviceMemory,
+        calls: Mutex<Vec<Call>>,
+    }
+
+    impl DeviceAllocator for Recorder {
+        fn name(&self) -> &str {
+            "recorder"
+        }
+        fn memory(&self) -> &DeviceMemory {
+            &self.memory
+        }
+        fn malloc(&self, _: &LaneCtx, _: u64) -> DevicePtr {
+            unreachable!("run_batch calls the collectives only")
+        }
+        fn free(&self, _: &LaneCtx, _: DevicePtr) {
+            unreachable!("run_batch calls the collectives only")
+        }
+        fn warp_malloc(&self, warp: &WarpCtx, sizes: &[Option<u64>], out: &mut [DevicePtr]) {
+            for (o, s) in out.iter_mut().zip(sizes) {
+                *o = s.map_or(DevicePtr::NULL, DevicePtr);
+            }
+            self.calls.lock().unwrap().push((warp.warp_id, false, sizes.to_vec()));
+        }
+        fn warp_free(&self, warp: &WarpCtx, ptrs: &[DevicePtr]) {
+            let lanes = ptrs.iter().map(|p| (!p.is_null()).then_some(p.0)).collect();
+            self.calls.lock().unwrap().push((warp.warp_id, true, lanes));
+        }
+        fn reset(&self) {}
+        fn heap_bytes(&self) -> u64 {
+            0
+        }
+    }
+
+    /// Warp `w`'s lanes of `entries`, padded with idle lanes to a warp.
+    fn warp_lanes(entries: &[u64], w: usize) -> Vec<Option<u64>> {
+        (0..WARP_SIZE).map(|lane| entries.get(w * WARP_SIZE + lane).copied()).collect()
+    }
+
+    #[test]
+    fn a_batch_fuses_its_frees_and_mallocs_lane_by_lane() {
+        for (f, m) in [(0, 0), (3, 3), (0, 5), (5, 0), (40, 3), (3, 40), (70, 70usize)] {
+            let frees: Vec<u64> = (0..f as u64).map(|i| 1 << 20 | i).collect();
+            let mallocs: Vec<u64> = (1..=m as u64).collect();
+            let ptrs: Vec<DevicePtr> = frees.iter().map(|&p| DevicePtr(p)).collect();
+            let rec = Recorder { memory: DeviceMemory::new(64), calls: Default::default() };
+            let out = run_batch(&rec, DeviceConfig::with_sms(2).seeded(5), &mallocs, &ptrs);
+            let want: Vec<DevicePtr> = mallocs.iter().map(|&s| DevicePtr(s)).collect();
+            assert_eq!(out.ptrs, want, "(f, m) = ({f}, {m}): results in request order");
+            // The recorder crosses no preemption point, so the schedule is
+            // one finish step per warp: the launch's warp count.
+            let n_warps = f.max(m).div_ceil(WARP_SIZE);
+            assert_eq!(out.steps, n_warps as u64, "(f, m) = ({f}, {m}): warps launched");
+
+            let mut calls = rec.calls.into_inner().unwrap();
+            calls.sort_by_key(|c| c.0); // stable: a warp's own calls keep their order
+            let mut expect = Vec::new();
+            for w in 0..n_warps {
+                if w * WARP_SIZE < f {
+                    expect.push((w as u64, true, warp_lanes(&frees, w)));
+                }
+                if w * WARP_SIZE < m {
+                    expect.push((w as u64, false, warp_lanes(&mallocs, w)));
+                }
+            }
+            assert_eq!(calls, expect, "(f, m) = ({f}, {m})");
+        }
     }
 
     #[test]

@@ -73,13 +73,16 @@ fn same_seeds_replay_byte_identical_histograms() {
 
 /// The pool backend replays too, and a different schedule seed really
 /// changes the run (the clock is schedule-driven, not a constant) — at
-/// rate 720, where the due frees fill several warps a launch: since block
-/// lanes share a ring ticket, rates 120–480 give every seed one latency.
+/// width 64 and rate 960, where a launch's lanes fill several warps: a
+/// batch's frees and mallocs share lanes, and since block lanes share a
+/// ring ticket, a launch of one warp gives every seed one latency.
 #[test]
 fn pool_backend_replays_and_seed_matters() {
-    let cfg = serve_cfg(ArrivalShape::Poisson, 0xBEEF, 11, 720);
+    let cfg = ServeConfig { batch_width: 64, ..serve_cfg(ArrivalShape::Poisson, 0xBEEF, 11, 960) };
     let mk = || GallatinPool::new(2, GallatinConfig::small_test(1 << 22));
     let a = run_serve_engine(&cfg, &mk());
+    let mallocs_per_batch = a.admitted as f64 / a.batches as f64;
+    assert!(mallocs_per_batch > 32.0, "{mallocs_per_batch} mallocs a batch fit one warp");
     let b = run_serve_engine(&cfg, &mk());
     assert_eq!(a, b, "pool outcome must replay");
     let other = ServeConfig { sched_seed: 12, ..cfg };
