@@ -5,12 +5,10 @@
 //!
 //! Subcommands (see DESIGN.md §5 for the experiment index):
 //!   init            E1  — §6.4 initialization overhead
-//!   single          E2/E3 — Fig 4a/4b single-size alloc + free
-//!   mixed           E4/E5 — Fig 4c/4d mixed-size alloc + free
+//!   single          E2/E3 — Fig 4a/4b single-size alloc + free; from its runs
+//!                   E8 §6.8 variance, E9 §6.9 warm-up, E10 Fig 6a fragmentation
+//!   mixed           E4/E5 — Fig 4c/4d mixed-size alloc + free; E10 Fig 6b
 //!   scaling         E6/E7 — Fig 5 scaling with thread count
-//!   variance        E8  — §6.8 latency variance
-//!   warmup          E9  — §6.9 warmed-up allocators
-//!   fragmentation   E10 — Fig 6a/6b fragmentation
 //!   utilization     E11 — Fig 6c utilization (OOM test)
 //!   graph           E12 — §6.12 dynamic graph phases
 //!   expansion       E13 — §6.12 graph expansion
@@ -132,14 +130,11 @@ fn parse_flags(args: &[String]) -> Result<HarnessConfig, String> {
 }
 
 /// Every subcommand but `all`, in the order `all` runs them.
-const SUBCOMMANDS: [&str; 20] = [
+const SUBCOMMANDS: [&str; 17] = [
     "init",
     "single",
     "mixed",
     "scaling",
-    "variance",
-    "warmup",
-    "fragmentation",
     "utilization",
     "graph",
     "expansion",
@@ -175,9 +170,6 @@ fn run(cmd: &str, cfg: &HarnessConfig) -> Option<bool> {
         "single" => ungated(exp::run_single),
         "mixed" => ungated(exp::run_mixed),
         "scaling" => ungated(exp::run_scaling),
-        "variance" => ungated(exp::run_variance),
-        "warmup" => ungated(exp::run_warmup),
-        "fragmentation" => ungated(exp::run_fragmentation),
         "utilization" => ungated(exp::run_utilization),
         "graph" => ungated(exp::run_graph),
         "expansion" => ungated(exp::run_graph_expansion),
@@ -273,7 +265,8 @@ mod tests {
     #[test]
     fn an_unlisted_subcommand_is_unknown_and_usage_lists_the_rest() {
         let cfg = HarnessConfig::default();
-        for unknown in ["perf", "--help", ""] {
+        // E8, E9 and E10 are written by `single` and `mixed`.
+        for unknown in ["perf", "--help", "", "variance", "warmup", "fragmentation"] {
             assert_eq!(run(unknown, &cfg), None);
         }
         assert!(usage().contains("|bench-smoke|") && usage().ends_with("[--smoke]"));

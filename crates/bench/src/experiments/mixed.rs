@@ -1,73 +1,37 @@
-//! E4/E5 — Figure 4c/4d: mixed-size allocation and free performance.
+//! E4/E5 — Figure 4c/4d: mixed-size allocation and free performance,
+//! and E10's Fig 6b (fragmentation) read off the same runs.
 //!
 //! Every thread draws a power-of-two size uniformly from `[16, upper]`;
 //! the x-axis sweeps `upper` from 16 B to 4096 B. Same protocol as the
 //! single-size tests (median of N runs, reset between runs), one
 //! allocator resident at a time.
 
-use crate::report::{fmt_ms, Table};
-use crate::roster::{for_each_allocator, roster_names};
+use super::figure::{self, Sweep, FRAG_SIZES};
 use crate::workload::{measure, SizeSpec};
 use crate::HarnessConfig;
 
 /// Upper range bounds from the paper's Figure 4c/4d.
 pub const MIXED_UPPERS: [u64; 9] = [16, 32, 64, 128, 256, 512, 1024, 2048, 4096];
 
-/// Run the mixed-size experiment; prints one table per operation.
+/// Run the mixed-size sweep; writes Fig 4c/4d and Fig 6b.
 pub fn run_mixed(cfg: &HarnessConfig) {
-    let names = roster_names();
-    let mut grid =
-        vec![vec![("n/a".to_string(), "n/a".to_string()); names.len()]; MIXED_UPPERS.len()];
-
-    for_each_allocator(cfg.heap_bytes, cfg.num_sms, |ai, a| {
-        for (ui, &upper) in MIXED_UPPERS.iter().enumerate() {
-            // Budget for the worst case: every thread draws `upper`.
-            if !a.supports_size(upper) || a.heap_bytes() < cfg.threads * upper {
-                continue;
-            }
-            let m =
-                measure(a, cfg.device(), cfg.threads, SizeSpec::MixedUpTo(upper), cfg.runs, false);
-            let suffix = if m.corrupt > 0 {
-                "!"
-            } else if m.failed > 0 {
-                "*"
-            } else {
-                ""
-            };
-            grid[ui][ai] = (
-                format!("{}{}", fmt_ms(m.median_alloc_ms()), suffix),
-                format!("{}{}", fmt_ms(m.median_free_ms()), suffix),
-            );
-        }
+    let (threads, runs) = (cfg.threads, cfg.runs);
+    // Budget for the worst case: every thread draws `upper`.
+    let sweep = Sweep::run(
+        cfg,
+        &MIXED_UPPERS,
+        |upper| (upper, threads),
+        |a, upper| measure(a, cfg.device(), threads, SizeSpec::MixedUpTo(upper), runs, false),
+    );
+    sweep.emit_timed(cfg, "upper B", |i, op| {
+        let fig = ["4c", "4d"][i];
+        let title = format!(
+            "Fig {fig} — mixed-size {op} [16,upper], {threads} threads, median of {runs} runs (ms)"
+        );
+        (title, format!("fig{fig}_mixed_{op}"))
     });
-
-    let mut headers = vec!["upper B"];
-    headers.extend(names.iter().copied());
-    let mut alloc_tab = Table::new(
-        format!(
-            "Fig 4c — mixed-size alloc [16,upper], {} threads, median of {} runs (ms)",
-            cfg.threads, cfg.runs
-        ),
-        &headers,
-    );
-    let mut free_tab = Table::new(
-        format!(
-            "Fig 4d — mixed-size free [16,upper], {} threads, median of {} runs (ms)",
-            cfg.threads, cfg.runs
-        ),
-        &headers,
-    );
-    for (ui, &upper) in MIXED_UPPERS.iter().enumerate() {
-        let mut arow = vec![upper.to_string()];
-        let mut frow = vec![upper.to_string()];
-        for cell in grid[ui].iter().take(names.len()) {
-            arow.push(cell.0.clone());
-            frow.push(cell.1.clone());
-        }
-        alloc_tab.row(arow);
-        free_tab.row(frow);
-    }
-    alloc_tab.emit(&cfg.out_dir, "fig4c_mixed_alloc");
-    free_tab.emit(&cfg.out_dir, "fig4d_mixed_free");
-    println!("(* = some requests failed; ! = payload corruption detected)");
+    let title = format!("Fig 6b — fragmentation, mixed-size (span / ideal), {threads} allocations");
+    sweep.emit(cfg, "size B", title, "fig6b_frag_mixed", &FRAG_SIZES, |upper, m| {
+        figure::span(m, SizeSpec::MixedUpTo(upper), threads)
+    });
 }

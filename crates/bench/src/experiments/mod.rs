@@ -2,7 +2,7 @@
 
 pub mod ablation;
 pub mod elastic;
-pub mod fragmentation;
+pub mod figure;
 pub mod graph_bench;
 pub mod init_bench;
 pub mod mixed;
@@ -16,7 +16,6 @@ pub mod summary;
 pub mod topo;
 pub mod trace;
 pub mod utilization;
-pub mod variance;
 
 /// Schedule seed of the replayable experiments (E17 trace, E19 replay,
 /// E20 serve) when `GALLATIN_SCHED_SEED` is unset — one value, so a
@@ -25,7 +24,6 @@ pub(crate) const DEFAULT_SEED: u64 = 7;
 
 pub use ablation::{run_ablation, run_bench_smoke};
 pub use elastic::run_elastic;
-pub use fragmentation::run_fragmentation;
 pub use graph_bench::{run_graph, run_graph_expansion};
 pub use init_bench::run_init;
 pub use mixed::run_mixed;
@@ -34,9 +32,8 @@ pub use reclaim::run_reclaim;
 pub use replay::run_replay;
 pub use scaling::run_scaling;
 pub use serve::run_serve;
-pub use single::{run_single, run_warmup};
+pub use single::run_single;
 pub use summary::run_summary;
 pub use topo::run_topo;
 pub use trace::run_trace;
 pub use utilization::run_utilization;
-pub use variance::run_variance;

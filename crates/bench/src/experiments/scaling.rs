@@ -5,69 +5,28 @@
 //! to 2^20 (paper scale; capped lower by default on small hosts). One
 //! allocator is resident at a time.
 
-use crate::report::{fmt_ms, Table};
-use crate::roster::{for_each_allocator, roster_names};
+use super::figure::Sweep;
 use crate::workload::{measure, SizeSpec};
 use crate::HarnessConfig;
 
 /// The four panel sizes of Figure 5.
 pub const SCALING_SIZES: [u64; 4] = [16, 64, 512, 8192];
 
-/// Thread counts: powers of two up to the configured maximum.
-pub fn thread_points(cfg: &HarnessConfig) -> Vec<u64> {
-    let max_log = if cfg.full { 20 } else { 16 };
-    (0..=max_log).map(|l| 1u64 << l).collect()
-}
-
-/// Run the scaling experiment: one table (alloc + free) per size.
+/// Run the scaling experiment: one table (alloc + free) per size, one row
+/// per power-of-two thread count up to 2^16 (2^20 at paper scale).
 pub fn run_scaling(cfg: &HarnessConfig) {
-    let names = roster_names();
-    let points = thread_points(cfg);
-    for &size in &SCALING_SIZES {
-        let mut grid =
-            vec![vec![("n/a".to_string(), "n/a".to_string()); names.len()]; points.len()];
-        for_each_allocator(cfg.heap_bytes, cfg.num_sms, |ai, a| {
-            for (pi, &threads) in points.iter().enumerate() {
-                if !a.supports_size(size) || a.heap_bytes() < threads * size {
-                    continue;
-                }
-                let m = measure(a, cfg.device(), threads, SizeSpec::Fixed(size), cfg.runs, false);
-                let suffix = if m.corrupt > 0 {
-                    "!"
-                } else if m.failed > 0 {
-                    "*"
-                } else {
-                    ""
-                };
-                grid[pi][ai] = (
-                    format!("{}{}", fmt_ms(m.median_alloc_ms()), suffix),
-                    format!("{}{}", fmt_ms(m.median_free_ms()), suffix),
-                );
-            }
+    let points: Vec<u64> = (0..=if cfg.full { 20 } else { 16 }).map(|l| 1 << l).collect();
+    for size in SCALING_SIZES {
+        let sweep = Sweep::run(
+            cfg,
+            &points,
+            |threads| (size, threads),
+            |a, threads| measure(a, cfg.device(), threads, SizeSpec::Fixed(size), cfg.runs, false),
+        );
+        sweep.emit_timed(cfg, "threads", |_, op| {
+            let title =
+                format!("Fig 5 — scaling {op} @ {size} B, median of {} runs (ms)", cfg.runs);
+            (title, format!("fig5_scaling_{op}_{size}b"))
         });
-
-        let mut headers = vec!["threads"];
-        headers.extend(names.iter().copied());
-        let mut alloc_tab = Table::new(
-            format!("Fig 5 — scaling alloc @ {size} B, median of {} runs (ms)", cfg.runs),
-            &headers,
-        );
-        let mut free_tab = Table::new(
-            format!("Fig 5 — scaling free @ {size} B, median of {} runs (ms)", cfg.runs),
-            &headers,
-        );
-        for (pi, &threads) in points.iter().enumerate() {
-            let mut arow = vec![threads.to_string()];
-            let mut frow = vec![threads.to_string()];
-            for cell in grid[pi].iter().take(names.len()) {
-                arow.push(cell.0.clone());
-                frow.push(cell.1.clone());
-            }
-            alloc_tab.row(arow);
-            free_tab.row(frow);
-        }
-        alloc_tab.emit(&cfg.out_dir, &format!("fig5_scaling_alloc_{size}b"));
-        free_tab.emit(&cfg.out_dir, &format!("fig5_scaling_free_{size}b"));
     }
-    println!("(* = some requests failed; ! = payload corruption detected)");
 }

@@ -1,125 +1,101 @@
-//! E2/E3 — Figure 4a/4b: single-size allocation and free performance.
-//! E9 — §6.9: the warmed-up comparison.
+//! E2/E3 — Figure 4a/4b: single-size allocation and free performance,
+//! and the figures read off the same runs: E8 (§6.8 variance), E9's
+//! cold columns (§6.9) and E10's Fig 6a (fragmentation).
 //!
 //! 1 M (configurable) threads each allocate one `size`-byte object; sizes
 //! step in powers of two from 16 B to 4096 B; the median of 50 runs is
-//! reported, with the allocator reset between runs.
-//!
-//! Allocators are constructed one at a time (`for_each_allocator`) so
-//! only one heap is resident at once.
+//! reported, with the allocator reset between runs. E9's warmed runs, a
+//! second sweep at two sizes, are the only runs the figures add.
 
-use crate::report::{counts_delta, emit_bench_json, fmt_ms, BenchRecord, Table};
-use crate::roster::{for_each_allocator, roster_names};
-use crate::workload::{measure, SizeSpec};
+use super::figure::{self, Sweep, FRAG_SIZES, KERNELS, NA};
+use crate::report::{emit_bench_json, fmt_ms, BenchRecord, Table};
+use crate::roster::roster_names;
+use crate::workload::{measure, median, variance, Measurement, SizeSpec};
 use crate::HarnessConfig;
 
 /// Sizes from the paper's Figure 4.
 pub const SINGLE_SIZES: [u64; 9] = [16, 32, 64, 128, 256, 512, 1024, 2048, 4096];
 
-/// Run the single-size experiment; prints one table per operation.
-pub fn run_single(cfg: &HarnessConfig) {
-    let names = roster_names();
-    // grid[size_idx][alloc_idx] = (alloc cell, free cell)
-    let mut grid =
-        vec![vec![("n/a".to_string(), "n/a".to_string()); names.len()]; SINGLE_SIZES.len()];
-    let mut records: Vec<BenchRecord> = Vec::new();
+/// Sizes at which E8 reports variance.
+pub const VARIANCE_SIZES: [u64; 4] = [16, 64, 512, 4096];
 
-    for_each_allocator(cfg.heap_bytes, cfg.num_sms, |ai, a| {
-        for (si, &size) in SINGLE_SIZES.iter().enumerate() {
-            if !a.supports_size(size) || a.heap_bytes() < cfg.threads * size {
-                continue;
-            }
-            let before = a.metrics().map(|m| m.snapshot());
-            let m = measure(a, cfg.device(), cfg.threads, SizeSpec::Fixed(size), cfg.runs, false);
-            if cfg.json {
-                let mut rec = BenchRecord::new("single", a.name())
-                    .param("size", size)
-                    .param("threads", cfg.threads)
-                    .param("runs", cfg.runs)
-                    .ms(m.median_alloc_ms());
-                if let (Some(b), Some(after)) = (&before, a.metrics().map(|m| m.snapshot())) {
-                    rec.counts = counts_delta(b, &after);
-                }
-                records.push(rec);
-            }
-            let suffix = if m.corrupt > 0 {
-                "!"
-            } else if m.failed > 0 {
-                "*"
-            } else {
-                ""
-            };
-            grid[si][ai] = (
-                format!("{}{}", fmt_ms(m.median_alloc_ms()), suffix),
-                format!("{}{}", fmt_ms(m.median_free_ms()), suffix),
-            );
-        }
-    });
+/// Sizes E9 compares cold and warmed (the two §6.9 discusses).
+pub const WARMUP_SIZES: [u64; 2] = [16, 2048];
+
+/// Run the single-size sweep; writes Fig 4a/4b, `variance`, `warmup` and
+/// Fig 6a.
+pub fn run_single(cfg: &HarnessConfig) {
+    let (threads, runs) = (cfg.threads, cfg.runs);
+    let sweep = Sweep::run(
+        cfg,
+        &SINGLE_SIZES,
+        |size| (size, threads),
+        |a, size| measure(a, cfg.device(), threads, SizeSpec::Fixed(size), runs, false),
+    );
+    let names = roster_names();
 
     if cfg.json {
+        let mut records = Vec::new();
+        for (ai, size) in (0..names.len()).flat_map(|ai| SINGLE_SIZES.map(|size| (ai, size))) {
+            let Some(m) = sweep.get(size, ai) else { continue };
+            let rec = BenchRecord::new("single", names[ai]).param("size", size);
+            let rec = rec.param("threads", threads).param("runs", runs).ms(median(&m.alloc_ms()));
+            records.push(BenchRecord { counts: m.counts(), ..rec });
+        }
         emit_bench_json(cfg, "single", &records);
     }
 
-    let mut headers = vec!["size B"];
-    headers.extend(names.iter().copied());
-    let mut alloc_tab = Table::new(
-        format!(
-            "Fig 4a — single-size alloc, {} threads, median of {} runs (ms)",
-            cfg.threads, cfg.runs
-        ),
-        &headers,
-    );
-    let mut free_tab = Table::new(
-        format!(
-            "Fig 4b — single-size free, {} threads, median of {} runs (ms)",
-            cfg.threads, cfg.runs
-        ),
-        &headers,
-    );
-    for (si, &size) in SINGLE_SIZES.iter().enumerate() {
-        let mut arow = vec![size.to_string()];
-        let mut frow = vec![size.to_string()];
-        for cell in grid[si].iter().take(names.len()) {
-            arow.push(cell.0.clone());
-            frow.push(cell.1.clone());
-        }
-        alloc_tab.row(arow);
-        free_tab.row(frow);
-    }
-    alloc_tab.emit(&cfg.out_dir, "fig4a_single_alloc");
-    free_tab.emit(&cfg.out_dir, "fig4b_single_free");
-    println!("(* = some requests failed; ! = payload corruption detected)");
-}
+    sweep.emit_timed(cfg, "size B", |i, op| {
+        let fig = ["4a", "4b"][i];
+        let title =
+            format!("Fig {fig} — single-size {op}, {threads} threads, median of {runs} runs (ms)");
+        (title, format!("fig{fig}_single_{op}"))
+    });
 
-/// E9 — warmed-up comparison: median latency cold vs warmed, 16 B and
-/// 2048 B allocations (the sizes §6.9 discusses).
-pub fn run_warmup(cfg: &HarnessConfig) {
-    let mut tab = Table::new(
-        format!("§6.9 — warmed-up allocators, {} threads (alloc ms)", cfg.threads),
+    let title = format!("§6.8 — latency variance across {runs} runs, {threads} threads (ms²)");
+    let mut var_tab = figure::table(title, &["size B", "op"]);
+    for size in VARIANCE_SIZES {
+        for (op, ms) in KERNELS {
+            let cells = sweep.row(size, |_, m| format!("{:.5}", variance(&ms(m))));
+            var_tab.row([vec![size.to_string(), op.to_string()], cells].concat());
+        }
+    }
+    var_tab.emit(&cfg.out_dir, "variance");
+
+    // Only the warmed runs are new: the cold columns are E2's own cells.
+    let warm = Sweep::run(
+        cfg,
+        &WARMUP_SIZES,
+        |size| (size, threads),
+        |a, size| measure(a, cfg.device(), threads, SizeSpec::Fixed(size), runs, true),
+    );
+    let mut warmup = Table::new(
+        format!("§6.9 — warmed-up allocators, {threads} threads (alloc ms)"),
         &["allocator", "16B cold", "16B warm", "2048B cold", "2048B warm"],
     );
-    for_each_allocator(cfg.heap_bytes, cfg.num_sms, |_, a| {
-        let mut row = vec![a.name().to_string()];
-        for size in [16u64, 2048] {
-            if !a.supports_size(size) || a.heap_bytes() < cfg.threads * size {
-                row.push("n/a".into());
-                row.push("n/a".into());
-                continue;
-            }
-            let cold =
-                measure(a, cfg.device(), cfg.threads, SizeSpec::Fixed(size), cfg.runs, false);
-            let warm = measure(a, cfg.device(), cfg.threads, SizeSpec::Fixed(size), cfg.runs, true);
-            row.push(fmt_ms(cold.median_alloc_ms()));
-            row.push(if warm.failed > 0 {
-                // P-series style: cannot serve repeated rounds without
-                // releasing memory → failures show as such.
-                format!("{}*", fmt_ms(warm.median_alloc_ms()))
-            } else {
-                fmt_ms(warm.median_alloc_ms())
+    let median_alloc = |m: &Measurement| fmt_ms(median(&m.alloc_ms()));
+    for (ai, name) in names.iter().enumerate() {
+        let mut row = vec![name.to_string()];
+        for size in WARMUP_SIZES {
+            row.extend(match (sweep.get(size, ai), warm.get(size, ai)) {
+                // P-series style: an allocator that cannot serve repeated
+                // rounds without releasing memory shows its failures.
+                (Some(cold), Some(warm)) => {
+                    let failed = warm.runs.iter().any(|r| r.failed > 0);
+                    let marker = if failed { figure::SOME_FAILED } else { "" };
+                    [median_alloc(cold), format!("{}{marker}", median_alloc(warm))]
+                }
+                _ => [NA.into(), NA.into()],
             });
         }
-        tab.row(row);
-    });
-    tab.emit(&cfg.out_dir, "warmup");
+        warmup.row(row);
+    }
+    warmup.emit(&cfg.out_dir, "warmup");
     println!("(* = failures during warmed rounds)");
+
+    let title =
+        format!("Fig 6a — fragmentation, single-size (span / ideal), {threads} allocations");
+    sweep.emit(cfg, "size B", title, "fig6a_frag_single", &FRAG_SIZES, |size, m| {
+        figure::span(m, SizeSpec::Fixed(size), threads)
+    });
 }

@@ -7,17 +7,18 @@
 //! RegEff-AW is excluded from "next best", as in §6.2 (it does not
 //! manage memory).
 
+use super::figure::{CORRUPT, FAIL, NA, SOME_FAILED, TIMED_OUT};
 use crate::report::Table;
 use std::path::Path;
 
-/// Parse a CSV cell into milliseconds, rejecting markers ("n/a", "fail",
-/// suffixes like `*` or `!`, time-outs).
+/// Parse a CSV cell into milliseconds, rejecting the grid's markers
+/// (n/a, fail, time-outs) and reading through a `*` or `!` suffix.
 fn parse_cell(cell: &str) -> Option<f64> {
     let c = cell.trim();
-    if c.is_empty() || c == "n/a" || c == "fail" || c.contains("t/o") {
+    if c.is_empty() || c == NA || c == FAIL || c.contains(TIMED_OUT) {
         return None;
     }
-    let c = c.trim_end_matches(['*', '!']);
+    let c = c.trim_end_matches(SOME_FAILED).trim_end_matches(CORRUPT);
     c.parse::<f64>().ok()
 }
 

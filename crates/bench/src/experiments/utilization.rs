@@ -9,8 +9,8 @@
 //! of the heap they report, so a second column charges that reserve
 //! against them.
 
-use crate::report::{fmt_pct, Table};
-use crate::workload::SizeSpec;
+use super::figure::{Sweep, TIMED_OUT};
+use crate::report::fmt_pct;
 use crate::HarnessConfig;
 use gpu_sim::{launch_warps, DevicePtr};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -31,94 +31,61 @@ fn fill_until_oom(a: &dyn gpu_sim::DeviceAllocator, cfg: &HarnessConfig, size: u
     a.reset();
     let succeeded = AtomicU64::new(0);
     let cap = a.heap_bytes() / size + BATCH; // safety stop
-    let mut total = 0u64;
-    let t0 = Instant::now();
-    let mut timed_out = false;
+    let (mut total, t0) = (0, Instant::now());
     loop {
-        let failed = AtomicU64::new(0);
+        let before = succeeded.load(Ordering::Relaxed);
         launch_warps(cfg.device(), BATCH, |warp| {
             let sizes = vec![Some(size); warp.active as usize];
             let mut out = vec![DevicePtr::NULL; warp.active as usize];
             a.warp_malloc(warp, &sizes, &mut out);
-            for p in &out {
-                if p.is_null() {
-                    failed.fetch_add(1, Ordering::Relaxed);
-                } else {
-                    succeeded.fetch_add(1, Ordering::Relaxed);
-                }
-            }
+            let got = out.iter().filter(|p| !p.is_null()).count();
+            succeeded.fetch_add(got as u64, Ordering::Relaxed);
         });
         total += BATCH;
-        if failed.load(Ordering::Relaxed) > 0 || total > cap {
-            break;
-        }
-        if t0.elapsed() > TIME_BUDGET {
-            timed_out = true;
-            break;
+        let got = succeeded.load(Ordering::Relaxed);
+        // A failed request or the safety stop ends the fill; the budget
+        // ends it as a time-out.
+        let full = got - before < BATCH || total > cap;
+        if full || t0.elapsed() > TIME_BUDGET {
+            return (got, !full);
         }
     }
-    (succeeded.load(Ordering::Relaxed), timed_out)
 }
 
 /// Run the utilization experiment.
 ///
-/// Unlike the timing experiments, this one touches nearly every page of
-/// each allocator's arena, so allocators are constructed **one at a
-/// time** (and dropped before the next) to bound resident memory to a
-/// single heap.
+/// This one touches nearly every page of each allocator's arena; the
+/// sweep keeps one allocator resident at a time, which bounds resident
+/// memory to a single heap.
 pub fn run_utilization(cfg: &HarnessConfig) {
-    let names: Vec<String> =
-        crate::roster::roster_names().into_iter().map(str::to_string).collect();
-    let mut headers = vec!["size B".to_string()];
-    headers.extend(names.iter().cloned());
-    let hdr_refs: Vec<&str> = headers.iter().map(|s| s.as_str()).collect();
-    let mut tab = Table::new(
-        format!(
-            "Fig 6c — utilization: allocations until OOM or time-out / theoretical max ({} MiB heap)",
-            cfg.heap_bytes >> 20
-        ),
-        &hdr_refs,
-    );
-    // Second table: utilization charged with any CUDA-heap reserve the
-    // allocator keeps besides its main pool (the paper's §6.11 footnote:
-    // counting the 500 MB reserve puts Ouroboros below Gallatin).
-    let mut adj_tab =
-        Table::new("Fig 6c (adjusted) — utilization counting the CUDA-heap reserve", &hdr_refs);
-
-    // grid[size_idx][alloc_idx] = (cell, adjusted cell)
-    let mut grid =
-        vec![vec![("n/a".to_string(), "n/a".to_string()); names.len()]; UTIL_SIZES.len()];
-    for (ai, name) in names.iter().enumerate() {
-        let a = crate::roster::build_by_name(name, cfg.heap_bytes, cfg.num_sms)
-            .expect("roster name must be constructible");
-        for (si, &size) in UTIL_SIZES.iter().enumerate() {
-            if !a.supports_size(size) {
-                continue;
-            }
-            let (got, timed_out) = fill_until_oom(a.as_ref(), cfg, size);
-            let theoretical = a.heap_bytes() / SizeSpec::Fixed(size).size_for(0).max(1);
-            let util = got as f64 / theoretical as f64;
-            let cell = if timed_out { format!("{} t/o", fmt_pct(util)) } else { fmt_pct(util) };
-            // The reserve-adjusted figure: Ouroboros keeps a quarter of
-            // its arena (cap 500 MB) as CUDA fallback; for others the two
-            // figures coincide because the whole arena is the allocator.
-            let extra =
-                if name.starts_with("Ouroboros") { (a.heap_bytes() / 4).min(500 << 20) } else { 0 };
-            let adj_util = got as f64 / ((a.heap_bytes() + extra) / size) as f64;
-            grid[si][ai] = (cell, fmt_pct(adj_util));
+    // A fill needs room for one allocation: `demand` is one thread.
+    let sweep = Sweep::run(
+        cfg,
+        &UTIL_SIZES,
+        |size| (size, 1),
+        |a, size| {
+            let (got, timed_out) = fill_until_oom(a, cfg, size);
             a.reset();
-        }
-    }
-    for (si, &size) in UTIL_SIZES.iter().enumerate() {
-        let mut row = vec![size.to_string()];
-        let mut adj_row = vec![size.to_string()];
-        for cell in grid[si].iter().take(names.len()) {
-            row.push(cell.0.clone());
-            adj_row.push(cell.1.clone());
-        }
-        tab.row(row);
-        adj_tab.row(adj_row);
-    }
-    tab.emit(&cfg.out_dir, "fig6c_utilization");
-    adj_tab.emit(&cfg.out_dir, "fig6c_utilization_adjusted");
+            let util = got as f64 / (a.heap_bytes() / size) as f64;
+            let cell =
+                if timed_out { format!("{} {TIMED_OUT}", fmt_pct(util)) } else { fmt_pct(util) };
+            // The reserve-adjusted figure: Ouroboros keeps a quarter of its
+            // arena (cap 500 MB) as CUDA fallback; for others the two figures
+            // coincide because the whole arena is the allocator.
+            let extra = if a.name().starts_with("Ouroboros") {
+                (a.heap_bytes() / 4).min(500 << 20)
+            } else {
+                0
+            };
+            (cell, fmt_pct(got as f64 / ((a.heap_bytes() + extra) / size) as f64))
+        },
+    );
+    let heap_mib = cfg.heap_bytes >> 20;
+    let title = format!("Fig 6c — utilization: allocations until OOM or time-out / theoretical max ({heap_mib} MiB heap)");
+    sweep.emit(cfg, "size B", title, "fig6c_utilization", &UTIL_SIZES, |_, c| c.0.clone());
+    // Utilization charged with any CUDA-heap reserve the allocator keeps
+    // besides its main pool (the paper's §6.11 footnote: counting the
+    // 500 MB reserve puts Ouroboros below Gallatin).
+    let title = "Fig 6c (adjusted) — utilization counting the CUDA-heap reserve".to_string();
+    sweep.emit(cfg, "size B", title, "fig6c_utilization_adjusted", &UTIL_SIZES, |_, c| c.1.clone());
 }

@@ -16,23 +16,6 @@ pub fn roster_names() -> Vec<&'static str> {
     std::iter::once("Gallatin").chain(allocators::baseline_names()).collect()
 }
 
-/// Iterate the roster **one allocator at a time**: each is constructed,
-/// passed to `f`, and dropped (unmapping its arena) before the next is
-/// built. The timing experiments use this instead of holding the whole
-/// roster because 12 concurrently resident heaps exceed small hosts'
-/// RAM once their pages are touched.
-pub fn for_each_allocator(
-    heap_bytes: u64,
-    num_sms: u32,
-    mut f: impl FnMut(usize, &dyn DeviceAllocator),
-) {
-    for (i, name) in roster_names().into_iter().enumerate() {
-        let a = build_by_name(name, heap_bytes, num_sms).expect("known roster name");
-        f(i, a.as_ref());
-        drop(a);
-    }
-}
-
 /// The roster for the graph *expansion* test: every [`roster_names`]
 /// allocator, except the Ouroboros variants carry a CUDA-heap
 /// reserve scaled the way the paper describes deployed allocators

@@ -7,6 +7,7 @@
 //! median over runs. Warmed-up mode (§6.9) skips the reset and discards
 //! the first run.
 
+use crate::report::counts_delta;
 use gpu_sim::{launch_warps, DeviceAllocator, DeviceConfig, DevicePtr};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -42,7 +43,7 @@ impl SizeSpec {
 }
 
 /// Result of one allocate→validate→free run.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Debug, Default)]
 pub struct RunResult {
     /// Wall time of the allocation kernel, milliseconds.
     pub alloc_ms: f64,
@@ -56,6 +57,9 @@ pub struct RunResult {
     pub min_addr: u64,
     /// Highest `address + size` handed out.
     pub max_addr: u64,
+    /// The allocator's counters over this run's kernels (empty for an
+    /// allocator that keeps no metrics).
+    pub counts: Vec<(String, u64)>,
 }
 
 /// Run one allocate→validate→free cycle of `threads` requests on `alloc`.
@@ -75,6 +79,8 @@ pub fn run_alloc_free(
     let corrupt = AtomicU64::new(0);
     let min_addr = AtomicU64::new(u64::MAX);
     let max_addr = AtomicU64::new(0);
+    let snapshot = || alloc.metrics().map(|m| m.snapshot());
+    let before = snapshot();
 
     // --- allocation kernel ---
     let t0 = Instant::now();
@@ -132,35 +138,33 @@ pub fn run_alloc_free(
         corrupt: corrupt.load(Ordering::Relaxed),
         min_addr: min_addr.load(Ordering::Relaxed),
         max_addr: max_addr.load(Ordering::Relaxed),
+        counts: before.zip(snapshot()).map_or_else(Vec::new, |(b, a)| counts_delta(&b, &a)),
     }
 }
 
-/// Aggregated measurement over `runs` repetitions.
+/// Every run of one cell: each figure of the cell is read off them.
 #[derive(Clone, Debug, Default)]
 pub struct Measurement {
-    pub alloc_ms: Vec<f64>,
-    pub free_ms: Vec<f64>,
-    pub failed: u64,
-    pub corrupt: u64,
-    pub min_addr: u64,
-    pub max_addr: u64,
+    pub runs: Vec<RunResult>,
 }
 
 impl Measurement {
-    pub fn median_alloc_ms(&self) -> f64 {
-        median(&self.alloc_ms)
+    /// The alloc kernel's milliseconds, run by run.
+    pub fn alloc_ms(&self) -> Vec<f64> {
+        self.runs.iter().map(|r| r.alloc_ms).collect()
     }
 
-    pub fn median_free_ms(&self) -> f64 {
-        median(&self.free_ms)
+    /// The free kernel's milliseconds, run by run.
+    pub fn free_ms(&self) -> Vec<f64> {
+        self.runs.iter().map(|r| r.free_ms).collect()
     }
 
-    pub fn alloc_variance(&self) -> f64 {
-        variance(&self.alloc_ms)
-    }
-
-    pub fn free_variance(&self) -> f64 {
-        variance(&self.free_ms)
+    /// Every counter summed over the runs, each taken around its run's
+    /// own kernels.
+    pub fn counts(&self) -> Vec<(String, u64)> {
+        let Some(first) = self.runs.first() else { return Vec::new() };
+        let total = |i: usize| self.runs.iter().map(|r| r.counts[i].1).sum();
+        first.counts.iter().enumerate().map(|(i, (name, _))| (name.clone(), total(i))).collect()
     }
 }
 
@@ -199,7 +203,7 @@ pub fn measure(
     runs: usize,
     warmed: bool,
 ) -> Measurement {
-    let mut m = Measurement { min_addr: u64::MAX, ..Default::default() };
+    let mut m = Measurement::default();
     alloc.reset();
     if warmed {
         // Warm-up round, not recorded.
@@ -209,13 +213,7 @@ pub fn measure(
         if !warmed {
             alloc.reset();
         }
-        let r = run_alloc_free(alloc, device, threads, sizes, true);
-        m.alloc_ms.push(r.alloc_ms);
-        m.free_ms.push(r.free_ms);
-        m.failed += r.failed;
-        m.corrupt += r.corrupt;
-        m.min_addr = m.min_addr.min(r.min_addr);
-        m.max_addr = m.max_addr.max(r.max_addr);
+        m.runs.push(run_alloc_free(alloc, device, threads, sizes, true));
     }
     m
 }
@@ -256,11 +254,11 @@ mod tests {
         let a = gallatin(64 << 20, 8);
         let m =
             measure(&a, gpu_sim::DeviceConfig::with_sms(8), 2048, SizeSpec::Fixed(64), 3, false);
-        assert_eq!(m.alloc_ms.len(), 3);
-        assert_eq!(m.failed, 0, "no failures expected");
-        assert_eq!(m.corrupt, 0, "no overlapping allocations");
-        assert!(m.median_alloc_ms() > 0.0);
-        assert!(m.max_addr > m.min_addr);
+        assert_eq!(m.runs.len(), 3);
+        for r in &m.runs {
+            assert_eq!((r.failed, r.corrupt), (0, 0), "no failures, no overlapping allocations");
+            assert!(r.alloc_ms > 0.0 && r.max_addr > r.min_addr);
+        }
     }
 
     #[test]
@@ -274,7 +272,7 @@ mod tests {
             2,
             true,
         );
-        assert_eq!(m.alloc_ms.len(), 2);
-        assert_eq!(m.corrupt, 0);
+        assert_eq!(m.runs.len(), 2);
+        assert!(m.runs.iter().all(|r| r.corrupt == 0));
     }
 }

@@ -3,7 +3,9 @@
 //! Two layers live here:
 //!
 //! * [`mod@measure`] — the survey timing protocol (allocate → validate →
-//!   free kernels, median-of-N), used by the paper experiments E1–E13;
+//!   free kernels, median-of-N). A [`Measurement`] keeps every run, so
+//!   one sweep of E2/E4 also yields E8's variance, E9's cold cells and
+//!   E10's first-run span, and each run carries its own counter deltas;
 //! * the **script engine** — a [`WorkloadSource`] yields per-warp
 //!   allocation scripts ([`gpu_sim::ReplayScript`]) that [`run_script`]
 //!   re-issues against any [`gpu_sim::DeviceAllocator`] with the full
