@@ -192,7 +192,7 @@ fn concurrent_contract_deterministic_seeds() {
 // (which requests they deny), but never in *contract*: the violation
 // counters must be zero for every family, which also makes them pairwise
 // equal. A failing seed replays with `GALLATIN_SCHED_SEED=<seed>`, and
-// `GALLATIN_SCHED_SEED=<seed> repro trace` captures Gallatin's side of
+// `GALLATIN_SCHED_SEED=<seed> repro replay` captures Gallatin's side of
 // the schedule as a Chrome trace (see TESTING.md).
 // ---------------------------------------------------------------------------
 

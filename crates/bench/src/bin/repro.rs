@@ -17,19 +17,19 @@
 //!                   plus E14's coalescing on/off count)
 //!   bench-smoke     E16 smoke subset, gated against results/BENCH_bench_smoke.json;
 //!                   exits 1 if any atomic-op count regresses past the tolerance
-//!   trace           E17 — allocation-lifecycle trace of the block-churn workload
-//!                   (Chrome trace_event JSON; seed from GALLATIN_SCHED_SEED)
 //!   pool            E18 — sharded-pool block churn over 1/2/4/8 instances
 //!                   (per-instance atomic counts + spill rates, BENCH_pool.json)
-//!   replay          E19 — trace-replay round trip: record the block churn,
-//!                   convert to a gallatin-replay-v1 script, re-run it through
-//!                   Gallatin and GallatinPool(2), assert lifecycle-outcome
-//!                   equality (seed from GALLATIN_SCHED_SEED)
+//!   replay          E17/E19 — record the block churn as a lifecycle trace
+//!                   (Chrome trace_event JSON + ledger report), convert it to
+//!                   a gallatin-replay-v1 script, re-run it through Gallatin
+//!                   and GallatinPool(2), assert lifecycle-outcome equality
+//!                   (seed from GALLATIN_SCHED_SEED)
 //!   serve           E20 — open-loop serving sweep: seeded arrivals (Poisson/
 //!                   bursty), bounded queue, batched launches, multi-tenant
 //!                   admission control; p50/p99/p999 + goodput to
-//!                   BENCH_serve.json; exits 1 on any quota violation or
-//!                   ledger anomaly (seed from GALLATIN_SCHED_SEED)
+//!                   BENCH_serve.json; exits 1 on any quota violation,
+//!                   ledger anomaly or failed check_invariants after a cell
+//!                   (seed from GALLATIN_SCHED_SEED)
 //!   elastic         E22 — elastic pool: hotspot donation with lifecycle
 //!                   ledger, fragmentation-attack compaction A/B, and
 //!                   donation counts with/without compaction, to
@@ -38,12 +38,10 @@
 //!                   compaction row fails to strictly beat its control
 //!                   (seed from GALLATIN_SCHED_SEED)
 //!   topo            E23 — multi-device topology scaling over 1/2/4/8 devices:
-//!                   locality-skew traffic sweep, cross-device spill cascade,
-//!                   single-device parity vs GallatinPool, and a 2-device
-//!                   serving cell, to BENCH_topo.json; exits 1 if the affine
-//!                   cells exceed 5% peer traffic, the cascade overflow is
-//!                   wrong, parity diverges, or the serve cell is dirty
-//!                   (seed count from GALLATIN_TOPO_SEEDS, default 8)
+//!                   locality-skew traffic sweep and cross-device spill
+//!                   cascade, to BENCH_topo.json; exits 1 if the affine
+//!                   cells exceed 5% peer traffic or the cascade overflow is
+//!                   wrong (seed count from GALLATIN_TOPO_SEEDS, default 8)
 //!   summary         §6.3-style speedup summary from the written CSVs
 //!   all             everything above, in order; exits 1 if any gate failed
 //!
@@ -72,7 +70,7 @@ fn parse_bytes(s: &str) -> Option<u64> {
         'K' | 'k' => (&s[..s.len() - 1], 1u64 << 10),
         _ => (s, 1),
     };
-    num.parse::<u64>().ok()?.checked_mul(mult)
+    num.parse::<u64>().ok()?.checked_mul(mult).filter(|&b| b > 0)
 }
 
 fn number<T: std::str::FromStr>(s: &str) -> Option<T> {
@@ -107,7 +105,9 @@ fn parse_flags(args: &[String]) -> Result<HarnessConfig, String> {
             "--threads" => cfg.threads = value(args, &mut i, "--threads N", number)?,
             "--runs" => cfg.runs = value(args, &mut i, "--runs N", number)?,
             "--heap" => cfg.heap_bytes = value(args, &mut i, "--heap BYTES[K|M|G]", parse_bytes)?,
-            "--sms" => cfg.num_sms = value(args, &mut i, "--sms N", number)?,
+            "--sms" => {
+                cfg.num_sms = value(args, &mut i, "--sms N", |s| number(s).filter(|&n| n > 0u32))?
+            }
             "--pool" => cfg.pool_threads = value(args, &mut i, "--pool N", number)?,
             "--out" => cfg.out_dir = value(args, &mut i, "--out DIR", text)?,
             "--json" => {
@@ -130,7 +130,7 @@ fn parse_flags(args: &[String]) -> Result<HarnessConfig, String> {
 }
 
 /// Every subcommand but `all`, in the order `all` runs them.
-const SUBCOMMANDS: [&str; 17] = [
+const SUBCOMMANDS: [&str; 16] = [
     "init",
     "single",
     "mixed",
@@ -141,7 +141,6 @@ const SUBCOMMANDS: [&str; 17] = [
     "reclaim",
     "ablation",
     "bench-smoke",
-    "trace",
     "pool",
     "replay",
     "serve",
@@ -176,7 +175,6 @@ fn run(cmd: &str, cfg: &HarnessConfig) -> Option<bool> {
         "reclaim" => ungated(exp::run_reclaim),
         "ablation" => ungated(exp::run_ablation),
         "bench-smoke" => exp::run_bench_smoke(cfg),
-        "trace" => ungated(exp::run_trace),
         "pool" => ungated(exp::run_pool),
         "replay" => ungated(exp::run_replay),
         "serve" => exp::run_serve(cfg),
@@ -233,6 +231,7 @@ mod tests {
         assert_eq!(parse_bytes("2g"), Some(2 << 30));
         assert_eq!(parse_bytes("4096"), Some(4096));
         assert_eq!(parse_bytes("99999999999G"), None, "n * mult overflows u64");
+        assert_eq!(parse_bytes("0K"), None, "a zero size is a usage error");
         assert_eq!(parse_bytes("G"), None);
         assert_eq!(parse_bytes(""), None);
         assert_eq!(parse_bytes("-1K"), None);
@@ -243,6 +242,8 @@ mod tests {
         assert_eq!(flags(&["--threads"]).unwrap_err(), "usage: --threads N");
         assert_eq!(flags(&["--json", "--threads", "many"]).unwrap_err(), "usage: --threads N");
         assert_eq!(flags(&["--heap", "99999999999G"]).unwrap_err(), "usage: --heap BYTES[K|M|G]");
+        assert_eq!(flags(&["--heap", "0"]).unwrap_err(), "usage: --heap BYTES[K|M|G]");
+        assert_eq!(flags(&["--sms", "0"]).unwrap_err(), "usage: --sms N");
         assert_eq!(flags(&["--out"]).unwrap_err(), "usage: --out DIR");
         assert_eq!(flags(&["--bogus"]).unwrap_err(), "unknown flag --bogus");
         assert_eq!(flags(&["results"]).unwrap_err(), "unexpected argument results");
@@ -265,8 +266,8 @@ mod tests {
     #[test]
     fn an_unlisted_subcommand_is_unknown_and_usage_lists_the_rest() {
         let cfg = HarnessConfig::default();
-        // E8, E9 and E10 are written by `single` and `mixed`.
-        for unknown in ["perf", "--help", "", "variance", "warmup", "fragmentation"] {
+        // E8, E9 and E10 are written by `single` and `mixed`, E17 by `replay`.
+        for unknown in ["perf", "--help", "", "variance", "warmup", "fragmentation", "trace"] {
             assert_eq!(run(unknown, &cfg), None);
         }
         assert!(usage().contains("|bench-smoke|") && usage().ends_with("[--smoke]"));

@@ -23,8 +23,9 @@
 //!    pool, then `donate(frag_home, sibling, ..)` with and without a
 //!    prior compaction pass: the with-compaction row must donate
 //!    strictly more segments. This is the end-to-end story — compaction
-//!    exists so that donation and [`gallatin::GallatinPool::shrink_to`]
-//!    have whole segments to move. The with-compaction row then finishes
+//!    exists so that donation and
+//!    [`gallatin::GallatinPool::shrink_instance`] have whole segments to
+//!    move. The with-compaction row then finishes
 //!    the maintenance cycle: the sibling shrinks the donated segments
 //!    back to the pool free list and the origin re-adopts them, and
 //!    `returned` must equal `adopted`.
@@ -37,7 +38,8 @@ use crate::report::{emit_bench_json, BenchRecord, Table};
 use crate::workload::{run_script, SkewedHotspot, WorkloadSource};
 use crate::HarnessConfig;
 use gallatin::{Gallatin, GallatinConfig, GallatinPool};
-use gpu_sim::trace::{Ledger, TraceEvent, TraceSink};
+use gpu_sim::ledger::Ledger;
+use gpu_sim::trace::{TraceEvent, TraceSink};
 use gpu_sim::{DeviceAllocator, DeviceConfig, DevicePtr, WarpCtx};
 use std::sync::Arc;
 

@@ -14,11 +14,10 @@ pub mod serve;
 pub mod single;
 pub mod summary;
 pub mod topo;
-pub mod trace;
 pub mod utilization;
 
-/// Schedule seed of the replayable experiments (E17 trace, E19 replay,
-/// E20 serve) when `GALLATIN_SCHED_SEED` is unset — one value, so a
+/// Schedule seed of the replayable experiments (E17/E19 replay, E20
+/// serve) when `GALLATIN_SCHED_SEED` is unset — one value, so the
 /// capture, its replay and the serving sweep describe the same schedule.
 pub(crate) const DEFAULT_SEED: u64 = 7;
 
@@ -35,5 +34,4 @@ pub use serve::run_serve;
 pub use single::run_single;
 pub use summary::run_summary;
 pub use topo::run_topo;
-pub use trace::run_trace;
 pub use utilization::run_utilization;

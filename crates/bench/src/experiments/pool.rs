@@ -40,14 +40,14 @@ const PRESSURE_CLAIMS: u64 = 24;
 
 /// One pool instance's totals across a seed sweep: its metrics and the
 /// spills charged to it as a home.
-pub(crate) type InstanceCounts = (MetricsSnapshot, u64);
+type InstanceCounts = (MetricsSnapshot, u64);
 
 /// Run the block churn over `seeds` deterministic schedules on a fresh
 /// allocator from `make` per seed, reading the `n`-instance pool inside
-/// it through `pool_of` (the identity for a [`GallatinPool`]; E23's
-/// parity arm reaches through a one-device `DevicePool`). Returns
+/// it through `pool_of` (the identity for a [`GallatinPool`]; the parity
+/// test below reaches through a one-device `DevicePool`). Returns
 /// per-instance totals.
-pub(crate) fn churn_pool<A: DeviceAllocator>(
+fn churn_pool<A: DeviceAllocator>(
     n: usize,
     seeds: u64,
     make: impl Fn() -> A,
@@ -82,26 +82,6 @@ fn pressure() -> (u64, u64) {
     (pool.spill_count(0), PRESSURE_CLAIMS)
 }
 
-/// One row per pool instance of a churn sweep, built on `base` (which
-/// carries experiment, allocator and case): E18's deliverable, and the
-/// shape E23's parity rows share so the two files diff directly.
-pub(crate) fn instance_records(
-    base: &BenchRecord,
-    per: &[InstanceCounts],
-    seeds: u64,
-) -> Vec<BenchRecord> {
-    let rows = per.iter().enumerate().map(|(i, (m, spills))| {
-        let rec = base
-            .clone()
-            .param("instances", per.len())
-            .param("instance", i)
-            .param("size", SWEEP_SIZE_BLOCK)
-            .param("seeds", seeds);
-        churn_counts(rec, m).count("spills", *spills)
-    });
-    rows.collect()
-}
-
 /// Records for one pool width: the aggregate row, and one row per
 /// instance (the per-instance counts are the experiment's deliverable).
 fn width_records(experiment: &str, n: usize, seeds: u64) -> (BenchRecord, Vec<BenchRecord>) {
@@ -115,7 +95,16 @@ fn width_records(experiment: &str, n: usize, seeds: u64) -> (BenchRecord, Vec<Be
     let aggregate =
         base.clone().param("instances", n).param("size", SWEEP_SIZE_BLOCK).param("seeds", seeds);
     let aggregate = churn_counts(aggregate, &total.0).count("spills", total.1);
-    (aggregate, instance_records(&base, &per, seeds))
+    let rows = per.iter().enumerate().map(|(i, (m, spills))| {
+        let rec = base
+            .clone()
+            .param("instances", n)
+            .param("instance", i)
+            .param("size", SWEEP_SIZE_BLOCK)
+            .param("seeds", seeds);
+        churn_counts(rec, m).count("spills", *spills)
+    });
+    (aggregate, rows.collect())
 }
 
 /// The smoke-gate slice of E18: the 2-instance aggregate row at the
@@ -188,6 +177,7 @@ pub fn run_pool(cfg: &HarnessConfig) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gallatin::DevicePool;
 
     #[test]
     fn pool_churn_counts_replay_and_never_spill_with_headroom() {
@@ -201,6 +191,22 @@ mod tests {
         );
         // Both instances see traffic: 8 SMs split evenly over 2 homes.
         assert!(a.iter().all(|(m, _)| m.atomic_rmw > 0), "every instance must serve its SMs");
+    }
+
+    /// The topology layer adds host-side accounting only, never a
+    /// scheduler preemption point: `DevicePool(1, 2)` reproduces
+    /// `GallatinPool(2)`'s per-instance churn counts bit-identically.
+    #[test]
+    fn single_device_parity_holds_on_the_churn() {
+        let seeds = 4;
+        let flat = churn_pool(2, seeds, || GallatinPool::new(2, block_churn_config()), |p| p);
+        let one =
+            churn_pool(2, seeds, || DevicePool::new(1, 2, block_churn_config()), |t| t.pool(0));
+        assert_eq!(flat, one, "DevicePool(1,2) churn diverged from GallatinPool(2)");
+        assert!(
+            flat.iter().all(|(m, _)| m.cas_attempts > 0),
+            "the churn must actually exercise CAS paths"
+        );
     }
 
     #[test]

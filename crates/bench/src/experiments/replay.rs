@@ -1,37 +1,46 @@
-//! E19 — trace-replay round trip (`repro replay`).
+//! E17 + E19 — lifecycle trace and trace-replay round trip (`repro replay`).
 //!
-//! Closes the record/replay loop opened by E17: record the E16
-//! block-churn workload as a lifecycle trace, reduce it to a
-//! [`ReplayScript`], round-trip the script through the
-//! `gallatin-replay-v1` text format, then re-issue it through a fresh
+//! Records the E16 block-churn workload under the deterministic
+//! scheduler with a [`TraceSink`] installed. From that one recording it
+//! first writes E17's artifacts, so a seed whose replay fails still
+//! leaves its trace behind:
+//!
+//! * `<out_dir>/TRACE_block_churn.json` — Chrome `trace_event` JSON
+//!   (open in `chrome://tracing` or <https://ui.perfetto.dev>);
+//! * the lifecycle-ledger report (leaks, double frees, cross-warp free
+//!   latency, occupancy peak) on stdout and an event-count table in
+//!   `e17_trace.csv`; with `--json`, `BENCH_trace.json`.
+//!
+//! Then E19 closes the loop: it reduces the recording to a
+//! [`ReplayScript`], round-trips the script through the
+//! `gallatin-replay-v1` text format, then re-issues it through a fresh
 //! `Gallatin` **and** a `GallatinPool(2)` via the workload engine
 //! ([`crate::workload::run_script`]). Equivalence is asserted on the
 //! [`LedgerOutcome`] projection — malloc/free counts, leaks, anomaly
 //! counts, allocated bytes — which is exactly the part of a recording
 //! that must survive a schedule- and placement-changing replay
 //! (latencies, peak occupancy, and event interleavings legitimately
-//! differ; lifecycle totals never may).
-//!
-//! Artifacts:
+//! differ; lifecycle totals never may). Its artifacts:
 //!
 //! * `<out_dir>/REPLAY_block_churn.replay` — the converted script in the
 //!   text format (see `gpu_sim::replay` for the schema), re-parsed and
 //!   compared before use so the artifact is proven load-bearing;
-//! * a per-target table on stdout; with `--json`,
-//!   `<out_dir>/BENCH_replay.json` in the standard [`BenchRecord`]
-//!   schema.
+//! * a per-target table in `e19_replay.csv`; with `--json`,
+//!   `BENCH_replay.json`. Both JSON files use the [`BenchRecord`] schema.
 //!
-//! The recording seed comes from `GALLATIN_SCHED_SEED` (default 7),
-//! matching `repro trace`, so a failing seed reported by the test suite
-//! replays here unchanged.
+//! The recording seed comes from `GALLATIN_SCHED_SEED` (default 7): a
+//! test failure prints `GALLATIN_SCHED_SEED=<seed>`, and
+//! `GALLATIN_SCHED_SEED=<seed> repro replay` captures the exact
+//! interleaving that failed as a diffable artifact.
 
 use crate::report::{emit_bench_json, BenchRecord, Table};
 use crate::workload::{run_script, ScriptOutcome};
 use crate::HarnessConfig;
 use gallatin::{Gallatin, GallatinPool};
+use gpu_sim::ledger::{Ledger, LedgerOutcome};
 use gpu_sim::replay::ReplayScript;
 use gpu_sim::sched::{seed_override, SCHED_SEED_ENV};
-use gpu_sim::trace::{Ledger, LedgerOutcome, TraceSink};
+use gpu_sim::trace::{chrome_trace_json, TraceRecord, TraceSink};
 use gpu_sim::{DeviceAllocator, DeviceConfig};
 use std::path::Path;
 use std::sync::Arc;
@@ -45,18 +54,78 @@ struct TargetRun {
     script_outcome: ScriptOutcome,
 }
 
-/// Record the E16 block churn under `seed`, returning the trace-derived
-/// lifecycle outcome and the converted script.
-fn record(seed: u64) -> (LedgerOutcome, ReplayScript) {
-    let records = super::trace::capture_block_churn(seed);
-    let (script, stats) = ReplayScript::from_trace(&records, ablation::SWEEP_SMS);
+/// Run the E16 block churn under `seed` with a fresh sink installed and
+/// return the captured records. The sink's leak check is armed, so a
+/// leak or broken invariant fails [`ablation::churn_sweep`]'s audit —
+/// which auto-dumps the trace — before the caller exports anything.
+fn capture_block_churn(seed: u64) -> Vec<TraceRecord> {
+    let g = Gallatin::new(ablation::block_churn_config());
+    let sink = Arc::new(TraceSink::new());
+    sink.set_leak_check(true);
+    gpu_sim::trace::with_sink(sink.clone(), || {
+        ablation::churn_sweep([seed], ablation::SWEEP_SIZE_BLOCK, || &g, |_| ())
+    });
+    assert_eq!(sink.dropped(), 0, "sink capacity must cover the workload");
+    sink.snapshot()
+}
+
+/// Write E17's artifacts for one recording: the Chrome trace, the
+/// event-count table, the ledger report and, under `--json`,
+/// `BENCH_trace.json`.
+fn write_trace(cfg: &HarnessConfig, seed: u64, records: &[TraceRecord], ledger: &Ledger) {
+    let trace_path = Path::new(&cfg.out_dir).join("TRACE_block_churn.json");
+    match std::fs::write(&trace_path, chrome_trace_json(records)) {
+        Ok(()) => println!("wrote {} ({} events)", trace_path.display(), records.len()),
+        Err(e) => eprintln!("warning: could not write {}: {e}", trace_path.display()),
+    }
+
+    // Event-count table: one row per event type, most frequent first.
+    let mut counts: Vec<(&'static str, u64)> = Vec::new();
+    for r in records {
+        let name = r.event.name();
+        match counts.iter_mut().find(|(n, _)| *n == name) {
+            Some((_, c)) => *c += 1,
+            None => counts.push((name, 1)),
+        }
+    }
+    counts.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(b.0)));
+    let mut tab = Table::new(
+        format!("E17 — lifecycle trace, block churn (seed {seed})"),
+        &["event", "count"],
+    );
+    for (name, c) in &counts {
+        tab.row(vec![name.to_string(), c.to_string()]);
+    }
+    tab.emit(&cfg.out_dir, "e17_trace");
+    print!("{}", ledger.report());
+    println!("open {} in chrome://tracing or https://ui.perfetto.dev", trace_path.display());
+
+    if cfg.json {
+        let mut rec = BenchRecord::new("trace", "Gallatin")
+            .case("block-churn")
+            .param("seed", seed)
+            .count("events", records.len() as u64)
+            .count("leaks", ledger.live.len() as u64)
+            .count("double_frees", ledger.double_frees.len() as u64)
+            .count("cross_warp_frees", ledger.cross_warp_frees)
+            .count("peak_live_bytes", ledger.peak_live_bytes);
+        for (name, n) in &counts {
+            rec = rec.count(name, *n);
+        }
+        emit_bench_json(cfg, "trace", &[rec]);
+    }
+}
+
+/// Reduce a block-churn recording to its replay script.
+fn script_of(records: &[TraceRecord]) -> ReplayScript {
+    let (script, stats) = ReplayScript::from_trace(records, ablation::SWEEP_SMS);
     // Block churn frees within the allocating warp and pairs every
     // pointer, so the reduction must be lossless — any reassignment or
     // drop means the recorder or converter regressed.
     assert_eq!(stats.reassigned_frees, 0, "block churn has no cross-warp frees");
     assert_eq!(stats.dropped_frees, 0, "every recorded free must replay");
     assert_eq!(script.validate(), Ok(0), "converted script must be well-formed and leak-free");
-    (Ledger::build(&records).outcome(), script)
+    script
 }
 
 /// Replay `script` through `a` under a sink; returns the replayed
@@ -77,21 +146,22 @@ fn replay_through(
     TargetRun { name, outcome: Ledger::build(&records).outcome(), script_outcome }
 }
 
-/// Run the E19 round trip; see the module docs.
+/// Run E17's capture and E19's round trip; see the module docs.
 pub fn run_replay(cfg: &HarnessConfig) {
     let seed = seed_override().unwrap_or(DEFAULT_SEED);
-    println!(
-        "E19 replay: record block churn under {SCHED_SEED_ENV}={seed}, replay via script engine"
-    );
-
-    let (original, script) = record(seed);
+    println!("E17/E19: record block churn under {SCHED_SEED_ENV}={seed}, replay via script engine");
+    if let Err(e) = std::fs::create_dir_all(&cfg.out_dir) {
+        eprintln!("warning: could not create {}: {e}", cfg.out_dir);
+    }
+    let records = capture_block_churn(seed);
+    let ledger = Ledger::build(&records);
+    write_trace(cfg, seed, &records, &ledger);
+    let original = ledger.outcome();
+    let script = script_of(&records);
 
     // Text-format round trip: the written artifact is re-parsed and must
     // reproduce the script exactly, so the file on disk is proven to
     // carry the whole workload.
-    if let Err(e) = std::fs::create_dir_all(&cfg.out_dir) {
-        eprintln!("warning: could not create {}: {e}", cfg.out_dir);
-    }
     let script_path = Path::new(&cfg.out_dir).join("REPLAY_block_churn.replay");
     let text = script.render();
     match std::fs::write(&script_path, &text) {
@@ -183,6 +253,12 @@ pub fn run_replay(cfg: &HarnessConfig) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The recording's lifecycle outcome and its replay script.
+    fn record(seed: u64) -> (LedgerOutcome, ReplayScript) {
+        let records = capture_block_churn(seed);
+        (Ledger::build(&records).outcome(), script_of(&records))
+    }
 
     /// The full E19 equivalence, as a tier-1 test: recording outcome ==
     /// replayed outcome through both a fresh Gallatin and a 2-instance

@@ -20,9 +20,10 @@
 //! `GALLATIN_SCHED_SEED` (see the `serve_determinism` test); nothing is
 //! timed on the wall clock.
 //!
-//! `--smoke` shrinks the sweep to one gating subset per backend and
-//! returns `false` (exit 1 in `repro`) on any quota violation or
-//! ledger anomaly.
+//! `--smoke` shrinks the sweep to one gating subset per backend. Either
+//! way the run returns `false` (exit 1 in `repro`) on any quota
+//! violation or ledger anomaly, or when a backend's `check_invariants`
+//! fails after a cell.
 
 use super::DEFAULT_SEED;
 use crate::report::{emit_bench_json, BenchRecord, Table};
@@ -311,7 +312,8 @@ fn frag_timeline(cfg: &HarnessConfig, seed: u64, horizon: u64) -> bool {
 }
 
 /// E20 entry point (`repro serve`). Returns `false` — exit 1 — when
-/// the smoke gate trips: any quota violation or ledger anomaly.
+/// the smoke gate trips: any quota violation or ledger anomaly, or a
+/// backend whose `check_invariants` fails after a cell.
 pub fn run_serve(cfg: &HarnessConfig) -> bool {
     let seed = seed_override().unwrap_or(DEFAULT_SEED);
     let smoke = cfg.smoke;
@@ -366,7 +368,8 @@ pub fn run_serve(cfg: &HarnessConfig) -> bool {
             out.goodput_bytes_per_kstep().to_string(),
         ]);
         records.push(record_of(name, cfg_cell, &out, scenario));
-        out
+        let sound = alloc.check_invariants().map_err(|e| eprintln!("{name} {scenario}: {e}"));
+        (out, sound.is_ok())
     };
 
     // Load × shape sweep, both backends.
@@ -383,8 +386,9 @@ pub fn run_serve(cfg: &HarnessConfig) -> bool {
                     standard_tenants(),
                     cfg.num_sms.min(16),
                 );
-                let out = run_cell(&name, alloc.as_ref(), "load", &c, &mut records, &mut table);
-                clean &= out.clean();
+                let (out, sound) =
+                    run_cell(&name, alloc.as_ref(), "load", &c, &mut records, &mut table);
+                clean &= sound && out.clean();
             }
         }
     }
@@ -405,8 +409,8 @@ pub fn run_serve(cfg: &HarnessConfig) -> bool {
             standard_tenants(),
             cfg.num_sms.min(16),
         );
-        let out = run_cell(&name, alloc.as_ref(), "roster", &c, &mut records, &mut table);
-        clean &= out.clean();
+        let (out, sound) = run_cell(&name, alloc.as_ref(), "roster", &c, &mut records, &mut table);
+        clean &= sound && out.clean();
     }
 
     // Batch-width sweep past the saturation knee (bursty top load),
@@ -424,8 +428,9 @@ pub fn run_serve(cfg: &HarnessConfig) -> bool {
                 standard_tenants(),
                 cfg.num_sms.min(16),
             );
-            let out = run_cell(&name, alloc.as_ref(), "batch-width", &c, &mut records, &mut table);
-            clean &= out.clean();
+            let (out, sound) =
+                run_cell(&name, alloc.as_ref(), "batch-width", &c, &mut records, &mut table);
+            clean &= sound && out.clean();
         }
     }
 
@@ -444,7 +449,9 @@ pub fn run_serve(cfg: &HarnessConfig) -> bool {
             cfg.num_sms.min(16),
         );
         c.enforce_quotas = enforce;
-        let out = run_cell(&name, alloc.as_ref(), "fairness", &c, &mut records, &mut table);
+        let (out, sound) =
+            run_cell(&name, alloc.as_ref(), "fairness", &c, &mut records, &mut table);
+        clean &= sound;
         let victim = out.tenants.iter().find(|t| t.name == "victim").expect("victim tenant");
         victim_p99[i] = victim.latency.p99;
         if enforce {
@@ -472,7 +479,9 @@ pub fn run_serve(cfg: &HarnessConfig) -> bool {
     table.emit(&cfg.out_dir, "e20_serve");
     clean &= emit_bench_json(cfg, "serve", &records);
     if !clean {
-        eprintln!("serve gate FAILED: quota violation or ledger anomaly (see table above)");
+        eprintln!(
+            "serve gate FAILED: quota violation, ledger anomaly or broken invariant (see above)"
+        );
     }
     clean
 }

@@ -1,6 +1,6 @@
 //! E23 — multi-device topology scaling (`repro topo`).
 //!
-//! Four deterministic arms over the hierarchical [`DevicePool`], swept
+//! Two deterministic arms over the hierarchical [`DevicePool`], swept
 //! across 1/2/4/8 devices:
 //!
 //! 1. **Locality skew.** Every warp allocates on its affinity device,
@@ -17,29 +17,22 @@
 //!    crosses the interconnect. Cross-spill counts and the step cost of
 //!    the cascade (peer accesses × the interconnect tariff) are exact
 //!    functions of the geometry.
-//! 3. **Single-device parity.** `DevicePool(1, 2)` runs the E18 block
-//!    churn and must reproduce `GallatinPool(2)`'s per-instance
-//!    atomic-op counts **bit-identically** — the refactor's standing
-//!    regression gate: the topology layer adds host-side accounting
-//!    only, never a scheduler preemption point. The rows are emitted
-//!    under both allocator names so `BENCH_topo.json` diffs directly
-//!    against `BENCH_pool.json`.
-//! 4. **Serving tail.** A 2-device pool serves one open-loop E20 cell;
-//!    p99 and the quota/ledger audit ride into the JSON.
+//!
+//! Neither arm repeats another experiment's run: `DevicePool(1, 2)`'s
+//! bit-identical parity with `GallatinPool(2)` on the E18 churn is a
+//! test in `pool.rs`, and a 2-device pool serves as E20's
+//! `DevicePool(2x1)` roster cell, whose ledger and `check_invariants`
+//! gate `repro serve`.
 //!
 //! `GALLATIN_TOPO_SEEDS` bounds the seed sweep (default 8; CI quick
 //! uses 4). Everything replays bit-identically per seed.
 
 use crate::report::{emit_bench_json, BenchRecord, Table};
-use crate::serve::{run_serve_engine, ArrivalConfig, ArrivalShape, ServeConfig, TenantSpec};
 use crate::HarnessConfig;
-use gallatin::{DevicePool, GallatinConfig, GallatinPool, TopoStats};
+use gallatin::{DevicePool, GallatinConfig, TopoStats};
 use gpu_sim::{launch_warps, DeviceAllocator, DeviceConfig, DevicePtr};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-
-use super::ablation::{block_churn_config, SWEEP_SEEDS_SMOKE};
-use super::pool::{churn_pool, instance_records, InstanceCounts};
 
 /// Device counts swept by `repro topo`.
 const TOPO_DEVICES: [u32; 4] = [1, 2, 4, 8];
@@ -66,7 +59,7 @@ const SKEWS: [u64; 3] = [0, 1, 8];
 /// (acceptance: "peer-access share stays under 5% at headroom").
 const PEER_SHARE_GATE: f64 = 0.05;
 
-/// Schedule seed of the cascade and serve arms (any seed reproduces
+/// Schedule seed of the cascade arm (any seed reproduces
 /// the same counts — one warp, nothing to interleave with).
 const CASCADE_SEED: u64 = 3;
 
@@ -141,59 +134,17 @@ fn cascade(devices: u32) -> (TopoStats, u64, u64) {
     (stats, claims, cost)
 }
 
-/// The parity gate: `DevicePool(1, 2)` must reproduce `GallatinPool(2)`
-/// bit-for-bit on the E18 churn. Returns `[flat rows, device rows]`; the
-/// gate holds when the two row sets are equal.
-fn parity(seeds: u64) -> [Vec<InstanceCounts>; 2] {
-    [
-        churn_pool(WIDTH, seeds, || GallatinPool::new(WIDTH, block_churn_config()), |p| p),
-        churn_pool(WIDTH, seeds, || DevicePool::new(1, WIDTH, block_churn_config()), |t| t.pool(0)),
-    ]
-}
-
-/// One open-loop serving cell on a 2-device pool; returns `(p99 steps,
-/// clean)`.
-fn serve_cell(seed: u64) -> (u64, bool) {
-    let pool = DevicePool::new(2, 1, GallatinConfig::small_test(1 << 22));
-    let cfg = ServeConfig {
-        arrivals: ArrivalConfig {
-            shape: ArrivalShape::Poisson,
-            seed: seed ^ 0x5EED_A221,
-            rate_per_kstep: 90,
-            horizon_steps: 6_000,
-        },
-        tenants: vec![TenantSpec {
-            name: "svc".into(),
-            weight: 1,
-            quota_bytes: 1 << 21,
-            size_min: 16,
-            size_max: 4096,
-            mean_lifetime_steps: 96,
-        }],
-        sched_seed: seed,
-        batch_width: 64,
-        queue_capacity: 256,
-        launch_overhead_steps: 8,
-        max_request_bytes: pool.stride(),
-        enforce_quotas: true,
-        num_sms: 16,
-        ledger_check: true,
-    };
-    let out = run_serve_engine(&cfg, &pool);
-    pool.check_invariants().expect("clean after the serve cell");
-    (out.latency.p99, out.clean())
-}
-
 /// E23 entry point (`repro topo`). Returns `false` — exit 1 — when a
-/// gate trips: affine/mild-skew peer share ≥ 5%, single-device parity
-/// broken, or a dirty serve cell.
+/// gate trips: affine/mild-skew peer share ≥ 5%, or a cascade that
+/// crosses the interconnect a different number of times than its
+/// geometry says.
 pub fn run_topo(cfg: &HarnessConfig) -> bool {
     let seeds = topo_seeds();
     println!("E23 topo: multi-device scaling, {TOPO_SEEDS_ENV}={seeds}");
     let mut clean = true;
     let mut records = Vec::new();
     let mut table = Table::new(
-        "E23 — multi-device topology: locality skew, spill cascade, parity",
+        "E23 — multi-device topology: locality skew, spill cascade",
         &[
             "case",
             "devices",
@@ -297,40 +248,6 @@ pub fn run_topo(cfg: &HarnessConfig) -> bool {
         );
     }
 
-    // Arm 3: single-device parity against the sharded pool.
-    // The rows are emitted under both allocator names, in E18's row
-    // shape, so `BENCH_topo.json` diffs against `BENCH_pool.json`.
-    let pseeds = seeds.min(SWEEP_SEEDS_SMOKE);
-    let [flat, one] = parity(pseeds);
-    let parity_ok = flat == one;
-    if !parity_ok {
-        eprintln!("topo gate FAILED: DevicePool(1,{WIDTH}) diverged from GallatinPool({WIDTH})");
-        clean = false;
-    }
-    for (name, per) in [("GallatinPool", &flat), ("DevicePool", &one)] {
-        let base = BenchRecord::new("topo", name).case("parity-churn");
-        records.extend(instance_records(&base, per, pseeds));
-    }
-    println!(
-        "parity: DevicePool(1,{WIDTH}) {} GallatinPool({WIDTH}) on {pseeds}-seed churn counters",
-        if parity_ok { "matches" } else { "DIVERGES FROM" }
-    );
-
-    // Arm 4: the serving tail on a 2-device pool.
-    let (p99, serve_clean) = serve_cell(7);
-    if !serve_clean {
-        eprintln!("topo gate FAILED: serve cell reported quota/ledger anomalies");
-        clean = false;
-    }
-    records.push(
-        BenchRecord::new("topo", "DevicePool")
-            .case("serve")
-            .param("devices", 2)
-            .param("width", 1)
-            .count("p99_steps", p99),
-    );
-    println!("serve cell: 2-device pool p99 {p99} steps");
-
     table.emit(&cfg.out_dir, "e23_topo");
     clean &= emit_bench_json(cfg, "topo", &records);
     if !clean {
@@ -370,15 +287,5 @@ mod tests {
         assert_eq!(cost, 64 * 40);
         let (s1, _, cost1) = cascade(1);
         assert_eq!((s1.cross_spills, cost1), (0, 0), "one device has no interconnect to pay");
-    }
-
-    #[test]
-    fn single_device_parity_holds_on_the_churn() {
-        let [flat, one] = parity(2);
-        assert_eq!(flat, one, "DevicePool(1,2) churn diverged from GallatinPool(2)");
-        assert!(
-            flat.iter().all(|(m, _)| m.cas_attempts > 0),
-            "the churn must actually exercise CAS paths"
-        );
     }
 }

@@ -7,7 +7,8 @@
 
 use bench::workload::{run_script, SkewedHotspot, WorkloadSource};
 use gallatin::{GallatinConfig, GallatinPool};
-use gpu_sim::trace::{Ledger, TraceEvent, TraceSink};
+use gpu_sim::ledger::Ledger;
+use gpu_sim::trace::{TraceEvent, TraceSink};
 use gpu_sim::{DeviceAllocator, DeviceConfig};
 use std::collections::HashMap;
 use std::sync::Arc;

@@ -16,7 +16,7 @@
 //! free the original. Replacements that land inside the victim set are
 //! held (not freed back, which would just re-bounce the next migration)
 //! until the search escapes the set, then released. Every migration is
-//! a traced malloc/free pair, so the lifecycle [`gpu_sim::trace::Ledger`]
+//! a traced malloc/free pair, so the lifecycle [`gpu_sim::ledger::Ledger`]
 //! proves contents-preserving behavior the same way it audits ordinary
 //! traffic; the returned [`Relocation`]s let the caller rewrite its
 //! pointers. Once the last straggler leaves a victim, the ordinary free
@@ -119,7 +119,7 @@ impl GallatinPool {
     /// segment routing table) and run each instance's pass under its
     /// trace-instance stamp, so the ledger keeps pairing per
     /// `(instance, ptr)`. Typically followed by
-    /// [`GallatinPool::donate`] or [`GallatinPool::shrink_to`] — the
+    /// [`GallatinPool::donate`] or [`GallatinPool::shrink_instance`] — the
     /// point of compaction is that afterwards there are whole free
     /// segments to move.
     pub fn compact(&self, live: &[(DevicePtr, u64)], max_occupancy: f64) -> Vec<Relocation> {

@@ -36,7 +36,7 @@
 //! mid-lifecycle: the trace ledger's `(device, instance, ptr)` pairing
 //! survives any interleaving of donations with traffic.
 //!
-//! **Shrink** (`shrink_instance` / `shrink_to`) runs the same
+//! **Shrink** (`shrink_instance`) runs the same
 //! withdraw-and-quiesce steps but parks the segment on the level's free
 //! list (`seg_owner` = unowned) — memory returned to the pool, reported
 //! as headroom and re-claimable by **grow** (or by the spill walk's
@@ -271,37 +271,6 @@ impl<C: Level> Router<C> {
         count
     }
 
-    /// Release whole free segments round-robin across children until the
-    /// child-owned footprint is at most `target_bytes` (or no child can
-    /// give anything more). Returns the number of segments released to
-    /// the level free list by this call — best effort: live allocations
-    /// pin their segments.
-    pub fn shrink_to(&self, target_bytes: u64) -> u64 {
-        let mut released = 0u64;
-        loop {
-            // Child-owned = responsible minus parked (NOT the table
-            // universe: below another router the universe spans every
-            // sibling, while responsibility is this router's alone).
-            let owned = self.resp_len.load(Ordering::Relaxed) - self.parked.count();
-            let owned_bytes = owned * self.segment_bytes;
-            if owned_bytes <= target_bytes {
-                return released;
-            }
-            let need = (owned_bytes - target_bytes).div_ceil(self.segment_bytes);
-            let mut progress = 0u64;
-            for i in 0..self.children.len() {
-                if progress >= need {
-                    break;
-                }
-                progress += self.shrink_instance(i, need - progress);
-            }
-            released += progress;
-            if progress == 0 {
-                return released;
-            }
-        }
-    }
-
     /// Adopt up to `max` segments from the level free list into child
     /// `i` (the inverse of shrink). Returns the number adopted. The spill
     /// walk calls this automatically when a home child is exhausted
@@ -459,33 +428,6 @@ mod tests {
             assert_eq!(p.stats().reserved_bytes, 0);
             p.check_invariants().expect("clean after adopted traffic");
         }
-    }
-
-    #[test]
-    fn shrink_to_releases_down_to_the_target_and_is_pinned_by_live_data() {
-        let p = pool(2);
-        let seg_bytes = p.instance(0).geometry().segment_bytes;
-        let total = p.heap_bytes();
-        assert_eq!(p.shrink_to(total - 6 * seg_bytes), 6);
-        assert_eq!(p.pool_stats().pool_free_segments, 6);
-        assert_eq!(p.shrink_to(total - 6 * seg_bytes), 0, "idempotent at the target");
-        p.check_invariants().expect("clean after shrink_to");
-        // Live allocations pin their segments: shrinking to zero only
-        // releases what is actually free.
-        let l0 = warp_on(0, 1);
-        let held: Vec<_> = (0..10).map(|_| p.malloc(&l0.lane(0), seg_bytes)).collect();
-        assert!(held.iter().all(|q| !q.is_null()));
-        assert_eq!(p.shrink_to(0), 16, "only the free segments could be released");
-        assert_eq!(p.pool_stats().pool_free_segments, 22);
-        p.check_invariants().expect("clean with live data after best-effort shrink");
-        for q in held {
-            p.free(&l0.lane(0), q);
-        }
-        assert_eq!(p.stats().reserved_bytes, 0);
-        p.check_invariants().expect("clean after frees");
-        let s = p.pool_stats();
-        assert_eq!(s.returned_segments, 22);
-        assert_eq!(s.pool_free_segments, 22);
     }
 
     #[test]

@@ -73,7 +73,7 @@ fn ledger_errors(errors: &mut Vec<String>) {
     if !sink.leak_check_enabled() {
         return;
     }
-    errors.extend(trace::Ledger::build(&sink.snapshot()).anomaly_lines());
+    errors.extend(gpu_sim::ledger::Ledger::build(&sink.snapshot()).anomaly_lines());
 }
 
 /// The tail every invariant check ends with, whatever the level that ran

@@ -18,7 +18,8 @@
 //! sweeps").
 
 use gallatin::{Gallatin, GallatinConfig, GallatinPool, TREE_FREE};
-use gpu_sim::trace::{Ledger, TraceSink};
+use gpu_sim::ledger::Ledger;
+use gpu_sim::trace::TraceSink;
 use gpu_sim::{
     cases, explore_schedules, launch_warps, DeviceAllocator, DeviceConfig, DevicePtr, FaultPlan,
     PreemptPoint, WarpCtx,

@@ -8,7 +8,8 @@
 //! single-test process may set.
 
 use gallatin::{Gallatin, GallatinConfig};
-use gpu_sim::trace::{self, Ledger, TraceEvent, TraceSink};
+use gpu_sim::ledger::Ledger;
+use gpu_sim::trace::{self, TraceEvent, TraceSink};
 use gpu_sim::{launch_warps, DeviceAllocator, DeviceConfig, DevicePtr};
 use std::sync::Arc;
 

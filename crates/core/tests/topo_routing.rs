@@ -23,7 +23,8 @@ use gallatin::global::{
     global_malloc, init_global,
 };
 use gallatin::{DevicePool, GallatinConfig};
-use gpu_sim::trace::{self, Ledger, TraceSink};
+use gpu_sim::ledger::Ledger;
+use gpu_sim::trace::{self, TraceSink};
 use gpu_sim::{cases, launch, launch_warps, DeviceAllocator, DeviceConfig, DevicePtr, WarpCtx};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};

@@ -4,7 +4,8 @@
 //! criteria).
 
 use gallatin::{Gallatin, GallatinConfig};
-use gpu_sim::trace::{self, Ledger, TraceEvent, TraceSink};
+use gpu_sim::ledger::Ledger;
+use gpu_sim::trace::{self, TraceEvent, TraceSink};
 use gpu_sim::{launch_warps, DeviceAllocator, DeviceConfig, DevicePtr};
 use std::sync::Arc;
 

@@ -463,7 +463,7 @@ impl std::fmt::Display for ScheduleFailure {
         write!(
             f,
             "schedule with seed {} failed (reproduce with {}={}; capture a trace of the \
-             failing schedule with {}={} repro trace): {}",
+             failing schedule with {}={} repro replay): {}",
             self.seed, SCHED_SEED_ENV, self.seed, SCHED_SEED_ENV, self.seed, self.message
         )
     }

@@ -34,9 +34,10 @@
 //!   `trace_event` JSON (open in `chrome://tracing` or
 //!   <https://ui.perfetto.dev>): `ts` = step, `pid` = SM, `tid` = warp,
 //!   event fields in `args`.
-//! * [`Ledger`] is the post-mortem analysis: it pairs mallocs with frees
-//!   to report leaks, double frees, cross-warp free traffic, a free
-//!   latency histogram (in schedule steps), and a live-bytes timeline.
+//! * [`Ledger`](crate::ledger::Ledger) is the post-mortem analysis: it
+//!   pairs mallocs with frees to report leaks, double frees, cross-warp
+//!   free traffic, a free latency histogram (in schedule steps), and a
+//!   live-bytes timeline.
 //! * [`auto_dump`] writes the current sink's trace to
 //!   `$GALLATIN_TRACE_DIR` (default `target/traces`) with a
 //!   seed-stamped, deterministic filename — invoked by `gallatin-core`
@@ -137,8 +138,8 @@ pub enum TraceEvent {
         /// Bytes the allocator recorded as released (size-class rounded,
         /// matching the paired `Malloc`). `0` means unknown — hand-built
         /// records, legacy traces, or a free the allocator could not
-        /// size (e.g. a raced large free) — and skips the [`Ledger`]'s
-        /// malloc/free size cross-check.
+        /// size (e.g. a raced large free) — and skips the
+        /// [`Ledger`](crate::ledger::Ledger)'s malloc/free size cross-check.
         size: u64,
     },
     /// A segment was claimed from the segment tree for a block class.
@@ -608,15 +609,6 @@ fn event_args(r: &TraceRecord) -> String {
     };
     format!("{lane}, {rest}")
 }
-
-// =====================================================================
-// Lifecycle ledger (analysis lives in `crate::ledger`; re-exported here
-// so `trace::Ledger` paths keep working)
-// =====================================================================
-
-pub use crate::ledger::{
-    FreeAnomaly, FreeAnomalyKind, Ledger, LedgerOutcome, LiveAlloc, LATENCY_BUCKETS,
-};
 
 // =====================================================================
 // Auto-dump
