@@ -77,6 +77,11 @@ fn number<T: std::str::FromStr>(s: &str) -> Option<T> {
     s.parse().ok()
 }
 
+/// A count that must not be 0: zero threads, runs or SMs measure nothing.
+fn positive<T: std::str::FromStr + Default + PartialOrd>(s: &str) -> Option<T> {
+    number(s).filter(|n| *n > T::default())
+}
+
 fn text(s: &str) -> Option<String> {
     Some(s.to_string())
 }
@@ -102,12 +107,10 @@ fn parse_flags(args: &[String]) -> Result<HarnessConfig, String> {
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "--threads" => cfg.threads = value(args, &mut i, "--threads N", number)?,
-            "--runs" => cfg.runs = value(args, &mut i, "--runs N", number)?,
+            "--threads" => cfg.threads = value(args, &mut i, "--threads N", positive)?,
+            "--runs" => cfg.runs = value(args, &mut i, "--runs N", positive)?,
             "--heap" => cfg.heap_bytes = value(args, &mut i, "--heap BYTES[K|M|G]", parse_bytes)?,
-            "--sms" => {
-                cfg.num_sms = value(args, &mut i, "--sms N", |s| number(s).filter(|&n| n > 0u32))?
-            }
+            "--sms" => cfg.num_sms = value(args, &mut i, "--sms N", positive)?,
             "--pool" => cfg.pool_threads = value(args, &mut i, "--pool N", number)?,
             "--out" => cfg.out_dir = value(args, &mut i, "--out DIR", text)?,
             "--json" => {
@@ -244,6 +247,8 @@ mod tests {
         assert_eq!(flags(&["--heap", "99999999999G"]).unwrap_err(), "usage: --heap BYTES[K|M|G]");
         assert_eq!(flags(&["--heap", "0"]).unwrap_err(), "usage: --heap BYTES[K|M|G]");
         assert_eq!(flags(&["--sms", "0"]).unwrap_err(), "usage: --sms N");
+        assert_eq!(flags(&["--threads", "0"]).unwrap_err(), "usage: --threads N");
+        assert_eq!(flags(&["--runs", "0"]).unwrap_err(), "usage: --runs N");
         assert_eq!(flags(&["--out"]).unwrap_err(), "usage: --out DIR");
         assert_eq!(flags(&["--bogus"]).unwrap_err(), "unknown flag --bogus");
         assert_eq!(flags(&["results"]).unwrap_err(), "unexpected argument results");

@@ -9,7 +9,7 @@
 //!
 //! A slot holds an [`Entry`] — the block handle *plus the recycle
 //! generation it was installed under* (see
-//! [`SegmentMeta::claim_slices`](crate::table::SegmentMeta::claim_slices)).
+//! [`Segment::claim_slices`](crate::table::Segment::claim_slices)).
 //! CAS-ing full entries rather than bare handles closes the slot-ABA
 //! window: a designated replacer whose block was recycled and
 //! re-installed while it fetched the replacement holds the old

@@ -126,6 +126,12 @@ impl GallatinConfig {
             "heap_bytes must be a positive multiple of segment_bytes"
         );
         assert!(self.num_sms > 0 && self.min_buffer_slots > 0);
+        let max_blocks = self.segment_bytes / (self.min_slice * self.slices_per_block);
+        let ids = 1 << crate::ring::ID_BITS;
+        assert!(
+            max_blocks <= ids,
+            "max_blocks ({max_blocks}) exceeds the ring cell's 16-bit block id field (≤ {ids})"
+        );
 
         let num_classes =
             (self.max_slice.trailing_zeros() - self.min_slice.trailing_zeros() + 1) as usize;
@@ -136,7 +142,7 @@ impl GallatinConfig {
             min_slice: self.min_slice,
             slices_per_block: self.slices_per_block,
             num_classes,
-            max_blocks: self.segment_bytes / (self.min_slice * self.slices_per_block),
+            max_blocks,
         }
     }
 }
@@ -360,6 +366,23 @@ mod tests {
     fn oversized_block_rejected() {
         let cfg = GallatinConfig { max_slice: 8192, ..GallatinConfig::default() };
         cfg.geometry();
+    }
+
+    /// 16 B blocks: 2^16 to a 1 MiB segment fill the ring's id field,
+    /// 2^17 to a 2 MiB one overflow it.
+    #[test]
+    #[should_panic(expected = "max_blocks (131072) exceeds the ring cell's 16-bit block id field")]
+    fn max_blocks_beyond_the_ring_id_field_rejected() {
+        let tiny_blocks = |segment_bytes| GallatinConfig {
+            heap_bytes: segment_bytes,
+            segment_bytes,
+            min_slice: 8,
+            max_slice: 8,
+            slices_per_block: 2,
+            ..GallatinConfig::default()
+        };
+        assert_eq!(tiny_blocks(1 << 20).geometry().max_blocks, 1 << 16);
+        tiny_blocks(2 << 20).geometry();
     }
 
     #[test]

@@ -56,6 +56,6 @@ pub use pools::{DevicePool, GallatinPool, InstanceStats, PoolStats, TopoStats};
 pub use ring::BlockRing;
 pub use router::Router;
 pub use table::{
-    BlockHandle, MemoryTable, SegmentMeta, DRAIN_SPIN_LIMIT, LARGE_BASE, LARGE_BODY,
+    BlockHandle, MemoryTable, Segment, SegmentMeta, DRAIN_SPIN_LIMIT, LARGE_BASE, LARGE_BODY,
     SLICE_COUNT_MASK, SLICE_GEN_SHIFT, TREE_FREE,
 };

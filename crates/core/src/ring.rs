@@ -13,6 +13,11 @@
 //! single wins by one thread. Capacity is fixed at construction
 //! (`max_blocks`, 256 in the paper's configuration).
 //!
+//! A cell is **one word**, `seq << 16 | id` ([`ID_BITS`]; 2 KiB for 256
+//! cells): one Release store publishes it, one Acquire load both tests
+//! its readiness and carries the id. `GallatinConfig::geometry` keeps
+//! `max_blocks` within the id field.
+//!
 //! ## Occupancy
 //!
 //! Gallatin's segment-reclamation protocol needs a "ring is full again"
@@ -28,7 +33,7 @@
 //!   leaves home — so a block held by a straggler is *never* counted;
 //! * `enqueue_pos` advances at a push's CAS win, *before* the cell is
 //!   published, so `push_in_flight` (incremented before the ticket CAS,
-//!   decremented after the cell's value and sequence stores) compensates:
+//!   decremented after the cell's publishing store) compensates:
 //!   a push is only counted once its cell is fully published.
 //!
 //! Consequently `len()` can transiently *under*-report (which only delays
@@ -50,9 +55,14 @@
 use gpu_sim::{preempt_point, trace, PreemptPoint};
 use std::sync::atomic::{AtomicU64, Ordering};
 
+/// Width of a cell's id field; the sequence sits above it.
+pub const ID_BITS: u32 = 16;
+const ID_MASK: u64 = (1 << ID_BITS) - 1;
+
 /// Bounded MPMC queue of block ids with derived, non-wrapping occupancy.
 pub struct BlockRing {
-    cells: Box<[Cell]>,
+    /// One word a cell: `seq << ID_BITS | id`.
+    cells: Box<[AtomicU64]>,
     /// Capacity mask (capacity is a power of two).
     mask: u64,
     enqueue_pos: AtomicU64,
@@ -67,11 +77,6 @@ pub struct BlockRing {
     /// concurrency starts and loaded only inside trace-emit closures, so
     /// it costs nothing when tracing is off.
     tag: AtomicU64,
-}
-
-struct Cell {
-    seq: AtomicU64,
-    value: AtomicU64,
 }
 
 /// A quiescent view of a ring's contents (see [`BlockRing::snapshot`]).
@@ -93,10 +98,7 @@ impl BlockRing {
     pub fn new(capacity: u64) -> Self {
         assert!(capacity > 0);
         let cap = capacity.next_power_of_two();
-        let cells = (0..cap)
-            .map(|i| Cell { seq: AtomicU64::new(i), value: AtomicU64::new(0) })
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
+        let cells = (0..cap).map(|i| AtomicU64::new(i << ID_BITS)).collect();
         BlockRing {
             cells,
             mask: cap - 1,
@@ -167,16 +169,22 @@ impl BlockRing {
         self.push_in_flight.load(Ordering::Acquire)
     }
 
-    fn cell(&self, ticket: u64) -> &Cell {
+    fn cell(&self, ticket: u64) -> &AtomicU64 {
         &self.cells[(ticket & self.mask) as usize]
+    }
+
+    fn seq(&self, ticket: u64) -> u64 {
+        self.cell(ticket).load(Ordering::Acquire) >> ID_BITS
     }
 
     /// How many consecutive tickets from `pos`, of at most `max`, find
     /// their cell's sequence `ready` past the ticket: 0 past it is a cell
-    /// recycled for that push, 1 one published for that pop.
-    fn run(&self, pos: u64, max: usize, ready: u64) -> u64 {
-        let is_ready = |t: &u64| self.cell(*t).seq.load(Ordering::Acquire) == t + ready;
-        (pos..pos + max as u64).take_while(is_ready).count() as u64
+    /// recycled for that push, 1 one published for that pop. Each ready
+    /// cell's id goes to `id` from the same load.
+    fn run(&self, pos: u64, max: usize, ready: u64, mut id: impl FnMut(usize, u64)) -> u64 {
+        let words = (pos..pos + max as u64).map(|t| (t, self.cell(t).load(Ordering::Acquire)));
+        let run = words.take_while(|&(t, word)| word >> ID_BITS == t + ready);
+        run.enumerate().map(|(i, (_, word))| id(i, word & ID_MASK)).count() as u64
     }
 
     /// Enqueue the prefix of `values` that fits the run of recycled cells
@@ -186,9 +194,10 @@ impl BlockRing {
     /// count, which is ≤ capacity) or the next cell's pop is still
     /// recycling it (transient; callers retry with what is left).
     pub fn push_many(&self, values: &[u64]) -> usize {
+        debug_assert!(values.iter().all(|&v| v <= ID_MASK), "block id wider than ID_BITS");
         let mut pos = self.enqueue_pos.load(Ordering::Relaxed);
         loop {
-            let m = self.run(pos, values.len(), 0);
+            let m = self.run(pos, values.len(), 0, |_, _| {});
             if m > 0 {
                 // Announce the in-flight pushes *before* the ticket CAS:
                 // any observer that counts the bumped enqueue_pos must
@@ -209,8 +218,8 @@ impl BlockRing {
                         // yet. The fault injector parks warps here.
                         preempt_point(PreemptPoint::RingPush);
                         for (ticket, &value) in (pos..pos + m).zip(values) {
-                            self.cell(ticket).value.store(value, Ordering::Relaxed);
-                            self.cell(ticket).seq.store(ticket + 1, Ordering::Release);
+                            self.cell(ticket)
+                                .store((ticket + 1) << ID_BITS | value, Ordering::Release);
                         }
                         // Release: the decrement must not sink above the
                         // last cell's publish, or len() could count a
@@ -232,7 +241,7 @@ impl BlockRing {
                         pos = p;
                     }
                 }
-            } else if values.is_empty() || self.cell(pos).seq.load(Ordering::Acquire) < pos {
+            } else if values.is_empty() || self.seq(pos) < pos {
                 return 0; // full
             } else {
                 pos = self.enqueue_pos.load(Ordering::Relaxed);
@@ -247,11 +256,12 @@ impl BlockRing {
 
     /// Dequeue the run of published cells at the front into `out`, up to
     /// its length, as **one** ticket. Returns the run's length; 0 if the
-    /// queue is empty.
+    /// queue is empty; `out` past the run is unspecified. The ids are the
+    /// readiness loads': a published cell changes only when popped.
     pub fn pop_many(&self, out: &mut [u64]) -> usize {
         let mut pos = self.dequeue_pos.load(Ordering::Relaxed);
         loop {
-            let m = self.run(pos, out.len(), 1);
+            let m = self.run(pos, out.len(), 1, |i, id| out[i] = id);
             if m > 0 {
                 // SeqCst retained: this ticket CAS is one side of the
                 // store-buffering pair with the reclaim drain's len()
@@ -268,12 +278,8 @@ impl BlockRing {
                         // the pops before entering the straggler window so
                         // the trace orders them ahead of whatever runs
                         // while this warp is parked.
-                        for (ticket, v) in (pos..pos + m).zip(out) {
-                            *v = self.cell(ticket).value.load(Ordering::Relaxed);
-                            trace::emit(|| trace::TraceEvent::RingPop {
-                                seg: self.tag(),
-                                block: *v,
-                            });
+                        for &block in &out[..m as usize] {
+                            trace::emit(|| trace::TraceEvent::RingPop { seg: self.tag(), block });
                         }
                         // Straggler window: the run left home (occupancy
                         // already reflects it) but its cells have not been
@@ -283,13 +289,14 @@ impl BlockRing {
                         // reclaim/reformat hazard of paper Algorithm 2.
                         preempt_point(PreemptPoint::RingPop);
                         for ticket in pos..pos + m {
-                            self.cell(ticket).seq.store(ticket + self.mask + 1, Ordering::Release);
+                            let lap = ticket + self.mask + 1;
+                            self.cell(ticket).store(lap << ID_BITS, Ordering::Release);
                         }
                         return m as usize;
                     }
                     Err(p) => pos = p,
                 }
-            } else if out.is_empty() || self.cell(pos).seq.load(Ordering::Acquire) <= pos {
+            } else if out.is_empty() || self.seq(pos) <= pos {
                 return 0; // empty
             } else {
                 pos = self.dequeue_pos.load(Ordering::Relaxed);
@@ -319,10 +326,7 @@ impl BlockRing {
         let enq = self.enqueue_pos.load(Ordering::Acquire);
         let mut snap = RingSnapshot { ids: Vec::with_capacity((enq - deq) as usize), skipped: 0 };
         for pos in deq..enq {
-            let cell = self.cell(pos);
-            if cell.seq.load(Ordering::Acquire) == pos + 1 {
-                snap.ids.push(cell.value.load(Ordering::Acquire));
-            } else {
+            if self.run(pos, 1, 1, |_, id| snap.ids.push(id)) == 0 {
                 snap.skipped += 1;
             }
         }
@@ -338,14 +342,9 @@ impl BlockRing {
     /// mutating the cells — see the module docs).
     pub fn reset_full(&self, count: u64) {
         assert!(count <= self.capacity(), "segment block count exceeds ring capacity");
-        for (i, cell) in self.cells.iter().enumerate() {
-            let i = i as u64;
-            if i < count {
-                cell.value.store(i, Ordering::Relaxed);
-                cell.seq.store(i + 1, Ordering::Relaxed);
-            } else {
-                cell.seq.store(i, Ordering::Relaxed);
-            }
+        for (i, cell) in (0..).zip(self.cells.iter()) {
+            let word = if i < count { (i + 1) << ID_BITS | i } else { i << ID_BITS };
+            cell.store(word, Ordering::Relaxed);
         }
         self.dequeue_pos.store(0, Ordering::Relaxed);
         self.push_in_flight.store(0, Ordering::Relaxed);
@@ -355,8 +354,8 @@ impl BlockRing {
     /// Reinitialize to empty. Same exclusivity requirement as
     /// [`BlockRing::reset_full`].
     pub fn reset_empty(&self) {
-        for (i, cell) in self.cells.iter().enumerate() {
-            cell.seq.store(i as u64, Ordering::Relaxed);
+        for (i, cell) in (0..).zip(self.cells.iter()) {
+            cell.store(i << ID_BITS, Ordering::Relaxed);
         }
         self.dequeue_pos.store(0, Ordering::Relaxed);
         self.push_in_flight.store(0, Ordering::Relaxed);
@@ -442,6 +441,28 @@ mod tests {
         let snap = r.snapshot();
         assert_eq!(snap.ids, vec![0, 1, 2, 3], "published cells still visible");
         assert_eq!(snap.skipped, 1, "the torn ticket must be reported, not skipped");
+    }
+
+    /// The widest id a geometry allows, `max_blocks − 1` at `max_blocks =
+    /// 2^16`, shares its cell word with the sequence and loses no bit
+    /// through `push_many`, `snapshot` or `pop_many`, on the first lap and
+    /// the second.
+    #[test]
+    fn the_widest_id_round_trips_the_cell_word() {
+        let max_blocks = 1u64 << 16;
+        let (top, r) = (max_blocks - 1, BlockRing::new(max_blocks));
+        for lap in 0..2 {
+            let run = [top, 0, top - 1, top];
+            assert_eq!(r.push_many(&run), 4, "lap {lap}");
+            assert_eq!(r.snapshot(), RingSnapshot { ids: run.to_vec(), skipped: 0 });
+            let mut out = [0; 4];
+            assert_eq!((r.pop_many(&mut out), out), (4, run), "lap {lap}");
+            r.reset_full(max_blocks);
+            assert_eq!(r.snapshot().ids.last(), Some(&top));
+            let mut all = vec![0; max_blocks as usize];
+            assert_eq!(r.pop_many(&mut all), max_blocks as usize);
+            assert!(all.iter().copied().eq(0..max_blocks), "lap {lap}");
+        }
     }
 
     #[test]

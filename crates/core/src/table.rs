@@ -3,9 +3,11 @@
 //! Since the maximum number of blocks per segment is known at
 //! construction, all metadata is pre-allocated: every segment carries a
 //! `tree_id` word, a block ring queue ([`crate::ring::BlockRing`]), a
-//! whole-block bitmap, and `max_blocks` pairs of slice malloc/free
-//! counters. Formatting a segment for a larger block size simply leaves
-//! the excess block counters unused, exactly as described in the paper.
+//! whole-block bitmap, and `max_blocks` pairs of slice claim/free
+//! counters. Formatting a segment for a larger block size leaves the
+//! excess counters unused, as in the paper, and here unmapped too: they
+//! are two table-wide **block-major** arrays, `[block * num_segments +
+//! seg]`, allocated zeroed, so formats of `n` blocks touch rows `0..n`.
 //!
 //! ## Segment lifecycle and the reclamation protocol
 //!
@@ -101,7 +103,7 @@ impl BlockHandle {
     }
 }
 
-/// Per-segment metadata.
+/// Per-segment metadata; the slice counters are reached through [`Segment`].
 pub struct SegmentMeta {
     /// Current owner: `TREE_FREE`, a block-tree class, or a large-alloc
     /// marker. Only the reclaim handshake is SeqCst (the TREE_FREE
@@ -118,13 +120,23 @@ pub struct SegmentMeta {
     /// One bit per block: set while the block is handed out wholesale
     /// (block-level allocation) rather than sliced.
     pub whole_block: Box<[AtomicU64]>,
-    /// Per-block slice *claim words*: recycle generation in the high
-    /// bits, served-slice count in the low [`SLICE_GEN_SHIFT`] bits (see
-    /// [`SegmentMeta::claim_slices`] for why the count alone is not
-    /// enough).
-    pub malloc_ctr: Box<[AtomicU32]>,
-    /// Per-block slice free counters.
-    pub free_ctr: Box<[AtomicU32]>,
+}
+
+/// A segment's [`SegmentMeta`] (it derefs to it) and its column of the
+/// table's counters: per block a *claim word* (generation above
+/// [`SLICE_GEN_SHIFT`], count below; [`Segment::claim_slices`]) and a free counter.
+#[derive(Clone, Copy)]
+pub struct Segment<'a> {
+    meta: &'a SegmentMeta,
+    table: &'a MemoryTable,
+    seg: u64,
+}
+
+impl std::ops::Deref for Segment<'_> {
+    type Target = SegmentMeta;
+    fn deref(&self) -> &SegmentMeta {
+        self.meta
+    }
 }
 
 /// Bit position of the recycle generation within a block's claim word;
@@ -143,8 +155,6 @@ impl SegmentMeta {
             cur_blocks: AtomicU32::new(0),
             ring: BlockRing::new(max_blocks),
             whole_block: (0..words).map(|_| AtomicU64::new(0)).collect(),
-            malloc_ctr: (0..max_blocks).map(|_| AtomicU32::new(0)).collect(),
-            free_ctr: (0..max_blocks).map(|_| AtomicU32::new(0)).collect(),
         }
     }
 
@@ -173,11 +183,25 @@ impl SegmentMeta {
         self.ldcv_tree_id() == TREE_FREE
             && self.ring.len() == self.cur_blocks.load(Ordering::Acquire) as u64
     }
+}
+
+impl<'a> Segment<'a> {
+    /// `block`'s claim word.
+    #[inline]
+    pub fn malloc_ctr(&self, block: u64) -> &'a AtomicU32 {
+        &self.table.claims[(block * self.table.geo.num_segments + self.seg) as usize]
+    }
+
+    /// `block`'s slice free counter.
+    #[inline]
+    pub fn free_ctr(&self, block: u64) -> &'a AtomicU32 {
+        &self.table.frees[(block * self.table.geo.num_segments + self.seg) as usize]
+    }
 
     /// Load `block`'s claim word (generation + served count).
     #[inline]
     pub fn claim_word(&self, block: u64) -> u32 {
-        self.malloc_ctr[block as usize].load(Ordering::Acquire)
+        self.malloc_ctr(block).load(Ordering::Acquire)
     }
 
     /// The recycle generation `block` is currently in.
@@ -193,7 +217,7 @@ impl SegmentMeta {
     /// generation fail instead of landing on the recycled block.
     #[inline]
     pub fn retire_claim_word(&self, block: u64) {
-        let ctr = &self.malloc_ctr[block as usize];
+        let ctr = self.malloc_ctr(block);
         let gen = ctr.load(Ordering::Acquire) >> SLICE_GEN_SHIFT;
         ctr.store(gen.wrapping_add(1) << SLICE_GEN_SHIFT, Ordering::Release);
     }
@@ -231,7 +255,7 @@ impl SegmentMeta {
         gen: u32,
         metrics: &gpu_sim::Metrics,
     ) -> (u32, u32) {
-        let ctr = &self.malloc_ctr[block as usize];
+        let ctr = self.malloc_ctr(block);
         let mut cur = ctr.load(Ordering::Acquire);
         let mut attempts = 0u32;
         loop {
@@ -260,47 +284,42 @@ impl SegmentMeta {
         }
     }
 
-    /// Trace a resolved slice claim. The ring tag doubles as the segment
-    /// id; everything inside the closure runs only with a sink installed.
+    /// Trace a resolved slice claim; everything inside the closure runs
+    /// only with a sink installed.
     #[inline]
     fn emit_claim(&self, block: u64, attempts: u32, gen: u32, taken: u32) {
-        trace::emit(|| trace::TraceEvent::ClaimCas {
-            seg: self.ring.tag(),
-            block,
-            attempts,
-            gen,
-            taken,
-        });
+        trace::emit(|| trace::TraceEvent::ClaimCas { seg: self.seg, block, attempts, gen, taken });
     }
 
     /// Mark every block of `blocks` as handed out wholesale (block-level
-    /// allocation): one `fetch_or` per bitmap word the run touches.
+    /// allocation): one `fetch_or` per bitmap word the run names, led by its first block.
     pub fn set_whole_blocks(&self, blocks: &[u64]) {
-        for (w, word) in self.whole_block.iter().enumerate() {
-            let in_word = blocks.iter().filter(|&&b| b / 64 == w as u64);
-            let bits = in_word.fold(0u64, |bits, b| bits | 1 << (b % 64));
-            if bits != 0 {
-                word.fetch_or(bits, Ordering::AcqRel);
+        for (i, &lead) in blocks.iter().enumerate() {
+            let w = lead / 64;
+            if blocks[..i].iter().all(|&b| b / 64 != w) {
+                let in_word = blocks[i..].iter().filter(|&&b| b / 64 == w);
+                let bits = in_word.fold(0u64, |bits, b| bits | 1 << (b % 64));
+                self.whole_block[w as usize].fetch_or(bits, Ordering::AcqRel);
             }
         }
     }
 
     /// Clear the whole-block bits of the blocks `lanes` name (`block(lane)`),
-    /// one `fetch_and` per bitmap word touched; returns the lanes that *won*
-    /// their block — the first to name it, and only if its bit was set
-    /// (exclusive among concurrent clearers, protecting against double free).
+    /// one `fetch_and` per bitmap word named (led by its lowest lane); returns
+    /// the lanes that *won* their block — the first to name it, and only if
+    /// its bit was set (exclusive among clearers, protecting against double free).
     pub fn clear_whole_blocks(&self, lanes: LaneMask, block: impl Fn(usize) -> u64) -> LaneMask {
-        let mut won = LaneMask::EMPTY;
-        for (w, word) in self.whole_block.iter().enumerate() {
-            let here = lanes.keep(|lane| block(lane) / 64 == w as u64);
+        let (mut won, mut left) = (LaneMask::EMPTY, lanes);
+        while let Some(lead) = left.lowest() {
+            let w = block(lead) / 64;
+            let here = left.keep(|lane| block(lane) / 64 == w);
+            left = left.without(here);
             let bits = here.fold(0u64, |bits, lane| bits | 1 << (block(lane) % 64));
-            if bits != 0 {
-                let mut prev = word.fetch_and(!bits, Ordering::AcqRel);
-                for (lane, bit) in here.map(|lane| (lane, 1 << (block(lane) % 64))) {
-                    if prev & bit != 0 {
-                        won.insert(lane);
-                        prev &= !bit; // a second lane naming the block finds it taken
-                    }
+            let mut prev = self.whole_block[w as usize].fetch_and(!bits, Ordering::AcqRel);
+            for (lane, bit) in here.map(|lane| (lane, 1 << (block(lane) % 64))) {
+                if prev & bit != 0 {
+                    won.insert(lane);
+                    prev &= !bit; // a second lane naming the block finds it taken
                 }
             }
         }
@@ -318,25 +337,29 @@ impl SegmentMeta {
 pub struct MemoryTable {
     geo: Geometry,
     segments: Box<[SegmentMeta]>,
+    /// Block-major claim words and free counters (see the module docs).
+    claims: Box<[AtomicU32]>,
+    frees: Box<[AtomicU32]>,
 }
 
 impl MemoryTable {
     /// Pre-allocate metadata for every segment of `geo` (paper §5.1).
     pub fn new(geo: Geometry) -> Self {
-        let segments = (0..geo.num_segments)
-            .map(|_| SegmentMeta::new(geo.max_blocks))
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
+        let segments: Box<[SegmentMeta]> =
+            (0..geo.num_segments).map(|_| SegmentMeta::new(geo.max_blocks)).collect();
         for (i, meta) in segments.iter().enumerate() {
             meta.ring.set_tag(i as u64);
         }
-        MemoryTable { geo, segments }
+        let n = (geo.num_segments * geo.max_blocks) as usize;
+        // SAFETY: all-zero bytes are a valid `AtomicU32` (0).
+        let counters = || unsafe { Box::<[AtomicU32]>::new_zeroed_slice(n).assume_init() };
+        MemoryTable { geo, segments, claims: counters(), frees: counters() }
     }
 
     /// Metadata of segment `seg`.
     #[inline]
-    pub fn seg(&self, seg: u64) -> &SegmentMeta {
-        &self.segments[seg as usize]
+    pub fn seg(&self, seg: u64) -> Segment<'_> {
+        Segment { meta: &self.segments[seg as usize], table: self, seg }
     }
 
     /// The geometry this table was laid out for.
@@ -397,7 +420,7 @@ impl MemoryTable {
             // stalled on a handle from before the reclaim must not land
             // on the reformatted block.
             meta.retire_claim_word(b as u64);
-            meta.free_ctr[b].store(0, Ordering::Relaxed);
+            meta.free_ctr(b as u64).store(0, Ordering::Relaxed);
         }
         for w in meta.whole_block.iter() {
             w.store(0, Ordering::Relaxed);
@@ -461,6 +484,7 @@ impl MemoryTable {
     }
 
     /// Reset every segment to the initial free state. Not thread-safe.
+    /// Counters are stored only if nonzero: rows never written stay unmapped.
     pub fn reset(&self) {
         for meta in self.segments.iter() {
             meta.tree_id.store(TREE_FREE, Ordering::Relaxed);
@@ -469,10 +493,9 @@ impl MemoryTable {
             for w in meta.whole_block.iter() {
                 w.store(0, Ordering::Relaxed);
             }
-            for c in meta.malloc_ctr.iter() {
-                c.store(0, Ordering::Relaxed);
-            }
-            for c in meta.free_ctr.iter() {
+        }
+        for c in self.claims.iter().chain(self.frees.iter()) {
+            if c.load(Ordering::Relaxed) != 0 {
                 c.store(0, Ordering::Relaxed);
             }
         }
@@ -483,6 +506,7 @@ impl MemoryTable {
 mod tests {
     use super::*;
     use crate::config::GallatinConfig;
+    use gpu_sim::{cases, SplitMix64};
 
     fn table() -> MemoryTable {
         MemoryTable::new(GallatinConfig::small_test(1 << 20).geometry())
@@ -537,6 +561,58 @@ mod tests {
         assert_eq!(won.collect::<Vec<_>>(), [0, 3], "first namer of a set bit only");
         let again = meta.clear_whole_blocks(LaneMask::lane(0), |_| 63);
         assert!(again.is_empty(), "second clear must lose");
+    }
+
+    /// A run of `5..=32` blocks of a 256-block segment, unsorted, naming
+    /// every one of the four bitmap words and some blocks twice.
+    fn spanning_run(rng: &mut SplitMix64) -> Vec<u64> {
+        let mut run: Vec<u64> = (0..4).map(|w| w * 64 + rng.below(64)).collect();
+        run.extend((0..rng.below(28)).map(|_| rng.below(256)));
+        if let Some(&b) = run.get(rng.below(run.len() as u64) as usize) {
+            run.push(b);
+        }
+        for i in (1..run.len()).rev() {
+            run.swap(i, rng.below(i as u64 + 1) as usize);
+        }
+        run
+    }
+
+    /// `set_whole_blocks` and `clear_whole_blocks` against a per-block
+    /// loop over a plain bitmap, on `max_blocks = 256`: the bits after each
+    /// pass, and the `won` lanes exactly — the first lane naming a set bit.
+    #[test]
+    fn bitmap_passes_match_a_per_block_reference() {
+        let cfg =
+            GallatinConfig { segment_bytes: 256 << 10, ..GallatinConfig::small_test(1 << 20) };
+        let geo = cfg.geometry();
+        assert_eq!(geo.max_blocks, 256);
+        let t = MemoryTable::new(geo);
+        cases("bitmap_passes_match_a_per_block_reference", 256, |rng| {
+            let meta = t.seg(rng.below(geo.num_segments));
+            let mut model = [0u64; 4];
+            for _ in 0..3 {
+                let run = spanning_run(rng);
+                meta.set_whole_blocks(&run);
+                run.iter().for_each(|&b| model[b as usize / 64] |= 1 << (b % 64));
+                let names = spanning_run(rng);
+                let lanes = LaneMask::ballot(&names, |_| rng.below(4) != 0);
+                let mut want = LaneMask::EMPTY;
+                for lane in lanes {
+                    let (w, bit) = (names[lane] as usize / 64, 1 << (names[lane] % 64));
+                    if model[w] & bit != 0 {
+                        model[w] &= !bit;
+                        want.insert(lane);
+                    }
+                }
+                let won = meta.clear_whole_blocks(lanes, |lane| names[lane]);
+                assert_eq!(won, want, "run {run:?}, names {names:?}, lanes {lanes:?}");
+                for b in 0..256 {
+                    assert_eq!(meta.is_whole_block(b), model[b as usize / 64] >> (b % 64) & 1 == 1);
+                }
+            }
+            meta.whole_block.iter().for_each(|w| w.store(0, Ordering::Relaxed));
+            // next case's start
+        });
     }
 
     #[test]

@@ -42,7 +42,7 @@ impl Gallatin {
             let n = meta.ring.pop_many(out);
             if n == 0 {
                 // Ring empty: deactivate the segment so searches skip it.
-                self.deactivate(meta, class, seg);
+                self.deactivate(&meta, class, seg);
                 continue;
             }
             self.metrics.count_rmw();
@@ -51,7 +51,7 @@ impl Gallatin {
             if meta.ldcv_tree_id() != class as u32 {
                 // Route the run home whole (the straggler bounce the
                 // reclaim protocol's drain waits for) and retry elsewhere.
-                self.push_home_many(meta, seg, &out[..n]);
+                self.push_home_many(&meta, seg, &out[..n]);
                 self.metrics.count_straggler_bounce();
                 self.metrics.count_cas(false);
                 // A reclaimer holds the bit while it runs, so this is a
@@ -59,7 +59,7 @@ impl Gallatin {
                 // segment's time in this class (a `free_many` re-insert
                 // racing reclaim + reformat) must go, or the next probe
                 // finds the same segment and bounces again, forever.
-                self.deactivate(meta, class, seg);
+                self.deactivate(&meta, class, seg);
                 continue;
             }
             return Some((seg, n));
@@ -117,7 +117,7 @@ impl Gallatin {
     /// and leave the segment full, formatted and in no tree.
     pub(crate) fn free_many(&self, seg: u64, blocks: &[u64], class: usize) {
         let meta = self.table.seg(seg);
-        self.push_home_many(meta, seg, blocks);
+        self.push_home_many(&meta, seg, blocks);
         // Idempotent set-bit — unless the segment was reclaimed and
         // reformatted while this warp sat at `push_home_many`'s preemption
         // points: a bit in the old class's tree would send `get_many`
@@ -268,7 +268,7 @@ mod tests {
     use crate::config::GallatinConfig;
     use crate::gallatin::Gallatin;
     use gpu_sim::{
-        launch_warps, launch_warps_counted, DeviceAllocator, DeviceConfig, DevicePtr, FaultPlan,
+        launch_warps, launch_warps_profiled, DeviceAllocator, DeviceConfig, DevicePtr, FaultPlan,
         PreemptPoint, WarpCtx,
     };
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -451,18 +451,23 @@ mod tests {
             let device = DeviceConfig::with_sms(1).seeded(3);
             let out = Mutex::new(Vec::new());
             spent(&g);
-            let malloc_steps = launch_warps_counted(device, lanes as u64, |_| {
+            let malloc_steps = launch_warps_profiled(device, lanes as u64, |_| {
                 *out.lock().unwrap() = warp_malloc(&g, 1000, lanes);
             });
             let out = out.into_inner().unwrap();
             assert!(out.iter().all(whole));
             assert_eq!(spent(&g), [1, 0, lanes as u64, 0, 0], "{lanes}-lane malloc");
-            let free_steps = launch_warps_counted(device, lanes as u64, |w| g.warp_free(w, &out));
+            let free_steps = launch_warps_profiled(device, lanes as u64, |w| g.warp_free(w, &out));
             assert_eq!(spent(&g), [1, 0, 0, lanes as u64, 0], "{lanes}-lane free");
             assert!(!out.iter().any(whole) && seg.ring.len() == 63, "the run is home");
             (malloc_steps, free_steps)
         };
-        assert_eq!(cost(32), cost(1), "steps: a run crosses the points one block crosses");
+        // Steps by kind, in `PreemptPoint::ALL` order then the finish: each
+        // way the ticket's counted RMW, its ring window and the warp's end.
+        let malloc = (3, [1, 0, 0, 0, 0, 1, 0, 1]);
+        let free = (3, [1, 0, 0, 0, 0, 0, 1, 1]);
+        assert_eq!(cost(1), (malloc, free), "one lane");
+        assert_eq!(cost(32), (malloc, free), "steps: a run crosses the points one block crosses");
     }
 
     /// Runs that span two bitmap words (`max_blocks` 128) and two segments:

@@ -176,11 +176,11 @@ impl Gallatin {
                 let meta = self.table.seg(seg);
                 let word = meta.claim_word(block);
                 let served = (word & SLICE_COUNT_MASK) as u64;
-                let freed = meta.free_ctr[block as usize].load(Ordering::Acquire) as u64;
+                let freed = meta.free_ctr(block).load(Ordering::Acquire) as u64;
                 if served == freed {
                     // No live slices: safe to recycle wholesale.
                     meta.retire_claim_word(block);
-                    meta.free_ctr[block as usize].store(0, Ordering::Release);
+                    meta.free_ctr(block).store(0, Ordering::Release);
                     self.free_many(seg, &[block], class);
                     reclaimed += 1;
                 } else {
@@ -191,15 +191,15 @@ impl Gallatin {
                     // back. (Re-buffering it instead could strand it if
                     // the slot is taken, leaking the block.)
                     let spb = self.geo.slices_per_block;
-                    meta.malloc_ctr[block as usize]
+                    meta.malloc_ctr(block)
                         .store((word & !SLICE_COUNT_MASK) | spb as u32, Ordering::Relaxed);
                     let credit = (spb - served) as u32;
-                    let prev = meta.free_ctr[block as usize].fetch_add(credit, Ordering::AcqRel);
+                    let prev = meta.free_ctr(block).fetch_add(credit, Ordering::AcqRel);
                     if (prev + credit) as u64 == spb {
                         // All live slices were freed between our loads:
                         // recycle now.
                         meta.retire_claim_word(block);
-                        meta.free_ctr[block as usize].store(0, Ordering::Release);
+                        meta.free_ctr(block).store(0, Ordering::Release);
                         self.free_many(seg, &[block], class);
                         reclaimed += 1;
                     }
@@ -311,7 +311,7 @@ impl Gallatin {
                 }
                 for b in 0..prev_blocks {
                     let m = (meta.claim_word(b) & SLICE_COUNT_MASK) as u64;
-                    let f = meta.free_ctr[b as usize].load(Ordering::Acquire) as u64;
+                    let f = meta.free_ctr(b).load(Ordering::Acquire) as u64;
                     if m.min(spb) != f {
                         errors.push(format!(
                             "free segment {seg} block {b} has live slices \

@@ -3,7 +3,7 @@
 //!
 //! The hot path: a same-class warp group's leader issues one batched
 //! claim on the cached block's malloc counter
-//! ([`crate::table::SegmentMeta::claim_slices`]), reserving slices for
+//! ([`crate::table::Segment::claim_slices`]), reserving slices for
 //! every lane in a single successful RMW. Claim words carry a recycle
 //! generation so a stale buffered handle can never land slices on a
 //! recycled block (the slice-pipeline ABA).
@@ -26,7 +26,7 @@ impl Gallatin {
     /// current recycle generation of its claim word — captured when a
     /// block enters a buffer so later claims and buffer swaps can detect
     /// that the block was recycled in between (see
-    /// [`crate::table::SegmentMeta::claim_slices`] and [`crate::buffer`]).
+    /// [`crate::table::Segment::claim_slices`] and [`crate::buffer`]).
     fn fresh_entry(&self, class: usize, sm_id: u32) -> Option<(BlockHandle, u32)> {
         let mut block = [0];
         let (seg, _) = self.get_many(class, sm_id, &mut block)?;
@@ -45,7 +45,7 @@ impl Gallatin {
     /// lanes served (the group's lowest); the rest hit heap exhaustion.
     ///
     /// The group leader's single batched claim on the cached block's
-    /// malloc counter ([`crate::table::SegmentMeta::claim_slices`])
+    /// malloc counter ([`crate::table::Segment::claim_slices`])
     /// reserves slices for every lane in one successful RMW — one atomic
     /// per group, not per lane; lanes that did not fit the block retry
     /// after the last-slice taker swaps a fresh block into the buffer.
@@ -149,7 +149,7 @@ impl Gallatin {
     pub(crate) fn free_slices(&self, seg: u64, class: usize, block: u64, n: u32) {
         let meta = self.table.seg(seg);
         let spb = self.geo.slices_per_block;
-        let prev = meta.free_ctr[block as usize].fetch_add(n, Ordering::AcqRel);
+        let prev = meta.free_ctr(block).fetch_add(n, Ordering::AcqRel);
         self.metrics.count_rmw();
         self.metrics.count_coalesced(n.saturating_sub(1) as u64);
         self.reserved.sub(RESERVED, n as u64 * self.geo.slice_size(class));
@@ -162,7 +162,7 @@ impl Gallatin {
             // the handle before the recycle could land slices on the
             // recycled counter (the slice-pipeline ABA).
             meta.retire_claim_word(block);
-            meta.free_ctr[block as usize].store(0, Ordering::Release);
+            meta.free_ctr(block).store(0, Ordering::Release);
             self.free_many(seg, &[block], class);
         }
     }
@@ -175,7 +175,7 @@ impl Gallatin {
         let meta = self.table.seg(seg);
         let spb = self.geo.slices_per_block;
         let m = (meta.claim_word(b) & SLICE_COUNT_MASK) as u64;
-        let f = meta.free_ctr[b as usize].load(Ordering::Acquire) as u64;
+        let f = meta.free_ctr(b).load(Ordering::Acquire) as u64;
         let served = m.min(spb);
         if f > served {
             errors.push(format!(

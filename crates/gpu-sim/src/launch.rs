@@ -16,7 +16,7 @@
 //! fills a GPU in the steady state and gives Gallatin's per-SM block
 //! buffers the intended access pattern.
 
-use crate::sched::{self, FaultPlan};
+use crate::sched::{self, FaultPlan, StepProfile};
 use crate::trace;
 use crate::warp::{LaneCtx, WarpCtx, WARP_SIZE};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -180,8 +180,21 @@ pub fn launch_warps_counted<F>(cfg: DeviceConfig, total_threads: u64, kernel: F)
 where
     F: Fn(&WarpCtx) + Sync,
 {
+    launch_warps_profiled(cfg, total_threads, kernel).0
+}
+
+/// [`launch_warps_counted`] that also reports the steps by what ended
+/// each turn (see [`sched::StepProfile`]); all zero in pool mode.
+pub fn launch_warps_profiled<F>(
+    cfg: DeviceConfig,
+    total_threads: u64,
+    kernel: F,
+) -> (u64, StepProfile)
+where
+    F: Fn(&WarpCtx) + Sync,
+{
     if total_threads == 0 {
-        return 0;
+        return (0, StepProfile::default());
     }
     let n_warps = total_threads.div_ceil(WARP_SIZE as u64);
     let run_warp = |warp_id: u64| {
@@ -201,11 +214,9 @@ where
                 Some(sink) => trace::with_sink(sink.clone(), || run_warp(warp_id)),
                 None => run_warp(warp_id),
             });
-            0
+            (0, StepProfile::default())
         }
-        ExecMode::Deterministic { seed } => {
-            sched::run_tasks_faulted(seed, n_warps, cfg.fault, run_warp)
-        }
+        ExecMode::Deterministic { seed } => sched::run_profiled(seed, n_warps, cfg.fault, run_warp),
     }
 }
 

@@ -61,7 +61,9 @@ pub mod trace;
 pub mod warp;
 
 pub use alloc_api::{AllocStats, DeviceAllocator};
-pub use launch::{launch, launch_warps, launch_warps_counted, DeviceConfig, ExecMode};
+pub use launch::{
+    launch, launch_warps, launch_warps_counted, launch_warps_profiled, DeviceConfig, ExecMode,
+};
 pub use mem::{DeviceMemory, DevicePtr};
 pub use metrics::{Metrics, Striped};
 pub use replay::{ConversionStats, ReplayOp, ReplayScript, WarpScript};

@@ -88,6 +88,22 @@ pub enum PreemptPoint {
     RingPush,
 }
 
+impl PreemptPoint {
+    /// Every kind, in [`StepProfile`] slot order.
+    pub const ALL: [PreemptPoint; 7] = {
+        use PreemptPoint::*;
+        [Rmw, Cas, Lock, VolatileLoad, Spin, RingPop, RingPush]
+    };
+}
+
+/// A run's turns by what ended them: slot `kind as usize` counts yields at
+/// that [`PreemptPoint`], the last slot ([`FINISH`]) tasks finishing. The
+/// slots sum to the run's step count.
+pub type StepProfile = [u64; PreemptPoint::ALL.len() + 1];
+
+/// The [`StepProfile`] slot of a task's finishing turn.
+pub const FINISH: usize = PreemptPoint::ALL.len();
+
 thread_local! {
     /// The deterministic run this thread is hosting; null = free-running.
     /// A `const` thread-local with no destructor is a plain TLS load (no
@@ -269,12 +285,14 @@ struct Chooser {
     /// the only unfinished task left, which preserves liveness.
     parked: Option<(usize, u64)>,
     steps: u64,
+    profile: StepProfile,
 }
 
 impl Chooser {
     fn new(seed: u64, n_tasks: usize, fault: Option<FaultPlan>) -> Self {
         let (rng, runnable) = (SplitMix64::new(seed), (0..n_tasks).collect());
-        Chooser { rng, runnable, pick: 0, fault, crossings: 0, parked: None, steps: 0 }
+        let (steps, profile) = (0, StepProfile::default());
+        Chooser { rng, runnable, pick: 0, fault, crossings: 0, parked: None, steps, profile }
     }
 
     /// Draw the task that runs next: one PRNG draw per turn, also when
@@ -294,6 +312,7 @@ impl Chooser {
     /// and draws the next task to run — possibly the same one again.
     fn turn_over(&mut self, yielded_at: Option<PreemptPoint>) -> Option<usize> {
         self.steps += 1;
+        self.profile[yielded_at.map_or(FINISH, |point| point as usize)] += 1;
         if let Some((victim, remaining)) = &mut self.parked {
             *remaining = remaining.saturating_sub(1);
             if *remaining == 0 {
@@ -418,8 +437,21 @@ pub fn run_tasks_faulted<F>(seed: u64, n_tasks: u64, fault: Option<FaultPlan>, t
 where
     F: Fn(u64) + Sync,
 {
+    run_profiled(seed, n_tasks, fault, task).0
+}
+
+/// [`run_tasks_faulted`] that also returns the run's [`StepProfile`].
+pub(crate) fn run_profiled<F>(
+    seed: u64,
+    n_tasks: u64,
+    fault: Option<FaultPlan>,
+    task: F,
+) -> (u64, StepProfile)
+where
+    F: Fn(u64) + Sync,
+{
     if n_tasks == 0 {
-        return 0;
+        return (0, StepProfile::default());
     }
     let n = n_tasks as usize;
     let mut chooser = Chooser::new(seed, n, fault);
@@ -446,7 +478,8 @@ where
     if let Some(payload) = run.first_panic.take() {
         resume_unwind(payload);
     }
-    run.chooser.into_inner().steps
+    let Chooser { steps, profile, .. } = run.chooser.into_inner();
+    (steps, profile)
 }
 
 /// Outcome of an [`explore_schedules`] sweep that found a failure.
@@ -635,6 +668,23 @@ mod tests {
         assert_eq!(steps, 4 * (3 + 1));
         assert_eq!(run_tasks(9, 4, body), steps, "same seed, same schedule length");
         assert_eq!(run_tasks(0, 0, body), 0, "empty launch takes no steps");
+    }
+
+    /// Every turn lands in exactly one slot: the kind it yielded at, or
+    /// the finish — parked turns and a task's own re-draws included.
+    #[test]
+    fn the_step_profile_sums_to_the_step_count() {
+        let body = |i: u64| {
+            for point in PreemptPoint::ALL.into_iter().skip(i as usize % 3) {
+                preempt_point(point);
+            }
+            (0..i).for_each(|_| spin_hint());
+        };
+        let fault = Some(FaultPlan::park(PreemptPoint::Cas, 2, 5));
+        let (steps, profile) = run_profiled(5, 4, fault, body);
+        assert_eq!(profile, [2, 3, 4, 4, 4 + 6, 4, 4, 4]);
+        assert_eq!(profile.iter().sum::<u64>(), steps);
+        assert_eq!(steps, run_tasks_faulted(5, 4, fault, body), "profiling changes no turn");
     }
 
     #[test]
