@@ -18,7 +18,7 @@
 //!   bench-smoke     E16 smoke subset, gated against results/BENCH_bench_smoke.json;
 //!                   exits 1 if any atomic-op count regresses past the tolerance
 //!   pool            E18 — sharded-pool block churn over 1/2/4/8 instances
-//!                   (per-instance atomic counts + spill rates, BENCH_pool.json)
+//!                   (per-instance atomic and spill counts, BENCH_pool.json)
 //!   replay          E17/E19 — record the block churn as a lifecycle trace
 //!                   (Chrome trace_event JSON + ledger report), convert it to
 //!                   a gallatin-replay-v1 script, re-run it through Gallatin
@@ -55,7 +55,6 @@
 //!   --sms N         simulated streaming multiprocessors (default 128)
 //!   --pool N        OS worker threads (default max(8, cores))
 //!   --out DIR       CSV output directory (default results)
-//!   --json          also write machine-readable BENCH_<experiment>.json files
 //!   --full          paper-scale: 1M threads, 50 runs, 2G heap, 2^20 scaling
 //!   --smoke         CI smoke subset (serve): shorter horizon, fewer cells
 //! ```
@@ -113,10 +112,6 @@ fn parse_flags(args: &[String]) -> Result<HarnessConfig, String> {
             "--sms" => cfg.num_sms = value(args, &mut i, "--sms N", positive)?,
             "--pool" => cfg.pool_threads = value(args, &mut i, "--pool N", number)?,
             "--out" => cfg.out_dir = value(args, &mut i, "--out DIR", text)?,
-            "--json" => {
-                cfg.json = true;
-                i += 1;
-            }
             "--full" => {
                 cfg = cfg.clone().at_full_scale();
                 i += 1;
@@ -155,7 +150,7 @@ const SUBCOMMANDS: [&str; 16] = [
 fn usage() -> String {
     format!(
         "usage: repro <{}|all> [--threads N] [--runs N] [--heap BYTES] [--sms N] [--pool N] \
-         [--out DIR] [--json] [--full] [--smoke]",
+         [--out DIR] [--full] [--smoke]",
         SUBCOMMANDS.join("|")
     )
 }
@@ -243,7 +238,7 @@ mod tests {
     #[test]
     fn a_flag_without_a_usable_value_is_its_usage_line() {
         assert_eq!(flags(&["--threads"]).unwrap_err(), "usage: --threads N");
-        assert_eq!(flags(&["--json", "--threads", "many"]).unwrap_err(), "usage: --threads N");
+        assert_eq!(flags(&["--smoke", "--threads", "many"]).unwrap_err(), "usage: --threads N");
         assert_eq!(flags(&["--heap", "99999999999G"]).unwrap_err(), "usage: --heap BYTES[K|M|G]");
         assert_eq!(flags(&["--heap", "0"]).unwrap_err(), "usage: --heap BYTES[K|M|G]");
         assert_eq!(flags(&["--sms", "0"]).unwrap_err(), "usage: --sms N");
@@ -256,8 +251,17 @@ mod tests {
 
     #[test]
     fn the_perf_lane_flags_are_unknown_flags_now() {
-        for gone in ["--samples", "--history", "--window", "--sha", "--stamp", "--host", "--seeds"]
-        {
+        let gone_flags = [
+            "--samples",
+            "--history",
+            "--window",
+            "--sha",
+            "--stamp",
+            "--host",
+            "--seeds",
+            "--json",
+        ];
+        for gone in gone_flags {
             assert_eq!(flags(&[gone, "3"]).unwrap_err(), format!("unknown flag {gone}"));
         }
     }

@@ -31,7 +31,7 @@
 //! lets `bench-smoke` require them to equal a checked-in baseline byte
 //! for byte.
 
-use crate::report::{emit_bench_json, parse_bench_json, render_bench_json, BenchRecord, Table};
+use crate::report::{emit_records, parse_bench_json, render_bench_json, BenchRecord};
 use crate::HarnessConfig;
 use gallatin::{Gallatin, GallatinConfig};
 use gpu_sim::metrics::MetricsSnapshot;
@@ -238,40 +238,15 @@ fn records(experiment: &str, seeds: u64) -> Vec<BenchRecord> {
     out
 }
 
-fn emit(cfg: &HarnessConfig, experiment: &str, recs: &[BenchRecord]) {
-    let mut tab = Table::new(
-        format!("E16 — deterministic atomic-count ablation ({experiment})"),
-        &["case", "params", "cas attempts", "cas failures", "atomic rmw", "note"],
-    );
-    for r in recs {
-        let get = |k: &str| r.get_count(k).map_or_else(|| "-".to_string(), |v| v.to_string());
-        let params: Vec<String> =
-            r.params.iter().skip(1).map(|(k, v)| format!("{k}={v}")).collect();
-        let note = match r.get_param("case") {
-            Some("group-cost") => format!(
-                "fresh={} steady={}",
-                get("fresh_group_atomics"),
-                get("steady_group_atomics")
-            ),
-            Some("coalescing") => format!(
-                "mallocs={} coalesced={} scalar={}",
-                get("mallocs"),
-                get("coalesced_atomics"),
-                get("scalar_atomics")
-            ),
-            _ => String::new(),
-        };
-        tab.row(vec![
-            r.params[0].1.clone(),
-            params.join(" "),
-            get("cas_attempts"),
-            get("cas_failures"),
-            get("atomic_rmw"),
-            note,
-        ]);
-    }
-    tab.emit(&cfg.out_dir, &format!("e16_{}", experiment.replace('-', "_")));
-    emit_bench_json(cfg, experiment, recs);
+/// E16's columns: every case's params, then every count a case carries.
+const COLUMNS: &str = "allocator,case,size,randomize_probe_starts,seeds,instances,lanes,\
+    cas_attempts,cas_failures,atomic_rmw,spills,fresh_group_atomics,steady_group_atomics,\
+    mallocs,coalesced_atomics,scalar_atomics";
+
+/// Print E16's table and write `e16_<experiment>.csv` and its JSON.
+fn emit(cfg: &HarnessConfig, experiment: &str, recs: &[BenchRecord]) -> bool {
+    let title = format!("E16 — deterministic atomic-count ablation ({experiment})");
+    emit_records(cfg, experiment, title, &format!("e16_{experiment}"), COLUMNS, recs)
 }
 
 /// Run the full ablation (64-seed sweep) and emit table + CSV + JSON.
@@ -333,7 +308,8 @@ pub fn smoke_verdict(current: &[BenchRecord], committed: &str) -> Result<(), Str
 ///
 /// Reads `results/BENCH_bench_smoke.json` (committed to the repo) before
 /// writing the current counts to `<out_dir>/BENCH_bench_smoke.json`, then
-/// fails — returns `false` — unless the two are equal byte for byte.
+/// fails — returns `false` — unless the two are equal byte for byte and
+/// the current file was written.
 /// Refreshing the baseline is just running `repro bench-smoke` with the
 /// default `--out results` and committing the rewritten file (see
 /// EXPERIMENTS.md).
@@ -343,11 +319,11 @@ pub fn run_bench_smoke(cfg: &HarnessConfig) -> bool {
     // 2-instance pool churn from E18.
     let mut recs = records("bench_smoke", SWEEP_SEEDS_SMOKE);
     recs.push(super::pool::smoke_record());
-    emit(cfg, "bench_smoke", &recs);
+    let written = emit(cfg, "bench_smoke", &recs);
     match baseline.map_err(|e| e.to_string()).and_then(|b| smoke_verdict(&recs, &b)) {
         Ok(()) => {
             println!("bench-smoke: every count equals results/BENCH_bench_smoke.json");
-            true
+            written
         }
         Err(e) => {
             eprintln!(

@@ -34,7 +34,7 @@
 //! scheduler, host-side maintenance), so the numbers land in
 //! `BENCH_elastic.json` as bit-stable gates.
 
-use crate::report::{emit_bench_json, BenchRecord, Table};
+use crate::report::{emit_records, BenchRecord};
 use crate::workload::{run_script, SkewedHotspot, WorkloadSource};
 use crate::HarnessConfig;
 use gallatin::{Gallatin, GallatinConfig, GallatinPool};
@@ -207,6 +207,11 @@ fn frag_arm(compacted: bool) -> FragArm {
     arm
 }
 
+/// E22's columns: the case and its compaction arm, then the segment and
+/// spill counts of every arm.
+const COLUMNS: &str = "case,compaction,donated,reclaimable_segments,relocations,returned,\
+    adopted,spills_before,spills_after";
+
 /// One `BENCH_elastic.json` row.
 fn row(case: &str) -> BenchRecord {
     BenchRecord::new("elastic", "GallatinPool").case(case)
@@ -248,9 +253,9 @@ fn donate_after_frag(compacted: bool) -> BenchRecord {
     rec
 }
 
-/// Run E22 and emit table + `BENCH_elastic.json`. Returns `false` (and
-/// the harness exits 1) if any verdict fails: the hot home must absorb
-/// at least one donated segment with a clean ledger, and both
+/// Run E22 and emit table, CSV and `BENCH_elastic.json`. Returns `false`
+/// (and the harness exits 1) if any verdict fails: the hot home must
+/// absorb at least one donated segment with a clean ledger, and both
 /// compaction rows must strictly beat their no-compaction controls.
 pub fn run_elastic(cfg: &HarnessConfig) -> bool {
     let seed = gpu_sim::sched::seed_override().unwrap_or(DONATION_SEED);
@@ -283,36 +288,8 @@ pub fn run_elastic(cfg: &HarnessConfig) -> bool {
         don_on,
     ];
 
-    let mut tab = Table::new(
-        "E22 — elastic pool: donation, compaction, shrink",
-        &[
-            "case",
-            "compaction",
-            "donated",
-            "reclaimable",
-            "relocations",
-            "returned/adopted",
-            "spills before/after",
-        ],
-    );
-    for r in &recs {
-        let get = |k: &str| r.get_count(k).map_or_else(|| "-".to_string(), |v| v.to_string());
-        let pair = |a: &str, b: &str| match r.get_count(a) {
-            Some(_) => format!("{}/{}", get(a), get(b)),
-            None => "-".to_string(),
-        };
-        tab.row(vec![
-            r.params[0].1.clone(),
-            r.get_param("compaction").unwrap_or("-").to_string(),
-            get("donated"),
-            get("reclaimable_segments"),
-            get("relocations"),
-            pair("returned", "adopted"),
-            pair("spills_before", "spills_after"),
-        ]);
-    }
-    tab.emit(&cfg.out_dir, "e22_elastic");
-    let mut ok = emit_bench_json(cfg, "elastic", &recs);
+    let title = "E22 — elastic pool: donation, compaction, shrink";
+    let mut ok = emit_records(cfg, "elastic", title, "e22_elastic", COLUMNS, &recs);
     let mut verdict = |name: &str, pass: bool| {
         println!("  [{}] {name}", if pass { "PASS" } else { "FAIL" });
         ok &= pass;

@@ -4,7 +4,7 @@
 //! 4, and 8 instances — each instance carrying the same per-instance
 //! configuration as the single-allocator churn, so the 1-instance column
 //! is directly comparable to E16 — and emits `BENCH_pool.json` with
-//! **per-instance** atomic-op counts and spill rates. Under the
+//! **per-instance** atomic-op and spill counts. Under the
 //! deterministic scheduler the counts are exact functions of the seed,
 //! so sharding effects (atomics spread across instance-private metadata,
 //! zero cross-instance traffic while every home has capacity) show up as
@@ -16,7 +16,7 @@
 //! home instance's 16th spills to the sibling) and regression-tested
 //! below.
 
-use crate::report::{emit_bench_json, BenchRecord, Table};
+use crate::report::{emit_records, BenchRecord};
 use crate::HarnessConfig;
 use gallatin::{GallatinConfig, GallatinPool};
 use gpu_sim::metrics::MetricsSnapshot;
@@ -37,6 +37,10 @@ const PRESSURE_SEED: u64 = 3;
 /// Segment-sized claims issued by the pressure case: the home instance
 /// holds 16 small_test segments, so the remaining claims all spill.
 const PRESSURE_CLAIMS: u64 = 24;
+
+/// E18's columns; a spill rate is `spills / requests`.
+const COLUMNS: &str = "case,instances,instance,cas_attempts,cas_failures,atomic_rmw,spills,\
+    requests";
 
 /// One pool instance's totals across a seed sweep: its metrics and the
 /// spills charged to it as a home.
@@ -114,7 +118,7 @@ pub fn smoke_record() -> BenchRecord {
     width_records("bench_smoke", 2, SWEEP_SEEDS_SMOKE).0
 }
 
-/// Run the E18 sweep and emit table + CSV + `BENCH_pool.json`.
+/// Run the E18 sweep and emit table, CSV and `BENCH_pool.json`.
 pub fn run_pool(cfg: &HarnessConfig) {
     let seeds = SWEEP_SEEDS_SMOKE;
     let mut recs = Vec::new();
@@ -135,39 +139,8 @@ pub fn run_pool(cfg: &HarnessConfig) {
             .count("requests", claims),
     );
 
-    let mut tab = Table::new(
-        "E18 — sharded pool: block churn across instance counts",
-        &[
-            "case",
-            "instances",
-            "instance",
-            "cas attempts",
-            "cas failures",
-            "atomic rmw",
-            "spills",
-            "spill rate",
-        ],
-    );
-    for r in &recs {
-        let param = |k: &str| r.get_param(k).unwrap_or("-").to_string();
-        let spill_rate = match (r.get_count("spills"), r.get_count("requests")) {
-            (Some(s), Some(req)) if req > 0 => format!("{:.4}", s as f64 / req as f64),
-            _ => "-".to_string(),
-        };
-        let show = |k: &str| r.get_count(k).map_or_else(|| "-".to_string(), |v| v.to_string());
-        tab.row(vec![
-            r.params[0].1.clone(),
-            param("instances"),
-            param("instance"),
-            show("cas_attempts"),
-            show("cas_failures"),
-            show("atomic_rmw"),
-            show("spills"),
-            spill_rate,
-        ]);
-    }
-    tab.emit(&cfg.out_dir, "e18_pool");
-    emit_bench_json(cfg, "pool", &recs);
+    let title = "E18 — sharded pool: block churn across instance counts";
+    emit_records(cfg, "pool", title, "e18_pool", COLUMNS, &recs);
     println!(
         "pressure case: {spills} of {claims} segment claims spilled to the sibling \
          (home capacity 16 segments)"

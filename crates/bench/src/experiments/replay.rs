@@ -8,8 +8,8 @@
 //! * `<out_dir>/TRACE_block_churn.json` — Chrome `trace_event` JSON
 //!   (open in `chrome://tracing` or <https://ui.perfetto.dev>);
 //! * the lifecycle-ledger report (leaks, double frees, cross-warp free
-//!   latency, occupancy peak) on stdout and an event-count table in
-//!   `e17_trace.csv`; with `--json`, `BENCH_trace.json`.
+//!   latency, occupancy peak) on stdout, and the ledger's and every event
+//!   type's counts in `e17_trace.csv` and `BENCH_trace.json`.
 //!
 //! Then E19 closes the loop: it reduces the recording to a
 //! [`ReplayScript`], round-trips the script through the
@@ -25,15 +25,15 @@
 //! * `<out_dir>/REPLAY_block_churn.replay` — the converted script in the
 //!   text format (see `gpu_sim::replay` for the schema), re-parsed and
 //!   compared before use so the artifact is proven load-bearing;
-//! * a per-target table in `e19_replay.csv`; with `--json`,
-//!   `BENCH_replay.json`. Both JSON files use the [`BenchRecord`] schema.
+//! * a per-target table in `e19_replay.csv` and `BENCH_replay.json`.
+//!   Both JSON files use the [`BenchRecord`] schema.
 //!
 //! The recording seed comes from `GALLATIN_SCHED_SEED` (default 7): a
 //! test failure prints `GALLATIN_SCHED_SEED=<seed>`, and
 //! `GALLATIN_SCHED_SEED=<seed> repro replay` captures the exact
 //! interleaving that failed as a diffable artifact.
 
-use crate::report::{emit_bench_json, BenchRecord, Table};
+use crate::report::{emit_records, BenchRecord};
 use crate::workload::{run_script, ScriptOutcome};
 use crate::HarnessConfig;
 use gallatin::{Gallatin, GallatinPool};
@@ -46,6 +46,11 @@ use std::path::Path;
 use std::sync::Arc;
 
 use super::{ablation, DEFAULT_SEED};
+
+/// E19's columns: a target's lifecycle outcome, then its contract
+/// outcome.
+const COLUMNS: &str = "allocator,mallocs,frees,leaks,double_frees,unknown_frees,alloc_bytes,\
+    served,denied";
 
 /// One replay target's results.
 struct TargetRun {
@@ -70,8 +75,7 @@ fn capture_block_churn(seed: u64) -> Vec<TraceRecord> {
 }
 
 /// Write E17's artifacts for one recording: the Chrome trace, the
-/// event-count table, the ledger report and, under `--json`,
-/// `BENCH_trace.json`.
+/// ledger report, and the counts' table and `BENCH_trace.json`.
 fn write_trace(cfg: &HarnessConfig, seed: u64, records: &[TraceRecord], ledger: &Ledger) {
     let trace_path = Path::new(&cfg.out_dir).join("TRACE_block_churn.json");
     match std::fs::write(&trace_path, chrome_trace_json(records)) {
@@ -79,7 +83,7 @@ fn write_trace(cfg: &HarnessConfig, seed: u64, records: &[TraceRecord], ledger: 
         Err(e) => eprintln!("warning: could not write {}: {e}", trace_path.display()),
     }
 
-    // Event-count table: one row per event type, most frequent first.
+    // Event counts, most frequent first, after the ledger's own counts.
     let mut counts: Vec<(&'static str, u64)> = Vec::new();
     for r in records {
         let name = r.event.name();
@@ -89,31 +93,22 @@ fn write_trace(cfg: &HarnessConfig, seed: u64, records: &[TraceRecord], ledger: 
         }
     }
     counts.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(b.0)));
-    let mut tab = Table::new(
-        format!("E17 — lifecycle trace, block churn (seed {seed})"),
-        &["event", "count"],
-    );
-    for (name, c) in &counts {
-        tab.row(vec![name.to_string(), c.to_string()]);
+    let mut rec = BenchRecord::new("trace", "Gallatin")
+        .case("block-churn")
+        .param("seed", seed)
+        .count("events", records.len() as u64)
+        .count("leaks", ledger.live.len() as u64)
+        .count("double_frees", ledger.double_frees.len() as u64)
+        .count("cross_warp_frees", ledger.cross_warp_frees)
+        .count("peak_live_bytes", ledger.peak_live_bytes);
+    for (name, n) in &counts {
+        rec = rec.count(name, *n);
     }
-    tab.emit(&cfg.out_dir, "e17_trace");
+    let columns: Vec<&str> = rec.counts.iter().map(|(k, _)| k.as_str()).collect();
+    let title = format!("E17 — lifecycle trace, block churn (seed {seed})");
+    emit_records(cfg, "trace", title, "e17_trace", &columns.join(","), std::slice::from_ref(&rec));
     print!("{}", ledger.report());
     println!("open {} in chrome://tracing or https://ui.perfetto.dev", trace_path.display());
-
-    if cfg.json {
-        let mut rec = BenchRecord::new("trace", "Gallatin")
-            .case("block-churn")
-            .param("seed", seed)
-            .count("events", records.len() as u64)
-            .count("leaks", ledger.live.len() as u64)
-            .count("double_frees", ledger.double_frees.len() as u64)
-            .count("cross_warp_frees", ledger.cross_warp_frees)
-            .count("peak_live_bytes", ledger.peak_live_bytes);
-        for (name, n) in &counts {
-            rec = rec.count(name, *n);
-        }
-        emit_bench_json(cfg, "trace", &[rec]);
-    }
 }
 
 /// Reduce a block-churn recording to its replay script.
@@ -184,19 +179,6 @@ pub fn run_replay(cfg: &HarnessConfig) {
         replay_through("GallatinPool(2)", &pool, seed, &reparsed),
     ];
 
-    let mut tab = Table::new(
-        format!("E19 — trace-replay round trip, block churn (seed {seed})"),
-        &["target", "mallocs", "frees", "leaks", "anomalies", "alloc MiB", "ledger"],
-    );
-    tab.row(vec![
-        "recording".into(),
-        original.mallocs.to_string(),
-        original.frees.to_string(),
-        original.leaks.to_string(),
-        (original.double_frees + original.unknown_frees).to_string(),
-        format!("{:.1}", original.alloc_bytes as f64 / (1 << 20) as f64),
-        "-".into(),
-    ]);
     for run in &runs {
         assert_eq!(
             run.outcome, original,
@@ -211,43 +193,31 @@ pub fn run_replay(cfg: &HarnessConfig) {
             run.script_outcome
         );
         assert_eq!(run.script_outcome.denied, 0, "{}: replay must not hit OOM", run.name);
-        tab.row(vec![
-            run.name.into(),
-            run.outcome.mallocs.to_string(),
-            run.outcome.frees.to_string(),
-            run.outcome.leaks.to_string(),
-            (run.outcome.double_frees + run.outcome.unknown_frees).to_string(),
-            format!("{:.1}", run.outcome.alloc_bytes as f64 / (1 << 20) as f64),
-            "equal".into(),
-        ]);
     }
-    tab.emit(&cfg.out_dir, "e19_replay");
+    let recs: Vec<BenchRecord> = runs
+        .iter()
+        .map(|run| {
+            BenchRecord::new("replay", run.name)
+                .case("block-churn")
+                .param("seed", seed)
+                .count("mallocs", run.outcome.mallocs)
+                .count("frees", run.outcome.frees)
+                .count("leaks", run.outcome.leaks)
+                .count("double_frees", run.outcome.double_frees)
+                .count("unknown_frees", run.outcome.unknown_frees)
+                .count("alloc_bytes", run.outcome.alloc_bytes)
+                .count("served", run.script_outcome.served)
+                .count("denied", run.script_outcome.denied)
+        })
+        .collect();
+    let title = format!("E19 — trace-replay round trip, block churn (seed {seed})");
+    emit_records(cfg, "replay", title, "e19_replay", COLUMNS, &recs);
     println!(
         "replayed {} ops through {} targets; lifecycle outcomes equal the recording \
          (replay any seed with {SCHED_SEED_ENV}=<seed> repro replay)",
         script.total_ops(),
         runs.len()
     );
-
-    if cfg.json {
-        let recs: Vec<BenchRecord> = runs
-            .iter()
-            .map(|run| {
-                BenchRecord::new("replay", run.name)
-                    .case("block-churn")
-                    .param("seed", seed)
-                    .count("mallocs", run.outcome.mallocs)
-                    .count("frees", run.outcome.frees)
-                    .count("leaks", run.outcome.leaks)
-                    .count("double_frees", run.outcome.double_frees)
-                    .count("unknown_frees", run.outcome.unknown_frees)
-                    .count("alloc_bytes", run.outcome.alloc_bytes)
-                    .count("served", run.script_outcome.served)
-                    .count("denied", run.script_outcome.denied)
-            })
-            .collect();
-        emit_bench_json(cfg, "replay", &recs);
-    }
 }
 
 #[cfg(test)]

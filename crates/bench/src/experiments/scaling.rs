@@ -12,6 +12,11 @@ use crate::HarnessConfig;
 /// The four panel sizes of Figure 5.
 pub const SCALING_SIZES: [u64; 4] = [16, 64, 512, 8192];
 
+/// The Fig 5 panel of `kernel` at `size`: its CSV's file stem.
+pub fn csv_name(kernel: &str, size: u64) -> String {
+    format!("fig5_scaling_{kernel}_{size}b")
+}
+
 /// Run the scaling experiment: one table (alloc + free) per size, one row
 /// per power-of-two thread count up to 2^16 (2^20 at paper scale).
 pub fn run_scaling(cfg: &HarnessConfig) {
@@ -26,7 +31,7 @@ pub fn run_scaling(cfg: &HarnessConfig) {
         sweep.emit_timed(cfg, "threads", |_, op| {
             let title =
                 format!("Fig 5 — scaling {op} @ {size} B, median of {} runs (ms)", cfg.runs);
-            (title, format!("fig5_scaling_{op}_{size}b"))
+            (title, csv_name(op, size))
         });
     }
 }

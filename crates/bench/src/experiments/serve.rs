@@ -26,7 +26,7 @@
 //! fails after a cell.
 
 use super::DEFAULT_SEED;
-use crate::report::{emit_bench_json, BenchRecord, Table};
+use crate::report::{emit_records, BenchRecord};
 use crate::serve::{
     run_serve_engine, run_serve_engine_sampled, ArrivalConfig, ArrivalShape, Rejection,
     ServeConfig, ServeOutcome, TenantSpec,
@@ -227,6 +227,11 @@ fn record_of(
     rec
 }
 
+/// E20's columns: a cell's params, then its served share, latency
+/// percentiles and goodput.
+const COLUMNS: &str = "allocator,scenario,shape,rate_per_kstep,batch_width,admission,served,\
+    offered,p50_steps,p99_steps,p999_steps,goodput_bytes_per_kstep";
+
 /// Step cadence of the fragmentation timeline (one sample per 500
 /// simulated steps — fine enough to see the saw-tooth of batched
 /// serve/drain, coarse enough to keep the CSV small).
@@ -332,45 +337,13 @@ pub fn run_serve(cfg: &HarnessConfig) -> bool {
 
     let mut records = Vec::new();
     let mut clean = true;
-    let mut table = Table::new(
-        format!("E20 — serving sweep, horizon {horizon} steps, latencies in sched steps"),
-        &[
-            "allocator",
-            "scenario",
-            "shape",
-            "rate",
-            "batch",
-            "served/offered",
-            "p50",
-            "p99",
-            "p999",
-            "goodput B/kstep",
-        ],
-    );
-
-    let run_cell = |name: &str,
-                    alloc: &dyn DeviceAllocator,
-                    scenario: &str,
-                    cfg_cell: &ServeConfig,
-                    records: &mut Vec<BenchRecord>,
-                    table: &mut Table| {
-        let out = run_passes(cfg_cell, alloc, passes);
-        table.row(vec![
-            name.into(),
-            scenario.into(),
-            cfg_cell.arrivals.shape.label().into(),
-            cfg_cell.arrivals.rate_per_kstep.to_string(),
-            cfg_cell.batch_width.to_string(),
-            format!("{}/{}", out.served, out.offered),
-            out.latency.p50.to_string(),
-            out.latency.p99.to_string(),
-            out.latency.p999.to_string(),
-            out.goodput_bytes_per_kstep().to_string(),
-        ]);
-        records.push(record_of(name, cfg_cell, &out, scenario));
-        let sound = alloc.check_invariants().map_err(|e| eprintln!("{name} {scenario}: {e}"));
-        (out, sound.is_ok())
-    };
+    let mut run_cell =
+        |name: &str, alloc: &dyn DeviceAllocator, scenario: &str, cfg_cell: &ServeConfig| {
+            let out = run_passes(cfg_cell, alloc, passes);
+            records.push(record_of(name, cfg_cell, &out, scenario));
+            let sound = alloc.check_invariants().map_err(|e| eprintln!("{name} {scenario}: {e}"));
+            (out, sound.is_ok())
+        };
 
     // Load × shape sweep, both backends.
     for (name, alloc, max_req) in backends() {
@@ -386,8 +359,7 @@ pub fn run_serve(cfg: &HarnessConfig) -> bool {
                     standard_tenants(),
                     cfg.num_sms.min(16),
                 );
-                let (out, sound) =
-                    run_cell(&name, alloc.as_ref(), "load", &c, &mut records, &mut table);
+                let (out, sound) = run_cell(&name, alloc.as_ref(), "load", &c);
                 clean &= sound && out.clean();
             }
         }
@@ -409,7 +381,7 @@ pub fn run_serve(cfg: &HarnessConfig) -> bool {
             standard_tenants(),
             cfg.num_sms.min(16),
         );
-        let (out, sound) = run_cell(&name, alloc.as_ref(), "roster", &c, &mut records, &mut table);
+        let (out, sound) = run_cell(&name, alloc.as_ref(), "roster", &c);
         clean &= sound && out.clean();
     }
 
@@ -428,8 +400,7 @@ pub fn run_serve(cfg: &HarnessConfig) -> bool {
                 standard_tenants(),
                 cfg.num_sms.min(16),
             );
-            let (out, sound) =
-                run_cell(&name, alloc.as_ref(), "batch-width", &c, &mut records, &mut table);
+            let (out, sound) = run_cell(&name, alloc.as_ref(), "batch-width", &c);
             clean &= sound && out.clean();
         }
     }
@@ -449,8 +420,7 @@ pub fn run_serve(cfg: &HarnessConfig) -> bool {
             cfg.num_sms.min(16),
         );
         c.enforce_quotas = enforce;
-        let (out, sound) =
-            run_cell(&name, alloc.as_ref(), "fairness", &c, &mut records, &mut table);
+        let (out, sound) = run_cell(&name, alloc.as_ref(), "fairness", &c);
         clean &= sound;
         let victim = out.tenants.iter().find(|t| t.name == "victim").expect("victim tenant");
         victim_p99[i] = victim.latency.p99;
@@ -476,8 +446,8 @@ pub fn run_serve(cfg: &HarnessConfig) -> bool {
         victim_p99[1],
         if victim_p99[0] < victim_p99[1] { " — admission bounds the victim's tail" } else { "" }
     );
-    table.emit(&cfg.out_dir, "e20_serve");
-    clean &= emit_bench_json(cfg, "serve", &records);
+    let title = format!("E20 — serving sweep, horizon {horizon} steps, latencies in sched steps");
+    clean &= emit_records(cfg, "serve", title, "e20_serve", COLUMNS, &records);
     if !clean {
         eprintln!(
             "serve gate FAILED: quota violation, ledger anomaly or broken invariant (see above)"

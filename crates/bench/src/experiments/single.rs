@@ -22,8 +22,8 @@ pub const VARIANCE_SIZES: [u64; 4] = [16, 64, 512, 4096];
 /// Sizes E9 compares cold and warmed (the two §6.9 discusses).
 pub const WARMUP_SIZES: [u64; 2] = [16, 2048];
 
-/// Run the single-size sweep; writes Fig 4a/4b, `variance`, `warmup` and
-/// Fig 6a.
+/// Run the single-size sweep; writes Fig 4a/4b, `BENCH_single.json`,
+/// `variance`, `warmup` and Fig 6a.
 pub fn run_single(cfg: &HarnessConfig) {
     let (threads, runs) = (cfg.threads, cfg.runs);
     let sweep = Sweep::run(
@@ -34,16 +34,14 @@ pub fn run_single(cfg: &HarnessConfig) {
     );
     let names = roster_names();
 
-    if cfg.json {
-        let mut records = Vec::new();
-        for (ai, size) in (0..names.len()).flat_map(|ai| SINGLE_SIZES.map(|size| (ai, size))) {
-            let Some(m) = sweep.get(size, ai) else { continue };
-            let rec = BenchRecord::new("single", names[ai]).param("size", size);
-            let rec = rec.param("threads", threads).param("runs", runs).ms(median(&m.alloc_ms()));
-            records.push(BenchRecord { counts: m.counts(), ..rec });
-        }
-        emit_bench_json(cfg, "single", &records);
+    let mut records = Vec::new();
+    for (ai, size) in (0..names.len()).flat_map(|ai| SINGLE_SIZES.map(|size| (ai, size))) {
+        let Some(m) = sweep.get(size, ai) else { continue };
+        let rec = BenchRecord::new("single", names[ai]).param("size", size);
+        let rec = rec.param("threads", threads).param("runs", runs).ms(median(&m.alloc_ms()));
+        records.push(BenchRecord { counts: m.counts(), ..rec });
     }
+    emit_bench_json(cfg, "single", &records);
 
     sweep.emit_timed(cfg, "size B", |i, op| {
         let fig = ["4a", "4b"][i];

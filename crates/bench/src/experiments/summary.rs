@@ -7,7 +7,8 @@
 //! RegEff-AW is excluded from "next best", as in §6.2 (it does not
 //! manage memory).
 
-use super::figure::{CORRUPT, FAIL, NA, SOME_FAILED, TIMED_OUT};
+use super::figure::{CORRUPT, FAIL, KERNELS, NA, SOME_FAILED, TIMED_OUT};
+use super::scaling::{self, SCALING_SIZES};
 use crate::report::Table;
 use std::path::Path;
 
@@ -65,25 +66,30 @@ fn analyze_csv(path: &Path) -> Option<Vec<RowRatio>> {
     Some(out)
 }
 
-/// Run the summary over every timing CSV present in `out_dir`.
-pub fn run_summary(out_dir: &str) {
-    let tables = [
+/// Every timing CSV E2–E7 write, with its row label: Fig 4's four
+/// panels, then Fig 5's one per kernel and scaling size.
+fn timing_csvs() -> Vec<(String, String)> {
+    let fig4 = [
         ("fig4a_single_alloc", "single-size alloc (Fig 4a)"),
         ("fig4b_single_free", "single-size free (Fig 4b)"),
         ("fig4c_mixed_alloc", "mixed-size alloc (Fig 4c)"),
         ("fig4d_mixed_free", "mixed-size free (Fig 4d)"),
-        ("fig5_scaling_alloc_16b", "scaling alloc 16 B (Fig 5)"),
-        ("fig5_scaling_alloc_64b", "scaling alloc 64 B (Fig 5)"),
-        ("fig5_scaling_alloc_512b", "scaling alloc 512 B (Fig 5)"),
-        ("fig5_scaling_alloc_8192b", "scaling alloc 8192 B (Fig 5)"),
-        ("fig5_scaling_free_16b", "scaling free 16 B (Fig 5)"),
-        ("fig5_scaling_free_8192b", "scaling free 8192 B (Fig 5)"),
     ];
+    let fig4 = fig4.map(|(file, label)| (file.to_string(), label.to_string()));
+    let fig5 = KERNELS.into_iter().flat_map(|(op, _)| {
+        SCALING_SIZES
+            .map(|size| (scaling::csv_name(op, size), format!("scaling {op} {size} B (Fig 5)")))
+    });
+    fig4.into_iter().chain(fig5).collect()
+}
+
+/// Run the summary over every timing CSV present in `out_dir`.
+pub fn run_summary(out_dir: &str) {
     let mut tab = Table::new(
         "§6.3-style summary — Gallatin vs next-best managing allocator (speedup = best_other / gallatin)",
         &["experiment", "min speedup", "max speedup", "rows won", "rows", "max vs"],
     );
-    for (file, label) in tables {
+    for (file, label) in timing_csvs() {
         let path = Path::new(out_dir).join(format!("{file}.csv"));
         let Some(rows) = analyze_csv(&path) else { continue };
         if rows.is_empty() {
@@ -100,7 +106,7 @@ pub fn run_summary(out_dir: &str) {
             .map(|(r, _)| format!("{} @ {}", r.best_name, r.label))
             .unwrap_or_default();
         tab.row(vec![
-            label.to_string(),
+            label,
             format!("{min:.2}x"),
             format!("{max:.2}x"),
             won.to_string(),
@@ -124,6 +130,28 @@ mod tests {
         assert_eq!(parse_cell("fail"), None);
         assert_eq!(parse_cell("89.1% t/o"), None);
         assert_eq!(parse_cell(""), None);
+    }
+
+    #[test]
+    fn the_summary_reads_exactly_the_timing_csvs_of_e2_to_e7() {
+        let files: Vec<String> = timing_csvs().into_iter().map(|(file, _)| file).collect();
+        assert_eq!(
+            files,
+            [
+                "fig4a_single_alloc",
+                "fig4b_single_free",
+                "fig4c_mixed_alloc",
+                "fig4d_mixed_free",
+                "fig5_scaling_alloc_16b",
+                "fig5_scaling_alloc_64b",
+                "fig5_scaling_alloc_512b",
+                "fig5_scaling_alloc_8192b",
+                "fig5_scaling_free_16b",
+                "fig5_scaling_free_64b",
+                "fig5_scaling_free_512b",
+                "fig5_scaling_free_8192b",
+            ]
+        );
     }
 
     #[test]

@@ -27,9 +27,9 @@
 //! `GALLATIN_TOPO_SEEDS` bounds the seed sweep (default 8; CI quick
 //! uses 4). Everything replays bit-identically per seed.
 
-use crate::report::{emit_bench_json, BenchRecord, Table};
+use crate::report::{emit_records, BenchRecord};
 use crate::HarnessConfig;
-use gallatin::{DevicePool, GallatinConfig, TopoStats};
+use gallatin::{DevicePool, GallatinConfig};
 use gpu_sim::{launch_warps, DeviceAllocator, DeviceConfig, DevicePtr};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -55,9 +55,15 @@ const SKEW_WARPS: u64 = 32;
 /// heavy skew (1/2 of warps ⇒ 1/4 of accesses peer).
 const SKEWS: [u64; 3] = [0, 1, 8];
 
-/// Peer-share ceiling the affine and mild-skew cells must stay under
-/// (acceptance: "peer-access share stays under 5% at headroom").
-const PEER_SHARE_GATE: f64 = 0.05;
+/// Peer-share ceiling, in basis points, the affine and mild-skew cells
+/// must stay under (acceptance: "peer-access share stays under 5% at
+/// headroom").
+const PEER_SHARE_GATE_BP: u64 = 500;
+
+/// E23's columns: a cell's params, then its traffic, spill and cascade
+/// counts.
+const COLUMNS: &str = "case,devices,skew_per_16,local_accesses,peer_accesses,peer_share_bp,\
+    in_device_spills,cross_spills,cascade_cost_steps";
 
 /// Schedule seed of the cascade arm (any seed reproduces
 /// the same counts — one warp, nothing to interleave with).
@@ -78,9 +84,9 @@ fn topo_seeds() -> u64 {
 
 /// One seeded locality-skew run: affine warp-collective mallocs, then a
 /// rotated free pass where `skew`-per-16 warp pairs return their
-/// neighbor's batch. Returns the topology snapshot after the frees
-/// (counters still armed) — the pool drains and audits clean.
-fn skew_run(devices: u32, skew: u64, seed: u64) -> TopoStats {
+/// neighbor's batch. Returns the cell's record, its counters read after
+/// the frees (still armed) — the pool drains and audits clean.
+fn skew_run(devices: u32, skew: u64, seed: u64) -> BenchRecord {
     let pool = Arc::new(DevicePool::new(devices, WIDTH, GallatinConfig::small_test(HEAP)));
     let num_sms = devices * WIDTH as u32;
     let slots: Vec<Mutex<Vec<DevicePtr>>> =
@@ -109,14 +115,25 @@ fn skew_run(devices: u32, skew: u64, seed: u64) -> TopoStats {
     assert_eq!(rotated.load(Ordering::Relaxed), SKEW_WARPS * skew.min(16) / 16);
     assert_eq!(pool.stats().reserved_bytes, 0, "every rotated free routed home");
     pool.check_invariants().unwrap_or_else(|e| panic!("seed {seed}: {e}"));
-    pool.topo_stats()
+    let s = pool.topo_stats();
+    let share = pool.metrics().expect("a device pool keeps metrics").snapshot().peer_share();
+    BenchRecord::new("topo", "DevicePool")
+        .case("locality-skew")
+        .param("devices", devices)
+        .param("width", WIDTH)
+        .param("skew_per_16", skew)
+        .count("local_accesses", s.local_accesses)
+        .count("peer_accesses", s.peer_accesses)
+        .count("peer_share_bp", (share * 10_000.0).round() as u64)
+        .count("in_device_spills", s.in_device_spills)
+        .count("cross_spills", s.cross_spills)
 }
 
 /// The spill cascade: one SM claims every segment of the whole topology
 /// with segment-sized allocations, then frees them all. Returns the
-/// snapshot, the claim count, and the cascade's interconnect cost in
-/// schedule steps (peer accesses × peer tariff).
-fn cascade(devices: u32) -> (TopoStats, u64, u64) {
+/// cell's record, with the cascade's interconnect cost in schedule steps
+/// (peer accesses × peer tariff).
+fn cascade(devices: u32) -> BenchRecord {
     let pool = DevicePool::new(devices, WIDTH, GallatinConfig::small_test(HEAP));
     let claims = devices as u64 * WIDTH as u64 * 16;
     launch_warps(DeviceConfig::with_sms(1).seeded(CASCADE_SEED), 32, |warp| {
@@ -129,9 +146,17 @@ fn cascade(devices: u32) -> (TopoStats, u64, u64) {
         }
     });
     pool.check_invariants().expect("clean after the cascade round-trip");
-    let stats = pool.topo_stats();
-    let cost = stats.peer_accesses * gpu_sim::topo::PEER_STEPS;
-    (stats, claims, cost)
+    let s = pool.topo_stats();
+    BenchRecord::new("topo", "DevicePool")
+        .case("cascade")
+        .param("devices", devices)
+        .param("width", WIDTH)
+        .param("seed", CASCADE_SEED)
+        .count("claims", claims)
+        .count("cross_spills", s.cross_spills)
+        .count("in_device_spills", s.in_device_spills)
+        .count("peer_accesses", s.peer_accesses)
+        .count("cascade_cost_steps", s.peer_accesses * gpu_sim::topo::PEER_STEPS)
 }
 
 /// E23 entry point (`repro topo`). Returns `false` — exit 1 — when a
@@ -143,113 +168,53 @@ pub fn run_topo(cfg: &HarnessConfig) -> bool {
     println!("E23 topo: multi-device scaling, {TOPO_SEEDS_ENV}={seeds}");
     let mut clean = true;
     let mut records = Vec::new();
-    let mut table = Table::new(
-        "E23 — multi-device topology: locality skew, spill cascade",
-        &[
-            "case",
-            "devices",
-            "skew/16",
-            "local",
-            "peer",
-            "peer share",
-            "in-dev spills",
-            "cross spills",
-            "cascade steps",
-        ],
-    );
 
     // Arm 1: locality skew × device count, seed-swept; counters must
     // replay bit-identically across seeds of the same cell.
     for &devices in &TOPO_DEVICES {
         for &skew in &SKEWS {
-            let mut first: Option<TopoStats> = None;
-            for seed in 0..seeds {
-                let s = skew_run(devices, skew, seed);
-                if let Some(f) = &first {
-                    assert_eq!(
-                        (f.local_accesses, f.peer_accesses, f.cross_spills),
-                        (s.local_accesses, s.peer_accesses, s.cross_spills),
-                        "devices={devices} skew={skew}: traffic counters must be seed-independent"
-                    );
-                } else {
-                    first = Some(s);
-                }
+            let mut runs = (0..seeds).map(|seed| skew_run(devices, skew, seed));
+            let rec = runs.next().expect("at least one seed").param("seeds", seeds);
+            let traffic = |r: &BenchRecord| {
+                ["local_accesses", "peer_accesses", "cross_spills"].map(|k| r.get_count(k))
+            };
+            for r in runs {
+                assert_eq!(
+                    traffic(&rec),
+                    traffic(&r),
+                    "devices={devices} skew={skew}: traffic counters must be seed-independent"
+                );
             }
-            let s = first.expect("at least one seed");
-            let share = s.peer_share();
-            if devices > 1 && skew <= 1 && share >= PEER_SHARE_GATE {
+            let share_bp = rec.get_count("peer_share_bp").expect("a skew cell's share");
+            if devices > 1 && skew <= 1 && share_bp >= PEER_SHARE_GATE_BP {
                 eprintln!(
                     "topo gate FAILED: devices={devices} skew={skew}: peer share {:.2}% ≥ 5%",
-                    share * 100.0
+                    share_bp as f64 / 100.0
                 );
                 clean = false;
             }
-            table.row(vec![
-                "locality-skew".into(),
-                devices.to_string(),
-                skew.to_string(),
-                s.local_accesses.to_string(),
-                s.peer_accesses.to_string(),
-                format!("{:.2}%", share * 100.0),
-                s.in_device_spills.to_string(),
-                s.cross_spills.to_string(),
-                "-".into(),
-            ]);
-            records.push(
-                BenchRecord::new("topo", "DevicePool")
-                    .case("locality-skew")
-                    .param("devices", devices)
-                    .param("width", WIDTH)
-                    .param("skew_per_16", skew)
-                    .param("seeds", seeds)
-                    .count("local_accesses", s.local_accesses)
-                    .count("peer_accesses", s.peer_accesses)
-                    .count("peer_share_bp", (share * 10_000.0).round() as u64)
-                    .count("in_device_spills", s.in_device_spills)
-                    .count("cross_spills", s.cross_spills),
-            );
+            records.push(rec);
         }
     }
 
     // Arm 2: the spill cascade at every device count.
     for &devices in &TOPO_DEVICES {
-        let (s, claims, cost) = cascade(devices);
-        let expected_cross = claims - (WIDTH as u64 * 16);
-        if s.cross_spills != expected_cross {
+        let rec = cascade(devices);
+        let count = |k: &str| rec.get_count(k).expect("a cascade count");
+        let expected_cross = count("claims") - (WIDTH as u64 * 16);
+        if count("cross_spills") != expected_cross {
             eprintln!(
                 "topo gate FAILED: cascade devices={devices}: {} cross spills, expected \
                  {expected_cross}",
-                s.cross_spills
+                count("cross_spills")
             );
             clean = false;
         }
-        table.row(vec![
-            "cascade".into(),
-            devices.to_string(),
-            "-".into(),
-            s.local_accesses.to_string(),
-            s.peer_accesses.to_string(),
-            format!("{:.2}%", s.peer_share() * 100.0),
-            s.in_device_spills.to_string(),
-            s.cross_spills.to_string(),
-            cost.to_string(),
-        ]);
-        records.push(
-            BenchRecord::new("topo", "DevicePool")
-                .case("cascade")
-                .param("devices", devices)
-                .param("width", WIDTH)
-                .param("seed", CASCADE_SEED)
-                .count("claims", claims)
-                .count("cross_spills", s.cross_spills)
-                .count("in_device_spills", s.in_device_spills)
-                .count("peer_accesses", s.peer_accesses)
-                .count("cascade_cost_steps", cost),
-        );
+        records.push(rec);
     }
 
-    table.emit(&cfg.out_dir, "e23_topo");
-    clean &= emit_bench_json(cfg, "topo", &records);
+    let title = "E23 — multi-device topology: locality skew, spill cascade";
+    clean &= emit_records(cfg, "topo", title, "e23_topo", COLUMNS, &records);
     if !clean {
         eprintln!("topo gate FAILED (see above)");
     }
@@ -264,28 +229,29 @@ mod tests {
     fn skew_share_is_closed_form() {
         // Mallocs are all local; `skew`-per-16 warp pairs free one SM
         // (= one device) over, so peer share = skew / 32 exactly.
-        for (skew, expected) in [(0u64, 0.0), (1, 1.0 / 32.0), (8, 0.25)] {
-            let s = skew_run(4, skew, 11);
-            assert_eq!(s.cross_spills, 0, "skew frees route, they never spill");
-            assert!(
-                (s.peer_share() - expected).abs() < 1e-9,
-                "skew {skew}: share {} != {expected}",
-                s.peer_share()
-            );
+        for (skew, share_bp) in [(0u64, 0), (1, 313), (8, 2500)] {
+            let r = skew_run(4, skew, 11);
+            let count = |k: &str| r.get_count(k).unwrap();
+            assert_eq!(count("cross_spills"), 0, "skew frees route, they never spill");
+            let accesses = count("local_accesses") + count("peer_accesses");
+            assert_eq!(count("peer_accesses") * 32, skew * accesses, "skew {skew}");
+            assert_eq!(count("peer_share_bp"), share_bp, "skew {skew}");
         }
         // One device: rotation crosses instances, never devices.
-        assert_eq!(skew_run(1, 8, 11).peer_accesses, 0);
+        assert_eq!(skew_run(1, 8, 11).get_count("peer_accesses"), Some(0));
     }
 
     #[test]
     fn cascade_overflow_and_cost_are_exact() {
-        let (s, claims, cost) = cascade(2);
-        assert_eq!(claims, 64);
-        assert_eq!(s.cross_spills, 32, "everything past the home device crosses");
+        let r = cascade(2);
+        let count = |k: &str| r.get_count(k).unwrap();
+        assert_eq!(count("claims"), 64);
+        assert_eq!(count("cross_spills"), 32, "everything past the home device crosses");
         // 32 peer mallocs + 32 peer frees, at the default 40-step tariff.
-        assert_eq!(s.peer_accesses, 64);
-        assert_eq!(cost, 64 * 40);
-        let (s1, _, cost1) = cascade(1);
-        assert_eq!((s1.cross_spills, cost1), (0, 0), "one device has no interconnect to pay");
+        assert_eq!(count("peer_accesses"), 64);
+        assert_eq!(count("cascade_cost_steps"), 64 * 40);
+        let one = cascade(1);
+        let one = ["cross_spills", "cascade_cost_steps"].map(|k| one.get_count(k));
+        assert_eq!(one, [Some(0), Some(0)], "one device has no interconnect to pay");
     }
 }

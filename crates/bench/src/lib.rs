@@ -40,11 +40,6 @@ pub struct HarnessConfig {
     pub pool_threads: usize,
     /// Directory for CSV output.
     pub out_dir: String,
-    /// Also emit machine-readable `BENCH_<experiment>.json` files (see
-    /// `report::write_bench_json`). The ablation/bench-smoke experiments
-    /// always write JSON — it is their gating format — regardless of this
-    /// flag.
-    pub json: bool,
     /// Paper-scale mode: 1 M threads, 50 runs, scaling to 2^20.
     pub full: bool,
     /// CI smoke mode (`--smoke`): shrink sweeps to a gating subset and
@@ -62,7 +57,6 @@ impl Default for HarnessConfig {
             num_sms: 128,
             pool_threads: cores.max(8),
             out_dir: "results".to_string(),
-            json: false,
             full: false,
             smoke: false,
         }

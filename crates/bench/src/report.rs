@@ -240,6 +240,39 @@ pub fn emit_bench_json(cfg: &HarnessConfig, experiment: &str, records: &[BenchRe
     }
 }
 
+/// Print `records` as a table, write it as `<csv>.csv`, and write
+/// `BENCH_<experiment>.json`; returns [`emit_bench_json`]'s verdict. The
+/// table has one row per record and one column per key of `columns`, the
+/// CSV header: comma-separated keys, each `allocator` or a param or count
+/// of the record by name, `-` where the record has none.
+pub fn emit_records(
+    cfg: &HarnessConfig,
+    experiment: &str,
+    title: impl Into<String>,
+    csv: &str,
+    columns: &str,
+    records: &[BenchRecord],
+) -> bool {
+    records_table(title, columns, records).emit(&cfg.out_dir, csv);
+    emit_bench_json(cfg, experiment, records)
+}
+
+/// The table [`emit_records`] prints.
+fn records_table(title: impl Into<String>, columns: &str, records: &[BenchRecord]) -> Table {
+    let columns: Vec<&str> = columns.split(',').collect();
+    let mut tab = Table::new(title, &columns);
+    for r in records {
+        let cell = |key: &str| match key {
+            "allocator" => r.allocator.clone(),
+            _ => (r.get_param(key).map(str::to_string))
+                .or_else(|| r.get_count(key).map(|v| v.to_string()))
+                .unwrap_or_else(|| "-".to_string()),
+        };
+        tab.row(columns.iter().map(|k| cell(k)).collect());
+    }
+    tab
+}
+
 /// Decode one record object (an element of a `"records"` array) into a
 /// [`BenchRecord`]. A `median_ms` is a number or the `"untimed"` marker
 /// (read back as NaN) — the only way to spell "deliberately not a
@@ -576,6 +609,36 @@ mod tests {
         t.write_csv(dir, "unit").unwrap();
         let content = std::fs::read_to_string(format!("{dir}/unit.csv")).unwrap();
         assert_eq!(content, "a,b\n1,2\n");
+    }
+
+    #[test]
+    fn records_render_by_key_in_the_callers_column_order() {
+        let recs = [
+            BenchRecord::new("unit", "Gallatin").case("a").param("size", 16).count("spills", 3),
+            BenchRecord::new("unit", "GallatinPool(2)").case("b").count("requests", 9),
+        ];
+        // A count first and the allocator between params: the caller's order.
+        let tab = records_table("unit", "spills,allocator,case,size,requests", &recs);
+        let dir =
+            std::env::temp_dir().join(format!("gallatin-records-test-{}", std::process::id()));
+        tab.write_csv(dir.to_str().unwrap(), "unit").unwrap();
+        let csv = std::fs::read_to_string(dir.join("unit.csv")).unwrap();
+        assert_eq!(
+            csv,
+            "spills,allocator,case,size,requests\n3,Gallatin,a,16,-\n-,GallatinPool(2),b,-,9\n"
+        );
+        // The printed header and rows are the CSV's lines, cell for cell.
+        let text = tab.render();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines[1], "== unit ==");
+        assert!(lines[3].chars().all(|c| c == '-'), "{text}");
+        let printed: Vec<String> = [&lines[2..3], &lines[4..]]
+            .concat()
+            .iter()
+            .map(|l| l.split_whitespace().collect::<Vec<_>>().join(","))
+            .collect();
+        assert_eq!(printed, csv.lines().collect::<Vec<_>>());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

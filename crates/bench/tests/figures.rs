@@ -28,7 +28,6 @@ fn figures() -> PathBuf {
         heap_bytes: 16 << 20,
         num_sms: 8,
         out_dir: out.to_string_lossy().into_owned(),
-        json: true,
         ..Default::default()
     };
     run_single(&cfg);

@@ -12,11 +12,7 @@ use gpu_sim::replay::ReplayScript;
 #[test]
 fn replay_writes_the_trace_and_the_script_of_one_recording() {
     let out = std::env::temp_dir().join(format!("gallatin-replay-lane-{}", std::process::id()));
-    let cfg = HarnessConfig {
-        out_dir: out.to_string_lossy().into_owned(),
-        json: true,
-        ..Default::default()
-    };
+    let cfg = HarnessConfig { out_dir: out.to_string_lossy().into_owned(), ..Default::default() };
     run_replay(&cfg);
     let read = |file: &str| std::fs::read_to_string(out.join(file)).expect(file);
     for file in [

@@ -36,7 +36,7 @@ fn assert_reproduces_results(name: &str, experiment: fn(&HarnessConfig) -> bool,
             read(&out),
             read(&results),
             "{file} drifted from results/; if on purpose, refresh it with\n  \
-             cargo run --release -p bench --bin repro -- {name} --json"
+             cargo run --release -p bench --bin repro -- {name}"
         );
     }
     let _ = std::fs::remove_dir_all(&out);

@@ -105,18 +105,6 @@ pub struct TopoStats {
     pub devices: Vec<PoolStats>,
 }
 
-impl TopoStats {
-    /// Fraction of classified accesses that crossed the interconnect.
-    pub fn peer_share(&self) -> f64 {
-        let total = self.local_accesses + self.peer_accesses;
-        if total == 0 {
-            0.0
-        } else {
-            self.peer_accesses as f64 / total as f64
-        }
-    }
-}
-
 impl GallatinPool {
     /// Build `n` instances, each configured by `cfg` (so `cfg.heap_bytes`
     /// is the *per-instance* shard; the pool manages `n` times that).
