@@ -192,7 +192,7 @@ impl DeviceAllocator for CudaHeapSim {
     }
 
     fn stats(&self) -> AllocStats {
-        AllocStats { heap_bytes: self.mem.len() as u64, reserved_bytes: self.heap.reserved_bytes() }
+        AllocStats::leaf(self.mem.len() as u64, self.heap.reserved_bytes())
     }
 }
 

@@ -253,10 +253,7 @@ impl DeviceAllocator for ScatterAlloc {
     }
 
     fn stats(&self) -> AllocStats {
-        AllocStats {
-            heap_bytes: self.mem.len() as u64,
-            reserved_bytes: self.reserved.load(Ordering::Relaxed),
-        }
+        AllocStats::leaf(self.mem.len() as u64, self.reserved.load(Ordering::Relaxed))
     }
 }
 

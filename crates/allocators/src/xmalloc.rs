@@ -223,10 +223,7 @@ impl DeviceAllocator for XMalloc {
     }
 
     fn stats(&self) -> AllocStats {
-        AllocStats {
-            heap_bytes: self.mem.len() as u64,
-            reserved_bytes: self.reserved.load(Ordering::Relaxed),
-        }
+        AllocStats::leaf(self.mem.len() as u64, self.reserved.load(Ordering::Relaxed))
     }
 }
 

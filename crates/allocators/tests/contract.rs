@@ -203,32 +203,6 @@ const DIFF_THREADS: u64 = 128;
 const DIFF_ROUNDS: u64 = 3;
 const DIFF_SEEDS: u64 = 16;
 
-/// Everything observable about one allocator's run of the shared
-/// workload, reduced to counters so runs can be diffed exactly.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-struct OutcomeLedger {
-    /// Allocation requests issued by the workload.
-    attempted: u64,
-    /// Requests that returned a pointer.
-    served: u64,
-    /// Requests refused: unsupported size or NULL (exhaustion).
-    denied: u64,
-    /// Stamp clobbers observed — two live allocations overlapped.
-    overlaps: u64,
-    /// Pointers handed out beyond the heap end.
-    oob: u64,
-    /// Bytes still reserved after every pointer was freed.
-    leaked_bytes: u64,
-}
-
-impl OutcomeLedger {
-    /// The contract projection: counters that must be zero for every
-    /// correct allocator regardless of its allocation policy.
-    fn violations(&self) -> (u64, u64, u64) {
-        (self.overlaps, self.oob, self.leaked_bytes)
-    }
-}
-
 /// All allocator families under test, freshly constructed.
 fn families(heap: u64) -> Vec<std::sync::Arc<dyn DeviceAllocator>> {
     let mut v: Vec<std::sync::Arc<dyn DeviceAllocator>> =
@@ -250,7 +224,7 @@ fn families(heap: u64) -> Vec<std::sync::Arc<dyn DeviceAllocator>> {
 /// sizes drawn per (seed, warp, lane, round) from the menu. Violations
 /// are *counted*, not asserted, so differing families produce
 /// comparable ledgers instead of differently-located panics.
-fn outcome_ledger(a: &dyn DeviceAllocator, seed: u64) -> OutcomeLedger {
+fn outcome_ledger(a: &dyn DeviceAllocator, seed: u64) -> ScriptOutcome {
     let attempted = AtomicU64::new(0);
     let served = AtomicU64::new(0);
     let denied = AtomicU64::new(0);
@@ -303,7 +277,7 @@ fn outcome_ledger(a: &dyn DeviceAllocator, seed: u64) -> OutcomeLedger {
             a.warp_free(warp, &ptrs);
         }
     });
-    OutcomeLedger {
+    ScriptOutcome {
         attempted: attempted.into_inner(),
         served: served.into_inner(),
         denied: denied.into_inner(),
@@ -321,7 +295,7 @@ fn outcome_ledger(a: &dyn DeviceAllocator, seed: u64) -> OutcomeLedger {
 fn differential_sweep_contract_projection_agrees_across_families() {
     for seed in 0..DIFF_SEEDS {
         let fams = families(HEAP);
-        let mut ledgers: Vec<(String, OutcomeLedger)> = Vec::new();
+        let mut ledgers: Vec<(String, ScriptOutcome)> = Vec::new();
         for a in &fams {
             let led = outcome_ledger(a.as_ref(), seed);
             assert_eq!(
@@ -364,24 +338,16 @@ fn differential_sweep_contract_projection_agrees_across_families() {
 // target/replay) for upload next to the lifecycle traces.
 // ---------------------------------------------------------------------------
 
-use bench::workload::{all_scenarios, dump_script, run_script};
-
-/// Override the adversarial seed count (CI smoke uses a small value; the
-/// default matches the differential sweep's 16).
-const ADV_SEEDS_ENV: &str = "GALLATIN_ADV_SEEDS";
+use bench::workload::{all_scenarios, dump_script, run_script, ScriptOutcome};
 
 /// Device width for the adversarial sweep, matching the differential
 /// sweep so hotspot skew and pool home-routing line up.
 const ADV_SMS: u32 = 4;
 
+/// The adversarial seed count: `GALLATIN_ADV_SEEDS` overrides it (CI smoke
+/// uses a small value; the default matches the differential sweep's 16).
 fn adv_seeds() -> u64 {
-    match std::env::var(ADV_SEEDS_ENV) {
-        Ok(s) => s
-            .trim()
-            .parse::<u64>()
-            .unwrap_or_else(|_| panic!("{ADV_SEEDS_ENV} must be a u64, got {s:?}")),
-        Err(_) => DIFF_SEEDS,
-    }
+    gpu_sim::sched::seed_count("GALLATIN_ADV_SEEDS", DIFF_SEEDS)
 }
 
 /// Every adversarial scenario × seed × family: ledgers balance, some
@@ -485,9 +451,9 @@ fn maint_op(rng: &mut SplitMix64) -> MaintOp {
 /// between launches. A pinned set of stamped allocations (one per small
 /// class) lives across the whole run so compaction has real payloads to
 /// migrate; relocations rewrite the pinned pointers and the stamps must
-/// still read back at the end. Reduced to the same [`OutcomeLedger`] as
+/// still read back at the end. Reduced to the same [`ScriptOutcome`] as
 /// the plain families.
-fn pool_ledger_with_maintenance(seed: u64, ops: &[MaintOp]) -> OutcomeLedger {
+fn pool_ledger_with_maintenance(seed: u64, ops: &[MaintOp]) -> ScriptOutcome {
     let pool = GallatinPool::new(2, GallatinConfig::small_test(HEAP / 2));
     let host = WarpCtx { warp_id: 0, sm_id: 0, base_tid: 0, active: 1 };
     let lane = host.lane(0);
@@ -585,7 +551,7 @@ fn pool_ledger_with_maintenance(seed: u64, ops: &[MaintOp]) -> OutcomeLedger {
     for &(p, _, _) in &pinned {
         pool.free(&lane, p);
     }
-    OutcomeLedger {
+    ScriptOutcome {
         attempted: attempted.into_inner(),
         served: served.into_inner(),
         denied: denied.into_inner(),

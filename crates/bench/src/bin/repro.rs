@@ -41,7 +41,7 @@
 //!                   locality-skew traffic sweep and cross-device spill
 //!                   cascade, to BENCH_topo.json; exits 1 if the affine
 //!                   cells exceed 5% peer traffic or the cascade overflow is
-//!                   wrong (seed count from GALLATIN_TOPO_SEEDS, default 8)
+//!                   wrong (8 skew seeds, 4 under --smoke)
 //!   summary         §6.3-style speedup summary from the written CSVs
 //!   all             everything above, in order; exits 1 if any gate failed
 //!
@@ -56,7 +56,8 @@
 //!   --pool N        OS worker threads (default max(8, cores))
 //!   --out DIR       CSV output directory (default results)
 //!   --full          paper-scale: 1M threads, 50 runs, 2G heap, 2^20 scaling
-//!   --smoke         CI smoke subset (serve): shorter horizon, fewer cells
+//!   --smoke         CI smoke subset: shorter serve horizon and fewer cells,
+//!                   fewer topo seeds
 //! ```
 
 use bench::experiments as exp;

@@ -124,7 +124,7 @@ fn donation_arm(seed: u64) -> DonationArm {
     });
     assert_eq!(sink.dropped(), 0, "trace sink must keep the whole story");
     pool.check_invariants().expect("pool healthy after donation arm");
-    assert_eq!(pool.pool_stats().donated_segments, arm.donated);
+    assert_eq!(pool.stats().donated_segments, arm.donated);
 
     let ledger = Ledger::build(&records);
     let o = ledger.outcome();

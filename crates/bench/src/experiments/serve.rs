@@ -34,7 +34,7 @@ use crate::serve::{
 use crate::HarnessConfig;
 use gallatin::{DevicePool, Gallatin, GallatinConfig, GallatinPool};
 use gpu_sim::sched::{seed_override, SCHED_SEED_ENV};
-use gpu_sim::DeviceAllocator;
+use gpu_sim::{AllocStats, DeviceAllocator};
 use std::sync::Arc;
 
 /// Arrival-seed offset: keeps the arrival stream independent of the
@@ -188,10 +188,10 @@ fn counts_of(out: &ServeOutcome) -> Vec<(String, u64)> {
         ("max_steps".into(), out.latency.max),
         ("goodput_bytes_per_kstep".into(), out.goodput_bytes_per_kstep()),
         ("quota_violations".into(), out.quota_violations),
-        ("ledger_leaks".into(), out.ledger_leaks),
-        ("ledger_double_frees".into(), out.ledger_double_frees),
-        ("ledger_unknown_frees".into(), out.ledger_unknown_frees),
-        ("ledger_size_mismatches".into(), out.ledger_size_mismatches),
+        ("ledger_leaks".into(), out.ledger.leaks),
+        ("ledger_double_frees".into(), out.ledger.double_frees),
+        ("ledger_unknown_frees".into(), out.ledger.unknown_frees),
+        ("ledger_size_mismatches".into(), out.ledger.size_mismatches),
     ];
     for (t, why) in out.tenants.iter().flat_map(|t| Rejection::ALL.iter().map(move |&w| (t, w))) {
         counts.push((format!("{}_{}", t.name, why.label()), t.rejected[why as usize]));
@@ -237,71 +237,52 @@ const COLUMNS: &str = "allocator,scenario,shape,rate_per_kstep,batch_width,admis
 /// serve/drain, coarse enough to keep the CSV small).
 const FRAG_SAMPLE_STEPS: u64 = 500;
 
+/// One fragmentation-timeline row of `alloc`'s stats tree, a
+/// `GallatinPool` read as a one-device topology: the root's reservation
+/// and headroom, the devices' parked segments, in-device spills and
+/// denials, then the cross-device spills and peer accesses.
+fn frag_row(name: &str, step: u64, alloc: &dyn DeviceAllocator) -> String {
+    let s = alloc.stats();
+    let (devices, cross) = match s.children.first() {
+        Some(d) if !d.children.is_empty() => (&s.children[..], s.spills),
+        _ => (std::slice::from_ref(&s), 0),
+    };
+    let sum = |f: &dyn Fn(&AllocStats) -> u64| devices.iter().map(f).sum::<u64>();
+    let in_device = sum(&|d| d.children.iter().map(|i| i.spills).sum());
+    let peer = alloc.metrics().map_or(0, |m| m.snapshot().peer_accesses);
+    format!(
+        "{name},{step},{},{},{},{in_device},{},{cross},{peer}",
+        s.reserved_bytes,
+        s.headroom_bytes(),
+        sum(&|d| d.pool_free_segments),
+        sum(&|d| d.oversize_denials)
+    )
+}
+
 /// Fragmentation-over-time sampling: drive the two pool backends
 /// through the middle-load Poisson cell with the engine's cadence hook
-/// and write one row per `(allocator, step)` to
-/// `<out_dir>/e20_frag_timeline.csv` — reserved bytes, headroom, parked
-/// segments, spill/denial counters, and (for the topology pool) the
-/// interconnect traffic split, all on the deterministic step clock so
-/// the whole timeline replays byte-identically. Returns the clean flag
-/// of both runs.
+/// and write one [`frag_row`] per `(allocator, step)` to
+/// `<out_dir>/e20_frag_timeline.csv`, all on the deterministic step
+/// clock so the whole timeline replays byte-identically. Returns the
+/// clean flag of both runs.
 fn frag_timeline(cfg: &HarnessConfig, seed: u64, horizon: u64) -> bool {
     let mut rows = vec!["allocator,step,reserved_bytes,headroom_bytes,pool_free_segments,spills,\
          oversize_denials,cross_spills,peer_accesses"
         .to_string()];
     let mut clean = true;
-
     let pool = GallatinPool::new(2, GallatinConfig::small_test(SERVE_HEAP));
-    let c = cell_config(
-        ArrivalShape::Poisson,
-        LOADS[1],
-        64,
-        horizon,
-        seed,
-        pool.stride(),
-        standard_tenants(),
-        16,
-    );
-    let out = run_serve_engine_sampled(&c, &pool, FRAG_SAMPLE_STEPS, &mut |step| {
-        let s = pool.pool_stats();
-        rows.push(format!(
-            "GallatinPool(2),{step},{},{},{},{},{},0,0",
-            s.reserved_bytes,
-            s.headroom_bytes(),
-            s.pool_free_segments,
-            s.spills,
-            s.oversize_denials
-        ));
-    });
-    clean &= out.clean();
-
     let dp = DevicePool::new(2, 1, GallatinConfig::small_test(SERVE_HEAP));
-    let c = cell_config(
-        ArrivalShape::Poisson,
-        LOADS[1],
-        64,
-        horizon,
-        seed,
-        dp.stride(),
-        standard_tenants(),
-        16,
-    );
-    let out = run_serve_engine_sampled(&c, &dp, FRAG_SAMPLE_STEPS, &mut |step| {
-        let s = dp.topo_stats();
-        let (free_segs, denials) = s
-            .devices
-            .iter()
-            .fold((0u64, 0u64), |(f, d), p| (f + p.pool_free_segments, d + p.oversize_denials));
-        rows.push(format!(
-            "DevicePool(2x1),{step},{},{},{free_segs},{},{denials},{},{}",
-            s.reserved_bytes,
-            s.heap_bytes - s.reserved_bytes.min(s.heap_bytes),
-            s.in_device_spills,
-            s.cross_spills,
-            s.peer_accesses
-        ));
-    });
-    clean &= out.clean();
+    let pools: [(&str, &dyn DeviceAllocator, u64); 2] =
+        [("GallatinPool(2)", &pool, pool.stride()), ("DevicePool(2x1)", &dp, dp.stride())];
+    for (name, alloc, stride) in pools {
+        let tenants = standard_tenants();
+        let c =
+            cell_config(ArrivalShape::Poisson, LOADS[1], 64, horizon, seed, stride, tenants, 16);
+        let out = run_serve_engine_sampled(&c, alloc, FRAG_SAMPLE_STEPS, &mut |step| {
+            rows.push(frag_row(name, step, alloc));
+        });
+        clean &= out.clean();
+    }
 
     let path = std::path::Path::new(&cfg.out_dir).join("e20_frag_timeline.csv");
     match std::fs::create_dir_all(&cfg.out_dir)
@@ -430,11 +411,7 @@ pub fn run_serve(cfg: &HarnessConfig) -> bool {
             // The unthrottled arm overcommits by design — quota
             // violations are its *result*, so only the allocator
             // lifecycle audit gates here.
-            clean &= out.ledger_leaks == 0
-                && out.ledger_double_frees == 0
-                && out.ledger_unknown_frees == 0
-                && out.ledger_size_mismatches == 0
-                && out.trace_dropped == 0;
+            clean &= out.lifecycle_clean();
         }
     }
 
@@ -454,4 +431,31 @@ pub fn run_serve(cfg: &HarnessConfig) -> bool {
         );
     }
     clean
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use gpu_sim::WarpCtx;
+
+    #[test]
+    fn frag_row_reads_a_pool_as_a_one_device_topology() {
+        let lane = WarpCtx { warp_id: 0, sm_id: 0, base_tid: 0, active: 1 }.lane(0);
+        let cfg = GallatinConfig::small_test(1 << 20); // 16 segments per instance
+        let seg = cfg.geometry().segment_bytes;
+        let (pool, dp) = (GallatinPool::new(2, cfg), DevicePool::new(2, 2, cfg));
+        // SM 0 overflows its home instance (17 claims) or its home device
+        // (33 claims), and asks once for more than an instance holds.
+        for (alloc, claims) in [(&pool as &dyn DeviceAllocator, 17), (&dp, 33)] {
+            (0..claims).for_each(|_| assert!(!alloc.malloc(&lane, seg).is_null()));
+            assert!(alloc.malloc(&lane, 16 * seg + 1).is_null());
+        }
+        assert_eq!(pool.shrink_instance(1, 2), 2);
+        let pool_row = format!("p,5,{},{},2,1,1,0,0", 17 * seg, 15 * seg);
+        assert_eq!(frag_row("p", 5, &pool), pool_row);
+        // Device 0's walk spills 16 claims to its second instance; the
+        // 33rd crosses to device 1 (one cross spill, one peer access).
+        let dp_row = format!("d,5,{},{},0,16,1,1,1", 33 * seg, 31 * seg);
+        assert_eq!(frag_row("d", 5, &dp), dp_row);
+    }
 }

@@ -24,8 +24,8 @@
 //! `DevicePool(2x1)` roster cell, whose ledger and `check_invariants`
 //! gate `repro serve`.
 //!
-//! `GALLATIN_TOPO_SEEDS` bounds the seed sweep (default 8; CI quick
-//! uses 4). Everything replays bit-identically per seed.
+//! The skew arm sweeps 8 seeds (4 under `--smoke`). Everything replays
+//! bit-identically per seed.
 
 use crate::report::{emit_records, BenchRecord};
 use crate::HarnessConfig;
@@ -69,19 +69,6 @@ const COLUMNS: &str = "case,devices,skew_per_16,local_accesses,peer_accesses,pee
 /// the same counts — one warp, nothing to interleave with).
 const CASCADE_SEED: u64 = 3;
 
-/// Env var bounding the skew-arm seed sweep (mirrors
-/// `GALLATIN_ELASTIC_SEEDS`); default 8, CI quick uses 4.
-const TOPO_SEEDS_ENV: &str = "GALLATIN_TOPO_SEEDS";
-
-fn topo_seeds() -> u64 {
-    match std::env::var(TOPO_SEEDS_ENV) {
-        Ok(s) => {
-            s.parse::<u64>().unwrap_or_else(|_| panic!("{TOPO_SEEDS_ENV} must be a u64, got {s:?}"))
-        }
-        Err(_) => 8,
-    }
-}
-
 /// One seeded locality-skew run: affine warp-collective mallocs, then a
 /// rotated free pass where `skew`-per-16 warp pairs return their
 /// neighbor's batch. Returns the cell's record, its counters read after
@@ -116,15 +103,15 @@ fn skew_run(devices: u32, skew: u64, seed: u64) -> BenchRecord {
     assert_eq!(pool.stats().reserved_bytes, 0, "every rotated free routed home");
     pool.check_invariants().unwrap_or_else(|e| panic!("seed {seed}: {e}"));
     let s = pool.topo_stats();
-    let share = pool.metrics().expect("a device pool keeps metrics").snapshot().peer_share();
+    let m = pool.metrics().expect("a device pool keeps metrics").snapshot();
     BenchRecord::new("topo", "DevicePool")
         .case("locality-skew")
         .param("devices", devices)
         .param("width", WIDTH)
         .param("skew_per_16", skew)
-        .count("local_accesses", s.local_accesses)
-        .count("peer_accesses", s.peer_accesses)
-        .count("peer_share_bp", (share * 10_000.0).round() as u64)
+        .count("local_accesses", m.local_accesses)
+        .count("peer_accesses", m.peer_accesses)
+        .count("peer_share_bp", (m.peer_share() * 10_000.0).round() as u64)
         .count("in_device_spills", s.in_device_spills)
         .count("cross_spills", s.cross_spills)
 }
@@ -147,6 +134,7 @@ fn cascade(devices: u32) -> BenchRecord {
     });
     pool.check_invariants().expect("clean after the cascade round-trip");
     let s = pool.topo_stats();
+    let peer = pool.metrics().expect("a device pool keeps metrics").snapshot().peer_accesses;
     BenchRecord::new("topo", "DevicePool")
         .case("cascade")
         .param("devices", devices)
@@ -155,8 +143,8 @@ fn cascade(devices: u32) -> BenchRecord {
         .count("claims", claims)
         .count("cross_spills", s.cross_spills)
         .count("in_device_spills", s.in_device_spills)
-        .count("peer_accesses", s.peer_accesses)
-        .count("cascade_cost_steps", s.peer_accesses * gpu_sim::topo::PEER_STEPS)
+        .count("peer_accesses", peer)
+        .count("cascade_cost_steps", peer * gpu_sim::topo::PEER_STEPS)
 }
 
 /// E23 entry point (`repro topo`). Returns `false` — exit 1 — when a
@@ -164,8 +152,8 @@ fn cascade(devices: u32) -> BenchRecord {
 /// crosses the interconnect a different number of times than its
 /// geometry says.
 pub fn run_topo(cfg: &HarnessConfig) -> bool {
-    let seeds = topo_seeds();
-    println!("E23 topo: multi-device scaling, {TOPO_SEEDS_ENV}={seeds}");
+    let seeds = if cfg.smoke { 4 } else { 8 };
+    println!("E23 topo: multi-device scaling, {seeds} seeds");
     let mut clean = true;
     let mut records = Vec::new();
 

@@ -43,7 +43,8 @@ pub struct HarnessConfig {
     /// Paper-scale mode: 1 M threads, 50 runs, scaling to 2^20.
     pub full: bool,
     /// CI smoke mode (`--smoke`): shrink sweeps to a gating subset and
-    /// fail fast on invariant violations. Honored by `repro serve`.
+    /// fail fast on invariant violations. Honored by `repro serve` and
+    /// `repro topo`.
     pub smoke: bool,
 }
 

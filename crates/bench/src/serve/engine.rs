@@ -22,7 +22,7 @@
 use super::arrival::{self, ArrivalConfig};
 use super::tenant::{Rejection, TenantBook, TenantSpec, N_REJECTIONS};
 use crate::workload::runner;
-use gpu_sim::ledger::Ledger;
+use gpu_sim::ledger::{Ledger, LedgerOutcome};
 use gpu_sim::trace::{self, TraceSink};
 use gpu_sim::{DeviceAllocator, DeviceConfig, SplitMix64};
 use std::cmp::Reverse;
@@ -179,14 +179,9 @@ pub struct ServeOutcome {
     /// Times a tenant's committed bytes exceeded its quota (0 under
     /// enforcement; the unthrottled fairness arm counts overruns here).
     pub quota_violations: u64,
-    /// Allocations never freed, per the trace ledger.
-    pub ledger_leaks: u64,
-    /// Double frees, per the trace ledger.
-    pub ledger_double_frees: u64,
-    /// Frees of never-allocated pointers, per the trace ledger.
-    pub ledger_unknown_frees: u64,
-    /// Malloc/free size disagreements, per the trace ledger.
-    pub ledger_size_mismatches: u64,
+    /// The trace ledger's audit of the run (all zeros when
+    /// [`ServeConfig::ledger_check`] is off).
+    pub ledger: LedgerOutcome,
     /// Trace events dropped to the sink capacity bound (0 means the
     /// ledger audit saw the complete run).
     pub trace_dropped: u64,
@@ -199,15 +194,17 @@ impl ServeOutcome {
         (self.served_bytes as u128 * 1000 / self.end_step.max(1) as u128) as u64
     }
 
-    /// The smoke-gate predicate: no quota overruns and no allocator
-    /// lifecycle anomalies.
+    /// The smoke-gate predicate: no quota overruns and a clean
+    /// [`Self::lifecycle_clean`] audit.
     pub fn clean(&self) -> bool {
-        self.quota_violations == 0
-            && self.ledger_leaks == 0
-            && self.ledger_double_frees == 0
-            && self.ledger_unknown_frees == 0
-            && self.ledger_size_mismatches == 0
-            && self.trace_dropped == 0
+        self.quota_violations == 0 && self.lifecycle_clean()
+    }
+
+    /// The allocator lifecycle audit alone: no leak, double free,
+    /// unknown free or size mismatch, over a complete trace.
+    pub fn lifecycle_clean(&self) -> bool {
+        let l = &self.ledger;
+        l.leaks + l.double_frees + l.unknown_frees + l.size_mismatches + self.trace_dropped == 0
     }
 }
 
@@ -231,8 +228,7 @@ pub fn run_serve_engine(cfg: &ServeConfig, alloc: &dyn DeviceAllocator) -> Serve
 /// step 0, before any batch, capturing the pristine-heap baseline.
 /// `sample_every == 0` disables sampling. The sampler runs inside the
 /// ledger's trace scope but must not allocate from `alloc`; reading
-/// host-side stats (`stats()`, `pool_stats()`, metrics) is the intended
-/// use.
+/// host-side stats (`stats()`, metrics) is the intended use.
 pub fn run_serve_engine_sampled(
     cfg: &ServeConfig,
     alloc: &dyn DeviceAllocator,
@@ -243,12 +239,7 @@ pub fn run_serve_engine_sampled(
     if cfg.ledger_check {
         let sink = Arc::new(TraceSink::new());
         let mut out = trace::with_sink(sink.clone(), move || drive(cfg, alloc, sample));
-        let ledger = Ledger::build(&sink.snapshot());
-        let audit = ledger.outcome();
-        out.ledger_leaks = audit.leaks;
-        out.ledger_double_frees = audit.double_frees;
-        out.ledger_unknown_frees = audit.unknown_frees;
-        out.ledger_size_mismatches = audit.size_mismatches;
+        out.ledger = Ledger::build(&sink.snapshot()).outcome();
         out.trace_dropped = sink.dropped();
         out
     } else {
@@ -404,10 +395,7 @@ fn drive(
         latency: LatencyStats::from_samples(&mut latencies),
         tenants,
         quota_violations: book.quota_violations(),
-        ledger_leaks: 0,
-        ledger_double_frees: 0,
-        ledger_unknown_frees: 0,
-        ledger_size_mismatches: 0,
+        ledger: LedgerOutcome::default(),
         trace_dropped: 0,
     }
 }

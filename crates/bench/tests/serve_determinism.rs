@@ -118,9 +118,9 @@ fn no_tenant_ever_exceeds_quota() {
         }
         // The run must also stay lifecycle-clean: every served
         // allocation freed, no double frees, no size mismatches.
-        assert_eq!(out.ledger_leaks, 0);
-        assert_eq!(out.ledger_double_frees, 0);
-        assert_eq!(out.ledger_unknown_frees, 0);
-        assert_eq!(out.ledger_size_mismatches, 0);
+        assert_eq!(out.ledger.leaks, 0);
+        assert_eq!(out.ledger.double_frees, 0);
+        assert_eq!(out.ledger.unknown_frees, 0);
+        assert_eq!(out.ledger.size_mismatches, 0);
     });
 }

@@ -334,10 +334,10 @@ mod tests {
     fn donation_rehomes_free_segments_and_routing_follows() {
         let p = pool(2);
         assert_eq!(p.donate(0, 1, 4), Ok(4));
-        let s = p.pool_stats();
+        let s = p.stats();
         assert_eq!(s.donated_segments, 4);
-        assert_eq!(s.instances[0].owned_segments, 12);
-        assert_eq!(s.instances[1].owned_segments, 20);
+        assert_eq!(s.children[0].owned_segments, 12);
+        assert_eq!(s.children[1].owned_segments, 20);
         p.check_invariants().expect("clean after donation");
         // Instance 1 can now hold 20 segment-sized allocations at home.
         let l1 = warp_on(1, 1);
@@ -363,7 +363,7 @@ mod tests {
         let err = r.donate(0, 1, 16).unwrap_err();
         assert!(err.contains("quiesce"), "{level}: unexpected error: {err}");
         // The segment bounced back to the donor: nothing crossed over.
-        assert_eq!(r.owned_segments()[0], 16, "{level}");
+        assert_eq!(r.stats().children[0].owned_segments, 16, "{level}");
         assert_eq!(r.donations.load(Ordering::Relaxed), 0, "{level}");
         // Undoing the corruption lets the full donation through.
         r.table.seg(0).tree_id.store(TREE_FREE, Ordering::SeqCst);
@@ -403,7 +403,7 @@ mod tests {
         for collective in [false, true] {
             let p = pool(2);
             assert_eq!(p.shrink_instance(1, 10), 10);
-            let s = p.pool_stats();
+            let s = p.stats();
             assert_eq!((s.returned_segments, s.pool_free_segments), (10, 10));
             p.check_invariants().expect("clean after shrink");
             // Instance 0's home pressure adopts from the pool free list
@@ -417,7 +417,7 @@ mod tests {
                 held.iter_mut().for_each(|q| *q = p.malloc(&w0.lane(0), seg));
             }
             assert!(held.iter().all(|q| !q.is_null()));
-            let s = p.pool_stats();
+            let s = p.stats();
             assert_eq!(
                 (s.spills, s.adopted_segments),
                 (0, 4),
@@ -436,13 +436,13 @@ mod tests {
         assert_eq!(p.donate(0, 3, 2), Ok(2));
         assert_eq!(p.shrink_instance(1, 3), 3);
         assert_eq!(p.grow(2, 1), 1);
-        let s = p.pool_stats();
-        let owned: u64 = s.instances.iter().map(|i| i.owned_segments).sum();
+        let s = p.stats();
+        let owned: u64 = s.children.iter().map(|i| i.owned_segments).sum();
         assert_eq!(owned + s.pool_free_segments, 64, "segments are conserved");
         p.check_invariants().expect("clean after a donate/shrink/grow mix");
         p.reset();
-        let s = p.pool_stats();
-        assert!(s.instances.iter().all(|i| i.owned_segments == 16));
+        let s = p.stats();
+        assert!(s.children.iter().all(|i| i.owned_segments == 16));
         assert_eq!(s.pool_free_segments, 0);
         assert_eq!((s.donated_segments, s.returned_segments, s.adopted_segments), (0, 0, 0));
         p.check_invariants().expect("clean after reset");

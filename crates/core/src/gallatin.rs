@@ -445,7 +445,8 @@ impl DeviceAllocator for Gallatin {
     }
 
     fn stats(&self) -> AllocStats {
-        AllocStats { heap_bytes: self.geo.heap_bytes, reserved_bytes: self.reserved_bytes() }
+        let free_segments = self.free_segments();
+        AllocStats { free_segments, ..AllocStats::leaf(self.geo.heap_bytes, self.reserved_bytes()) }
     }
 }
 

@@ -52,7 +52,7 @@ pub use buffer::BlockBuffer;
 pub use compact::Relocation;
 pub use config::{GallatinConfig, Geometry};
 pub use gallatin::Gallatin;
-pub use pools::{DevicePool, GallatinPool, InstanceStats, PoolStats, TopoStats};
+pub use pools::{DevicePool, GallatinPool, TopoStats};
 pub use ring::BlockRing;
 pub use router::Router;
 pub use table::{

@@ -4,16 +4,14 @@
 //! instances; [`DevicePool`] is the same router one level up — `d`
 //! per-device pools over a [`Topology`] of `d` arenas joined by an
 //! interconnect with asymmetric local/peer cost. Everything that routes,
-//! spills, donates, resets or audits lives in `crate::router` and
-//! `crate::elastic`; this file holds only what is particular to a level:
-//! the constructors, the level-named accessors, and the snapshot shapes
-//! ([`PoolStats`] per pool, [`TopoStats`] per topology).
+//! spills, donates, resets, audits or reports lives in `crate::router`
+//! and `crate::elastic`; this file holds only what is particular to a
+//! level: the constructors and the level-named accessors.
 
 use crate::config::GallatinConfig;
 use crate::gallatin::Gallatin;
 use crate::router::Router;
-use gpu_sim::{DeviceAllocator, Topology};
-use std::sync::atomic::Ordering;
+use gpu_sim::{AllocStats, DeviceAllocator, Topology};
 
 /// `n` Gallatin instances over one arena and one shared memory table:
 /// SM-affine placement (`sm % n`), spill to sibling instances,
@@ -27,82 +25,15 @@ pub type GallatinPool = Router<Gallatin>;
 /// donation, and every served access classified local/peer.
 pub type DevicePool = Router<GallatinPool>;
 
-/// Point-in-time occupancy snapshot of one pool instance, as reported
-/// by [`GallatinPool::pool_stats`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct InstanceStats {
-    /// Bytes of this instance's nominal partition (the pool stride).
-    pub heap_bytes: u64,
-    /// Bytes reserved by live allocations (size-class rounded).
-    pub reserved_bytes: u64,
-    /// Segments still unclaimed in the instance's segment tree.
-    pub free_segments: u64,
-    /// Segments currently homed on this instance (initial shard, minus
-    /// donations/returns, plus adoptions).
-    pub owned_segments: u64,
-    /// Allocations homed here that a sibling had to absorb.
-    pub spills: u64,
-}
-
-/// Point-in-time snapshot of the whole pool's occupancy and pressure —
-/// the signal a host-side admission controller reads to decide whether
-/// to keep admitting traffic: per-instance headroom (a hot instance
-/// near capacity predicts spills), the spill and oversize-denial
-/// counters (already-visible pressure), the elasticity counters
-/// (donated / returned / adopted segments and the pool-level free
-/// list), and the aggregate reservation.
+/// A [`DevicePool`]'s spill split, read off its [`AllocStats`] tree.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct PoolStats {
-    /// Total bytes across all partitions.
-    pub heap_bytes: u64,
-    /// Total bytes reserved across all instances.
-    pub reserved_bytes: u64,
-    /// Total spills across all home instances.
-    pub spills: u64,
-    /// Requests denied up front for exceeding the stride.
-    pub oversize_denials: u64,
-    /// Segments re-homed instance-to-instance (elastic donation).
-    pub donated_segments: u64,
-    /// Segments returned to the pool-level free list (shrink).
-    pub returned_segments: u64,
-    /// Segments adopted out of the pool-level free list (grow /
-    /// adopt-before-spill).
-    pub adopted_segments: u64,
-    /// Segments currently parked on the pool-level free list.
-    pub pool_free_segments: u64,
-    /// One entry per instance, in instance order.
-    pub instances: Vec<InstanceStats>,
-}
-
-impl PoolStats {
-    /// Unreserved bytes across the pool (an upper bound on what further
-    /// admissions could possibly reserve; per-instance headroom is the
-    /// binding constraint for sizes near the stride).
-    pub fn headroom_bytes(&self) -> u64 {
-        self.heap_bytes - self.reserved_bytes.min(self.heap_bytes)
-    }
-}
-
-/// Point-in-time snapshot of the whole topology's occupancy, pressure,
-/// and interconnect traffic — what the E23 scaling experiment reads.
-#[derive(Clone, Debug, Default, PartialEq)]
 pub struct TopoStats {
-    /// Total bytes across every device.
-    pub heap_bytes: u64,
-    /// Total bytes reserved across every device.
-    pub reserved_bytes: u64,
-    /// In-device spills summed over every device's pool.
+    /// In-device spills: the spills charged to every device's instances.
     pub in_device_spills: u64,
     /// Whole-device denials a peer device absorbed.
     pub cross_spills: u64,
-    /// Segments re-homed device-to-device.
-    pub cross_donations: u64,
-    /// Accesses served by the issuing SM's own device.
-    pub local_accesses: u64,
-    /// Accesses that crossed the interconnect.
-    pub peer_accesses: u64,
-    /// One [`PoolStats`] per device, in device order.
-    pub devices: Vec<PoolStats>,
+    /// One node per device, in device order.
+    pub devices: Vec<AllocStats>,
 }
 
 impl GallatinPool {
@@ -115,33 +46,6 @@ impl GallatinPool {
     /// Instance `i`, for per-instance metrics and diagnostics.
     pub fn instance(&self, i: usize) -> &Gallatin {
         &self.children[i]
-    }
-
-    /// Snapshot the pool's occupancy and pressure counters (see
-    /// [`PoolStats`]). Relaxed reads: the snapshot is advisory, exact
-    /// only when the pool is quiescent.
-    pub fn pool_stats(&self) -> PoolStats {
-        let owned = self.owned_segments();
-        let instances: Vec<InstanceStats> = (0..self.num_children())
-            .map(|i| InstanceStats {
-                heap_bytes: self.stride(),
-                reserved_bytes: self.instance(i).reserved_bytes(),
-                free_segments: self.instance(i).free_segments(),
-                owned_segments: owned[i],
-                spills: self.spill_count(i),
-            })
-            .collect();
-        PoolStats {
-            heap_bytes: self.heap_bytes(),
-            reserved_bytes: instances.iter().map(|s| s.reserved_bytes).sum(),
-            spills: self.total_spills(),
-            oversize_denials: self.oversize_denials.load(Ordering::Relaxed),
-            donated_segments: self.donations.load(Ordering::Relaxed),
-            returned_segments: self.returned.load(Ordering::Relaxed),
-            adopted_segments: self.adopted.load(Ordering::Relaxed),
-            pool_free_segments: self.parked.count(),
-            instances,
-        }
     }
 }
 
@@ -176,19 +80,13 @@ impl DevicePool {
         &self.tariff.as_ref().expect("a DevicePool is always built over a topology").0
     }
 
-    /// Snapshot occupancy, pressure, and interconnect traffic.
+    /// The spill split of [`DeviceAllocator::stats`]'s tree.
     pub fn topo_stats(&self) -> TopoStats {
-        let devices: Vec<PoolStats> = self.children.iter().map(|p| p.pool_stats()).collect();
-        let m = self.metrics().map(|m| m.snapshot()).unwrap_or_default();
+        let s = self.stats();
         TopoStats {
-            heap_bytes: self.heap_bytes(),
-            reserved_bytes: devices.iter().map(|s| s.reserved_bytes).sum(),
-            in_device_spills: devices.iter().map(|s| s.spills).sum(),
-            cross_spills: self.total_spills(),
-            cross_donations: self.donations.load(Ordering::Relaxed),
-            local_accesses: m.local_accesses,
-            peer_accesses: m.peer_accesses,
-            devices,
+            in_device_spills: s.children.iter().flat_map(|d| &d.children).map(|i| i.spills).sum(),
+            cross_spills: s.spills,
+            devices: s.children,
         }
     }
 }
@@ -222,9 +120,9 @@ mod tests {
             assert_eq!(t.device_of(p), t.affinity_device(sm));
             t.free(&warp_on(sm, 1).lane(0), p);
         }
-        let s = t.topo_stats();
-        assert_eq!((s.cross_spills, s.peer_accesses), (0, 0), "all-affine traffic stays local");
-        assert_eq!(s.local_accesses, 8, "4 mallocs + 4 frees, all local");
+        let m = t.metrics().unwrap().snapshot();
+        assert_eq!((t.total_spills(), m.peer_accesses), (0, 0), "all-affine traffic stays local");
+        assert_eq!(m.local_accesses, 8, "4 mallocs + 4 frees, all local");
         assert_eq!(t.stats().reserved_bytes, 0);
         t.check_invariants().expect("clean after affine traffic");
     }
@@ -259,14 +157,14 @@ mod tests {
     fn cross_device_donation_rehomes_and_routing_follows() {
         let t = topo_pool(2, 2);
         assert_eq!(t.donate(0, 1, 4), Ok(4));
-        assert_eq!(t.topo_stats().cross_donations, 4);
+        assert_eq!(t.stats().donated_segments, 4);
         t.check_invariants().expect("clean after cross-device donation");
         // Device 1 now answers for 36 segments; device 0 for 28.
-        let s = t.topo_stats();
+        let s = t.stats();
         let owned: Vec<u64> = s
-            .devices
+            .children
             .iter()
-            .map(|d| d.instances.iter().map(|i| i.owned_segments).sum::<u64>())
+            .map(|d| d.children.iter().map(|i| i.owned_segments).sum::<u64>())
             .collect();
         assert_eq!(owned, vec![28, 36], "responsibility moved without copying bytes");
         // Device 1 can hold 36 segment claims with no cross-device spill;
@@ -294,15 +192,15 @@ mod tests {
         let t = topo_pool(2, 2);
         assert!(!t.supports_size(t.stride() + 1));
         assert!(t.malloc(&warp_on(0, 1).lane(0), t.stride() + 1).is_null());
-        assert_eq!(t.pool(0).pool_stats().oversize_denials, 1, "home device counts the one denial");
-        assert_eq!(t.pool(1).pool_stats().oversize_denials, 0, "peers are never consulted");
+        assert_eq!(t.pool(0).stats().oversize_denials, 1, "home device counts the one denial");
+        assert_eq!(t.pool(1).stats().oversize_denials, 0, "peers are never consulted");
         let w = warp_on(0, 32);
         let sizes = vec![Some(t.stride() + 1); 32];
         let mut out = vec![DevicePtr(7); 32];
         t.warp_malloc(&w, &sizes, &mut out);
         assert!(out.iter().all(|q| q.is_null()));
-        assert_eq!(t.pool(0).pool_stats().oversize_denials, 33);
-        assert_eq!(t.pool(1).pool_stats().oversize_denials, 0);
+        assert_eq!(t.pool(0).stats().oversize_denials, 33);
+        assert_eq!(t.pool(1).stats().oversize_denials, 0);
         assert_eq!(t.total_spills(), 0, "an unservable size is not a spill");
     }
 
@@ -317,11 +215,11 @@ mod tests {
         assert_eq!(t.total_spills(), 1);
         assert_eq!(t.donate(1, 0, 2), Ok(2));
         t.reset();
-        let s = t.topo_stats();
-        assert_eq!((s.reserved_bytes, s.cross_spills, s.cross_donations), (0, 0, 0));
-        assert_eq!((s.local_accesses, s.peer_accesses), (0, 0));
+        let (s, m) = (t.stats(), t.metrics().unwrap().snapshot());
+        assert_eq!((s.reserved_bytes, s.spills, s.donated_segments), (0, 0, 0));
+        assert_eq!((m.local_accesses, m.peer_accesses), (0, 0));
         for d in 0..2 {
-            assert!(s.devices[d].instances.iter().all(|i| i.owned_segments == 16));
+            assert!(s.children[d].children.iter().all(|i| i.owned_segments == 16));
         }
         t.check_invariants().expect("clean after reset");
     }
@@ -364,7 +262,7 @@ mod tests {
             );
         }
         assert_eq!(one.pool(0).total_spills(), flat.total_spills());
-        assert_eq!(one.pool(0).pool_stats(), flat.pool_stats());
+        assert_eq!(one.pool(0).stats(), flat.stats());
         assert_eq!(one.total_spills(), 0, "one device has no peers to spill to");
         assert_eq!(one.metrics().unwrap().snapshot().peer_accesses, 0);
         one.check_invariants().expect("clean");

@@ -246,18 +246,6 @@ impl<C: Level> Router<C> {
         }
     }
 
-    /// Segments currently homed on each child (initial shard, minus
-    /// donations/returns, plus adoptions).
-    pub(crate) fn owned_segments(&self) -> Vec<u64> {
-        let mut owned = vec![0u64; self.children.len()];
-        for o in &self.seg_owner {
-            if let Some(n) = owned.get_mut(o.load(Ordering::Relaxed) as usize) {
-                *n += 1;
-            }
-        }
-        owned
-    }
-
     /// The home child for a warp running on `sm_id`.
     #[inline]
     fn home(&self, sm_id: u32) -> usize {
@@ -598,10 +586,39 @@ impl<C: Level> DeviceAllocator for Router<C> {
         invariant_report(self.local_errors(&|_| true), "pool_invariant_failure")
     }
 
+    /// This level's node: its routing counters and one node per child,
+    /// each completed with what only this level knows of it — its
+    /// initial shard, the segments routed to it and the spills charged
+    /// to it as home.
     fn stats(&self) -> AllocStats {
+        let mut owned = vec![0u64; self.children.len()];
+        for o in &self.seg_owner {
+            if let Some(n) = owned.get_mut(o.load(Ordering::Relaxed) as usize) {
+                *n += 1;
+            }
+        }
+        let shard = self.span.1 / self.children.len() as u64 * self.segment_bytes;
+        let children: Vec<AllocStats> = (0..self.children.len())
+            .map(|i| AllocStats {
+                heap_bytes: shard,
+                owned_segments: owned[i],
+                spills: self.spill_count(i),
+                ..self.children[i].stats()
+            })
+            .collect();
+        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
         AllocStats {
             heap_bytes: self.heap_bytes(),
-            reserved_bytes: self.children.iter().map(|c| c.stats().reserved_bytes).sum(),
+            reserved_bytes: children.iter().map(|c| c.reserved_bytes).sum(),
+            free_segments: children.iter().map(|c| c.free_segments).sum(),
+            owned_segments: load(&self.resp_len),
+            spills: self.total_spills(),
+            oversize_denials: load(&self.oversize_denials),
+            donated_segments: load(&self.donations),
+            returned_segments: load(&self.returned),
+            adopted_segments: load(&self.adopted),
+            pool_free_segments: self.parked.count(),
+            children,
         }
     }
 }
@@ -707,9 +724,9 @@ mod tests {
             assert_eq!(after, *before, "instance {i} saw traffic for an unservable size");
         }
         assert_eq!(p.total_spills(), 0, "an unservable size is not a spill");
-        assert_eq!(p.pool_stats().oversize_denials, 33, "1 scalar + 32 collective lanes");
+        assert_eq!(p.stats().oversize_denials, 33, "1 scalar + 32 collective lanes");
         p.reset();
-        assert_eq!(p.pool_stats().oversize_denials, 0, "reset clears the denial counter");
+        assert_eq!(p.stats().oversize_denials, 0, "reset clears the denial counter");
     }
 
     #[test]
@@ -729,39 +746,10 @@ mod tests {
                 assert!(q.is_null(), "oversize lane {lane} must be denied");
             }
         }
-        assert_eq!(p.pool_stats().oversize_denials, 16);
+        assert_eq!(p.stats().oversize_denials, 16);
         p.warp_free(&w, &out);
         assert_eq!(p.stats().reserved_bytes, 0);
         p.check_invariants().expect("clean after mixed warp");
-    }
-
-    #[test]
-    fn pool_stats_snapshot_tracks_reservation_and_pressure() {
-        let p = pool(2);
-        let idle = p.pool_stats();
-        assert_eq!(idle.heap_bytes, 2 * p.stride());
-        assert_eq!(idle.reserved_bytes, 0);
-        assert_eq!(idle.headroom_bytes(), idle.heap_bytes);
-        assert_eq!(idle.instances.len(), 2);
-        assert_eq!(idle.instances[0].owned_segments, 16);
-        assert_eq!(idle.pool_free_segments, 0);
-        let seg = p.instance(0).geometry().segment_bytes;
-        // Fill home 0 and force one spill: the snapshot must show the
-        // reservation split across instances and the spill pressure.
-        let held: Vec<_> = (0..17).map(|_| p.malloc(&warp_on(0, 1).lane(0), seg)).collect();
-        assert!(held.iter().all(|q| !q.is_null()));
-        let s = p.pool_stats();
-        assert_eq!(s.reserved_bytes, 17 * seg);
-        assert_eq!(s.instances[0].reserved_bytes, 16 * seg);
-        assert_eq!(s.instances[1].reserved_bytes, seg);
-        assert_eq!(s.instances[0].free_segments, 0);
-        assert_eq!(s.instances[1].free_segments, 15);
-        assert_eq!((s.spills, s.instances[0].spills, s.instances[1].spills), (1, 1, 0));
-        assert_eq!(s.headroom_bytes(), s.heap_bytes - 17 * seg);
-        for q in held {
-            p.free(&warp_on(0, 1).lane(0), q);
-        }
-        assert_eq!(p.pool_stats().reserved_bytes, 0);
     }
 
     #[test]
@@ -810,7 +798,7 @@ mod tests {
         assert_eq!(p.stats().reserved_bytes, 0);
         for i in 0..2 {
             assert_eq!(p.instance(i).free_segments(), 16);
-            assert_eq!(p.pool_stats().instances[i].owned_segments, 16);
+            assert_eq!(p.stats().children[i].owned_segments, 16);
         }
         p.check_invariants().expect("clean after reset");
     }

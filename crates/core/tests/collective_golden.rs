@@ -19,7 +19,9 @@
 use gallatin::{DevicePool, Gallatin, GallatinConfig, GallatinPool};
 use gpu_sim::metrics::MetricsSnapshot;
 use gpu_sim::trace::{self, AllocTier, TraceEvent, TraceRecord, TraceSink, LANE_NONE};
-use gpu_sim::{cases, launch_warps_counted, DeviceAllocator, DeviceConfig, DevicePtr, WarpCtx};
+use gpu_sim::{
+    cases, launch_warps_counted, AllocStats, DeviceAllocator, DeviceConfig, DevicePtr, WarpCtx,
+};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
@@ -58,9 +60,8 @@ impl Subject for Gallatin {
     }
 }
 
-fn pool_pressure(p: &GallatinPool) -> String {
-    let s = p.pool_stats();
-    let spills: Vec<u64> = s.instances.iter().map(|i| i.spills).collect();
+fn pool_pressure(s: &AllocStats) -> String {
+    let spills: Vec<u64> = s.children.iter().map(|i| i.spills).collect();
     format!("spills {spills:?} oversize {}", s.oversize_denials)
 }
 
@@ -73,7 +74,7 @@ impl Subject for GallatinPool {
         (0..self.num_children()).map(|i| self.instance(i)).collect()
     }
     fn pressure(&self) -> String {
-        pool_pressure(self)
+        pool_pressure(&self.stats())
     }
 }
 
@@ -86,14 +87,14 @@ impl Subject for DevicePool {
         (0..2).flat_map(|d| (0..3).map(move |i| self.pool(d).instance(i))).collect()
     }
     fn pressure(&self) -> String {
-        let t = self.topo_stats();
-        let cross: Vec<u64> = (0..2).map(|d| self.spill_count(d)).collect();
+        let (s, m) = (self.stats(), self.metrics().unwrap().snapshot());
+        let cross: Vec<u64> = s.children.iter().map(|d| d.spills).collect();
         format!(
             "cross {cross:?} | d0 {} | d1 {} | local {} peer {}",
-            pool_pressure(self.pool(0)),
-            pool_pressure(self.pool(1)),
-            t.local_accesses,
-            t.peer_accesses
+            pool_pressure(&s.children[0]),
+            pool_pressure(&s.children[1]),
+            m.local_accesses,
+            m.peer_accesses
         )
     }
 }

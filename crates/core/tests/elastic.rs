@@ -19,6 +19,7 @@
 
 use gallatin::{Gallatin, GallatinConfig, GallatinPool, TREE_FREE};
 use gpu_sim::ledger::Ledger;
+use gpu_sim::sched::seed_count;
 use gpu_sim::trace::TraceSink;
 use gpu_sim::{
     cases, explore_schedules, launch_warps, DeviceAllocator, DeviceConfig, DevicePtr, FaultPlan,
@@ -33,18 +34,11 @@ fn elastic_config() -> GallatinConfig {
     GallatinConfig::small_test(256 << 10)
 }
 
-/// Override the sweep's seed count (the CI adversarial job's quick
-/// elastic step sets 4; the default matches the adversarial suite's 16).
-const ELASTIC_SEEDS_ENV: &str = "GALLATIN_ELASTIC_SEEDS";
-
+/// The sweep's seed count: `GALLATIN_ELASTIC_SEEDS` overrides it (the CI
+/// adversarial job's quick elastic step sets 4; the default matches the
+/// adversarial suite's 16).
 fn sweep_seeds() -> u64 {
-    match std::env::var(ELASTIC_SEEDS_ENV) {
-        Ok(s) => s
-            .trim()
-            .parse::<u64>()
-            .unwrap_or_else(|_| panic!("{ELASTIC_SEEDS_ENV} must be a u64, got {s:?}")),
-        Err(_) => 16,
-    }
+    seed_count("GALLATIN_ELASTIC_SEEDS", 16)
 }
 
 /// Totals a run contributes to the sweep-level assertions.
@@ -124,8 +118,8 @@ fn donation_racing_churn(seed: u64, fault: Option<FaultPlan>) -> ElasticOutcome 
     });
     assert_eq!(corrupt.load(Ordering::Relaxed), 0, "torn payload under seed {seed}");
     assert_eq!(pool.stats().reserved_bytes, 0, "leak under seed {seed}");
-    let s = pool.pool_stats();
-    let owned: u64 = s.instances.iter().map(|i| i.owned_segments).sum();
+    let s = pool.stats();
+    let owned: u64 = s.children.iter().map(|i| i.owned_segments).sum();
     assert_eq!(owned + s.pool_free_segments, 8, "segments not conserved under seed {seed}: {s:?}");
     if let Err(e) = pool.check_invariants() {
         panic!("invariants violated under seed {seed}:\n{e}");
@@ -196,8 +190,8 @@ fn donation_across_a_torn_quiesce_window_bounces_and_never_corrupts() {
     pool.instance(0).table().seg(0).tree_id.store(0, Ordering::SeqCst);
     let err = pool.donate(0, 1, 4).unwrap_err();
     assert!(err.contains("quiesce"), "unexpected error: {err}");
-    let s = pool.pool_stats();
-    assert_eq!(s.instances[0].owned_segments, 4, "the bounced segment stayed home");
+    let s = pool.stats();
+    assert_eq!(s.children[0].owned_segments, 4, "the bounced segment stayed home");
     assert_eq!(s.donated_segments, 0);
     let report = pool.check_invariants().unwrap_err();
     assert!(

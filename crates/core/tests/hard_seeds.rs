@@ -116,8 +116,8 @@ fn elastic_hard_seed_churn(seed: u64) {
     });
     assert_eq!(corrupt.load(Ordering::Relaxed), 0, "torn payload under seed {seed}");
     assert_eq!(pool.stats().reserved_bytes, 0, "leak under seed {seed}");
-    let s = pool.pool_stats();
-    let owned: u64 = s.instances.iter().map(|i| i.owned_segments).sum();
+    let s = pool.stats();
+    let owned: u64 = s.children.iter().map(|i| i.owned_segments).sum();
     assert_eq!(owned + s.pool_free_segments, 8, "segments lost under seed {seed}: {s:?}");
     if let Err(e) = pool.check_invariants() {
         panic!("invariants violated under seed {seed}:\n{e}");

@@ -24,6 +24,7 @@ use gallatin::global::{
 };
 use gallatin::{DevicePool, GallatinConfig};
 use gpu_sim::ledger::Ledger;
+use gpu_sim::sched::seed_count;
 use gpu_sim::trace::{self, TraceSink};
 use gpu_sim::{cases, launch, launch_warps, DeviceAllocator, DeviceConfig, DevicePtr, WarpCtx};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -35,10 +36,7 @@ const WARPS: u64 = 8;
 /// Seed sweep width, overridable by `GALLATIN_TOPO_SEEDS` (the CI quick
 /// lane sets 4).
 fn topo_seeds() -> u64 {
-    std::env::var("GALLATIN_TOPO_SEEDS")
-        .ok()
-        .map(|s| s.parse().expect("GALLATIN_TOPO_SEEDS must be a u64"))
-        .unwrap_or(16)
+    seed_count("GALLATIN_TOPO_SEEDS", 16)
 }
 
 /// One seeded round: every warp mallocs a mixed batch on its affinity
@@ -88,7 +86,8 @@ fn routed_churn(seed: u64, devices: u32, width: usize) {
                 cross.load(Ordering::Relaxed) > 0,
                 "rotation must exercise the cross-device path"
             );
-            assert!(pool.topo_stats().peer_accesses > 0, "peer frees must be classified");
+            let peer = pool.metrics().unwrap().snapshot().peer_accesses;
+            assert!(peer > 0, "peer frees must be classified");
         }
         assert_eq!(pool.stats().reserved_bytes, 0, "every routed free reached its owner");
         let ledger = Ledger::build(&sink.snapshot());
@@ -239,7 +238,7 @@ fn global_allocator_can_be_a_device_pool() {
     global_check_invariants().expect("topology-backed global consistent after the storm");
     // Same-lane malloc/free is all-local traffic — affinity routing
     // keeps a self-contained storm off the interconnect entirely.
-    let s = pool.topo_stats();
+    let s = pool.metrics().unwrap().snapshot();
     assert!(s.local_accesses > 0);
     assert_eq!(s.peer_accesses, 0, "a same-lane storm never crosses the interconnect");
 }

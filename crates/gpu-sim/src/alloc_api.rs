@@ -21,10 +21,13 @@ use crate::mem::{DeviceMemory, DevicePtr};
 use crate::metrics::Metrics;
 use crate::warp::{LaneCtx, WarpCtx};
 
-/// Point-in-time occupancy statistics reported by an allocator.
-#[derive(Clone, Copy, Debug, Default)]
+/// Point-in-time occupancy statistics reported by an allocator: one node
+/// of a tree that mirrors the allocator's. A leaf (a single heap) has no
+/// children; a router reports its own routing counters and one node per
+/// child, in child order. Relaxed reads: exact only when quiescent.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct AllocStats {
-    /// Total bytes the allocator manages.
+    /// Total bytes the allocator manages (a child: its initial shard).
     pub heap_bytes: u64,
     /// Bytes currently reserved by live allocations, *as accounted by the
     /// allocator* (includes internal rounding to its size classes).
@@ -35,6 +38,40 @@ pub struct AllocStats {
     /// raw counter below zero) must saturate the reading to 0 rather
     /// than surface ~2^64 here.
     pub reserved_bytes: u64,
+    /// Segments still unclaimed in the segment trees at or below here.
+    pub free_segments: u64,
+    /// Segments this node answers for: as a child, what its parent routes
+    /// to it (initial shard, minus donations/returns, plus adoptions).
+    pub owned_segments: u64,
+    /// As a child, allocations homed here that a sibling had to absorb;
+    /// on the router `stats()` was called on, the total over its children.
+    pub spills: u64,
+    /// Requests this router denied up front for exceeding the stride.
+    pub oversize_denials: u64,
+    /// Segments this router re-homed child-to-child (elastic donation).
+    pub donated_segments: u64,
+    /// Segments returned to this router's free list (shrink).
+    pub returned_segments: u64,
+    /// Segments adopted out of this router's free list (grow /
+    /// adopt-before-spill).
+    pub adopted_segments: u64,
+    /// Segments currently parked on this router's free list.
+    pub pool_free_segments: u64,
+    /// One node per child, in child order; empty for a leaf.
+    pub children: Vec<AllocStats>,
+}
+
+impl AllocStats {
+    /// A leaf's node: its heap and reservation, every other count zero.
+    pub fn leaf(heap_bytes: u64, reserved_bytes: u64) -> Self {
+        AllocStats { heap_bytes, reserved_bytes, ..Default::default() }
+    }
+
+    /// Unreserved bytes (an upper bound on what further admissions could
+    /// reserve; a child's headroom binds for sizes near its stride).
+    pub fn headroom_bytes(&self) -> u64 {
+        self.heap_bytes - self.reserved_bytes.min(self.heap_bytes)
+    }
 }
 
 /// A device-side memory allocator running on the simulated SIMT substrate.
@@ -155,7 +192,7 @@ pub trait DeviceAllocator: Send + Sync {
 
     /// Occupancy statistics.
     fn stats(&self) -> AllocStats {
-        AllocStats { heap_bytes: self.heap_bytes(), reserved_bytes: 0 }
+        AllocStats::leaf(self.heap_bytes(), 0)
     }
 }
 

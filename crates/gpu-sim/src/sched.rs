@@ -507,12 +507,18 @@ impl std::fmt::Display for ScheduleFailure {
 /// `repro` experiments) accepts and rejects the same spellings. Panics
 /// on anything but a `u64` — a typo must not silently run the default.
 pub fn seed_override() -> Option<u64> {
-    parse_seed(std::env::var(SCHED_SEED_ENV).ok().as_deref())
+    parse_u64(SCHED_SEED_ENV, std::env::var(SCHED_SEED_ENV).ok().as_deref())
 }
 
-fn parse_seed(raw: Option<&str>) -> Option<u64> {
+/// A test sweep's seed count: the `u64` in `var` if set, else `default`.
+/// Parsed and rejected exactly as [`seed_override`] is.
+pub fn seed_count(var: &str, default: u64) -> u64 {
+    parse_u64(var, std::env::var(var).ok().as_deref()).unwrap_or(default)
+}
+
+fn parse_u64(var: &str, raw: Option<&str>) -> Option<u64> {
     let s = raw?;
-    Some(s.trim().parse().unwrap_or_else(|_| panic!("{SCHED_SEED_ENV} must be a u64, got {s:?}")))
+    Some(s.trim().parse().unwrap_or_else(|_| panic!("{var} must be a u64, got {s:?}")))
 }
 
 /// Sweep deterministic schedules: run `scenario(seed)` for every seed,
@@ -826,9 +832,10 @@ mod tests {
 
     #[test]
     fn seed_override_parser_accepts_u64_and_names_the_variable_on_garbage() {
-        assert_eq!(parse_seed(None), None);
-        assert_eq!(parse_seed(Some(" 42 ")), Some(42));
-        let err = std::panic::catch_unwind(|| parse_seed(Some("banana"))).unwrap_err();
+        assert_eq!(parse_u64(SCHED_SEED_ENV, None), None);
+        assert_eq!(parse_u64(SCHED_SEED_ENV, Some(" 42 ")), Some(42));
+        let err =
+            std::panic::catch_unwind(|| parse_u64(SCHED_SEED_ENV, Some("banana"))).unwrap_err();
         let msg = err.downcast_ref::<String>().expect("formatted panic message");
         assert!(msg.contains("GALLATIN_SCHED_SEED must be a u64"), "{msg}");
         assert!(msg.contains("banana"), "{msg}");

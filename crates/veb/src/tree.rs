@@ -395,25 +395,6 @@ impl VebTree {
         }
     }
 
-    /// Find and atomically remove a member, scanning from `start` and
-    /// wrapping to the front when `[start, u)` is exhausted. The claim
-    /// analogue of [`Self::find_first_from`]: it keeps the "find any
-    /// free" contract of [`Self::claim_first_ge`]`(0)` (some member is
-    /// returned iff one stays visible for the whole call) while letting
-    /// concurrent claimants start in different words. The wrapped pass
-    /// rescans the full universe, so members that appear above `start`
-    /// after the first pass loses a race are still eligible.
-    pub fn claim_first_from(&self, start: u64) -> Option<u64> {
-        if let Some(s) = self.claim_first_ge(start) {
-            return Some(s);
-        }
-        if start == 0 {
-            None
-        } else {
-            self.claim_first_ge(0)
-        }
-    }
-
     /// Find and atomically remove the maximum member `≤ x`.
     pub fn claim_last_le(&self, mut x: u64) -> Option<u64> {
         loop {
@@ -742,21 +723,6 @@ mod tests {
         let t = VebTree::new(64);
         assert_eq!(t.find_first_from(0), None);
         assert_eq!(t.find_first_from(63), None);
-    }
-
-    #[test]
-    fn claim_first_from_wraps_and_is_exclusive() {
-        let t = VebTree::new(1 << 14);
-        for m in [10u64, 20, 2000] {
-            t.insert(m);
-        }
-        assert_eq!(t.claim_first_from(1000), Some(2000));
-        assert_eq!(t.claim_first_from(1000), Some(10)); // wrapped
-        assert_eq!(t.claim_first_from(0), Some(20));
-        assert_eq!(t.claim_first_from(0), None);
-        assert_eq!(t.claim_first_from(5000), None);
-        assert!(t.is_empty());
-        t.check_summaries().unwrap();
     }
 
     #[test]
