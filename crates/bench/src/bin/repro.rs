@@ -12,7 +12,7 @@
 //!   utilization     E11 — Fig 6c utilization (OOM test)
 //!   graph           E12 — §6.12 dynamic graph phases
 //!   expansion       E13 — §6.12 graph expansion
-//!   reclaim         E15 — reclaim-protocol telemetry (attempts/aborts/bounces)
+//!   reclaim         E24 — reclaim-protocol telemetry (attempts/aborts/bounces)
 //!   ablation        E16 — deterministic atomic-count ablation (64-seed sweep,
 //!                   plus E14's coalescing on/off count)
 //!   bench-smoke     E16 smoke subset, gated against results/BENCH_bench_smoke.json;

@@ -1,4 +1,4 @@
-//! E15 — reclaim-protocol telemetry: segment churn under varying heap
+//! E24 — reclaim-protocol telemetry: segment churn under varying heap
 //! pressure, surfacing the reclamation counters the hardened protocol
 //! exports (reclaim attempts/aborts, straggler bounces, drain spins).
 //!
@@ -33,7 +33,7 @@ const ROUNDS: u64 = 256;
 /// Run the reclaim-telemetry experiment.
 pub fn run_reclaim(cfg: &HarnessConfig) {
     let mut tab = Table::new(
-        "E15 — reclaim-protocol telemetry under block-pipeline churn",
+        "E24 — reclaim-protocol telemetry under block-pipeline churn",
         &[
             "segments",
             "mallocs",

@@ -98,7 +98,7 @@ fn write_trace(cfg: &HarnessConfig, seed: u64, records: &[TraceRecord], ledger: 
         .param("seed", seed)
         .count("events", records.len() as u64)
         .count("leaks", ledger.live.len() as u64)
-        .count("double_frees", ledger.double_frees.len() as u64)
+        .count("double_frees", ledger.unmatched_frees.len() as u64)
         .count("cross_warp_frees", ledger.cross_warp_frees)
         .count("peak_live_bytes", ledger.peak_live_bytes);
     for (name, n) in &counts {
@@ -111,14 +111,16 @@ fn write_trace(cfg: &HarnessConfig, seed: u64, records: &[TraceRecord], ledger: 
     println!("open {} in chrome://tracing or https://ui.perfetto.dev", trace_path.display());
 }
 
-/// Reduce a block-churn recording to its replay script.
-fn script_of(records: &[TraceRecord]) -> ReplayScript {
-    let (script, stats) = ReplayScript::from_trace(records, ablation::SWEEP_SMS);
+/// Reduce a block-churn recording, whose ledger is `ledger`, to its
+/// replay script.
+fn script_of(records: &[TraceRecord], ledger: &Ledger) -> ReplayScript {
     // Block churn frees within the allocating warp and pairs every
-    // pointer, so the reduction must be lossless — any reassignment or
-    // drop means the recorder or converter regressed.
-    assert_eq!(stats.reassigned_frees, 0, "block churn has no cross-warp frees");
-    assert_eq!(stats.dropped_frees, 0, "every recorded free must replay");
+    // pointer, so the reduction must be lossless — a free the converter
+    // would move or drop means the recorder or converter regressed.
+    assert_eq!(ledger.cross_warp_frees, 0, "block churn has no cross-warp frees");
+    assert!(ledger.unmatched_frees.is_empty(), "every recorded free must replay");
+    let script = ReplayScript::from_trace(records, ablation::SWEEP_SMS);
+    assert_eq!(script.total_ops(), ledger.mallocs + ledger.frees, "one op per malloc and free");
     assert_eq!(script.validate(), Ok(0), "converted script must be well-formed and leak-free");
     script
 }
@@ -152,7 +154,7 @@ pub fn run_replay(cfg: &HarnessConfig) {
     let ledger = Ledger::build(&records);
     write_trace(cfg, seed, &records, &ledger);
     let original = ledger.outcome();
-    let script = script_of(&records);
+    let script = script_of(&records, &ledger);
 
     // Text-format round trip: the written artifact is re-parsed and must
     // reproduce the script exactly, so the file on disk is proven to
@@ -227,7 +229,8 @@ mod tests {
     /// The recording's lifecycle outcome and its replay script.
     fn record(seed: u64) -> (LedgerOutcome, ReplayScript) {
         let records = capture_block_churn(seed);
-        (Ledger::build(&records).outcome(), script_of(&records))
+        let ledger = Ledger::build(&records);
+        (ledger.outcome(), script_of(&records, &ledger))
     }
 
     /// The full E19 equivalence, as a tier-1 test: recording outcome ==

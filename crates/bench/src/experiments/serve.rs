@@ -34,7 +34,7 @@ use crate::serve::{
 use crate::HarnessConfig;
 use gallatin::{DevicePool, Gallatin, GallatinConfig, GallatinPool};
 use gpu_sim::sched::{seed_override, SCHED_SEED_ENV};
-use gpu_sim::{AllocStats, DeviceAllocator};
+use gpu_sim::DeviceAllocator;
 use std::sync::Arc;
 
 /// Arrival-seed offset: keeps the arrival stream independent of the
@@ -44,6 +44,10 @@ const ARRIVAL_SEED_XOR: u64 = 0x5EED_A221;
 /// Offered loads swept (requests per 1000 steps). The top load sits
 /// past the saturation knee at the default batch width.
 const LOADS: [u64; 3] = [30, 90, 270];
+
+/// Passes per cell outside `--smoke` (which runs one): the sweep's
+/// counts, not a wall-clock figure, so `--runs` does not set them.
+const PASSES: usize = 3;
 
 /// Batch widths swept at the middle load.
 const BATCH_WIDTHS: [usize; 3] = [16, 64, 256];
@@ -167,7 +171,7 @@ fn cell_config(
 /// cell on the same backend) starts warm: the outcomes are a deterministic
 /// function of the whole sweep, not equal pass to pass.
 fn run_passes(cfg: &ServeConfig, alloc: &dyn DeviceAllocator, passes: usize) -> ServeOutcome {
-    (0..passes.max(1)).map(|_| run_serve_engine(cfg, alloc)).last().expect("at least one pass")
+    (0..passes).map(|_| run_serve_engine(cfg, alloc)).last().expect("at least one pass")
 }
 
 /// Reduce one outcome to the BENCH counts map. The full latency
@@ -237,26 +241,11 @@ const COLUMNS: &str = "allocator,scenario,shape,rate_per_kstep,batch_width,admis
 /// serve/drain, coarse enough to keep the CSV small).
 const FRAG_SAMPLE_STEPS: u64 = 500;
 
-/// One fragmentation-timeline row of `alloc`'s stats tree, a
-/// `GallatinPool` read as a one-device topology: the root's reservation
-/// and headroom, the devices' parked segments, in-device spills and
-/// denials, then the cross-device spills and peer accesses.
+/// One fragmentation-timeline row: the reservation and headroom at the
+/// root of `alloc`'s stats tree.
 fn frag_row(name: &str, step: u64, alloc: &dyn DeviceAllocator) -> String {
     let s = alloc.stats();
-    let (devices, cross) = match s.children.first() {
-        Some(d) if !d.children.is_empty() => (&s.children[..], s.spills),
-        _ => (std::slice::from_ref(&s), 0),
-    };
-    let sum = |f: &dyn Fn(&AllocStats) -> u64| devices.iter().map(f).sum::<u64>();
-    let in_device = sum(&|d| d.children.iter().map(|i| i.spills).sum());
-    let peer = alloc.metrics().map_or(0, |m| m.snapshot().peer_accesses);
-    format!(
-        "{name},{step},{},{},{},{in_device},{},{cross},{peer}",
-        s.reserved_bytes,
-        s.headroom_bytes(),
-        sum(&|d| d.pool_free_segments),
-        sum(&|d| d.oversize_denials)
-    )
+    format!("{name},{step},{},{}", s.reserved_bytes, s.headroom_bytes())
 }
 
 /// Fragmentation-over-time sampling: drive the two pool backends
@@ -266,9 +255,7 @@ fn frag_row(name: &str, step: u64, alloc: &dyn DeviceAllocator) -> String {
 /// clock so the whole timeline replays byte-identically. Returns the
 /// clean flag of both runs.
 fn frag_timeline(cfg: &HarnessConfig, seed: u64, horizon: u64) -> bool {
-    let mut rows = vec!["allocator,step,reserved_bytes,headroom_bytes,pool_free_segments,spills,\
-         oversize_denials,cross_spills,peer_accesses"
-        .to_string()];
+    let mut rows = vec!["allocator,step,reserved_bytes,headroom_bytes".to_string()];
     let mut clean = true;
     let pool = GallatinPool::new(2, GallatinConfig::small_test(SERVE_HEAP));
     let dp = DevicePool::new(2, 1, GallatinConfig::small_test(SERVE_HEAP));
@@ -304,7 +291,7 @@ pub fn run_serve(cfg: &HarnessConfig) -> bool {
     let seed = seed_override().unwrap_or(DEFAULT_SEED);
     let smoke = cfg.smoke;
     let horizon: u64 = if smoke { 6_000 } else { 20_000 };
-    let passes = if smoke { 1 } else { cfg.runs.min(3) };
+    let passes = if smoke { 1 } else { PASSES };
     let loads: &[u64] = if smoke { &LOADS[..2] } else { &LOADS };
     let shapes: &[ArrivalShape] = if smoke {
         &[ArrivalShape::Poisson]
@@ -439,23 +426,18 @@ mod tests {
     use gpu_sim::WarpCtx;
 
     #[test]
-    fn frag_row_reads_a_pool_as_a_one_device_topology() {
+    fn frag_row_reads_the_roots_reservation_and_headroom() {
         let lane = WarpCtx { warp_id: 0, sm_id: 0, base_tid: 0, active: 1 }.lane(0);
         let cfg = GallatinConfig::small_test(1 << 20); // 16 segments per instance
         let seg = cfg.geometry().segment_bytes;
         let (pool, dp) = (GallatinPool::new(2, cfg), DevicePool::new(2, 2, cfg));
         // SM 0 overflows its home instance (17 claims) or its home device
-        // (33 claims), and asks once for more than an instance holds.
+        // (33 claims): the row sums every instance, not SM 0's home.
         for (alloc, claims) in [(&pool as &dyn DeviceAllocator, 17), (&dp, 33)] {
             (0..claims).for_each(|_| assert!(!alloc.malloc(&lane, seg).is_null()));
-            assert!(alloc.malloc(&lane, 16 * seg + 1).is_null());
         }
         assert_eq!(pool.shrink_instance(1, 2), 2);
-        let pool_row = format!("p,5,{},{},2,1,1,0,0", 17 * seg, 15 * seg);
-        assert_eq!(frag_row("p", 5, &pool), pool_row);
-        // Device 0's walk spills 16 claims to its second instance; the
-        // 33rd crosses to device 1 (one cross spill, one peer access).
-        let dp_row = format!("d,5,{},{},0,16,1,1,1", 33 * seg, 31 * seg);
-        assert_eq!(frag_row("d", 5, &dp), dp_row);
+        assert_eq!(frag_row("p", 5, &pool), format!("p,5,{},{}", 17 * seg, 15 * seg));
+        assert_eq!(frag_row("d", 5, &dp), format!("d,5,{},{}", 33 * seg, 31 * seg));
     }
 }

@@ -23,6 +23,7 @@
 
 use bench::workload::run_script;
 use gallatin::{Gallatin, GallatinConfig};
+use gpu_sim::ledger::Ledger;
 use gpu_sim::replay::{ReplayOp, ReplayScript, WarpScript};
 use gpu_sim::trace::TraceSink;
 use gpu_sim::{cases, DeviceConfig, SplitMix64};
@@ -95,10 +96,11 @@ fn script_is_a_fixpoint_of_record_then_convert() {
         assert_eq!(outcome.denied, 0, "workload is far below heap capacity");
         assert_eq!(outcome.violations(), (0, 0, 0), "{:?}", outcome);
 
-        let (rebuilt, stats) = ReplayScript::from_trace(&records, NUM_SMS);
-        assert_eq!(stats.reassigned_frees, 0, "scripts free within the warp");
-        assert_eq!(stats.dropped_frees, 0, "every free pairs with its malloc");
-        assert_eq!(stats.mallocs + stats.frees, script.total_ops());
+        let ledger = Ledger::build(&records);
+        assert_eq!(ledger.cross_warp_frees, 0, "scripts free within the warp");
+        assert!(ledger.unmatched_frees.is_empty(), "every free pairs with its malloc");
+        assert_eq!(ledger.mallocs + ledger.frees, script.total_ops());
+        let rebuilt = ReplayScript::from_trace(&records, NUM_SMS);
         assert_eq!(&rebuilt, &script, "record→convert must be the identity");
 
         // And once inside the representable subset, the text format is a

@@ -399,16 +399,13 @@ impl MemoryTable {
             gpu_sim::spin_hint();
             spins += 1;
             if spins > DRAIN_SPIN_LIMIT {
-                let seed = match gpu_sim::current_sched_seed() {
-                    Some(s) => format!("{s}"),
-                    None => "none (pool mode)".to_string(),
-                };
                 panic!(
                     "segment {seg} drain stalled after {spins} spins: \
                      {} of {prev_blocks} block(s) never returned \
-                     ({} push(es) in flight, sched seed {seed})",
+                     ({} push(es) in flight, sched seed {})",
                     prev_blocks - meta.ring.len(),
                     meta.ring.pushes_in_flight(),
+                    crate::tiers::seed_diag(),
                 );
             }
         }

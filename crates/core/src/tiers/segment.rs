@@ -128,8 +128,10 @@ impl Gallatin {
             });
             // Aborts are a legitimate outcome under contention; dump the
             // trace only when explicitly asked (debugging a reclaim race).
-            if std::env::var_os(trace::TRACE_ABORT_DUMP_ENV).is_some()
-                && trace::current_sink().is_some()
+            // The sink is tested first: an untraced run never takes the
+            // process environment's lock.
+            if trace::current_sink().is_some()
+                && std::env::var_os(trace::TRACE_ABORT_DUMP_ENV).is_some()
             {
                 trace::auto_dump("reclaim_abort");
             }

@@ -46,8 +46,9 @@ fn a_leak_on_device_1_is_reported_with_its_device() {
         assert_eq!(ledger.live.len(), 1, "exactly the planted leak");
         let leak = ledger.live[0];
         assert_eq!((leak.device, leak.instance), (1, 0));
+        let TraceEvent::Malloc { ptr: leaked, .. } = leak.event else { unreachable!() };
         let twin_on_device_0 = records.iter().any(|r| {
-            r.device == 0 && matches!(r.event, TraceEvent::Malloc { ptr, .. } if ptr == leak.ptr)
+            r.device == 0 && matches!(r.event, TraceEvent::Malloc { ptr, .. } if ptr == leaked)
         });
         assert!(twin_on_device_0, "device 0 must have served the same (instance, ptr)");
         devices[1].check_invariants().expect_err("leak check must fire")

@@ -76,9 +76,9 @@ fn routed_churn(seed: u64, n: usize) {
         let ledger = Ledger::build(&sink.snapshot());
         assert!(ledger.live.is_empty(), "seed {seed}: cross-instance leaks: {:?}", ledger.live);
         assert!(
-            ledger.double_frees.is_empty(),
+            ledger.unmatched_frees.is_empty(),
             "seed {seed}: mis-routed frees: {:?}",
-            ledger.double_frees
+            ledger.unmatched_frees
         );
         pool.check_invariants().unwrap_or_else(|e| panic!("seed {seed}: {e}"));
     });

@@ -93,9 +93,9 @@ fn routed_churn(seed: u64, devices: u32, width: usize) {
         let ledger = Ledger::build(&sink.snapshot());
         assert!(ledger.live.is_empty(), "seed {seed}: cross-device leaks: {:?}", ledger.live);
         assert!(
-            ledger.double_frees.is_empty(),
+            ledger.unmatched_frees.is_empty(),
             "seed {seed}: mis-routed frees: {:?}",
-            ledger.double_frees
+            ledger.unmatched_frees
         );
         pool.check_invariants().unwrap_or_else(|e| panic!("seed {seed}: {e}"));
     });

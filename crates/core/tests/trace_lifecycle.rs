@@ -78,9 +78,9 @@ fn trace_covers_the_allocator_event_vocabulary_and_balances() {
     assert_eq!(ledger.mallocs, WARPS * 32 * ROUNDS as u64);
     assert_eq!(ledger.frees, ledger.mallocs);
     assert!(ledger.live.is_empty(), "leaks in a balanced workload: {:?}", ledger.live);
-    assert!(ledger.double_frees.is_empty());
+    assert!(ledger.unmatched_frees.is_empty());
     assert!(ledger.peak_live_bytes > 0);
-    assert_eq!(ledger.timeline.last().map(|&(_, b)| b), Some(0), "all bytes returned");
+    assert!(ledger.size_mismatches.is_empty(), "every free returns its malloc's bytes");
     g.check_invariants().expect("allocator healthy after churn");
 }
 
@@ -109,7 +109,7 @@ fn planted_leak_is_pinpointed_and_dumps_a_trace() {
         });
         let ledger = Ledger::build(&sink.snapshot());
         assert_eq!(ledger.live.len(), 1, "exactly the planted leak");
-        let leaked = ledger.live[0].ptr;
+        let TraceEvent::Malloc { ptr: leaked, .. } = ledger.live[0].event else { unreachable!() };
         let err = g.check_invariants().expect_err("leak check must fire");
         assert!(
             err.contains(&format!("leak: ptr {leaked}")),

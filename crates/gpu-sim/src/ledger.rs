@@ -4,37 +4,19 @@
 //! so recording and analysis evolve independently. The ledger pairs
 //! `Malloc` events with `Free` events to report leaks, double frees,
 //! cross-warp free traffic, a free-latency histogram (in schedule
-//! steps), and a live-bytes timeline. Pointers are paired per device and
+//! steps), and the peak of live bytes. Pointers are paired per device and
 //! allocator instance: in pool mode two instances legitimately hand out
 //! the same local offset (and on a multi-device topology two devices'
 //! pools may do the same), so the pairing key is
 //! `(device, instance, ptr)` and every anomaly names the device and
-//! instance it belongs to.
+//! instance it belongs to. That pairing is written once, in `walk`, and
+//! the replay converter ([`crate::replay::ReplayScript::from_trace`])
+//! folds over it too.
 
 use crate::trace::{TraceEvent, TraceRecord};
+use std::collections::HashMap;
 
-/// An allocation that was never freed, as seen by the [`Ledger`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct LiveAlloc {
-    /// Device offset of the allocation.
-    pub ptr: u64,
-    /// Bytes reserved.
-    pub size: u64,
-    /// Step of the originating `Malloc` event.
-    pub step: u64,
-    /// SM that allocated it.
-    pub sm: u32,
-    /// Warp that allocated it.
-    pub warp: u64,
-    /// Lane that allocated it (or [`crate::trace::LANE_NONE`]).
-    pub lane: u32,
-    /// Device that served it (0 on a single-device topology).
-    pub device: u32,
-    /// Allocator instance that served it (0 outside pool mode).
-    pub instance: u32,
-}
-
-/// What kind of unmatched free a [`FreeAnomaly`] is. The two are
+/// What kind of unmatched free a [`Ledger`] saw. The two are
 /// different bugs: a double free names an allocation whose lifetime
 /// ended twice (a races-on-free or replayed-free defect), an
 /// unknown-pointer free names a pointer this instance never handed out
@@ -48,50 +30,60 @@ pub enum FreeAnomalyKind {
     UnknownPtr,
 }
 
-/// A `Free` event with no matching live allocation: a double free, or a
-/// free of a pointer the trace never saw allocated.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct FreeAnomaly {
-    /// Which of the two anomaly classes this free falls into.
-    pub kind: FreeAnomalyKind,
-    /// Device offset freed.
-    pub ptr: u64,
-    /// Step of the offending `Free` event.
-    pub step: u64,
-    /// SM that issued it.
-    pub sm: u32,
-    /// Warp that issued it.
-    pub warp: u64,
-    /// Lane that issued it (or [`crate::trace::LANE_NONE`]).
-    pub lane: u32,
-    /// Device the free was routed to (0 on a single-device topology).
-    pub device: u32,
-    /// Allocator instance the free was routed to (0 outside pool mode).
-    pub instance: u32,
+/// What [`walk`] makes of one lifecycle record.
+#[derive(Clone, Copy)]
+pub(crate) enum Pairing<'a> {
+    /// A `Malloc` record.
+    Malloc(&'a TraceRecord),
+    /// A `Free` record, after the live malloc it closes: the walk's
+    /// `n`-th `Malloc`, counting from 0.
+    Paired { n: usize, malloc: &'a TraceRecord, free: &'a TraceRecord },
+    /// A `Free` record that closes no live malloc.
+    Unmatched(FreeAnomalyKind, &'a TraceRecord),
 }
 
-/// A paired free whose recorded size disagrees with its malloc: the
-/// allocation's lifetime is intact (one malloc, one free, same
-/// `(instance, ptr)`), but the allocator's own accounting of how many
-/// bytes came back differs from how many went out — a size-class
-/// routing or reservation-accounting defect. Distinct from
-/// [`FreeAnomaly`], which names frees with no pairing at all.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SizeMismatch {
-    /// Device offset of the allocation.
-    pub ptr: u64,
-    /// Bytes the `Malloc` event recorded.
-    pub malloc_size: u64,
-    /// Bytes the `Free` event recorded.
-    pub free_size: u64,
-    /// Step of the originating `Malloc` event.
-    pub malloc_step: u64,
-    /// Step of the disagreeing `Free` event.
-    pub step: u64,
-    /// Device (0 on a single-device topology).
-    pub device: u32,
-    /// Allocator instance (0 outside pool mode).
-    pub instance: u32,
+/// The `(ptr, size)` of a `Malloc` or `Free` record; `(0, 0)` otherwise.
+pub(crate) fn ptr_size(r: &TraceRecord) -> (u64, u64) {
+    match r.event {
+        TraceEvent::Malloc { ptr, size, .. } | TraceEvent::Free { ptr, size } => (ptr, size),
+        _ => (0, 0),
+    }
+}
+
+/// Pair a step-ordered trace's mallocs with its frees per
+/// `(device, instance, ptr)`, handing each `Malloc` and `Free` record to
+/// `visit` in trace order; other events are skipped. A key allocated
+/// again while live pairs with its newer incarnation (its free was lost,
+/// or the allocator handed the region out twice), so the older one stays
+/// live. Returns the mallocs live at the end, in allocation order.
+pub(crate) fn walk<'a>(
+    records: &'a [TraceRecord],
+    mut visit: impl FnMut(Pairing<'a>),
+) -> Vec<TraceRecord> {
+    let mut mallocs: Vec<Option<&TraceRecord>> = Vec::new();
+    // Every key ever allocated, with the index of its live malloc: a key
+    // with none is a double free, a key absent an unknown-pointer free.
+    let mut keys: HashMap<(u32, u32, u64), Option<usize>> = HashMap::new();
+    for r in records {
+        let key = (r.device, r.instance, ptr_size(r).0);
+        match r.event {
+            TraceEvent::Malloc { .. } => {
+                keys.insert(key, Some(mallocs.len()));
+                mallocs.push(Some(r));
+                visit(Pairing::Malloc(r));
+            }
+            TraceEvent::Free { .. } => visit(match keys.get_mut(&key).map(Option::take) {
+                Some(Some(n)) => {
+                    let malloc = mallocs[n].take().expect("a live key's malloc is live");
+                    Pairing::Paired { n, malloc, free: r }
+                }
+                Some(None) => Pairing::Unmatched(FreeAnomalyKind::DoubleFree, r),
+                None => Pairing::Unmatched(FreeAnomalyKind::UnknownPtr, r),
+            }),
+            _ => {}
+        }
+    }
+    mallocs.into_iter().flatten().copied().collect()
 }
 
 /// Number of log₂ buckets in the free-latency histogram (bucket `i`
@@ -101,16 +93,20 @@ pub const LATENCY_BUCKETS: usize = 32;
 
 /// Post-mortem lifecycle analysis of a trace: malloc/free pairing, leak
 /// and double-free detection, cross-warp free traffic, free latency in
-/// schedule steps, and a live-bytes (occupancy) timeline.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// schedule steps, and peak occupancy. Anomalies are the trace's own
+/// records.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Ledger {
-    /// Allocations still live at the end of the trace — leaks, if the
+    /// `Malloc` records never freed, in allocation order — leaks, if the
     /// trace covers the full lifetime of the workload.
-    pub live: Vec<LiveAlloc>,
-    /// Frees with no live allocation to pair with.
-    pub double_frees: Vec<FreeAnomaly>,
-    /// Paired frees whose recorded size disagrees with their malloc.
-    pub size_mismatches: Vec<SizeMismatch>,
+    pub live: Vec<TraceRecord>,
+    /// `Free` records with no live allocation to pair with, by kind.
+    pub unmatched_frees: Vec<(FreeAnomalyKind, TraceRecord)>,
+    /// `(malloc, free)` record pairs whose recorded sizes disagree: the
+    /// lifetime is intact, but the allocator's accounting of the bytes
+    /// that came back differs from the bytes that went out — a
+    /// size-class routing or reservation-accounting defect.
+    pub size_mismatches: Vec<(TraceRecord, TraceRecord)>,
     /// Total `Malloc` events seen.
     pub mallocs: u64,
     /// Total `Free` events seen.
@@ -120,10 +116,7 @@ pub struct Ledger {
     /// Free latency histogram: bucket `i` counts paired frees with
     /// `⌊log₂(steps + 1)⌋ = i` between malloc and free.
     pub latency_hist: [u64; LATENCY_BUCKETS],
-    /// `(step, live_bytes)` after every malloc/free, in step order — the
-    /// occupancy timeline a fragmentation analysis plots.
-    pub timeline: Vec<(u64, u64)>,
-    /// Maximum of the timeline.
+    /// Most bytes live at once, after any malloc or free.
     pub peak_live_bytes: u64,
     /// Sum of all `Malloc` event sizes (allocator-rounded bytes).
     pub total_alloc_bytes: u64,
@@ -157,104 +150,37 @@ impl Ledger {
     /// [`crate::trace::TraceSink::snapshot`]). Non-lifecycle events are
     /// ignored. Pairing is per `(device, instance, ptr)`.
     pub fn build(records: &[TraceRecord]) -> Ledger {
-        use std::collections::{HashMap, HashSet};
-        // Insertion-ordered live list + index map: reports come out in
-        // allocation order, never hash order, keeping output diffable.
-        let mut live: Vec<Option<LiveAlloc>> = Vec::new();
-        let mut by_ptr: HashMap<(u32, u32, u64), usize> = HashMap::new();
-        // Everything ever allocated, so an unmatched free can be classed
-        // as a double free (seen before) vs a free of an unknown pointer.
-        let mut ever: HashSet<(u32, u32, u64)> = HashSet::new();
-        let mut ledger = Ledger {
-            live: Vec::new(),
-            double_frees: Vec::new(),
-            size_mismatches: Vec::new(),
-            mallocs: 0,
-            frees: 0,
-            cross_warp_frees: 0,
-            latency_hist: [0; LATENCY_BUCKETS],
-            timeline: Vec::new(),
-            peak_live_bytes: 0,
-            total_alloc_bytes: 0,
-        };
+        let mut ledger = Ledger::default();
         let mut live_bytes = 0u64;
-        for r in records {
-            match r.event {
-                TraceEvent::Malloc { size, ptr, .. } => {
+        ledger.live = walk(records, |pairing| {
+            match pairing {
+                Pairing::Malloc(m) => {
                     ledger.mallocs += 1;
-                    let alloc = LiveAlloc {
-                        ptr,
-                        size,
-                        step: r.step,
-                        sm: r.sm,
-                        warp: r.warp,
-                        lane: r.lane,
-                        device: r.device,
-                        instance: r.instance,
-                    };
-                    // A ptr re-allocated while the ledger thinks it is
-                    // live means its free was lost (or the allocator
-                    // handed the region out twice); keep the newer
-                    // incarnation live, the older one stays leaked.
-                    by_ptr.insert((r.device, r.instance, ptr), live.len());
-                    ever.insert((r.device, r.instance, ptr));
-                    live.push(Some(alloc));
-                    live_bytes += size;
-                    ledger.total_alloc_bytes += size;
+                    live_bytes += ptr_size(m).1;
+                    ledger.total_alloc_bytes += ptr_size(m).1;
                 }
-                TraceEvent::Free { ptr, size } => {
+                Pairing::Paired { malloc, free, .. } => {
                     ledger.frees += 1;
-                    match by_ptr.remove(&(r.device, r.instance, ptr)).and_then(|i| live[i].take()) {
-                        Some(alloc) => {
-                            // A free whose recorded size disagrees with its
-                            // malloc is an accounting defect in the
-                            // allocator; surface it as a typed anomaly
-                            // instead of clamping the timeline (the old
-                            // `saturating_sub` silently absorbed exactly
-                            // this class of bug). The timeline subtracts
-                            // the *malloc* size, which is what was added,
-                            // so occupancy never underflows.
-                            if size != 0 && size != alloc.size {
-                                ledger.size_mismatches.push(SizeMismatch {
-                                    ptr,
-                                    malloc_size: alloc.size,
-                                    free_size: size,
-                                    malloc_step: alloc.step,
-                                    step: r.step,
-                                    device: r.device,
-                                    instance: r.instance,
-                                });
-                            }
-                            live_bytes -= alloc.size;
-                            if alloc.warp != r.warp {
-                                ledger.cross_warp_frees += 1;
-                            }
-                            let delta = r.step - alloc.step;
-                            let bucket = (u64::BITS - (delta + 1).leading_zeros() - 1) as usize;
-                            ledger.latency_hist[bucket.min(LATENCY_BUCKETS - 1)] += 1;
-                        }
-                        None => ledger.double_frees.push(FreeAnomaly {
-                            kind: if ever.contains(&(r.device, r.instance, ptr)) {
-                                FreeAnomalyKind::DoubleFree
-                            } else {
-                                FreeAnomalyKind::UnknownPtr
-                            },
-                            ptr,
-                            step: r.step,
-                            sm: r.sm,
-                            warp: r.warp,
-                            lane: r.lane,
-                            device: r.device,
-                            instance: r.instance,
-                        }),
+                    let (size, freed) = (ptr_size(malloc).1, ptr_size(free).1);
+                    // A free of unknown size (0) skips the cross-check.
+                    // Occupancy subtracts what the malloc added, so a
+                    // mismatch is reported, never absorbed by a clamp.
+                    if freed != 0 && freed != size {
+                        ledger.size_mismatches.push((*malloc, *free));
                     }
+                    live_bytes -= size;
+                    ledger.cross_warp_frees += u64::from(malloc.warp != free.warp);
+                    let delta = free.step - malloc.step;
+                    let bucket = (u64::BITS - (delta + 1).leading_zeros() - 1) as usize;
+                    ledger.latency_hist[bucket.min(LATENCY_BUCKETS - 1)] += 1;
                 }
-                _ => continue,
+                Pairing::Unmatched(kind, free) => {
+                    ledger.frees += 1;
+                    ledger.unmatched_frees.push((kind, *free));
+                }
             }
             ledger.peak_live_bytes = ledger.peak_live_bytes.max(live_bytes);
-            ledger.timeline.push((r.step, live_bytes));
-        }
-        ledger.live = live.into_iter().flatten().collect();
+        });
         ledger
     }
 
@@ -263,45 +189,25 @@ impl Ledger {
     /// The one rendering behind both [`Self::report`] and the allocators'
     /// `check_invariants`.
     pub fn anomaly_lines(&self) -> Vec<String> {
-        let leaks = self.live.iter().map(|l| {
-            format!(
-                "leak: ptr {} ({} B) allocated at step {} (sm {} warp {} lane {}{}{})",
-                l.ptr,
-                l.size,
-                l.step,
-                l.sm,
-                l.warp,
-                l.lane,
-                device_suffix(l.device),
-                instance_suffix(l.instance)
-            )
+        let leaks = self.live.iter().map(|m| {
+            let (ptr, size) = ptr_size(m);
+            format!("leak: ptr {ptr} ({size} B) allocated {}", provenance(m))
         });
-        let frees = self.double_frees.iter().map(|d| {
-            format!(
-                "{}: ptr {} at step {} (sm {} warp {} lane {}{}{})",
-                match d.kind {
-                    FreeAnomalyKind::DoubleFree => "double free",
-                    FreeAnomalyKind::UnknownPtr => "unknown-ptr free",
-                },
-                d.ptr,
-                d.step,
-                d.sm,
-                d.warp,
-                d.lane,
-                device_suffix(d.device),
-                instance_suffix(d.instance)
-            )
+        let frees = self.unmatched_frees.iter().map(|(kind, f)| {
+            let kind = match kind {
+                FreeAnomalyKind::DoubleFree => "double free",
+                FreeAnomalyKind::UnknownPtr => "unknown-ptr free",
+            };
+            format!("{kind}: ptr {} {}", ptr_size(f).0, provenance(f))
         });
-        let sizes = self.size_mismatches.iter().map(|m| {
+        let sizes = self.size_mismatches.iter().map(|(m, f)| {
+            let ((ptr, size), freed) = (ptr_size(m), ptr_size(f).1);
             format!(
-                "size mismatch: ptr {} malloc'd {} B at step {}, freed as {} B at step {}{}{}",
-                m.ptr,
-                m.malloc_size,
-                m.malloc_step,
-                m.free_size,
+                "size mismatch: ptr {ptr} malloc'd {size} B at step {}, freed as {freed} B at \
+                 step {}{}",
                 m.step,
-                device_suffix(m.device),
-                instance_suffix(m.instance)
+                f.step,
+                scope(f)
             )
         });
         leaks.chain(frees).chain(sizes).collect()
@@ -321,7 +227,7 @@ impl Ledger {
         for line in self.anomaly_lines() {
             out.push_str(&format!("  {line}\n"));
         }
-        let paired = self.frees - self.double_frees.len() as u64;
+        let paired = self.frees - self.unmatched_frees.len() as u64;
         out.push_str(&format!("  cross-warp frees: {} of {paired}\n", self.cross_warp_frees));
         out.push_str("  free latency (log2 step buckets): ");
         let last = self.latency_hist.iter().rposition(|&c| c > 0).map(|i| i + 1).unwrap_or(0);
@@ -342,37 +248,36 @@ impl Ledger {
     /// The replay-equivalence projection (see [`LedgerOutcome`]).
     pub fn outcome(&self) -> LedgerOutcome {
         let kind_count =
-            |k: FreeAnomalyKind| self.double_frees.iter().filter(|d| d.kind == k).count() as u64;
+            |k: FreeAnomalyKind| self.unmatched_frees.iter().filter(|(kind, _)| *kind == k).count();
         LedgerOutcome {
             mallocs: self.mallocs,
             frees: self.frees,
             leaks: self.live.len() as u64,
-            double_frees: kind_count(FreeAnomalyKind::DoubleFree),
-            unknown_frees: kind_count(FreeAnomalyKind::UnknownPtr),
+            double_frees: kind_count(FreeAnomalyKind::DoubleFree) as u64,
+            unknown_frees: kind_count(FreeAnomalyKind::UnknownPtr) as u64,
             size_mismatches: self.size_mismatches.len() as u64,
             alloc_bytes: self.total_alloc_bytes,
         }
     }
 }
 
-/// `" instance N"` for pool-mode records, empty for instance 0 — keeps
-/// single-instance reports byte-identical to pre-pool output.
-pub(crate) fn instance_suffix(instance: u32) -> String {
-    if instance == 0 {
-        String::new()
-    } else {
-        format!(" instance {instance}")
-    }
+/// `"at step S (sm N warp W lane L<scope>)"`: where a record was emitted.
+fn provenance(r: &TraceRecord) -> String {
+    format!("at step {} (sm {} warp {} lane {}{})", r.step, r.sm, r.warp, r.lane, scope(r))
 }
 
-/// `" device N"` for multi-device records, empty for device 0 — keeps
-/// single-device reports byte-identical to pre-topology output.
-pub(crate) fn device_suffix(device: u32) -> String {
-    if device == 0 {
-        String::new()
-    } else {
-        format!(" device {device}")
+/// `" device D"` for a record off device 0, then `" instance I"` for one
+/// off instance 0: single-device, single-instance reports read as they
+/// did before pools and topologies existed.
+fn scope(r: &TraceRecord) -> String {
+    let mut out = String::new();
+    if r.device != 0 {
+        out.push_str(&format!(" device {}", r.device));
     }
+    if r.instance != 0 {
+        out.push_str(&format!(" instance {}", r.instance));
+    }
+    out
 }
 
 #[cfg(test)]
@@ -400,12 +305,8 @@ mod tests {
         let ledger = Ledger::build(&records);
         assert_eq!(ledger.mallocs, 3);
         assert_eq!(ledger.frees, 3);
-        assert_eq!(ledger.live.len(), 1, "ptr 200 leaks");
-        assert_eq!(ledger.live[0].ptr, 200);
-        assert_eq!(ledger.live[0].step, 1);
-        assert_eq!(ledger.double_frees.len(), 1);
-        assert_eq!(ledger.double_frees[0].ptr, 100);
-        assert_eq!(ledger.double_frees[0].kind, FreeAnomalyKind::DoubleFree);
+        assert_eq!(ledger.live, vec![records[1]], "ptr 200 leaks");
+        assert_eq!(ledger.unmatched_frees, vec![(FreeAnomalyKind::DoubleFree, records[5])]);
         assert_eq!(ledger.cross_warp_frees, 1);
         assert_eq!(ledger.total_alloc_bytes, 96);
         assert_eq!(
@@ -421,7 +322,6 @@ mod tests {
             }
         );
         assert_eq!(ledger.peak_live_bytes, 96);
-        assert_eq!(ledger.timeline.last(), Some(&(5, 16)));
         assert_eq!(ledger.latency_hist.iter().sum::<u64>(), 2);
         let report = ledger.report();
         assert!(report.contains("leak: ptr 200"), "report: {report}");
@@ -444,13 +344,10 @@ mod tests {
             rec(3, 0, 2, TraceEvent::Free { ptr: 100, size: 0 }),
         ];
         let ledger = Ledger::build(&records);
-        assert_eq!(ledger.live.len(), 1, "instance 0's allocation is still live");
-        assert_eq!((ledger.live[0].instance, ledger.live[0].ptr), (0, 100));
-        assert_eq!(ledger.double_frees.len(), 1);
-        assert_eq!(ledger.double_frees[0].instance, 2);
+        assert_eq!(ledger.live, vec![records[0]], "instance 0's allocation is still live");
         assert_eq!(
-            ledger.double_frees[0].kind,
-            FreeAnomalyKind::UnknownPtr,
+            ledger.unmatched_frees,
+            vec![(FreeAnomalyKind::UnknownPtr, records[3])],
             "instance 2 never allocated ptr 100, so this is not a double free"
         );
         let report = ledger.report();
@@ -481,13 +378,10 @@ mod tests {
         // each free must pair within its own device.
         let records = vec![m(0, 0, 100), m(1, 1, 100), f(2, 1, 100), f(3, 3, 100)];
         let ledger = Ledger::build(&records);
-        assert_eq!(ledger.live.len(), 1, "device 0's allocation is still live");
-        assert_eq!((ledger.live[0].device, ledger.live[0].ptr), (0, 100));
-        assert_eq!(ledger.double_frees.len(), 1);
-        assert_eq!(ledger.double_frees[0].device, 3);
+        assert_eq!(ledger.live, vec![records[0]], "device 0's allocation is still live");
         assert_eq!(
-            ledger.double_frees[0].kind,
-            FreeAnomalyKind::UnknownPtr,
+            ledger.unmatched_frees,
+            vec![(FreeAnomalyKind::UnknownPtr, records[3])],
             "device 3 never allocated ptr 100, so this is not a double free"
         );
         let report = ledger.report();
@@ -503,28 +397,92 @@ mod tests {
         assert!(lines.iter().all(|l| report.contains(&format!("  {l}\n"))), "{report}");
     }
 
+    #[test]
+    fn report_text_is_pinned_for_every_anomaly_and_suffix() {
+        // One of each anomaly, at scope (0, 0) and at non-zero scopes, so
+        // every line shape and both suffixes are pinned byte for byte.
+        let r = |step, sm, warp, lane, (device, instance), event| TraceRecord {
+            step,
+            sm,
+            warp,
+            lane,
+            device,
+            instance,
+            event,
+        };
+        let m = |size, ptr| TraceEvent::Malloc { size, tier: AllocTier::Block, ptr };
+        let f = |ptr, size| TraceEvent::Free { ptr, size };
+        let records = vec![
+            r(0, 0, 0, 3, (0, 0), m(16, 100)),
+            r(1, 1, 2, 7, (1, 2), m(32, 200)),
+            r(2, 0, 0, 0, (0, 0), m(64, 300)),
+            r(3, 1, 1, 0, (0, 0), TraceEvent::SegmentGrab { seg: 4, class: 1 }),
+            r(5, 1, 3, 1, (0, 0), f(300, 0)),
+            r(6, 0, 0, 2, (0, 0), f(300, 0)),
+            r(10, 0, 4, 0, (2, 1), m(16, 400)),
+            r(11, 0, 4, 0, (2, 1), f(400, 16)),
+            r(20, 1, 5, 9, (2, 1), f(400, 0)),
+            r(21, 0, 0, 0, (0, 4), f(999, 0)),
+            r(22, 1, 1, 0, (3, 0), f(500, 0)),
+            r(30, 1, 1, 0, (0, 0), m(32, 600)),
+            r(31, 1, 1, 0, (0, 0), f(600, 64)),
+            r(40, 0, 2, 0, (1, 1), m(128, 700)),
+            r(47, 0, 6, 0, (1, 1), f(700, 256)),
+        ];
+        let ledger = Ledger::build(&records);
+        let lines = [
+            "leak: ptr 100 (16 B) allocated at step 0 (sm 0 warp 0 lane 3)",
+            "leak: ptr 200 (32 B) allocated at step 1 (sm 1 warp 2 lane 7 device 1 instance 2)",
+            "double free: ptr 300 at step 6 (sm 0 warp 0 lane 2)",
+            "double free: ptr 400 at step 20 (sm 1 warp 5 lane 9 device 2 instance 1)",
+            "unknown-ptr free: ptr 999 at step 21 (sm 0 warp 0 lane 0 instance 4)",
+            "unknown-ptr free: ptr 500 at step 22 (sm 1 warp 1 lane 0 device 3)",
+            "size mismatch: ptr 600 malloc'd 32 B at step 30, freed as 64 B at step 31",
+            "size mismatch: ptr 700 malloc'd 128 B at step 40, freed as 256 B at step 47 \
+             device 1 instance 1",
+        ];
+        assert_eq!(ledger.anomaly_lines(), lines);
+        let mut report =
+            "lifecycle ledger: 6 malloc(s), 8 free(s), 2 live at end, peak 176 bytes live\n"
+                .to_string();
+        lines.iter().for_each(|l| report.push_str(&format!("  {l}\n")));
+        report.push_str("  cross-warp frees: 2 of 4\n");
+        report.push_str("  free latency (log2 step buckets): 0:0 1:2 2:1 3:1\n");
+        assert_eq!(ledger.report(), report);
+        assert_eq!(
+            ledger.outcome(),
+            LedgerOutcome {
+                mallocs: 6,
+                frees: 8,
+                leaks: 2,
+                double_frees: 2,
+                unknown_frees: 2,
+                size_mismatches: 2,
+                alloc_bytes: 288,
+            }
+        );
+    }
+
     // Edge-case matrix: each malformed lifecycle is a *classified
     // violation*, never a panic, and the two anomaly kinds stay distinct.
 
     #[test]
     fn mismatched_free_size_is_a_typed_anomaly_not_a_clamp() {
         // Regression: a free recording a different size than its malloc
-        // used to be silently absorbed by a `saturating_sub` clamp on the
-        // occupancy timeline. It must surface as a typed anomaly, and the
-        // timeline must subtract what the malloc added (no underflow, no
-        // phantom residue).
+        // used to be silently absorbed by a `saturating_sub` clamp on
+        // occupancy. It must surface as a typed anomaly, and occupancy
+        // must subtract what the malloc added (no underflow, no phantom
+        // residue).
         let records = vec![
             rec(0, 0, 0, TraceEvent::Malloc { size: 16, tier: AllocTier::Slice, ptr: 100 }),
             rec(1, 0, 0, TraceEvent::Free { ptr: 100, size: 64 }),
         ];
         let ledger = Ledger::build(&records);
-        assert_eq!(ledger.size_mismatches.len(), 1);
-        let m = ledger.size_mismatches[0];
-        assert_eq!((m.ptr, m.malloc_size, m.free_size), (100, 16, 64));
-        assert_eq!((m.malloc_step, m.step, m.instance), (0, 1, 0));
+        assert_eq!(ledger.size_mismatches, vec![(records[0], records[1])]);
         assert_eq!(ledger.outcome().size_mismatches, 1);
-        assert_eq!(ledger.double_frees.len(), 0, "the lifetime itself paired cleanly");
-        assert_eq!(ledger.timeline, vec![(0, 16), (1, 0)], "timeline subtracts the malloc size");
+        assert!(ledger.unmatched_frees.is_empty(), "the lifetime itself paired cleanly");
+        assert!(ledger.live.is_empty(), "occupancy subtracts the malloc size");
+        assert_eq!(ledger.peak_live_bytes, 16);
         assert!(
             ledger.report().contains("size mismatch: ptr 100 malloc'd 16 B at step 0"),
             "report: {}",
@@ -552,8 +510,7 @@ mod tests {
         let records = vec![rec(0, 0, 0, TraceEvent::Free { ptr: 640, size: 0 })];
         let ledger = Ledger::build(&records);
         assert_eq!(ledger.frees, 1);
-        assert_eq!(ledger.double_frees.len(), 1);
-        assert_eq!(ledger.double_frees[0].kind, FreeAnomalyKind::UnknownPtr);
+        assert_eq!(ledger.unmatched_frees, vec![(FreeAnomalyKind::UnknownPtr, records[0])]);
         assert_eq!(ledger.outcome().unknown_frees, 1);
         assert_eq!(ledger.outcome().double_frees, 0);
         assert!(ledger.report().contains("unknown-ptr free: ptr 640"));
@@ -570,8 +527,8 @@ mod tests {
             rec(3, 1, 0, TraceEvent::Free { ptr: 64, size: 0 }),
         ];
         let ledger = Ledger::build(&records);
-        assert_eq!(ledger.double_frees.len(), 2);
-        assert!(ledger.double_frees.iter().all(|d| d.kind == FreeAnomalyKind::DoubleFree));
+        assert_eq!(ledger.unmatched_frees.len(), 2);
+        assert!(ledger.unmatched_frees.iter().all(|d| d.0 == FreeAnomalyKind::DoubleFree));
         assert_eq!(ledger.outcome().double_frees, 2);
         assert_eq!(ledger.outcome().unknown_frees, 0);
         assert!(ledger.report().contains("double free: ptr 64"));
@@ -601,9 +558,13 @@ mod tests {
         let ledger = Ledger::build(&records);
         let out = ledger.outcome();
         assert_eq!((out.double_frees, out.unknown_frees, out.leaks), (1, 1, 1));
-        let double = &ledger.double_frees;
-        assert_eq!((double[0].kind, double[0].instance), (FreeAnomalyKind::DoubleFree, 0));
-        assert_eq!((double[1].kind, double[1].instance), (FreeAnomalyKind::UnknownPtr, 2));
-        assert_eq!(ledger.live[0].instance, 1, "instance 1's allocation is the leak");
+        assert_eq!(
+            ledger.unmatched_frees,
+            vec![
+                (FreeAnomalyKind::DoubleFree, records[3]),
+                (FreeAnomalyKind::UnknownPtr, records[4])
+            ]
+        );
+        assert_eq!(ledger.live, vec![records[1]], "instance 1's allocation is the leak");
     }
 }

@@ -66,7 +66,7 @@ pub use launch::{
 };
 pub use mem::{DeviceMemory, DevicePtr};
 pub use metrics::{Metrics, Striped};
-pub use replay::{ConversionStats, ReplayOp, ReplayScript, WarpScript};
+pub use replay::{ReplayOp, ReplayScript, WarpScript};
 pub use sched::{
     cases, current_sched_seed, explore_schedules, preempt_point, spin_hint, FaultPlan,
     PreemptPoint, ScheduleFailure, SplitMix64,

@@ -34,8 +34,8 @@
 //! what matters, matching the execution model where warps are
 //! independently scheduled.
 
-use crate::trace::{TraceEvent, TraceRecord, LANE_NONE};
-use std::collections::HashMap;
+use crate::ledger::{ptr_size, walk, Pairing};
+use crate::trace::{TraceRecord, LANE_NONE};
 
 /// One scripted operation within a warp.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -77,24 +77,6 @@ pub struct ReplayScript {
     pub warps: Vec<WarpScript>,
 }
 
-/// What [`ReplayScript::from_trace`] kept and what it had to bend.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ConversionStats {
-    /// Malloc events converted.
-    pub mallocs: u64,
-    /// Free events converted.
-    pub frees: u64,
-    /// Frees issued by a different warp than the allocating one in the
-    /// original trace. Scripts are per-warp programs with no cross-warp
-    /// synchronization, so these are reassigned to the allocating warp
-    /// (preserving the lifetime, moving the issuer).
-    pub reassigned_frees: u64,
-    /// Free events whose pointer no trace malloc produced (or that freed
-    /// it twice); they cannot be expressed as a slot reference and are
-    /// dropped from the script.
-    pub dropped_frees: u64,
-}
-
 /// `LANE_NONE` (scalar/leader-only events) canonicalizes to lane 0.
 fn canonical_lane(lane: u32) -> u32 {
     if lane == LANE_NONE {
@@ -107,60 +89,45 @@ fn canonical_lane(lane: u32) -> u32 {
 impl ReplayScript {
     /// Reduce a step-ordered trace (as returned by
     /// [`crate::trace::TraceSink::snapshot`]) to a replay script for a
-    /// `num_sms`-wide device. Non-lifecycle events are ignored; pairing
-    /// is per `(device, instance, ptr)` exactly like
-    /// [`crate::ledger::Ledger`].
-    pub fn from_trace(records: &[TraceRecord], num_sms: u32) -> (ReplayScript, ConversionStats) {
+    /// `num_sms`-wide device, folding over the
+    /// [`crate::ledger::Ledger`]'s own pairing. Non-lifecycle events are
+    /// ignored. Two kinds of free bend, and the ledger of the same records
+    /// counts both: a free issued by another warp than the allocating one
+    /// (`cross_warp_frees`) moves to the allocating warp, since scripts are
+    /// per-warp programs with no cross-warp synchronization, and a free
+    /// that pairs with no live malloc (`unmatched_frees`) cannot name a
+    /// slot and is dropped. A re-allocated pointer pairs with its newer
+    /// malloc, whose older slot is never freed, mirroring the ledger's leak.
+    pub fn from_trace(records: &[TraceRecord], num_sms: u32) -> ReplayScript {
         let mut warps: Vec<WarpScript> = Vec::new();
-        let mut slots_taken: Vec<u32> = Vec::new();
-        let mut by_ptr: HashMap<(u32, u32, u64), (usize, u32)> = HashMap::new();
-        let mut stats = ConversionStats::default();
-        let warp_at = |warps: &mut Vec<WarpScript>, slots: &mut Vec<u32>, w: usize| {
+        // Slots taken per warp, and each malloc's slot in the walk's order.
+        let (mut taken, mut slots) = (Vec::<u32>::new(), Vec::<u32>::new());
+        walk(records, |pairing| {
+            let (Pairing::Malloc(r) | Pairing::Paired { free: r, .. } | Pairing::Unmatched(_, r)) =
+                pairing;
+            // The issuing warp stays in the script even when its free is
+            // moved or dropped: it occupied an SM in the original launch,
+            // and the warp count preserves the striping.
+            let w = r.warp as usize;
             if warps.len() <= w {
                 warps.resize_with(w + 1, WarpScript::default);
-                slots.resize(w + 1, 0);
+                taken.resize(w + 1, 0);
             }
-        };
-        for r in records {
-            match r.event {
-                TraceEvent::Malloc { size, ptr, .. } => {
-                    let w = r.warp as usize;
-                    warp_at(&mut warps, &mut slots_taken, w);
-                    let slot = slots_taken[w];
-                    slots_taken[w] += 1;
-                    warps[w].ops.push(ReplayOp::Malloc {
-                        lane: canonical_lane(r.lane),
-                        slot,
-                        size,
-                    });
-                    // A ptr re-allocated while mapped means its free was
-                    // never traced; the newer incarnation wins, the older
-                    // slot is simply never freed (mirrors Ledger's leak).
-                    by_ptr.insert((r.device, r.instance, ptr), (w, slot));
-                    stats.mallocs += 1;
+            let lane = canonical_lane(r.lane);
+            match pairing {
+                Pairing::Malloc(m) => {
+                    let (slot, size) = (taken[w], ptr_size(m).1);
+                    slots.push(slot);
+                    taken[w] += 1;
+                    warps[w].ops.push(ReplayOp::Malloc { lane, slot, size });
                 }
-                TraceEvent::Free { ptr, .. } => {
-                    // The freeing warp stays in the script even when its
-                    // op is reassigned: it occupied an SM in the original
-                    // launch, and the warp count preserves the striping.
-                    warp_at(&mut warps, &mut slots_taken, r.warp as usize);
-                    match by_ptr.remove(&(r.device, r.instance, ptr)) {
-                        Some((w, slot)) => {
-                            if w as u64 != r.warp {
-                                stats.reassigned_frees += 1;
-                            }
-                            warps[w]
-                                .ops
-                                .push(ReplayOp::Free { lane: canonical_lane(r.lane), slot });
-                            stats.frees += 1;
-                        }
-                        None => stats.dropped_frees += 1,
-                    }
+                Pairing::Paired { n, malloc, .. } => {
+                    warps[malloc.warp as usize].ops.push(ReplayOp::Free { lane, slot: slots[n] });
                 }
-                _ => {}
+                Pairing::Unmatched(..) => {}
             }
-        }
-        (ReplayScript { num_sms, warps }, stats)
+        });
+        ReplayScript { num_sms, warps }
     }
 
     /// Number of warps the script drives.
@@ -310,7 +277,7 @@ impl ReplayScript {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::AllocTier;
+    use crate::trace::{AllocTier, TraceEvent};
 
     fn rec(step: u64, warp: u64, lane: u32, instance: u32, event: TraceEvent) -> TraceRecord {
         TraceRecord { step, sm: (warp % 4) as u32, warp, lane, device: 0, instance, event }
@@ -330,8 +297,7 @@ mod tests {
             rec(4, 1, LANE_NONE, 0, TraceEvent::Free { ptr: 300, size: 0 }),
             rec(5, 0, 0, 0, TraceEvent::Free { ptr: 100, size: 0 }),
         ];
-        let (script, stats) = ReplayScript::from_trace(&records, 4);
-        assert_eq!(stats, ConversionStats { mallocs: 3, frees: 3, ..Default::default() });
+        let script = ReplayScript::from_trace(&records, 4);
         assert_eq!(script.num_warps(), 2);
         assert_eq!(script.total_ops(), 6);
         assert_eq!(
@@ -356,15 +322,14 @@ mod tests {
             // channel, so the free moves to warp 0's program.
             rec(1, 1, 0, 0, TraceEvent::Free { ptr: 100, size: 0 }),
         ];
-        let (script, stats) = ReplayScript::from_trace(&records, 4);
-        assert_eq!(stats.reassigned_frees, 1);
+        let script = ReplayScript::from_trace(&records, 4);
         assert_eq!(script.warps[0].ops.len(), 2);
         assert!(script.warps[1].ops.is_empty());
         assert_eq!(script.validate(), Ok(0));
     }
 
     #[test]
-    fn unmatched_frees_are_dropped_and_counted() {
+    fn unmatched_frees_are_dropped() {
         let records = vec![
             m(0, 0, 0, 100, 16),
             rec(1, 0, 0, 0, TraceEvent::Free { ptr: 100, size: 0 }),
@@ -374,10 +339,10 @@ mod tests {
             // (instance, ptr), so this one is also unmatched.
             rec(4, 0, 0, 7, TraceEvent::Free { ptr: 100, size: 0 }),
         ];
-        let (script, stats) = ReplayScript::from_trace(&records, 4);
-        assert_eq!(stats.frees, 1);
-        assert_eq!(stats.dropped_frees, 3);
-        assert_eq!(script.total_ops(), 2);
+        let script = ReplayScript::from_trace(&records, 4);
+        let ops =
+            [ReplayOp::Malloc { lane: 0, slot: 0, size: 16 }, ReplayOp::Free { lane: 0, slot: 0 }];
+        assert_eq!(script.warps, vec![WarpScript { ops: ops.to_vec() }]);
     }
 
     #[test]
@@ -387,7 +352,7 @@ mod tests {
             m(1, 2, 0, 300, 1024),
             rec(2, 0, 3, 0, TraceEvent::Free { ptr: 100, size: 0 }),
         ];
-        let (script, _) = ReplayScript::from_trace(&records, 8);
+        let script = ReplayScript::from_trace(&records, 8);
         let text = script.render();
         assert!(text.starts_with("# gallatin-replay-v1 sms=8 warps=3\n"), "{text}");
         assert_eq!(ReplayScript::parse(&text), Ok(script.clone()));

@@ -110,7 +110,6 @@ thread_local! {
     /// lazy registration), which is all a free-running [`preempt_point`]
     /// costs.
     static CURRENT_RUN: Cell<*const Run> = const { Cell::new(std::ptr::null()) };
-    static CURRENT_SEED: RefCell<Option<u64>> = const { RefCell::new(None) };
 }
 
 /// The schedule seed of the deterministic run the current thread is
@@ -120,21 +119,10 @@ thread_local! {
 /// so a stall report is immediately reproducible with
 /// `GALLATIN_SCHED_SEED=<seed>`.
 pub fn current_sched_seed() -> Option<u64> {
-    CURRENT_SEED.with(|c| *c.borrow())
-}
-
-/// Install `seed` as the current thread's schedule seed for the duration
-/// of `f` (restoring the previous value afterwards, also on panic).
-fn with_seed<R>(seed: u64, f: impl FnOnce() -> R) -> R {
-    struct Restore(Option<u64>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            CURRENT_SEED.with(|c| *c.borrow_mut() = self.0);
-        }
-    }
-    let prev = CURRENT_SEED.with(|c| c.borrow_mut().replace(seed));
-    let _restore = Restore(prev);
-    f()
+    let run = CURRENT_RUN.get();
+    // SAFETY: as in `preempt_point`, a non-null pointer is the run this
+    // thread hosts, borrowed for as long as it is installed.
+    (!run.is_null()).then(|| unsafe { (*run).seed })
 }
 
 /// Install `run` as the run the current thread hosts for the duration
@@ -336,6 +324,8 @@ impl Chooser {
 /// One run's state: on the launcher's frame, in [`run_tasks_faulted`],
 /// for exactly the run's duration, and touched by no other thread.
 struct Run {
+    /// The seed the chooser was drawn from, for diagnostics.
+    seed: u64,
     chooser: RefCell<Chooser>,
     /// The task that holds the baton: the one executing.
     current: Cell<usize>,
@@ -457,6 +447,7 @@ where
     let mut chooser = Chooser::new(seed, n, fault);
     let first = chooser.draw().expect("a non-empty run has a first task");
     let run = Run {
+        seed,
         chooser: RefCell::new(chooser),
         current: Cell::new(0),
         fibers: (0..n).map(|i| Fiber::new(i > 0)).collect(),
@@ -466,14 +457,12 @@ where
     for fiber in &run.fibers[1..] {
         fiber.boot(fiber_main, std::ptr::from_ref(&launch).cast_mut().cast());
     }
-    with_seed(seed, || {
-        with_run(&run, || {
-            // Back here when task 0 is first drawn, and `host` returns
-            // when the run is over: every fiber is switched out for good,
-            // so dropping `run` may hand their stacks to the next launch.
-            run.switch_to(first);
-            run.host(&task);
-        })
+    with_run(&run, || {
+        // Back here when task 0 is first drawn, and `host` returns when
+        // the run is over: every fiber is switched out for good, so
+        // dropping `run` may hand their stacks to the next launch.
+        run.switch_to(first);
+        run.host(&task);
     });
     if let Some(payload) = run.first_panic.take() {
         resume_unwind(payload);

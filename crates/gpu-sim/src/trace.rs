@@ -36,8 +36,8 @@
 //!   event fields in `args`.
 //! * [`Ledger`](crate::ledger::Ledger) is the post-mortem analysis: it
 //!   pairs mallocs with frees to report leaks, double frees, cross-warp
-//!   free traffic, a free latency histogram (in schedule steps), and a
-//!   live-bytes timeline.
+//!   free traffic, a free latency histogram (in schedule steps), and
+//!   peak live bytes.
 //! * [`auto_dump`] writes the current sink's trace to
 //!   `$GALLATIN_TRACE_DIR` (default `target/traces`) with a
 //!   seed-stamped, deterministic filename — invoked by `gallatin-core`
